@@ -39,7 +39,7 @@ def main(argv=None) -> int:
     parser.add_argument("--chain-max", type=int, default=8,
                         help="largest chain length to evaluate (default 8)")
     parser.add_argument("--skip-classical", action="store_true",
-                        help="skip the brute-force classical comparators")
+                        help="skip the classical comparators")
     parser.add_argument("--out", type=pathlib.Path,
                         help="directory for JSON copies of each report")
     args = parser.parse_args(argv)

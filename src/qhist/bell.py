@@ -18,7 +18,6 @@ times are statistically interchangeable, two-pair sums reach 4*sqrt(2)
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -27,7 +26,12 @@ import numpy as np
 
 from .errors import ShapeError
 from .linalg import as_matrix, identity, max_abs, maximally_mixed, pauli
-from .twostate import MeasurementSetting, OutcomeDistribution, mixed_sequence_distribution
+from .twostate import (
+    MeasurementSetting,
+    OutcomeDistribution,
+    bloch_observables,
+    mixed_sequence_distribution,
+)
 
 __all__ = [
     "CLASSICAL_BOUND",
@@ -38,6 +42,8 @@ __all__ = [
     "ChainedResult",
     "OptimizerConfig",
     "OptimizeResult",
+    "MAX_CHAIN_BLOCKS",
+    "correlator_tables",
     "temporal_correlator",
     "s_lgi",
     "lgi_from_distributions",
@@ -54,6 +60,10 @@ __all__ = [
 CLASSICAL_BOUND = 2.0
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
+# Largest chain length chained_bell accepts.  The block is evaluated once, so
+# the only cost that grows with n is the report: n copies of the block.
+MAX_CHAIN_BLOCKS = 1000
+
 INDEPENDENT = "independent_ensembles"
 CHAINED = "chained_single_system"
 _MODES = (INDEPENDENT, CHAINED)
@@ -67,6 +77,20 @@ def _check_initial(initial) -> np.ndarray:
     if abs(np.trace(rho) - 1.0) > 1e-9 or max_abs(rho - rho.conj().T) > 1e-9:
         raise ValueError("initial state must be a unit-trace Hermitian density operator")
     return rho
+
+
+def _check_unitary(u, d: int, what: str = "unitary") -> np.ndarray:
+    """A (d, d) or (N, d, d) stack of unitaries, or the identity for None."""
+    if u is None:
+        return identity(d)
+    u = np.asarray(u, dtype=complex)
+    if u.ndim not in (2, 3) or u.shape[-2:] != (d, d):
+        raise ShapeError(f"{what} must be {d}x{d}")
+    if not np.all(np.isfinite(u)):
+        raise ValueError(f"{what} entries must be finite")
+    if max_abs(u.conj().swapaxes(-1, -2) @ u - identity(d)) > 1e-9:
+        raise ValueError(f"{what} is not unitary")
+    return u
 
 
 @dataclass(frozen=True)
@@ -85,10 +109,9 @@ class CorrelatorSpec:
         object.__setattr__(self, "initial", rho)
         if self.evaluation_mode not in _MODES:
             raise ValueError(f"evaluation_mode must be one of {_MODES}")
-        u = self.unitary
-        if u is None:
-            u = identity(rho.shape[0])
-        u = np.array(as_matrix(u), dtype=complex)
+        u = np.array(_check_unitary(self.unitary, rho.shape[0]))
+        if u.ndim != 2:
+            raise ShapeError("unitary must be a single matrix")
         u.setflags(write=False)
         object.__setattr__(self, "unitary", u)
 
@@ -117,36 +140,95 @@ class BellReport:
             raise ValueError("value does not match the correlator combination")
 
 
+def _projector_pairs(obs, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(P+, P-) for a stack of observables, checked as MeasurementSetting checks one."""
+    if not np.all(np.isfinite(obs)):
+        raise ValueError("observable entries must be finite")
+    eye = identity(d)
+    if max_abs(obs - obs.conj().swapaxes(-1, -2)) > 1e-9:
+        raise ValueError("observable is not Hermitian")
+    if max_abs(obs @ obs - eye) > 1e-9:
+        raise ValueError("observable is not dichotomic (O^2 != I)")
+    p_plus, p_minus = ((eye + a * obs) / 2.0 for a in (+1, -1))
+    if max_abs(p_plus + p_minus - eye) > 1e-12:
+        raise ValueError("outcome projectors do not resolve the identity")
+    if max_abs(p_plus @ p_minus) > 1e-12:
+        raise ValueError("outcome projectors are not orthogonal")
+    return p_plus, p_minus
+
+
+def correlator_tables(initial, firsts, unitaries, seconds) -> np.ndarray:
+    """Two-time correlator tables for a stack of settings.
+
+    ``firsts`` and ``seconds`` are (N, k, d, d) stacks of dichotomic
+    observables and ``unitaries`` is one (d, d) unitary, an (N, d, d) stack,
+    or None for trivial evolution.  Entry [n, i, j] is
+
+        E = sum over a, b of a * b * Tr(P_b U P_a rho P_a U^dag P_b)
+
+    for firsts[n, i], unitaries[n] and seconds[n, j], computed with the same
+    floating-point operations in the same order for every entry, so a value
+    does not depend on the size of the stack or on its other entries.
+    """
+    rho = _check_initial(initial)
+    d = rho.shape[0]
+    firsts, seconds = (np.asarray(o, dtype=complex) for o in (firsts, seconds))
+    for obs in (firsts, seconds):
+        if obs.ndim != 4 or obs.shape[-2:] != (d, d) or len(obs) != len(firsts):
+            raise ShapeError(f"observables must be (N, k, {d}, {d}) stacks with one N")
+    u = _check_unitary(unitaries, d)
+    if u.ndim == 3 and len(u) != len(firsts):
+        raise ShapeError("need one unitary per stack entry")
+    u = u[None] if u.ndim == 2 else u[:, None]
+    u_dag = u.conj().swapaxes(-1, -2)
+    # one check over both stacks, then split each projector back per stack
+    k = firsts.shape[1]
+    both = _projector_pairs(np.concatenate([firsts, seconds], axis=1), d)
+    first_projectors = [p[:, :k] for p in both]
+    second_projectors = [p[:, k:] for p in both]
+    total = 0.0
+    for a, pa in zip((+1, -1), first_projectors):
+        mid = (u @ pa @ rho @ pa @ u_dag)[:, :, None]
+        for b, pb in zip((+1, -1), second_projectors):
+            total = total + a * b * np.trace(pb[:, None] @ mid, axis1=-2, axis2=-1).real
+    if max_abs(total) > 1.0 + 1e-9:
+        raise ValueError("correlators must lie in [-1, 1]")
+    return total
+
+
+def _s_value(table):
+    """S = c11 + c12 + c21 - c22 over the last two axes."""
+    return table[..., 0, 0] + table[..., 0, 1] + table[..., 1, 0] - table[..., 1, 1]
+
+
+def _observables(settings: Sequence[MeasurementSetting]) -> np.ndarray:
+    return np.stack([s.observable for s in settings])
+
+
 def temporal_correlator(
     initial, first: MeasurementSetting, unitary, second: MeasurementSetting
 ) -> float:
     """Two-time correlator under nonselective collapse at the first time."""
-    rho = _check_initial(initial)
-    u = identity(rho.shape[0]) if unitary is None else as_matrix(unitary)
-    total = 0.0
-    for a in (+1, -1):
-        pa = first.projector(a)
-        mid = u @ pa @ rho @ pa @ u.conj().T
-        for b in (+1, -1):
-            pb = second.projector(b)
-            total += a * b * float(np.trace(pb @ mid).real)
-    return total
+    table = correlator_tables(
+        initial, first.observable[None, None], unitary, second.observable[None, None]
+    )
+    return float(table[0, 0, 0])
 
 
-def _correlator_table(rho, firsts, unitary, seconds) -> np.ndarray:
-    table = np.empty((2, 2))
-    for i, a_set in enumerate(firsts):
-        for j, b_set in enumerate(seconds):
-            table[i, j] = temporal_correlator(rho, a_set, unitary, b_set)
-    return table
+def _report(table, settings, mode: str) -> BellReport:
+    labels = tuple(s.label for s in settings)
+    return BellReport(table, float(_s_value(table)), CLASSICAL_BOUND, TSIRELSON_BOUND, labels, mode)
 
 
 def s_lgi(spec: CorrelatorSpec) -> BellReport:
     """Evaluate S = c11 + c12 + c21 - c22 for the given settings."""
-    table = _correlator_table(spec.initial, spec.first_settings, spec.unitary, spec.second_settings)
-    value = float(table[0, 0] + table[0, 1] + table[1, 0] - table[1, 1])
-    labels = tuple(s.label for s in spec.first_settings + spec.second_settings)
-    return BellReport(table, value, CLASSICAL_BOUND, TSIRELSON_BOUND, labels, spec.evaluation_mode)
+    table = correlator_tables(
+        spec.initial,
+        _observables(spec.first_settings)[None],
+        spec.unitary,
+        _observables(spec.second_settings)[None],
+    )[0]
+    return _report(table, spec.first_settings + spec.second_settings, spec.evaluation_mode)
 
 
 def lgi_from_distributions(dists: Mapping[tuple[str, str], OutcomeDistribution]) -> BellReport:
@@ -165,9 +247,9 @@ def lgi_from_distributions(dists: Mapping[tuple[str, str], OutcomeDistribution])
             if (x, y) not in dists:
                 raise ValueError(f"missing distribution for setting pair {(x, y)}")
             table[i, j] = dists[(x, y)].correlator()
-    value = float(table[0, 0] + table[0, 1] + table[1, 0] - table[1, 1])
     return BellReport(
-        table, value, CLASSICAL_BOUND, TSIRELSON_BOUND, tuple(firsts + seconds), INDEPENDENT
+        table, float(_s_value(table)), CLASSICAL_BOUND, TSIRELSON_BOUND, tuple(firsts + seconds),
+        INDEPENDENT,
     )
 
 
@@ -175,40 +257,47 @@ def lgi_from_distributions(dists: Mapping[tuple[str, str], OutcomeDistribution])
 # classical comparators
 
 
-def classical_bound_bruteforce(coefficients=((1, 1), (1, -1))) -> float:
-    """Maximum of sum c_ij * a_i * b_j over deterministic +/-1 assignments."""
+# a party's +/-1 values for its two settings, in enumeration order
+_STRATEGIES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+def _block_values(coefficients) -> list[list]:
+    """sum c_ij * a_i * b_j for every pair of deterministic strategies (a, b)."""
     coeff = np.asarray(coefficients, dtype=float)
     if coeff.shape != (2, 2):
         raise ShapeError("coefficient table must be 2x2")
-    best = -math.inf
-    for a1, a2, b1, b2 in itertools.product((1, -1), repeat=4):
-        a = (a1, a2)
-        b = (b1, b2)
-        val = sum(coeff[i, j] * a[i] * b[j] for i in range(2) for j in range(2))
-        best = max(best, val)
-    return float(best)
+    if not np.all(np.isfinite(coeff)):
+        raise ValueError("coefficients must be finite")
+    return [
+        [sum(coeff[i, j] * a[i] * b[j] for i in range(2) for j in range(2)) for b in _STRATEGIES]
+        for a in _STRATEGIES
+    ]
+
+
+def classical_bound_bruteforce(coefficients=((1, 1), (1, -1))) -> float:
+    """Maximum of sum c_ij * a_i * b_j over deterministic +/-1 assignments."""
+    return float(max(max(row) for row in _block_values(coefficients)))
 
 
 def chained_classical_bound(n: int, coefficients=((1, 1), (1, -1))) -> float:
     """Deterministic maximum of an n-block chain sharing adjacent parties.
 
     Block i couples party i and party i+1 with the same 2x2 coefficient
-    pattern; every party holds a +/-1 value per setting.  Enumeration is
-    exhaustive over all 4^(n+1) strategies.
+    pattern; every party holds one of four deterministic strategies (a +/-1
+    value per setting).  A max-plus (Viterbi) transfer keeps, for each
+    strategy of the latest party, the best total of the blocks so far: 16
+    additions per block instead of all 4^(n+1) strategies.  Totals add block
+    values left to right, as a direct sum over one strategy does, and
+    floating-point addition is monotone, so the result is exactly the maximum
+    over all strategies.
     """
     if n < 1:
         raise ValueError("need at least one block")
-    coeff = np.asarray(coefficients, dtype=float)
-    strategies = list(itertools.product((1, -1), repeat=2))
-    best = -math.inf
-    for assignment in itertools.product(range(4), repeat=n + 1):
-        total = 0.0
-        for k in range(n):
-            a = strategies[assignment[k]]
-            b = strategies[assignment[k + 1]]
-            total += sum(coeff[i, j] * a[i] * b[j] for i in range(2) for j in range(2))
-        best = max(best, total)
-    return float(best)
+    block = _block_values(coefficients)
+    best = [0.0] * len(_STRATEGIES)
+    for _ in range(n):
+        best = [max(best[s] + block[s][t] for s in range(len(best))) for t in range(len(best))]
+    return float(max(best))
 
 
 # ---------------------------------------------------------------------------
@@ -267,18 +356,18 @@ def monogamy_sum(
         raise ValueError(f"mode must be one of {_MODES}")
     rho = _check_initial(initial)
     d = rho.shape[0]
-    u1 = identity(d) if unitaries[0] is None else as_matrix(unitaries[0])
-    u2 = identity(d) if unitaries[1] is None else as_matrix(unitaries[1])
+    u1, u2 = (_check_unitary(u, d, f"unitaries[{i}]") for i, u in enumerate(unitaries))
     a_settings, b_settings, c_settings = tuple(a_settings), tuple(b_settings), tuple(c_settings)
+    a, b, c = (_observables(s) for s in (a_settings, b_settings, c_settings))
 
-    first = s_lgi(CorrelatorSpec(rho, a_settings, b_settings, u1, mode))
     if mode == INDEPENDENT:
-        second = s_lgi(CorrelatorSpec(rho, b_settings, c_settings, u2, mode))
+        tables = correlator_tables(rho, np.stack([a, b]), np.stack([u1, u2]), np.stack([b, c]))
+        first = _report(tables[0], a_settings + b_settings, mode)
+        second = _report(tables[1], b_settings + c_settings, mode)
     else:
+        first = _report(correlator_tables(rho, a[None], u1, b[None])[0], a_settings + b_settings, mode)
         table = _chained_second_pair_table(rho, a_settings, b_settings, c_settings, u1, u2)
-        value = float(table[0, 0] + table[0, 1] + table[1, 0] - table[1, 1])
-        labels = tuple(s.label for s in b_settings + c_settings)
-        second = BellReport(table, value, CLASSICAL_BOUND, TSIRELSON_BOUND, labels, mode)
+        second = _report(table, b_settings + c_settings, mode)
     total = float(first.value + second.value)
     return MonogamyResult(first, second, total, 4.0 * math.sqrt(2.0), 4.0, mode)
 
@@ -289,6 +378,19 @@ class ChainedResult:
     total: float
     classical_bound: float
     quantum_bound: float
+
+
+def _chain_total(block_value: float, n: int) -> float:
+    # the sum of n block values, as adding up the block reports gives it;
+    # n * block_value can differ in the last bit
+    return float(sum([block_value] * n))
+
+
+def _check_chain_length(n: int) -> None:
+    if n < 1:
+        raise ValueError("need at least one block")
+    if n > MAX_CHAIN_BLOCKS:
+        raise ValueError(f"at most {MAX_CHAIN_BLOCKS} chained blocks are supported, got {n}")
 
 
 def chained_bell(
@@ -302,17 +404,15 @@ def chained_bell(
 
     The chain repeats one block (the loop reading of a two-time sequence), so
     all blocks share settings and the total is n times the block value; the
-    classical comparator for the same functional is 2n.
+    classical comparator for the same functional is 2n.  The block is
+    evaluated once and its report repeated.  At most MAX_CHAIN_BLOCKS blocks.
     """
-    if n < 1:
-        raise ValueError("need at least one block")
+    _check_chain_length(n)
     rho = maximally_mixed(2) if initial is None else _check_initial(initial)
-    reports = tuple(
-        s_lgi(CorrelatorSpec(rho, tuple(first_settings), tuple(second_settings), unitary, INDEPENDENT))
-        for _ in range(n)
+    report = s_lgi(
+        CorrelatorSpec(rho, tuple(first_settings), tuple(second_settings), unitary, INDEPENDENT)
     )
-    total = float(sum(r.value for r in reports))
-    return ChainedResult(reports, total, 2.0 * n, TSIRELSON_BOUND * n)
+    return ChainedResult((report,) * n, _chain_total(report.value, n), 2.0 * n, TSIRELSON_BOUND * n)
 
 
 # ---------------------------------------------------------------------------
@@ -378,24 +478,30 @@ def settings_from_angles(angles: Sequence[float]) -> tuple[MeasurementSetting, .
 
 
 def _objective_function(objective: str, initial, n: int) -> tuple[Callable, int]:
+    """Batched objective: an (N, n_angles) stack of angle vectors -> N values.
+
+    Each value equals what the named public function returns for the settings
+    ``settings_from_angles`` builds from that row.
+    """
     rho = maximally_mixed(2) if initial is None else _check_initial(initial)
     if rho.shape != (2, 2):
         raise ShapeError("the angle parameterization covers qubit settings only")
 
+    def s_values(stack):
+        """S of each row of angles for (first, first, second, second) settings."""
+        obs = bloch_observables(stack.reshape(len(stack), 4, 2))
+        return _s_value(correlator_tables(rho, obs[:, :2], None, obs[:, 2:])).tolist()
+
     if objective == "s_lgi":
-        def fn(angles):
-            s = settings_from_angles(angles)
-            return s_lgi(CorrelatorSpec(rho, (s[0], s[1]), (s[2], s[3]))).value
-        return fn, 8
+        return s_values, 8
     if objective == "chained_bell":
-        def fn(angles):
-            s = settings_from_angles(angles)
-            return chained_bell(n, (s[0], s[1]), (s[2], s[3]), rho).total
-        return fn, 8
+        _check_chain_length(n)
+        return (lambda stack: [_chain_total(v, n) for v in s_values(stack)]), 8
     if objective == "monogamy_sum":
-        def fn(angles):
-            s = settings_from_angles(angles)
-            return monogamy_sum(rho, (s[0], s[1]), (s[2], s[3]), (s[4], s[5])).total
+        def fn(stack):
+            # pairs (a, b) and (b, c) of each row, as rows 0..N-1 and N..2N-1
+            values = s_values(np.concatenate([stack[:, :8], stack[:, 4:]]))
+            return [v1 + v2 for v1, v2 in zip(values[: len(stack)], values[len(stack):])]
         return fn, 12
     raise ValueError(f"unknown objective {objective!r}")
 
@@ -409,10 +515,14 @@ def optimize_settings(
     """Maximize a Bell-type functional over Bloch-angle settings.
 
     Two stages: iterated coordinate sweeps on a coarse angle grid, then a
-    Nelder-Mead refinement from the best grid point.  Fully deterministic for
-    a given config seed.  If the evaluation budget runs out before the
-    refinement reaches tolerance the best-effort result is flagged
-    non-converged.
+    Nelder-Mead refinement from the best grid point.  Each coordinate's
+    candidate column is evaluated as one batch and then accepted in order,
+    exactly as one-at-a-time evaluation would.  Fully deterministic for a
+    given config seed.  ``converged`` means the Nelder-Mead refinement met its
+    tolerance, not that the global maximum was found: from an unlucky seed
+    the search can settle on a local maximum and still report converged.  If
+    the evaluation budget runs out before the refinement reaches tolerance
+    the best-effort result is flagged non-converged.
     """
     from scipy.optimize import minimize
 
@@ -421,10 +531,10 @@ def optimize_settings(
     trace: list[tuple[int, tuple[float, ...], float]] = []
     budget = config.max_evals
 
-    def tracked(angles) -> float:
+    def evaluate(stack) -> list[float]:
         nonlocal evals
-        evals += 1
-        return fn(angles)
+        evals += len(stack)
+        return fn(stack)
 
     theta_grid = np.linspace(0.0, math.pi, config.theta_points)
     phi_grid = np.linspace(0.0, 2.0 * math.pi, config.phi_points, endpoint=False)
@@ -439,17 +549,17 @@ def optimize_settings(
     best_angles, best_val = None, -math.inf
     for start in starts:
         angles = start.copy()
-        val = tracked(angles)
+        [val] = evaluate(angles[None])
         for _ in range(config.max_sweeps):
             improved = False
             for i in range(n_angles):
                 grid = theta_grid if i % 2 == 0 else phi_grid
-                for candidate in grid:
-                    if evals >= budget:
-                        break
-                    trial = angles.copy()
-                    trial[i] = candidate
-                    tv = tracked(trial)
+                column = grid[: max(budget - evals, 0)]
+                if not len(column):
+                    continue
+                trials = np.repeat(angles[None], len(column), axis=0)
+                trials[:, i] = column
+                for trial, tv in zip(trials, evaluate(trials)):
                     if tv > val + 1e-13:
                         angles, val, improved = trial, tv, True
             if not improved or evals >= budget:
@@ -462,7 +572,7 @@ def optimize_settings(
     converged = False
     if remaining > n_angles + 1:
         res = minimize(
-            lambda x: -tracked(x),
+            lambda x: -evaluate(x[None])[0],
             best_angles,
             method="Nelder-Mead",
             options={

@@ -19,6 +19,7 @@ from . import serialize
 from .bell import (
     CHAINED,
     INDEPENDENT,
+    MAX_CHAIN_BLOCKS,
     CorrelatorSpec,
     OptimizerConfig,
     chained_bell,
@@ -76,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", default=None, help="JSON spec file (initial, first, second, unitary)")
 
     p = sub.add_parser("chained", parents=[common], help="evaluate the chained functional")
-    p.add_argument("-n", type=int, default=None, help="number of chained blocks")
+    p.add_argument("-n", type=int, default=None,
+                   help=f"number of chained blocks (1 to {MAX_CHAIN_BLOCKS})")
     p.add_argument("--preset", choices=("tsirelson",), default=None)
     p.add_argument("--spec", default=None)
 
@@ -166,7 +168,9 @@ def _run_chained(args, config: RunConfig):
         seconds = _settings_pair(doc.get("second"), "second")
         unitary = serialize.unitary_from_document(doc.get("unitary", "I"), "unitary")
         if n is None:
-            n = int(doc.get("n", 1))
+            n = doc.get("n", 1)
+            if isinstance(n, bool) or not isinstance(n, int):
+                raise serialize.SpecError(f"n: expected an integer number of blocks, got {n!r}")
     else:
         initial = None
         firsts, seconds = tsirelson_settings()
@@ -252,7 +256,8 @@ def _run_abl(args, config: RunConfig):
             artifacts["outcome"] = args.outcome or "+"
             artifacts["abl_probability"] = abl_probability(exp, args.slot, outcome)
     artifacts["distribution"] = dist
-    return serialize.document("abl", artifacts), serialize.distribution_csv(dist), EXIT_OK
+    table = serialize.distribution_csv(dist) if config.output_format == "csv" else None
+    return serialize.document("abl", artifacts), table, EXIT_OK
 
 
 _HANDLERS = {

@@ -394,6 +394,8 @@ def slot_operator_from_document(doc, what: str = "slot") -> np.ndarray:
 def history_from_document(doc: dict, what: str = "history") -> tuple[HistoryState, BridgingSet]:
     """HistoryState plus bridging from a weight-command spec document."""
     hdoc = doc.get("history", doc)
+    if not isinstance(hdoc, dict):
+        raise SpecError(f"{what}: 'history' must be an object")
     grid_doc = hdoc.get("grid")
     terms_doc = hdoc.get("terms")
     if not isinstance(terms_doc, list) or not terms_doc:

@@ -33,6 +33,7 @@ from .linalg import as_ket, as_matrix, identity, max_abs, pauli, projector
 
 __all__ = [
     "MeasurementSetting",
+    "bloch_observables",
     "TwoTimeExperiment",
     "OutcomeDistribution",
     "MarginalReport",
@@ -93,14 +94,26 @@ class MeasurementSetting:
 
     @classmethod
     def from_bloch(cls, theta: float, phi: float, label: str | None = None) -> "MeasurementSetting":
-        obs = (
-            math.sin(theta) * math.cos(phi) * pauli("X")
-            + math.sin(theta) * math.sin(phi) * pauli("Y")
-            + math.cos(theta) * pauli("Z")
-        )
         if label is None:
             label = f"bloch({theta:.6g},{phi:.6g})"
-        return cls(label, obs)
+        return cls(label, bloch_observables([[theta, phi]])[0])
+
+
+def bloch_observables(angles) -> np.ndarray:
+    """Qubit observables n.sigma for a stack of (theta, phi) pairs.
+
+    ``angles`` has shape (..., 2); the result has shape (..., 2, 2).  Sines
+    and cosines come from ``math`` one angle at a time, because numpy's
+    vectorized trigonometry may differ from libm in the last bit.
+    """
+    a = np.asarray(angles, dtype=float)
+    if a.ndim < 1 or a.shape[-1] != 2:
+        raise ShapeError("need (theta, phi) pairs")
+    trig = np.array(
+        [(math.sin(t), math.cos(t), math.sin(p), math.cos(p)) for t, p in a.reshape(-1, 2).tolist()]
+    ).reshape(a.shape[:-1] + (4, 1, 1))
+    sin_t, cos_t, sin_p, cos_p = (trig[..., i, :, :] for i in range(4))
+    return sin_t * cos_p * pauli("X") + sin_t * sin_p * pauli("Y") + cos_t * pauli("Z")
 
 
 @dataclass(frozen=True)

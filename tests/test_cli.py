@@ -9,6 +9,8 @@ import sys
 
 import pytest
 
+from qhist import serialize
+from qhist.bell import MAX_CHAIN_BLOCKS
 from qhist.cli import (
     EXIT_IMPOSSIBLE,
     EXIT_INPUT,
@@ -125,6 +127,15 @@ class TestLgiCommand:
         assert code == EXIT_INPUT
         assert "broken.json:2:" in err
 
+    def test_non_unitary_rejected(self, capsys, tmp_path):
+        p = tmp_path / "lgi.json"
+        half = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+        p.write_text(json.dumps({"first": ["Z", "X"], "second": ["Z", "X"], "unitary": half}))
+        code, out, err = run_cli(capsys, "lgi", "--spec", str(p))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error:") and "not unitary" in err
+
 
 class TestChainedCommand:
     def test_scaling(self, capsys):
@@ -136,6 +147,36 @@ class TestChainedCommand:
                 2.0 * math.sqrt(2.0) * n, abs=1e-9
             )
             assert doc["artifacts"]["classical_bound"] == 2.0 * n
+
+    def write_spec(self, tmp_path, n):
+        p = tmp_path / "chain.json"
+        p.write_text(json.dumps({"first": ["Z", "X"], "second": ["Z", "X"], "n": n}))
+        return str(p)
+
+    def test_spec_n(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "chained", "--spec", self.write_spec(tmp_path, 2))
+        assert code == EXIT_OK
+        assert len(json.loads(out)["artifacts"]["block_reports"]) == 2
+
+    @pytest.mark.parametrize("n", [1.5, 2.0, "2", True, None, [2]])
+    def test_spec_n_must_be_an_integer(self, capsys, tmp_path, n):
+        code, out, err = run_cli(capsys, "chained", "--spec", self.write_spec(tmp_path, n))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: n:")
+
+    def test_n_upper_bound(self, capsys, tmp_path):
+        too_many = str(MAX_CHAIN_BLOCKS + 1)
+        for argv in (["-n", too_many], ["--spec", self.write_spec(tmp_path, MAX_CHAIN_BLOCKS + 1)]):
+            code, out, err = run_cli(capsys, "chained", *argv)
+            assert code == EXIT_INPUT
+            assert out == ""
+            assert err.startswith("error:") and str(MAX_CHAIN_BLOCKS) in err
+
+    def test_n_at_upper_bound(self, capsys):
+        code, out, _ = run_cli(capsys, "chained", "-n", str(MAX_CHAIN_BLOCKS))
+        assert code == EXIT_OK
+        assert len(json.loads(out)["artifacts"]["block_reports"]) == MAX_CHAIN_BLOCKS
 
 
 class TestMonogamyCommand:
@@ -155,6 +196,17 @@ class TestMonogamyCommand:
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["artifacts"]["mode"] == "chained_single_system"
+
+    @pytest.mark.parametrize("mode", ["independent", "chained"])
+    def test_non_unitary_rejected(self, capsys, tmp_path, mode):
+        p = tmp_path / "mono.json"
+        double = [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]
+        p.write_text(json.dumps({"a": ["Z", "X"], "b": ["Z", "X"], "c": ["Z", "X"],
+                                 "unitaries": [double, "I"]}))
+        code, out, err = run_cli(capsys, "monogamy", "--spec", str(p), "--mode", mode)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == "error: unitaries[0] is not unitary\n"
 
 
 class TestOptimizeCommand:
@@ -221,6 +273,15 @@ class TestWeightCommand:
         doc = json.loads(out)
         assert doc["artifacts"]["weight"] == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("history", [[], "z+", 3, None])
+    def test_non_object_history(self, capsys, tmp_path, history):
+        p = tmp_path / "hist.json"
+        p.write_text(json.dumps({"history": history}))
+        code, out, err = run_cli(capsys, "weight", "--spec", str(p))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestAblCommand:
     def write(self, tmp_path, payload, name="exp.json"):
@@ -270,6 +331,18 @@ class TestAblCommand:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["outcome", "probability"]
         assert ["++", "0.5"] in rows
+
+    @pytest.mark.parametrize("fmt", ["json", "pretty"])
+    def test_other_formats_build_no_table(self, capsys, tmp_path, monkeypatch, fmt):
+        spec = self.write(tmp_path, {"pre": "0", "post": "0", "slots": ["X", "X"]})
+
+        def fail(dist):
+            raise AssertionError("distribution table built but not printed")
+
+        monkeypatch.setattr(serialize, "distribution_csv", fail)
+        code, out, _ = run_cli(capsys, "abl", "--spec", spec, "--format", fmt)
+        assert code == EXIT_OK
+        assert "0.5" in out
 
 
 class TestEntryPoint:

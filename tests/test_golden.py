@@ -1,0 +1,64 @@
+"""Byte-for-byte golden outputs of the Bell-layer commands.
+
+Each file under ``tests/golden/`` is the exact stdout of one ``qhist`` call,
+so a change in any digit of a value, an angle, the optimizer's trace or its
+evaluation count shows up here.  To rewrite the files from the package on
+``PYTHONPATH`` (for a deliberate output change, stated in CHANGES.md)::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import pathlib
+import sys
+
+import pytest
+
+from qhist.cli import EXIT_NONCONVERGED, EXIT_OK, main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# name -> (argv without --format, expected exit code)
+CASES = {
+    "optimize-s_lgi-seed0": (["optimize", "--objective", "s_lgi", "--seed", "0"], EXIT_OK),
+    "optimize-s_lgi-seed1": (["optimize", "--objective", "s_lgi", "--seed", "1"], EXIT_OK),
+    "optimize-s_lgi-seed2": (["optimize", "--objective", "s_lgi", "--seed", "2"], EXIT_OK),
+    "optimize-chained_bell-n2": (["optimize", "--objective", "chained_bell", "-n", "2"], EXIT_OK),
+    "optimize-chained_bell-n3": (["optimize", "--objective", "chained_bell", "-n", "3"], EXIT_OK),
+    "optimize-monogamy_sum": (["optimize", "--objective", "monogamy_sum"], EXIT_OK),
+    "optimize-s_lgi-max-evals-40": (["optimize", "--objective", "s_lgi", "--max-evals", "40"],
+                                    EXIT_NONCONVERGED),
+    "lgi-tsirelson": (["lgi", "--preset", "tsirelson"], EXIT_OK),
+    "chained-tsirelson-n3": (["chained", "--preset", "tsirelson", "-n", "3"], EXIT_OK),
+    "monogamy-paper-independent": (["monogamy", "--preset", "paper", "--mode", "independent"], EXIT_OK),
+    "monogamy-paper-chained": (["monogamy", "--preset", "paper", "--mode", "chained"], EXIT_OK),
+}
+FORMATS = ("json", "csv")
+
+
+def run(argv) -> tuple[int, str]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv))
+    return code, buf.getvalue()
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden(name, fmt):
+    argv, expected_code = CASES[name]
+    code, out = run(argv + ["--format", fmt])
+    assert code == expected_code
+    assert out.encode("utf-8") == (GOLDEN / f"{name}.{fmt}").read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, (argv, expected_code) in sorted(CASES.items()):
+        for fmt in FORMATS:
+            code, out = run(argv + ["--format", fmt])
+            if code != expected_code:
+                sys.exit(f"{name}: exit {code}, expected {expected_code}")
+            (GOLDEN / f"{name}.{fmt}").write_bytes(out.encode("utf-8"))
+            print(f"wrote {name}.{fmt}")
