@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,18 +38,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NONCONVERGED = 3
 EXIT_IMPOSSIBLE = 4
-
-
-@dataclass
-class RunConfig:
-    """Plumbing shared by every subcommand."""
-
-    command: str
-    input_path: str | None = None
-    output_format: str = "json"
-    tolerance: float = 1e-9
-    seed: int = 0
-    out_path: str | None = None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,7 +109,7 @@ def _initial_from_document(doc) -> np.ndarray:
     return projector(ket)
 
 
-def _run_scenario(args, config: RunConfig):
+def _run_scenario(args):
     if args.name not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))
         raise serialize.SpecError(f"unknown scenario {args.name!r}; known scenarios: {known}")
@@ -144,7 +131,7 @@ def _run_scenario(args, config: RunConfig):
     return serialize.scenario_document(result), None, EXIT_OK
 
 
-def _run_lgi(args, config: RunConfig):
+def _run_lgi(args):
     if args.spec is not None:
         doc = serialize.load_document(args.spec)
         initial = _initial_from_document(doc.get("initial"))
@@ -159,7 +146,7 @@ def _run_lgi(args, config: RunConfig):
     return serialize.document("lgi", serialize.to_jsonable(report)), None, EXIT_OK
 
 
-def _run_chained(args, config: RunConfig):
+def _run_chained(args):
     n = args.n
     if args.spec is not None:
         doc = serialize.load_document(args.spec)
@@ -181,7 +168,7 @@ def _run_chained(args, config: RunConfig):
     return serialize.document("chained", serialize.to_jsonable(result)), None, EXIT_OK
 
 
-def _run_monogamy(args, config: RunConfig):
+def _run_monogamy(args):
     mode = INDEPENDENT if args.mode == "independent" else CHAINED
     if args.spec is not None:
         doc = serialize.load_document(args.spec)
@@ -205,8 +192,8 @@ def _run_monogamy(args, config: RunConfig):
     return serialize.document("monogamy", serialize.to_jsonable(result)), None, EXIT_OK
 
 
-def _run_optimize(args, config: RunConfig):
-    overrides = {"seed": config.seed}
+def _run_optimize(args):
+    overrides = {"seed": args.seed}
     if args.restarts is not None:
         overrides["restarts"] = args.restarts
     if args.max_evals is not None:
@@ -219,11 +206,11 @@ def _run_optimize(args, config: RunConfig):
     return doc, serialize.trace_csv(result), code
 
 
-def _run_weight(args, config: RunConfig):
+def _run_weight(args):
     doc = serialize.load_document(args.spec)
     history, bridging = serialize.history_from_document(doc)
     singletons = [normalize(HistoryState(((c, eh),))) for c, eh in history.terms]
-    report = is_consistent_family(singletons, bridging, tol=config.tolerance)
+    report = is_consistent_family(singletons, bridging, tol=args.tol)
     artifacts = {
         "weight": weight(history, bridging),
         "norm": hs_norm(history),
@@ -233,7 +220,7 @@ def _run_weight(args, config: RunConfig):
     return serialize.document("weight", artifacts), None, EXIT_OK
 
 
-def _run_abl(args, config: RunConfig):
+def _run_abl(args):
     doc = serialize.load_document(args.spec)
     parsed = serialize.experiment_from_document(doc)
     artifacts: dict = {}
@@ -256,7 +243,7 @@ def _run_abl(args, config: RunConfig):
             artifacts["outcome"] = args.outcome or "+"
             artifacts["abl_probability"] = abl_probability(exp, args.slot, outcome)
     artifacts["distribution"] = dist
-    table = serialize.distribution_csv(dist) if config.output_format == "csv" else None
+    table = serialize.distribution_csv(dist) if args.format == "csv" else None
     return serialize.document("abl", artifacts), table, EXIT_OK
 
 
@@ -282,16 +269,8 @@ def _render(doc: dict, fmt: str, special_csv: str | None) -> str:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        input_path=getattr(args, "spec", None),
-        output_format=args.format,
-        tolerance=args.tol,
-        seed=args.seed,
-        out_path=args.out,
-    )
     try:
-        doc, special_csv, code = _HANDLERS[args.command](args, config)
+        doc, special_csv, code = _HANDLERS[args.command](args)
     except serialize.SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -303,9 +282,9 @@ def main(argv=None) -> int:
         print(f"error: {msg}", file=sys.stderr)
         return EXIT_INPUT
 
-    text = _render(doc, config.output_format, special_csv)
-    if config.out_path is not None:
-        with open(config.out_path, "w", encoding="utf-8", newline="") as fh:
+    text = _render(doc, args.format, special_csv)
+    if args.out is not None:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

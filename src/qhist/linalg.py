@@ -9,7 +9,6 @@ All functions are pure and never mutate their arguments.
 from __future__ import annotations
 
 import math
-from functools import reduce
 
 import numpy as np
 
@@ -18,18 +17,13 @@ from .errors import ShapeError
 __all__ = [
     "as_matrix",
     "as_ket",
-    "matmul",
     "kron",
-    "dagger",
     "trace",
     "partial_trace",
     "is_projector",
-    "is_hermitian",
-    "is_unitary",
     "max_abs",
     "identity",
     "pauli",
-    "basis_ket",
     "qubit_ket",
     "projector",
     "bell_pair_ket",
@@ -61,20 +55,9 @@ def as_ket(v, *, normalized: bool = False, tol: float = 1e-9) -> np.ndarray:
     return k
 
 
-def matmul(a, b) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product, row-major block convention."""
     return np.kron(as_matrix(a), as_matrix(b))
-
-
-def dagger(a) -> np.ndarray:
-    return as_matrix(a).conj().T
 
 
 def trace(a) -> complex:
@@ -119,18 +102,6 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(a))) if np.asarray(a).size else 0.0
 
 
-def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
-    a = as_matrix(a)
-    return a.shape[0] == a.shape[1] and max_abs(a - a.conj().T) <= tol
-
-
-def is_unitary(a, tol: float = DEFAULT_TOL) -> bool:
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        return False
-    return max_abs(a.conj().T @ a - np.eye(a.shape[0])) <= tol
-
-
 def is_projector(a, tol: float = DEFAULT_TOL) -> bool:
     """Hermitian and idempotent within ``tol`` (entrywise max modulus)."""
     a = as_matrix(a)
@@ -156,14 +127,6 @@ def pauli(name: str) -> np.ndarray:
         return _PAULIS[name.upper()].copy()
     except KeyError:
         raise ValueError(f"unknown Pauli name {name!r}") from None
-
-
-def basis_ket(index: int, dim: int = 2) -> np.ndarray:
-    if not 0 <= index < dim:
-        raise ValueError(f"basis index {index} out of range for dim {dim}")
-    k = np.zeros(dim, dtype=complex)
-    k[index] = 1.0
-    return k
 
 
 _QUBIT_KETS = {
@@ -198,10 +161,3 @@ def bell_pair_ket() -> np.ndarray:
 def maximally_mixed(d: int) -> np.ndarray:
     return np.eye(d, dtype=complex) / d
 
-
-def kron_all(mats) -> np.ndarray:
-    """Kronecker product of a sequence of matrices, left to right."""
-    mats = [as_matrix(m) for m in mats]
-    if not mats:
-        raise ValueError("need at least one factor")
-    return reduce(np.kron, mats)

@@ -1,10 +1,17 @@
 """JSON documents, CSV tables, and spec-file parsing.
 
 Output side: ``to_jsonable`` turns any result object from this package into
-plain JSON types.  Complex scalars and matrices are encoded as nested arrays
-of ``[re, im]`` pairs; quantities that are real by construction
-(probabilities, correlators, bounds) stay plain floats.  ``document`` wraps
-everything in the uniform top-level shape {name, artifacts, notes}.
+plain JSON types by one rule: a dataclass becomes the mapping of its fields,
+each encoded in turn.  Complex scalars and complex arrays are encoded as
+nested arrays of ``[re, im]`` pairs; real arrays (correlator tables) become
+nested floats, and quantities that are real by construction (probabilities,
+correlators, bounds) stay plain floats.  A few types whose document is not
+their field mapping have explicit encoders in ``_ENCODERS``: elementary
+histories and history states (slot strings without a per-term grid), mixed
+histories, the optimizer's trace rows, scenario results (the top-level
+document) and outcome distributions (a table sorted by outcome string).
+``document`` wraps everything in the uniform top-level shape
+{name, artifacts, notes}.
 
 Input side: small parsers for the human-writable spec files the command line
 accepts.  States may be named ("0", "1", "+", "-", "i+", "i-") or explicit
@@ -16,6 +23,7 @@ or Bloch angles {"theta": t, "phi": p}; unitaries may be named
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -23,21 +31,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .bell import BellReport, ChainedResult, MonogamyResult, OptimizeResult
+from .bell import OptimizeResult
 from .errors import ShapeError
-from .histories import (
-    BridgingSet,
-    ConsistencyReport,
-    ElementaryHistory,
-    HistoryState,
-    MixedHistory,
-    ReductionSearchResult,
-    SubsystemReduction,
-    TimeGrid,
-)
+from .histories import BridgingSet, ElementaryHistory, HistoryState, MixedHistory, TimeGrid
 from .linalg import identity, pauli, qubit_ket
 from .scenarios import ScenarioResult
-from .twostate import MarginalReport, MeasurementSetting, OutcomeDistribution
+from .twostate import MeasurementSetting, OutcomeDistribution
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
 
@@ -79,130 +78,61 @@ def matrix_document(m: np.ndarray) -> list:
     raise ShapeError(f"cannot encode array of rank {a.ndim}")
 
 
-def _grid_doc(grid: TimeGrid) -> dict:
-    return {"labels": list(grid.labels), "slot_dims": list(grid.slot_dims)}
+def _fields(obj, **encoded) -> dict:
+    """The dataclass's fields, each encoded, except those given ``encoded``."""
+    doc = {f.name: to_jsonable(getattr(obj, f.name))
+           for f in dataclasses.fields(obj) if f.name not in encoded}
+    doc.update(encoded)
+    return doc
+
+
+# documents that are not the mapping of the dataclass's fields
+_ENCODERS = {
+    ElementaryHistory: lambda eh: {"slots": to_jsonable(eh.slots)},
+    HistoryState: lambda h: {
+        "grid": to_jsonable(h.grid),
+        "terms": [{"coefficient": complex_pair(c), **to_jsonable(eh)} for c, eh in h.terms],
+    },
+    MixedHistory: lambda m: {
+        "ensemble": [{"probability": p, "state": to_jsonable(h)} for p, h in m.ensemble],
+    },
+    OptimizeResult: lambda r: _fields(r, trace=[
+        {"evaluation": int(n), "angles": [float(a) for a in ang], "value": float(v)}
+        for n, ang, v in r.trace
+    ]),
+    OutcomeDistribution: lambda d: {
+        "settings": list(d.settings),
+        "table": {k: float(v) for k, v in sorted(d.table.items())},
+    },
+    ScenarioResult: lambda r: document(r.name, r.artifacts, r.notes),
+}
 
 
 def to_jsonable(obj):
     """Recursively convert package objects to plain JSON-compatible types."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
-    if isinstance(obj, float):
+    if isinstance(obj, (float, np.floating)):
         return float(obj)
-    if isinstance(obj, complex):
+    if isinstance(obj, (complex, np.complexfloating)):
         return complex_pair(obj)
-    if isinstance(obj, (np.bool_,)):
+    if isinstance(obj, np.bool_):
         return bool(obj)
     if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.complexfloating):
-        return complex_pair(obj)
     if isinstance(obj, np.ndarray):
-        return matrix_document(obj)
+        if np.iscomplexobj(obj):
+            return matrix_document(obj)
+        return obj.astype(float).tolist()
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(x) for x in obj]
     if isinstance(obj, Mapping):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
-
-    if isinstance(obj, TimeGrid):
-        return _grid_doc(obj)
-    if isinstance(obj, ElementaryHistory):
-        return {"slots": [matrix_document(s) for s in obj.slots]}
-    if isinstance(obj, HistoryState):
-        return {
-            "grid": _grid_doc(obj.grid),
-            "terms": [
-                {"coefficient": complex_pair(c), "slots": [matrix_document(s) for s in eh.slots]}
-                for c, eh in obj.terms
-            ],
-        }
-    if isinstance(obj, BridgingSet):
-        return {
-            "grid": _grid_doc(obj.grid),
-            "unitaries": [matrix_document(u) for u in obj.unitaries],
-        }
-    if isinstance(obj, MixedHistory):
-        return {
-            "ensemble": [
-                {"probability": float(p), "state": to_jsonable(h)} for p, h in obj.ensemble
-            ]
-        }
-    if isinstance(obj, ConsistencyReport):
-        return {
-            "consistent": bool(obj.consistent),
-            "max_offdiagonal": float(obj.max_offdiagonal),
-            "tol": float(obj.tol),
-            "matrix": matrix_document(obj.matrix),
-        }
-    if isinstance(obj, SubsystemReduction):
-        return {
-            "state": to_jsonable(obj.state),
-            "bridging": to_jsonable(obj.bridging),
-            "consistency": to_jsonable(obj.consistency),
-        }
-    if isinstance(obj, ReductionSearchResult):
-        return {
-            "best_overlap": float(obj.best_overlap),
-            "upper_bound": float(obj.upper_bound),
-            "coefficients": [complex_pair(c) for c in obj.coefficients],
-            "evaluations": int(obj.evaluations),
-        }
-    if isinstance(obj, MeasurementSetting):
-        return {"label": obj.label, "observable": matrix_document(obj.observable)}
-    if isinstance(obj, OutcomeDistribution):
-        return {
-            "settings": list(obj.settings),
-            "table": {k: float(v) for k, v in sorted(obj.table.items())},
-        }
-    if isinstance(obj, MarginalReport):
-        return {
-            "earlier_deviation": float(obj.earlier_deviation),
-            "later_deviation": float(obj.later_deviation),
-            "tol": float(obj.tol),
-            "flagged": bool(obj.flagged),
-        }
-    if isinstance(obj, BellReport):
-        return {
-            "correlators": [[float(x) for x in row] for row in obj.correlators],
-            "value": float(obj.value),
-            "classical_bound": float(obj.classical_bound),
-            "quantum_bound": float(obj.quantum_bound),
-            "settings_used": list(obj.settings_used),
-            "mode": obj.mode,
-        }
-    if isinstance(obj, MonogamyResult):
-        return {
-            "first_pair": to_jsonable(obj.first_pair),
-            "second_pair": to_jsonable(obj.second_pair),
-            "total": float(obj.total),
-            "quantum_reference": float(obj.quantum_reference),
-            "spatial_reference": float(obj.spatial_reference),
-            "mode": obj.mode,
-        }
-    if isinstance(obj, ChainedResult):
-        return {
-            "block_reports": [to_jsonable(r) for r in obj.block_reports],
-            "total": float(obj.total),
-            "classical_bound": float(obj.classical_bound),
-            "quantum_bound": float(obj.quantum_bound),
-        }
-    if isinstance(obj, OptimizeResult):
-        return {
-            "objective": obj.objective,
-            "value": float(obj.value),
-            "angles": [float(a) for a in obj.angles],
-            "settings": [to_jsonable(s) for s in obj.settings],
-            "trace": [
-                {"evaluation": int(n), "angles": [float(a) for a in ang], "value": float(v)}
-                for n, ang, v in obj.trace
-            ],
-            "converged": bool(obj.converged),
-            "evaluations": int(obj.evaluations),
-        }
-    if isinstance(obj, ScenarioResult):
-        return document(obj.name, obj.artifacts, obj.notes)
+    encoder = _ENCODERS.get(type(obj))
+    if encoder is not None:
+        return encoder(obj)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _fields(obj)
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 
@@ -430,11 +360,9 @@ def history_from_document(doc: dict, what: str = "history") -> tuple[HistoryStat
         ]
         if len(slots) != grid.n_slots:
             raise SpecError(f"{what}: term {i} has {len(slots)} slots, grid has {grid.n_slots}")
-        state = HistoryState.from_slots(grid, slots, coefficient=coef)
-        terms.append(state)
-    history = terms[0]
-    for t in terms[1:]:
-        history = history + t
+        terms.append((coef, ElementaryHistory(grid, tuple(slots))))
+    # one construction merges repeated slot strings in a single pass
+    history = HistoryState(tuple(terms))
 
     bdoc = doc.get("bridging")
     if bdoc is None:

@@ -133,37 +133,16 @@ class TwoTimeExperiment:
         if post is not None:
             post = as_ket(post, normalized=True)
             post.setflags(write=False)
+            if post.size != pre.size:
+                raise ShapeError("post ket dimension does not match the pre ket")
         object.__setattr__(self, "post", post)
         slots = tuple(self.slots)
         object.__setattr__(self, "slots", slots)
-        d = pre.size
-        for s in slots:
-            if s is not None and s.dim != d:
-                raise ShapeError("slot observable dimension does not match the pre ket")
-        if post is not None and post.size != d:
-            raise ShapeError("post ket dimension does not match the pre ket")
-        us = self.unitaries
-        if us is None:
-            us = tuple(identity(d) for _ in range(len(slots) + 1))
-        us = tuple(np.array(as_matrix(u), dtype=complex) for u in us)
-        for u in us:
-            u.setflags(write=False)
-        if len(us) != len(slots) + 1:
-            raise ShapeError("need one interval unitary per gap, boundaries included")
-        for u in us:
-            if u.shape != (d, d):
-                raise ShapeError("interval unitary has wrong dimension")
-            if max_abs(u.conj().T @ u - identity(d)) > 1e-9:
-                raise ValueError("interval operator is not unitary")
-        object.__setattr__(self, "unitaries", us)
+        object.__setattr__(self, "unitaries", _checked_row(pre.size, slots, self.unitaries))
 
     @classmethod
     def build(cls, pre, slots, post=None, unitaries=None) -> "TwoTimeExperiment":
-        slots = tuple(slots)
-        pre = as_ket(pre)
-        if unitaries is None:
-            unitaries = tuple(identity(pre.size) for _ in range(len(slots) + 1))
-        return cls(pre, post, slots, tuple(unitaries))
+        return cls(pre, post, tuple(slots), unitaries)
 
     @property
     def dim(self) -> int:
@@ -222,6 +201,66 @@ def _normalized(table: dict[str, float], labels: tuple[str, ...]) -> OutcomeDist
     return OutcomeDistribution(labels, {k: v / total for k, v in table.items()})
 
 
+def _checked_row(d: int, slots, unitaries) -> tuple[np.ndarray, ...]:
+    """Read-only interval unitaries of a slot row on dimension ``d``.
+
+    ``unitaries`` may be None for identities between every pair of slots.
+    Every measured slot must act on dimension ``d``, and there must be one
+    unitary per gap, the gaps before the first and after the last slot
+    included.
+    """
+    for s in slots:
+        if s is not None and s.dim != d:
+            raise ShapeError("slot observable dimension does not match the state")
+    if unitaries is None:
+        unitaries = [identity(d)] * (len(slots) + 1)
+    us = tuple(np.array(as_matrix(u), dtype=complex) for u in unitaries)
+    if len(us) != len(slots) + 1:
+        raise ShapeError("need one interval unitary per gap, boundaries included")
+    for u in us:
+        u.setflags(write=False)
+        if u.shape != (d, d):
+            raise ShapeError("interval unitary has wrong dimension")
+        if max_abs(u.conj().T @ u - identity(d)) > 1e-9:
+            raise ValueError("interval operator is not unitary")
+    return us
+
+
+def _walk(start: np.ndarray, slots, unitaries, leaf) -> dict[str, float]:
+    """``leaf`` of the chain for every outcome string of the measured slots.
+
+    Carries ``start`` (a ket, or the identity for the chain operator) through
+    interval unitary k and then, when slot k is measured, its outcome
+    projector, ending with the last interval unitary.  The walk is depth
+    first, so strings that share a prefix share its products; strings come
+    out '+' first, earliest slot first.
+    """
+    projectors = [None if s is None else s.projectors() for s in slots]
+    n = len(slots)
+    table: dict[str, float] = {}
+    stack = [(0, "", start)]
+    while stack:
+        k, string, x = stack.pop()
+        if k == n:
+            table[string] = leaf(unitaries[n] @ x)
+            continue
+        x = unitaries[k] @ x
+        if projectors[k] is None:
+            stack.append((k + 1, string, x))
+        else:
+            plus, minus = projectors[k]
+            stack.append((k + 1, string + "-", minus @ x))
+            stack.append((k + 1, string + "+", plus @ x))
+    return table
+
+
+def _measured_labels(slots) -> tuple[str, ...]:
+    labels = tuple(s.label for s in slots if s is not None)
+    if not labels:
+        raise ValueError("at least one measured slot is required")
+    return labels
+
+
 def sequence_distribution(exp: TwoTimeExperiment) -> OutcomeDistribution:
     """Amplitude-chain distribution over outcome strings of the measured slots.
 
@@ -229,25 +268,15 @@ def sequence_distribution(exp: TwoTimeExperiment) -> OutcomeDistribution:
     bra-projector-chain-ket amplitude; without one it is the squared norm of
     the collapsed vector, which equals the complete sum over any final basis.
     """
-    measured = exp.measured_indices
-    if not measured:
-        raise ValueError("at least one measured slot is required")
-    labels = tuple(exp.slots[i].label for i in measured)
-    table: dict[str, float] = {}
-    for string in _outcome_strings(len(measured)):
-        signs = iter(+1 if ch == "+" else -1 for ch in string)
-        vec = exp.pre
-        for k, setting in enumerate(exp.slots):
-            vec = exp.unitaries[k] @ vec
-            if setting is not None:
-                vec = setting.projector(next(signs)) @ vec
-        vec = exp.unitaries[-1] @ vec
-        if exp.post is None:
-            w = float(np.vdot(vec, vec).real)
-        else:
-            w = abs(np.vdot(exp.post, vec)) ** 2
-        table[string] = w
-    return _normalized(table, labels)
+    labels = _measured_labels(exp.slots)
+    post = exp.post
+    if post is None:
+        def leaf(vec):
+            return float(np.vdot(vec, vec).real)
+    else:
+        def leaf(vec):
+            return abs(np.vdot(post, vec)) ** 2
+    return _normalized(_walk(exp.pre, exp.slots, exp.unitaries, leaf), labels)
 
 
 def mixed_sequence_distribution(
@@ -256,7 +285,11 @@ def mixed_sequence_distribution(
     unitaries: Sequence | None = None,
     post=None,
 ) -> OutcomeDistribution:
-    """Sequential-collapse distribution starting from a density operator."""
+    """Sequential-collapse distribution starting from a density operator.
+
+    The slot row is checked as ``TwoTimeExperiment`` checks it: slot
+    dimensions, one interval unitary per gap, and unitarity.
+    """
     rho0 = as_matrix(rho0)
     d = rho0.shape[0]
     if rho0.shape != (d, d):
@@ -264,32 +297,19 @@ def mixed_sequence_distribution(
     if abs(np.trace(rho0) - 1.0) > 1e-9:
         raise ValueError("initial density operator must have unit trace")
     slots = tuple(slots)
-    if unitaries is None:
-        unitaries = tuple(identity(d) for _ in range(len(slots) + 1))
-    unitaries = tuple(as_matrix(u) for u in unitaries)
-    if len(unitaries) != len(slots) + 1:
-        raise ShapeError("need one interval unitary per gap, boundaries included")
-    measured = tuple(i for i, s in enumerate(slots) if s is not None)
-    if not measured:
-        raise ValueError("at least one measured slot is required")
-    labels = tuple(slots[i].label for i in measured)
+    unitaries = _checked_row(d, slots, unitaries)
+    labels = _measured_labels(slots)
     post_proj = None if post is None else projector(as_ket(post, normalized=True))
-    table: dict[str, float] = {}
-    for string in _outcome_strings(len(measured)):
-        signs = iter(+1 if ch == "+" else -1 for ch in string)
-        chain = identity(d)
-        for k, setting in enumerate(slots):
-            chain = unitaries[k] @ chain
-            if setting is not None:
-                chain = setting.projector(next(signs)) @ chain
-        chain = unitaries[-1] @ chain
+
+    def leaf(chain):
         evolved = chain @ rho0 @ chain.conj().T
         if post_proj is None:
             w = float(np.trace(evolved).real)
         else:
             w = float(np.trace(post_proj @ evolved).real)
-        table[string] = max(w, 0.0)
-    return _normalized(table, labels)
+        return max(w, 0.0)
+
+    return _normalized(_walk(identity(d), slots, unitaries, leaf), labels)
 
 
 def abl_probability(exp: TwoTimeExperiment, slot: int, outcome: int) -> float:

@@ -324,6 +324,23 @@ class TestAblCommand:
         for p in doc["artifacts"]["distribution"]["table"].values():
             assert p == pytest.approx(0.125, abs=1e-12)
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"initial": "mixed", "slots": ["X", "Z"],
+          "unitaries": ["I", [[[1, 0], [0, 0]], [[0, 0], [0, 0]]], "I"]},
+         "error: interval operator is not unitary"),
+        ({"initial": "mixed", "slots": ["X"],
+          "unitaries": ["I", [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]],
+                              [[0, 0], [0, 0], [1, 0]]]]},
+         "error: interval unitary has wrong dimension"),
+        ({"pre": [[1, 0], [0, 0], [0, 0]], "slots": ["X"]},
+         "error: slot observable dimension does not match the state"),
+    ])
+    def test_bad_slot_row_rejected(self, capsys, tmp_path, payload, message):
+        code, out, err = run_cli(capsys, "abl", "--spec", self.write(tmp_path, payload))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == message + "\n"
+
     def test_distribution_csv_format(self, capsys, tmp_path):
         spec = self.write(tmp_path, {"pre": "0", "post": "0", "slots": ["X", "X"]})
         code, out, _ = run_cli(capsys, "abl", "--spec", spec, "--format", "csv")

@@ -1,8 +1,12 @@
-"""Byte-for-byte golden outputs of the Bell-layer commands.
+"""Byte-for-byte golden outputs of every subcommand.
 
 Each file under ``tests/golden/`` is the exact stdout of one ``qhist`` call,
-so a change in any digit of a value, an angle, the optimizer's trace or its
-evaluation count shows up here.  To rewrite the files from the package on
+so a change in any digit of a value, an angle, the optimizer's trace, its
+evaluation count or a probability table shows up here.  Each spec file in
+``tests/golden/specs/`` is one case of the subcommand its name starts with
+(``weight`` or ``abl``).  The two scenarios whose equal-amplitude reductions
+print members of a degenerate eigenspace, chosen by LAPACK, run with
+``--alpha 0.6`` instead.  To rewrite the files from the package on
 ``PYTHONPATH`` (for a deliberate output change, stated in CHANGES.md)::
 
     PYTHONPATH=src python tests/test_golden.py
@@ -18,6 +22,7 @@ import pytest
 from qhist.cli import EXIT_NONCONVERGED, EXIT_OK, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+SPECS = GOLDEN / "specs"
 
 # name -> (argv without --format, expected exit code)
 CASES = {
@@ -33,8 +38,20 @@ CASES = {
     "chained-tsirelson-n3": (["chained", "--preset", "tsirelson", "-n", "3"], EXIT_OK),
     "monogamy-paper-independent": (["monogamy", "--preset", "paper", "--mode", "independent"], EXIT_OK),
     "monogamy-paper-chained": (["monogamy", "--preset", "paper", "--mode", "chained"], EXIT_OK),
+    "scenario-temporal-ghz": (["scenario", "temporal-ghz", "--alpha", "0.6"], EXIT_OK),
+    "scenario-temporal-ghz-slots4": (["scenario", "temporal-ghz", "--slots", "4", "--alpha", "0.6"],
+                                     EXIT_OK),
+    "scenario-mach-zehnder": (["scenario", "mach-zehnder", "--alpha", "0.6"], EXIT_OK),
+    "scenario-example1": (["scenario", "example1"], EXIT_OK),
+    "scenario-pauli-cycle": (["scenario", "pauli-cycle"], EXIT_OK),
+    "scenario-two-time-hab": (["scenario", "two-time-hab"], EXIT_OK),
+    "scenario-two-time-hab-psi-plus": (["scenario", "two-time-hab", "--psi", "+"], EXIT_OK),
+    "abl-post-one-slot-minus": (["abl", "--spec", str(SPECS / "abl-post-one.json"),
+                                 "--slot", "0", "--outcome", "-"], EXIT_OK),
 }
-FORMATS = ("json", "csv")
+CASES.update({spec.stem: ([spec.stem.split("-")[0], "--spec", str(spec)], EXIT_OK)
+              for spec in SPECS.glob("*.json")})
+FORMATS = ("json", "csv", "pretty")
 
 
 def run(argv) -> tuple[int, str]:

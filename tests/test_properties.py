@@ -29,9 +29,7 @@ from qhist import (
 )
 from qhist.bell import TSIRELSON_BOUND
 from qhist.linalg import (
-    dagger,
     kron,
-    kron_all,
     maximally_mixed,
     partial_trace,
     projector,
@@ -73,7 +71,6 @@ def test_kron_associative(seed, d1, d2, d3):
     left = kron(kron(a, b), c)
     right = kron(a, kron(b, c))
     assert np.allclose(left, right, atol=1e-10)
-    assert np.allclose(kron_all([a, b, c]), left, atol=1e-10)
 
 
 @given(seeds, dims)
@@ -94,14 +91,6 @@ def test_partial_trace_preserves_trace_and_keep_all(seed, d1, d2):
     assert abs(np.trace(reduced) - np.trace(rho)) < 1e-10
     full = partial_trace(rho, (d1, d2), keep=(0, 1))
     assert np.allclose(full, rho, atol=1e-12)
-
-
-@given(seeds, dims)
-def test_dagger_involution_and_antihomomorphism(seed, d):
-    rng = _rng(seed)
-    a, b = _random_matrix(rng, d), _random_matrix(rng, d)
-    assert np.allclose(dagger(dagger(a)), a)
-    assert np.allclose(dagger(a @ b), dagger(b) @ dagger(a), atol=1e-10)
 
 
 # ------------------------------------------------------------- histories ---

@@ -228,6 +228,32 @@ class TestHistoryFromDocument:
             1.0, abs=1e-12
         )
 
+    def test_repeated_strings_merge_as_the_sum_of_terms(self):
+        term_docs = [
+            {"coefficient": [0.5, 0.0], "slots": ["z+", "x+"]},
+            {"coefficient": [0.25, 0.25], "slots": ["z-", "x-"]},
+            {"coefficient": [0.5, -0.125], "slots": ["z+", "x+"]},
+            {"coefficient": [0.0, 1.0], "slots": ["y+", "I"]},
+            {"coefficient": [-0.75, 0.0], "slots": ["z-", "x-"]},
+            {"slots": ["y+", "I"]},
+        ]
+        parsed, _ = history_from_document({"terms": term_docs})
+        g = TimeGrid.regular(2)
+        states = [
+            HistoryState.from_slots(
+                g, [slot_operator_from_document(s) for s in t["slots"]],
+                complex(*t.get("coefficient", [1.0, 0.0])),
+            )
+            for t in term_docs
+        ]
+        summed = states[0]
+        for state in states[1:]:
+            summed = summed + state
+        assert parsed.n_terms == summed.n_terms == 3
+        for (c, eh), (c0, eh0) in zip(parsed.terms, summed.terms):
+            assert c == c0
+            assert all(np.array_equal(a, b) for a, b in zip(eh.slots, eh0.slots))
+
     def test_bridging_parsed(self):
         doc = {
             "terms": [{"slots": ["z+", "z+"]}],

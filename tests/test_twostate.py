@@ -24,7 +24,15 @@ from qhist import (
 )
 from qhist.linalg import identity, maximally_mixed, pauli, projector, qubit_ket
 
-from conftest import HADAMARD, diagonal_branches, experiment_corpus, random_setting
+import twostate_oracle
+from conftest import (
+    HADAMARD,
+    diagonal_branches,
+    experiment_corpus,
+    random_ket,
+    random_setting,
+    random_unitary,
+)
 
 X = MeasurementSetting.from_pauli("X")
 Y = MeasurementSetting.from_pauli("Y")
@@ -157,6 +165,74 @@ class TestMixedSequenceDistribution:
             mixed_sequence_distribution(
                 maximally_mixed(2), (X,), unitaries=(identity(2),)
             )
+
+    def test_non_unitary_interval_rejected(self):
+        squash = np.diag([1.0, 0.0]).astype(complex)
+        with pytest.raises(ValueError, match="interval operator is not unitary"):
+            mixed_sequence_distribution(
+                maximally_mixed(2), (X, Z), unitaries=(identity(2), squash, identity(2))
+            )
+
+    def test_slot_dimension_validation(self):
+        with pytest.raises(ShapeError):
+            mixed_sequence_distribution(maximally_mixed(3), (X,))
+
+
+def _random_observable(rng, d: int) -> np.ndarray:
+    """Dichotomic observable on dimension d with both eigenvalues present."""
+    u = random_unitary(rng, d)
+    signs = np.where(np.arange(d) < rng.integers(1, d), 1.0, -1.0)
+    return u @ np.diag(signs).astype(complex) @ u.conj().T
+
+
+def _random_row(rng, d: int):
+    n = int(rng.integers(1, 11))
+    measured = rng.random(n) < 0.75
+    measured[rng.integers(n)] = True
+    slots = tuple(
+        MeasurementSetting(f"S{k}", _random_observable(rng, d)) if m else None
+        for k, m in enumerate(measured)
+    )
+    return slots, tuple(random_unitary(rng, d) for _ in range(n + 1))
+
+
+def _random_density(rng, d: int) -> np.ndarray:
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def _same_bytes(dist, table):
+    assert list(dist.table) == list(table)
+    got = np.array(list(dist.table.values()))
+    want = np.array(list(table.values()))
+    assert got.tobytes() == want.tobytes()
+
+
+class TestWalkAgainstOracle:
+    """The prefix-sharing walk against the string-by-string loops, bit for bit."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("with_post", [False, True])
+    def test_pure_rows(self, rng, d, with_post):
+        for _ in range(12):
+            slots, unitaries = _random_row(rng, d)
+            pre = random_ket(rng, d)
+            post = random_ket(rng, d) if with_post else None
+            exp = TwoTimeExperiment.build(pre, slots, post=post, unitaries=unitaries)
+            want = twostate_oracle.sequence_table(exp.pre, exp.slots, exp.unitaries, exp.post)
+            _same_bytes(sequence_distribution(exp), want)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("with_post", [False, True])
+    def test_mixed_rows(self, rng, d, with_post):
+        for _ in range(12):
+            slots, unitaries = _random_row(rng, d)
+            rho = _random_density(rng, d)
+            post = random_ket(rng, d) if with_post else None
+            want = twostate_oracle.mixed_sequence_table(rho, slots, unitaries, post)
+            got = mixed_sequence_distribution(rho, slots, unitaries=unitaries, post=post)
+            _same_bytes(got, want)
 
 
 class TestABL:

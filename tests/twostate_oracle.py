@@ -1,0 +1,65 @@
+"""Reference implementations of the outcome-string rules, kept only as test oracles.
+
+These are the straightforward forms the package's prefix-sharing walk
+replaces: every outcome string rebuilds its chain from the start, slot by
+slot.  The walk must agree with them exactly, not just within a tolerance.
+"""
+
+import itertools
+
+import numpy as np
+
+from qhist.linalg import as_ket, as_matrix, identity, projector
+
+
+def _outcome_strings(n: int):
+    return ("".join(bits) for bits in itertools.product("+-", repeat=n))
+
+
+def _normalized(table: dict) -> dict:
+    total = sum(table.values())
+    return {k: v / total for k, v in table.items()}
+
+
+def sequence_table(pre, slots, unitaries, post=None) -> dict:
+    """Normalized amplitude-chain table of a pure pre-selected row."""
+    n_measured = sum(s is not None for s in slots)
+    table = {}
+    for string in _outcome_strings(n_measured):
+        signs = iter(+1 if ch == "+" else -1 for ch in string)
+        vec = pre
+        for k, setting in enumerate(slots):
+            vec = unitaries[k] @ vec
+            if setting is not None:
+                vec = setting.projector(next(signs)) @ vec
+        vec = unitaries[-1] @ vec
+        if post is None:
+            w = float(np.vdot(vec, vec).real)
+        else:
+            w = abs(np.vdot(post, vec)) ** 2
+        table[string] = w
+    return _normalized(table)
+
+
+def mixed_sequence_table(rho0, slots, unitaries, post=None) -> dict:
+    """Normalized sequential-collapse table starting from a density operator."""
+    rho0 = as_matrix(rho0)
+    d = rho0.shape[0]
+    post_proj = None if post is None else projector(as_ket(post, normalized=True))
+    n_measured = sum(s is not None for s in slots)
+    table = {}
+    for string in _outcome_strings(n_measured):
+        signs = iter(+1 if ch == "+" else -1 for ch in string)
+        chain = identity(d)
+        for k, setting in enumerate(slots):
+            chain = unitaries[k] @ chain
+            if setting is not None:
+                chain = setting.projector(next(signs)) @ chain
+        chain = unitaries[-1] @ chain
+        evolved = chain @ rho0 @ chain.conj().T
+        if post_proj is None:
+            w = float(np.trace(evolved).real)
+        else:
+            w = float(np.trace(post_proj @ evolved).real)
+        table[string] = max(w, 0.0)
+    return _normalized(table)
