@@ -283,11 +283,15 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
     text = _render(doc, args.format, special_csv)
-    if args.out is not None:
+    if args.out is None:
+        sys.stdout.write(text)
+        return code
+    try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_INPUT
     return code
 
 

@@ -429,11 +429,19 @@ def mixed_overlap(m: MixedHistory, target) -> float:
 def temporal_partial_trace(h, keep_slots: Iterable[int], tol: float = 1e-12) -> MixedHistory:
     """Reduce a history state to a subset of slots.
 
-    The normalized state is vectorized slot-wise, the discarded slots are
-    contracted with the same partial-trace primitive used for spatial factors,
-    and the resulting positive operator is returned as its eigen-ensemble.
-    The output is a mixture: reductions of entangled histories are ensembles,
-    not superpositions.
+    The reduced operator is built from the terms of the normalized state
+    sum_t c_t (x)_k v_tk, where v_tk is slot k's operator flattened
+    row-major, without forming the history-space vector:
+
+        rho_keep = W^T A W^*,   A[t, t'] = c_t c_t'^* prod_{k traced} G_k[t, t'],
+
+    with G_k = V_k V_k^dag the Gram matrix of the traced slot's operators
+    (rows of V_k are the v_tk) and row t of W the Kronecker product of the
+    kept slots' v_tk in slot order, which is ``history_vector``'s layout.
+    The cost is O(T^2 n d^2 + D_keep^2 T) for T terms, n slots of dimension
+    d and kept dimension D_keep.  The positive operator is returned as its
+    eigen-ensemble.  The output is a mixture: reductions of entangled
+    histories are ensembles, not superpositions.
     """
     h = normalize(_as_state(h))
     grid = h.grid
@@ -442,9 +450,16 @@ def temporal_partial_trace(h, keep_slots: Iterable[int], tol: float = 1e-12) -> 
         raise ValueError("keep_slots must be a nonempty proper subset of slots")
     if keep[0] < 0 or keep[-1] >= grid.n_slots:
         raise ValueError(f"keep_slots {keep} out of range")
-    psi = history_vector(h)
-    sq_dims = [d * d for d in grid.slot_dims]
-    rho = partial_trace(np.outer(psi, psi.conj()), sq_dims, keep)
+    coefs = np.array([c for c, _ in h.terms])
+    amp = np.outer(coefs, coefs.conj())
+    w = None
+    for k in range(grid.n_slots):
+        v = np.stack([eh.slots[k].reshape(-1) for _, eh in h.terms])
+        if k in keep:
+            w = v if w is None else (w[:, :, None] * v[:, None, :]).reshape(len(v), -1)
+        else:
+            amp = amp * (v @ v.conj().T)
+    rho = as_matrix(w.T @ amp @ w.conj())
     evals, evecs = np.linalg.eigh(rho)
     kept_dims = [grid.slot_dims[k] for k in keep]
     sub_grid = TimeGrid(tuple(grid.labels[k] for k in keep), tuple(kept_dims))

@@ -51,6 +51,10 @@ from .twostate import (
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
+# temporal_ghz reports n one-slot and n(n-1)/2 two-slot reductions, so its
+# output grows as n^2; 24 slots print about 1 MB of JSON.
+MAX_GHZ_SLOTS = 24
+
 
 @dataclass(frozen=True)
 class ScenarioResult:
@@ -83,12 +87,13 @@ def temporal_ghz(n_slots: int = 3, alpha: complex = _INV_SQRT2, beta: complex = 
     probabilistic mixtures of the two trivial branches; the artifact
     ``two_slot_bell_overlap_max`` records how close any two-slot reduction
     gets to the coherent superposition (|00) + |11))/sqrt(2), which for equal
-    amplitudes stays pinned at 2**-0.5.
+    amplitudes stays pinned at 2**-0.5.  ``n_slots`` runs from 2 to
+    ``MAX_GHZ_SLOTS`` (24).
     """
     if n_slots < 2:
         raise ValueError("need at least two slots")
-    if n_slots > 6:
-        raise ValueError("n_slots above 6 is too large for the dense reduction")
+    if n_slots > MAX_GHZ_SLOTS:
+        raise ValueError(f"n_slots above {MAX_GHZ_SLOTS} is not supported")
     if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:
         raise ValueError("|alpha|^2 + |beta|^2 must equal 1")
 

@@ -299,7 +299,12 @@ def mixed_sequence_distribution(
     slots = tuple(slots)
     unitaries = _checked_row(d, slots, unitaries)
     labels = _measured_labels(slots)
-    post_proj = None if post is None else projector(as_ket(post, normalized=True))
+    post_proj = None
+    if post is not None:
+        post = as_ket(post, normalized=True)
+        if post.size != d:
+            raise ShapeError("post ket dimension does not match the state")
+        post_proj = projector(post)
 
     def leaf(chain):
         evolved = chain @ rho0 @ chain.conj().T

@@ -18,6 +18,7 @@ from qhist.cli import (
     EXIT_OK,
     main,
 )
+from qhist.scenarios import MAX_GHZ_SLOTS
 
 
 def run_cli(capsys, *argv):
@@ -53,6 +54,28 @@ class TestScenarioCommand:
         code, _, err = run_cli(capsys, "scenario", "temporal-ghz", "--slots", "40")
         assert code == EXIT_INPUT
         assert "error:" in err
+
+    def test_slot_bound(self, capsys):
+        code, out, err = run_cli(
+            capsys, "scenario", "temporal-ghz", "--slots", str(MAX_GHZ_SLOTS + 1)
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_out_file(self, capsys, tmp_path):
+        target = tmp_path / "report.json"
+        code, out, _ = run_cli(capsys, "scenario", "example1", "--out", str(target))
+        assert code == EXIT_OK
+        assert out == ""
+        assert json.loads(target.read_text())["name"] == "example1"
+
+    @pytest.mark.parametrize("where", ["missing/report.json", "."])
+    def test_unwritable_out_path(self, capsys, tmp_path, where):
+        code, out, err = run_cli(capsys, "scenario", "example1", "--out", str(tmp_path / where))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: cannot write ") and "Traceback" not in err
 
     def test_parameter_for_wrong_scenario(self, capsys):
         code, _, err = run_cli(capsys, "scenario", "pauli-cycle", "--alpha", "0.5")
@@ -334,6 +357,8 @@ class TestAblCommand:
          "error: interval unitary has wrong dimension"),
         ({"pre": [[1, 0], [0, 0], [0, 0]], "slots": ["X"]},
          "error: slot observable dimension does not match the state"),
+        ({"initial": "mixed", "slots": ["X"], "post": [[1, 0], [0, 0], [0, 0]]},
+         "error: post ket dimension does not match the state"),
     ])
     def test_bad_slot_row_rejected(self, capsys, tmp_path, payload, message):
         code, out, err = run_cli(capsys, "abl", "--spec", self.write(tmp_path, payload))

@@ -39,7 +39,13 @@ CASES = {
     "monogamy-paper-independent": (["monogamy", "--preset", "paper", "--mode", "independent"], EXIT_OK),
     "monogamy-paper-chained": (["monogamy", "--preset", "paper", "--mode", "chained"], EXIT_OK),
     "scenario-temporal-ghz": (["scenario", "temporal-ghz", "--alpha", "0.6"], EXIT_OK),
+    "scenario-temporal-ghz-slots2": (["scenario", "temporal-ghz", "--slots", "2", "--alpha", "0.6"],
+                                     EXIT_OK),
     "scenario-temporal-ghz-slots4": (["scenario", "temporal-ghz", "--slots", "4", "--alpha", "0.6"],
+                                     EXIT_OK),
+    "scenario-temporal-ghz-slots5": (["scenario", "temporal-ghz", "--slots", "5", "--alpha", "0.6"],
+                                     EXIT_OK),
+    "scenario-temporal-ghz-slots6": (["scenario", "temporal-ghz", "--slots", "6", "--alpha", "0.6"],
                                      EXIT_OK),
     "scenario-mach-zehnder": (["scenario", "mach-zehnder", "--alpha", "0.6"], EXIT_OK),
     "scenario-example1": (["scenario", "example1"], EXIT_OK),

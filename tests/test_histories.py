@@ -34,6 +34,7 @@ from qhist import (
 )
 from qhist.linalg import bell_pair_ket, identity, pauli, projector, qubit_ket
 
+import histories_oracle
 from conftest import consistent_family_corpus, diagonal_branches, random_unitary
 
 
@@ -390,6 +391,63 @@ class TestTemporalPartialTrace:
         m = temporal_partial_trace(h, [0])
         assert m.grid.n_slots == 1
         assert purity(m) == pytest.approx(0.5, abs=1e-9)
+
+
+def _random_history(rng) -> HistoryState:
+    """1-7 terms of non-Hermitian slot operators on a 2-4 slot grid of
+    mixed dimensions 2 and 3, with at most 1296 history-space dimensions."""
+    while True:
+        dims = tuple(int(d) for d in rng.choice([2, 3], size=rng.integers(2, 5)))
+        if math.prod(d * d for d in dims) <= 1296:
+            break
+    grid = TimeGrid(tuple(float(k) for k in range(len(dims))), dims)
+    terms = []
+    for _ in range(rng.integers(1, 8)):
+        ops = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for d in dims]
+        coef = complex(rng.normal(), rng.normal())
+        terms.append((coef, ElementaryHistory(grid, tuple(ops))))
+    return HistoryState(tuple(terms))
+
+
+class TestFactoredReductionAgainstDenseOracle:
+    def test_random_histories_match_dense_route(self):
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            h = _random_history(rng)
+            n, dims = h.grid.n_slots, h.grid.slot_dims
+            # members come back expanded over matrix units, one term per
+            # kept-space entry, so the kept space stays small
+            while True:
+                keep = [int(k) for k in rng.permutation(n)[: rng.integers(1, n)]]
+                if math.prod(dims[k] ** 2 for k in keep) <= 81:
+                    break
+            got = mixed_history_density(temporal_partial_trace(h, keep))
+            want = histories_oracle.temporal_reduction_density(h, keep)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e300, complex(0.0, np.inf)])
+    def test_non_finite_coefficient_rejected(self, bad):
+        g = TimeGrid.regular(3)
+        h = HistoryState.from_slots(g, [proj("z+")] * 3, bad) + HistoryState.from_slots(
+            g, [proj("z-")] * 3
+        )
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                temporal_partial_trace(h, [0, 2])
+
+    def test_no_history_space_vector(self, monkeypatch):
+        import qhist.histories as histories
+
+        def dense(*args, **kwargs):
+            raise AssertionError("dense history-space route used")
+
+        monkeypatch.setattr(histories, "history_vector", dense)
+        monkeypatch.setattr(histories, "partial_trace", dense)
+        # 16 slots: the dense outer product would hold 16**16 entries
+        m = temporal_partial_trace(ghz_like(16), [3, 11])
+        assert m.grid.n_slots == 2
+        assert purity(m) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestMixedHistory:

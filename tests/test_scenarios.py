@@ -12,6 +12,7 @@ import pytest
 
 from qhist import run_scenario
 from qhist.scenarios import (
+    MAX_GHZ_SLOTS,
     SCENARIOS,
     example1_family,
     mach_zehnder,
@@ -89,9 +90,17 @@ class TestTemporalGHZ:
         with pytest.raises(ValueError):
             temporal_ghz(n_slots=1)
         with pytest.raises(ValueError):
-            temporal_ghz(n_slots=7)
+            temporal_ghz(n_slots=MAX_GHZ_SLOTS + 1)
         with pytest.raises(ValueError):
             temporal_ghz(alpha=1.0, beta=1.0)
+
+    def test_largest_grid(self):
+        res = temporal_ghz(n_slots=MAX_GHZ_SLOTS, alpha=0.6, beta=0.8)
+        purities = [v for k, v in res.artifacts.items() if k.startswith("reduction_purity_")]
+        n = MAX_GHZ_SLOTS
+        assert len(purities) == n + n * (n - 1) // 2
+        for p in purities:
+            assert p == pytest.approx(0.36**2 + 0.64**2, abs=1e-12)
 
     def test_two_slot_variant(self):
         res = temporal_ghz(n_slots=2)

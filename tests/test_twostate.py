@@ -177,6 +177,10 @@ class TestMixedSequenceDistribution:
         with pytest.raises(ShapeError):
             mixed_sequence_distribution(maximally_mixed(3), (X,))
 
+    def test_post_dimension_validation(self):
+        with pytest.raises(ShapeError, match="post ket dimension does not match the state"):
+            mixed_sequence_distribution(maximally_mixed(2), (X,), post=np.array([1, 0, 0]))
+
 
 def _random_observable(rng, d: int) -> np.ndarray:
     """Dichotomic observable on dimension d with both eigenvalues present."""
