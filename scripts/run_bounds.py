@@ -57,10 +57,12 @@ def main(argv=None) -> int:
     print("optimized temporal functional")
     opt = optimize_settings("s_lgi")
     row("best value over Bloch settings", opt.value, 2.0 * SQRT2)
+    row("certified upper bound", opt.certified_bound, 2.0 * SQRT2)
     print(f"  converged={opt.converged} after {opt.evaluations} evaluations")
     docs["optimize"] = document(
-        "optimize", {"value": opt.value, "converged": opt.converged,
-                     "evaluations": opt.evaluations, "angles": opt.angles})
+        "optimize", {"value": opt.value, "certified_bound": opt.certified_bound,
+                     "converged": opt.converged, "evaluations": opt.evaluations,
+                     "angles": opt.angles})
 
     print("two-pair sum (preset settings, maximally mixed input)")
     a, b, c = monogamy_preset_settings()

@@ -19,7 +19,7 @@ times are statistically interchangeable, two-pair sums reach 4*sqrt(2)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -423,8 +423,6 @@ def tsirelson_settings():
     """Settings saturating the two-time quantum bound 2*sqrt(2).
 
     First party measures Z and X; second measures the diagonal combinations.
-    (Verified by the optimizer; kept exact here so downstream checks need no
-    search.)
     """
     rt = math.sqrt(2.0)
     firsts = (MeasurementSetting.from_pauli("Z"), MeasurementSetting.from_pauli("X"))
@@ -442,18 +440,15 @@ def monogamy_preset_settings():
 
 
 # ---------------------------------------------------------------------------
-# derivative-free optimizer over Bloch angles
+# settings optimizer: see-saw over Bloch vectors with a dual certificate
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    theta_points: int = 12
-    phi_points: int = 24
     tol: float = 1e-10
     max_evals: int = 10_000
     seed: int = 0
     restarts: int = 2
-    max_sweeps: int = 6
 
 
 @dataclass(frozen=True)
@@ -465,16 +460,14 @@ class OptimizeResult:
     trace: tuple[tuple[int, tuple[float, ...], float], ...]
     converged: bool
     evaluations: int
+    certified_bound: float
 
 
 def settings_from_angles(angles: Sequence[float]) -> tuple[MeasurementSetting, ...]:
     """Interpret a flat (theta, phi, theta, phi, ...) vector as settings."""
     if len(angles) % 2:
         raise ValueError("need an even number of angles")
-    return tuple(
-        MeasurementSetting.from_bloch(angles[2 * i], angles[2 * i + 1])
-        for i in range(len(angles) // 2)
-    )
+    return tuple(MeasurementSetting.from_bloch(t, p) for t, p in zip(angles[0::2], angles[1::2]))
 
 
 def _objective_function(objective: str, initial, n: int) -> tuple[Callable, int]:
@@ -506,93 +499,88 @@ def _objective_function(objective: str, initial, n: int) -> tuple[Callable, int]
     raise ValueError(f"unknown objective {objective!r}")
 
 
+def _quadratic_form(objective: str, n: int) -> np.ndarray:
+    """Symmetric Q with the objective equal to x^T Q x over the settings' Bloch
+    vectors x (in ``settings_from_angles`` order).  Under trivial evolution a
+    qubit correlator is E(a.sigma, b.sigma) = Tr(B {A, rho}) / 2 = a . b for
+    every state, so each pair functional is sum M_ij a_i . b_j."""
+    pattern = np.array([[1.0, 1.0], [1.0, -1.0]]) * (n if objective == "chained_bell" else 1)
+    blocks = (0, 2) if objective == "monogamy_sum" else (0,)
+    q = np.zeros((2 * len(blocks) + 2,) * 2)
+    for i in blocks:
+        q[i:i + 2, i + 2:i + 4] = pattern / 2.0
+    return q + q.T
+
+
+def _certified_bound(q: np.ndarray, x: np.ndarray) -> float:
+    """Upper bound on y^T Q y over unit vectors y_i of any dimension, for any x.
+
+    With lambda_i = sum_j Q_ij x_i . x_j and G the Gram matrix of y (positive
+    semidefinite, trace m), y^T Q y = sum lambda - Tr((Diag lambda - Q) G).
+    At a global maximum x the bound equals the maximum.
+    """
+    lam = np.einsum("ij,ik,jk->i", q, x, x)
+    lam_min = np.linalg.eigvalsh(np.diag(lam) - q)[0]
+    return float(lam.sum() + len(q) * max(0.0, -lam_min))
+
+
 def optimize_settings(
     objective: str = "s_lgi",
     initial=None,
     config: OptimizerConfig = OptimizerConfig(),
     n: int = 1,
 ) -> OptimizeResult:
-    """Maximize a Bell-type functional over Bloch-angle settings.
+    """Maximize a Bell-type functional over qubit settings, with a certificate.
 
-    Two stages: iterated coordinate sweeps on a coarse angle grid, then a
-    Nelder-Mead refinement from the best grid point.  Each coordinate's
-    candidate column is evaluated as one batch and then accepted in order,
-    exactly as one-at-a-time evaluation would.  Fully deterministic for a
-    given config seed.  ``converged`` means the Nelder-Mead refinement met its
-    tolerance, not that the global maximum was found: from an unlucky seed
-    the search can settle on a local maximum and still report converged.  If
-    the evaluation budget runs out before the refinement reaches tolerance
-    the best-effort result is flagged non-converged.
+    From the all-pi/4 start and ``restarts`` seeded random starts, see-saw
+    sweeps set each Bloch vector in turn to its best response under
+    ``_quadratic_form``; a start stops when a sweep gains at most ``tol``.
+    Each running start is evaluated with the batched kernel at its start and
+    after every sweep, one evaluation each and at most ``max_evals`` in all,
+    so ``value`` is exactly what the named public function gives for
+    ``settings``.
+    ``certified_bound`` caps the functional over every assignment of unit
+    vectors; ``converged`` means it is at most ``tol`` above ``value``, so the
+    global maximum was found.  Deterministic for a given config seed.
     """
-    from scipy.optimize import minimize
-
-    fn, n_angles = _objective_function(objective, initial, n)
+    fn, _ = _objective_function(objective, initial, n)
+    q = _quadratic_form(objective, n)
+    if config.max_evals < 1:
+        raise ValueError("max_evals must be at least 1")
+    x = np.random.default_rng(config.seed).standard_normal((max(config.restarts, 0) + 1, len(q), 3))
+    x[0] = (0.5, 0.5, math.sqrt(0.5))  # theta = phi = pi/4
+    x /= np.linalg.norm(x, axis=-1, keepdims=True)
+    values = np.full(len(x), -math.inf)
+    active = np.arange(len(x))
     evals = 0
     trace: list[tuple[int, tuple[float, ...], float]] = []
-    budget = config.max_evals
+    best_val = -math.inf
+    while len(active) and evals < config.max_evals:
+        active = active[: config.max_evals - evals]
+        theta = np.arccos(np.clip(x[active, :, 2], -1.0, 1.0))
+        phi = np.arctan2(x[active, :, 1], x[active, :, 0]) % (2.0 * math.pi)
+        angles = np.stack([theta, phi], -1).reshape(len(active), -1)
+        new = np.array(fn(angles))
+        evals += len(active)
+        gains, values[active] = new - values[active], new
+        top = int(np.argmax(new))
+        if new[top] > best_val:
+            best_x, best_angles, best_val = x[active[top]].copy(), angles[top], float(new[top])
+            trace.append((evals, tuple(float(a) for a in best_angles), best_val))
+        active = active[gains > config.tol]
+        for i, row in enumerate(q):  # one see-saw sweep: x_i <- normalized sum_j Q_ij x_j
+            field = row @ x[active]
+            norm = np.linalg.norm(field, axis=-1, keepdims=True)
+            x[active, i] = np.where(norm > 0.0, field / np.where(norm > 0.0, norm, 1.0), x[active, i])
 
-    def evaluate(stack) -> list[float]:
-        nonlocal evals
-        evals += len(stack)
-        return fn(stack)
-
-    theta_grid = np.linspace(0.0, math.pi, config.theta_points)
-    phi_grid = np.linspace(0.0, 2.0 * math.pi, config.phi_points, endpoint=False)
-    rng = np.random.default_rng(config.seed)
-    starts = [np.full(n_angles, math.pi / 4.0)]
-    for _ in range(config.restarts):
-        start = np.empty(n_angles)
-        start[0::2] = rng.uniform(0.0, math.pi, n_angles // 2)
-        start[1::2] = rng.uniform(0.0, 2.0 * math.pi, n_angles // 2)
-        starts.append(start)
-
-    best_angles, best_val = None, -math.inf
-    for start in starts:
-        angles = start.copy()
-        [val] = evaluate(angles[None])
-        for _ in range(config.max_sweeps):
-            improved = False
-            for i in range(n_angles):
-                grid = theta_grid if i % 2 == 0 else phi_grid
-                column = grid[: max(budget - evals, 0)]
-                if not len(column):
-                    continue
-                trials = np.repeat(angles[None], len(column), axis=0)
-                trials[:, i] = column
-                for trial, tv in zip(trials, evaluate(trials)):
-                    if tv > val + 1e-13:
-                        angles, val, improved = trial, tv, True
-            if not improved or evals >= budget:
-                break
-        if val > best_val:
-            best_angles, best_val = angles, val
-            trace.append((evals, tuple(float(a) for a in angles), float(val)))
-
-    remaining = max(budget - evals, 0)
-    converged = False
-    if remaining > n_angles + 1:
-        res = minimize(
-            lambda x: -evaluate(x[None])[0],
-            best_angles,
-            method="Nelder-Mead",
-            options={
-                "xatol": config.tol,
-                "fatol": config.tol,
-                "maxfev": remaining,
-                "maxiter": remaining,
-            },
-        )
-        if -res.fun > best_val:
-            best_angles, best_val = res.x, -res.fun
-        converged = bool(res.success)
-        trace.append((evals, tuple(float(a) for a in best_angles), float(best_val)))
-
+    bound = _certified_bound(q, best_x)
     return OptimizeResult(
         objective=objective,
-        value=float(best_val),
+        value=best_val,
         angles=tuple(float(a) for a in best_angles),
         settings=settings_from_angles(best_angles),
         trace=tuple(trace),
-        converged=converged,
+        converged=bound - best_val <= config.tol,
         evaluations=evals,
+        certified_bound=bound,
     )

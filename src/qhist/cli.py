@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: scenario, lgi, chained, monogamy, optimize, weight, abl.
-Exit codes: 0 success, 2 input error, 3 optimizer flagged non-convergence,
-4 impossible post-selection.  Identical arguments (including --seed) produce
+Exit codes: 0 success, 2 input error, 3 optimizer result not certified (budget
+spent or every start stalled), 4 impossible post-selection.  Identical arguments (including --seed) produce
 byte-identical output.
 """
 
@@ -193,11 +193,8 @@ def _run_monogamy(args):
 
 
 def _run_optimize(args):
-    overrides = {"seed": args.seed}
-    if args.restarts is not None:
-        overrides["restarts"] = args.restarts
-    if args.max_evals is not None:
-        overrides["max_evals"] = args.max_evals
+    given = {"seed": args.seed, "restarts": args.restarts, "max_evals": args.max_evals}
+    overrides = {key: value for key, value in given.items() if value is not None}
     result = optimize_settings(
         objective=args.objective, config=OptimizerConfig(**overrides), n=args.n
     )

@@ -37,7 +37,7 @@ from .errors import (
     NonFactorizableEvolutionError,
     ShapeError,
 )
-from .linalg import as_matrix, identity, max_abs, partial_trace, projector
+from .linalg import as_matrix, bell_pair_ket, identity, max_abs, projector
 
 __all__ = [
     "TimeGrid",
@@ -608,7 +608,7 @@ def subsystem_trace_out(
 
 
 # ---------------------------------------------------------------------------
-# small generators and searches
+# small generators and witnesses
 
 
 def exhaustive_projector_family(grid: TimeGrid) -> tuple[HistoryState, ...]:
@@ -634,70 +634,25 @@ class ReductionSearchResult:
     best_overlap: float
     upper_bound: float
     coefficients: tuple[complex, ...]
-    evaluations: int
 
 
-def best_joint_bell_reduction_overlap(
-    restarts: int = 24, seed: int = 7, max_iter: int = 400
-) -> ReductionSearchResult:
-    """Search for a 3-slot qubit history whose two overlapping 2-slot
-    reductions both match the Bell-like history (|00> + |11>)-type target.
+def best_joint_bell_reduction_overlap() -> ReductionSearchResult:
+    """The 3-slot qubit history closest to the Bell-like target on both
+    overlapping 2-slot windows, and the bound it attains.
 
-    The search ranges over all complex coefficients on the eight
-    computational-basis projector strings (the span in which both requested
-    reductions can live), maximizing the smaller of the two reduction
-    fidelities.  A rigorous eigenvalue bound on (F_01 + F_02)/2 caps the
-    achievable value; both the searched maximum and the bound stay strictly
-    below 1, which is the numerical content of the no-go for simultaneous
-    Bell-type reductions.
+    Over the eight projector strings, the (0, 1) and (1, 2) reductions of psi
+    have fidelities F_01 = <psi|P x I|psi> and F_12 = <psi|I x P|psi> with
+    the (|00> + |11>)/sqrt2 target P, so min(F_01, F_12) is at most half the
+    top eigenvalue of P x I + I x P: 0.75.  That eigenspace is 2-fold and
+    symmetric under swapping slots 0 and 2, so the witness, |000> projected
+    onto it (independent of LAPACK's basis), has F_01 = F_12 = 0.75.  Both
+    stay below 1: no history has Bell-type reductions on both windows.
     """
-    from scipy.optimize import minimize
-
-    bell = np.zeros(4, dtype=complex)
-    bell[0] = bell[3] = 1 / math.sqrt(2)
-    p_bell = np.outer(bell, bell.conj())
-    eye = np.eye(2)
-
-    def fidelities(c: np.ndarray) -> tuple[float, float]:
-        psi = c / np.linalg.norm(c)
-        rho = np.outer(psi, psi.conj())
-        r01 = partial_trace(rho, [2, 2, 2], [0, 1])
-        r12 = partial_trace(rho, [2, 2, 2], [1, 2])
-        f1 = float(np.real(np.vdot(bell, r01 @ bell)))
-        f2 = float(np.real(np.vdot(bell, r12 @ bell)))
-        return f1, f2
-
-    evals = 0
-
-    def objective(x: np.ndarray) -> float:
-        nonlocal evals
-        evals += 1
-        c = x[:8] + 1j * x[8:]
-        if np.linalg.norm(c) < 1e-8:
-            return 0.0
-        return -min(*fidelities(c))
-
-    rng = np.random.default_rng(seed)
-    ghz = np.zeros(16)
-    ghz[0] = ghz[7] = 1.0
-    w_like = np.zeros(16)
-    w_like[1] = w_like[2] = w_like[4] = 1.0
-    starts = [ghz, w_like, np.ones(16)]
-    starts += [rng.standard_normal(16) for _ in range(restarts)]
-
-    best_val, best_c = -1.0, None
-    for x0 in starts:
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": max_iter, "maxfev": max_iter * 2},
-        )
-        val = -res.fun
-        if val > best_val:
-            best_val, best_c = val, res.x[:8] + 1j * res.x[8:]
-
-    bound_op = np.kron(p_bell, eye) + np.kron(eye, p_bell)
-    upper = float(np.linalg.eigvalsh(bound_op)[-1]) / 2.0
-    best_c = best_c / np.linalg.norm(best_c)
-    return ReductionSearchResult(best_val, upper, tuple(complex(z) for z in best_c), evals)
+    p_bell = projector(bell_pair_ket())
+    windows = (np.kron(p_bell, identity(2)), np.kron(identity(2), p_bell))
+    eigvals, eigvecs = np.linalg.eigh(sum(windows))
+    top = eigvecs[:, eigvals > eigvals[-1] - 1e-9]
+    witness = top @ top[0].conj()  # |000> projected onto the top eigenspace
+    witness = witness / np.linalg.norm(witness)
+    f01, f12 = (float(np.vdot(witness, w @ witness).real) for w in windows)
+    return ReductionSearchResult(min(f01, f12), float(eigvals[-1]) / 2.0, tuple(map(complex, witness)))

@@ -23,10 +23,16 @@ from qhist import (
     temporal_correlator,
     tsirelson_settings,
 )
-from qhist.bell import CHAINED, INDEPENDENT
+from qhist.bell import (
+    CHAINED,
+    INDEPENDENT,
+    _quadratic_form,
+    correlator_tables,
+)
 from qhist.linalg import maximally_mixed, pauli, projector, qubit_ket
+from qhist.twostate import bloch_observables
 
-from conftest import SQRT2, random_dichotomic
+from conftest import SQRT2, random_dichotomic, random_ket
 
 RHO = maximally_mixed(2)
 Z = MeasurementSetting.from_pauli("Z")
@@ -222,7 +228,7 @@ class TestOptimizer:
             optimize_settings("maximize_everything")
 
     def test_deterministic_given_seed(self):
-        cfg = OptimizerConfig(theta_points=6, phi_points=8, max_evals=1500, restarts=1)
+        cfg = OptimizerConfig(max_evals=1500, restarts=1)
         r1 = optimize_settings("s_lgi", config=cfg)
         r2 = optimize_settings("s_lgi", config=cfg)
         assert r1.value == r2.value
@@ -238,7 +244,109 @@ class TestOptimizer:
         assert res.trace[-1][2] == pytest.approx(res.value, abs=1e-12)
 
     def test_budget_exhaustion_flags_nonconvergence(self):
-        cfg = OptimizerConfig(max_evals=40)
+        cfg = OptimizerConfig(max_evals=1)
         res = optimize_settings("s_lgi", config=cfg)
         assert not res.converged
+        assert res.evaluations == 1
+        assert res.certified_bound - res.value > cfg.tol
         assert res.value <= 2.0 * SQRT2 + 1e-9
+
+
+# (objective, n, global maximum)
+OBJECTIVES = [
+    ("s_lgi", 1, 2.0 * SQRT2),
+    ("chained_bell", 2, 4.0 * SQRT2),
+    ("chained_bell", 3, 6.0 * SQRT2),
+    ("monogamy_sum", 1, 4.0 * SQRT2),
+]
+
+
+class TestSeeSaw:
+    @pytest.mark.parametrize("objective,n,target", OBJECTIVES)
+    def test_every_seed_certified_at_the_maximum(self, objective, n, target):
+        # grid plus Nelder-Mead stopped at 2.5535 for s_lgi seed 12 and called it converged
+        for seed in range(30):
+            cfg = OptimizerConfig(seed=seed)
+            res = optimize_settings(objective, config=cfg, n=n)
+            assert res.converged, seed
+            assert abs(res.value - target) <= 1e-12, seed
+            assert res.certified_bound - res.value <= cfg.tol, seed
+            assert res.evaluations <= 40, seed
+
+    @pytest.mark.parametrize("objective,n,target", OBJECTIVES)
+    def test_evaluations_never_exceed_the_budget(self, objective, n, target):
+        for max_evals in range(1, 41):
+            res = optimize_settings(objective, config=OptimizerConfig(max_evals=max_evals), n=n)
+            assert res.evaluations <= max_evals
+            assert res.trace[-1][0] <= res.evaluations
+
+    @pytest.mark.parametrize("objective,n,target", OBJECTIVES)
+    def test_value_is_the_public_function_at_the_settings(self, objective, n, target):
+        rng = np.random.default_rng(5)
+        rho = projector(random_ket(rng, 2))
+        res = optimize_settings(objective, initial=rho, config=OptimizerConfig(seed=3), n=n)
+        s = res.settings
+        if objective == "s_lgi":
+            want = s_lgi(CorrelatorSpec(rho, s[0:2], s[2:4])).value
+        elif objective == "chained_bell":
+            want = chained_bell(n, s[0:2], s[2:4], rho).total
+        else:
+            want = monogamy_sum(rho, s[0:2], s[2:4], s[4:6]).total
+        assert res.value == want
+        assert res.trace[-1][2] == res.value
+
+    def test_stalled_start_is_not_certified(self):
+        # every pi/4 vector is equal, a stationary point at S = 2 the see-saw cannot leave
+        res = optimize_settings("s_lgi", config=OptimizerConfig(restarts=0))
+        assert res.value == pytest.approx(2.0, abs=1e-12)
+        assert not res.converged
+        assert res.certified_bound > 2.0 * SQRT2
+
+    def test_empty_budget_rejected(self):
+        with pytest.raises(ValueError, match="max_evals"):
+            optimize_settings("s_lgi", config=OptimizerConfig(max_evals=0))
+
+
+def _bloch_vectors(angles):
+    """(..., 2m) rows of (theta, phi) pairs -> (..., m, 3) unit vectors."""
+    theta, phi = angles[..., 0::2], angles[..., 1::2]
+    return np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], -1)
+
+
+def _random_state(rng, pure):
+    if pure:
+        return projector(random_ket(rng, 2))
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho)
+
+
+class TestQuadraticFormAgainstKernel:
+    """x^T Q x over Bloch vectors against the correlator kernel, for any qubit state."""
+
+    @pytest.mark.parametrize("pure", [True, False])
+    def test_correlators_are_dot_products(self, rng, pure):
+        angles = rng.uniform(0.0, 2.0 * math.pi, size=(20, 8))
+        x = _bloch_vectors(angles)
+        obs = bloch_observables(angles.reshape(20, 4, 2))
+        table = correlator_tables(_random_state(rng, pure), obs[:, :2], None, obs[:, 2:])
+        dots = np.einsum("nik,njk->nij", x[:, :2], x[:, 2:])
+        assert np.max(np.abs(table - dots)) < 1e-14
+
+    @pytest.mark.parametrize("pure", [True, False])
+    @pytest.mark.parametrize("objective,n,target", OBJECTIVES)
+    def test_form_matches_public_functions(self, rng, pure, objective, n, target):
+        q = _quadratic_form(objective, n)
+        for _ in range(10):
+            rho = _random_state(rng, pure)
+            angles = rng.uniform(0.0, 2.0 * math.pi, size=2 * len(q))
+            x = _bloch_vectors(angles)
+            form = float(np.einsum("ij,ik,jk->", q, x, x))
+            s = settings_from_angles(angles)
+            if objective == "s_lgi":
+                want = s_lgi(CorrelatorSpec(rho, s[0:2], s[2:4])).value
+            elif objective == "chained_bell":
+                want = chained_bell(n, s[0:2], s[2:4], rho).total
+            else:
+                want = monogamy_sum(rho, s[0:2], s[2:4], s[4:6]).total
+            assert abs(form - want) < 1e-14

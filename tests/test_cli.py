@@ -4,11 +4,14 @@ import csv
 import io
 import json
 import math
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import qhist
 from qhist import serialize
 from qhist.bell import MAX_CHAIN_BLOCKS
 from qhist.cli import (
@@ -244,9 +247,41 @@ class TestOptimizeCommand:
 
     def test_budget_exhaustion_exit_code(self, capsys):
         code, out, _ = run_cli(
-            capsys, "optimize", "--objective", "s_lgi", "--max-evals", "40"
+            capsys, "optimize", "--objective", "s_lgi", "--max-evals", "1"
         )
         assert code == EXIT_NONCONVERGED
+        doc = json.loads(out)["artifacts"]
+        assert doc["converged"] is False
+        assert doc["evaluations"] == 1
+
+    def test_budget_of_forty_is_respected(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "optimize", "--objective", "s_lgi", "--max-evals", "40"
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["artifacts"]["evaluations"] <= 40
+
+    def test_empty_budget_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "optimize", "--max-evals", "0")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == "error: max_evals must be at least 1\n"
+
+    def test_runs_without_scipy(self):
+        # scipy is installed here, so hide it: any import of it then fails
+        code = (
+            "import sys; sys.modules['scipy'] = None\n"
+            "from qhist import best_joint_bell_reduction_overlap\n"
+            "from qhist.cli import main\n"
+            "assert main(['optimize', '--objective', 'monogamy_sum']) == 0\n"
+            "print(best_joint_bell_reduction_overlap().upper_bound)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(pathlib.Path(qhist.__file__).parents[1])},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert abs(float(proc.stdout.splitlines()[-1]) - 0.75) < 1e-12
 
     def test_trace_csv(self, capsys):
         code, out, _ = run_cli(capsys, "optimize", "--format", "csv")

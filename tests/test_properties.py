@@ -27,7 +27,7 @@ from qhist import (
     temporal_correlator,
     weight,
 )
-from qhist.bell import TSIRELSON_BOUND
+from qhist.bell import TSIRELSON_BOUND, _certified_bound, _quadratic_form
 from qhist.linalg import (
     kron,
     maximally_mixed,
@@ -233,3 +233,20 @@ def test_temporal_correlator_closed_form(seed):
         e = temporal_correlator(initial, first, u, second)
         assert math.isclose(e, closed, abs_tol=1e-10)
         assert abs(e) <= 1.0 + 1e-12
+
+
+@given(seeds, st.sampled_from([("s_lgi", 1), ("chained_bell", 3), ("monogamy_sum", 1)]),
+       st.integers(min_value=1, max_value=6))
+@settings(deadline=None, max_examples=60)
+def test_certified_bound_caps_every_assignment(seed, objective, dim):
+    """The dual bound built at any unit vectors x is at least y^T Q y for any
+    other unit vectors y, of any dimension."""
+    rng = _rng(seed)
+    q = _quadratic_form(*objective)
+    x = rng.normal(size=(len(q), 3))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    bound = _certified_bound(q, x)
+    for _ in range(5):
+        y = rng.normal(size=(len(q), dim))
+        y /= np.linalg.norm(y, axis=1, keepdims=True)
+        assert float(np.einsum("ij,ik,jk->", q, y, y)) <= bound + 1e-12

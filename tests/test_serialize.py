@@ -125,7 +125,7 @@ class TestCSV:
 
         res = optimize_settings(
             "s_lgi",
-            config=OptimizerConfig(theta_points=4, phi_points=4, max_evals=300),
+            config=OptimizerConfig(max_evals=300),
         )
         rows = list(csv.reader(io.StringIO(trace_csv(res))))
         assert rows[0][0] == "evaluation"
