@@ -43,6 +43,7 @@ __all__ = [
     "OptimizerConfig",
     "OptimizeResult",
     "MAX_CHAIN_BLOCKS",
+    "MAX_RESTARTS",
     "correlator_tables",
     "temporal_correlator",
     "s_lgi",
@@ -63,6 +64,7 @@ TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 # Largest chain length chained_bell accepts.  The block is evaluated once, so
 # the only cost that grows with n is the report: n copies of the block.
 MAX_CHAIN_BLOCKS = 1000
+MAX_RESTARTS = 1000  # each start is drawn up front, so a huge count exhausts memory first
 
 INDEPENDENT = "independent_ensembles"
 CHAINED = "chained_single_system"
@@ -532,9 +534,10 @@ def optimize_settings(
 ) -> OptimizeResult:
     """Maximize a Bell-type functional over qubit settings, with a certificate.
 
-    From the all-pi/4 start and ``restarts`` seeded random starts, see-saw
-    sweeps set each Bloch vector in turn to its best response under
-    ``_quadratic_form``; a start stops when a sweep gains at most ``tol``.
+    From the all-pi/4 start and ``restarts`` seeded random starts (at most
+    MAX_RESTARTS), see-saw sweeps set each Bloch vector in turn to its best
+    response under ``_quadratic_form``; a start stops when a sweep gains at
+    most ``tol``.
     Each running start is evaluated with the batched kernel at its start and
     after every sweep, one evaluation each and at most ``max_evals`` in all,
     so ``value`` is exactly what the named public function gives for
@@ -547,6 +550,8 @@ def optimize_settings(
     q = _quadratic_form(objective, n)
     if config.max_evals < 1:
         raise ValueError("max_evals must be at least 1")
+    if config.restarts > MAX_RESTARTS:
+        raise ValueError(f"at most {MAX_RESTARTS} restarts are supported, got {config.restarts}")
     x = np.random.default_rng(config.seed).standard_normal((max(config.restarts, 0) + 1, len(q), 3))
     x[0] = (0.5, 0.5, math.sqrt(0.5))  # theta = phi = pi/4
     x /= np.linalg.norm(x, axis=-1, keepdims=True)

@@ -19,6 +19,7 @@ from .bell import (
     CHAINED,
     INDEPENDENT,
     MAX_CHAIN_BLOCKS,
+    MAX_RESTARTS,
     CorrelatorSpec,
     OptimizerConfig,
     chained_bell,
@@ -78,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", choices=("s_lgi", "chained_bell", "monogamy_sum"),
                    default="s_lgi")
     p.add_argument("-n", type=int, default=1, help="blocks for chained_bell")
-    p.add_argument("--restarts", type=int, default=None)
+    p.add_argument("--restarts", type=int, default=None,
+                   help=f"random starts besides the all-pi/4 one (at most {MAX_RESTARTS})")
     p.add_argument("--max-evals", type=int, default=None)
 
     p = sub.add_parser("weight", parents=[common], help="weight and consistency of a history file")
@@ -222,23 +224,24 @@ def _run_abl(args):
     parsed = serialize.experiment_from_document(doc)
     artifacts: dict = {}
     if parsed["initial"] == "mixed":
+        if args.slot is not None:
+            raise serialize.SpecError("single-slot probability needs a pure 'pre' state")
         dist = mixed_sequence_distribution(
             maximally_mixed(2), parsed["slots"],
             unitaries=parsed["unitaries"], post=parsed["post"],
         )
-        if args.slot is not None:
-            raise serialize.SpecError("single-slot probability needs a pure 'pre' state")
     else:
         exp = TwoTimeExperiment.build(
             parsed["pre"], parsed["slots"], post=parsed["post"],
             unitaries=parsed["unitaries"],
         )
-        dist = sequence_distribution(exp)
         if args.slot is not None:
+            # abl_probability checks its preconditions before it computes
             outcome = +1 if (args.outcome or "+") == "+" else -1
             artifacts["slot"] = args.slot
             artifacts["outcome"] = args.outcome or "+"
             artifacts["abl_probability"] = abl_probability(exp, args.slot, outcome)
+        dist = sequence_distribution(exp)
     artifacts["distribution"] = dist
     table = serialize.distribution_csv(dist) if args.format == "csv" else None
     return serialize.document("abl", artifacts), table, EXIT_OK

@@ -9,26 +9,23 @@ semantics that this module keeps separate on purpose:
 * amplitude chains (pre/post-conditioned, interference between slots), and
 * sequential collapse chains on density operators (nonselective updates).
 
-Outcome strings are '+'/'-' characters ordered earliest-first.
+Outcome strings are '+'/'-' characters ordered earliest-first.  Every table
+is computed by one stacked chain engine, ``_chains``: row r of its stack is
+the r-th outcome string, '+' first with the earliest slot most significant,
+and it accepts at most ``MAX_MEASURED_SLOTS`` measured slots (unmeasured
+slots do not count), since a table doubles with every measured slot.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import ImpossiblePostselectionError, ShapeError
-from .histories import (
-    BridgingSet,
-    HistoryState,
-    TimeGrid,
-    chain_operator_sum,
-    hs_norm,
-)
+from .errors import GridMismatchError, ImpossiblePostselectionError, ShapeError
+from .histories import BridgingSet, HistoryState, TimeGrid, hs_norm
 from .linalg import as_ket, as_matrix, identity, max_abs, pauli, projector
 
 __all__ = [
@@ -42,12 +39,12 @@ __all__ = [
     "mixed_sequence_distribution",
     "coherent_bundle_weights",
     "coherent_bundle_distribution",
-    "coherent_bundle_probability",
     "history_bundle",
     "marginal_independence_check",
 ]
 
 ZERO_WEIGHT_TOL = 1e-15
+MAX_MEASURED_SLOTS = 20
 
 OUTCOME_CHARS = {+1: "+", -1: "-"}
 
@@ -190,10 +187,6 @@ class OutcomeDistribution:
         return total
 
 
-def _outcome_strings(n: int):
-    return ("".join(bits) for bits in itertools.product("+-", repeat=n))
-
-
 def _normalized(table: dict[str, float], labels: tuple[str, ...]) -> OutcomeDistribution:
     total = sum(table.values())
     if total <= ZERO_WEIGHT_TOL:
@@ -226,32 +219,31 @@ def _checked_row(d: int, slots, unitaries) -> tuple[np.ndarray, ...]:
     return us
 
 
-def _walk(start: np.ndarray, slots, unitaries, leaf) -> dict[str, float]:
-    """``leaf`` of the chain for every outcome string of the measured slots.
+def _chains(start: np.ndarray, intervals, settings, fixed=None) -> tuple[list[str], np.ndarray]:
+    """Every outcome string's chain, carried through a row as one stack.
 
-    Carries ``start`` (a ket, or the identity for the chain operator) through
-    interval unitary k and then, when slot k is measured, its outcome
-    projector, ending with the last interval unitary.  The walk is depth
-    first, so strings that share a prefix share its products; strings come
-    out '+' first, earliest slot first.
+    Step k applies ``intervals[k]`` (None for none) to the whole stack, then
+    ``fixed[k]`` when ``fixed`` holds slot k (a (batch, d, d) stack of
+    per-term operators), and then, when ``settings[k]`` is a setting, splits
+    every row into its '+' chain followed by its '-' chain.  ``start`` is a
+    (d, m) matrix.  Returns the outcome strings and a (2**n_measured, batch,
+    d', m) stack whose row r is string r: '+' first, earliest slot first.
+    More than MAX_MEASURED_SLOTS settings are rejected before any product.
     """
-    projectors = [None if s is None else s.projectors() for s in slots]
-    n = len(slots)
-    table: dict[str, float] = {}
-    stack = [(0, "", start)]
-    while stack:
-        k, string, x = stack.pop()
-        if k == n:
-            table[string] = leaf(unitaries[n] @ x)
-            continue
-        x = unitaries[k] @ x
-        if projectors[k] is None:
-            stack.append((k + 1, string, x))
-        else:
-            plus, minus = projectors[k]
-            stack.append((k + 1, string + "-", minus @ x))
-            stack.append((k + 1, string + "+", plus @ x))
-    return table
+    n_measured = sum(s is not None for s in settings)
+    if n_measured > MAX_MEASURED_SLOTS:
+        raise ValueError(f"at most {MAX_MEASURED_SLOTS} measured slots are supported, got {n_measured}")
+    strings, x = [""], start[None, None]
+    for k, (interval, setting) in enumerate(zip(intervals, settings)):
+        if interval is not None:
+            x = interval @ x
+        if fixed and k in fixed:
+            x = fixed[k] @ x
+        if setting is not None:
+            plus, minus = setting.projectors()
+            x = np.stack((plus @ x, minus @ x), axis=1).reshape((-1,) + x.shape[1:])
+            strings = [s + ch for s in strings for ch in "+-"]
+    return strings, x
 
 
 def _measured_labels(slots) -> tuple[str, ...]:
@@ -269,14 +261,14 @@ def sequence_distribution(exp: TwoTimeExperiment) -> OutcomeDistribution:
     the collapsed vector, which equals the complete sum over any final basis.
     """
     labels = _measured_labels(exp.slots)
-    post = exp.post
-    if post is None:
-        def leaf(vec):
-            return float(np.vdot(vec, vec).real)
+    strings, vecs = _chains(exp.pre[:, None], exp.unitaries, exp.slots + (None,))
+    vecs = vecs[:, 0]
+    if exp.post is None:
+        weights = (vecs.conj().swapaxes(-1, -2) @ vecs).real.ravel().tolist()
     else:
-        def leaf(vec):
-            return abs(np.vdot(post, vec)) ** 2
-    return _normalized(_walk(exp.pre, exp.slots, exp.unitaries, leaf), labels)
+        # per row: no stacked form reproduces vdot's bits
+        weights = [abs(np.vdot(exp.post, v)) ** 2 for v in vecs[:, :, 0]]
+    return _normalized(dict(zip(strings, weights)), labels)
 
 
 def mixed_sequence_distribution(
@@ -299,22 +291,18 @@ def mixed_sequence_distribution(
     slots = tuple(slots)
     unitaries = _checked_row(d, slots, unitaries)
     labels = _measured_labels(slots)
-    post_proj = None
     if post is not None:
         post = as_ket(post, normalized=True)
         if post.size != d:
             raise ShapeError("post ket dimension does not match the state")
-        post_proj = projector(post)
 
-    def leaf(chain):
-        evolved = chain @ rho0 @ chain.conj().T
-        if post_proj is None:
-            w = float(np.trace(evolved).real)
-        else:
-            w = float(np.trace(post_proj @ evolved).real)
-        return max(w, 0.0)
-
-    return _normalized(_walk(identity(d), slots, unitaries, leaf), labels)
+    strings, chains = _chains(identity(d), unitaries, slots + (None,))
+    chains = chains[:, 0]
+    evolved = chains @ rho0 @ chains.conj().swapaxes(-1, -2)
+    if post is not None:
+        evolved = projector(post) @ evolved
+    weights = np.trace(evolved, axis1=-2, axis2=-1).real
+    return _normalized(dict(zip(strings, np.maximum(weights, 0.0).tolist())), labels)
 
 
 def abl_probability(exp: TwoTimeExperiment, slot: int, outcome: int) -> float:
@@ -382,6 +370,10 @@ def coherent_bundle_weights(
     operator; the closed-loop amplitude is its trace.  These weights need not
     sum to one: interference between branches is retained, which is exactly
     how this assignment differs from sequential collapse.
+
+    The terms are the batch axis of ``_chains``: the bridges are its
+    intervals, each unmeasured slot's term operators its fixed steps, and the
+    term chains of a string are summed left to right as c_t * K_t.
     """
     if abs(hs_norm(h) - 1.0) > 1e-9:
         raise ValueError("history must be normalized")
@@ -390,18 +382,24 @@ def coherent_bundle_weights(
         raise ValueError("at least one measured slot is required")
     if positions[0] < 0 or positions[-1] >= h.grid.n_slots:
         raise ValueError("measured slot index out of range")
-    weights: dict[str, float] = {}
-    for string in _outcome_strings(len(positions)):
-        signs = dict(zip(positions, (+1 if ch == "+" else -1 for ch in string)))
-        terms = []
-        for c, eh in h.terms:
-            modified = eh
-            for pos in positions:
-                modified = modified.with_slot(pos, measured[pos].projector(signs[pos]))
-            terms.append((c, modified))
-        k = chain_operator_sum(HistoryState(tuple(terms)), b)
-        weights[string] = abs(np.trace(k)) ** 2
-    return weights
+    settings = {pos: measured[pos] for pos in positions}
+    dims, n = h.grid.slot_dims, h.grid.n_slots
+    for pos, setting in settings.items():
+        if setting.dim != dims[pos]:
+            shape = setting.observable.shape
+            raise ShapeError(f"slot operator shape {shape} does not match dim {dims[pos]}")
+    if h.grid != b.grid:
+        raise GridMismatchError("objects are defined on different time grids")
+    fixed = {k: np.stack([eh.slots[k] for _, eh in h.terms]) for k in range(n) if k not in settings}
+    row = [settings.get(k) for k in range(n)]
+    strings, chains = _chains(identity(dims[0]), (None,) + b.unitaries, row, fixed)
+    total = None
+    for t, (c, _) in enumerate(h.terms):  # an all-measured row has a batch of one
+        term = c * chains[:, min(t, chains.shape[1] - 1)]
+        total = term if total is None else total + term
+    # abs per element: numpy's vectorized complex abs may differ in the last bit
+    traces = np.trace(total, axis1=-2, axis2=-1).tolist()
+    return dict(zip(strings, (abs(tr) ** 2 for tr in traces)))
 
 
 def coherent_bundle_distribution(
@@ -410,12 +408,6 @@ def coherent_bundle_distribution(
     weights = coherent_bundle_weights(h, b, measured)
     labels = tuple(measured[k].label for k in sorted(measured))
     return _normalized(weights, labels)
-
-
-def coherent_bundle_probability(
-    h: HistoryState, b: BridgingSet, measured: Mapping[int, MeasurementSetting], outcome: str
-) -> float:
-    return coherent_bundle_distribution(h, b, measured).probability(outcome)
 
 
 # ---------------------------------------------------------------------------

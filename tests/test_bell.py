@@ -26,6 +26,7 @@ from qhist import (
 from qhist.bell import (
     CHAINED,
     INDEPENDENT,
+    MAX_RESTARTS,
     _quadratic_form,
     correlator_tables,
 )
@@ -305,6 +306,20 @@ class TestSeeSaw:
     def test_empty_budget_rejected(self):
         with pytest.raises(ValueError, match="max_evals"):
             optimize_settings("s_lgi", config=OptimizerConfig(max_evals=0))
+
+    @pytest.mark.parametrize("restarts", [MAX_RESTARTS + 1, 10**8])
+    def test_restarts_rejected_before_any_start_is_drawn(self, monkeypatch, restarts):
+        def fail(*args, **kwargs):
+            raise AssertionError("starts drawn before the restart count was checked")
+
+        monkeypatch.setattr(np.random, "default_rng", fail)
+        with pytest.raises(ValueError, match=f"at most {MAX_RESTARTS} restarts"):
+            optimize_settings("s_lgi", config=OptimizerConfig(restarts=restarts))
+
+    def test_largest_restart_count_certifies(self):
+        res = optimize_settings("s_lgi", config=OptimizerConfig(restarts=MAX_RESTARTS))
+        assert res.converged
+        assert res.value == pytest.approx(2.0 * SQRT2, abs=1e-12)
 
 
 def _bloch_vectors(angles):

@@ -12,8 +12,8 @@ import sys
 import pytest
 
 import qhist
-from qhist import serialize
-from qhist.bell import MAX_CHAIN_BLOCKS
+from qhist import cli, serialize, twostate
+from qhist.bell import MAX_CHAIN_BLOCKS, MAX_RESTARTS
 from qhist.cli import (
     EXIT_IMPOSSIBLE,
     EXIT_INPUT,
@@ -22,6 +22,7 @@ from qhist.cli import (
     main,
 )
 from qhist.scenarios import MAX_GHZ_SLOTS
+from qhist.twostate import MAX_MEASURED_SLOTS
 
 
 def run_cli(capsys, *argv):
@@ -267,6 +268,13 @@ class TestOptimizeCommand:
         assert out == ""
         assert err == "error: max_evals must be at least 1\n"
 
+    @pytest.mark.parametrize("restarts", [MAX_RESTARTS + 1, 10_000_000])
+    def test_restarts_upper_bound(self, capsys, restarts):
+        code, out, err = run_cli(capsys, "optimize", "--restarts", str(restarts))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == f"error: at most {MAX_RESTARTS} restarts are supported, got {restarts}\n"
+
     def test_runs_without_scipy(self):
         # scipy is installed here, so hide it: any import of it then fails
         code = (
@@ -397,6 +405,39 @@ class TestAblCommand:
     ])
     def test_bad_slot_row_rejected(self, capsys, tmp_path, payload, message):
         code, out, err = run_cli(capsys, "abl", "--spec", self.write(tmp_path, payload))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == message + "\n"
+
+    @pytest.mark.parametrize("n", [MAX_MEASURED_SLOTS + 1, 40])
+    @pytest.mark.parametrize("head", [{"pre": "0", "post": "+"}, {"initial": "mixed"}])
+    def test_measured_slot_bound(self, capsys, tmp_path, n, head):
+        spec = self.write(tmp_path, {**head, "slots": ["X", None] * n})
+        code, out, err = run_cli(capsys, "abl", "--spec", spec)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == (
+            f"error: at most {MAX_MEASURED_SLOTS} measured slots are supported, got {n}\n"
+        )
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"initial": "mixed", "slots": ["X"]},
+         "error: single-slot probability needs a pure 'pre' state"),
+        ({"pre": "0", "slots": ["X"]}, "error: a post-selection is required"),
+        ({"pre": "0", "post": "0", "slots": ["X", "Z"]},
+         "error: exactly one measured slot, matching `slot`, is required"),
+    ])
+    def test_slot_rejected_before_any_distribution(
+        self, capsys, tmp_path, monkeypatch, payload, message
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError("distribution computed before --slot was checked")
+
+        for module in (cli, twostate):
+            monkeypatch.setattr(module, "sequence_distribution", fail)
+            monkeypatch.setattr(module, "mixed_sequence_distribution", fail)
+        spec = self.write(tmp_path, payload)
+        code, out, err = run_cli(capsys, "abl", "--spec", spec, "--slot", "0")
         assert code == EXIT_INPUT
         assert out == ""
         assert err == message + "\n"

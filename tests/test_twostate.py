@@ -8,6 +8,8 @@ import pytest
 
 from qhist import (
     BridgingSet,
+    ElementaryHistory,
+    HistoryState,
     ImpossiblePostselectionError,
     MeasurementSetting,
     ShapeError,
@@ -22,7 +24,10 @@ from qhist import (
     sequence_distribution,
     weight,
 )
+from qhist import twostate
+from qhist.histories import TimeGrid
 from qhist.linalg import identity, maximally_mixed, pauli, projector, qubit_ket
+from qhist.twostate import MAX_MEASURED_SLOTS
 
 import twostate_oracle
 from conftest import (
@@ -343,6 +348,101 @@ class TestCoherentBundle:
         grid, h = self.ghz()
         with pytest.raises(ValueError):
             coherent_bundle_weights(h, BridgingSet.trivial(grid), {5: X})
+
+
+def _random_bundle(rng, dims, bridges):
+    """Normalized random 1-5-term history on ``dims`` with random measured slots."""
+    n = len(dims)
+    grid = TimeGrid(tuple(float(k) for k in range(n)), dims)
+
+    def op(d):
+        return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+    terms = tuple(
+        (complex(rng.normal(), rng.normal()), ElementaryHistory(grid, tuple(op(d) for d in dims)))
+        for _ in range(rng.integers(1, 6))
+    )
+    mask = rng.random(n) < 0.6
+    mask[rng.integers(n)] = True
+    measured = {
+        k: MeasurementSetting(f"S{k}", _random_observable(rng, dims[k]))
+        for k in range(n) if mask[k]
+    }
+    return normalize(HistoryState(terms)), BridgingSet(grid, bridges), measured
+
+
+def _check_bundle_against_oracle(h, b, measured) -> bool:
+    """Compare with the per-string oracle; True when the comparison was exact."""
+    want = twostate_oracle.coherent_bundle_weights(h, b, measured)
+    got = coherent_bundle_weights(h, b, measured)
+    assert list(got) == list(want)
+    g, w = np.array(list(got.values())), np.array(list(want.values()))
+    if len(measured) < h.grid.n_slots or h.n_terms == 1:
+        assert g.tobytes() == w.tobytes()
+        return True
+    # Once every slot is projected all term chains are one chain X, which the
+    # oracle merges to (sum c_t) X.  Allow 1e-15 of the largest weight the terms
+    # would reach without cancelling: max w * (sum |c_t| / |sum c_t|)^2.
+    cs = [c for c, _ in h.terms]
+    scale = np.max(w) * (sum(abs(c) for c in cs) / abs(sum(cs))) ** 2
+    assert np.max(np.abs(g - w)) <= 1e-15 * scale
+    return False
+
+
+class TestCoherentBundleAgainstOracle:
+    """The stacked bundle against the per-string history rebuild."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_random_histories(self, rng, d):
+        exact = []
+        for _ in range(40):
+            n = int(rng.integers(1, 8))
+            bridges = tuple(random_unitary(rng, d) for _ in range(n - 1))
+            exact.append(_check_bundle_against_oracle(*_random_bundle(rng, (d,) * n, bridges)))
+        assert any(exact) and not all(exact)
+
+    def test_unequal_slot_dimensions(self, rng):
+        isometry = random_unitary(rng, 3)[:, :2]
+        for _ in range(12):
+            h, b, measured = _random_bundle(rng, (2, 3, 3), (isometry, random_unitary(rng, 3)))
+            _check_bundle_against_oracle(h, b, measured)
+
+    def test_setting_dimension_checked_before_any_product(self, rng):
+        h, b, _ = _random_bundle(rng, (2, 3, 3), (random_unitary(rng, 3)[:, :2], identity(3)))
+        message = r"slot operator shape \(2, 2\) does not match dim 3"
+        for weights in (coherent_bundle_weights, twostate_oracle.coherent_bundle_weights):
+            with pytest.raises(ShapeError, match=message):
+                weights(h, b, {0: X, 1: X})
+
+
+class TestMeasuredSlotBound:
+    @pytest.mark.parametrize("n", [MAX_MEASURED_SLOTS + 1, 40])
+    def test_every_table_rejects_too_many_measured_slots(self, n):
+        message = f"at most {MAX_MEASURED_SLOTS} measured slots are supported, got {n}"
+        slots = (X, None) * n
+        with pytest.raises(ValueError, match=message):
+            sequence_distribution(TwoTimeExperiment.build(K0, slots, post=KP))
+        with pytest.raises(ValueError, match=message):
+            mixed_sequence_distribution(maximally_mixed(2), slots)
+        grid, up, down = diagonal_branches(2 * n)
+        with pytest.raises(ValueError, match=message):
+            coherent_bundle_weights(
+                normalize(up + down), BridgingSet.trivial(grid), {2 * k: X for k in range(n)}
+            )
+
+    def test_unmeasured_slots_do_not_count(self, monkeypatch):
+        monkeypatch.setattr(twostate, "MAX_MEASURED_SLOTS", 2)
+        grid, up, down = diagonal_branches(5)
+        h, b = normalize(up + down), BridgingSet.trivial(grid)
+        assert len(sequence_distribution(TwoTimeExperiment.build(K0, (X, None, None, Z))).table) == 4
+        assert len(mixed_sequence_distribution(maximally_mixed(2), (None, X, None, Z)).table) == 4
+        assert len(coherent_bundle_weights(h, b, {1: X, 3: Z})) == 4
+        with pytest.raises(ValueError, match="at most 2 measured slots"):
+            sequence_distribution(TwoTimeExperiment.build(K0, (X, None, Y, Z)))
+        with pytest.raises(ValueError, match="at most 2 measured slots"):
+            mixed_sequence_distribution(maximally_mixed(2), (X, None, Y, Z))
+        with pytest.raises(ValueError, match="at most 2 measured slots"):
+            coherent_bundle_weights(h, b, {0: X, 2: Y, 4: Z})
 
 
 class TestMarginalIndependence:

@@ -1,14 +1,17 @@
 """Reference implementations of the outcome-string rules, kept only as test oracles.
 
-These are the straightforward forms the package's prefix-sharing walk
+These are the straightforward forms the package's stacked chain engine
 replaces: every outcome string rebuilds its chain from the start, slot by
-slot.  The walk must agree with them exactly, not just within a tolerance.
+slot.  The engine must agree with the row rules exactly, not just within a
+tolerance; the coherent bundle rebuilds a whole history per string, merging
+terms whose strings coincide, so there the engine may differ in rounding.
 """
 
 import itertools
 
 import numpy as np
 
+from qhist.histories import HistoryState, chain_operator_sum
 from qhist.linalg import as_ket, as_matrix, identity, projector
 
 
@@ -63,3 +66,20 @@ def mixed_sequence_table(rho0, slots, unitaries, post=None) -> dict:
             w = float(np.trace(post_proj @ evolved).real)
         table[string] = max(w, 0.0)
     return _normalized(table)
+
+
+def coherent_bundle_weights(h, b, measured) -> dict:
+    """Raw |Tr K|^2 per outcome string, from the history rebuilt with its projectors."""
+    positions = sorted(int(k) for k in measured)
+    weights = {}
+    for string in _outcome_strings(len(positions)):
+        signs = dict(zip(positions, (+1 if ch == "+" else -1 for ch in string)))
+        terms = []
+        for c, eh in h.terms:
+            modified = eh
+            for pos in positions:
+                modified = modified.with_slot(pos, measured[pos].projector(signs[pos]))
+            terms.append((c, modified))
+        k = chain_operator_sum(HistoryState(tuple(terms)), b)
+        weights[string] = abs(np.trace(k)) ** 2
+    return weights
