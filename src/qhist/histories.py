@@ -68,6 +68,12 @@ __all__ = [
 
 MERGE_TOL = 1e-12
 UNITARITY_TOL = 1e-9
+# temporal_partial_trace: eigenvalues of a unit-trace reduced operator this
+# close to their cluster's largest share one eigenspace, and a term string
+# whose projection onto it is shorter than SPAN_TOL of its norm does not
+# fix a basis vector (see _canonical_basis)
+DEGENERACY_TOL = 1e-12
+SPAN_TOL = 1e-8
 
 
 def _frozen(m) -> np.ndarray:
@@ -429,19 +435,34 @@ def mixed_overlap(m: MixedHistory, target) -> float:
 def temporal_partial_trace(h, keep_slots: Iterable[int], tol: float = 1e-12) -> MixedHistory:
     """Reduce a history state to a subset of slots.
 
-    The reduced operator is built from the terms of the normalized state
-    sum_t c_t (x)_k v_tk, where v_tk is slot k's operator flattened
-    row-major, without forming the history-space vector:
+    The reduced operator of the normalized state sum_t c_t (x)_k v_tk, where
+    v_tk is slot k's operator flattened row-major, is
 
         rho_keep = W^T A W^*,   A[t, t'] = c_t c_t'^* prod_{k traced} G_k[t, t'],
 
-    with G_k = V_k V_k^dag the Gram matrix of the traced slot's operators
-    (rows of V_k are the v_tk) and row t of W the Kronecker product of the
-    kept slots' v_tk in slot order, which is ``history_vector``'s layout.
-    The cost is O(T^2 n d^2 + D_keep^2 T) for T terms, n slots of dimension
-    d and kept dimension D_keep.  The positive operator is returned as its
-    eigen-ensemble.  The output is a mixture: reductions of entangled
-    histories are ensembles, not superpositions.
+    with G_k = V_k V_k^dag the Gram matrix of slot k's operators (rows of V_k
+    are the v_tk) and row w_t of W the Kronecker product of term t's kept
+    v_tk, which is ``history_vector``'s layout.  The history-space vector is
+    never formed.  Its nonzero spectrum is taken in the smaller of the two
+    spaces it lives in, the T terms or the kept dimension D_keep:
+
+    * T <= D_keep (term space).  With A = R R^dag and K^T = W^* W^T the
+      Hadamard product of the kept slots' transposed Grams, rho_keep has the
+      nonzero eigenvalues of the T x T matrix R^dag K^T R.  An eigenvector z
+      with eigenvalue lam gives the member sum_t c_t w_t, c = R z / sqrt(lam),
+      written over term t's own kept slot operators: at most T terms and
+      nothing of size D_keep.  Rounding puts its norm sqrt(c^dag K^T c) off
+      1 by O(eps / lam), so c is divided by that norm.
+      Cost O(T^2 n d^2 + T^3) for n slots of dimension d.
+    * T > D_keep (kept space).  rho_keep is formed and diagonalized in
+      O(D_keep^2 T + T^2 D_keep + D_keep^3), and each member is expanded over
+      per-slot matrix units, up to D_keep terms.
+
+    Eigenvalues within ``DEGENERACY_TOL`` of their cluster's largest form one
+    eigenspace, whose members do not depend on how LAPACK picks its basis
+    (``_canonical_basis``).  Members with eigenvalue at most ``tol`` are
+    dropped.  The output is a mixture: reductions of entangled histories are
+    ensembles, not superpositions.
     """
     h = normalize(_as_state(h))
     grid = h.grid
@@ -452,24 +473,88 @@ def temporal_partial_trace(h, keep_slots: Iterable[int], tol: float = 1e-12) -> 
         raise ValueError(f"keep_slots {keep} out of range")
     coefs = np.array([c for c, _ in h.terms])
     amp = np.outer(coefs, coefs.conj())
-    w = None
+    kept_vecs = []
     for k in range(grid.n_slots):
         v = np.stack([eh.slots[k].reshape(-1) for _, eh in h.terms])
         if k in keep:
-            w = v if w is None else (w[:, :, None] * v[:, None, :]).reshape(len(v), -1)
+            kept_vecs.append(v)
         else:
             amp = amp * (v @ v.conj().T)
-    rho = as_matrix(w.T @ amp @ w.conj())
-    evals, evecs = np.linalg.eigh(rho)
+    amp = as_matrix(amp)
     kept_dims = [grid.slot_dims[k] for k in keep]
     sub_grid = TimeGrid(tuple(grid.labels[k] for k in keep), tuple(kept_dims))
-    members: list[tuple[float, HistoryState]] = []
-    for lam, vec in zip(evals[::-1], evecs.T[::-1]):
-        if lam <= tol:
-            continue
-        members.append((float(lam), _devectorize(vec, sub_grid)))
-    total = sum(p for p, _ in members)
-    return MixedHistory(tuple((p / total, h_m) for p, h_m in members))
+    n_terms = len(coefs)
+    if n_terms <= math.prod(d * d for d in kept_dims):
+        gram_t = np.ones_like(amp)  # K^T[t, t'] = <w_t, w_t'>
+        for v in kept_vecs:
+            gram_t = gram_t * (v.conj() @ v.T)
+        a_vals, a_vecs = np.linalg.eigh(amp)
+        r = a_vecs * np.sqrt(np.clip(a_vals, 0.0, None))
+        evals, z = np.linalg.eigh(r.conj().T @ gram_t @ r)
+        live = evals > tol
+        evals = evals[live]
+        vecs = (r @ z[:, live]) / np.sqrt(evals)
+        norms = np.sqrt(np.clip(gram_t.diagonal().real, 0.0, None))
+        strings = [ElementaryHistory(sub_grid, tuple(eh.slots[k] for k in keep)) for _, eh in h.terms]
+        ensemble = []
+        for lam, c in _canonical_basis(evals, vecs, vecs.conj().T @ gram_t, norms):
+            c = c / math.sqrt(np.vdot(c, gram_t @ c).real)
+            live_terms = np.flatnonzero(np.abs(c) * norms > 1e-14)  # _devectorize's cutoff
+            ensemble.append((lam, HistoryState(tuple((complex(c[t]), strings[t]) for t in live_terms))))
+    else:
+        w = kept_vecs[0]
+        for v in kept_vecs[1:]:
+            w = (w[:, :, None] * v[:, None, :]).reshape(n_terms, -1)
+        evals, evecs = np.linalg.eigh(w.T @ amp @ w.conj())
+        live = evals > tol
+        evals, vecs = evals[live], evecs[:, live]
+        ensemble = [
+            (lam, _devectorize(u, sub_grid))
+            for lam, u in _canonical_basis(evals, vecs, vecs.conj().T @ w.T, np.linalg.norm(w, axis=1))
+        ]
+    total = sum(p for p, _ in ensemble)
+    return MixedHistory(tuple((p / total, h_m) for p, h_m in ensemble))
+
+
+def _canonical_basis(evals, vecs, overlaps, norms) -> list[tuple[float, np.ndarray]]:
+    """Eigen-ensemble members in a basis fixed by the term strings.
+
+    ``evals`` ascend; column m of ``vecs`` is eigenvector m in the route's
+    coordinates and ``overlaps[m, t]`` = <u_m, w_t> is its kept-space
+    eigenvector's overlap with term t's kept string, of norm ``norms[t]``.
+    Going down from the largest eigenvalue, each cluster takes every
+    eigenvalue within ``DEGENERACY_TOL`` of its first, and all its members
+    share the cluster's mean eigenvalue.  Its basis is the Gram-Schmidt
+    orthonormalization, in term order, of the term strings projected onto
+    the cluster, skipping projections shorter than ``SPAN_TOL`` times the
+    string (the cluster's own basis fills any remainder).  So member j's
+    overlap with the string that generated it is real and positive, and
+    members come in descending probability, then term order.  Returns
+    (eigenvalue, member vector in the route's coordinates) pairs.
+    """
+    evals, vecs = evals[::-1], vecs[:, ::-1]
+    unit = overlaps[::-1] / np.where(norms > 0.0, norms, 1.0)
+    out: list[tuple[float, np.ndarray]] = []
+    start = 0
+    while start < len(evals):
+        stop = start + 1
+        while stop < len(evals) and evals[start] - evals[stop] <= DEGENERACY_TOL:
+            stop += 1
+        size = stop - start
+        candidates = np.hstack([unit[start:stop], np.eye(size)])
+        basis: list[np.ndarray] = []
+        for x in candidates.T:
+            for q in basis:
+                x = x - q * np.vdot(q, x)
+            n = np.linalg.norm(x)
+            if n > SPAN_TOL:
+                basis.append(x / n)
+                if len(basis) == size:
+                    break
+        lam = float(np.mean(evals[start:stop]))
+        out.extend((lam, vecs[:, start:stop] @ q) for q in basis)
+        start = stop
+    return out
 
 
 def _devectorize(vec: np.ndarray, grid: TimeGrid) -> HistoryState:

@@ -25,7 +25,7 @@ from .histories import (
     history_vector,
     hs_inner,
     is_consistent_family,
-    mixed_history_density,
+    mixed_overlap,
     normalize,
     purity,
     subsystem_trace_out,
@@ -103,10 +103,8 @@ def temporal_ghz(n_slots: int = 3, alpha: complex = _INV_SQRT2, beta: complex = 
     down = _branch(grid, qubit_ket("1"))
     state = alpha * up + beta * down
 
-    bell_like = normalize(
-        HistoryState.from_slots(TimeGrid.regular(2), [projector(qubit_ket("0"))] * 2)
-        + HistoryState.from_slots(TimeGrid.regular(2), [projector(qubit_ket("1"))] * 2)
-    )
+    def bell_like(pair: TimeGrid) -> HistoryState:
+        return normalize(_branch(pair, qubit_ket("0")) + _branch(pair, qubit_ket("1")))
 
     artifacts: dict = {
         "weight": weight(state, bridging),
@@ -120,7 +118,7 @@ def temporal_ghz(n_slots: int = 3, alpha: complex = _INV_SQRT2, beta: complex = 
         artifacts[f"reduction_purity_t{i}"] = purity(red)
     if n_slots == 2:
         # the state already lives on two slots; compare it directly
-        pair_overlaps.append(_fidelity(normalize(state), bell_like))
+        pair_overlaps.append(_fidelity(normalize(state), bell_like(grid)))
     else:
         for i in range(n_slots):
             for j in range(i + 1, n_slots):
@@ -128,9 +126,7 @@ def temporal_ghz(n_slots: int = 3, alpha: complex = _INV_SQRT2, beta: complex = 
                 artifacts[f"reduction_t{i}_t{j}"] = red
                 artifacts[f"reduction_purity_t{i}_t{j}"] = purity(red)
                 # mixture fidelity against the coherent two-slot superposition
-                dens = mixed_history_density(red)
-                target = history_vector(bell_like)
-                pair_overlaps.append(math.sqrt(max(np.vdot(target, dens @ target).real, 0.0)))
+                pair_overlaps.append(math.sqrt(mixed_overlap(red, bell_like(red.grid))))
     artifacts["two_slot_bell_overlap_max"] = max(pair_overlaps)
 
     notes = (
@@ -191,9 +187,8 @@ def mach_zehnder(alpha: float = _INV_SQRT2) -> ScenarioResult:
     )
 
     reduced = temporal_partial_trace(port_correlated, [1, 3])
-    dens = mixed_history_density(reduced)
-    b1 = history_vector(HistoryState.from_slots(reduced.grid, [mode0, mode1]))
-    b2 = history_vector(HistoryState.from_slots(reduced.grid, [mode1, mode0]))
+    b1 = HistoryState.from_slots(reduced.grid, [mode0, mode1])
+    b2 = HistoryState.from_slots(reduced.grid, [mode1, mode0])
 
     branch_states = [
         normalize(four_time(upper, mode1)),
@@ -210,11 +205,10 @@ def mach_zehnder(alpha: float = _INV_SQRT2) -> ScenarioResult:
         "middle_restriction_purity": purity(middle),
         "middle_restriction_fidelity": max(_fidelity(m, middle_target) for _, m in middle.ensemble),
         "reduced_t1_t3_purity": purity(reduced),
-        "reduced_t1_t3_branch_weights": (
-            float(np.vdot(b1, dens @ b1).real),
-            float(np.vdot(b2, dens @ b2).real),
+        "reduced_t1_t3_branch_weights": (mixed_overlap(reduced, b1), mixed_overlap(reduced, b2)),
+        "reduced_t1_t3_cross_term": abs(
+            sum(p * hs_inner(b1, m) * hs_inner(m, b2) for p, m in reduced.ensemble)
         ),
-        "reduced_t1_t3_cross_term": float(abs(np.vdot(b1, dens @ b2))),
         "branch_consistency": is_consistent_family(branch_states, bridging),
         "weight_additivity_gap": abs(w_total - w_parts),
     }

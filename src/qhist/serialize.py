@@ -58,6 +58,15 @@ NAMED_PROJECTOR_KETS = {
     "y-": "i-",
 }
 
+# Size bounds on history specs, checked before any HistoryState is built.
+# HistoryState merges terms pairwise and `weight` reports the T x T term
+# consistency matrix, so its cost is quadratic in the term count: with four
+# qubit slots, 256 terms take 1.5 s wall, 512 take 5.1 s and 1024 take 19 s
+# on a 2-CPU VM.  Slot operators are dense d x d matrices: 16 terms of four
+# 64 x 64 slots take 0.9 s, most of it parsing 12 MB of JSON.
+MAX_HISTORY_TERMS = 256
+MAX_SLOT_DIM = 64
+
 
 # ---------------------------------------------------------------------------
 # encoding
@@ -330,6 +339,8 @@ def history_from_document(doc: dict, what: str = "history") -> tuple[HistoryStat
     terms_doc = hdoc.get("terms")
     if not isinstance(terms_doc, list) or not terms_doc:
         raise SpecError(f"{what}: 'terms' must be a nonempty list")
+    if len(terms_doc) > MAX_HISTORY_TERMS:
+        raise SpecError(f"{what}: {len(terms_doc)} terms; at most {MAX_HISTORY_TERMS} are supported")
 
     first_slots = terms_doc[0].get("slots") if isinstance(terms_doc[0], dict) else None
     if not isinstance(first_slots, list) or not first_slots:
@@ -345,6 +356,8 @@ def history_from_document(doc: dict, what: str = "history") -> tuple[HistoryStat
                             tuple(int(d) for d in grid_doc["slot_dims"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"{what}: bad grid ({exc})") from None
+    if max(grid.slot_dims) > MAX_SLOT_DIM:
+        raise SpecError(f"{what}: slot dimension {max(grid.slot_dims)}; at most {MAX_SLOT_DIM} is supported")
 
     terms = []
     for i, tdoc in enumerate(terms_doc):

@@ -348,6 +348,25 @@ class TestWeightCommand:
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"terms": [{"slots": ["z+", "z-"]}] * (serialize.MAX_HISTORY_TERMS + 1)},
+         f"at most {serialize.MAX_HISTORY_TERMS}"),
+        ({"grid": {"labels": [0, 1], "slot_dims": [2, serialize.MAX_SLOT_DIM + 1]},
+          "terms": [{"slots": ["z+", "z-"]}]},
+         f"at most {serialize.MAX_SLOT_DIM}"),
+    ])
+    def test_size_bounds_exit_before_any_history(self, capsys, tmp_path, monkeypatch, doc, message):
+        def built(*args, **kwargs):
+            raise AssertionError("a history was built")
+
+        monkeypatch.setattr(serialize, "HistoryState", built)
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps({"history": doc}))
+        code, out, err = run_cli(capsys, "weight", "--spec", str(p))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error:") and message in err and "Traceback" not in err
+
 
 class TestAblCommand:
     def write(self, tmp_path, payload, name="exp.json"):

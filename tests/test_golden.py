@@ -4,9 +4,10 @@ Each file under ``tests/golden/`` is the exact stdout of one ``qhist`` call,
 so a change in any digit of a value, an angle, the optimizer's trace, its
 evaluation count or certified bound, or a probability table shows up here.
 Each spec file in ``tests/golden/specs/`` is one case of the subcommand its
-name starts with (``weight`` or ``abl``).  The two scenarios whose equal-amplitude reductions
-print members of a degenerate eigenspace, chosen by LAPACK, run with
-``--alpha 0.6`` instead.  To rewrite the files from the package on
+name starts with (``weight`` or ``abl``).  The two scenarios with reductions run both at
+``--alpha 0.6`` and at their default equal amplitudes, where the reduced
+spectrum is degenerate and the members are the canonical ones
+``temporal_partial_trace`` documents.  To rewrite the files from the package on
 ``PYTHONPATH`` (for a deliberate output change, stated in CHANGES.md)::
 
     PYTHONPATH=src python tests/test_golden.py
@@ -47,7 +48,9 @@ CASES = {
                                      EXIT_OK),
     "scenario-temporal-ghz-slots6": (["scenario", "temporal-ghz", "--slots", "6", "--alpha", "0.6"],
                                      EXIT_OK),
+    "scenario-temporal-ghz-default": (["scenario", "temporal-ghz"], EXIT_OK),
     "scenario-mach-zehnder": (["scenario", "mach-zehnder", "--alpha", "0.6"], EXIT_OK),
+    "scenario-mach-zehnder-default": (["scenario", "mach-zehnder"], EXIT_OK),
     "scenario-example1": (["scenario", "example1"], EXIT_OK),
     "scenario-pauli-cycle": (["scenario", "pauli-cycle"], EXIT_OK),
     "scenario-two-time-hab": (["scenario", "two-time-hab"], EXIT_OK),

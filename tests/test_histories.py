@@ -415,8 +415,7 @@ class TestFactoredReductionAgainstDenseOracle:
         for _ in range(100):
             h = _random_history(rng)
             n, dims = h.grid.n_slots, h.grid.slot_dims
-            # members come back expanded over matrix units, one term per
-            # kept-space entry, so the kept space stays small
+            # the dense oracle's outer product of the kept space stays small
             while True:
                 keep = [int(k) for k in rng.permutation(n)[: rng.integers(1, n)]]
                 if math.prod(dims[k] ** 2 for k in keep) <= 81:
@@ -451,6 +450,209 @@ class TestFactoredReductionAgainstDenseOracle:
         m = temporal_partial_trace(ghz_like(16), [3, 11])
         assert m.grid.n_slots == 2
         assert purity(m) == pytest.approx(0.5, abs=1e-12)
+
+
+def _term_history(rng, dims, slot_lists) -> HistoryState:
+    """Random complex coefficients on the given slot strings."""
+    grid = TimeGrid(tuple(float(k) for k in range(len(dims))), tuple(dims))
+    return HistoryState(tuple(
+        (complex(rng.normal(), rng.normal()), ElementaryHistory(grid, tuple(ops))) for ops in slot_lists
+    ))
+
+
+def _ops(rng, dims) -> list[np.ndarray]:
+    return [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for d in dims]
+
+
+def _two_route_cases():
+    """(name, history, keep): term space (T <= D_keep) and kept space (T > D_keep)."""
+    rng = np.random.default_rng(8)
+    q4, mixed = (2, 2, 2, 2), (3, 2, 2)
+    shared = _ops(rng, (2,))[0]
+    a, b = _ops(rng, (2, 2))
+    same_traced = _ops(rng, (2, 2))
+    return [
+        ("narrow", _term_history(rng, q4, [_ops(rng, q4) for _ in range(3)]), [0, 2]),
+        ("wide", _term_history(rng, q4, [_ops(rng, q4) for _ in range(24)]), [1]),
+        # every term has the same kept operator, so K has rank one
+        ("shared kept strings, narrow", _term_history(
+            rng, q4, [[o[0], shared, o[2], o[3]] for o in (_ops(rng, q4) for _ in range(3))]), [1]),
+        ("shared kept strings, wide", _term_history(
+            rng, q4, [[o[0], shared, o[2], o[3]] for o in (_ops(rng, q4) for _ in range(6))]), [1]),
+        # kept strings a, b, a + b, 2a - 3b span only two dimensions
+        ("dependent kept strings", _term_history(
+            rng, q4, [[k] + _ops(rng, (2, 2, 2)) for k in (a, b, a + b, 2 * a - 3 * b)]), [0]),
+        # the traced slots agree in every term, so A = c c^dag |G|^2 has rank one
+        ("rank-deficient A", _term_history(
+            rng, q4, [_ops(rng, (2, 2)) + same_traced for _ in range(5)]), [0, 1]),
+        ("qutrit, narrow", _term_history(rng, mixed, [_ops(rng, mixed) for _ in range(4)]), [0]),
+        ("qutrit, wide", _term_history(rng, mixed, [_ops(rng, mixed) for _ in range(12)]), [0]),
+    ]
+
+
+TWO_ROUTE_CASES = _two_route_cases()
+
+
+def _kept_dim(h, keep) -> int:
+    return math.prod(h.grid.slot_dims[k] ** 2 for k in keep)
+
+
+def _is_matrix_unit(op) -> bool:
+    return np.count_nonzero(op) == 1 and np.max(np.abs(op)) == 1.0
+
+
+class TestTwoRouteReduction:
+    @pytest.mark.parametrize("name, h, keep", TWO_ROUTE_CASES, ids=[c[0] for c in TWO_ROUTE_CASES])
+    def test_matches_dense_oracle_and_complement(self, name, h, keep):
+        comp = [k for k in range(h.grid.n_slots) if k not in keep]
+        for slots in (keep, comp):
+            got = mixed_history_density(temporal_partial_trace(h, slots))
+            want = histories_oracle.temporal_reduction_density(h, slots)
+            assert np.max(np.abs(got - want)) <= 1e-12
+        spectra = [sorted(p for p, _ in temporal_partial_trace(h, s).ensemble) for s in (keep, comp)]
+        assert len(spectra[0]) == len(spectra[1])
+        assert np.max(np.abs(np.subtract(*spectra))) <= 1e-12
+
+    @pytest.mark.parametrize("name, h, keep", TWO_ROUTE_CASES, ids=[c[0] for c in TWO_ROUTE_CASES])
+    def test_member_form_follows_the_route(self, name, h, keep, monkeypatch):
+        import qhist.histories as histories
+
+        n_terms = normalize(h).n_terms
+        narrow = n_terms <= _kept_dim(h, keep)
+        assert narrow == ("narrow" in name or name in ("dependent kept strings", "rank-deficient A"))
+        if narrow:
+            def expand(*args):
+                raise AssertionError("term-space member expanded over matrix units")
+
+            monkeypatch.setattr(histories, "_devectorize", expand)
+        m = temporal_partial_trace(h, keep)
+        strings = [tuple(eh.slots[k] for k in keep) for _, eh in h.terms]
+        for _, member in m.ensemble:
+            for _, eh in member.terms:
+                if narrow:
+                    assert any(all(x is y or np.array_equal(x, y) for x, y in zip(eh.slots, s))
+                               for s in strings)
+                else:
+                    assert all(_is_matrix_unit(op) for op in eh.slots)
+            if narrow:
+                assert member.n_terms <= n_terms
+
+    def test_dependent_strings_give_at_most_their_rank(self):
+        _, h, keep = next(c for c in TWO_ROUTE_CASES if c[0] == "dependent kept strings")
+        assert len(temporal_partial_trace(h, keep).ensemble) == 2
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_narrow_members_stay_normalized_at_tiny_kept_eigenvalues(self, seed):
+        # three nonorthogonal kept strings; the traced strings differ by
+        # 1e-5, so A is non-diagonal and the second eigenvalue is 1e-12 to 1e-9
+        rng = np.random.default_rng(seed)
+        grid = TimeGrid.regular(3)
+        kept, base, dev = _ops(rng, (2, 2, 2)), _ops(rng, (2, 2)), _ops(rng, (2, 2))
+        traced = [base, [b + 1e-5 * d for b, d in zip(base, dev)], [b - 1e-5j * d for b, d in zip(base, dev)]]
+        coefs = rng.normal(size=3) + 1j * rng.normal(size=3)
+        h = HistoryState(tuple(
+            (complex(coefs[t]), ElementaryHistory(grid, (kept[t],) + tuple(traced[t]))) for t in range(3)))
+        m = temporal_partial_trace(h, [0])
+        assert len(m.ensemble) == 2 and 1e-13 < m.ensemble[1][0] < 1e-9
+        assert all(abs(hs_norm(member) - 1.0) <= 1e-12 for _, member in m.ensemble)
+        want = histories_oracle.temporal_reduction_density(h, [0])
+        assert np.max(np.abs(mixed_history_density(m) - want)) <= 1e-12
+
+    def test_narrow_reduction_writes_few_terms(self):
+        # 3 terms on 6 slots kept to 5: D_keep = 1024, yet each member has at most 3 terms
+        rng = np.random.default_rng(2)
+        h = _term_history(rng, (2,) * 6, [_ops(rng, (2,) * 6) for _ in range(3)])
+        m = temporal_partial_trace(h, [0, 1, 2, 3, 4])
+        assert len(m.ensemble) == 3
+        assert all(member.n_terms <= 3 for _, member in m.ensemble)
+
+
+def _rotating_eigh(rng):
+    """np.linalg.eigh with every degenerate eigenspace's basis turned by a
+    random unitary, as another LAPACK build could legitimately return it."""
+    real_eigh = np.linalg.eigh
+
+    def eigh(a):
+        vals, vecs = real_eigh(a)
+        vecs = vecs.copy()
+        start = 0
+        while start < len(vals):
+            stop = start + 1
+            while stop < len(vals) and vals[stop] - vals[start] <= 1e-9:
+                stop += 1
+            if stop - start > 1:
+                vecs[:, start:stop] = vecs[:, start:stop] @ random_unitary(rng, stop - start)
+            start = stop
+        return vals, vecs
+
+    return eigh
+
+
+def _degenerate_cases():
+    """(name, history, keep, expected member vectors in order) with a two-fold
+    reduced spectrum."""
+    z0, z1 = proj("z+"), proj("z-")
+    xp, xm = proj("x+"), proj("x-")
+    g2 = TimeGrid.regular(2)
+    # kept strings a = |0><0| and b = (|0><0| + |1><1|)/sqrt2 overlap; with
+    # traced strings of overlap -1/sqrt2 the reduction is (a a^dag + e e^dag)/2
+    # for e = |1><1|, so the members are a and b orthogonalized against a
+    skew = HistoryState.from_slots(g2, (z0, z0)) + HistoryState.from_slots(
+        g2, ((z0 + z1) / math.sqrt(2), (z1 - z0) / math.sqrt(2)))
+    # six terms on one kept qubit slot (T = 6 > D_keep = 4): x+ three times,
+    # then x- three times, each with its own orthonormal traced string
+    g3 = TimeGrid.regular(3)
+    units = [np.eye(2, dtype=complex)[:, [i]] @ np.eye(2, dtype=complex)[[j]] for i in (0, 1) for j in (0, 1)]
+    traced = [(units[0], units[0]), (units[1], units[0]), (units[2], units[0]),
+              (units[3], units[0]), (units[0], units[1]), (units[0], units[2])]
+    wide = HistoryState(tuple(
+        (1.0, ElementaryHistory(g3, (xp if t < 3 else xm,) + traced[t])) for t in range(6)))
+    return [
+        ("equal-amplitude branches, down first", ghz_like(3), [0, 2], None),
+        ("down first", normalize(diagonal_branches(3)[2] + diagonal_branches(3)[1]), [0, 2],
+         [(z1, z1), (z0, z0)]),
+        ("overlapping kept strings", skew, [0], [(z0,), (z1,)]),
+        ("wide", wide, [0], [(xp,), (xm,)]),
+    ]
+
+
+DEGENERATE_CASES = _degenerate_cases()
+
+
+class TestCanonicalDegenerateMembers:
+    @pytest.mark.parametrize("name, h, keep, expected", DEGENERATE_CASES,
+                             ids=[c[0] for c in DEGENERATE_CASES])
+    def test_members_do_not_depend_on_the_eigenbasis(self, name, h, keep, expected, monkeypatch):
+        ref = temporal_partial_trace(h, keep)
+        assert [p for p, _ in ref.ensemble] == pytest.approx([0.5, 0.5], abs=1e-12)
+        for seed in range(5):
+            monkeypatch.setattr(np.linalg, "eigh", _rotating_eigh(np.random.default_rng(seed)))
+            got = temporal_partial_trace(h, keep)
+            monkeypatch.undo()
+            assert len(got.ensemble) == len(ref.ensemble)
+            for (p, m), (p0, m0) in zip(got.ensemble, ref.ensemble):
+                assert abs(p - p0) <= 1e-12
+                assert np.max(np.abs(history_vector(m) - history_vector(m0))) <= 1e-12
+
+    @pytest.mark.parametrize("name, h, keep, expected", DEGENERATE_CASES[1:],
+                             ids=[c[0] for c in DEGENERATE_CASES[1:]])
+    def test_members_are_the_orthonormalized_term_strings(self, name, h, keep, expected):
+        m = temporal_partial_trace(h, keep)
+        for (_, member), ops in zip(m.ensemble, expected):
+            target = HistoryState.from_slots(member.grid, ops)
+            assert np.max(np.abs(history_vector(member) - history_vector(target))) <= 1e-12
+            # the overlap with the generating string is real and positive
+            assert hs_inner(target, member).real > 0.5
+            assert abs(hs_inner(target, member).imag) <= 1e-15
+
+    def test_equal_amplitude_ghz_reduces_to_its_branches_in_term_order(self):
+        m = temporal_partial_trace(ghz_like(3), [0, 2])
+        (p0, up), (p1, down) = m.ensemble
+        assert p0 == p1 == pytest.approx(0.5, abs=1e-15)
+        assert up.n_terms == down.n_terms == 1
+        assert up.terms[0][0] == pytest.approx(1.0, abs=1e-15)
+        assert all(np.array_equal(op, proj("z+")) for op in up.terms[0][1].slots)
+        assert all(np.array_equal(op, proj("z-")) for op in down.terms[0][1].slots)
 
 
 class TestMixedHistory:

@@ -23,6 +23,8 @@ from qhist import (
 )
 from qhist.linalg import identity, maximally_mixed, pauli, projector, qubit_ket
 from qhist.serialize import (
+    MAX_HISTORY_TERMS,
+    MAX_SLOT_DIM,
     SpecError,
     complex_pair,
     distribution_csv,
@@ -273,6 +275,19 @@ class TestHistoryFromDocument:
             )
         with pytest.raises(SpecError, match="coefficient"):
             history_from_document({"terms": [{"slots": ["z+"], "coefficient": 5}]})
+
+    def test_size_bounds(self):
+        term = {"slots": ["z+", "x-"]}
+        parsed, _ = history_from_document({"terms": [term] * MAX_HISTORY_TERMS})
+        assert parsed.n_terms == 1
+        with pytest.raises(SpecError, match=f"{MAX_HISTORY_TERMS + 1} terms"):
+            history_from_document({"terms": [term] * (MAX_HISTORY_TERMS + 1)})
+        big = [[[0.0, 0.0]] * (MAX_SLOT_DIM + 1)] * (MAX_SLOT_DIM + 1)
+        with pytest.raises(SpecError, match=f"slot dimension {MAX_SLOT_DIM + 1}"):
+            history_from_document({"terms": [{"slots": [big, big]}]})
+        grid = {"labels": [0.0], "slot_dims": [MAX_SLOT_DIM + 1]}
+        with pytest.raises(SpecError, match=f"at most {MAX_SLOT_DIM}"):
+            history_from_document({"grid": grid, "terms": [term]})
 
 
 class TestExperimentFromDocument:
