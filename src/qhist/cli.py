@@ -4,11 +4,15 @@ Subcommands: scenario, lgi, chained, monogamy, optimize, weight, abl.
 Exit codes: 0 success, 2 input error, 3 optimizer result not certified (budget
 spent or every start stalled), 4 impossible post-selection.  Identical arguments (including --seed) produce
 byte-identical output.
+
+A process builds one argument parser, on its first ``main`` call, and reuses
+it: parsing does not change a parser, and each call gets a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -92,6 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outcome", choices=("+", "-"), default=None)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's parser, built on first use (nothing is built at import)."""
+    return build_parser()
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +277,7 @@ def _render(doc: dict, fmt: str, special_csv: str | None) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         doc, special_csv, code = _HANDLERS[args.command](args)
     except serialize.SpecError as exc:

@@ -13,6 +13,12 @@ document) and outcome distributions (a table sorted by outcome string).
 ``document`` wraps everything in the uniform top-level shape
 {name, artifacts, notes}.
 
+``dumps_json`` writes a document exactly as ``json.dumps(doc, indent=2,
+sort_keys=True)`` would, but joins each container once, mapping its keys
+and its all-float or all-string items through C-level functions, so a
+2**n-row table is not walked value by value in Python.  CSV tables keep
+``csv.writer`` quoting and are written in one ``writerows``.
+
 Input side: small parsers for the human-writable spec files the command line
 accepts.  States may be named ("0", "1", "+", "-", "i+", "i-") or explicit
 [re, im] vectors; measurement settings may be named Paulis ("X", "Y", "Z")
@@ -25,6 +31,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 from typing import Mapping
@@ -78,13 +85,17 @@ def complex_pair(z) -> list[float]:
 
 
 def matrix_document(m: np.ndarray) -> list:
-    """Nested [re, im] pairs for a vector or matrix."""
-    a = np.asarray(m)
-    if a.ndim == 1:
-        return [complex_pair(z) for z in a]
-    if a.ndim == 2:
-        return [[complex_pair(z) for z in row] for row in a]
-    raise ShapeError(f"cannot encode array of rank {a.ndim}")
+    """Nested [re, im] pairs for a vector or matrix, built in one numpy call."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim not in (1, 2):
+        raise ShapeError(f"cannot encode array of rank {a.ndim}")
+    return np.stack((a.real, a.imag), axis=-1).tolist()
+
+
+def _sorted_table(dist: OutcomeDistribution):
+    """The outcome strings in order and an iterator of their probabilities as floats."""
+    outcomes = sorted(dist.table)
+    return outcomes, map(float, map(dist.table.__getitem__, outcomes))
 
 
 def _fields(obj, **encoded) -> dict:
@@ -111,7 +122,7 @@ _ENCODERS = {
     ]),
     OutcomeDistribution: lambda d: {
         "settings": list(d.settings),
-        "table": {k: float(v) for k, v in sorted(d.table.items())},
+        "table": dict(zip(*_sorted_table(d))),
     },
     ScenarioResult: lambda r: document(r.name, r.artifacts, r.notes),
 }
@@ -158,8 +169,67 @@ def scenario_document(result: ScenarioResult) -> dict:
     return document(result.name, result.artifacts, result.notes)
 
 
+# json's own text for anything that is not a container: its C encoder writes
+# ints, bools, None, non-finite floats and float subclasses as indent=2 does,
+# and raises TypeError for an object that is not JSON
+_encode_scalar = json.JSONEncoder().encode
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _texts(items, indent: str):
+    """JSON texts of a container's items: one C-level map when they are all
+    finite floats, all strings, or all float rows of one length ([re, im]
+    pairs, correlator rows), one ``_write`` each otherwise."""
+    kinds = set(map(type, items))
+    if kinds == {float} and math.isfinite(sum(items)):
+        return map(float.__repr__, items)
+    if kinds == {str}:
+        return map(_encode_str, items)
+    if kinds <= {list, tuple}:
+        lengths = set(map(len, items))
+        flat = list(itertools.chain.from_iterable(items))
+        if len(lengths) == 1 and set(map(type, flat)) == {float} and math.isfinite(sum(flat)):
+            # str.format writes a float as float.__repr__ does
+            inner = indent + "  "
+            row = "[" + inner + ("," + inner).join(["{}"] * lengths.pop()) + indent + "]"
+            return itertools.starmap(row.format, items)
+    return [_write(x, indent) for x in items]
+
+
+def _write(obj, indent: str) -> str:
+    """``obj`` as indent=2, sort_keys JSON; ``indent`` is the newline and
+    spaces that open a line at the level of ``obj``."""
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join(_texts(obj, inner)) + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        keys = sorted(obj)
+        inner = indent + "  "
+        values = list(map(obj.__getitem__, keys))
+        items = map(": ".join, zip(map(_encode_str, keys), _texts(values, inner)))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    return _encode_scalar(obj)
+
+
 def dumps_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline, byte for byte.
+
+    ``indent`` sends ``json`` to its pure-Python encoder, which visits every
+    value of a 2**n-row table in Python; this writer joins each container
+    once instead.  What it cannot write (keys that are not strings, objects
+    that are not JSON, nesting past the recursion limit) goes to ``json``
+    itself, so json's text or error is the result there too.
+    """
+    try:
+        return _write(doc, "\n") + "\n"
+    except (TypeError, RecursionError):
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +268,13 @@ def dumps_csv(doc: dict) -> str:
 
 
 def distribution_csv(dist: OutcomeDistribution) -> str:
+    """The table as outcome,probability rows sorted by outcome, numbers as
+    ``format_number`` writes them, all rows in one ``writerows``."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["outcome", "probability"])
-    for outcome in sorted(dist.table):
-        writer.writerow([outcome, format_number(dist.table[outcome])])
+    outcomes, probabilities = _sorted_table(dist)
+    writer.writerows(zip(outcomes, map("{:.12g}".format, probabilities)))
     return buf.getvalue()
 
 

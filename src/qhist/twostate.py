@@ -18,7 +18,9 @@ slots do not count), since a table doubles with every measured slot.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -162,9 +164,10 @@ class OutcomeDistribution:
         object.__setattr__(self, "table", table)
         if not table:
             raise ValueError("distribution must have at least one outcome")
-        if any(len(k) != len(self.settings) for k in table):
+        # C-level maps with the generator forms' short-circuit and comparisons
+        if any(map(len(self.settings).__ne__, map(len, table))):
             raise ValueError("outcome strings must have one character per setting")
-        if any(p < -1e-12 for p in table.values()):
+        if any(map(operator.lt, table.values(), itertools.repeat(-1e-12))):
             raise ValueError("probabilities must be nonnegative")
         if abs(sum(table.values()) - 1.0) > 1e-9:
             raise ValueError("probabilities must sum to 1")
@@ -191,7 +194,8 @@ def _normalized(table: dict[str, float], labels: tuple[str, ...]) -> OutcomeDist
     total = sum(table.values())
     if total <= ZERO_WEIGHT_TOL:
         raise ImpossiblePostselectionError("total weight is zero; conditional probabilities undefined")
-    return OutcomeDistribution(labels, {k: v / total for k, v in table.items()})
+    shares = map(operator.truediv, table.values(), itertools.repeat(total))
+    return OutcomeDistribution(labels, dict(zip(table, shares)))
 
 
 def _checked_row(d: int, slots, unitaries) -> tuple[np.ndarray, ...]:
@@ -233,7 +237,8 @@ def _chains(start: np.ndarray, intervals, settings, fixed=None) -> tuple[list[st
     n_measured = sum(s is not None for s in settings)
     if n_measured > MAX_MEASURED_SLOTS:
         raise ValueError(f"at most {MAX_MEASURED_SLOTS} measured slots are supported, got {n_measured}")
-    strings, x = [""], start[None, None]
+    strings = list(map("".join, itertools.product("+-", repeat=n_measured)))
+    x = start[None, None]
     for k, (interval, setting) in enumerate(zip(intervals, settings)):
         if interval is not None:
             x = interval @ x
@@ -242,7 +247,6 @@ def _chains(start: np.ndarray, intervals, settings, fixed=None) -> tuple[list[st
         if setting is not None:
             plus, minus = setting.projectors()
             x = np.stack((plus @ x, minus @ x), axis=1).reshape((-1,) + x.shape[1:])
-            strings = [s + ch for s in strings for ch in "+-"]
     return strings, x
 
 

@@ -482,6 +482,65 @@ class TestAblCommand:
         assert "0.5" in out
 
 
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+class TestParserReuse:
+    """``main`` builds one parser per process; no call may see another's options."""
+
+    def test_one_parser_across_calls(self, capsys, monkeypatch):
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        for argv in (["lgi", "--preset", "tsirelson"], ["chained", "-n", "2"], ["optimize"]) * 3:
+            assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        assert len(built) == 1
+
+    def test_mixed_sequence_matches_goldens(self, capsys, tmp_path):
+        spec = str(GOLDEN / "specs" / "abl-post-one.json")
+        help_text = cli.build_parser().format_help()
+        sequence = [
+            (["abl", "--spec", spec, "--slot", "0", "--outcome", "-"], "abl-post-one-slot-minus.json"),
+            (["abl", "--spec", spec], "abl-post-one.json"),
+            (["--help"], None),
+            (["abl", "--spec", spec, "--format", "csv"], "abl-post-one.csv"),
+            (["optimize", "--seed", "2"], "optimize-s_lgi-seed2.json"),
+            (["optimize", "--bogus"], None),
+            (["optimize"], "optimize-s_lgi-seed0.json"),
+            (["optimize", "--objective", "chained_bell", "-n", "2", "--format", "pretty"],
+             "optimize-chained_bell-n2.pretty"),
+            (["optimize", "--objective", "monogamy_sum", "--out", str(tmp_path / "m.json")], None),
+            (["optimize", "--objective", "chained_bell", "-n", "3"], "optimize-chained_bell-n3.json"),
+            (["abl", "--spec", spec, "--slot", "0"], None),
+            (["abl", "--spec", spec], "abl-post-one.json"),
+        ]
+        for argv, golden in sequence:
+            if argv == ["--help"]:
+                with pytest.raises(SystemExit) as exit_:
+                    main(argv)
+                assert exit_.value.code == 0
+                assert capsys.readouterr().out == help_text
+                continue
+            if argv[-1] == "--bogus":
+                with pytest.raises(SystemExit) as exit_:
+                    main(argv)
+                assert exit_.value.code == EXIT_INPUT
+                assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+                continue
+            code, out, err = run_cli(capsys, *argv)
+            assert code == EXIT_OK, err
+            if golden is not None:
+                assert out.encode("utf-8") == (GOLDEN / golden).read_bytes(), argv
+            elif "--out" in argv:
+                assert out == ""
+                golden_text = (GOLDEN / "optimize-monogamy_sum.json").read_text(encoding="utf-8")
+                assert (tmp_path / "m.json").read_text(encoding="utf-8") == golden_text
+            else:
+                assert json.loads(out)["artifacts"]["outcome"] == "+"
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -2,11 +2,13 @@
 
 import csv
 import io
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qhist import (
     BridgingSet,
@@ -21,6 +23,7 @@ from qhist import (
     s_lgi,
     CorrelatorSpec,
 )
+from qhist.errors import ShapeError
 from qhist.linalg import identity, maximally_mixed, pauli, projector, qubit_ket
 from qhist.serialize import (
     MAX_HISTORY_TERMS,
@@ -102,6 +105,97 @@ class TestEncoding:
         assert dumps_json(doc).index('"a"') < dumps_json(doc).index('"b"')
 
 
+# Strings with quotes, backslashes, control characters and non-ASCII text.
+_TEXT = st.one_of(st.text(max_size=8), st.sampled_from(['', '"', "\\", "\x00\x1f\t\n", "é☃\U0001f600"]))
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-310, 1.7976931348623157e308]),
+    st.floats().map(np.float64),
+)
+_SCALARS = st.one_of(_FLOATS, st.integers(), st.booleans(), st.none(), _TEXT)
+_JSON_DOCS = st.recursive(
+    st.one_of(
+        _SCALARS,
+        st.lists(_FLOATS, max_size=6),
+        st.lists(_TEXT, max_size=4),
+        # float rows of one length, and floats mixed with ints, bools and None
+        st.integers(0, 3).flatmap(lambda n: st.lists(st.lists(_FLOATS, min_size=n, max_size=n), max_size=4)),
+        st.lists(st.tuples(st.floats(), st.floats()), max_size=4),
+        st.lists(st.one_of(_FLOATS, st.integers(), st.booleans(), st.none()), max_size=6),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+def _json_oracle(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_DOCS)
+    def test_matches_json_dumps(self, doc):
+        assert dumps_json(doc) == _json_oracle(doc)
+
+    def test_report_documents_match_json_dumps(self):
+        firsts, seconds = tsirelson_settings()
+        report = s_lgi(CorrelatorSpec(maximally_mixed(2), firsts, seconds))
+        table = {"".join(k): 1 / 16 for k in itertools.product("+-", repeat=4)}
+        docs = [
+            to_jsonable(run_scenario("temporal-ghz")),
+            document("lgi", to_jsonable(report)),
+            document("abl", {"distribution": OutcomeDistribution(tuple("WXYZ"), table)}),
+        ]
+        for doc in docs:
+            assert dumps_json(doc) == _json_oracle(doc)
+
+    def test_keys_json_converts_go_to_json(self):
+        doc = {"a": {2: [1.5], 1: None, 0.5: "x"}, "b": {True: 1}}
+        assert dumps_json(doc) == _json_oracle(doc)
+
+    def test_deep_and_circular_documents_go_to_json(self):
+        deep = [1.0]
+        for _ in range(600):
+            deep = [deep]
+        assert dumps_json(deep) == _json_oracle(deep)
+        loop = {"a": []}
+        loop["a"].append(loop)
+        with pytest.raises(ValueError, match="Circular reference"):
+            dumps_json(loop)
+
+    @pytest.mark.parametrize("doc", [{"a": [1.0, object()]}, [np.array([1.0])], {"k": {1j}}])
+    def test_not_json_raises_type_error(self, doc):
+        with pytest.raises(TypeError) as expected:
+            _json_oracle(doc)
+        with pytest.raises(TypeError, match=str(expected.value)):
+            dumps_json(doc)
+
+    def test_matrix_document_matches_per_entry_pairs(self, rng):
+        special = np.array([complex(-0.0, 0.0), complex(0.0, -0.0), complex(math.nan, math.inf),
+                            complex(-math.inf, 5e-324)])
+        arrays = [
+            special,
+            rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4)),
+            rng.normal(size=5),
+            np.arange(6).reshape(2, 3),
+            special.astype(np.complex64).reshape(2, 2),
+        ]
+        for a in arrays:
+            doc = matrix_document(a)
+            oracle = ([complex_pair(z) for z in a] if a.ndim == 1
+                      else [[complex_pair(z) for z in row] for row in a])
+            assert json.dumps(doc) == json.dumps(oracle)
+            pairs = doc if a.ndim == 1 else itertools.chain.from_iterable(doc)
+            assert all(type(x) is float for pair in pairs for x in pair)
+        with pytest.raises(ShapeError):
+            matrix_document(np.zeros((2, 2, 2)))
+
+
 class TestCSV:
     def test_format_number(self):
         assert format_number(0.5) == "0.5"
@@ -121,6 +215,18 @@ class TestCSV:
         rows = list(csv.reader(io.StringIO(distribution_csv(d))))
         assert rows[0] == ["outcome", "probability"]
         assert ["++", "0.5"] in rows
+
+    def test_distribution_csv_matches_a_csv_writer(self):
+        # outcome keys that need quoting, and probabilities that round at 12 digits
+        p = [0.1, np.float64(0.2), 1.0 / 3.0]
+        table = {'a,b': p[0], 'a"b': p[1], "a\nb": p[2], "+-+": 1.0 - sum(p)}
+        dist = OutcomeDistribution(("X", "Y", "Z"), table)
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["outcome", "probability"])
+        for outcome in sorted(table):
+            writer.writerow([outcome, format_number(table[outcome])])
+        assert distribution_csv(dist) == buf.getvalue()
 
     def test_trace_csv_columns(self):
         from qhist import OptimizerConfig, optimize_settings

@@ -80,6 +80,18 @@ class TestOutcomeDistribution:
         with pytest.raises(ValueError):
             OutcomeDistribution(("X",), {"+": 1.2, "-": -0.2})
 
+    @pytest.mark.parametrize("table, message", [
+        ({}, "at least one outcome"),
+        ({"+": 0.5, "+-": -0.5, "-": 1.0}, "one character per setting"),
+        ({"+": float("nan"), "-": -0.5, "0": 1.5}, "nonnegative"),
+        ({"+": 0.5, "-": 0.6}, "sum to 1"),
+    ])
+    def test_checks_in_order(self, table, message):
+        from qhist import OutcomeDistribution
+
+        with pytest.raises(ValueError, match=message):
+            OutcomeDistribution(("X",), table)
+
     def test_marginal_and_correlator(self):
         from qhist import OutcomeDistribution
 
