@@ -148,20 +148,20 @@ class ElementaryHistory:
         return cls(grid, tuple(projector(k) for k in kets))
 
 
-def _same_string(a: ElementaryHistory, b: ElementaryHistory, tol: float = MERGE_TOL) -> bool:
-    return all(max_abs(x - y) <= tol for x, y in zip(a.slots, b.slots))
-
-
 @dataclass(frozen=True)
 class HistoryState:
     """Complex-weighted superposition of elementary histories on one grid.
 
-    Terms whose slot strings coincide (Hilbert-Schmidt distance below 1e-12
-    per slot) are merged on construction, so equal-by-construction states have
-    identical canonical term lists.
+    Terms whose slot strings coincide (every entry within 1e-12) are merged
+    on construction into the first of them, so equal-by-construction states
+    have identical canonical term lists.  ``_rows`` holds the merged terms'
+    slot operators, row t being term t's flattened row-major and
+    concatenated earliest slot first; the Hilbert-Schmidt geometry is
+    computed from it (``_slot_grams``).
     """
 
     terms: tuple[tuple[complex, ElementaryHistory], ...]
+    _rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         terms = [(complex(c), eh) for c, eh in self.terms]
@@ -170,19 +170,27 @@ class HistoryState:
         grid = terms[0][1].grid
         for _, eh in terms:
             _require_same_grid(grid, eh.grid)
+        rows = np.empty((len(terms), sum(d * d for d in grid.slot_dims)), dtype=complex)
         merged: list[tuple[complex, ElementaryHistory]] = []
         for c, eh in terms:
-            for i, (c0, eh0) in enumerate(merged):
-                if _same_string(eh0, eh):
-                    merged[i] = (c0 + c, eh0)
-                    break
-            else:
-                merged.append((c, eh))
+            row = np.concatenate([op.reshape(-1) for op in eh.slots])
+            n = len(merged)
+            if n:
+                hits = np.flatnonzero(np.abs(rows[:n] - row).max(axis=1) <= MERGE_TOL)
+                if hits.size:
+                    c0, eh0 = merged[hits[0]]
+                    merged[hits[0]] = (c0 + c, eh0)
+                    continue
+            rows[n] = row
+            merged.append((c, eh))
+        live = range(len(merged))
         scale = max((abs(c) for c, _ in merged), default=0.0)
         if scale > 0.0:
-            kept = [(c, eh) for c, eh in merged if abs(c) > 1e-15 * scale]
-            merged = kept or merged[:1]
-        object.__setattr__(self, "terms", tuple(merged))
+            live = [i for i, (c, _) in enumerate(merged) if abs(c) > 1e-15 * scale] or [0]
+        rows = rows[live]
+        rows.setflags(write=False)
+        object.__setattr__(self, "terms", tuple(merged[i] for i in live))
+        object.__setattr__(self, "_rows", rows)
 
     @property
     def grid(self) -> TimeGrid:
@@ -322,24 +330,42 @@ def is_consistent_family(family: Sequence, b: BridgingSet, tol: float = 1e-9) ->
 # Hilbert-Schmidt geometry
 
 
+def _slot_grams(h1: HistoryState, h2: HistoryState) -> list[np.ndarray]:
+    """Per-slot Hilbert-Schmidt Grams G_k[t, t'] = Tr(A_tk^dag B_t'k) between
+    the terms A_t of ``h1`` and B_t' of ``h2``, earliest slot first."""
+    left, grams, start = h1._rows.conj(), [], 0
+    for d in h1.grid.slot_dims:
+        cols = slice(start, start + d * d)
+        grams.append(left[:, cols] @ h2._rows[:, cols].T)
+        start += d * d
+    return grams
+
+
+def _coefficients(h: HistoryState) -> np.ndarray:
+    return np.array([c for c, _ in h.terms])
+
+
 def hs_inner(h1, h2) -> complex:
-    """Slot-wise Hilbert-Schmidt pairing, antilinear in the first argument."""
+    """Slot-wise Hilbert-Schmidt pairing, antilinear in the first argument:
+    the sum over term pairs of conj(c_t) c'_t' prod_k G_k[t, t']."""
     h1, h2 = _as_state(h1), _as_state(h2)
     _require_same_grid(h1.grid, h2.grid)
-    total = 0.0 + 0.0j
-    for c1, e1 in h1.terms:
-        for c2, e2 in h2.terms:
-            prod = np.conj(c1) * c2
-            for a, bop in zip(e1.slots, e2.slots):
-                prod *= np.vdot(a, bop)  # Tr(a^dag b)
-                if prod == 0:
-                    break
-            total += prod
-    return complex(total)
+    prod = np.outer(_coefficients(h1).conj(), _coefficients(h2))
+    for g in _slot_grams(h1, h2):
+        prod *= g
+    # a running sum in term-pair order: np.sum's pairwise order would move
+    # the last bits of reported norms
+    return complex(np.cumsum(prod.ravel())[-1])
 
 
 def hs_norm(h) -> float:
-    return math.sqrt(max(hs_inner(h, h).real, 0.0))
+    """Hilbert-Schmidt norm; a norm that overflows or is NaN is an error."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = hs_inner(h, h).real
+    if not math.isfinite(sq):
+        raise ValueError("history norm is not finite: coefficients and matrix entries must be finite "
+                         "and small enough that the squared norm does not overflow")
+    return math.sqrt(max(sq, 0.0))
 
 
 def normalize(h) -> HistoryState:
@@ -438,25 +464,20 @@ def temporal_partial_trace(h, keep_slots: Iterable[int], tol: float = 1e-12) -> 
     The reduced operator of the normalized state sum_t c_t (x)_k v_tk, where
     v_tk is slot k's operator flattened row-major, is
 
-        rho_keep = W^T A W^*,   A[t, t'] = c_t c_t'^* prod_{k traced} G_k[t, t'],
+        rho_keep = W^T A W^*,   A = (c c^dag) . prod_{k traced} G_k^*,
 
-    with G_k = V_k V_k^dag the Gram matrix of slot k's operators (rows of V_k
-    are the v_tk) and row w_t of W the Kronecker product of term t's kept
-    v_tk, which is ``history_vector``'s layout.  The history-space vector is
-    never formed.  Its nonzero spectrum is taken in the smaller of the two
-    spaces it lives in, the T terms or the kept dimension D_keep:
-
-    * T <= D_keep (term space).  With A = R R^dag and K^T = W^* W^T the
-      Hadamard product of the kept slots' transposed Grams, rho_keep has the
-      nonzero eigenvalues of the T x T matrix R^dag K^T R.  An eigenvector z
-      with eigenvalue lam gives the member sum_t c_t w_t, c = R z / sqrt(lam),
-      written over term t's own kept slot operators: at most T terms and
-      nothing of size D_keep.  Rounding puts its norm sqrt(c^dag K^T c) off
-      1 by O(eps / lam), so c is divided by that norm.
-      Cost O(T^2 n d^2 + T^3) for n slots of dimension d.
-    * T > D_keep (kept space).  rho_keep is formed and diagonalized in
-      O(D_keep^2 T + T^2 D_keep + D_keep^3), and each member is expanded over
-      per-slot matrix units, up to D_keep terms.
+    with G_k[t, t'] = <v_tk, v_t'k> slot k's term Gram (``_slot_grams``),
+    ``.`` the elementwise product, and row w_t of W the Kronecker product of
+    term t's kept v_tk, which is ``history_vector``'s layout.  Neither
+    rho_keep nor any history-space vector is formed: with A = R R^dag and
+    K = W^* W^T = prod_{k kept} G_k, rho_keep has the nonzero eigenvalues of
+    the T x T matrix R^dag K R.  An eigenvector z with eigenvalue lam gives
+    the member sum_t c_t w_t, c = R z / sqrt(lam), written over term t's own
+    kept slot operators, so it has at most T terms.  Rounding puts its norm
+    sqrt(c^dag K c) off 1 by O(eps / lam), so c is divided by that norm.
+    For T terms on n slots of dimension d this costs O(T^2 n d^2 + T^3),
+    plus O(T^2 n d^2) for each of the at most min(T, D_keep) members, where
+    D_keep = prod_{k kept} d_k^2 is the kept history dimension.
 
     Eigenvalues within ``DEGENERACY_TOL`` of their cluster's largest form one
     eigenspace, whose members do not depend on how LAPACK picks its basis
@@ -471,47 +492,29 @@ def temporal_partial_trace(h, keep_slots: Iterable[int], tol: float = 1e-12) -> 
         raise ValueError("keep_slots must be a nonempty proper subset of slots")
     if keep[0] < 0 or keep[-1] >= grid.n_slots:
         raise ValueError(f"keep_slots {keep} out of range")
-    coefs = np.array([c for c, _ in h.terms])
+    coefs = _coefficients(h)
     amp = np.outer(coefs, coefs.conj())
-    kept_vecs = []
-    for k in range(grid.n_slots):
-        v = np.stack([eh.slots[k].reshape(-1) for _, eh in h.terms])
+    gram = np.ones_like(amp)  # K
+    for k, g in enumerate(_slot_grams(h, h)):
         if k in keep:
-            kept_vecs.append(v)
+            gram = gram * g
         else:
-            amp = amp * (v @ v.conj().T)
+            amp = amp * g.conj()
     amp = as_matrix(amp)
-    kept_dims = [grid.slot_dims[k] for k in keep]
-    sub_grid = TimeGrid(tuple(grid.labels[k] for k in keep), tuple(kept_dims))
-    n_terms = len(coefs)
-    if n_terms <= math.prod(d * d for d in kept_dims):
-        gram_t = np.ones_like(amp)  # K^T[t, t'] = <w_t, w_t'>
-        for v in kept_vecs:
-            gram_t = gram_t * (v.conj() @ v.T)
-        a_vals, a_vecs = np.linalg.eigh(amp)
-        r = a_vecs * np.sqrt(np.clip(a_vals, 0.0, None))
-        evals, z = np.linalg.eigh(r.conj().T @ gram_t @ r)
-        live = evals > tol
-        evals = evals[live]
-        vecs = (r @ z[:, live]) / np.sqrt(evals)
-        norms = np.sqrt(np.clip(gram_t.diagonal().real, 0.0, None))
-        strings = [ElementaryHistory(sub_grid, tuple(eh.slots[k] for k in keep)) for _, eh in h.terms]
-        ensemble = []
-        for lam, c in _canonical_basis(evals, vecs, vecs.conj().T @ gram_t, norms):
-            c = c / math.sqrt(np.vdot(c, gram_t @ c).real)
-            live_terms = np.flatnonzero(np.abs(c) * norms > 1e-14)  # _devectorize's cutoff
-            ensemble.append((lam, HistoryState(tuple((complex(c[t]), strings[t]) for t in live_terms))))
-    else:
-        w = kept_vecs[0]
-        for v in kept_vecs[1:]:
-            w = (w[:, :, None] * v[:, None, :]).reshape(n_terms, -1)
-        evals, evecs = np.linalg.eigh(w.T @ amp @ w.conj())
-        live = evals > tol
-        evals, vecs = evals[live], evecs[:, live]
-        ensemble = [
-            (lam, _devectorize(u, sub_grid))
-            for lam, u in _canonical_basis(evals, vecs, vecs.conj().T @ w.T, np.linalg.norm(w, axis=1))
-        ]
+    a_vals, a_vecs = np.linalg.eigh(amp)
+    r = a_vecs * np.sqrt(np.clip(a_vals, 0.0, None))
+    evals, z = np.linalg.eigh(r.conj().T @ gram @ r)
+    live = evals > tol
+    evals = evals[live]
+    vecs = (r @ z[:, live]) / np.sqrt(evals)
+    norms = np.sqrt(np.clip(gram.diagonal().real, 0.0, None))
+    sub_grid = TimeGrid(tuple(grid.labels[k] for k in keep), tuple(grid.slot_dims[k] for k in keep))
+    strings = [ElementaryHistory(sub_grid, tuple(eh.slots[k] for k in keep)) for _, eh in h.terms]
+    ensemble = []
+    for lam, c in _canonical_basis(evals, vecs, vecs.conj().T @ gram, norms):
+        c = c / math.sqrt(np.vdot(c, gram @ c).real)
+        live_terms = np.flatnonzero(np.abs(c) * norms > 1e-14)
+        ensemble.append((lam, HistoryState(tuple((complex(c[t]), strings[t]) for t in live_terms))))
     total = sum(p for p, _ in ensemble)
     return MixedHistory(tuple((p / total, h_m) for p, h_m in ensemble))
 
@@ -519,7 +522,7 @@ def temporal_partial_trace(h, keep_slots: Iterable[int], tol: float = 1e-12) -> 
 def _canonical_basis(evals, vecs, overlaps, norms) -> list[tuple[float, np.ndarray]]:
     """Eigen-ensemble members in a basis fixed by the term strings.
 
-    ``evals`` ascend; column m of ``vecs`` is eigenvector m in the route's
+    ``evals`` ascend; column m of ``vecs`` is eigenvector m in term
     coordinates and ``overlaps[m, t]`` = <u_m, w_t> is its kept-space
     eigenvector's overlap with term t's kept string, of norm ``norms[t]``.
     Going down from the largest eigenvalue, each cluster takes every
@@ -530,7 +533,7 @@ def _canonical_basis(evals, vecs, overlaps, norms) -> list[tuple[float, np.ndarr
     string (the cluster's own basis fills any remainder).  So member j's
     overlap with the string that generated it is real and positive, and
     members come in descending probability, then term order.  Returns
-    (eigenvalue, member vector in the route's coordinates) pairs.
+    (eigenvalue, member vector in term coordinates) pairs.
     """
     evals, vecs = evals[::-1], vecs[:, ::-1]
     unit = overlaps[::-1] / np.where(norms > 0.0, norms, 1.0)
@@ -555,22 +558,6 @@ def _canonical_basis(evals, vecs, overlaps, norms) -> list[tuple[float, np.ndarr
         out.extend((lam, vecs[:, start:stop] @ q) for q in basis)
         start = stop
     return out
-
-
-def _devectorize(vec: np.ndarray, grid: TimeGrid) -> HistoryState:
-    """Expand a history-space vector over per-slot matrix-unit strings."""
-    sq = tuple(d * d for d in grid.slot_dims)
-    arr = vec.reshape(sq)
-    terms = []
-    for idx in np.argwhere(np.abs(arr) > 1e-14):
-        coef = complex(arr[tuple(idx)])
-        ops = []
-        for q, d in zip(idx, grid.slot_dims):
-            m = np.zeros((d, d), dtype=complex)
-            m[divmod(int(q), d)] = 1.0
-            ops.append(m)
-        terms.append((coef, ElementaryHistory(grid, tuple(ops))))
-    return HistoryState(tuple(terms))
 
 
 # ---------------------------------------------------------------------------

@@ -66,11 +66,11 @@ NAMED_PROJECTOR_KETS = {
 }
 
 # Size bounds on history specs, checked before any HistoryState is built.
-# HistoryState merges terms pairwise and `weight` reports the T x T term
-# consistency matrix, so its cost is quadratic in the term count: with four
-# qubit slots, 256 terms take 1.5 s wall, 512 take 5.1 s and 1024 take 19 s
-# on a 2-CPU VM.  Slot operators are dense d x d matrices: 16 terms of four
-# 64 x 64 slots take 0.9 s, most of it parsing 12 MB of JSON.
+# `weight` computes and reports the T x T term consistency matrix, so its
+# cost is quadratic in the term count: with four qubit slots, 256 terms take
+# 0.6 s wall, 512 take 1.9 s and 1024 take 7.3 s on a 2-CPU VM, about half
+# of it writing the matrix's JSON.  Slot operators are dense d x d matrices:
+# 16 terms of four 64 x 64 slots take 0.9 s, most of it parsing 12 MB of JSON.
 MAX_HISTORY_TERMS = 256
 MAX_SLOT_DIM = 64
 

@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -347,6 +348,21 @@ class TestWeightCommand:
         assert code == EXIT_INPUT
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("terms", [
+        [{"coefficient": [1e300, 0], "slots": ["z+", "z-"]}],
+        [{"coefficient": [1e200, 0], "slots": ["z+", "z-"]}, {"coefficient": [1e200, 0], "slots": ["x+", "z-"]}],
+        [{"coefficient": [1e200, 0], "slots": ["z+", "z-"]}, {"coefficient": [1e200, 0], "slots": ["z+", "z-"]}],
+    ])
+    def test_overflowing_norm_rejected(self, capsys, tmp_path, terms):
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps({"history": {"terms": terms}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            code, out, err = run_cli(capsys, "weight", "--spec", str(p))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: history norm is not finite") and "Traceback" not in err
 
     @pytest.mark.parametrize("doc, message", [
         ({"terms": [{"slots": ["z+", "z-"]}] * (serialize.MAX_HISTORY_TERMS + 1)},
