@@ -20,10 +20,17 @@ is the time-ordered product
 
 with the latest slot leftmost.  Weights are Tr(K^dag K); the pairwise
 decoherence functional Tr(K_i^dag K_j) defines family consistency.
+
+Every chain operator comes from one stacked kernel, ``_chains``, which
+carries all terms' chains (the batch axis) through the bridges and slots at
+once and splits each chain into its outcomes at a measured slot.  Weights,
+consistency matrices, the coherent bundle and the outcome tables of
+``twostate`` are reductions over its output.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -47,7 +54,6 @@ __all__ = [
     "MixedHistory",
     "ConsistencyReport",
     "SubsystemReduction",
-    "chain_operator",
     "chain_operator_sum",
     "weight",
     "hs_inner",
@@ -67,6 +73,7 @@ __all__ = [
 ]
 
 MERGE_TOL = 1e-12
+MAX_MEASURED_SLOTS = 20
 UNITARITY_TOL = 1e-9
 # temporal_partial_trace: eigenvalues of a unit-trace reduced operator this
 # close to their cluster's largest share one eigenspace, and a term string
@@ -156,8 +163,9 @@ class HistoryState:
     on construction into the first of them, so equal-by-construction states
     have identical canonical term lists.  ``_rows`` holds the merged terms'
     slot operators, row t being term t's flattened row-major and
-    concatenated earliest slot first; the Hilbert-Schmidt geometry is
-    computed from it (``_slot_grams``).
+    concatenated earliest slot first; the Hilbert-Schmidt geometry
+    (``_slot_grams``) and the chain kernel read it as per-slot stacks
+    (``_stacks``).
     """
 
     terms: tuple[tuple[complex, ElementaryHistory], ...]
@@ -199,6 +207,14 @@ class HistoryState:
     @property
     def n_terms(self) -> int:
         return len(self.terms)
+
+    @functools.cached_property
+    def _stacks(self) -> tuple[np.ndarray, ...]:
+        """Slot k's term operators as a read-only (T, d_k, d_k) view of
+        ``_rows``, earliest slot first; the only reader of its layout."""
+        ends = np.cumsum([d * d for d in self.grid.slot_dims]).tolist()
+        return tuple(self._rows[:, e - d * d:e].reshape(-1, d, d)
+                     for d, e in zip(self.grid.slot_dims, ends))
 
     @classmethod
     def from_slots(cls, grid: TimeGrid, ops: Sequence, coefficient: complex = 1.0) -> "HistoryState":
@@ -257,40 +273,77 @@ def _as_state(h) -> HistoryState:
     raise TypeError(f"expected a history, got {type(h).__name__}")
 
 
+def _coefficients(h: HistoryState) -> np.ndarray:
+    return np.array([c for c, _ in h.terms])
+
+
 # ---------------------------------------------------------------------------
 # chain operators and weights
 
 
-def chain_operator(h: ElementaryHistory, b: BridgingSet) -> np.ndarray:
-    """Time-ordered product of slot operators and bridges, latest leftmost."""
-    _require_same_grid(h.grid, b.grid)
-    k = h.slots[0]
-    for u, p in zip(b.unitaries, h.slots[1:]):
-        k = p @ (u @ k)
-    return k
+def _chains(start: np.ndarray, intervals, settings, fixed=None) -> tuple[list[str], np.ndarray]:
+    """Every outcome string's chain, carried through a row as one stack.
+
+    Step k applies ``intervals[k]`` (None for none) to the whole stack, then
+    ``fixed[k]`` when ``fixed`` holds slot k (a (batch, d, d) stack of
+    per-term operators), and then, when ``settings[k]`` is a setting, splits
+    every row into its '+' chain followed by its '-' chain.  ``start`` is a
+    (d, m) matrix.  Returns the outcome strings and a (2**n_measured, batch,
+    d', m) stack whose row r is string r: '+' first, earliest slot first.
+    More than MAX_MEASURED_SLOTS settings are rejected before any product.
+    """
+    n_measured = sum(s is not None for s in settings)
+    if n_measured > MAX_MEASURED_SLOTS:
+        raise ValueError(f"at most {MAX_MEASURED_SLOTS} measured slots are supported, got {n_measured}")
+    strings = list(map("".join, itertools.product("+-", repeat=n_measured)))
+    x = start[None, None]
+    for k, (interval, setting) in enumerate(zip(intervals, settings)):
+        if interval is not None:
+            x = interval @ x
+        if fixed and k in fixed:
+            x = fixed[k] @ x
+        if setting is not None:
+            plus, minus = setting.projectors()
+            x = np.stack((plus @ x, minus @ x), axis=1).reshape((-1,) + x.shape[1:])
+    return strings, x
 
 
-def chain_operator_sum(h: HistoryState, b: BridgingSet) -> np.ndarray:
-    """Coefficient-weighted sum of term chain operators (linear in terms)."""
-    h = _as_state(h)
+def _term_chains(h: HistoryState, b: BridgingSet, settings={}) -> tuple[list[str], np.ndarray]:
+    """Summed chain operators sum_t c_t K_t, one per outcome string.
+
+    Slot k carries the terms' own operators unless ``settings`` measures it,
+    in which case each string puts its outcome projector there.  The terms
+    are the kernel's batch axis and are summed left to right.  Returns the
+    strings and a (2**len(settings), d_last, d_first) stack.
+    """
     _require_same_grid(h.grid, b.grid)
-    out = None
-    for c, eh in h.terms:
-        k = c * chain_operator(eh, b)
-        out = k if out is None else out + k
-    return out
+    stacks = h._stacks
+    fixed = {k: s for k, s in enumerate(stacks) if k not in settings}
+    row = [settings.get(k) for k in range(len(stacks))]
+    strings, chains = _chains(identity(h.grid.slot_dims[0]), (None,) + b.unitaries, row, fixed)
+    # an all-measured row has a batch of one, which broadcasts over the terms
+    return strings, np.add.reduce(_coefficients(h)[:, None, None] * chains, axis=1)
+
+
+def chain_operator_sum(h, b: BridgingSet) -> np.ndarray:
+    """Coefficient-weighted sum of term chain operators (linear in terms).
+
+    An ``ElementaryHistory`` gives its own chain operator
+    P_n T_{n-1} ... T_0 P_0.
+    """
+    return _term_chains(_as_state(h), b)[1][0]
 
 
 def weight(h, b: BridgingSet) -> float:
     """Tr(K^dag K) of the summed chain operator; zero is a valid weight."""
-    k = chain_operator_sum(_as_state(h), b)
+    k = chain_operator_sum(h, b)
     w = float(np.vdot(k, k).real)
     return 0.0 if w < 0.0 else w
 
 
 def decoherence_functional(h1, h2, b: BridgingSet) -> complex:
-    k1 = chain_operator_sum(_as_state(h1), b)
-    k2 = chain_operator_sum(_as_state(h2), b)
+    k1 = chain_operator_sum(h1, b)
+    k2 = chain_operator_sum(h2, b)
     return complex(np.vdot(k1, k2))
 
 
@@ -309,15 +362,14 @@ class ConsistencyReport:
 
 def is_consistent_family(family: Sequence, b: BridgingSet, tol: float = 1e-9) -> ConsistencyReport:
     """Check |Tr(K_i^dag K_j)| <= tol for all i != j (medium decoherence)."""
-    members = [_as_state(h) for h in family]
-    if not members:
+    chains = [chain_operator_sum(h, b).reshape(-1) for h in family]
+    if not chains:
         raise ValueError("family must be nonempty")
-    chains = [chain_operator_sum(h, b) for h in members]
+    chains = np.stack(chains)
+    d = chains.conj() @ chains.T
+    # vdot(k, k) is exactly real; the product may leave rounding in the imaginary part
+    np.fill_diagonal(d, d.diagonal().real)
     n = len(chains)
-    d = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            d[i, j] = np.vdot(chains[i], chains[j])
     off = 0.0
     if n > 1:
         mask = ~np.eye(n, dtype=bool)
@@ -333,16 +385,8 @@ def is_consistent_family(family: Sequence, b: BridgingSet, tol: float = 1e-9) ->
 def _slot_grams(h1: HistoryState, h2: HistoryState) -> list[np.ndarray]:
     """Per-slot Hilbert-Schmidt Grams G_k[t, t'] = Tr(A_tk^dag B_t'k) between
     the terms A_t of ``h1`` and B_t' of ``h2``, earliest slot first."""
-    left, grams, start = h1._rows.conj(), [], 0
-    for d in h1.grid.slot_dims:
-        cols = slice(start, start + d * d)
-        grams.append(left[:, cols] @ h2._rows[:, cols].T)
-        start += d * d
-    return grams
-
-
-def _coefficients(h: HistoryState) -> np.ndarray:
-    return np.array([c for c, _ in h.terms])
+    return [a.reshape(len(a), -1).conj() @ b.reshape(len(b), -1).T
+            for a, b in zip(h1._stacks, h2._stacks)]
 
 
 def hs_inner(h1, h2) -> complex:
@@ -639,37 +683,26 @@ def subsystem_trace_out(
     sub_grid = TimeGrid(h.grid.labels, (keep_dim,) * h.grid.n_slots)
     induced = BridgingSet(sub_grid, tuple(kept_bridges))
 
-    # record trajectories: basis state c at the first slot, propagated forward
-    trajectories = []
-    for c in range(traced_dim):
-        states = [np.zeros(traced_dim, dtype=complex)]
-        states[0][c] = 1.0
-        for u in traced_bridges:
-            states.append(u @ states[-1])
-        trajectories.append(states)
+    # record trajectories: column c of states[k] is basis state c at the
+    # first slot, propagated forward to slot k
+    states = [identity(traced_dim)]
+    for u in traced_bridges:
+        states.append(u @ states[-1])
 
-    terms = []
-    for coef, eh in h.terms:
-        for states in trajectories:
-            ops = []
-            scale = 1.0
-            for op, v in zip(eh.slots, states):
-                four = op.reshape(d0, d1, d0, d1)
-                if traced == 1:
-                    red = np.einsum("ajbk,j,k->ab", four, v.conj(), v)
-                else:
-                    red = np.einsum("jakb,j,k->ab", four, v.conj(), v)
-                # canonical slots: unit HS norm, scale pushed to the coefficient,
-                # so projector slots come back as projectors and chain traces of
-                # the reduced history carry no hidden per-slot factors
-                size = float(np.linalg.norm(red))
-                if size <= 1e-15:
-                    scale = 0.0
-                    break
-                ops.append(red / size)
-                scale *= size
-            if scale > 0.0:
-                terms.append((coef * scale, ElementaryHistory(sub_grid, tuple(ops))))
+    # reds[k, t, c] is term t's slot k compressed by trajectory c
+    spec = "tajbk,jc,kc->tcab" if traced == 1 else "tjakb,jc,kc->tcab"
+    reds = np.stack([np.einsum(spec, ops.reshape(-1, d0, d1, d0, d1), v.conj(), v)
+                     for ops, v in zip(h._stacks, states)])
+    # canonical slots: unit HS norm, scale pushed to the coefficient, so
+    # projector slots come back as projectors and chain traces of the reduced
+    # history carry no hidden per-slot factors
+    sizes = np.linalg.norm(reds, axis=(-2, -1))
+    scales = np.prod(sizes, axis=0)
+    live = (sizes > 1e-15).all(axis=0) & (scales > 0.0)
+    reds = reds / np.where(sizes > 0.0, sizes, 1.0)[..., None, None]
+    coefs = _coefficients(h)[:, None] * scales
+    terms = [(coefs[t, c], ElementaryHistory(sub_grid, tuple(reds[:, t, c])))
+             for t, c in zip(*np.nonzero(live))]
     if not terms:
         raise DegenerateHistoryError("every record trajectory contributes zero")
 

@@ -21,7 +21,6 @@ from .histories import (
     BridgingSet,
     HistoryState,
     TimeGrid,
-    decoherence_functional,
     history_vector,
     hs_inner,
     is_consistent_family,
@@ -265,9 +264,7 @@ def example1_family() -> ScenarioResult:
     phi = normalize(members[0] + members[1])
 
     gram = np.array([[hs_inner(a, b) for b in members] for a in members])
-    dmat = np.array(
-        [[decoherence_functional(a, b, bridging) for b in members] for a in members]
-    )
+    consistency = is_consistent_family(members, bridging)
 
     first_slot_identity = normalize(
         HistoryState.from_slots(grid, [projector(qubit_ket("0")), identity(2), identity(2)])
@@ -276,8 +273,8 @@ def example1_family() -> ScenarioResult:
     artifacts = {
         "member_weights": tuple(weight(m, bridging) for m in members),
         "gram_matrix": gram,
-        "decoherence_matrix": dmat,
-        "consistency": is_consistent_family(members, bridging),
+        "decoherence_matrix": consistency.matrix,
+        "consistency": consistency,
         "superposition_norm": float(np.linalg.norm(history_vector(phi))),
         "branch_probabilities": (
             abs(hs_inner(members[0], phi)) ** 2,

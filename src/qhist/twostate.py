@@ -10,10 +10,10 @@ semantics that this module keeps separate on purpose:
 * sequential collapse chains on density operators (nonselective updates).
 
 Outcome strings are '+'/'-' characters ordered earliest-first.  Every table
-is computed by one stacked chain engine, ``_chains``: row r of its stack is
-the r-th outcome string, '+' first with the earliest slot most significant,
-and it accepts at most ``MAX_MEASURED_SLOTS`` measured slots (unmeasured
-slots do not count), since a table doubles with every measured slot.
+is computed by the package's chain kernel, ``histories._chains``: row r of
+its stack is the r-th outcome string, '+' first with the earliest slot most
+significant, and it accepts at most ``MAX_MEASURED_SLOTS`` measured slots
+(unmeasured slots do not count), since a table doubles with every one.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import GridMismatchError, ImpossiblePostselectionError, ShapeError
-from .histories import BridgingSet, HistoryState, TimeGrid, hs_norm
+from .errors import ImpossiblePostselectionError, ShapeError
+# MAX_MEASURED_SLOTS is the chain kernel's bound, re-exported here
+from .histories import MAX_MEASURED_SLOTS, BridgingSet, HistoryState, TimeGrid, _chains, _term_chains, hs_norm
 from .linalg import as_ket, as_matrix, identity, max_abs, pauli, projector
 
 __all__ = [
@@ -46,7 +47,6 @@ __all__ = [
 ]
 
 ZERO_WEIGHT_TOL = 1e-15
-MAX_MEASURED_SLOTS = 20
 
 OUTCOME_CHARS = {+1: "+", -1: "-"}
 
@@ -223,33 +223,6 @@ def _checked_row(d: int, slots, unitaries) -> tuple[np.ndarray, ...]:
     return us
 
 
-def _chains(start: np.ndarray, intervals, settings, fixed=None) -> tuple[list[str], np.ndarray]:
-    """Every outcome string's chain, carried through a row as one stack.
-
-    Step k applies ``intervals[k]`` (None for none) to the whole stack, then
-    ``fixed[k]`` when ``fixed`` holds slot k (a (batch, d, d) stack of
-    per-term operators), and then, when ``settings[k]`` is a setting, splits
-    every row into its '+' chain followed by its '-' chain.  ``start`` is a
-    (d, m) matrix.  Returns the outcome strings and a (2**n_measured, batch,
-    d', m) stack whose row r is string r: '+' first, earliest slot first.
-    More than MAX_MEASURED_SLOTS settings are rejected before any product.
-    """
-    n_measured = sum(s is not None for s in settings)
-    if n_measured > MAX_MEASURED_SLOTS:
-        raise ValueError(f"at most {MAX_MEASURED_SLOTS} measured slots are supported, got {n_measured}")
-    strings = list(map("".join, itertools.product("+-", repeat=n_measured)))
-    x = start[None, None]
-    for k, (interval, setting) in enumerate(zip(intervals, settings)):
-        if interval is not None:
-            x = interval @ x
-        if fixed and k in fixed:
-            x = fixed[k] @ x
-        if setting is not None:
-            plus, minus = setting.projectors()
-            x = np.stack((plus @ x, minus @ x), axis=1).reshape((-1,) + x.shape[1:])
-    return strings, x
-
-
 def _measured_labels(slots) -> tuple[str, ...]:
     labels = tuple(s.label for s in slots if s is not None)
     if not labels:
@@ -334,28 +307,28 @@ def history_bundle(exp: TwoTimeExperiment):
     Each history brackets the outcome projectors between the pre and post
     boundary projectors (identity when a slot is unmeasured or the
     post-selection is absent) under the experiment's interval unitaries.
-    Returned as tuples (outcome string, normalized history, probability);
-    the probabilities match ``sequence_distribution`` and, equivalently, the
-    normalized chain weights of the returned histories.
+    Returned as tuples (outcome string, normalized history, probability,
+    bridging); the probabilities match ``sequence_distribution`` and,
+    equivalently, the normalized chain weights of the returned histories.
     """
     dist = sequence_distribution(exp)
     d = exp.dim
-    n_slots = len(exp.slots) + 2
-    grid = TimeGrid.regular(n_slots, d)
+    grid = TimeGrid.regular(len(exp.slots) + 2, d)
     bridging = BridgingSet(grid, exp.unitaries)
+    pre_op = projector(exp.pre)
     post_op = identity(d) if exp.post is None else projector(exp.post)
+    # slot k's operator for each outcome character ("" when unmeasured)
+    options = [{"": identity(d)} if s is None else dict(zip("+-", s.projectors())) for s in exp.slots]
     measured = exp.measured_indices
     bundle = []
     for string, p in dist.table.items():
         if p <= ZERO_WEIGHT_TOL:
             continue
-        signs = dict(zip(measured, (+1 if ch == "+" else -1 for ch in string)))
-        ops = [projector(exp.pre)]
-        for k, setting in enumerate(exp.slots):
-            ops.append(identity(d) if setting is None else setting.projector(signs[k]))
-        ops.append(post_op)
-        state = HistoryState.from_slots(grid, ops)
-        bundle.append((string, (1.0 / hs_norm(state)) * state, p, bridging))
+        chars = dict(zip(measured, string))
+        ops = [pre_op, *(opts[chars.get(k, "")] for k, opts in enumerate(options)), post_op]
+        # the HS norm of a product string is the product of its slots' norms
+        scale = 1.0 / math.prod(map(np.linalg.norm, ops))
+        bundle.append((string, HistoryState.from_slots(grid, ops, scale), p, bridging))
     return tuple(bundle)
 
 
@@ -375,9 +348,8 @@ def coherent_bundle_weights(
     sum to one: interference between branches is retained, which is exactly
     how this assignment differs from sequential collapse.
 
-    The terms are the batch axis of ``_chains``: the bridges are its
-    intervals, each unmeasured slot's term operators its fixed steps, and the
-    term chains of a string are summed left to right as c_t * K_t.
+    The terms are the batch axis of the chain kernel (``histories._term_chains``),
+    and the term chains of a string are summed left to right as c_t * K_t.
     """
     if abs(hs_norm(h) - 1.0) > 1e-9:
         raise ValueError("history must be normalized")
@@ -387,20 +359,12 @@ def coherent_bundle_weights(
     if positions[0] < 0 or positions[-1] >= h.grid.n_slots:
         raise ValueError("measured slot index out of range")
     settings = {pos: measured[pos] for pos in positions}
-    dims, n = h.grid.slot_dims, h.grid.n_slots
+    dims = h.grid.slot_dims
     for pos, setting in settings.items():
         if setting.dim != dims[pos]:
             shape = setting.observable.shape
             raise ShapeError(f"slot operator shape {shape} does not match dim {dims[pos]}")
-    if h.grid != b.grid:
-        raise GridMismatchError("objects are defined on different time grids")
-    fixed = {k: np.stack([eh.slots[k] for _, eh in h.terms]) for k in range(n) if k not in settings}
-    row = [settings.get(k) for k in range(n)]
-    strings, chains = _chains(identity(dims[0]), (None,) + b.unitaries, row, fixed)
-    total = None
-    for t, (c, _) in enumerate(h.terms):  # an all-measured row has a batch of one
-        term = c * chains[:, min(t, chains.shape[1] - 1)]
-        total = term if total is None else total + term
+    strings, total = _term_chains(h, b, settings)
     # abs per element: numpy's vectorized complex abs may differ in the last bit
     traces = np.trace(total, axis1=-2, axis2=-1).tolist()
     return dict(zip(strings, (abs(tr) ** 2 for tr in traces)))

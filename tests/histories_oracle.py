@@ -10,11 +10,25 @@ costs O(16^n), so it is only usable on small histories.
 package's stacked Gram kernel and vectorized term merge replace: a product
 of per-slot ``np.vdot`` pairings for every term pair, and a comparison of
 every incoming term with every merged one, slot by slot.
+
+``chain_operator_sum``, ``consistency_matrix`` and ``subsystem_trace_out``
+are the loops the package's stacked chain kernel replaces: each term's chain
+operator built slot by slot and summed in term order, the decoherence
+functional filled one ``np.vdot`` per member pair, and the subsystem
+contraction made per term, per record trajectory and per slot.
 """
 
 import numpy as np
 
-from qhist.histories import MERGE_TOL, history_vector, normalize
+from qhist.histories import (
+    MERGE_TOL,
+    ElementaryHistory,
+    HistoryState,
+    TimeGrid,
+    _split_product_unitary,
+    history_vector,
+    normalize,
+)
 from qhist.linalg import max_abs, partial_trace
 
 
@@ -61,3 +75,66 @@ def merge_terms(terms) -> list:
         kept = [(c, eh) for c, eh in merged if abs(c) > 1e-15 * scale]
         merged = kept or merged[:1]
     return merged
+
+
+def chain_operator_sum(h, b) -> np.ndarray:
+    """sum_t c_t P_n T_{n-1} ... T_0 P_0 over the terms of ``h``, in term order."""
+    out = None
+    for c, eh in h.terms:
+        k = eh.slots[0]
+        for u, p in zip(b.unitaries, eh.slots[1:]):
+            k = p @ (u @ k)
+        k = c * k
+        out = k if out is None else out + k
+    return out
+
+
+def consistency_matrix(family, b) -> np.ndarray:
+    """D[i, j] = Tr(K_i^dag K_j), one ``np.vdot`` per member pair."""
+    chains = [chain_operator_sum(h, b) for h in family]
+    n = len(chains)
+    d = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            d[i, j] = np.vdot(chains[i], chains[j])
+    return d
+
+
+def subsystem_trace_out(h, b, factor_dims, traced: int = 1, tol: float = 1e-9) -> HistoryState:
+    """Normalized reduced history of the kept factor: every slot of every term
+    compressed by every record trajectory of the traced factor, one
+    ``einsum`` at a time, with unit-norm slots and the scales in the
+    coefficients (terms with a vanishing slot dropped)."""
+    d0, d1 = factor_dims
+    keep_dim, traced_dim = (d1, d0) if traced == 0 else (d0, d1)
+    traced_bridges = []
+    for u in b.unitaries:
+        u0, u1 = _split_product_unitary(np.asarray(u), d0, d1, tol)
+        traced_bridges.append(u0 if traced == 0 else u1)
+    sub_grid = TimeGrid(h.grid.labels, (keep_dim,) * h.grid.n_slots)
+    trajectories = []
+    for c in range(traced_dim):
+        states = [np.zeros(traced_dim, dtype=complex)]
+        states[0][c] = 1.0
+        for u in traced_bridges:
+            states.append(u @ states[-1])
+        trajectories.append(states)
+    terms = []
+    for coef, eh in h.terms:
+        for states in trajectories:
+            ops, scale = [], 1.0
+            for op, v in zip(eh.slots, states):
+                four = op.reshape(d0, d1, d0, d1)
+                if traced == 1:
+                    red = np.einsum("ajbk,j,k->ab", four, v.conj(), v)
+                else:
+                    red = np.einsum("jakb,j,k->ab", four, v.conj(), v)
+                size = float(np.linalg.norm(red))
+                if size <= 1e-15:
+                    scale = 0.0
+                    break
+                ops.append(red / size)
+                scale *= size
+            if scale > 0.0:
+                terms.append((coef * scale, ElementaryHistory(sub_grid, tuple(ops))))
+    return normalize(HistoryState(tuple(terms)))

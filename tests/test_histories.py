@@ -15,7 +15,6 @@ from qhist import (
     ShapeError,
     TimeGrid,
     best_joint_bell_reduction_overlap,
-    chain_operator,
     chain_operator_sum,
     decoherence_functional,
     exhaustive_projector_family,
@@ -165,7 +164,7 @@ class TestChainOperator:
         # [x+] then [z+], identity bridge: K = P_{z+} P_{x+}
         g = TimeGrid.regular(2)
         eh = ElementaryHistory(g, (proj("x+"), proj("z+")))
-        k = chain_operator(eh, BridgingSet.trivial(g))
+        k = chain_operator_sum(eh, BridgingSet.trivial(g))
         assert np.allclose(k, [[0.5, 0.5], [0.0, 0.0]], atol=1e-12)
         assert weight(eh, BridgingSet.trivial(g)) == pytest.approx(0.5, abs=1e-12)
 
@@ -177,7 +176,7 @@ class TestChainOperator:
     def test_latest_slot_leftmost(self):
         g = TimeGrid.regular(2)
         a, b = proj("x+"), proj("z+")
-        k = chain_operator(ElementaryHistory(g, (a, b)), BridgingSet.trivial(g))
+        k = chain_operator_sum(ElementaryHistory(g, (a, b)), BridgingSet.trivial(g))
         assert np.allclose(k, b @ a)
         assert not np.allclose(k, a @ b)
 
@@ -187,7 +186,7 @@ class TestChainOperator:
         u1 = random_unitary(rng, 2)
         b = BridgingSet(g, (u0, u1))
         p = [proj("z+"), proj("x-"), proj("y+")]
-        k = chain_operator(ElementaryHistory(g, tuple(p)), b)
+        k = chain_operator_sum(ElementaryHistory(g, tuple(p)), b)
         assert np.allclose(k, p[2] @ u1 @ p[1] @ u0 @ p[0], atol=1e-12)
 
     def test_identity_middle_slot_collapses(self, rng):
@@ -197,10 +196,10 @@ class TestChainOperator:
         g3 = TimeGrid.regular(3)
         g2 = TimeGrid.regular(2)
         p0, p2 = proj("y-"), proj("z+")
-        k3 = chain_operator(
+        k3 = chain_operator_sum(
             ElementaryHistory(g3, (p0, identity(2), p2)), BridgingSet(g3, (u0, u1))
         )
-        k2 = chain_operator(
+        k2 = chain_operator_sum(
             ElementaryHistory(g2, (p0, p2)), BridgingSet(g2, (u1 @ u0,))
         )
         assert np.allclose(k3, k2, atol=1e-12)
@@ -239,7 +238,7 @@ class TestChainOperator:
         g2, g3 = TimeGrid.regular(2), TimeGrid.regular(3)
         eh = ElementaryHistory(g2, (proj("z+"), proj("z+")))
         with pytest.raises(GridMismatchError):
-            chain_operator(eh, BridgingSet.trivial(g3))
+            chain_operator_sum(eh, BridgingSet.trivial(g3))
 
 
 class TestConsistency:
@@ -815,6 +814,114 @@ class TestSubsystemTraceOut:
         h, b = self.bell_history(2, (identity(4),))
         with pytest.raises(ShapeError):
             subsystem_trace_out(h, b, (3, 2), traced=1)
+
+
+def _bridged_state(rng, dims, n_terms):
+    """Random terms on slots of the given (nondecreasing) dimensions, with
+    random isometric bridges, rectangular where the dimension grows."""
+    h = _term_history(rng, dims, [_ops(rng, dims) for _ in range(n_terms)])
+    bridges = tuple(random_unitary(rng, d1)[:, :d0] for d0, d1 in zip(dims, dims[1:]))
+    return h, BridgingSet(h.grid, bridges)
+
+
+_KERNEL_DIMS = [(2,), (2, 2), (2, 3, 3), (3, 3, 4, 4), (2, 4, 5)]
+
+
+class TestChainKernelAgainstLoopOracle:
+    @pytest.mark.parametrize("dims", _KERNEL_DIMS)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_chain_sum_and_weight_equal_the_loop_bit_for_bit(self, dims, seed):
+        rng = np.random.default_rng(seed)
+        h, b = _bridged_state(rng, dims, int(rng.integers(1, 20)))
+        want = histories_oracle.chain_operator_sum(h, b)
+        got = chain_operator_sum(h, b)
+        assert got.shape == (dims[-1], dims[0])
+        assert np.array_equal(got, want)
+        assert weight(h, b) == float(np.vdot(want, want).real)
+        eh = h.terms[0][1]
+        assert np.array_equal(chain_operator_sum(eh, b),
+                              histories_oracle.chain_operator_sum(HistoryState.from_elementary(eh), b))
+
+    @pytest.mark.parametrize("dims", _KERNEL_DIMS)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_consistency_matrix_matches_the_vdot_loop(self, dims, seed):
+        rng = np.random.default_rng(seed)
+        _, b = _bridged_state(rng, dims, 1)
+        family = [_term_history(rng, dims, [_ops(rng, dims) for _ in range(rng.integers(1, 5))])
+                  for _ in range(rng.integers(1, 12))]
+        rep = is_consistent_family(family, b)
+        want = histories_oracle.consistency_matrix(family, b)
+        diag = want.diagonal().real
+        scale = np.sqrt(np.outer(diag, diag))
+        assert np.all(np.abs(rep.matrix - want) <= 1e-15 * scale)
+        assert np.all(rep.matrix.diagonal().imag == 0.0)
+        assert rep.max_offdiagonal == pytest.approx(
+            np.abs(want - np.diag(want.diagonal())).max(), rel=1e-15, abs=0.0)
+
+
+def _product_bridges(rng, n_slots, d0, d1, traced_side=None):
+    """Random product unitaries u0 (x) u1; ``traced_side`` replaces one factor."""
+    out = []
+    for _ in range(n_slots - 1):
+        u0, u1 = random_unitary(rng, d0), random_unitary(rng, d1)
+        if traced_side is not None:
+            u0, u1 = traced_side(rng, u0, u1)
+        out.append(np.kron(u0, u1))
+    return tuple(out)
+
+
+class TestSubsystemTraceOutAgainstLoopOracle:
+    def assert_matches(self, h, b, factor_dims, traced):
+        red = subsystem_trace_out(h, b, factor_dims, traced=traced)
+        want = histories_oracle.subsystem_trace_out(h, b, factor_dims, traced)
+        assert red.state.n_terms == want.n_terms
+        for (c, eh), (c0, eh0) in zip(red.state.terms, want.terms):
+            assert abs(c - c0) <= 1e-12
+            for op, op0 in zip(eh.slots, eh0.slots):
+                assert np.abs(op - op0).max() <= 1e-12
+        members = [normalize(HistoryState.from_elementary(eh)) for _, eh in want.terms]
+        assert np.abs(red.consistency.matrix
+                      - histories_oracle.consistency_matrix(members, red.bridging)).max() <= 1e-12
+        return red
+
+    @pytest.mark.parametrize("traced", [0, 1])
+    @pytest.mark.parametrize("factor_dims", [(2, 2), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_product_bridges(self, seed, factor_dims, traced):
+        rng = np.random.default_rng(seed)
+        d0, d1 = factor_dims
+        n_slots = int(rng.integers(1, 5))
+        dims = (d0 * d1,) * n_slots
+        h = _term_history(rng, dims, [_ops(rng, dims) for _ in range(rng.integers(1, 6))])
+        b = BridgingSet(h.grid, _product_bridges(rng, n_slots, d0, d1))
+        self.assert_matches(h, b, factor_dims, traced)
+
+    @pytest.mark.parametrize("traced", [0, 1])
+    def test_a_vanishing_trajectory_is_dropped(self, rng, traced):
+        # the traced side of the first term is |0><0| at every slot, and the
+        # traced bridges are diagonal, so trajectory 1 stays on |1> and
+        # compresses that term to zero; the second term keeps both
+        def diagonal_traced(rng, u0, u1):
+            phases = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, size=2)))
+            return (phases, u1) if traced == 0 else (u0, phases)
+
+        n_slots = 3
+        g = TimeGrid.regular(n_slots, dim=4)
+        zero = proj("z+")
+
+        def local(kept):
+            return np.kron(zero, kept) if traced == 0 else np.kron(kept, zero)
+
+        h = HistoryState((
+            (0.8, ElementaryHistory(g, tuple(local(op) for op in _ops(rng, (2,) * n_slots)))),
+            (0.6j, ElementaryHistory(g, tuple(_ops(rng, (4,) * n_slots)))),
+        ))
+        b = BridgingSet(g, _product_bridges(rng, n_slots, 2, 2, diagonal_traced))
+        red = self.assert_matches(h, b, (2, 2), traced)
+        assert red.state.n_terms == 3
+        dead = HistoryState.from_slots(g, (local(np.zeros((2, 2))),) * n_slots)
+        with pytest.raises(DegenerateHistoryError, match="every record trajectory contributes zero"):
+            subsystem_trace_out(dead, b, (2, 2), traced=traced)
 
 
 class TestReductionSearch:

@@ -24,7 +24,7 @@ from qhist import (
     sequence_distribution,
     weight,
 )
-from qhist import twostate
+from qhist import histories
 from qhist.histories import TimeGrid
 from qhist.linalg import identity, maximally_mixed, pauli, projector, qubit_ket
 from qhist.twostate import MAX_MEASURED_SLOTS
@@ -443,7 +443,7 @@ class TestMeasuredSlotBound:
             )
 
     def test_unmeasured_slots_do_not_count(self, monkeypatch):
-        monkeypatch.setattr(twostate, "MAX_MEASURED_SLOTS", 2)
+        monkeypatch.setattr(histories, "MAX_MEASURED_SLOTS", 2)
         grid, up, down = diagonal_branches(5)
         h, b = normalize(up + down), BridgingSet.trivial(grid)
         assert len(sequence_distribution(TwoTimeExperiment.build(K0, (X, None, None, Z))).table) == 4

@@ -4,15 +4,18 @@ These are the straightforward forms the package's stacked chain engine
 replaces: every outcome string rebuilds its chain from the start, slot by
 slot.  The engine must agree with the row rules exactly, not just within a
 tolerance; the coherent bundle rebuilds a whole history per string, merging
-terms whose strings coincide, so there the engine may differ in rounding.
+terms whose strings coincide, and sums its chains with the per-term loop of
+``histories_oracle``, so there the engine may differ in rounding.
 """
 
 import itertools
 
 import numpy as np
 
-from qhist.histories import HistoryState, chain_operator_sum
+from qhist.histories import HistoryState
 from qhist.linalg import as_ket, as_matrix, identity, projector
+
+from histories_oracle import chain_operator_sum
 
 
 def _outcome_strings(n: int):
