@@ -14,6 +14,15 @@ reaches 2*sqrt(2) at mutually unbiased optimal settings while every
 deterministic assignment stays at or below 2.  Because consecutive pairs of
 times are statistically interchangeable, two-pair sums reach 4*sqrt(2)
 (beating the spatial two-pair cap of 4) and n-pair chains reach 2*sqrt(2)*n.
+
+The chained reading of a two-pair sum keeps the first measurement in the
+run.  Left unread, it hands the later pair a probabilistic mixture of the
+processes it could have applied: the nonselective update of rho, averaged
+over the first party's settings and carried to the middle time,
+
+    rho' = U1 (1/|A|) sum over a in A and +/- of P_a^+/- rho P_a^+/- U1^dag,
+
+so the second pair is the same correlator evaluated on rho'.
 """
 
 from __future__ import annotations
@@ -25,13 +34,10 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import ShapeError
-from .linalg import as_matrix, identity, max_abs, maximally_mixed, pauli
-from .twostate import (
-    MeasurementSetting,
-    OutcomeDistribution,
-    bloch_observables,
-    mixed_sequence_distribution,
+from .linalg import (
+    check_unitary, density_operator, dichotomic_projectors, identity, max_abs, maximally_mixed, pauli,
 )
+from .twostate import MeasurementSetting, OutcomeDistribution, bloch_observables
 
 __all__ = [
     "CLASSICAL_BOUND",
@@ -71,16 +77,6 @@ CHAINED = "chained_single_system"
 _MODES = (INDEPENDENT, CHAINED)
 
 
-def _check_initial(initial) -> np.ndarray:
-    rho = as_matrix(initial)
-    d = rho.shape[0]
-    if rho.shape != (d, d):
-        raise ShapeError("initial state must be square")
-    if abs(np.trace(rho) - 1.0) > 1e-9 or max_abs(rho - rho.conj().T) > 1e-9:
-        raise ValueError("initial state must be a unit-trace Hermitian density operator")
-    return rho
-
-
 def _check_unitary(u, d: int, what: str = "unitary") -> np.ndarray:
     """A (d, d) or (N, d, d) stack of unitaries, or the identity for None."""
     if u is None:
@@ -88,11 +84,7 @@ def _check_unitary(u, d: int, what: str = "unitary") -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim not in (2, 3) or u.shape[-2:] != (d, d):
         raise ShapeError(f"{what} must be {d}x{d}")
-    if not np.all(np.isfinite(u)):
-        raise ValueError(f"{what} entries must be finite")
-    if max_abs(u.conj().swapaxes(-1, -2) @ u - identity(d)) > 1e-9:
-        raise ValueError(f"{what} is not unitary")
-    return u
+    return check_unitary(u, what)
 
 
 @dataclass(frozen=True)
@@ -106,7 +98,7 @@ class CorrelatorSpec:
     evaluation_mode: str = INDEPENDENT
 
     def __post_init__(self):
-        rho = _check_initial(self.initial)
+        rho = density_operator(self.initial)
         rho.setflags(write=False)
         object.__setattr__(self, "initial", rho)
         if self.evaluation_mode not in _MODES:
@@ -142,23 +134,6 @@ class BellReport:
             raise ValueError("value does not match the correlator combination")
 
 
-def _projector_pairs(obs, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(P+, P-) for a stack of observables, checked as MeasurementSetting checks one."""
-    if not np.all(np.isfinite(obs)):
-        raise ValueError("observable entries must be finite")
-    eye = identity(d)
-    if max_abs(obs - obs.conj().swapaxes(-1, -2)) > 1e-9:
-        raise ValueError("observable is not Hermitian")
-    if max_abs(obs @ obs - eye) > 1e-9:
-        raise ValueError("observable is not dichotomic (O^2 != I)")
-    p_plus, p_minus = ((eye + a * obs) / 2.0 for a in (+1, -1))
-    if max_abs(p_plus + p_minus - eye) > 1e-12:
-        raise ValueError("outcome projectors do not resolve the identity")
-    if max_abs(p_plus @ p_minus) > 1e-12:
-        raise ValueError("outcome projectors are not orthogonal")
-    return p_plus, p_minus
-
-
 def correlator_tables(initial, firsts, unitaries, seconds) -> np.ndarray:
     """Two-time correlator tables for a stack of settings.
 
@@ -172,7 +147,7 @@ def correlator_tables(initial, firsts, unitaries, seconds) -> np.ndarray:
     floating-point operations in the same order for every entry, so a value
     does not depend on the size of the stack or on its other entries.
     """
-    rho = _check_initial(initial)
+    rho = density_operator(initial)
     d = rho.shape[0]
     firsts, seconds = (np.asarray(o, dtype=complex) for o in (firsts, seconds))
     for obs in (firsts, seconds):
@@ -185,9 +160,8 @@ def correlator_tables(initial, firsts, unitaries, seconds) -> np.ndarray:
     u_dag = u.conj().swapaxes(-1, -2)
     # one check over both stacks, then split each projector back per stack
     k = firsts.shape[1]
-    both = _projector_pairs(np.concatenate([firsts, seconds], axis=1), d)
-    first_projectors = [p[:, :k] for p in both]
-    second_projectors = [p[:, k:] for p in both]
+    both = dichotomic_projectors(np.concatenate([firsts, seconds], axis=1))
+    first_projectors, second_projectors = both[:, :, :k], both[:, :, k:]
     total = 0.0
     for a, pa in zip((+1, -1), first_projectors):
         mid = (u @ pa @ rho @ pa @ u_dag)[:, :, None]
@@ -316,29 +290,6 @@ class MonogamyResult:
     mode: str
 
 
-def _chained_second_pair_table(rho, a_settings, b_settings, c_settings, u1, u2) -> np.ndarray:
-    """Second-pair correlators with the first measurement left in the chain.
-
-    Each run measures the first observable (both of its settings weighted
-    equally), keeps the collapsed state, and continues; the middle outcome is
-    shared between the two pair functionals, so the later correlator is the
-    abc-joint marginal over the first outcome.
-    """
-    table = np.zeros((2, 2))
-    for j, b_set in enumerate(b_settings):
-        for k, c_set in enumerate(c_settings):
-            acc = 0.0
-            for a_set in a_settings:
-                dist = mixed_sequence_distribution(
-                    rho,
-                    (a_set, b_set, c_set),
-                    unitaries=(identity(rho.shape[0]), u1, u2, identity(rho.shape[0])),
-                )
-                acc += dist.correlator(1, 2)
-            table[j, k] = acc / len(a_settings)
-    return table
-
-
 def monogamy_sum(
     initial,
     a_settings: Sequence[MeasurementSetting],
@@ -351,12 +302,13 @@ def monogamy_sum(
 
     The middle-time settings are shared between both pairs.  In independent
     mode each pair is evaluated on a fresh ensemble; in chained mode the
-    second pair is evaluated downstream of the first measurement in a single
-    run (no established reference value applies to the chained reading).
+    second pair is evaluated downstream of the unread first measurement in a
+    single run, as the correlator of the mixture of processes rho' (see the
+    module docstring; no established reference value applies to this reading).
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
-    rho = _check_initial(initial)
+    rho = density_operator(initial)
     d = rho.shape[0]
     u1, u2 = (_check_unitary(u, d, f"unitaries[{i}]") for i, u in enumerate(unitaries))
     a_settings, b_settings, c_settings = tuple(a_settings), tuple(b_settings), tuple(c_settings)
@@ -368,8 +320,9 @@ def monogamy_sum(
         second = _report(tables[1], b_settings + c_settings, mode)
     else:
         first = _report(correlator_tables(rho, a[None], u1, b[None])[0], a_settings + b_settings, mode)
-        table = _chained_second_pair_table(rho, a_settings, b_settings, c_settings, u1, u2)
-        second = _report(table, b_settings + c_settings, mode)
+        pa = np.stack([s.projectors() for s in a_settings])
+        mixed = u1 @ ((pa @ rho @ pa).sum(axis=(0, 1)) / len(a_settings)) @ u1.conj().T
+        second = _report(correlator_tables(mixed, b[None], u2, c[None])[0], b_settings + c_settings, mode)
     total = float(first.value + second.value)
     return MonogamyResult(first, second, total, 4.0 * math.sqrt(2.0), 4.0, mode)
 
@@ -410,7 +363,7 @@ def chained_bell(
     evaluated once and its report repeated.  At most MAX_CHAIN_BLOCKS blocks.
     """
     _check_chain_length(n)
-    rho = maximally_mixed(2) if initial is None else _check_initial(initial)
+    rho = maximally_mixed(2) if initial is None else initial
     report = s_lgi(
         CorrelatorSpec(rho, tuple(first_settings), tuple(second_settings), unitary, INDEPENDENT)
     )
@@ -478,7 +431,7 @@ def _objective_function(objective: str, initial, n: int) -> tuple[Callable, int]
     Each value equals what the named public function returns for the settings
     ``settings_from_angles`` builds from that row.
     """
-    rho = maximally_mixed(2) if initial is None else _check_initial(initial)
+    rho = maximally_mixed(2) if initial is None else density_operator(initial)
     if rho.shape != (2, 2):
         raise ShapeError("the angle parameterization covers qubit settings only")
 

@@ -2,8 +2,9 @@
 
 Subcommands: scenario, lgi, chained, monogamy, optimize, weight, abl.
 Exit codes: 0 success, 2 input error, 3 optimizer result not certified (budget
-spent or every start stalled), 4 impossible post-selection.  Identical arguments (including --seed) produce
-byte-identical output.
+spent or every start stalled), 4 impossible post-selection.  Identical arguments
+produce byte-identical output.  Every subcommand takes --format and --out;
+--seed belongs to optimize and --tol to weight, the only readers of each.
 
 A process builds one argument parser, on its first ``main`` call, and reuses
 it: parsing does not change a parser, and each call gets a fresh namespace.
@@ -15,8 +16,6 @@ import argparse
 import functools
 import math
 import sys
-
-import numpy as np
 
 from . import serialize
 from .bell import (
@@ -35,7 +34,7 @@ from .bell import (
 )
 from .errors import ImpossiblePostselectionError
 from .histories import HistoryState, hs_norm, is_consistent_family, normalize, weight
-from .linalg import maximally_mixed, projector
+from .linalg import maximally_mixed
 from .scenarios import SCENARIOS, run_scenario
 from .twostate import TwoTimeExperiment, mixed_sequence_distribution, sequence_distribution, abl_probability
 
@@ -49,9 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "pretty"), default="json",
                         help="output format (default json)")
-    common.add_argument("--tol", type=float, default=1e-9,
-                        help="consistency tolerance override")
-    common.add_argument("--seed", type=int, default=0, help="optimizer seed")
     common.add_argument("--out", default=None, help="write the report to this path")
 
     parser = argparse.ArgumentParser(prog="qhist", description=__doc__)
@@ -86,9 +82,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=None,
                    help=f"random starts besides the all-pi/4 one (at most {MAX_RESTARTS})")
     p.add_argument("--max-evals", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0, help="optimizer seed")
 
     p = sub.add_parser("weight", parents=[common], help="weight and consistency of a history file")
     p.add_argument("--spec", required=True, help="JSON history document")
+    p.add_argument("--tol", type=float, default=1e-9, help="consistency tolerance override")
 
     p = sub.add_parser("abl", parents=[common], help="pre/post-selected outcome distribution")
     p.add_argument("--spec", required=True, help="JSON experiment document")
@@ -106,19 +104,6 @@ def _parser() -> argparse.ArgumentParser:
 
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (document, special_csv_or_None, exit_code)
-
-
-def _settings_pair(doc, what: str):
-    if not isinstance(doc, list) or len(doc) != 2:
-        raise serialize.SpecError(f"{what}: expected a list of two settings")
-    return tuple(serialize.setting_from_document(s, f"{what}[{i}]") for i, s in enumerate(doc))
-
-
-def _initial_from_document(doc) -> np.ndarray:
-    if doc is None or doc == "mixed":
-        return maximally_mixed(2)
-    ket = serialize.state_from_document(doc, "initial")
-    return projector(ket)
 
 
 def _run_scenario(args):
@@ -146,25 +131,21 @@ def _run_scenario(args):
 def _run_lgi(args):
     if args.spec is not None:
         doc = serialize.load_document(args.spec)
-        initial = _initial_from_document(doc.get("initial"))
-        firsts = _settings_pair(doc.get("first"), "first")
-        seconds = _settings_pair(doc.get("second"), "second")
+        initial, (firsts, seconds) = serialize.bell_spec_from_document(doc, ("first", "second"))
         unitary = serialize.unitary_from_document(doc.get("unitary", "I"), "unitary")
     else:
         initial = maximally_mixed(2)
         firsts, seconds = tsirelson_settings()
         unitary = None
     report = s_lgi(CorrelatorSpec(initial, firsts, seconds, unitary))
-    return serialize.document("lgi", serialize.to_jsonable(report)), None, EXIT_OK
+    return serialize.document("lgi", report), None, EXIT_OK
 
 
 def _run_chained(args):
     n = args.n
     if args.spec is not None:
         doc = serialize.load_document(args.spec)
-        initial = _initial_from_document(doc.get("initial"))
-        firsts = _settings_pair(doc.get("first"), "first")
-        seconds = _settings_pair(doc.get("second"), "second")
+        initial, (firsts, seconds) = serialize.bell_spec_from_document(doc, ("first", "second"))
         unitary = serialize.unitary_from_document(doc.get("unitary", "I"), "unitary")
         if n is None:
             n = doc.get("n", 1)
@@ -177,17 +158,14 @@ def _run_chained(args):
         if n is None:
             n = 1
     result = chained_bell(n, firsts, seconds, initial=initial, unitary=unitary)
-    return serialize.document("chained", serialize.to_jsonable(result)), None, EXIT_OK
+    return serialize.document("chained", result), None, EXIT_OK
 
 
 def _run_monogamy(args):
     mode = INDEPENDENT if args.mode == "independent" else CHAINED
     if args.spec is not None:
         doc = serialize.load_document(args.spec)
-        initial = _initial_from_document(doc.get("initial"))
-        a = _settings_pair(doc.get("a"), "a")
-        b = _settings_pair(doc.get("b"), "b")
-        c = _settings_pair(doc.get("c"), "c")
+        initial, (a, b, c) = serialize.bell_spec_from_document(doc, ("a", "b", "c"))
         unis = doc.get("unitaries")
         unitaries = (None, None)
         if unis is not None:
@@ -201,7 +179,7 @@ def _run_monogamy(args):
         a, b, c = monogamy_preset_settings()
         unitaries = (None, None)
     result = monogamy_sum(initial, a, b, c, unitaries=unitaries, mode=mode)
-    return serialize.document("monogamy", serialize.to_jsonable(result)), None, EXIT_OK
+    return serialize.document("monogamy", result), None, EXIT_OK
 
 
 def _run_optimize(args):
@@ -210,7 +188,7 @@ def _run_optimize(args):
     result = optimize_settings(
         objective=args.objective, config=OptimizerConfig(**overrides), n=args.n
     )
-    doc = serialize.document("optimize", serialize.to_jsonable(result))
+    doc = serialize.document("optimize", result)
     code = EXIT_OK if result.converged else EXIT_NONCONVERGED
     return doc, serialize.trace_csv(result), code
 

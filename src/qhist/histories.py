@@ -44,7 +44,7 @@ from .errors import (
     NonFactorizableEvolutionError,
     ShapeError,
 )
-from .linalg import as_matrix, bell_pair_ket, identity, max_abs, projector
+from .linalg import as_matrix, bell_pair_ket, check_unitary, identity, max_abs, projector
 
 __all__ = [
     "TimeGrid",
@@ -254,8 +254,7 @@ class BridgingSet:
         for k, u in enumerate(mats):
             if u.shape != (dims[k + 1], dims[k]):
                 raise ShapeError(f"bridge {k} shape {u.shape} incompatible with slot dims")
-            if max_abs(u.conj().T @ u - identity(dims[k])) > UNITARITY_TOL:
-                raise ValueError(f"bridge {k} is not unitary within {UNITARITY_TOL}")
+            check_unitary(u, f"bridge {k}")
 
     @classmethod
     def trivial(cls, grid: TimeGrid) -> "BridgingSet":

@@ -22,6 +22,9 @@ __all__ = [
     "partial_trace",
     "is_projector",
     "max_abs",
+    "check_unitary",
+    "density_operator",
+    "dichotomic_projectors",
     "identity",
     "pauli",
     "qubit_ket",
@@ -112,6 +115,52 @@ def is_projector(a, tol: float = DEFAULT_TOL) -> bool:
 
 def identity(d: int) -> np.ndarray:
     return np.eye(d, dtype=complex)
+
+
+# ---------------------------------------------------------------------------
+# the one check for each kind of physical input; ``what`` names it in errors
+
+
+def check_unitary(u, what: str = "unitary") -> np.ndarray:
+    """``u`` once U^dag U = I: one matrix, an (N, m, n) stack, or a tall isometry."""
+    u = np.asarray(u, dtype=complex)
+    if not np.all(np.isfinite(u)):
+        raise ValueError(f"{what} entries must be finite")
+    if max_abs(u.conj().swapaxes(-1, -2) @ u - identity(u.shape[-1])) > DEFAULT_TOL:
+        raise ValueError(f"{what} is not unitary")
+    return u
+
+
+def density_operator(rho, what: str = "initial state") -> np.ndarray:
+    """``rho`` once square, unit-trace and Hermitian (positivity is not checked)."""
+    rho = as_matrix(rho)
+    if rho.shape[0] != rho.shape[1]:
+        raise ShapeError(f"{what} must be square")
+    if abs(np.trace(rho) - 1.0) > DEFAULT_TOL or max_abs(rho - rho.conj().T) > DEFAULT_TOL:
+        raise ValueError(f"{what} must be a unit-trace Hermitian density operator")
+    return rho
+
+
+def dichotomic_projectors(obs, what: str = "observable") -> np.ndarray:
+    """(P+, P-) = ((I + O)/2, (I - O)/2) stacked on a new leading axis, for one
+    observable O or a (..., d, d) stack, once O is finite, Hermitian, O^2 = I
+    and the projectors resolve the identity and are orthogonal."""
+    obs = np.asarray(obs, dtype=complex)
+    if obs.ndim < 2 or obs.shape[-1] != obs.shape[-2]:
+        raise ShapeError(f"{what} must be square")
+    if not np.all(np.isfinite(obs)):
+        raise ValueError(f"{what} entries must be finite")
+    eye = identity(obs.shape[-1])
+    if max_abs(obs - obs.conj().swapaxes(-1, -2)) > DEFAULT_TOL:
+        raise ValueError(f"{what} is not Hermitian")
+    if max_abs(obs @ obs - eye) > DEFAULT_TOL:
+        raise ValueError(f"{what} is not dichotomic (O^2 != I)")
+    pair = np.stack([(eye + a * obs) / 2.0 for a in (+1, -1)])
+    if max_abs(pair[0] + pair[1] - eye) > 1e-12:
+        raise ValueError("outcome projectors do not resolve the identity")
+    if max_abs(pair[0] @ pair[1]) > 1e-12:
+        raise ValueError("outcome projectors are not orthogonal")
+    return pair
 
 
 _PAULIS = {

@@ -41,7 +41,7 @@ import numpy as np
 from .bell import OptimizeResult
 from .errors import ShapeError
 from .histories import BridgingSet, ElementaryHistory, HistoryState, MixedHistory, TimeGrid
-from .linalg import identity, pauli, qubit_ket
+from .linalg import identity, maximally_mixed, pauli, projector, qubit_ket
 from .scenarios import ScenarioResult
 from .twostate import MeasurementSetting, OutcomeDistribution
 
@@ -156,13 +156,13 @@ def to_jsonable(obj):
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def document(name: str, artifacts: Mapping, notes=()) -> dict:
-    """Uniform top-level report shape used by every command."""
-    return {
-        "name": name,
-        "artifacts": {str(k): to_jsonable(v) for k, v in artifacts.items()},
-        "notes": [str(n) for n in notes],
-    }
+def document(name: str, artifacts, notes=()) -> dict:
+    """Uniform top-level report shape used by every command.
+
+    ``artifacts`` is a mapping or a result dataclass (its fields become the
+    artifacts); it is encoded here, once.
+    """
+    return {"name": name, "artifacts": to_jsonable(artifacts), "notes": [str(n) for n in notes]}
 
 
 def scenario_document(result: ScenarioResult) -> dict:
@@ -386,6 +386,23 @@ def setting_from_document(doc, what: str = "setting") -> MeasurementSetting:
             raise SpecError(f"{what}: Bloch form needs numeric 'theta' and 'phi'") from None
         return MeasurementSetting.from_bloch(theta, phi, label=doc.get("label"))
     raise SpecError(f"{what}: expected a Pauli name or Bloch angles")
+
+
+def bell_spec_from_document(doc: dict, parties: tuple[str, ...]):
+    """(rho, one settings pair per party) from a Bell command's spec; an absent
+    or "mixed" ``initial`` is the maximally mixed qubit, a state its projector."""
+    initial = doc.get("initial")
+    if initial is None or initial == "mixed":
+        rho = maximally_mixed(2)
+    else:
+        rho = projector(state_from_document(initial, "initial"))
+    pairs = []
+    for party in parties:
+        pair = doc.get(party)
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise SpecError(f"{party}: expected a list of two settings")
+        pairs.append(tuple(setting_from_document(s, f"{party}[{i}]") for i, s in enumerate(pair)))
+    return rho, tuple(pairs)
 
 
 def slot_operator_from_document(doc, what: str = "slot") -> np.ndarray:

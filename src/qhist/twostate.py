@@ -29,7 +29,9 @@ import numpy as np
 from .errors import ImpossiblePostselectionError, ShapeError
 # MAX_MEASURED_SLOTS is the chain kernel's bound, re-exported here
 from .histories import MAX_MEASURED_SLOTS, BridgingSet, HistoryState, TimeGrid, _chains, _term_chains, hs_norm
-from .linalg import as_ket, as_matrix, identity, max_abs, pauli, projector
+from .linalg import (
+    as_ket, as_matrix, check_unitary, density_operator, dichotomic_projectors, identity, pauli, projector,
+)
 
 __all__ = [
     "MeasurementSetting",
@@ -62,18 +64,10 @@ class MeasurementSetting:
         obs = np.array(as_matrix(self.observable), dtype=complex)
         obs.setflags(write=False)
         object.__setattr__(self, "observable", obs)
-        d = obs.shape[0]
-        if obs.shape != (d, d):
-            raise ShapeError("observable must be square")
-        if max_abs(obs - obs.conj().T) > 1e-9:
-            raise ValueError(f"observable {self.label!r} is not Hermitian")
-        if max_abs(obs @ obs - identity(d)) > 1e-9:
-            raise ValueError(f"observable {self.label!r} is not dichotomic (O^2 != I)")
-        p_plus, p_minus = self.projectors()
-        if max_abs(p_plus + p_minus - identity(d)) > 1e-12:
-            raise ValueError("outcome projectors do not resolve the identity")
-        if max_abs(p_plus @ p_minus) > 1e-12:
-            raise ValueError("outcome projectors are not orthogonal")
+        pair = dichotomic_projectors(obs, f"observable {self.label!r}")
+        pair.setflags(write=False)
+        # an attribute, not a field: fields are what a setting's document holds
+        object.__setattr__(self, "_projectors", pair)
 
     @property
     def dim(self) -> int:
@@ -82,10 +76,11 @@ class MeasurementSetting:
     def projector(self, outcome: int) -> np.ndarray:
         if outcome not in (+1, -1):
             raise ValueError("outcome must be +1 or -1")
-        return (identity(self.dim) + outcome * self.observable) / 2.0
+        return self._projectors[0 if outcome == +1 else 1]
 
-    def projectors(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.projector(+1), self.projector(-1)
+    def projectors(self) -> np.ndarray:
+        """(P+, P-) stacked: (I + O)/2 and (I - O)/2, computed once, read-only."""
+        return self._projectors
 
     @classmethod
     def from_pauli(cls, name: str) -> "MeasurementSetting":
@@ -218,8 +213,7 @@ def _checked_row(d: int, slots, unitaries) -> tuple[np.ndarray, ...]:
         u.setflags(write=False)
         if u.shape != (d, d):
             raise ShapeError("interval unitary has wrong dimension")
-        if max_abs(u.conj().T @ u - identity(d)) > 1e-9:
-            raise ValueError("interval operator is not unitary")
+        check_unitary(u, "interval operator")
     return us
 
 
@@ -256,15 +250,13 @@ def mixed_sequence_distribution(
 ) -> OutcomeDistribution:
     """Sequential-collapse distribution starting from a density operator.
 
-    The slot row is checked as ``TwoTimeExperiment`` checks it: slot
-    dimensions, one interval unitary per gap, and unitarity.
+    ``rho0`` is checked as the Bell functionals check their initial state
+    (square, unit trace, Hermitian), and the slot row as
+    ``TwoTimeExperiment`` checks it: slot dimensions, one interval unitary
+    per gap, and unitarity.
     """
-    rho0 = as_matrix(rho0)
+    rho0 = density_operator(rho0)
     d = rho0.shape[0]
-    if rho0.shape != (d, d):
-        raise ShapeError("initial state must be a square density operator")
-    if abs(np.trace(rho0) - 1.0) > 1e-9:
-        raise ValueError("initial density operator must have unit trace")
     slots = tuple(slots)
     unitaries = _checked_row(d, slots, unitaries)
     labels = _measured_labels(slots)

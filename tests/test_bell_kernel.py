@@ -168,6 +168,38 @@ class TestUnitarityChecks:
             temporal_correlator(maximally_mixed(2), z, 0.5 * np.eye(2), z)
 
 
+def random_pure_state(rng, d: int) -> np.ndarray:
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return np.outer(v, v.conj()) / np.vdot(v, v).real
+
+
+class TestChainedReadingAgainstOracle:
+    """The chained reading as the correlator of the mixture of processes
+    against the old route: eight full three-slot outcome tables per draw."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("state", [random_state, random_pure_state])
+    def test_kernel_route_matches_outcome_tables(self, rng, d, state):
+        gaps = []
+        for _ in range(12):
+            rho = state(rng, d)
+            u1, u2 = random_unitary(rng, d), random_unitary(rng, d)
+            a, b, c = ([random_setting(rng, d) for _ in range(2)] for _ in range(3))
+            chained = monogamy_sum(rho, a, b, c, unitaries=(u1, u2), mode="chained_single_system")
+            want = bell_oracle.chained_second_pair_table(rho, a, b, c, u1, u2)
+            assert np.max(np.abs(chained.second_pair.correlators - want)) <= 1e-12
+            independent = monogamy_sum(rho, a, b, c, unitaries=(u1, u2))
+            assert chained.first_pair.correlators.tobytes() == independent.first_pair.correlators.tobytes()
+            gaps.append(np.max(np.abs(chained.second_pair.correlators
+                                      - independent.second_pair.correlators)))
+        if d == 2:
+            # a qubit collapse correlator is c . (R b) for every state, so
+            # the mixture cannot change it
+            assert max(gaps) <= 1e-12
+        else:
+            assert max(gaps) > 0.1
+
+
 class TestBatchedObjective:
     @pytest.mark.parametrize("objective,n", [("s_lgi", 1), ("chained_bell", 3), ("monogamy_sum", 1)])
     def test_rows_match_public_functions(self, rng, objective, n):

@@ -25,6 +25,8 @@ from qhist.cli import (
 from qhist.scenarios import MAX_GHZ_SLOTS
 from qhist.twostate import MAX_MEASURED_SLOTS
 
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -235,6 +237,55 @@ class TestMonogamyCommand:
         assert code == EXIT_INPUT
         assert out == ""
         assert err == "error: unitaries[0] is not unitary\n"
+
+
+class TestBellSpecReader:
+    """lgi, chained and monogamy read the initial state and settings pairs
+    with one reader, so each reports a bad field the same way."""
+
+    @pytest.mark.parametrize("command,parties", [
+        ("lgi", ("first", "second")), ("chained", ("first", "second")), ("monogamy", ("a", "b", "c")),
+    ])
+    def test_same_errors_and_initial_state(self, capsys, tmp_path, command, parties):
+        p = tmp_path / "spec.json"
+        for bad in parties:
+            p.write_text(json.dumps({k: ["Z"] if k == bad else ["Z", "X"] for k in parties}))
+            code, out, err = run_cli(capsys, command, "--spec", str(p))
+            assert (code, out, err) == (EXIT_INPUT, "", f"error: {bad}: expected a list of two settings\n")
+        p.write_text(json.dumps({"initial": "q", **{k: ["Z", "X"] for k in parties}}))
+        code, out, err = run_cli(capsys, command, "--spec", str(p))
+        assert (code, out, err) == (EXIT_INPUT, "", "error: initial: unknown named state 'q'\n")
+        p.write_text(json.dumps({"initial": "+", **{k: ["Z", "X"] for k in parties}}))
+        assert run_cli(capsys, command, "--spec", str(p))[0] == EXIT_OK
+
+
+class TestOptionScope:
+    """--seed belongs to optimize and --tol to weight; other subcommands reject them."""
+
+    ARGV = {
+        "scenario": ["scenario", "example1"],
+        "lgi": ["lgi"],
+        "chained": ["chained"],
+        "monogamy": ["monogamy"],
+        "optimize": ["optimize"],
+        "weight": ["weight", "--spec", str(GOLDEN / "specs" / "weight-diagonal.json")],
+        "abl": ["abl", "--spec", str(GOLDEN / "specs" / "abl-pure.json")],
+    }
+
+    @pytest.mark.parametrize("option,owner", [("--seed", "optimize"), ("--tol", "weight")])
+    def test_rejected_outside_its_subcommand(self, capsys, option, owner):
+        for command, argv in self.ARGV.items():
+            if command == owner:
+                continue
+            with pytest.raises(SystemExit) as exit_:
+                main(argv + [option, "1"])
+            assert exit_.value.code == EXIT_INPUT
+            assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
+
+    def test_weight_reads_tol(self, capsys):
+        code, out, _ = run_cli(capsys, *self.ARGV["weight"], "--tol", "0.25")
+        assert code == EXIT_OK
+        assert json.loads(out)["artifacts"]["term_consistency"]["tol"] == 0.25
 
 
 class TestOptimizeCommand:
@@ -496,9 +547,6 @@ class TestAblCommand:
         code, out, _ = run_cli(capsys, "abl", "--spec", spec, "--format", fmt)
         assert code == EXIT_OK
         assert "0.5" in out
-
-
-GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 class TestParserReuse:

@@ -189,6 +189,13 @@ class TestChainOperator:
         k = chain_operator_sum(ElementaryHistory(g, tuple(p)), b)
         assert np.allclose(k, p[2] @ u1 @ p[1] @ u0 @ p[0], atol=1e-12)
 
+    def test_non_unitary_bridge_rejected(self, rng):
+        g = TimeGrid((0.0, 1.0, 2.0), (2, 3, 3))
+        isometry = random_unitary(rng, 3)[:, :2]
+        BridgingSet(g, (isometry, identity(3)))
+        with pytest.raises(ValueError, match=r"^bridge 1 is not unitary$"):
+            BridgingSet(g, (isometry, np.diag([1.0, 1.0, 0.5])))
+
     def test_identity_middle_slot_collapses(self, rng):
         # an unobserved intermediate slot is the same as composing the bridges
         u0 = random_unitary(rng, 2)

@@ -11,6 +11,9 @@ from qhist.linalg import (
     as_ket,
     as_matrix,
     bell_pair_ket,
+    check_unitary,
+    density_operator,
+    dichotomic_projectors,
     identity,
     is_projector,
     kron,
@@ -145,6 +148,71 @@ class TestPredicates:
         for d in (2, 3, 4):
             u = random_unitary(rng, d)
             assert max_abs(u.conj().T @ u - identity(d)) <= 1e-9
+
+
+class TestInputChecks:
+    """Each kind of physical input has one check, which rejects a bad matrix
+    and a stack holding one bad matrix alike."""
+
+    @staticmethod
+    def forms(m):
+        """A matrix alone and as the last entry of a stack of good ones."""
+        good = identity(m.shape[-1])
+        return [m, np.stack([good, good, m])]
+
+    def test_unitary(self, rng):
+        u = random_unitary(rng, 3)
+        assert check_unitary(u).tobytes() == u.tobytes()
+        assert check_unitary(np.stack([u, u.conj().T])).shape == (2, 3, 3)
+        for form in self.forms(0.5 * identity(2)):
+            with pytest.raises(ValueError, match=r"^unitaries\[0\] is not unitary$"):
+                check_unitary(form, "unitaries[0]")
+        for form in self.forms(np.full((2, 2), np.nan)):
+            with pytest.raises(ValueError, match="interval operator entries must be finite"):
+                check_unitary(form, "interval operator")
+
+    def test_unitary_accepts_a_tall_isometry_only(self, rng):
+        v = random_unitary(rng, 4)[:, :2]
+        check_unitary(v, "bridge 0")
+        with pytest.raises(ValueError, match=r"^bridge 0 is not unitary$"):
+            check_unitary(v.T, "bridge 0")
+
+    def test_density_operator(self, rng):
+        v = rng.normal(size=3) + 1j * rng.normal(size=3)
+        rho = np.outer(v, v.conj()) / np.vdot(v, v).real
+        assert density_operator(rho).tobytes() == rho.tobytes()
+        for bad in (2.0 * maximally_mixed(2), np.array([[0.5, 0.4], [0.0, 0.5]])):
+            with pytest.raises(ValueError, match="^initial state must be a unit-trace Hermitian density operator$"):
+                density_operator(bad)
+        with pytest.raises(ShapeError, match="rho must be square"):
+            density_operator(np.ones((2, 3)) / 2.0, "rho")
+        with pytest.raises(ShapeError):
+            density_operator(np.stack([maximally_mixed(2)] * 2))
+        with pytest.raises(ValueError, match="finite"):
+            density_operator(np.full((2, 2), np.inf))
+
+    def test_dichotomic(self):
+        cases = [
+            (np.array([[0, 1], [0, 0]], dtype=complex), "observable is not Hermitian"),
+            (0.5 * pauli("Z"), r"observable is not dichotomic \(O\^2 != I\)"),
+            (np.full((2, 2), np.nan), "observable entries must be finite"),
+        ]
+        for bad, message in cases:
+            for form in self.forms(bad):
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    dichotomic_projectors(form)
+        with pytest.raises(ShapeError, match="observable must be square"):
+            dichotomic_projectors(np.ones((2, 3)))
+
+    def test_dichotomic_pair_is_i_plus_minus_o_over_two(self, rng):
+        u = random_unitary(rng, 3)
+        obs = np.stack([pauli("X"), pauli("Y")]), u @ np.diag([1.0, 1.0, -1.0]) @ u.conj().T
+        for o in obs:
+            eye = identity(o.shape[-1])
+            pair = dichotomic_projectors(o)
+            assert pair.shape == (2,) + o.shape
+            assert pair[0].tobytes() == ((eye + o) / 2.0).tobytes()
+            assert pair[1].tobytes() == ((eye - o) / 2.0).tobytes()
 
 
 class TestNamedStates:

@@ -86,6 +86,14 @@ class TestEncoding:
         assert len(doc["correlators"]) == 2
         assert doc["mode"]
 
+    def test_document_encodes_a_result_once(self):
+        firsts, seconds = tsirelson_settings()
+        rep = s_lgi(CorrelatorSpec(maximally_mixed(2), firsts, seconds))
+        doc = document("lgi", rep)
+        assert doc["artifacts"] == to_jsonable(rep)
+        # to_jsonable is idempotent on its own output, so pre-encoded artifacts read the same
+        assert dumps_json(doc) == dumps_json(document("lgi", to_jsonable(rep)))
+
     def test_unknown_type_raises(self):
         with pytest.raises(TypeError):
             to_jsonable(object())

@@ -33,6 +33,7 @@ import twostate_oracle
 from conftest import (
     HADAMARD,
     diagonal_branches,
+    random_dichotomic,
     experiment_corpus,
     random_ket,
     random_setting,
@@ -69,6 +70,19 @@ class TestMeasurementSetting:
     def test_outcome_validation(self):
         with pytest.raises(ValueError):
             X.projector(0)
+
+    def test_projectors_are_i_plus_minus_o_over_two(self, rng):
+        for setting in (X, Y, Z, MeasurementSetting("R", random_dichotomic(rng))):
+            eye = identity(setting.dim)
+            want = [(eye + a * setting.observable) / 2.0 for a in (+1, -1)]
+            got = setting.projectors()
+            assert [p.tobytes() for p in got] == [w.tobytes() for w in want]
+            assert [setting.projector(a).tobytes() for a in (+1, -1)] == [w.tobytes() for w in want]
+            assert not got.flags.writeable
+
+    def test_label_names_the_rejected_observable(self):
+        with pytest.raises(ValueError, match="^observable 'bad' is not Hermitian$"):
+            MeasurementSetting("bad", np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 class TestOutcomeDistribution:
@@ -176,6 +190,13 @@ class TestMixedSequenceDistribution:
     def test_trace_validation(self):
         with pytest.raises(ValueError):
             mixed_sequence_distribution(2.0 * maximally_mixed(2), (X,))
+
+    def test_non_hermitian_state_rejected(self):
+        # unit trace but not Hermitian: once read as the distribution
+        # {++: 0.35, +-: 0.35, -+: 0.15, --: 0.15}
+        rho = np.array([[0.5, 0.4], [0.0, 0.5]], dtype=complex)
+        with pytest.raises(ValueError, match="density operator"):
+            mixed_sequence_distribution(rho, (X, Z))
 
     def test_unitary_count_validation(self):
         with pytest.raises(ShapeError):
