@@ -33,7 +33,7 @@ from .bell import (
     tsirelson_settings,
 )
 from .errors import ImpossiblePostselectionError
-from .histories import HistoryState, hs_norm, is_consistent_family, normalize, weight
+from .histories import _term_consistency, hs_norm, weight
 from .linalg import maximally_mixed
 from .scenarios import SCENARIOS, run_scenario
 from .twostate import TwoTimeExperiment, mixed_sequence_distribution, sequence_distribution, abl_probability
@@ -196,8 +196,7 @@ def _run_optimize(args):
 def _run_weight(args):
     doc = serialize.load_document(args.spec)
     history, bridging = serialize.history_from_document(doc)
-    singletons = [normalize(HistoryState(((c, eh),))) for c, eh in history.terms]
-    report = is_consistent_family(singletons, bridging, tol=args.tol)
+    report = _term_consistency(history, bridging, tol=args.tol)
     artifacts = {
         "weight": weight(history, bridging),
         "norm": hs_norm(history),

@@ -124,6 +124,37 @@ def _require_same_grid(a: TimeGrid, b: TimeGrid) -> None:
         raise GridMismatchError("objects are defined on different time grids")
 
 
+def _merge_rows(rows: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """First-match merge of term rows: row t joins the first earlier
+    unmerged row within MERGE_TOL in every entry.  Returns the unmerged rows'
+    indices, in order, and each row's position among them."""
+    kept = np.empty_like(rows)
+    firsts: list[int] = []
+    group = np.empty(len(rows), dtype=int)
+    for t, row in enumerate(rows):
+        n = len(firsts)
+        if n:
+            hits = np.flatnonzero(np.abs(kept[:n] - row).max(axis=1) <= MERGE_TOL)
+            if hits.size:
+                group[t] = hits[0]
+                continue
+        kept[n] = row
+        group[t] = n
+        firsts.append(t)
+    return firsts, group
+
+
+def _uncancelled(coefs: np.ndarray) -> list[int]:
+    """Indices of the coefficients above 1e-15 of the largest magnitude (the
+    first alone if none is, as with an infinite one), or of all of them when
+    the largest is zero."""
+    mags = np.abs(coefs).tolist()
+    scale = max(mags, default=0.0)
+    if not scale > 0.0:
+        return list(range(len(mags)))
+    return [i for i, m in enumerate(mags) if m > 1e-15 * scale] or [0]
+
+
 @dataclass(frozen=True)
 class ElementaryHistory:
     """One operator per slot, earliest slot first."""
@@ -154,6 +185,14 @@ class ElementaryHistory:
     def from_kets(cls, grid: TimeGrid, kets: Sequence) -> "ElementaryHistory":
         return cls(grid, tuple(projector(k) for k in kets))
 
+    def _restricted(self, grid: TimeGrid, keep: Sequence[int]) -> "ElementaryHistory":
+        """The string of the ``keep`` slots on ``grid``, whose dimensions are
+        theirs: the operators are already checked, so nothing is copied."""
+        eh = object.__new__(ElementaryHistory)
+        object.__setattr__(eh, "grid", grid)
+        object.__setattr__(eh, "slots", tuple(self.slots[k] for k in keep))
+        return eh
+
 
 @dataclass(frozen=True)
 class HistoryState:
@@ -163,9 +202,10 @@ class HistoryState:
     on construction into the first of them, so equal-by-construction states
     have identical canonical term lists.  ``_rows`` holds the merged terms'
     slot operators, row t being term t's flattened row-major and
-    concatenated earliest slot first; the Hilbert-Schmidt geometry
-    (``_slot_grams``) and the chain kernel read it as per-slot stacks
-    (``_stacks``).
+    concatenated earliest slot first; the Hilbert-Schmidt geometry and the
+    chain kernel read it as per-slot stacks (``_stacks``), and the per-slot
+    self-Grams (``_self_grams``) are computed once per state and shared by
+    every scalar multiple of it.
     """
 
     terms: tuple[tuple[complex, ElementaryHistory], ...]
@@ -178,27 +218,32 @@ class HistoryState:
         grid = terms[0][1].grid
         for _, eh in terms:
             _require_same_grid(grid, eh.grid)
-        rows = np.empty((len(terms), sum(d * d for d in grid.slot_dims)), dtype=complex)
-        merged: list[tuple[complex, ElementaryHistory]] = []
-        for c, eh in terms:
-            row = np.concatenate([op.reshape(-1) for op in eh.slots])
-            n = len(merged)
-            if n:
-                hits = np.flatnonzero(np.abs(rows[:n] - row).max(axis=1) <= MERGE_TOL)
-                if hits.size:
-                    c0, eh0 = merged[hits[0]]
-                    merged[hits[0]] = (c0 + c, eh0)
-                    continue
-            rows[n] = row
-            merged.append((c, eh))
-        live = range(len(merged))
-        scale = max((abs(c) for c, _ in merged), default=0.0)
-        if scale > 0.0:
-            live = [i for i, (c, _) in enumerate(merged) if abs(c) > 1e-15 * scale] or [0]
-        rows = rows[live]
+        rows = np.stack([np.concatenate([op.reshape(-1) for op in eh.slots]) for _, eh in terms])
+        firsts, group = _merge_rows(rows)
+        merged = [terms[t] for t in firsts]
+        for t, g in enumerate(group.tolist()):
+            if t != firsts[g]:
+                c0, eh0 = merged[g]
+                merged[g] = (c0 + terms[t][0], eh0)
+        self._set_terms(merged, rows[firsts])
+
+    def _set_terms(self, merged: list, rows: np.ndarray) -> None:
+        """Store distinct terms and their rows, dropping any whose coefficient
+        cancelled (``_uncancelled``)."""
+        live = _uncancelled(np.array([c for c, _ in merged]))
+        if len(live) < len(merged):
+            merged, rows = [merged[i] for i in live], rows[live]
         rows.setflags(write=False)
-        object.__setattr__(self, "terms", tuple(merged[i] for i in live))
+        object.__setattr__(self, "terms", tuple(merged))
         object.__setattr__(self, "_rows", rows)
+
+    @classmethod
+    def _distinct(cls, terms, rows: np.ndarray) -> "HistoryState":
+        """A state over terms whose strings are already pairwise distinct,
+        with their rows: the merge is skipped, the cancellation rule is not."""
+        h = object.__new__(cls)
+        h._set_terms(list(terms), rows)
+        return h
 
     @property
     def grid(self) -> TimeGrid:
@@ -211,10 +256,16 @@ class HistoryState:
     @functools.cached_property
     def _stacks(self) -> tuple[np.ndarray, ...]:
         """Slot k's term operators as a read-only (T, d_k, d_k) view of
-        ``_rows``, earliest slot first; the only reader of its layout."""
-        ends = np.cumsum([d * d for d in self.grid.slot_dims]).tolist()
-        return tuple(self._rows[:, e - d * d:e].reshape(-1, d, d)
-                     for d, e in zip(self.grid.slot_dims, ends))
+        ``_rows``, earliest slot first."""
+        return _split_rows(self._rows, self.grid.slot_dims)
+
+    @functools.cached_property
+    def _self_grams(self) -> tuple[np.ndarray, ...]:
+        """Per-slot Grams of the terms with themselves (``_grams``), read-only."""
+        grams = _grams(self._stacks, self._stacks)
+        for g in grams:
+            g.setflags(write=False)
+        return tuple(grams)
 
     @classmethod
     def from_slots(cls, grid: TimeGrid, ops: Sequence, coefficient: complex = 1.0) -> "HistoryState":
@@ -233,7 +284,13 @@ class HistoryState:
 
     def __mul__(self, scalar) -> "HistoryState":
         s = complex(scalar)
-        return HistoryState(tuple((s * c, eh) for c, eh in self.terms))
+        out = HistoryState._distinct(tuple((s * c, eh) for c, eh in self.terms), self._rows)
+        if out._rows is self._rows:
+            # same strings: the cached stacks and Grams carry over
+            for name in ("_stacks", "_self_grams"):
+                if name in self.__dict__:
+                    out.__dict__[name] = self.__dict__[name]
+        return out
 
     __rmul__ = __mul__
 
@@ -360,11 +417,63 @@ class ConsistencyReport:
 
 
 def is_consistent_family(family: Sequence, b: BridgingSet, tol: float = 1e-9) -> ConsistencyReport:
-    """Check |Tr(K_i^dag K_j)| <= tol for all i != j (medium decoherence)."""
-    chains = [chain_operator_sum(h, b).reshape(-1) for h in family]
-    if not chains:
+    """Check |Tr(K_i^dag K_j)| <= tol for all i != j (medium decoherence).
+
+    All members' terms go through the chain kernel in one call.
+    """
+    states = [_as_state(h) for h in family]
+    if not states:
         raise ValueError("family must be nonempty")
-    chains = np.stack(chains)
+    for h in states:
+        _require_same_grid(h.grid, b.grid)
+    stacks = tuple(np.concatenate(s) for s in zip(*(h._stacks for h in states)))
+    coefs = np.concatenate([_coefficients(h) for h in states])
+    return _family_report(stacks, coefs, [h.n_terms for h in states], b, tol)
+
+
+def _term_consistency(h: HistoryState, b: BridgingSet, tol: float = 1e-9) -> ConsistencyReport:
+    """``is_consistent_family`` of the terms of ``h``, each normalized on its
+    own: term t enters as c_t eh_t / ||c_t eh_t||, with no one-term state
+    built.  A term whose norm is not finite or is zero raises the error
+    ``normalize`` would, for the first such term.
+    """
+    _require_same_grid(h.grid, b.grid)
+    coefs = _coefficients(h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = coefs.conj() * coefs
+        for stack in h._stacks:
+            # each term's own (1, d^2) @ (d^2, 1) pairing, as hs_norm of a
+            # one-term state makes it: a Gram's diagonal is summed in
+            # another order and would move the last bits
+            flat = stack.reshape(len(stack), 1, -1)
+            sq = sq * (flat.conj() @ flat.transpose(0, 2, 1))[:, 0, 0]
+        sq = sq.real
+    norms = np.sqrt(np.maximum(sq, 0.0))
+    bad = np.flatnonzero(~np.isfinite(sq) | (norms <= 1e-15))
+    if bad.size:
+        if not math.isfinite(sq[bad[0]]):
+            raise ValueError(_NON_FINITE_NORM)
+        raise DegenerateHistoryError(_ZERO_NORM)
+    return _family_report(h._stacks, coefs * (1.0 / norms), [1] * len(coefs), b, tol)
+
+
+def _family_report(stacks, coefs: np.ndarray, counts: Sequence[int], b: BridgingSet,
+                   tol: float) -> ConsistencyReport:
+    """Consistency of a family whose members are runs of consecutive terms:
+    ``counts[i]`` terms each, with per-slot operator ``stacks`` and
+    coefficients ``coefs`` over all terms.  One chain-kernel call."""
+    fixed = dict(enumerate(stacks))
+    weighted = coefs[:, None, None] * _chains(identity(stacks[0].shape[1]), (None,) + b.unitaries,
+                                              [None] * len(stacks), fixed)[1][0]
+    # each member's terms summed left to right, as a reduce over its own terms
+    # would (np.add.reduceat pairs them in another order)
+    counts = np.asarray(counts)
+    starts = np.cumsum(counts) - counts
+    chains = weighted[starts]
+    for p in range(1, int(counts.max())):
+        rows = np.flatnonzero(counts > p)
+        chains[rows] += weighted[starts[rows] + p]
+    chains = chains.reshape(len(counts), -1)
     d = chains.conj() @ chains.T
     # vdot(k, k) is exactly real; the product may leave rounding in the imaginary part
     np.fill_diagonal(d, d.diagonal().real)
@@ -381,11 +490,17 @@ def is_consistent_family(family: Sequence, b: BridgingSet, tol: float = 1e-9) ->
 # Hilbert-Schmidt geometry
 
 
-def _slot_grams(h1: HistoryState, h2: HistoryState) -> list[np.ndarray]:
+def _split_rows(rows: np.ndarray, dims: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """Term rows (slot operators flattened and concatenated, earliest slot
+    first) as per-slot (T, d_k, d_k) views; the only reader of that layout."""
+    ends = np.cumsum([d * d for d in dims]).tolist()
+    return tuple(rows[:, e - d * d:e].reshape(-1, d, d) for d, e in zip(dims, ends))
+
+
+def _grams(stacks_a, stacks_b) -> list[np.ndarray]:
     """Per-slot Hilbert-Schmidt Grams G_k[t, t'] = Tr(A_tk^dag B_t'k) between
-    the terms A_t of ``h1`` and B_t' of ``h2``, earliest slot first."""
-    return [a.reshape(len(a), -1).conj() @ b.reshape(len(b), -1).T
-            for a, b in zip(h1._stacks, h2._stacks)]
+    the terms of two per-slot stacks, earliest slot first."""
+    return [a.reshape(len(a), -1).conj() @ b.reshape(len(b), -1).T for a, b in zip(stacks_a, stacks_b)]
 
 
 def hs_inner(h1, h2) -> complex:
@@ -394,11 +509,16 @@ def hs_inner(h1, h2) -> complex:
     h1, h2 = _as_state(h1), _as_state(h2)
     _require_same_grid(h1.grid, h2.grid)
     prod = np.outer(_coefficients(h1).conj(), _coefficients(h2))
-    for g in _slot_grams(h1, h2):
+    for g in h1._self_grams if h1 is h2 else _grams(h1._stacks, h2._stacks):
         prod *= g
     # a running sum in term-pair order: np.sum's pairwise order would move
     # the last bits of reported norms
     return complex(np.cumsum(prod.ravel())[-1])
+
+
+_NON_FINITE_NORM = ("history norm is not finite: coefficients and matrix entries must be finite "
+                    "and small enough that the squared norm does not overflow")
+_ZERO_NORM = "cannot normalize a zero-norm history"
 
 
 def hs_norm(h) -> float:
@@ -406,17 +526,21 @@ def hs_norm(h) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         sq = hs_inner(h, h).real
     if not math.isfinite(sq):
-        raise ValueError("history norm is not finite: coefficients and matrix entries must be finite "
-                         "and small enough that the squared norm does not overflow")
+        raise ValueError(_NON_FINITE_NORM)
     return math.sqrt(max(sq, 0.0))
+
+
+def _unit_scale(h: HistoryState) -> complex:
+    """The factor 1/||h|| that ``normalize`` applies; zero norm is an error."""
+    n = hs_norm(h)
+    if n <= 1e-15:
+        raise DegenerateHistoryError(_ZERO_NORM)
+    return complex(1.0 / n)
 
 
 def normalize(h) -> HistoryState:
     h = _as_state(h)
-    n = hs_norm(h)
-    if n <= 1e-15:
-        raise DegenerateHistoryError("cannot normalize a zero-norm history")
-    return (1.0 / n) * h
+    return _unit_scale(h) * h
 
 
 def history_vector(h) -> np.ndarray:
@@ -443,28 +567,79 @@ def history_vector(h) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MixedHistory:
-    """Classical ensemble of normalized history states (never a superposition)."""
+    """Classical ensemble of normalized history states (never a superposition).
+
+    The members are also held in term coordinates: T' term strings, as
+    per-slot (T', d_k, d_k) stacks (``_strings``), their Hilbert-Schmidt Gram
+    K = prod_k G_k (``_gram``, T' x T') and a T' x M matrix C (``_coefs``)
+    whose column m is member m's coefficients over the strings, zero off its
+    own terms.  Members i and j pair as (C^dag K C)_ij (``_pairings``), which
+    is all that ``purity`` and the unit-norm check of the members read;
+    ``mixed_overlap`` needs one cross-Gram from the target to the strings.
+    A temporal reduction hands over its merged kept strings; an ensemble
+    given here is written over its members' terms laid end to end, so its C
+    is block diagonal.  All four arrays are read-only.
+    """
 
     ensemble: tuple[tuple[float, HistoryState], ...]
+    _strings: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    _gram: np.ndarray = field(init=False, repr=False, compare=False)
+    _coefs: np.ndarray = field(init=False, repr=False, compare=False)
+    _pairings: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ens = tuple((float(p), h) for p, h in self.ensemble)
-        object.__setattr__(self, "ensemble", ens)
-        if not ens:
-            raise ValueError("ensemble must be nonempty")
-        if any(p <= 0 for p, _ in ens):
-            raise ValueError("ensemble probabilities must be positive")
-        if abs(sum(p for p, _ in ens) - 1.0) > 1e-9:
-            raise ValueError("ensemble probabilities must sum to 1")
-        grid = ens[0][1].grid
+        _check_probabilities(ens)
         for _, h in ens:
-            _require_same_grid(grid, h.grid)
-            if abs(hs_norm(h) - 1.0) > 1e-9:
-                raise ValueError("ensemble members must be normalized")
+            _require_same_grid(ens[0][1].grid, h.grid)
+        strings = tuple(np.concatenate(s) for s in zip(*(h._stacks for _, h in ens)))
+        counts = [h.n_terms for _, h in ens]
+        coefs = np.zeros((sum(counts), len(ens)), dtype=complex)
+        for m, ((_, h), end) in enumerate(zip(ens, np.cumsum(counts).tolist())):
+            coefs[end - h.n_terms:end, m] = _coefficients(h)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = math.prod(_grams(strings, strings))
+        self._set_coordinates(ens, strings, gram, coefs)
+
+    @classmethod
+    def _from_coordinates(cls, ens, strings, gram, coefs) -> "MixedHistory":
+        m = object.__new__(cls)
+        _check_probabilities(ens)
+        m._set_coordinates(ens, strings, gram, coefs)
+        return m
+
+    def _set_coordinates(self, ens, strings, gram, coefs) -> None:
+        """Store the ensemble and its coordinates, then check that every
+        member has unit norm, sqrt((C^dag K C)_mm) within 1e-9 of 1."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            pairings = coefs.conj().T @ gram @ coefs
+        for a in (*strings, gram, coefs, pairings):
+            a.setflags(write=False)
+        for name, value in (("ensemble", ens), ("_strings", strings), ("_gram", gram),
+                            ("_coefs", coefs), ("_pairings", pairings)):
+            object.__setattr__(self, name, value)
+        sq = pairings.diagonal().real
+        if not np.isfinite(sq).all():
+            raise ValueError(_NON_FINITE_NORM)
+        if (np.abs(np.sqrt(np.maximum(sq, 0.0)) - 1.0) > 1e-9).any():
+            raise ValueError("ensemble members must be normalized")
 
     @property
     def grid(self) -> TimeGrid:
         return self.ensemble[0][1].grid
+
+    @property
+    def _probabilities(self) -> np.ndarray:
+        return np.array([p for p, _ in self.ensemble])
+
+
+def _check_probabilities(ens) -> None:
+    if not ens:
+        raise ValueError("ensemble must be nonempty")
+    if any(p <= 0 for p, _ in ens):
+        raise ValueError("ensemble probabilities must be positive")
+    if abs(sum(p for p, _ in ens) - 1.0) > 1e-9:
+        raise ValueError("ensemble probabilities must sum to 1")
 
 
 def mix(ensemble: Iterable[tuple[float, object]]) -> MixedHistory:
@@ -473,12 +648,10 @@ def mix(ensemble: Iterable[tuple[float, object]]) -> MixedHistory:
 
 
 def purity(m: MixedHistory) -> float:
-    """Tr(rho^2) of the ensemble density operator in history space."""
-    total = 0.0
-    for p_i, h_i in m.ensemble:
-        for p_j, h_j in m.ensemble:
-            total += p_i * p_j * abs(hs_inner(h_i, h_j)) ** 2
-    return float(total)
+    """Tr(rho^2) = sum_ij p_i p_j |(C^dag K C)_ij|^2 of the ensemble density
+    operator in history space."""
+    p = m._probabilities
+    return float(np.cumsum((np.outer(p, p) * np.abs(m._pairings) ** 2).ravel())[-1])
 
 
 def mixed_history_density(m: MixedHistory) -> np.ndarray:
@@ -492,9 +665,13 @@ def mixed_history_density(m: MixedHistory) -> np.ndarray:
 
 
 def mixed_overlap(m: MixedHistory, target) -> float:
-    """Fidelity <t|rho|t> of the ensemble with a normalized pure history."""
+    """Fidelity <t|rho|t> = sum_m p_m |(k^dag C)_m|^2 of the ensemble with a
+    normalized pure history, k = X^dag d from the target's coefficients d
+    and its cross-Gram X to the ensemble's term strings."""
     t = _as_state(target)
-    return float(sum(p * abs(hs_inner(t, h)) ** 2 for p, h in m.ensemble))
+    _require_same_grid(t.grid, m.grid)
+    amps = (_coefficients(t).conj() @ math.prod(_grams(t._stacks, m._strings))) @ m._coefs
+    return float(np.cumsum(m._probabilities * np.abs(amps) ** 2)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -509,18 +686,23 @@ def temporal_partial_trace(h, keep_slots: Iterable[int], tol: float = 1e-12) -> 
 
         rho_keep = W^T A W^*,   A = (c c^dag) . prod_{k traced} G_k^*,
 
-    with G_k[t, t'] = <v_tk, v_t'k> slot k's term Gram (``_slot_grams``),
-    ``.`` the elementwise product, and row w_t of W the Kronecker product of
-    term t's kept v_tk, which is ``history_vector``'s layout.  Neither
-    rho_keep nor any history-space vector is formed: with A = R R^dag and
-    K = W^* W^T = prod_{k kept} G_k, rho_keep has the nonzero eigenvalues of
-    the T x T matrix R^dag K R.  An eigenvector z with eigenvalue lam gives
-    the member sum_t c_t w_t, c = R z / sqrt(lam), written over term t's own
-    kept slot operators, so it has at most T terms.  Rounding puts its norm
-    sqrt(c^dag K c) off 1 by O(eps / lam), so c is divided by that norm.
-    For T terms on n slots of dimension d this costs O(T^2 n d^2 + T^3),
-    plus O(T^2 n d^2) for each of the at most min(T, D_keep) members, where
-    D_keep = prod_{k kept} d_k^2 is the kept history dimension.
+    with G_k[t, t'] = <v_tk, v_t'k> slot k's term Gram (the state's cached
+    ``_self_grams``, which also give its norm), ``.`` the elementwise
+    product, and row w_t of W the Kronecker product of term t's kept v_tk,
+    which is ``history_vector``'s layout.  Neither rho_keep nor any
+    history-space vector is formed: with A = R R^dag and K = W^* W^T =
+    prod_{k kept} G_k, rho_keep has the nonzero eigenvalues of the T x T
+    matrix R^dag K R.  An eigenvector z with eigenvalue lam gives the member
+    sum_t c_t w_t, c = R z / sqrt(lam), written over term t's own kept slot
+    operators.  Rounding puts its norm sqrt(c^dag K c) off 1 by
+    O(eps / lam), so c is divided by that norm; terms with |c_t| |w_t| at
+    most 1e-14 are dropped.  The kept strings are merged once (T -> T'
+    distinct strings, as ``HistoryState`` merges) and every member is
+    written over them, so the result carries its members as a T' x M
+    coefficient matrix with the kept Gram (see ``MixedHistory``).  For T
+    terms on n slots of dimension d this costs O(T^2 n d^2 + T^3) in all,
+    with no per-member Gram: the members cost O(T^2) each, and D_keep =
+    prod_{k kept} d_k^2, the kept history dimension, bounds their number.
 
     Eigenvalues within ``DEGENERACY_TOL`` of their cluster's largest form one
     eigenspace, whose members do not depend on how LAPACK picks its basis
@@ -528,17 +710,18 @@ def temporal_partial_trace(h, keep_slots: Iterable[int], tol: float = 1e-12) -> 
     dropped.  The output is a mixture: reductions of entangled histories are
     ensembles, not superpositions.
     """
-    h = normalize(_as_state(h))
+    h = _as_state(h)
+    scale = _unit_scale(h)
     grid = h.grid
     keep = sorted(set(int(k) for k in keep_slots))
     if not keep or len(keep) >= grid.n_slots:
         raise ValueError("keep_slots must be a nonempty proper subset of slots")
     if keep[0] < 0 or keep[-1] >= grid.n_slots:
         raise ValueError(f"keep_slots {keep} out of range")
-    coefs = _coefficients(h)
+    coefs = _coefficients(h) * scale
     amp = np.outer(coefs, coefs.conj())
     gram = np.ones_like(amp)  # K
-    for k, g in enumerate(_slot_grams(h, h)):
+    for k, g in enumerate(h._self_grams):
         if k in keep:
             gram = gram * g
         else:
@@ -551,15 +734,34 @@ def temporal_partial_trace(h, keep_slots: Iterable[int], tol: float = 1e-12) -> 
     evals = evals[live]
     vecs = (r @ z[:, live]) / np.sqrt(evals)
     norms = np.sqrt(np.clip(gram.diagonal().real, 0.0, None))
+
+    # the kept strings, merged once: string j is term firsts[j]'s, and term t
+    # has string group[t]
     sub_grid = TimeGrid(tuple(grid.labels[k] for k in keep), tuple(grid.slot_dims[k] for k in keep))
-    strings = [ElementaryHistory(sub_grid, tuple(eh.slots[k] for k in keep)) for _, eh in h.terms]
-    ensemble = []
+    rows = np.concatenate([h._stacks[k].reshape(len(coefs), -1) for k in keep], axis=1)
+    firsts, group = _merge_rows(rows)
+    rows = rows[firsts]
+    rows.setflags(write=False)
+    strings = [h.terms[t][1]._restricted(sub_grid, keep) for t in firsts]
+    extra = [t for t, g in enumerate(group.tolist()) if t != firsts[g]]
+    members, columns = [], []
     for lam, c in _canonical_basis(evals, vecs, vecs.conj().T @ gram, norms):
         c = c / math.sqrt(np.vdot(c, gram @ c).real)
-        live_terms = np.flatnonzero(np.abs(c) * norms > 1e-14)
-        ensemble.append((lam, HistoryState(tuple((complex(c[t]), strings[t]) for t in live_terms))))
-    total = sum(p for p, _ in ensemble)
-    return MixedHistory(tuple((p / total, h_m) for p, h_m in ensemble))
+        c = np.where(np.abs(c) * norms > 1e-14, c, 0.0)
+        merged = c[firsts]
+        for t in extra:  # in term order, as HistoryState sums them
+            merged[group[t]] += c[t]
+        on = _uncancelled(merged)
+        column = np.zeros_like(merged)
+        column[on] = merged[on]
+        columns.append(column)
+        members.append((lam, HistoryState._distinct(tuple((complex(merged[j]), strings[j]) for j in on), rows[on])))
+    total = sum(p for p, _ in members)
+    ensemble = tuple((p / total, h_m) for p, h_m in members)
+    if extra:
+        gram = gram[np.ix_(firsts, firsts)]
+    return MixedHistory._from_coordinates(ensemble, _split_rows(rows, sub_grid.slot_dims), gram,
+                                          np.stack(columns, axis=1))
 
 
 def _canonical_basis(evals, vecs, overlaps, norms) -> list[tuple[float, np.ndarray]]:

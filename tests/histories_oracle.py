@@ -11,6 +11,10 @@ package's stacked Gram kernel and vectorized term merge replace: a product
 of per-slot ``np.vdot`` pairings for every term pair, and a comparison of
 every incoming term with every merged one, slot by slot.
 
+``pairwise_purity`` and ``pairwise_mixed_overlap`` are the member-by-member
+loops the package's term coordinates replace: one ``pairwise_hs_inner`` per
+member pair, or per member against the target.
+
 ``chain_operator_sum``, ``consistency_matrix`` and ``subsystem_trace_out``
 are the loops the package's stacked chain kernel replaces: each term's chain
 operator built slot by slot and summed in term order, the decoherence
@@ -52,6 +56,20 @@ def pairwise_hs_inner(h1, h2) -> complex:
                     break
             total += prod
     return complex(total)
+
+
+def pairwise_purity(m) -> float:
+    """Tr(rho^2) of a MixedHistory, one member pair at a time."""
+    total = 0.0
+    for p_i, h_i in m.ensemble:
+        for p_j, h_j in m.ensemble:
+            total += p_i * p_j * abs(pairwise_hs_inner(h_i, h_j)) ** 2
+    return float(total)
+
+
+def pairwise_mixed_overlap(m, target) -> float:
+    """<t|rho|t> of a MixedHistory, one member at a time."""
+    return float(sum(p * abs(pairwise_hs_inner(target, h)) ** 2 for p, h in m.ensemble))
 
 
 def _same_string(a, b, tol: float = MERGE_TOL) -> bool:

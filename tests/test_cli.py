@@ -415,6 +415,21 @@ class TestWeightCommand:
         assert out == ""
         assert err.startswith("error: history norm is not finite") and "Traceback" not in err
 
+    def test_zero_norm_term_rejected(self, capsys, tmp_path):
+        # the history itself has a nonzero norm; its second term does not
+        zero = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+        terms = [{"coefficient": [0.6, 0.0], "slots": ["z+", "z+"]},
+                 {"coefficient": [0.8, 0.0], "slots": [zero, "z-"]},
+                 {"coefficient": [0.0, 0.5], "slots": ["x+", "z-"]}]
+        p = tmp_path / "zero.json"
+        p.write_text(json.dumps({"history": {"terms": terms}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "weight", "--spec", str(p))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == "error: cannot normalize a zero-norm history\n"
+
     @pytest.mark.parametrize("doc, message", [
         ({"terms": [{"slots": ["z+", "z-"]}] * (serialize.MAX_HISTORY_TERMS + 1)},
          f"at most {serialize.MAX_HISTORY_TERMS}"),

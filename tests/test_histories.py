@@ -11,6 +11,7 @@ from qhist import (
     ElementaryHistory,
     GridMismatchError,
     HistoryState,
+    MixedHistory,
     NonFactorizableEvolutionError,
     ShapeError,
     TimeGrid,
@@ -723,6 +724,160 @@ class TestCanonicalDegenerateMembers:
         assert all(np.array_equal(op, proj("z-")) for op in down.terms[0][1].slots)
 
 
+def _on_grid(rng, grid, n_terms) -> HistoryState:
+    """A normalized random history of ``n_terms`` terms on ``grid``."""
+    return normalize(HistoryState(tuple(
+        (complex(rng.normal(), rng.normal()), ElementaryHistory(grid, tuple(_ops(rng, grid.slot_dims))))
+        for _ in range(n_terms))))
+
+
+def _shared_kept_strings(rng, dims, keep, n_terms, n_strings) -> HistoryState:
+    """Random terms whose kept slots carry one of ``n_strings`` random
+    strings, so the reduction merges T = n_terms kept strings into fewer."""
+    pool = [_ops(rng, [dims[k] for k in keep]) for _ in range(n_strings)]
+    slot_lists = []
+    for t in range(n_terms):
+        ops = _ops(rng, dims)
+        for k, op in zip(keep, pool[t % n_strings]):
+            ops[k] = op
+        slot_lists.append(ops)
+    return _term_history(rng, dims, slot_lists)
+
+
+def _term_coordinate_cases():
+    """(name, history, keep, number of distinct kept strings) on grids
+    small enough for the dense oracle."""
+    rng = np.random.default_rng(13)
+    cases = []
+    # the member-by-member oracle costs M^2 T^2: 64 terms keep one qubit slot
+    for n_terms, dims, keep in ((1, (2, 2), [1]), (2, (2, 2, 2), [0, 2]), (5, (3, 2), [0]),
+                                (16, (2, 2, 2, 2), [1, 2]), (64, (2, 2, 2), [2]), (64, (3, 2, 2), [1])):
+        h = _term_history(rng, dims, [_ops(rng, dims) for _ in range(n_terms)])
+        cases.append((f"{n_terms} terms on dims {dims}", h, keep, n_terms))
+    for n_terms, n_strings in ((6, 2), (24, 3), (64, 5)):
+        h = _shared_kept_strings(rng, (2, 2, 2), [0, 2], n_terms, n_strings)
+        cases.append((f"{n_terms} terms on {n_strings} kept strings", h, [0, 2], n_strings))
+    # degenerate spectra: equal-amplitude branches give a 2- and a 4-fold
+    # eigenvalue, and repeated kept strings on orthogonal traced strings
+    # both merge and degenerate
+    cases.append(("ghz, two-fold", ghz_like(4), [1, 2], 2))
+    z = [proj("z+"), proj("z-")]
+    g3 = TimeGrid.regular(3)
+    four = HistoryState(tuple((0.5, ElementaryHistory(g3, (z[i], z[j], z[i ^ j]))) for i in (0, 1) for j in (0, 1)))
+    cases.append(("four branches, four-fold", four, [0, 1], 4))
+    cases.append(("four branches, merged kept strings", four, [2], 2))
+    return cases
+
+
+TERM_COORDINATE_CASES = _term_coordinate_cases()
+
+
+def _string_vectors(m) -> np.ndarray:
+    """Row j: the ensemble's term string j in ``history_vector`` layout."""
+    rows = []
+    for j in range(len(m._strings[0])):
+        v = np.ones(1, dtype=complex)
+        for stack in m._strings:
+            v = np.kron(v, stack[j].reshape(-1))
+        rows.append(v)
+    return np.array(rows)
+
+
+def _check_term_coordinates(m, rho, rng) -> None:
+    """purity, mixed_overlap, the pairings and C against the member-by-member
+    oracle and the dense density ``rho``, within 1e-12."""
+    assert abs(purity(m) - np.trace(rho @ rho).real) <= 1e-12
+    assert abs(purity(m) - histories_oracle.pairwise_purity(m)) <= 1e-12
+    members = [h for _, h in m.ensemble]
+    for i, hi in enumerate(members):
+        for j, hj in enumerate(members):
+            assert abs(m._pairings[i, j] - histories_oracle.pairwise_hs_inner(hi, hj)) <= 1e-12
+        assert abs(hs_norm(hi) - 1.0) <= 1e-12
+    # column m of C rebuilds member m from the term strings
+    rebuilt = _string_vectors(m).T @ m._coefs
+    for i, hi in enumerate(members):
+        assert np.max(np.abs(rebuilt[:, i] - history_vector(hi))) <= 1e-12
+    for t in members + [_on_grid(rng, m.grid, 1), _on_grid(rng, m.grid, 4)]:
+        v = history_vector(t)
+        got = mixed_overlap(m, t)
+        assert abs(got - (v.conj() @ rho @ v).real) <= 1e-12
+        assert abs(got - histories_oracle.pairwise_mixed_overlap(m, t)) <= 1e-12
+
+
+class TestTermCoordinates:
+    @pytest.mark.parametrize("name, h, keep, n_strings", TERM_COORDINATE_CASES,
+                             ids=[c[0] for c in TERM_COORDINATE_CASES])
+    def test_reduction_matches_oracles(self, name, h, keep, n_strings):
+        m = temporal_partial_trace(h, keep)
+        assert m._coefs.shape == (n_strings, len(m.ensemble))
+        assert m._gram.shape == (n_strings, n_strings)
+        assert len(m._strings) == len(keep)
+        _check_term_coordinates(m, histories_oracle.temporal_reduction_density(h, keep),
+                                np.random.default_rng(len(name)))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_mix_of_arbitrary_states_matches_oracles(self, seed):
+        rng = np.random.default_rng(seed)
+        while True:
+            dims = tuple(int(d) for d in rng.choice([2, 3], size=rng.integers(1, 4)))
+            if math.prod(d * d for d in dims) <= 324:
+                break
+        grid = TimeGrid(tuple(float(k) for k in range(len(dims))), dims)
+        states = [_on_grid(rng, grid, int(rng.integers(1, 9))) for _ in range(rng.integers(1, 6))]
+        if seed % 3 == 0:
+            states.append(states[0])  # two members on the same strings
+        probs = rng.dirichlet(np.ones(len(states)))
+        m = mix(zip(probs, (complex(rng.normal(), rng.normal()) * h for h in states)))
+        # the members' terms laid end to end, C block diagonal
+        counts = [h.n_terms for _, h in m.ensemble]
+        assert m._coefs.shape == (sum(counts), len(counts))
+        ends = np.cumsum(counts)
+        for i, end in enumerate(ends):
+            assert not m._coefs[:end - counts[i], i].any() and not m._coefs[end:, i].any()
+        _check_term_coordinates(m, mixed_history_density(m), rng)
+
+    def test_unnormalized_member_rejected(self):
+        g = TimeGrid.regular(2)
+        h = HistoryState.from_slots(g, (proj("z+"), proj("z+")), 1.0 + 1e-6)
+        with pytest.raises(ValueError, match="ensemble members must be normalized"):
+            MixedHistory(((1.0, h),))
+        huge = HistoryState.from_slots(g, (1e160 * proj("z+"), proj("z+")))
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match="history norm is not finite"):
+                MixedHistory(((0.5, normalize(h)), (0.5, huge)))
+
+
+class TestCachedGeometry:
+    def test_reductions_of_one_state_compute_its_grams_once(self, monkeypatch):
+        import qhist.histories as histories
+
+        calls = []
+        real = histories._grams
+        monkeypatch.setattr(histories, "_grams", lambda a, b: calls.append(1) or real(a, b))
+        _, up, down = diagonal_branches(6)
+        h = 0.6 * up + 0.8 * down
+        assert hs_norm(h) == pytest.approx(1.0, abs=1e-15)
+        n = normalize(h)
+        assert hs_inner(n, n) == hs_inner(h, h)
+        pairs = [[i, j] for i in range(6) for j in range(i + 1, 6)]
+        for keep in [[i] for i in range(6)] + pairs:
+            assert purity(temporal_partial_trace(h, keep)) == pytest.approx(0.6 ** 4 + 0.8 ** 4, abs=1e-15)
+        assert len(calls) == 1
+
+    def test_caches_are_read_only(self, rng):
+        dims = (2, 3, 2)
+        h = _term_history(rng, dims, [_ops(rng, dims) for _ in range(5)])
+        reduced = temporal_partial_trace(h, [0, 2])
+        mixed = mix([(0.25, h), (0.75, h.terms[0][1])])
+        arrays = [*h._self_grams, h._rows, *h._stacks]
+        for m in (reduced, mixed):
+            arrays += [m._gram, m._coefs, m._pairings, *m._strings]
+            arrays += [member._rows for _, member in m.ensemble]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 1.0
+
+
 class TestMixedHistory:
     def test_mix_normalizes_members(self):
         g = TimeGrid.regular(2)
@@ -864,6 +1019,71 @@ class TestChainKernelAgainstLoopOracle:
         assert np.all(rep.matrix.diagonal().imag == 0.0)
         assert rep.max_offdiagonal == pytest.approx(
             np.abs(want - np.diag(want.diagonal())).max(), rel=1e-15, abs=0.0)
+
+
+class TestBatchedConsistency:
+    """is_consistent_family runs every member's terms through one kernel call."""
+
+    @pytest.mark.parametrize("dims", _KERNEL_DIMS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mixed_term_counts_match_the_member_by_member_oracle(self, dims, seed):
+        rng = np.random.default_rng(100 + seed)
+        _, b = _bridged_state(rng, dims, 1)
+        family = []
+        for _ in range(rng.integers(2, 10)):
+            h = _term_history(rng, dims, [_ops(rng, dims) for _ in range(rng.integers(1, 9))])
+            family.append(h.terms[0][1] if rng.random() < 0.3 else h)
+        states = [HistoryState.from_elementary(h) if isinstance(h, ElementaryHistory) else h for h in family]
+        rep = is_consistent_family(family, b)
+        want = histories_oracle.consistency_matrix(states, b)
+        diag = want.diagonal().real
+        assert np.all(np.abs(rep.matrix - want) <= 1e-15 * np.sqrt(np.outer(diag, diag)))
+        # each member's terms are summed left to right, as the loop sums them
+        chains = np.stack([histories_oracle.chain_operator_sum(h, b).reshape(-1) for h in states])
+        d = chains.conj() @ chains.T
+        np.fill_diagonal(d, d.diagonal().real)
+        assert np.array_equal(rep.matrix, d)
+
+    def test_member_on_another_grid_rejected(self, rng):
+        dims = (2, 2, 2)
+        h, b = _bridged_state(rng, dims, 3)
+        other = TimeGrid((0.0, 1.0, 2.5), dims)
+        stray = ElementaryHistory(other, tuple(_ops(rng, dims)))
+        with pytest.raises(GridMismatchError):
+            is_consistent_family([h, h.terms[0][1], stray], b)
+        with pytest.raises(GridMismatchError):
+            is_consistent_family([HistoryState.from_elementary(stray)], b)
+
+
+class TestTermConsistency:
+    """The weight command's per-term family: each term normalized on its own."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_the_normalized_singleton_family(self, seed):
+        import qhist.histories as histories
+
+        rng = np.random.default_rng(seed)
+        dims = _KERNEL_DIMS[seed % len(_KERNEL_DIMS)]
+        h, b = _bridged_state(rng, dims, int(rng.integers(1, 65)))
+        singletons = [normalize(HistoryState(((c, eh),))) for c, eh in h.terms]
+        want = is_consistent_family(singletons, b)
+        got = histories._term_consistency(h, b)
+        assert np.array_equal(got.matrix, want.matrix)
+        assert (got.consistent, got.max_offdiagonal, got.tol) == (want.consistent, want.max_offdiagonal, want.tol)
+
+    def test_first_bad_term_sets_the_error(self):
+        import qhist.histories as histories
+
+        g = TimeGrid.regular(2)
+        b = BridgingSet.trivial(g)
+        zero = ElementaryHistory(g, (np.zeros((2, 2)), proj("z+")))
+        huge = ElementaryHistory(g, (1e160 * proj("x+"), proj("z-")))
+        fine = ElementaryHistory(g, (proj("z+"), proj("z+")))
+        with np.errstate(all="raise"):
+            with pytest.raises(DegenerateHistoryError, match="cannot normalize a zero-norm history"):
+                histories._term_consistency(HistoryState(((1.0, fine), (1.0, zero), (1.0, huge))), b)
+            with pytest.raises(ValueError, match="history norm is not finite"):
+                histories._term_consistency(HistoryState(((1.0, fine), (1.0, huge), (1.0, zero))), b)
 
 
 def _product_bridges(rng, n_slots, d0, d1, traced_side=None):
