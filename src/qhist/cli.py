@@ -35,7 +35,7 @@ from .bell import (
 from .errors import ImpossiblePostselectionError
 from .histories import _term_consistency, hs_norm, weight
 from .linalg import maximally_mixed
-from .scenarios import SCENARIOS, run_scenario
+from .scenarios import run_scenario
 from .twostate import TwoTimeExperiment, mixed_sequence_distribution, sequence_distribution, abl_probability
 
 EXIT_OK = 0
@@ -107,20 +107,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _run_scenario(args):
-    if args.name not in SCENARIOS:
-        known = ", ".join(sorted(SCENARIOS))
-        raise serialize.SpecError(f"unknown scenario {args.name!r}; known scenarios: {known}")
-    kwargs = {}
-    if args.slots is not None:
-        kwargs["n_slots"] = args.slots
-    if args.alpha is not None:
-        kwargs["alpha"] = args.alpha
-        if args.name == "temporal-ghz" and args.beta is None:
-            kwargs["beta"] = math.sqrt(max(0.0, 1.0 - args.alpha**2))
-    if args.beta is not None:
-        kwargs["beta"] = args.beta
-    if args.psi is not None:
-        kwargs["psi"] = args.psi
+    given = {"n_slots": args.slots, "alpha": args.alpha, "beta": args.beta, "psi": args.psi}
+    kwargs = {key: value for key, value in given.items() if value is not None}
+    if args.name == "temporal-ghz" and args.alpha is not None and args.beta is None:
+        kwargs["beta"] = math.sqrt(max(0.0, 1.0 - args.alpha**2))
     try:
         result = run_scenario(args.name, **kwargs)
     except TypeError as exc:
@@ -128,57 +118,31 @@ def _run_scenario(args):
     return serialize.scenario_document(result), None, EXIT_OK
 
 
-def _run_lgi(args):
+def _bell_inputs(args) -> tuple:
+    """``bell_spec_from_document``'s reading of the command's spec, or its
+    preset: the maximally mixed qubit, the preset settings and no unitaries."""
     if args.spec is not None:
-        doc = serialize.load_document(args.spec)
-        initial, (firsts, seconds) = serialize.bell_spec_from_document(doc, ("first", "second"))
-        unitary = serialize.unitary_from_document(doc.get("unitary", "I"), "unitary")
-    else:
-        initial = maximally_mixed(2)
-        firsts, seconds = tsirelson_settings()
-        unitary = None
-    report = s_lgi(CorrelatorSpec(initial, firsts, seconds, unitary))
+        return serialize.bell_spec_from_document(serialize.load_document(args.spec), args.command)
+    pairs = monogamy_preset_settings() if args.command == "monogamy" else tsirelson_settings()
+    return maximally_mixed(2), pairs, (None,) * (len(pairs) - 1), 1
+
+
+def _run_lgi(args):
+    initial, pairs, unitaries, _ = _bell_inputs(args)
+    report = s_lgi(CorrelatorSpec(initial, *pairs, *unitaries))
     return serialize.document("lgi", report), None, EXIT_OK
 
 
 def _run_chained(args):
-    n = args.n
-    if args.spec is not None:
-        doc = serialize.load_document(args.spec)
-        initial, (firsts, seconds) = serialize.bell_spec_from_document(doc, ("first", "second"))
-        unitary = serialize.unitary_from_document(doc.get("unitary", "I"), "unitary")
-        if n is None:
-            n = doc.get("n", 1)
-            if isinstance(n, bool) or not isinstance(n, int):
-                raise serialize.SpecError(f"n: expected an integer number of blocks, got {n!r}")
-    else:
-        initial = None
-        firsts, seconds = tsirelson_settings()
-        unitary = None
-        if n is None:
-            n = 1
-    result = chained_bell(n, firsts, seconds, initial=initial, unitary=unitary)
+    initial, pairs, unitaries, n = _bell_inputs(args)
+    result = chained_bell(n if args.n is None else args.n, *pairs, initial, *unitaries)
     return serialize.document("chained", result), None, EXIT_OK
 
 
 def _run_monogamy(args):
+    initial, pairs, unitaries, _ = _bell_inputs(args)
     mode = INDEPENDENT if args.mode == "independent" else CHAINED
-    if args.spec is not None:
-        doc = serialize.load_document(args.spec)
-        initial, (a, b, c) = serialize.bell_spec_from_document(doc, ("a", "b", "c"))
-        unis = doc.get("unitaries")
-        unitaries = (None, None)
-        if unis is not None:
-            if not isinstance(unis, list) or len(unis) != 2:
-                raise serialize.SpecError("unitaries: expected a list of two entries")
-            unitaries = tuple(
-                serialize.unitary_from_document(u, f"unitaries[{i}]") for i, u in enumerate(unis)
-            )
-    else:
-        initial = maximally_mixed(2)
-        a, b, c = monogamy_preset_settings()
-        unitaries = (None, None)
-    result = monogamy_sum(initial, a, b, c, unitaries=unitaries, mode=mode)
+    result = monogamy_sum(initial, *pairs, unitaries=unitaries, mode=mode)
     return serialize.document("monogamy", result), None, EXIT_OK
 
 
@@ -190,7 +154,8 @@ def _run_optimize(args):
     )
     doc = serialize.document("optimize", result)
     code = EXIT_OK if result.converged else EXIT_NONCONVERGED
-    return doc, serialize.trace_csv(result), code
+    table = serialize.trace_csv(result) if args.format == "csv" else None
+    return doc, table, code
 
 
 def _run_weight(args):

@@ -19,6 +19,7 @@ import numpy as np
 
 from .histories import (
     BridgingSet,
+    ElementaryHistory,
     HistoryState,
     TimeGrid,
     history_vector,
@@ -102,8 +103,12 @@ def temporal_ghz(n_slots: int = 3, alpha: complex = _INV_SQRT2, beta: complex = 
     down = _branch(grid, qubit_ket("1"))
     state = alpha * up + beta * down
 
+    branch_ops = (projector(qubit_ket("0")), projector(qubit_ket("1")))
+
     def bell_like(pair: TimeGrid) -> HistoryState:
-        return normalize(_branch(pair, qubit_ket("0")) + _branch(pair, qubit_ket("1")))
+        """(|00) + |11))/sqrt(2) on ``pair``, built at unit norm in one construction."""
+        return HistoryState(tuple((_INV_SQRT2, ElementaryHistory(pair, (p,) * pair.n_slots))
+                                  for p in branch_ops))
 
     artifacts: dict = {
         "weight": weight(state, bridging),

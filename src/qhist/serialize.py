@@ -34,6 +34,7 @@ import io
 import itertools
 import json
 import math
+import sys
 from typing import Mapping
 
 import numpy as np
@@ -312,6 +313,11 @@ def dumps_pretty(doc: dict) -> str:
 
 # ---------------------------------------------------------------------------
 # spec-file parsing
+#
+# Each kind of field has one reader, and its error names the field: ``_number``
+# (a finite JSON number), ``_integer``, ``_object``, ``_list`` (a nonempty list,
+# or one of an exact length, whose entries another reader may read) and
+# ``_pairs_to_array`` (nested [re, im] pairs of finite numbers).
 
 
 class SpecError(ValueError):
@@ -333,14 +339,56 @@ def load_document(path: str) -> dict:
     return doc
 
 
-def _pairs_to_array(doc, what: str) -> np.ndarray:
+def _number(doc, what: str) -> float:
+    """A finite JSON number; a bool, a string or null is not one."""
+    # an exact comparison: NaN, infinities and integers past the float range fail it
+    if isinstance(doc, (int, float)) and not isinstance(doc, bool) and abs(doc) <= sys.float_info.max:
+        return float(doc)
+    raise SpecError(f"{what}: expected a finite number, got {doc!r}")
+
+
+def _integer(doc, what: str) -> int:
+    """A JSON integer; 2.0, "2" and true are not integers."""
+    if isinstance(doc, bool) or not isinstance(doc, int):
+        raise SpecError(f"{what}: expected an integer, got {doc!r}")
+    return doc
+
+
+def _object(doc, what: str) -> dict:
+    if not isinstance(doc, dict):
+        raise SpecError(f"{what}: expected an object")
+    return doc
+
+
+def _list(doc, what: str, length: int | None = None, item=None) -> list:
+    """A nonempty list, or one of exactly ``length`` entries; ``item`` reads
+    entry i as the field ``what[i]`` when it is given."""
+    if not isinstance(doc, list) or (len(doc) != length if length is not None else not doc):
+        raise SpecError(f"{what}: expected a nonempty list" if length is None
+                        else f"{what}: expected a list of length {length}")
+    if item is None:
+        return doc
+    return [item(entry, f"{what}[{i}]") for i, entry in enumerate(doc)]
+
+
+def _pairs_to_array(doc, what: str, ndim: int) -> np.ndarray:
+    """A complex vector (``ndim`` 1) or matrix (2) from nested [re, im] pairs
+    of finite JSON numbers."""
     try:
         a = np.asarray(doc, dtype=float)
-    except (TypeError, ValueError):
-        raise SpecError(f"{what}: expected nested [re, im] pairs") from None
-    if a.ndim < 2 or a.shape[-1] != 2:
-        raise SpecError(f"{what}: expected nested [re, im] pairs")
-    return a[..., 0] + 1j * a[..., 1]
+    except (TypeError, ValueError, OverflowError):
+        a = None
+    if a is not None and a.ndim == ndim + 1 and a.shape[-1] == 2:
+        # numpy reads "1", true and null as numbers; the leaves' types do not
+        leaves = doc
+        for _ in range(ndim):
+            leaves = itertools.chain.from_iterable(leaves)
+        leaves = list(leaves)
+        kinds = set(map(type, leaves))
+        if all(issubclass(k, (int, float)) and k is not bool for k in kinds) and all(map(math.isfinite, leaves)):
+            return a[..., 0] + 1j * a[..., 1]
+    shape = "a vector" if ndim == 1 else "a matrix"
+    raise SpecError(f"{what}: expected {shape} of [re, im] pairs of finite numbers")
 
 
 def state_from_document(doc, what: str = "state") -> np.ndarray:
@@ -350,17 +398,11 @@ def state_from_document(doc, what: str = "state") -> np.ndarray:
             return qubit_ket(doc)
         except (KeyError, ValueError):
             raise SpecError(f"{what}: unknown named state {doc!r}") from None
-    vec = _pairs_to_array(doc, what)
-    if vec.ndim != 1:
-        raise SpecError(f"{what}: expected a vector")
-    return vec
+    return _pairs_to_array(doc, what, 1)
 
 
 def matrix_from_document(doc, what: str = "matrix") -> np.ndarray:
-    mat = _pairs_to_array(doc, what)
-    if mat.ndim != 2:
-        raise SpecError(f"{what}: expected a matrix")
-    return mat
+    return _pairs_to_array(doc, what, 2)
 
 
 def unitary_from_document(doc, what: str = "unitary") -> np.ndarray:
@@ -374,35 +416,47 @@ def unitary_from_document(doc, what: str = "unitary") -> np.ndarray:
 
 
 def setting_from_document(doc, what: str = "setting") -> MeasurementSetting:
+    """A named Pauli ("X", "Y", "Z") or Bloch angles {"theta", "phi"} with an
+    optional string "label"."""
     if isinstance(doc, str):
         name = doc.upper()
         if name in ("X", "Y", "Z"):
             return MeasurementSetting.from_pauli(name)
         raise SpecError(f"{what}: unknown named setting {doc!r} (use X, Y, Z or Bloch angles)")
     if isinstance(doc, dict):
-        try:
-            theta, phi = float(doc["theta"]), float(doc["phi"])
-        except (KeyError, TypeError, ValueError):
-            raise SpecError(f"{what}: Bloch form needs numeric 'theta' and 'phi'") from None
-        return MeasurementSetting.from_bloch(theta, phi, label=doc.get("label"))
+        theta = _number(doc.get("theta"), f"{what}.theta")
+        phi = _number(doc.get("phi"), f"{what}.phi")
+        label = doc.get("label")
+        if label is not None and not isinstance(label, str):
+            raise SpecError(f"{what}.label: expected a string, got {label!r}")
+        return MeasurementSetting.from_bloch(theta, phi, label=label)
     raise SpecError(f"{what}: expected a Pauli name or Bloch angles")
 
 
-def bell_spec_from_document(doc: dict, parties: tuple[str, ...]):
-    """(rho, one settings pair per party) from a Bell command's spec; an absent
-    or "mixed" ``initial`` is the maximally mixed qubit, a state its projector."""
+# the parties, in time order, whose settings pairs each Bell command reads
+_BELL_PARTIES = {"lgi": ("first", "second"), "chained": ("first", "second"), "monogamy": ("a", "b", "c")}
+
+
+def bell_spec_from_document(doc: dict, command: str) -> tuple:
+    """(initial state, one settings pair per party, the unitary after each party
+    but the last, block count) from a Bell command's spec.  An absent or "mixed"
+    ``initial`` is the maximally mixed qubit, a state its projector; two parties
+    take one ``unitary``, three a list of two ``unitaries`` (absent: None, the
+    identity); only chained reads ``n`` (absent: 1)."""
     initial = doc.get("initial")
-    if initial is None or initial == "mixed":
-        rho = maximally_mixed(2)
+    rho = (maximally_mixed(2) if initial is None or initial == "mixed"
+           else projector(state_from_document(initial, "initial")))
+    parties = _BELL_PARTIES[command]
+    pairs = tuple(tuple(_list(doc.get(party), party, 2, setting_from_document)) for party in parties)
+    if len(parties) == 2:
+        u = doc.get("unitary")
+        unitaries = (None if u is None else unitary_from_document(u, "unitary"),)
     else:
-        rho = projector(state_from_document(initial, "initial"))
-    pairs = []
-    for party in parties:
-        pair = doc.get(party)
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise SpecError(f"{party}: expected a list of two settings")
-        pairs.append(tuple(setting_from_document(s, f"{party}[{i}]") for i, s in enumerate(pair)))
-    return rho, tuple(pairs)
+        unis = doc.get("unitaries")
+        unitaries = (None, None) if unis is None else tuple(
+            _list(unis, "unitaries", 2, unitary_from_document))
+    n = _integer(doc.get("n", 1), "n") if command == "chained" else 1
+    return rho, pairs, unitaries, n
 
 
 def slot_operator_from_document(doc, what: str = "slot") -> np.ndarray:
@@ -419,64 +473,52 @@ def slot_operator_from_document(doc, what: str = "slot") -> np.ndarray:
     return matrix_from_document(doc, what)
 
 
-def history_from_document(doc: dict, what: str = "history") -> tuple[HistoryState, BridgingSet]:
-    """HistoryState plus bridging from a weight-command spec document."""
-    hdoc = doc.get("history", doc)
-    if not isinstance(hdoc, dict):
-        raise SpecError(f"{what}: 'history' must be an object")
-    grid_doc = hdoc.get("grid")
-    terms_doc = hdoc.get("terms")
-    if not isinstance(terms_doc, list) or not terms_doc:
-        raise SpecError(f"{what}: 'terms' must be a nonempty list")
-    if len(terms_doc) > MAX_HISTORY_TERMS:
-        raise SpecError(f"{what}: {len(terms_doc)} terms; at most {MAX_HISTORY_TERMS} are supported")
-
-    first_slots = terms_doc[0].get("slots") if isinstance(terms_doc[0], dict) else None
-    if not isinstance(first_slots, list) or not first_slots:
-        raise SpecError(f"{what}: each term needs a nonempty 'slots' list")
-
-    if grid_doc is None:
-        n = len(first_slots)
-        ops0 = [slot_operator_from_document(s, f"{what}: term 0 slot {i}") for i, s in enumerate(first_slots)]
-        grid = TimeGrid(tuple(float(i) for i in range(n)), tuple(op.shape[0] for op in ops0))
-    else:
-        try:
-            grid = TimeGrid(tuple(float(x) for x in grid_doc["labels"]),
-                            tuple(int(d) for d in grid_doc["slot_dims"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SpecError(f"{what}: bad grid ({exc})") from None
+def _bounded(grid: TimeGrid, what: str) -> TimeGrid:
+    """``grid``, checked against MAX_SLOT_DIM before any operator is built on it."""
     if max(grid.slot_dims) > MAX_SLOT_DIM:
         raise SpecError(f"{what}: slot dimension {max(grid.slot_dims)}; at most {MAX_SLOT_DIM} is supported")
+    return grid
+
+
+def history_from_document(doc: dict, what: str = "history") -> tuple[HistoryState, BridgingSet]:
+    """HistoryState plus bridging from a weight-command spec document.
+
+    Without a ``grid`` the first term's operators set an unlabelled one
+    (labels 0, 1, ...); each term's slots are read once."""
+    hdoc = _object(doc.get("history", doc), what)
+    terms_doc = _list(hdoc.get("terms"), f"{what}: terms")
+    if len(terms_doc) > MAX_HISTORY_TERMS:
+        raise SpecError(f"{what}: {len(terms_doc)} terms; at most {MAX_HISTORY_TERMS} are supported")
+    grid = None
+    if hdoc.get("grid") is not None:
+        gdoc = _object(hdoc["grid"], f"{what}: grid")
+        labels = _list(gdoc.get("labels"), f"{what}: grid labels", None, _number)
+        dims = _list(gdoc.get("slot_dims"), f"{what}: grid slot_dims", None, _integer)
+        try:
+            grid = TimeGrid(tuple(labels), tuple(dims))
+        except ValueError as exc:
+            raise SpecError(f"{what}: grid: {exc}") from None
+        _bounded(grid, what)
 
     terms = []
     for i, tdoc in enumerate(terms_doc):
-        if not isinstance(tdoc, dict):
-            raise SpecError(f"{what}: term {i} must be an object")
-        cdoc = tdoc.get("coefficient", [1.0, 0.0])
-        if not (isinstance(cdoc, list) and len(cdoc) == 2):
-            raise SpecError(f"{what}: term {i} coefficient must be a [re, im] pair")
-        coef = complex(float(cdoc[0]), float(cdoc[1]))
-        slots = [
-            slot_operator_from_document(s, f"{what}: term {i} slot {j}")
-            for j, s in enumerate(tdoc.get("slots", []))
-        ]
-        if len(slots) != grid.n_slots:
-            raise SpecError(f"{what}: term {i} has {len(slots)} slots, grid has {grid.n_slots}")
-        terms.append((coef, ElementaryHistory(grid, tuple(slots))))
+        tdoc = _object(tdoc, f"{what}: term {i}")
+        slots = _list(tdoc.get("slots"), f"{what}: term {i} slots",
+                      None if grid is None else grid.n_slots, slot_operator_from_document)
+        if grid is None:
+            dims = tuple(op.shape[0] for op in slots)
+            grid = _bounded(TimeGrid(tuple(map(float, range(len(dims)))), dims), what)
+        coef = _list(tdoc.get("coefficient", [1.0, 0.0]), f"{what}: term {i} coefficient", 2, _number)
+        terms.append((complex(*coef), ElementaryHistory(grid, tuple(slots))))
     # one construction merges repeated slot strings in a single pass
     history = HistoryState(tuple(terms))
 
     bdoc = doc.get("bridging")
     if bdoc is None:
-        bridging = BridgingSet.trivial(grid)
-    else:
-        unis = bdoc.get("unitaries") if isinstance(bdoc, dict) else bdoc
-        if not isinstance(unis, list) or len(unis) != grid.n_slots - 1:
-            raise SpecError(f"{what}: bridging needs {grid.n_slots - 1} unitaries")
-        bridging = BridgingSet(
-            grid, tuple(unitary_from_document(u, f"{what}: bridge {i}") for i, u in enumerate(unis))
-        )
-    return history, bridging
+        return history, BridgingSet.trivial(grid)
+    unis = bdoc.get("unitaries") if isinstance(bdoc, dict) else bdoc
+    return history, BridgingSet(grid, tuple(
+        _list(unis, f"{what}: bridging", grid.n_slots - 1, unitary_from_document)))
 
 
 def experiment_from_document(doc: dict) -> dict:
@@ -495,23 +537,10 @@ def experiment_from_document(doc: dict) -> dict:
         raise SpecError("experiment: needs 'pre' (a state) or 'initial': \"mixed\"")
     if doc.get("post") is not None:
         out["post"] = state_from_document(doc["post"], "post")
-
-    slots_doc = doc.get("slots")
-    if not isinstance(slots_doc, list) or not slots_doc:
-        raise SpecError("experiment: 'slots' must be a nonempty list")
-    slots = tuple(
-        None if s is None else setting_from_document(s, f"slot {i}")
-        for i, s in enumerate(slots_doc)
-    )
-    out["slots"] = slots
-
+    out["slots"] = tuple(_list(
+        doc.get("slots"), "slots", None,
+        lambda s, what: None if s is None else setting_from_document(s, what)))
     unis_doc = doc.get("unitaries")
-    if unis_doc is None:
-        out["unitaries"] = None
-    else:
-        if not isinstance(unis_doc, list) or len(unis_doc) != len(slots) + 1:
-            raise SpecError(f"experiment: 'unitaries' must list {len(slots) + 1} entries")
-        out["unitaries"] = tuple(
-            unitary_from_document(u, f"unitary {i}") for i, u in enumerate(unis_doc)
-        )
+    out["unitaries"] = None if unis_doc is None else tuple(
+        _list(unis_doc, "unitaries", len(out["slots"]) + 1, unitary_from_document))
     return out

@@ -251,12 +251,132 @@ class TestBellSpecReader:
         for bad in parties:
             p.write_text(json.dumps({k: ["Z"] if k == bad else ["Z", "X"] for k in parties}))
             code, out, err = run_cli(capsys, command, "--spec", str(p))
-            assert (code, out, err) == (EXIT_INPUT, "", f"error: {bad}: expected a list of two settings\n")
+            assert (code, out, err) == (EXIT_INPUT, "", f"error: {bad}: expected a list of length 2\n")
         p.write_text(json.dumps({"initial": "q", **{k: ["Z", "X"] for k in parties}}))
         code, out, err = run_cli(capsys, command, "--spec", str(p))
         assert (code, out, err) == (EXIT_INPUT, "", "error: initial: unknown named state 'q'\n")
         p.write_text(json.dumps({"initial": "+", **{k: ["Z", "X"] for k in parties}}))
         assert run_cli(capsys, command, "--spec", str(p))[0] == EXIT_OK
+
+
+# A valid spec per command; each case below spoils one field of one of them.
+VALID_SPECS = {
+    "lgi": {"first": ["Z", "X"], "second": ["Z", "X"]},
+    "chained": {"first": ["Z", "X"], "second": ["Z", "X"], "n": 2},
+    "monogamy": {"a": ["Z", "X"], "b": ["Z", "X"], "c": ["Z", "X"]},
+    "abl": {"pre": "0", "post": "+", "slots": ["X", "Z"]},
+    "weight": {"history": {"terms": [{"coefficient": [1, 0], "slots": ["z+", "x+"]}]}},
+}
+GRID = ("history", "grid")
+COEFFICIENT = ("history", "terms", 0, "coefficient")
+
+
+def _bloch(**fields):
+    return {"theta": 1.0, "phi": 0.5, **fields}
+
+
+def _identity_with(entry):
+    """The 2x2 identity as [re, im] pairs with its first real part replaced."""
+    return [[[entry, 0], [0, 0]], [[0, 0], [1, 0]]]
+
+
+class TestSpecFieldReaders:
+    """Every spec field is read by the one reader of its kind, so a bad value
+    of any field exits 2 with empty stdout and an error that names the field."""
+
+    def rejects(self, capsys, tmp_path, command, path, value, field):
+        doc = json.loads(json.dumps(VALID_SPECS[command]))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(doc))  # NaN and Infinity are written as JSON's extensions
+        code, out, err = run_cli(capsys, command, "--spec", str(p))
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.startswith(f"error: {field}: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, path, value, field", [
+        ("lgi", ("first", 0), _bloch(theta="1.5", phi=True), "first[0].theta"),
+        ("lgi", ("first", 0), _bloch(phi=True), "first[0].phi"),
+        ("chained", ("second", 1), _bloch(theta=float("nan")), "second[1].theta"),
+        ("monogamy", ("b", 0), _bloch(phi=None), "b[0].phi"),
+        ("monogamy", ("c", 1), {"theta": 1.0}, "c[1].phi"),
+        ("abl", ("slots", 1), _bloch(theta=float("inf")), "slots[1].theta"),
+        ("weight", COEFFICIENT, ["a", 0], "history: term 0 coefficient[0]"),
+        ("weight", COEFFICIENT, [True, 0], "history: term 0 coefficient[0]"),
+        ("weight", COEFFICIENT, [1, None], "history: term 0 coefficient[1]"),
+        ("weight", COEFFICIENT, [1, 10**400], "history: term 0 coefficient[1]"),
+        ("weight", GRID, {"labels": ["0", "1"], "slot_dims": [2, 2]}, "history: grid labels[0]"),
+        ("weight", GRID, {"labels": [0, float("nan")], "slot_dims": [2, 2]}, "history: grid labels[1]"),
+    ])
+    def test_numbers(self, capsys, tmp_path, command, path, value, field):
+        self.rejects(capsys, tmp_path, command, path, value, field)
+
+    @pytest.mark.parametrize("command, path, value, field", [
+        ("chained", ("n",), 2.0, "n"),
+        ("chained", ("n",), "2", "n"),
+        ("chained", ("n",), True, "n"),
+        ("weight", GRID, {"labels": [0, 1], "slot_dims": [2.7, 2]}, "history: grid slot_dims[0]"),
+        ("weight", GRID, {"labels": [0, 1], "slot_dims": [2, "2"]}, "history: grid slot_dims[1]"),
+        ("weight", GRID, {"labels": [0, 1], "slot_dims": [True, 2]}, "history: grid slot_dims[0]"),
+    ])
+    def test_integers(self, capsys, tmp_path, command, path, value, field):
+        self.rejects(capsys, tmp_path, command, path, value, field)
+
+    @pytest.mark.parametrize("command, path, value, field", [
+        ("lgi", ("first",), ["Z"], "first"),
+        ("chained", ("second",), "Z", "second"),
+        ("monogamy", ("a",), ["Z", "X", "Y"], "a"),
+        ("monogamy", ("unitaries",), ["H"], "unitaries"),
+        ("abl", ("slots",), [], "slots"),
+        ("abl", ("unitaries",), ["H"], "unitaries"),
+        ("weight", ("history", "terms"), [], "history: terms"),
+        ("weight", ("history", "terms", 0, "slots"), "z+", "history: term 0 slots"),
+        ("weight", COEFFICIENT, [1], "history: term 0 coefficient"),
+        ("weight", ("bridging",), ["H", "H"], "history: bridging"),
+        ("weight", GRID, {"labels": [], "slot_dims": [2, 2]}, "history: grid labels"),
+    ])
+    def test_lists(self, capsys, tmp_path, command, path, value, field):
+        self.rejects(capsys, tmp_path, command, path, value, field)
+
+    @pytest.mark.parametrize("command, path, value, field", [
+        ("weight", ("history",), [], "history"),
+        ("weight", GRID, [0, 1], "history: grid"),
+        ("weight", ("history", "terms", 0), "z+", "history: term 0"),
+    ])
+    def test_objects(self, capsys, tmp_path, command, path, value, field):
+        self.rejects(capsys, tmp_path, command, path, value, field)
+
+    @pytest.mark.parametrize("command, path, value, field", [
+        ("lgi", ("unitary",), _identity_with("1"), "unitary"),
+        ("lgi", ("unitary",), _identity_with(True), "unitary"),
+        ("lgi", ("initial",), [[1, 0], [None, 0]], "initial"),
+        ("chained", ("unitary",), _identity_with(float("nan")), "unitary"),
+        ("monogamy", ("unitaries",), [_identity_with(False), "I"], "unitaries[0]"),
+        ("abl", ("pre",), [[1, 0], ["0", 0]], "pre"),
+        ("abl", ("unitaries",), ["I", _identity_with(float("-inf")), "I"], "unitaries[1]"),
+        ("weight", ("history", "terms", 0, "slots", 1), _identity_with("1"), "history: term 0 slots[1]"),
+        ("weight", ("bridging",), [_identity_with(True)], "history: bridging[0]"),
+    ])
+    def test_matrix_entries(self, capsys, tmp_path, command, path, value, field):
+        self.rejects(capsys, tmp_path, command, path, value, field)
+
+    @pytest.mark.parametrize("command, path, field", [
+        ("lgi", ("first", 1), "first[1].label"),
+        ("chained", ("second", 0), "second[0].label"),
+        ("monogamy", ("c", 0), "c[0].label"),
+        ("abl", ("slots", 0), "slots[0].label"),
+    ])
+    @pytest.mark.parametrize("label", [[1, 2], 3, True])
+    def test_labels(self, capsys, tmp_path, command, path, field, label):
+        self.rejects(capsys, tmp_path, command, path, _bloch(label=label), field)
+
+    def test_valid_specs_run(self, capsys, tmp_path):
+        for command, doc in VALID_SPECS.items():
+            p = tmp_path / f"{command}.json"
+            p.write_text(json.dumps(doc))
+            assert run_cli(capsys, command, "--spec", str(p))[0] == EXIT_OK
 
 
 class TestOptionScope:
@@ -555,13 +675,17 @@ class TestAblCommand:
     def test_other_formats_build_no_table(self, capsys, tmp_path, monkeypatch, fmt):
         spec = self.write(tmp_path, {"pre": "0", "post": "0", "slots": ["X", "X"]})
 
-        def fail(dist):
-            raise AssertionError("distribution table built but not printed")
+        def fail(result):
+            raise AssertionError("table built but not printed")
 
         monkeypatch.setattr(serialize, "distribution_csv", fail)
+        monkeypatch.setattr(serialize, "trace_csv", fail)
         code, out, _ = run_cli(capsys, "abl", "--spec", spec, "--format", fmt)
         assert code == EXIT_OK
         assert "0.5" in out
+        code, out, _ = run_cli(capsys, "optimize", "--max-evals", "40", "--format", fmt)
+        assert code in (EXIT_OK, EXIT_NONCONVERGED)
+        assert "evaluation" in out
 
 
 class TestParserReuse:

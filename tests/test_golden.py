@@ -4,10 +4,11 @@ Each file under ``tests/golden/`` is the exact stdout of one ``qhist`` call,
 so a change in any digit of a value, an angle, the optimizer's trace, its
 evaluation count or certified bound, or a probability table shows up here.
 Each spec file in ``tests/golden/specs/`` is one case of the subcommand its
-name starts with (``weight`` or ``abl``).  The two scenarios with reductions run both at
-``--alpha 0.6`` and at their default equal amplitudes, where the reduced
-spectrum is degenerate and the members are the canonical ones
-``temporal_partial_trace`` documents.  To rewrite the files from the package on
+name starts with (``weight``, ``abl``, ``lgi``, ``chained`` or ``monogamy``;
+the monogamy spec also runs in ``--mode chained``).  The two scenarios with
+reductions run both at ``--alpha 0.6`` and at their default equal amplitudes,
+where the reduced spectrum is degenerate and the members are the canonical
+ones ``temporal_partial_trace`` documents.  To rewrite the files from the package on
 ``PYTHONPATH`` (for a deliberate output change, stated in CHANGES.md)::
 
     PYTHONPATH=src python tests/test_golden.py
@@ -57,6 +58,8 @@ CASES = {
     "scenario-two-time-hab-psi-plus": (["scenario", "two-time-hab", "--psi", "+"], EXIT_OK),
     "abl-post-one-slot-minus": (["abl", "--spec", str(SPECS / "abl-post-one.json"),
                                  "--slot", "0", "--outcome", "-"], EXIT_OK),
+    "monogamy-unitaries-chained": (["monogamy", "--spec", str(SPECS / "monogamy-unitaries.json"),
+                                    "--mode", "chained"], EXIT_OK),
 }
 CASES.update({spec.stem: ([spec.stem.split("-")[0], "--spec", str(spec)], EXIT_OK)
               for spec in SPECS.glob("*.json")})

@@ -383,7 +383,7 @@ class TestHistoryFromDocument:
             history_from_document({})
         with pytest.raises(SpecError, match="slots"):
             history_from_document({"terms": [{}]})
-        with pytest.raises(SpecError, match="bridging needs 1"):
+        with pytest.raises(SpecError, match="bridging: expected a list of length 1"):
             history_from_document(
                 {"terms": [{"slots": ["z+", "z+"]}], "bridging": {"unitaries": []}}
             )
