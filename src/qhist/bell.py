@@ -422,7 +422,7 @@ def settings_from_angles(angles: Sequence[float]) -> tuple[MeasurementSetting, .
     """Interpret a flat (theta, phi, theta, phi, ...) vector as settings."""
     if len(angles) % 2:
         raise ValueError("need an even number of angles")
-    return tuple(MeasurementSetting.from_bloch(t, p) for t, p in zip(angles[0::2], angles[1::2]))
+    return MeasurementSetting.stack(zip(angles[0::2], angles[1::2]))
 
 
 def _objective_function(objective: str, initial, n: int) -> tuple[Callable, int]:

@@ -103,7 +103,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (document, special_csv_or_None, exit_code)
+# subcommand handlers: each returns (document, special_csv_or_None, exit_code);
+# the document is None when the special CSV is the whole output
 
 
 def _run_scenario(args):
@@ -194,9 +195,11 @@ def _run_abl(args):
             artifacts["outcome"] = args.outcome or "+"
             artifacts["abl_probability"] = abl_probability(exp, args.slot, outcome)
         dist = sequence_distribution(exp)
+    if args.format == "csv":
+        # the table is the whole output: no document is built
+        return None, serialize.distribution_csv(dist), EXIT_OK
     artifacts["distribution"] = dist
-    table = serialize.distribution_csv(dist) if args.format == "csv" else None
-    return serialize.document("abl", artifacts), table, EXIT_OK
+    return serialize.document("abl", artifacts), None, EXIT_OK
 
 
 _HANDLERS = {

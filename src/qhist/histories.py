@@ -44,7 +44,7 @@ from .errors import (
     NonFactorizableEvolutionError,
     ShapeError,
 )
-from .linalg import as_matrix, bell_pair_ket, check_unitary, identity, max_abs, projector
+from .linalg import as_matrix, bell_pair_ket, check_unitary, identity, max_abs, projector, unitary_stack
 
 __all__ = [
     "TimeGrid",
@@ -186,11 +186,16 @@ class ElementaryHistory:
         return cls(grid, tuple(projector(k) for k in kets))
 
     def _restricted(self, grid: TimeGrid, keep: Sequence[int]) -> "ElementaryHistory":
-        """The string of the ``keep`` slots on ``grid``, whose dimensions are
-        theirs: the operators are already checked, so nothing is copied."""
-        eh = object.__new__(ElementaryHistory)
+        """The string of the ``keep`` slots on ``grid``, whose dimensions are theirs."""
+        return ElementaryHistory._held(grid, tuple(self.slots[k] for k in keep))
+
+    @classmethod
+    def _held(cls, grid: TimeGrid, ops: tuple) -> "ElementaryHistory":
+        """The string of ``ops``, read-only operators already checked against
+        ``grid``'s dimensions: nothing is copied or checked again."""
+        eh = object.__new__(cls)
         object.__setattr__(eh, "grid", grid)
-        object.__setattr__(eh, "slots", tuple(self.slots[k] for k in keep))
+        object.__setattr__(eh, "slots", ops)
         return eh
 
 
@@ -219,6 +224,11 @@ class HistoryState:
         for _, eh in terms:
             _require_same_grid(grid, eh.grid)
         rows = np.stack([np.concatenate([op.reshape(-1) for op in eh.slots]) for _, eh in terms])
+        self._merge(terms, rows)
+
+    def _merge(self, terms: list, rows: np.ndarray) -> None:
+        """Merge terms with equal rows into the first of them (``_merge_rows``)
+        and store the distinct ones (``_set_terms``)."""
         firsts, group = _merge_rows(rows)
         merged = [terms[t] for t in firsts]
         for t, g in enumerate(group.tolist()):
@@ -236,6 +246,21 @@ class HistoryState:
         rows.setflags(write=False)
         object.__setattr__(self, "terms", tuple(merged))
         object.__setattr__(self, "_rows", rows)
+
+    @classmethod
+    def _from_stacks(cls, grid: TimeGrid, coefficients, stacks) -> "HistoryState":
+        """sum_t c_t (stacks[0][t], stacks[1][t], ...) from per-slot (T, d_k, d_k)
+        stacks already checked against ``grid`` (finite, d_k x d_k): each term's
+        operators are read-only views of one row array, not copied or checked
+        again, and the merge and cancellation rules apply as in the constructor."""
+        rows = np.concatenate([np.reshape(s, (len(s), -1)) for s in stacks], axis=1, dtype=complex)
+        rows.setflags(write=False)
+        columns = _split_rows(rows, grid.slot_dims)
+        terms = [(complex(c), ElementaryHistory._held(grid, ops))
+                 for c, ops in zip(coefficients, zip(*columns))]
+        h = object.__new__(cls)
+        h._merge(terms, rows)
+        return h
 
     @classmethod
     def _distinct(cls, terms, rows: np.ndarray) -> "HistoryState":
@@ -303,8 +328,34 @@ class BridgingSet:
     unitaries: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        mats = tuple(_frozen(u) for u in self.unitaries)
+        unitaries = tuple(self.unitaries)
+        mats = self._stacked(unitaries)
+        if mats is None:
+            mats = self._checked_one_by_one(unitaries)
         object.__setattr__(self, "unitaries", mats)
+
+    def _stacked(self, unitaries) -> tuple[np.ndarray, ...] | None:
+        """The bridges as read-only slices of one checked stack per bridge
+        shape (one ``check_unitary`` call when the slot dimensions are
+        equal), or None when any stack fails."""
+        dims = self.grid.slot_dims
+        shapes = list(zip(dims[1:], dims[:-1]))
+        if len(unitaries) != len(shapes):
+            return None
+        mats: list = [None] * len(shapes)
+        for shape in dict.fromkeys(shapes):
+            ks = [k for k, s in enumerate(shapes) if s == shape]
+            stack = unitary_stack([unitaries[k] for k in ks], shape)
+            if stack is None:
+                return None
+            for k, u in zip(ks, stack):
+                mats[k] = u
+        return tuple(mats)
+
+    def _checked_one_by_one(self, unitaries) -> tuple[np.ndarray, ...]:
+        """The bridge checks one unitary at a time, in order, so the error
+        raised is the first bad bridge's."""
+        mats = tuple(_frozen(u) for u in unitaries)
         if len(mats) != self.grid.n_slots - 1:
             raise ShapeError("need exactly one bridge per adjacent slot pair")
         dims = self.grid.slot_dims
@@ -312,6 +363,7 @@ class BridgingSet:
             if u.shape != (dims[k + 1], dims[k]):
                 raise ShapeError(f"bridge {k} shape {u.shape} incompatible with slot dims")
             check_unitary(u, f"bridge {k}")
+        return mats
 
     @classmethod
     def trivial(cls, grid: TimeGrid) -> "BridgingSet":
@@ -337,6 +389,12 @@ def _coefficients(h: HistoryState) -> np.ndarray:
 # chain operators and weights
 
 
+def _check_measured_slots(n_measured: int) -> None:
+    """The chain kernel's bound: an outcome table doubles with every measured slot."""
+    if n_measured > MAX_MEASURED_SLOTS:
+        raise ValueError(f"at most {MAX_MEASURED_SLOTS} measured slots are supported, got {n_measured}")
+
+
 def _chains(start: np.ndarray, intervals, settings, fixed=None) -> tuple[list[str], np.ndarray]:
     """Every outcome string's chain, carried through a row as one stack.
 
@@ -349,8 +407,7 @@ def _chains(start: np.ndarray, intervals, settings, fixed=None) -> tuple[list[st
     More than MAX_MEASURED_SLOTS settings are rejected before any product.
     """
     n_measured = sum(s is not None for s in settings)
-    if n_measured > MAX_MEASURED_SLOTS:
-        raise ValueError(f"at most {MAX_MEASURED_SLOTS} measured slots are supported, got {n_measured}")
+    _check_measured_slots(n_measured)
     strings = list(map("".join, itertools.product("+-", repeat=n_measured)))
     x = start[None, None]
     for k, (interval, setting) in enumerate(zip(intervals, settings)):

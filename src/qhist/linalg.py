@@ -23,6 +23,7 @@ __all__ = [
     "is_projector",
     "max_abs",
     "check_unitary",
+    "unitary_stack",
     "density_operator",
     "dichotomic_projectors",
     "identity",
@@ -129,6 +130,21 @@ def check_unitary(u, what: str = "unitary") -> np.ndarray:
     if max_abs(u.conj().swapaxes(-1, -2) @ u - identity(u.shape[-1])) > DEFAULT_TOL:
         raise ValueError(f"{what} is not unitary")
     return u
+
+
+def unitary_stack(items, shape) -> np.ndarray | None:
+    """``items`` as one read-only (N, *shape) stack once ``check_unitary``
+    passes on all of it, or None when they do not stack to that shape or fail;
+    a caller then checks them one at a time to name the first bad one."""
+    try:
+        stack = np.array(items, dtype=complex)
+        if stack.ndim != 3 or stack.shape[1:] != tuple(shape):
+            return None
+        check_unitary(stack)
+    except (TypeError, ValueError):
+        return None
+    stack.setflags(write=False)
+    return stack
 
 
 def density_operator(rho, what: str = "initial state") -> np.ndarray:

@@ -17,7 +17,7 @@ document) and outcome distributions (a table sorted by outcome string).
 sort_keys=True)`` would, but joins each container once, mapping its keys
 and its all-float or all-string items through C-level functions, so a
 2**n-row table is not walked value by value in Python.  CSV tables keep
-``csv.writer`` quoting and are written in one ``writerows``.
+``csv.writer`` quoting; an outcome table whose keys need none is one join.
 
 Input side: small parsers for the human-writable spec files the command line
 accepts.  States may be named ("0", "1", "+", "-", "i+", "i-") or explicit
@@ -41,7 +41,9 @@ import numpy as np
 
 from .bell import OptimizeResult
 from .errors import ShapeError
-from .histories import BridgingSet, ElementaryHistory, HistoryState, MixedHistory, TimeGrid
+from .histories import (
+    BridgingSet, ElementaryHistory, HistoryState, MixedHistory, TimeGrid, _check_measured_slots,
+)
 from .linalg import identity, maximally_mixed, pauli, projector, qubit_ket
 from .scenarios import ScenarioResult
 from .twostate import MeasurementSetting, OutcomeDistribution
@@ -270,11 +272,16 @@ def dumps_csv(doc: dict) -> str:
 
 def distribution_csv(dist: OutcomeDistribution) -> str:
     """The table as outcome,probability rows sorted by outcome, numbers as
-    ``format_number`` writes them, all rows in one ``writerows``."""
+    ``format_number`` writes them.  When no outcome needs ``csv`` quoting
+    (none is empty or holds a comma, a quote or a line break) the rows are
+    one ``str.join``; otherwise ``csv.writer`` writes them in one ``writerows``."""
+    outcomes, probabilities = _sorted_table(dist)
+    joined = "".join(outcomes)
+    if all(outcomes) and not any(c in joined for c in ',"\r\n'):
+        return "outcome,probability\r\n" + "".join(map("{},{:.12g}\r\n".format, outcomes, probabilities))
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["outcome", "probability"])
-    outcomes, probabilities = _sorted_table(dist)
     writer.writerows(zip(outcomes, map("{:.12g}".format, probabilities)))
     return buf.getvalue()
 
@@ -415,13 +422,14 @@ def unitary_from_document(doc, what: str = "unitary") -> np.ndarray:
     return matrix_from_document(doc, what)
 
 
-def setting_from_document(doc, what: str = "setting") -> MeasurementSetting:
-    """A named Pauli ("X", "Y", "Z") or Bloch angles {"theta", "phi"} with an
-    optional string "label"."""
+def _setting_entry(doc, what: str):
+    """A setting's entry for ``MeasurementSetting.stack``: a Pauli name ("X",
+    "Y", "Z") or Bloch angles {"theta", "phi"} with an optional string "label",
+    read as (theta, phi, label)."""
     if isinstance(doc, str):
         name = doc.upper()
         if name in ("X", "Y", "Z"):
-            return MeasurementSetting.from_pauli(name)
+            return name
         raise SpecError(f"{what}: unknown named setting {doc!r} (use X, Y, Z or Bloch angles)")
     if isinstance(doc, dict):
         theta = _number(doc.get("theta"), f"{what}.theta")
@@ -429,8 +437,33 @@ def setting_from_document(doc, what: str = "setting") -> MeasurementSetting:
         label = doc.get("label")
         if label is not None and not isinstance(label, str):
             raise SpecError(f"{what}.label: expected a string, got {label!r}")
-        return MeasurementSetting.from_bloch(theta, phi, label=label)
+        return theta, phi, label
     raise SpecError(f"{what}: expected a Pauli name or Bloch angles")
+
+
+def _slot_entry(doc, what: str):
+    """A slot's entry: None (unmeasured) or a setting's."""
+    return None if doc is None else _setting_entry(doc, what)
+
+
+def setting_from_document(doc, what: str = "setting") -> MeasurementSetting:
+    """A named Pauli ("X", "Y", "Z") or Bloch angles {"theta", "phi"} with an
+    optional string "label"."""
+    return MeasurementSetting.stack((_setting_entry(doc, what),))[0]
+
+
+def _matrix_list(docs: list, name, read_one) -> list[np.ndarray]:
+    """``docs`` read by ``read_one``, entry i as the field ``name(i)``, with
+    every explicit matrix among them (each entry that is not a name) read by
+    one ``_pairs_to_array`` call.  On any failure the entries are read again
+    one at a time, in order, so the error names the first bad one."""
+    try:
+        matrices = [doc for doc in docs if not isinstance(doc, str)]
+        stack = iter(_pairs_to_array(matrices, name(0), 3) if matrices else ())
+        return [read_one(doc, name(i)) if isinstance(doc, str) else next(stack)
+                for i, doc in enumerate(docs)]
+    except SpecError:
+        return [read_one(doc, name(i)) for i, doc in enumerate(docs)]
 
 
 # the parties, in time order, whose settings pairs each Bell command reads
@@ -447,7 +480,9 @@ def bell_spec_from_document(doc: dict, command: str) -> tuple:
     rho = (maximally_mixed(2) if initial is None or initial == "mixed"
            else projector(state_from_document(initial, "initial")))
     parties = _BELL_PARTIES[command]
-    pairs = tuple(tuple(_list(doc.get(party), party, 2, setting_from_document)) for party in parties)
+    entries = [_list(doc.get(party), party, 2, _setting_entry) for party in parties]
+    settings = MeasurementSetting.stack(itertools.chain.from_iterable(entries))
+    pairs = tuple(zip(settings[0::2], settings[1::2]))
     if len(parties) == 2:
         u = doc.get("unitary")
         unitaries = (None if u is None else unitary_from_document(u, "unitary"),)
@@ -484,7 +519,9 @@ def history_from_document(doc: dict, what: str = "history") -> tuple[HistoryStat
     """HistoryState plus bridging from a weight-command spec document.
 
     Without a ``grid`` the first term's operators set an unlabelled one
-    (labels 0, 1, ...); each term's slots are read once."""
+    (labels 0, 1, ...).  The terms are read together (``_terms``); only a
+    spec that fails is read again term by term, so the error names the first
+    bad term and slot."""
     hdoc = _object(doc.get("history", doc), what)
     terms_doc = _list(hdoc.get("terms"), f"{what}: terms")
     if len(terms_doc) > MAX_HISTORY_TERMS:
@@ -500,25 +537,53 @@ def history_from_document(doc: dict, what: str = "history") -> tuple[HistoryStat
             raise SpecError(f"{what}: grid: {exc}") from None
         _bounded(grid, what)
 
-    terms = []
-    for i, tdoc in enumerate(terms_doc):
-        tdoc = _object(tdoc, f"{what}: term {i}")
-        slots = _list(tdoc.get("slots"), f"{what}: term {i} slots",
-                      None if grid is None else grid.n_slots, slot_operator_from_document)
-        if grid is None:
-            dims = tuple(op.shape[0] for op in slots)
-            grid = _bounded(TimeGrid(tuple(map(float, range(len(dims)))), dims), what)
-        coef = _list(tdoc.get("coefficient", [1.0, 0.0]), f"{what}: term {i} coefficient", 2, _number)
-        terms.append((complex(*coef), ElementaryHistory(grid, tuple(slots))))
+    try:
+        grid, coefficients, stacks = _terms(terms_doc, grid, what)
+    except SpecError:
+        for i, tdoc in enumerate(terms_doc):
+            grid = _terms([tdoc], grid, what, i)[0]
+        raise
     # one construction merges repeated slot strings in a single pass
-    history = HistoryState(tuple(terms))
+    history = HistoryState._from_stacks(grid, coefficients, stacks)
 
     bdoc = doc.get("bridging")
     if bdoc is None:
         return history, BridgingSet.trivial(grid)
-    unis = bdoc.get("unitaries") if isinstance(bdoc, dict) else bdoc
+    unis = _list(bdoc.get("unitaries") if isinstance(bdoc, dict) else bdoc,
+                 f"{what}: bridging", grid.n_slots - 1)
     return history, BridgingSet(grid, tuple(
-        _list(unis, f"{what}: bridging", grid.n_slots - 1, unitary_from_document)))
+        _matrix_list(unis, lambda i: f"{what}: bridging[{i}]", unitary_from_document)))
+
+
+def _terms(terms_doc: list, grid: TimeGrid | None, what: str, first: int = 0) -> tuple:
+    """(grid, coefficients, per-slot (T, d, d) operator stacks) of the terms
+    ``terms_doc``, numbered from ``first`` in errors; without a ``grid`` the
+    first term's operators set one.  Each slot's operators take one
+    ``_matrix_list`` and must be d x d for the slot's dimension d.  A single
+    term's errors come in the order of its fields: slots, coefficient, shapes."""
+    slot_lists = []
+    for i, tdoc in enumerate(terms_doc, first):
+        tdoc = _object(tdoc, f"{what}: term {i}")
+        n_slots = grid.n_slots if grid is not None else len(slot_lists[0]) if slot_lists else None
+        slot_lists.append(_list(tdoc.get("slots"), f"{what}: term {i} slots", n_slots))
+    columns = [_matrix_list(list(column), lambda i: f"{what}: term {first + i} slots[{k}]",
+                            slot_operator_from_document)
+               for k, column in enumerate(zip(*slot_lists))]
+    if grid is None:
+        dims = tuple(ops[0].shape[0] for ops in columns)
+        for k, d in enumerate(dims):
+            if d < 2:
+                raise SpecError(f"{what}: term {first} slots[{k}]: slot dimensions must be at least 2")
+        grid = _bounded(TimeGrid(tuple(map(float, range(len(dims)))), dims), what)
+    coefficients = [
+        complex(*_list(tdoc.get("coefficient", [1.0, 0.0]), f"{what}: term {i} coefficient", 2, _number))
+        for i, tdoc in enumerate(terms_doc, first)]
+    for k, (ops, d) in enumerate(zip(columns, grid.slot_dims)):
+        for i, op in enumerate(ops, first):
+            if op.shape != (d, d):
+                raise SpecError(
+                    f"{what}: term {i} slots[{k}]: slot operator shape {op.shape} does not match dim {d}")
+    return grid, coefficients, [np.array(ops) for ops in columns]
 
 
 def experiment_from_document(doc: dict) -> dict:
@@ -537,10 +602,11 @@ def experiment_from_document(doc: dict) -> dict:
         raise SpecError("experiment: needs 'pre' (a state) or 'initial': \"mixed\"")
     if doc.get("post") is not None:
         out["post"] = state_from_document(doc["post"], "post")
-    out["slots"] = tuple(_list(
-        doc.get("slots"), "slots", None,
-        lambda s, what: None if s is None else setting_from_document(s, what)))
+    slots_doc = _list(doc.get("slots"), "slots")
+    # the kernel's bound, checked before any setting is built
+    _check_measured_slots(len(slots_doc) - slots_doc.count(None))
+    out["slots"] = MeasurementSetting.stack(_list(slots_doc, "slots", None, _slot_entry))
     unis_doc = doc.get("unitaries")
-    out["unitaries"] = None if unis_doc is None else tuple(
-        _list(unis_doc, "unitaries", len(out["slots"]) + 1, unitary_from_document))
+    out["unitaries"] = None if unis_doc is None else tuple(_matrix_list(
+        _list(unis_doc, "unitaries", len(out["slots"]) + 1), "unitaries[{}]".format, unitary_from_document))
     return out

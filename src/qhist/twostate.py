@@ -31,6 +31,7 @@ from .errors import ImpossiblePostselectionError, ShapeError
 from .histories import MAX_MEASURED_SLOTS, BridgingSet, HistoryState, TimeGrid, _chains, _term_chains, hs_norm
 from .linalg import (
     as_ket, as_matrix, check_unitary, density_operator, dichotomic_projectors, identity, pauli, projector,
+    unitary_stack,
 )
 
 __all__ = [
@@ -62,12 +63,7 @@ class MeasurementSetting:
 
     def __post_init__(self):
         obs = np.array(as_matrix(self.observable), dtype=complex)
-        obs.setflags(write=False)
-        object.__setattr__(self, "observable", obs)
-        pair = dichotomic_projectors(obs, f"observable {self.label!r}")
-        pair.setflags(write=False)
-        # an attribute, not a field: fields are what a setting's document holds
-        object.__setattr__(self, "_projectors", pair)
+        _hold(self, self.label, obs, dichotomic_projectors(obs, f"observable {self.label!r}"))
 
     @property
     def dim(self) -> int:
@@ -83,14 +79,67 @@ class MeasurementSetting:
         return self._projectors
 
     @classmethod
+    def stack(cls, entries) -> tuple[Optional["MeasurementSetting"], ...]:
+        """Qubit settings for a row of entries, in order.
+
+        An entry is a Pauli name, Bloch angles (theta, phi) or (theta, phi,
+        label), or None, which stays None (an unmeasured slot).  All Bloch
+        rows take one ``bloch_observables`` call and the whole (k, 2, 2)
+        stack one ``dichotomic_projectors`` check; each setting holds
+        read-only slices of the checked stack.  A failed check is repeated
+        setting by setting only to name the first bad one.
+        """
+        entries = tuple(entries)
+        rows = [i for i, e in enumerate(entries) if e is not None]
+        out: list = [None] * len(entries)
+        if not rows:
+            return tuple(out)
+        obs = np.empty((len(rows), 2, 2), dtype=complex)
+        labels = []
+        bloch_rows, angles = [], []
+        for r, i in enumerate(rows):
+            entry = entries[i]
+            if isinstance(entry, str):
+                obs[r] = pauli(entry)
+                labels.append(entry.upper())
+                continue
+            theta, phi, label = entry if len(entry) == 3 else (*entry, None)
+            labels.append(f"bloch({theta:.6g},{phi:.6g})" if label is None else label)
+            bloch_rows.append(r)
+            angles.append((theta, phi))
+        if angles:
+            obs[bloch_rows] = bloch_observables(angles)
+        try:
+            pairs = dichotomic_projectors(obs)
+        except ValueError:
+            for label, o in zip(labels, obs):
+                dichotomic_projectors(o, f"observable {label!r}")
+            raise
+        # one (2, 2, 2) pair per setting, contiguous as a lone setting's is
+        pairs = np.ascontiguousarray(pairs.swapaxes(0, 1))
+        obs.setflags(write=False)
+        for r, i in enumerate(rows):
+            out[i] = object.__new__(cls)
+            _hold(out[i], labels[r], obs[r], pairs[r])
+        return tuple(out)
+
+    @classmethod
     def from_pauli(cls, name: str) -> "MeasurementSetting":
-        return cls(name.upper(), pauli(name))
+        return cls.stack((name,))[0]
 
     @classmethod
     def from_bloch(cls, theta: float, phi: float, label: str | None = None) -> "MeasurementSetting":
-        if label is None:
-            label = f"bloch({theta:.6g},{phi:.6g})"
-        return cls(label, bloch_observables([[theta, phi]])[0])
+        return cls.stack(((theta, phi, label),))[0]
+
+
+def _hold(setting: MeasurementSetting, label: str, obs: np.ndarray, pair: np.ndarray) -> None:
+    """Store a checked observable and its projector pair, read-only, on ``setting``."""
+    obs.setflags(write=False)
+    pair.setflags(write=False)
+    object.__setattr__(setting, "label", label)
+    object.__setattr__(setting, "observable", obs)
+    # an attribute, not a field: fields are what a setting's document holds
+    object.__setattr__(setting, "_projectors", pair)
 
 
 def bloch_observables(angles) -> np.ndarray:
@@ -199,15 +248,27 @@ def _checked_row(d: int, slots, unitaries) -> tuple[np.ndarray, ...]:
     ``unitaries`` may be None for identities between every pair of slots.
     Every measured slot must act on dimension ``d``, and there must be one
     unitary per gap, the gaps before the first and after the last slot
-    included.
+    included.  The row is checked as one (n + 1, d, d) stack by one
+    ``check_unitary``; each unitary is a read-only slice of it.  Only a row
+    that fails is read again unitary by unitary, to raise the first
+    failure's own error.
     """
     for s in slots:
         if s is not None and s.dim != d:
             raise ShapeError("slot observable dimension does not match the state")
     if unitaries is None:
         unitaries = [identity(d)] * (len(slots) + 1)
+    stack = unitary_stack(unitaries, (d, d))
+    if stack is not None and len(stack) == len(slots) + 1:
+        return tuple(stack)
+    return _checked_one_by_one(d, len(slots) + 1, unitaries)
+
+
+def _checked_one_by_one(d: int, n_gaps: int, unitaries) -> tuple[np.ndarray, ...]:
+    """``_checked_row``'s checks one unitary at a time, in order, so the
+    error raised is the first entry's."""
     us = tuple(np.array(as_matrix(u), dtype=complex) for u in unitaries)
-    if len(us) != len(slots) + 1:
+    if len(us) != n_gaps:
         raise ShapeError("need one interval unitary per gap, boundaries included")
     for u in us:
         u.setflags(write=False)

@@ -372,6 +372,22 @@ class TestSpecFieldReaders:
     def test_labels(self, capsys, tmp_path, command, path, field, label):
         self.rejects(capsys, tmp_path, command, path, _bloch(label=label), field)
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"terms": [{"slots": ["z+", [[[1, 0]]]]}]},
+         "history: term 0 slots[1]: slot dimensions must be at least 2"),
+        ({"terms": [{"slots": ["z+", [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]]]}]},
+         "history: term 0 slots[1]: slot operator shape (2, 3) does not match dim 2"),
+        ({"terms": [{"slots": ["z+", "x+"]}, {"slots": [_identity_with(1), [[[1, 0]] * 3] * 3]}]},
+         "history: term 1 slots[1]: slot operator shape (3, 3) does not match dim 2"),
+        ({"grid": {"labels": [0, 1], "slot_dims": [2, 2]}, "terms": [{"slots": ["z+", [[[1, 0]] * 3] * 3]}]},
+         "history: term 0 slots[1]: slot operator shape (3, 3) does not match dim 2"),
+    ])
+    def test_slot_shapes(self, capsys, tmp_path, doc, message):
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps({"history": doc}))
+        code, out, err = run_cli(capsys, "weight", "--spec", str(p))
+        assert (code, out, err) == (EXIT_INPUT, "", f"error: {message}\n")
+
     def test_valid_specs_run(self, capsys, tmp_path):
         for command, doc in VALID_SPECS.items():
             p = tmp_path / f"{command}.json"
@@ -686,6 +702,38 @@ class TestAblCommand:
         code, out, _ = run_cli(capsys, "optimize", "--max-evals", "40", "--format", fmt)
         assert code in (EXIT_OK, EXIT_NONCONVERGED)
         assert "evaluation" in out
+
+    @pytest.mark.parametrize("n", [MAX_MEASURED_SLOTS + 1, 20000])
+    @pytest.mark.parametrize("head", [{"pre": "0", "post": "+"}, {"initial": "mixed"}])
+    def test_slot_bound_checked_before_any_setting(self, capsys, tmp_path, monkeypatch, n, head):
+        def fail(*args, **kwargs):
+            raise AssertionError("settings built before the measured-slot bound was checked")
+
+        monkeypatch.setattr(twostate.MeasurementSetting, "stack", fail)
+        spec = self.write(tmp_path, {**head, "slots": [{"theta": 0.5, "phi": 0.25}, None] * n})
+        code, out, err = run_cli(capsys, "abl", "--spec", spec)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == f"error: at most {MAX_MEASURED_SLOTS} measured slots are supported, got {n}\n"
+
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize("head", [{"pre": "0", "post": "+"}, {"initial": "mixed"}])
+    def test_bad_unitary_at_each_position(self, capsys, tmp_path, position, head):
+        unitaries = ["H", "I", "X", "Y"]
+        unitaries[position] = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
+        spec = self.write(tmp_path, {**head, "slots": ["X", None, "Z"], "unitaries": unitaries})
+        code, out, err = run_cli(capsys, "abl", "--spec", spec)
+        assert (code, out, err) == (EXIT_INPUT, "", "error: interval operator is not unitary\n")
+
+    def test_csv_builds_no_document(self, capsys, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a JSON document built for a CSV table")
+
+        monkeypatch.setattr(serialize, "document", fail)
+        spec = self.write(tmp_path, {"pre": "0", "post": "+", "slots": ["X", None]})
+        for extra in ((), ("--slot", "0")):
+            code, out, _ = run_cli(capsys, "abl", "--spec", spec, "--format", "csv", *extra)
+            assert code == EXIT_OK
+            assert out.startswith("outcome,probability\r\n")
 
 
 class TestParserReuse:

@@ -1166,3 +1166,38 @@ class TestReductionSearch:
             fidelity = np.vdot(bell, partial_trace(rho, [2, 2, 2], keep) @ bell).real
             assert abs(fidelity - 0.75) < 1e-12
         assert res.best_overlap == pytest.approx(0.75, abs=1e-12)
+
+
+class TestStackedBridges:
+    """A bridging row is one stack and one ``check_unitary`` per bridge shape;
+    a bad bridge at any position still raises its own error."""
+
+    @pytest.mark.parametrize("dims, n_shapes", [((2, 2, 2, 2), 1), ((2, 3, 3, 3), 2), ((2, 3, 3, 4), 3)])
+    def test_one_check_per_shape(self, rng, monkeypatch, dims, n_shapes):
+        from qhist import linalg
+
+        calls = []
+        real = linalg.check_unitary
+        monkeypatch.setattr(linalg, "check_unitary", lambda *a, **k: calls.append(1) or real(*a, **k))
+        # a unitary where the dimension stays, an isometry where it grows
+        row = [random_unitary(rng, b)[:, :a] for a, b in zip(dims, dims[1:])]
+        b = BridgingSet(TimeGrid(tuple(map(float, range(len(dims)))), dims), tuple(row))
+        assert len(calls) == n_shapes
+        assert [u.tobytes() for u in b.unitaries] == [u.tobytes() for u in row]
+        assert all(not u.flags.writeable for u in b.unitaries)
+
+    @pytest.mark.parametrize("position", range(3))
+    @pytest.mark.parametrize("bad, message", [
+        (np.diag([1.0, 0.5]), "bridge {k} is not unitary"),
+        (np.array([[np.nan, 0], [0, 1]]), "matrix entries must be finite"),
+        (np.eye(3), r"bridge {k} shape \(3, 3\) incompatible with slot dims"),
+    ])
+    def test_bad_bridge_at_each_position(self, rng, position, bad, message):
+        row = [random_unitary(rng, 2) for _ in range(3)]
+        row[position] = bad
+        with pytest.raises(ValueError, match="^" + message.format(k=position) + "$"):
+            BridgingSet(TimeGrid.regular(4), tuple(row))
+
+    def test_wrong_count_still_named(self):
+        with pytest.raises(ShapeError, match="^need exactly one bridge per adjacent slot pair$"):
+            BridgingSet(TimeGrid.regular(3), (identity(2),))

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from qhist import (
     BridgingSet,
+    ElementaryHistory,
     HistoryState,
     MeasurementSetting,
     OutcomeDistribution,
@@ -24,11 +25,13 @@ from qhist import (
     CorrelatorSpec,
 )
 from qhist.errors import ShapeError
+from qhist import twostate
 from qhist.linalg import identity, maximally_mixed, pauli, projector, qubit_ket
 from qhist.serialize import (
     MAX_HISTORY_TERMS,
     MAX_SLOT_DIM,
     SpecError,
+    bell_spec_from_document,
     complex_pair,
     distribution_csv,
     document,
@@ -40,6 +43,7 @@ from qhist.serialize import (
     history_from_document,
     load_document,
     matrix_document,
+    matrix_from_document,
     setting_from_document,
     slot_operator_from_document,
     state_from_document,
@@ -224,17 +228,29 @@ class TestCSV:
         assert rows[0] == ["outcome", "probability"]
         assert ["++", "0.5"] in rows
 
-    def test_distribution_csv_matches_a_csv_writer(self):
+    def test_distribution_csv_matches_a_csv_writer(self, rng):
+        def by_csv_writer(dist):
+            buf = io.StringIO()
+            writer = csv.writer(buf)
+            writer.writerow(["outcome", "probability"])
+            for outcome in sorted(dist.table):
+                writer.writerow([outcome, format_number(dist.table[outcome])])
+            return buf.getvalue()
+
         # outcome keys that need quoting, and probabilities that round at 12 digits
         p = [0.1, np.float64(0.2), 1.0 / 3.0]
         table = {'a,b': p[0], 'a"b': p[1], "a\nb": p[2], "+-+": 1.0 - sum(p)}
         dist = OutcomeDistribution(("X", "Y", "Z"), table)
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["outcome", "probability"])
-        for outcome in sorted(table):
-            writer.writerow([outcome, format_number(table[outcome])])
-        assert distribution_csv(dist) == buf.getvalue()
+        assert distribution_csv(dist) == by_csv_writer(dist)
+        # a random 10-slot table, whose keys need no quoting (one join)
+        outcomes = ["".join(s) for s in itertools.product("+-", repeat=10)]
+        w = rng.exponential(size=len(outcomes))
+        w[rng.choice(len(w), 50, replace=False)] = 0.0
+        dist = OutcomeDistribution(tuple("S" * 10), dict(zip(outcomes, (w / w.sum()).tolist())))
+        assert distribution_csv(dist) == by_csv_writer(dist)
+        # an empty key goes to csv.writer
+        dist = OutcomeDistribution((), {"": 1.0})
+        assert distribution_csv(dist) == by_csv_writer(dist)
 
     def test_trace_csv_columns(self):
         from qhist import OptimizerConfig, optimize_settings
@@ -402,6 +418,97 @@ class TestHistoryFromDocument:
         grid = {"labels": [0.0], "slot_dims": [MAX_SLOT_DIM + 1]}
         with pytest.raises(SpecError, match=f"at most {MAX_SLOT_DIM}"):
             history_from_document({"grid": grid, "terms": [term]})
+
+
+class TestStackedSpecReading:
+    """Each list field of a spec is read as one array and checked once."""
+
+    def test_weight_spec_matches_terms_built_by_hand(self, rng):
+        names = ["z+", "z-", "x+", "x-", "y+", "y-", "I"]
+        term_docs = []
+        for t in range(24):
+            slots = []
+            for k in range(3):
+                if rng.random() < 0.4:
+                    slots.append(str(rng.choice(names)))
+                else:
+                    m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+                    slots.append(matrix_document(m))
+            term_docs.append({"coefficient": [float(rng.normal()), float(rng.normal())], "slots": slots})
+        # repeated strings merge, and a pair of them cancels
+        term_docs += [dict(term_docs[3]), {"coefficient": [1.0, 0.0], "slots": ["z+", "x-", "I"]},
+                      {"coefficient": [-1.0, 0.0], "slots": ["z+", "x-", "I"]}]
+        parsed, _ = history_from_document({"terms": term_docs})
+        grid = TimeGrid.regular(3)
+        by_hand = HistoryState(tuple(
+            (complex(*t["coefficient"]), ElementaryHistory(grid, tuple(
+                slot_operator_from_document(s) if isinstance(s, str) else matrix_from_document(s)
+                for s in t["slots"])))
+            for t in term_docs))
+        assert parsed.n_terms == by_hand.n_terms == 24
+        assert [c for c, _ in parsed.terms] == [c for c, _ in by_hand.terms]
+        for (_, eh), (_, eh0) in zip(parsed.terms, by_hand.terms):
+            assert eh.grid == eh0.grid
+            assert [op.tobytes() for op in eh.slots] == [op.tobytes() for op in eh0.slots]
+            assert all(not op.flags.writeable for op in eh.slots)
+        assert parsed._rows.tobytes() == by_hand._rows.tobytes()
+        assert not parsed._rows.flags.writeable
+
+    def test_several_bad_terms_name_the_first(self):
+        # read together, term 2's short slot list fails first; read term by
+        # term, as before stacking, term 0's coefficient does
+        terms = [{"slots": ["z+", "x+"], "coefficient": [1, "a"]}, {"slots": ["z+", "Q"]}, {"slots": ["z+"]}]
+        with pytest.raises(SpecError, match=r"^history: term 0 coefficient\[1\]: "):
+            history_from_document({"terms": terms})
+        terms[0]["coefficient"] = [1, 0]
+        with pytest.raises(SpecError, match=r"^history: term 1 slots\[1\]: unknown named slot 'Q'"):
+            history_from_document({"terms": terms})
+
+    def test_settings_take_one_check(self, monkeypatch):
+        calls = {"bloch_observables": 0, "dichotomic_projectors": 0}
+        for name in calls:
+            real = getattr(twostate, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(twostate, name, counted)
+        bloch = [{"theta": 0.1 * k, "phi": 0.3 * k} for k in range(15)]
+        parsed = experiment_from_document({"pre": "0", "slots": bloch + ["X", None, "z"]})
+        assert len(parsed["slots"]) == 18
+        assert calls == {"bloch_observables": 1, "dichotomic_projectors": 1}
+        calls.update(bloch_observables=0, dichotomic_projectors=0)
+        _, pairs, _, _ = bell_spec_from_document({"a": bloch[:2], "b": ["X", bloch[2]], "c": bloch[3:5]},
+                                                 "monogamy")
+        assert [s.label for pair in pairs for s in pair] == ["bloch(0,0)", "bloch(0.1,0.3)", "X",
+                                                             "bloch(0.2,0.6)", "bloch(0.3,0.9)",
+                                                             "bloch(0.4,1.2)"]
+        assert calls == {"bloch_observables": 1, "dichotomic_projectors": 1}
+
+    def test_unitary_row_takes_one_read(self, monkeypatch):
+        from qhist import serialize
+
+        calls = []
+        real = serialize._pairs_to_array
+        monkeypatch.setattr(serialize, "_pairs_to_array", lambda *a: calls.append(a[1]) or real(*a))
+        row = [matrix_document(pauli(n)) for n in "XYZXZ"]
+        parsed = experiment_from_document({"pre": "0", "slots": ["X"] * 4,
+                                           "unitaries": row[:2] + ["H"] + row[2:4]})
+        assert calls == ["unitaries[0]"]
+        assert [u.tobytes() for u in parsed["unitaries"]] == [
+            pauli(n).tobytes() for n in "XY"] + [unitary_from_document("H").tobytes()] + [
+            pauli(n).tobytes() for n in "ZX"]
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_bad_unitary_entry_named_at_each_position(self, position):
+        row = ["I"] * 4
+        row[position] = [[[1, 0], [0, 0]], [[0, 0], [float("nan"), 0]]]
+        with pytest.raises(SpecError, match=rf"^unitaries\[{position}\]: expected a matrix"):
+            experiment_from_document({"pre": "0", "slots": ["X", None, "Z"], "unitaries": row})
+        row[position] = "Q"
+        with pytest.raises(SpecError, match=rf"^unitaries\[{position}\]: unknown named unitary 'Q'"):
+            experiment_from_document({"pre": "0", "slots": ["X", None, "Z"], "unitaries": row})
 
 
 class TestExperimentFromDocument:

@@ -22,9 +22,10 @@ from qhist import (
     mixed_sequence_distribution,
     normalize,
     sequence_distribution,
+    settings_from_angles,
     weight,
 )
-from qhist import histories
+from qhist import histories, twostate
 from qhist.histories import TimeGrid
 from qhist.linalg import identity, maximally_mixed, pauli, projector, qubit_ket
 from qhist.twostate import MAX_MEASURED_SLOTS
@@ -499,3 +500,120 @@ class TestMarginalIndependence:
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError):
             marginal_independence_check({})
+
+
+class TestStackedSettings:
+    """``MeasurementSetting.stack`` against the settings built one at a time."""
+
+    def test_equal_to_one_by_one_bit_for_bit(self, rng):
+        angles = [tuple(rng.uniform(0, 2 * np.pi, size=2)) for _ in range(20)]
+        angles += [(0.0, 0.0), (np.pi, 0.0), (2 * np.pi, np.pi), (0.0, 2 * np.pi), (np.pi, 2 * np.pi)]
+        entries = angles + [(0.3, 0.4, "mine"), "X", None, "y", "Z", None]
+        order = rng.permutation(len(entries))
+        entries = [entries[i] for i in order]
+        stacked = MeasurementSetting.stack(entries)
+        assert len(stacked) == len(entries)
+        for entry, s in zip(entries, stacked):
+            if entry is None:
+                assert s is None
+                continue
+            if isinstance(entry, str):
+                ones = [MeasurementSetting.from_pauli(entry),
+                        MeasurementSetting(entry.upper(), pauli(entry))]
+            else:
+                ones = [MeasurementSetting.from_bloch(*entry)]
+                label = ones[0].label
+                ones.append(MeasurementSetting(label, twostate.bloch_observables([entry[:2]])[0]))
+            for one in ones:
+                assert s.label == one.label
+                assert s.observable.tobytes() == one.observable.tobytes()
+                assert s.projectors().tobytes() == one.projectors().tobytes()
+            assert not s.observable.flags.writeable and not s.projectors().flags.writeable
+
+    def test_default_and_given_labels(self):
+        a, b, c = MeasurementSetting.stack([(0.5, 1.25), (0.5, 1.25, "L"), "z"])
+        assert (a.label, b.label, c.label) == ("bloch(0.5,1.25)", "L", "Z")
+        assert MeasurementSetting.stack([]) == ()
+        assert MeasurementSetting.stack([None, None]) == (None, None)
+
+    def test_one_check_for_any_length(self, monkeypatch):
+        calls = {"bloch_observables": 0, "dichotomic_projectors": 0}
+        for name in calls:
+            real = getattr(twostate, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(twostate, name, counted)
+        for n in (1, 2, 12, 100):
+            for key in calls:
+                calls[key] = 0
+            MeasurementSetting.stack([(0.1 * k, 0.2 * k) for k in range(n)] + ["X", None])
+            assert calls == {"bloch_observables": 1, "dichotomic_projectors": 1}
+            for key in calls:
+                calls[key] = 0
+            assert len(settings_from_angles(0.1 * np.arange(2 * n))) == n
+            assert calls == {"bloch_observables": 1, "dichotomic_projectors": 1}
+
+    def test_a_failed_check_names_the_first_bad_setting(self, monkeypatch):
+        real = twostate.bloch_observables
+
+        def spoiled(angles):
+            obs = real(angles)
+            obs[1:] = np.diag([1.0, 0.5])
+            return obs
+
+        monkeypatch.setattr(twostate, "bloch_observables", spoiled)
+        with pytest.raises(ValueError, match=r"^observable 'second' is not dichotomic \(O\^2 != I\)$"):
+            MeasurementSetting.stack(["X", (0.1, 0.2, "first"), (0.3, 0.4, "second"), (0.5, 0.6, "third")])
+
+
+class TestStackedUnitaryRow:
+    """An interval row is one stack and one ``check_unitary``; a bad entry at
+    any position still raises its own error."""
+
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize("bad, error, message", [
+        (np.diag([1.0, 0.0]).astype(complex), ValueError, "interval operator is not unitary"),
+        (np.array([[np.nan, 0], [0, 1]], dtype=complex), ValueError, "matrix entries must be finite"),
+        (np.array([[1, 0], [0, np.inf]], dtype=complex), ValueError, "matrix entries must be finite"),
+        (np.eye(3, dtype=complex), ShapeError, "interval unitary has wrong dimension"),
+        (np.ones(2, dtype=complex), ShapeError, "expected a 2-D matrix, got ndim=1"),
+    ])
+    def test_bad_entry_at_each_position(self, rng, position, bad, error, message):
+        row = [random_unitary(rng, 2) for _ in range(4)]
+        row[position] = bad
+        slots = (X, None, Z)
+        with pytest.raises(error, match=f"^{message}$"):
+            TwoTimeExperiment.build(K0, slots, post=KP, unitaries=row)
+        with pytest.raises(error, match=f"^{message}$"):
+            mixed_sequence_distribution(maximally_mixed(2), slots, unitaries=row)
+
+    def test_wrong_count_still_named(self):
+        with pytest.raises(ShapeError, match="^need one interval unitary per gap, boundaries included$"):
+            TwoTimeExperiment.build(K0, (X, Z), unitaries=[identity(2)] * 4)
+
+    def test_read_only_copies_of_the_given_row(self, rng):
+        row = [random_unitary(rng, 2) for _ in range(3)]
+        exp = TwoTimeExperiment.build(K0, (X, Z), post=KP, unitaries=row)
+        assert [u.tobytes() for u in exp.unitaries] == [u.tobytes() for u in row]
+        assert all(not u.flags.writeable for u in exp.unitaries)
+        row[0][0, 0] = 5.0
+        assert exp.unitaries[0][0, 0] != 5.0
+
+    def test_one_check_per_row(self, rng, monkeypatch):
+        from qhist import linalg
+
+        calls = []
+        real = linalg.check_unitary
+        monkeypatch.setattr(linalg, "check_unitary", lambda *a, **k: calls.append(1) or real(*a, **k))
+        for n in (1, 6, 13):
+            calls.clear()
+            slots = (X,) * (n - 1)
+            TwoTimeExperiment.build(K0, slots, unitaries=[random_unitary(rng, 2) for _ in range(n)])
+            assert len(calls) == 1
+            calls.clear()
+            mixed_sequence_distribution(maximally_mixed(2), slots or (X,), unitaries=None if n == 1 else
+                                        [random_unitary(rng, 2) for _ in range(n)])
+            assert len(calls) == 1
