@@ -156,16 +156,25 @@ def correlator_tables(initial, firsts, unitaries, seconds) -> np.ndarray:
     u = _check_unitary(unitaries, d)
     if u.ndim == 3 and len(u) != len(firsts):
         raise ShapeError("need one unitary per stack entry")
+    # one check over both stacks, then each setting's (P+, P-) pair back per stack
+    k = firsts.shape[1]
+    pairs = np.moveaxis(dichotomic_projectors(np.concatenate([firsts, seconds], axis=1)), 0, -3)
+    return _tables(rho, pairs[:, :k], u, pairs[:, k:])
+
+
+def _tables(rho, first_pairs, u, second_pairs) -> np.ndarray:
+    """``correlator_tables`` on a checked state and unitary and (N, k, 2, d, d)
+    stacks of checked (P+, P-) pairs; only their dimension and the range of
+    the correlators are checked here."""
+    d = rho.shape[0]
+    if first_pairs.shape[-1] != d or second_pairs.shape[-1] != d:
+        raise ShapeError(f"observables must be (N, k, {d}, {d}) stacks with one N")
     u = u[None] if u.ndim == 2 else u[:, None]
     u_dag = u.conj().swapaxes(-1, -2)
-    # one check over both stacks, then split each projector back per stack
-    k = firsts.shape[1]
-    both = dichotomic_projectors(np.concatenate([firsts, seconds], axis=1))
-    first_projectors, second_projectors = both[:, :, :k], both[:, :, k:]
     total = 0.0
-    for a, pa in zip((+1, -1), first_projectors):
+    for a, pa in zip((+1, -1), np.moveaxis(first_pairs, -3, 0)):
         mid = (u @ pa @ rho @ pa @ u_dag)[:, :, None]
-        for b, pb in zip((+1, -1), second_projectors):
+        for b, pb in zip((+1, -1), np.moveaxis(second_pairs, -3, 0)):
             total = total + a * b * np.trace(pb[:, None] @ mid, axis1=-2, axis2=-1).real
     if max_abs(total) > 1.0 + 1e-9:
         raise ValueError("correlators must lie in [-1, 1]")
@@ -177,8 +186,9 @@ def _s_value(table):
     return table[..., 0, 0] + table[..., 0, 1] + table[..., 1, 0] - table[..., 1, 1]
 
 
-def _observables(settings: Sequence[MeasurementSetting]) -> np.ndarray:
-    return np.stack([s.observable for s in settings])
+def _pairs(settings: Sequence[MeasurementSetting]) -> np.ndarray:
+    """The settings' own checked (P+, P-) pairs as one (k, 2, d, d) stack."""
+    return np.stack([s.projectors() for s in settings])
 
 
 def temporal_correlator(
@@ -198,12 +208,8 @@ def _report(table, settings, mode: str) -> BellReport:
 
 def s_lgi(spec: CorrelatorSpec) -> BellReport:
     """Evaluate S = c11 + c12 + c21 - c22 for the given settings."""
-    table = correlator_tables(
-        spec.initial,
-        _observables(spec.first_settings)[None],
-        spec.unitary,
-        _observables(spec.second_settings)[None],
-    )[0]
+    table = _tables(spec.initial, _pairs(spec.first_settings)[None], spec.unitary,
+                    _pairs(spec.second_settings)[None])[0]
     return _report(table, spec.first_settings + spec.second_settings, spec.evaluation_mode)
 
 
@@ -312,17 +318,16 @@ def monogamy_sum(
     d = rho.shape[0]
     u1, u2 = (_check_unitary(u, d, f"unitaries[{i}]") for i, u in enumerate(unitaries))
     a_settings, b_settings, c_settings = tuple(a_settings), tuple(b_settings), tuple(c_settings)
-    a, b, c = (_observables(s) for s in (a_settings, b_settings, c_settings))
+    pa, pb, pc = (_pairs(s) for s in (a_settings, b_settings, c_settings))
 
     if mode == INDEPENDENT:
-        tables = correlator_tables(rho, np.stack([a, b]), np.stack([u1, u2]), np.stack([b, c]))
+        tables = _tables(rho, np.stack([pa, pb]), np.stack([u1, u2]), np.stack([pb, pc]))
         first = _report(tables[0], a_settings + b_settings, mode)
         second = _report(tables[1], b_settings + c_settings, mode)
     else:
-        first = _report(correlator_tables(rho, a[None], u1, b[None])[0], a_settings + b_settings, mode)
-        pa = np.stack([s.projectors() for s in a_settings])
+        first = _report(_tables(rho, pa[None], u1, pb[None])[0], a_settings + b_settings, mode)
         mixed = u1 @ ((pa @ rho @ pa).sum(axis=(0, 1)) / len(a_settings)) @ u1.conj().T
-        second = _report(correlator_tables(mixed, b[None], u2, c[None])[0], b_settings + c_settings, mode)
+        second = _report(_tables(mixed, pb[None], u2, pc[None])[0], b_settings + c_settings, mode)
     total = float(first.value + second.value)
     return MonogamyResult(first, second, total, 4.0 * math.sqrt(2.0), 4.0, mode)
 

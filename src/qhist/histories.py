@@ -44,7 +44,8 @@ from .errors import (
     NonFactorizableEvolutionError,
     ShapeError,
 )
-from .linalg import as_matrix, bell_pair_ket, check_unitary, identity, max_abs, projector, unitary_stack
+from . import linalg
+from .linalg import as_matrix, bell_pair_ket, identity, max_abs, projector
 
 __all__ = [
     "TimeGrid",
@@ -328,42 +329,23 @@ class BridgingSet:
     unitaries: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        unitaries = tuple(self.unitaries)
-        mats = self._stacked(unitaries)
-        if mats is None:
-            mats = self._checked_one_by_one(unitaries)
-        object.__setattr__(self, "unitaries", mats)
-
-    def _stacked(self, unitaries) -> tuple[np.ndarray, ...] | None:
-        """The bridges as read-only slices of one checked stack per bridge
-        shape (one ``check_unitary`` call when the slot dimensions are
-        equal), or None when any stack fails."""
+        # read every bridge (2-D, finite), check the count, then shape and unitarity in
+        # order: one check_unitary per run of equal shapes before the first wrong one
+        mats = [as_matrix(u) for u in self.unitaries]
         dims = self.grid.slot_dims
-        shapes = list(zip(dims[1:], dims[:-1]))
-        if len(unitaries) != len(shapes):
-            return None
-        mats: list = [None] * len(shapes)
-        for shape in dict.fromkeys(shapes):
-            ks = [k for k, s in enumerate(shapes) if s == shape]
-            stack = unitary_stack([unitaries[k] for k in ks], shape)
-            if stack is None:
-                return None
-            for k, u in zip(ks, stack):
-                mats[k] = u
-        return tuple(mats)
-
-    def _checked_one_by_one(self, unitaries) -> tuple[np.ndarray, ...]:
-        """The bridge checks one unitary at a time, in order, so the error
-        raised is the first bad bridge's."""
-        mats = tuple(_frozen(u) for u in unitaries)
-        if len(mats) != self.grid.n_slots - 1:
+        if len(mats) != len(dims) - 1:
             raise ShapeError("need exactly one bridge per adjacent slot pair")
-        dims = self.grid.slot_dims
-        for k, u in enumerate(mats):
-            if u.shape != (dims[k + 1], dims[k]):
-                raise ShapeError(f"bridge {k} shape {u.shape} incompatible with slot dims")
-            check_unitary(u, f"bridge {k}")
-        return mats
+        shapes = list(zip(dims[1:], dims[:-1]))
+        n = next((k for k, u in enumerate(mats) if u.shape != shapes[k]), len(mats))
+        checked: list = []
+        for _, run in itertools.groupby(shapes[:n]):
+            k, m = len(checked), len(list(run))
+            stack = linalg.check_unitary(np.array(mats[k:k + m]), lambda i, k=k: f"bridge {k + i}")
+            stack.setflags(write=False)
+            checked.extend(stack)
+        if n < len(mats):
+            raise ShapeError(f"bridge {n} shape {mats[n].shape} incompatible with slot dims")
+        object.__setattr__(self, "unitaries", tuple(checked))
 
     @classmethod
     def trivial(cls, grid: TimeGrid) -> "BridgingSet":

@@ -9,6 +9,7 @@ All functions are pure and never mutate their arguments.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -23,7 +24,6 @@ __all__ = [
     "is_projector",
     "max_abs",
     "check_unitary",
-    "unitary_stack",
     "density_operator",
     "dichotomic_projectors",
     "identity",
@@ -42,7 +42,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -119,32 +119,38 @@ def identity(d: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the one check for each kind of physical input; ``what`` names it in errors
+# the one check for each kind of physical input, on one matrix or a stack;
+# ``what`` names the input in errors (see ``_raise_first``)
 
 
-def check_unitary(u, what: str = "unitary") -> np.ndarray:
+def _entry_max(a) -> np.ndarray:
+    """``max_abs`` of each matrix of a stack (NaN for a matrix holding NaN)."""
+    return np.abs(a).max(axis=(-2, -1), initial=0.0)
+
+
+def _raise_first(what, failed, messages) -> None:
+    """Raise for the first failure in ``failed``, one per-matrix boolean array
+    per condition in check order, described by ``messages``.  ``what`` names
+    every matrix (a string: the first condition any matrix fails is raised) or
+    each one (a function of the flat index: the lowest-index matrix that fails
+    is raised, by its first failing condition)."""
+    if not any(f.any() for f in failed):
+        return
+    failed = np.reshape(failed, (len(messages), -1))
+    if isinstance(what, str):
+        failed = failed.any(axis=1, keepdims=True)
+    entry, condition = np.argwhere(failed.T)[0].tolist()  # (matrix, condition) pairs, matrix-major
+    raise ValueError(messages[condition].format(what if isinstance(what, str) else what(entry)))
+
+
+def check_unitary(u, what: str | Callable[[int], str] = "unitary") -> np.ndarray:
     """``u`` once U^dag U = I: one matrix, an (N, m, n) stack, or a tall isometry."""
     u = np.asarray(u, dtype=complex)
-    if not np.all(np.isfinite(u)):
-        raise ValueError(f"{what} entries must be finite")
-    if max_abs(u.conj().swapaxes(-1, -2) @ u - identity(u.shape[-1])) > DEFAULT_TOL:
-        raise ValueError(f"{what} is not unitary")
+    with np.errstate(invalid="ignore"):  # a non-finite matrix fails before its residual counts
+        residual = _entry_max(u.conj().swapaxes(-1, -2) @ u - identity(u.shape[-1]))
+    _raise_first(what, [~np.isfinite(u).all(axis=(-2, -1)), residual > DEFAULT_TOL],
+                 ("{} entries must be finite", "{} is not unitary"))
     return u
-
-
-def unitary_stack(items, shape) -> np.ndarray | None:
-    """``items`` as one read-only (N, *shape) stack once ``check_unitary``
-    passes on all of it, or None when they do not stack to that shape or fail;
-    a caller then checks them one at a time to name the first bad one."""
-    try:
-        stack = np.array(items, dtype=complex)
-        if stack.ndim != 3 or stack.shape[1:] != tuple(shape):
-            return None
-        check_unitary(stack)
-    except (TypeError, ValueError):
-        return None
-    stack.setflags(write=False)
-    return stack
 
 
 def density_operator(rho, what: str = "initial state") -> np.ndarray:
@@ -157,25 +163,24 @@ def density_operator(rho, what: str = "initial state") -> np.ndarray:
     return rho
 
 
-def dichotomic_projectors(obs, what: str = "observable") -> np.ndarray:
+def dichotomic_projectors(obs, what: str | Callable[[int], str] = "observable") -> np.ndarray:
     """(P+, P-) = ((I + O)/2, (I - O)/2) stacked on a new leading axis, for one
     observable O or a (..., d, d) stack, once O is finite, Hermitian, O^2 = I
     and the projectors resolve the identity and are orthogonal."""
     obs = np.asarray(obs, dtype=complex)
     if obs.ndim < 2 or obs.shape[-1] != obs.shape[-2]:
-        raise ShapeError(f"{what} must be square")
-    if not np.all(np.isfinite(obs)):
-        raise ValueError(f"{what} entries must be finite")
+        raise ShapeError(f"{what if isinstance(what, str) else 'observables'} must be square")
     eye = identity(obs.shape[-1])
-    if max_abs(obs - obs.conj().swapaxes(-1, -2)) > DEFAULT_TOL:
-        raise ValueError(f"{what} is not Hermitian")
-    if max_abs(obs @ obs - eye) > DEFAULT_TOL:
-        raise ValueError(f"{what} is not dichotomic (O^2 != I)")
-    pair = np.stack([(eye + a * obs) / 2.0 for a in (+1, -1)])
-    if max_abs(pair[0] + pair[1] - eye) > 1e-12:
-        raise ValueError("outcome projectors do not resolve the identity")
-    if max_abs(pair[0] @ pair[1]) > 1e-12:
-        raise ValueError("outcome projectors are not orthogonal")
+    with np.errstate(invalid="ignore"):
+        pair = np.stack([(eye + a * obs) / 2.0 for a in (+1, -1)])
+        failed = [~np.isfinite(obs).all(axis=(-2, -1)),
+                  _entry_max(obs - obs.conj().swapaxes(-1, -2)) > DEFAULT_TOL,
+                  _entry_max(obs @ obs - eye) > DEFAULT_TOL,
+                  _entry_max(pair[0] + pair[1] - eye) > 1e-12,
+                  _entry_max(pair[0] @ pair[1]) > 1e-12]
+    _raise_first(what, failed, (
+        "{} entries must be finite", "{} is not Hermitian", "{} is not dichotomic (O^2 != I)",
+        "outcome projectors do not resolve the identity", "outcome projectors are not orthogonal"))
     return pair
 
 

@@ -29,10 +29,8 @@ import numpy as np
 from .errors import ImpossiblePostselectionError, ShapeError
 # MAX_MEASURED_SLOTS is the chain kernel's bound, re-exported here
 from .histories import MAX_MEASURED_SLOTS, BridgingSet, HistoryState, TimeGrid, _chains, _term_chains, hs_norm
-from .linalg import (
-    as_ket, as_matrix, check_unitary, density_operator, dichotomic_projectors, identity, pauli, projector,
-    unitary_stack,
-)
+from . import linalg
+from .linalg import as_ket, as_matrix, density_operator, dichotomic_projectors, identity, pauli, projector
 
 __all__ = [
     "MeasurementSetting",
@@ -85,9 +83,9 @@ class MeasurementSetting:
         An entry is a Pauli name, Bloch angles (theta, phi) or (theta, phi,
         label), or None, which stays None (an unmeasured slot).  All Bloch
         rows take one ``bloch_observables`` call and the whole (k, 2, 2)
-        stack one ``dichotomic_projectors`` check; each setting holds
-        read-only slices of the checked stack.  A failed check is repeated
-        setting by setting only to name the first bad one.
+        stack one ``dichotomic_projectors`` check, which names the first bad
+        setting by its label; each setting holds read-only slices of the
+        checked stack.
         """
         entries = tuple(entries)
         rows = [i for i, e in enumerate(entries) if e is not None]
@@ -109,12 +107,7 @@ class MeasurementSetting:
             angles.append((theta, phi))
         if angles:
             obs[bloch_rows] = bloch_observables(angles)
-        try:
-            pairs = dichotomic_projectors(obs)
-        except ValueError:
-            for label, o in zip(labels, obs):
-                dichotomic_projectors(o, f"observable {label!r}")
-            raise
+        pairs = dichotomic_projectors(obs, lambda r: f"observable {labels[r]!r}")
         # one (2, 2, 2) pair per setting, contiguous as a lone setting's is
         pairs = np.ascontiguousarray(pairs.swapaxes(0, 1))
         obs.setflags(write=False)
@@ -248,34 +241,24 @@ def _checked_row(d: int, slots, unitaries) -> tuple[np.ndarray, ...]:
     ``unitaries`` may be None for identities between every pair of slots.
     Every measured slot must act on dimension ``d``, and there must be one
     unitary per gap, the gaps before the first and after the last slot
-    included.  The row is checked as one (n + 1, d, d) stack by one
-    ``check_unitary``; each unitary is a read-only slice of it.  Only a row
-    that fails is read again unitary by unitary, to raise the first
-    failure's own error.
+    included.  Every entry is read (2-D, finite), then the count checked,
+    then the entries in order: shape, then unitarity, with one
+    ``check_unitary`` over the stack of entries before the first wrong shape.
     """
     for s in slots:
         if s is not None and s.dim != d:
             raise ShapeError("slot observable dimension does not match the state")
     if unitaries is None:
         unitaries = [identity(d)] * (len(slots) + 1)
-    stack = unitary_stack(unitaries, (d, d))
-    if stack is not None and len(stack) == len(slots) + 1:
-        return tuple(stack)
-    return _checked_one_by_one(d, len(slots) + 1, unitaries)
-
-
-def _checked_one_by_one(d: int, n_gaps: int, unitaries) -> tuple[np.ndarray, ...]:
-    """``_checked_row``'s checks one unitary at a time, in order, so the
-    error raised is the first entry's."""
-    us = tuple(np.array(as_matrix(u), dtype=complex) for u in unitaries)
-    if len(us) != n_gaps:
+    us = [as_matrix(u) for u in unitaries]
+    if len(us) != len(slots) + 1:
         raise ShapeError("need one interval unitary per gap, boundaries included")
-    for u in us:
-        u.setflags(write=False)
-        if u.shape != (d, d):
-            raise ShapeError("interval unitary has wrong dimension")
-        check_unitary(u, "interval operator")
-    return us
+    n = next((k for k, u in enumerate(us) if u.shape != (d, d)), len(us))
+    stack = linalg.check_unitary(np.array(us[:n]).reshape(n, d, d), "interval operator")
+    if n < len(us):
+        raise ShapeError("interval unitary has wrong dimension")
+    stack.setflags(write=False)
+    return tuple(stack)
 
 
 def _measured_labels(slots) -> tuple[str, ...]:

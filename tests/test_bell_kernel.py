@@ -22,6 +22,7 @@ from qhist import (
     settings_from_angles,
     temporal_correlator,
 )
+from qhist import ShapeError, bell
 from qhist.bell import MAX_CHAIN_BLOCKS, _objective_function, correlator_tables
 from qhist.linalg import maximally_mixed, pauli
 from qhist.twostate import bloch_observables
@@ -166,6 +167,61 @@ class TestUnitarityChecks:
         z = MeasurementSetting.from_pauli("Z")
         with pytest.raises(ValueError, match="not unitary"):
             temporal_correlator(maximally_mixed(2), z, 0.5 * np.eye(2), z)
+
+
+class TestChecksOnce:
+    """``s_lgi`` and ``monogamy_sum`` read each setting's own checked
+    projector pair and check the state once: the same tables as the public
+    kernel, which checks everything it is given."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_same_tables_as_the_checked_kernel(self, rng, d):
+        for _ in range(10):
+            rho = random_state(rng, d)
+            u1, u2 = random_unitary(rng, d), random_unitary(rng, d)
+            a, b, c = ([random_setting(rng, d) for _ in range(2)] for _ in range(3))
+            rep = s_lgi(CorrelatorSpec(rho, tuple(a), tuple(b), u1))
+            table = correlator_tables(rho, stack([a]), u1, stack([b]))[0]
+            assert rep.correlators.tobytes() == table.tobytes()
+            mono = monogamy_sum(rho, a, b, c, unitaries=(u1, u2))
+            want = correlator_tables(rho, stack([a, b]), np.stack([u1, u2]), stack([b, c]))
+            assert mono.first_pair.correlators.tobytes() == want[0].tobytes()
+            assert mono.second_pair.correlators.tobytes() == want[1].tobytes()
+            chained = monogamy_sum(rho, a, b, c, unitaries=(u1, u2), mode="chained_single_system")
+            pa = np.stack([s.projectors() for s in a])
+            mixed = u1 @ ((pa @ rho @ pa).sum(axis=(0, 1)) / 2) @ u1.conj().T
+            assert chained.first_pair.correlators.tobytes() == want[0].tobytes()
+            second = correlator_tables(mixed, stack([b]), u2, stack([c]))[0]
+            assert chained.second_pair.correlators.tobytes() == second.tobytes()
+
+    @pytest.mark.parametrize("mode", ["independent_ensembles", "chained_single_system"])
+    def test_monogamy_checks_each_input_once(self, rng, monkeypatch, mode):
+        a, b, c = ([random_setting(rng, 2) for _ in range(2)] for _ in range(3))
+        calls = {"density_operator": 0, "dichotomic_projectors": 0}
+        for name in calls:
+            real = getattr(bell, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(bell, name, counted)
+        monogamy_sum(random_state(rng, 2), a, b, c, unitaries=(random_unitary(rng, 2), None), mode=mode)
+        assert calls == {"density_operator": 1, "dichotomic_projectors": 0}
+        calls.update(density_operator=0)
+        s_lgi(CorrelatorSpec(random_state(rng, 2), tuple(a), tuple(b)))
+        assert calls == {"density_operator": 1, "dichotomic_projectors": 0}
+
+    def test_setting_dimension_still_checked(self):
+        z, q = MeasurementSetting.from_pauli("Z"), MeasurementSetting("Q", np.diag([1.0, -1.0, 1.0]))
+        message = r"^observables must be \(N, k, 2, 2\) stacks with one N$"
+        for mode in ("independent_ensembles", "chained_single_system"):
+            with pytest.raises(ShapeError, match=message):
+                monogamy_sum(maximally_mixed(2), (q, q), (q, q), (q, q), mode=mode)
+        with pytest.raises(ShapeError, match=message):
+            monogamy_sum(maximally_mixed(2), (z, z), (z, z), (q, q), mode="chained_single_system")
+        with pytest.raises(ShapeError, match=message):
+            s_lgi(CorrelatorSpec(maximally_mixed(2), (z, z), (q, q)))
 
 
 def random_pure_state(rng, d: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 """History-state layer: grids, chain operators, consistency, reductions."""
 
+import itertools
 import math
 
 import numpy as np
@@ -1197,6 +1198,38 @@ class TestStackedBridges:
         row[position] = bad
         with pytest.raises(ValueError, match="^" + message.format(k=position) + "$"):
             BridgingSet(TimeGrid.regular(4), tuple(row))
+
+    @pytest.mark.parametrize("first, second", itertools.combinations(range(3), 2))
+    @pytest.mark.parametrize("bad_first, bad_second, message", [
+        # a non-finite entry anywhere is named before an earlier non-unitary one
+        (np.diag([1.0, 0.5]), np.array([[np.nan, 0], [0, 1]]), "matrix entries must be finite"),
+        # then the bridges go in order, shape before unitarity
+        (np.diag([1.0, 0.5]), np.eye(3), "bridge {first} is not unitary"),
+        (np.eye(3), np.diag([1.0, 0.5]), r"bridge {first} shape \(3, 3\) incompatible with slot dims"),
+        (np.diag([1.0, 0.5]), np.diag([0.5, 1.0]), "bridge {first} is not unitary"),
+    ])
+    def test_two_bad_bridges_in_either_order(self, rng, first, second, bad_first, bad_second, message):
+        row = [random_unitary(rng, 2) for _ in range(3)]
+        row[first], row[second] = bad_first, bad_second
+        with pytest.raises(ValueError, match="^" + message.format(first=first) + "$"):
+            BridgingSet(TimeGrid.regular(4), tuple(row))
+
+    @pytest.mark.parametrize("bad, named", [((), 1), ((0,), 0), ((2,), 1), ((0, 2), 0)])
+    def test_earliest_bad_bridge_named_across_shapes(self, rng, bad, named):
+        # bridge shapes (3, 2), (2, 3), (3, 2): no (2, 3) bridge is an isometry,
+        # so bridge 1 always fails, and a bad bridge 2 of bridge 0's shape
+        # must not be named before it
+        dims = (2, 3, 2, 3)
+        row = [random_unitary(rng, 3)[:, :2], random_unitary(rng, 3)[:2], random_unitary(rng, 3)[:, :2]]
+        for k in bad:
+            row[k] = 0.5 * row[k]
+        grid = TimeGrid(tuple(map(float, range(len(dims)))), dims)
+        with pytest.raises(ValueError, match=f"^bridge {named} is not unitary$"):
+            BridgingSet(grid, tuple(row))
+        # nor does a wrong shape after it
+        row[2] = np.eye(2)
+        with pytest.raises(ValueError, match=f"^bridge {named} is not unitary$"):
+            BridgingSet(grid, tuple(row))
 
     def test_wrong_count_still_named(self):
         with pytest.raises(ShapeError, match="^need exactly one bridge per adjacent slot pair$"):

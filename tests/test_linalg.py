@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -203,6 +204,45 @@ class TestInputChecks:
                     dichotomic_projectors(form)
         with pytest.raises(ShapeError, match="observable must be square"):
             dichotomic_projectors(np.ones((2, 3)))
+
+    def test_a_name_per_matrix_names_the_first_bad_one(self):
+        stack = np.stack([identity(2), 0.5 * identity(2), np.full((2, 2), np.nan)])
+        # one name for the stack: the first condition any matrix fails
+        with pytest.raises(ValueError, match="^u entries must be finite$"):
+            check_unitary(stack, "u")
+        # a name per matrix: the first matrix that fails, by its first failing condition
+        with pytest.raises(ValueError, match="^b is not unitary$"):
+            check_unitary(stack, "abc".__getitem__)
+        obs = np.array([[pauli("Z"), [[0, 1], [0, 0]]], [np.full((2, 2), np.nan), 0.5 * pauli("Z")]])
+        with pytest.raises(ValueError, match="^o entries must be finite$"):
+            dichotomic_projectors(obs, "o")
+        # a (2, 2, d, d) stack is named by the flat index
+        with pytest.raises(ValueError, match="^o1 is not Hermitian$"):
+            dichotomic_projectors(obs, "o{}".format)
+        obs[0, 1] = pauli("X")
+        with pytest.raises(ValueError, match="^o2 entries must be finite$"):
+            dichotomic_projectors(obs, "o{}".format)
+
+    def test_shape_error_formats_no_name_per_matrix(self):
+        def names(i):
+            raise AssertionError("a shape error must not name a matrix")
+
+        with pytest.raises(ShapeError, match="^observables must be square$"):
+            dichotomic_projectors(np.ones((2, 2, 3)), names)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.inf), complex(np.nan, 1)])
+    def test_non_finite_entries_rejected_without_warnings(self, bad):
+        m = identity(2)
+        m[0, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+                as_matrix(m)
+            for what in ("m", ("good", "m").__getitem__):
+                with pytest.raises(ValueError, match="^m entries must be finite$"):
+                    check_unitary(np.stack([identity(2), m]), what)
+                with pytest.raises(ValueError, match="^m entries must be finite$"):
+                    dichotomic_projectors(np.stack([pauli("Z"), m]), what)
 
     def test_dichotomic_pair_is_i_plus_minus_o_over_two(self, rng):
         u = random_unitary(rng, 3)

@@ -569,6 +569,29 @@ class TestStackedSettings:
             MeasurementSetting.stack(["X", (0.1, 0.2, "first"), (0.3, 0.4, "second"), (0.5, 0.6, "third")])
 
 
+    @pytest.mark.parametrize("spoil, message", [
+        # the lowest-index bad setting, by its first failing check
+        ({1: np.diag([1.0, 0.5]), 2: np.full((2, 2), np.nan)},
+         r"observable 'first' is not dichotomic \(O\^2 != I\)"),
+        ({1: np.full((2, 2), np.nan), 2: np.array([[0, 1], [0, 0]])},
+         "observable 'first' entries must be finite"),
+        ({2: np.array([[0, 1], [0, 0]]), 3: np.full((2, 2), np.inf)}, "observable 'second' is not Hermitian"),
+        ({3: np.full((2, 2), np.nan)}, "observable 'third' entries must be finite"),
+    ])
+    def test_two_bad_settings_name_the_first(self, monkeypatch, spoil, message):
+        real = twostate.bloch_observables
+
+        def spoiled(angles):
+            obs = real(angles)
+            for row, bad in spoil.items():
+                obs[row - 1] = bad
+            return obs
+
+        monkeypatch.setattr(twostate, "bloch_observables", spoiled)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MeasurementSetting.stack(["X", (0.1, 0.2, "first"), (0.3, 0.4, "second"), (0.5, 0.6, "third")])
+
+
 class TestStackedUnitaryRow:
     """An interval row is one stack and one ``check_unitary``; a bad entry at
     any position still raises its own error."""
@@ -584,6 +607,24 @@ class TestStackedUnitaryRow:
     def test_bad_entry_at_each_position(self, rng, position, bad, error, message):
         row = [random_unitary(rng, 2) for _ in range(4)]
         row[position] = bad
+        slots = (X, None, Z)
+        with pytest.raises(error, match=f"^{message}$"):
+            TwoTimeExperiment.build(K0, slots, post=KP, unitaries=row)
+        with pytest.raises(error, match=f"^{message}$"):
+            mixed_sequence_distribution(maximally_mixed(2), slots, unitaries=row)
+
+    @pytest.mark.parametrize("first, second", itertools.combinations(range(4), 2))
+    @pytest.mark.parametrize("bad_first, bad_second, error, message", [
+        # a non-finite or non-2-D entry anywhere is named before an earlier non-unitary one
+        (np.diag([1.0, 0.0]), np.array([[np.nan, 0], [0, 1]]), ValueError, "matrix entries must be finite"),
+        (np.diag([1.0, 0.0]), np.ones(2), ShapeError, "expected a 2-D matrix, got ndim=1"),
+        # then the entries go in order, shape before unitarity
+        (np.diag([1.0, 0.0]), np.eye(3), ValueError, "interval operator is not unitary"),
+        (np.eye(3), np.diag([1.0, 0.0]), ShapeError, "interval unitary has wrong dimension"),
+    ])
+    def test_two_bad_entries_in_either_order(self, rng, first, second, bad_first, bad_second, error, message):
+        row = [random_unitary(rng, 2) for _ in range(4)]
+        row[first], row[second] = bad_first, bad_second
         slots = (X, None, Z)
         with pytest.raises(error, match=f"^{message}$"):
             TwoTimeExperiment.build(K0, slots, post=KP, unitaries=row)
