@@ -66,7 +66,6 @@ __all__ = [
     "subsystem_trace_out",
     "mix",
     "purity",
-    "history_vector",
     "mixed_history_density",
     "mixed_overlap",
     "exhaustive_projector_family",
@@ -186,10 +185,6 @@ class ElementaryHistory:
     def from_kets(cls, grid: TimeGrid, kets: Sequence) -> "ElementaryHistory":
         return cls(grid, tuple(projector(k) for k in kets))
 
-    def _restricted(self, grid: TimeGrid, keep: Sequence[int]) -> "ElementaryHistory":
-        """The string of the ``keep`` slots on ``grid``, whose dimensions are theirs."""
-        return ElementaryHistory._held(grid, tuple(self.slots[k] for k in keep))
-
     @classmethod
     def _held(cls, grid: TimeGrid, ops: tuple) -> "ElementaryHistory":
         """The string of ``ops``, read-only operators already checked against
@@ -200,84 +195,72 @@ class ElementaryHistory:
         return eh
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class HistoryState:
     """Complex-weighted superposition of elementary histories on one grid.
 
-    Terms whose slot strings coincide (every entry within 1e-12) are merged
-    on construction into the first of them, so equal-by-construction states
-    have identical canonical term lists.  ``_rows`` holds the merged terms'
-    slot operators, row t being term t's flattened row-major and
-    concatenated earliest slot first; the Hilbert-Schmidt geometry and the
-    chain kernel read it as per-slot stacks (``_stacks``), and the per-slot
+    A state is its term arrays, both read-only: the coefficients ``_coefs``
+    and ``_rows``, row t holding term t's slot operators (``_join_rows``).
+    Terms whose slot strings coincide (every entry within 1e-12) merge on
+    construction into the first of them.  The geometry and the chain kernel
+    read the rows as per-slot stacks (``_stacks``), and the per-slot
     self-Grams (``_self_grams``) are computed once per state and shared by
-    every scalar multiple of it.
+    every scalar multiple of it.  ``terms``, the (coefficient,
+    ElementaryHistory) pairs, is built when first read.  Equality is identity.
     """
 
-    terms: tuple[tuple[complex, ElementaryHistory], ...]
-    _rows: np.ndarray = field(init=False, repr=False, compare=False)
+    grid: TimeGrid
+    _coefs: np.ndarray
+    _rows: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        terms = [(complex(c), eh) for c, eh in self.terms]
+    def __new__(cls, terms: Iterable[tuple[complex, ElementaryHistory]]) -> "HistoryState":
+        terms = [(complex(c), eh) for c, eh in terms]
         if not terms:
             raise ValueError("a history state needs at least one term")
         grid = terms[0][1].grid
         for _, eh in terms:
             _require_same_grid(grid, eh.grid)
-        rows = np.stack([np.concatenate([op.reshape(-1) for op in eh.slots]) for _, eh in terms])
-        self._merge(terms, rows)
-
-    def _merge(self, terms: list, rows: np.ndarray) -> None:
-        """Merge terms with equal rows into the first of them (``_merge_rows``)
-        and store the distinct ones (``_set_terms``)."""
-        firsts, group = _merge_rows(rows)
-        merged = [terms[t] for t in firsts]
-        for t, g in enumerate(group.tolist()):
-            if t != firsts[g]:
-                c0, eh0 = merged[g]
-                merged[g] = (c0 + terms[t][0], eh0)
-        self._set_terms(merged, rows[firsts])
-
-    def _set_terms(self, merged: list, rows: np.ndarray) -> None:
-        """Store distinct terms and their rows, dropping any whose coefficient
-        cancelled (``_uncancelled``)."""
-        live = _uncancelled(np.array([c for c, _ in merged]))
-        if len(live) < len(merged):
-            merged, rows = [merged[i] for i in live], rows[live]
-        rows.setflags(write=False)
-        object.__setattr__(self, "terms", tuple(merged))
-        object.__setattr__(self, "_rows", rows)
+        return cls._from_rows(grid, [c for c, _ in terms], _join_rows(zip(*(eh.slots for _, eh in terms))))
 
     @classmethod
-    def _from_stacks(cls, grid: TimeGrid, coefficients, stacks) -> "HistoryState":
-        """sum_t c_t (stacks[0][t], stacks[1][t], ...) from per-slot (T, d_k, d_k)
-        stacks already checked against ``grid`` (finite, d_k x d_k): each term's
-        operators are read-only views of one row array, not copied or checked
-        again, and the merge and cancellation rules apply as in the constructor."""
-        rows = np.concatenate([np.reshape(s, (len(s), -1)) for s in stacks], axis=1, dtype=complex)
+    def _from_rows(cls, grid: TimeGrid, coefs, rows: np.ndarray, distinct: bool = False) -> "HistoryState":
+        """sum_t coefs[t] (row t's slot string) from term rows already checked
+        against ``grid``, which are not copied or checked again.  Terms with
+        equal rows merge into the first of them (``_merge_rows``), summing
+        their coefficients in term order, unless the rows are ``distinct``
+        already; then the terms whose coefficient cancelled (``_uncancelled``)
+        are dropped."""
+        if not distinct:
+            firsts, group = _merge_rows(rows)
+            sums = [coefs[t] for t in firsts]
+            for t, g in enumerate(group.tolist()):
+                if t != firsts[g]:
+                    sums[g] += coefs[t]
+            coefs, rows = sums, rows[firsts]
+        coefs = np.array(coefs, dtype=complex)
+        live = _uncancelled(coefs)
+        if len(live) < len(coefs):
+            coefs, rows = coefs[live], rows[live]
+        coefs.setflags(write=False)
         rows.setflags(write=False)
-        columns = _split_rows(rows, grid.slot_dims)
-        terms = [(complex(c), ElementaryHistory._held(grid, ops))
-                 for c, ops in zip(coefficients, zip(*columns))]
         h = object.__new__(cls)
-        h._merge(terms, rows)
+        for name, value in (("grid", grid), ("_coefs", coefs), ("_rows", rows)):
+            object.__setattr__(h, name, value)
         return h
 
-    @classmethod
-    def _distinct(cls, terms, rows: np.ndarray) -> "HistoryState":
-        """A state over terms whose strings are already pairwise distinct,
-        with their rows: the merge is skipped, the cancellation rule is not."""
-        h = object.__new__(cls)
-        h._set_terms(list(terms), rows)
-        return h
-
-    @property
-    def grid(self) -> TimeGrid:
-        return self.terms[0][1].grid
+    def __reduce__(self):
+        return HistoryState._from_rows, (self.grid, self._coefs, self._rows, True)
 
     @property
     def n_terms(self) -> int:
-        return len(self.terms)
+        return len(self._coefs)
+
+    @functools.cached_property
+    def terms(self) -> tuple[tuple[complex, ElementaryHistory], ...]:
+        """(coefficient, string) pairs; each string's operators are read-only
+        views of ``_rows``."""
+        return tuple((c, ElementaryHistory._held(self.grid, ops))
+                     for c, ops in zip(self._coefs.tolist(), zip(*self._stacks)))
 
     @functools.cached_property
     def _stacks(self) -> tuple[np.ndarray, ...]:
@@ -303,14 +286,17 @@ class HistoryState:
 
     def __add__(self, other: "HistoryState") -> "HistoryState":
         _require_same_grid(self.grid, other.grid)
-        return HistoryState(self.terms + other.terms)
+        return HistoryState._from_rows(self.grid, self._coefs.tolist() + other._coefs.tolist(),
+                                       np.concatenate((self._rows, other._rows)))
 
     def __sub__(self, other: "HistoryState") -> "HistoryState":
         return self + (-1.0) * other
 
     def __mul__(self, scalar) -> "HistoryState":
         s = complex(scalar)
-        out = HistoryState._distinct(tuple((s * c, eh) for c, eh in self.terms), self._rows)
+        # Python's complex product, which numpy's differs from in the last bits
+        out = HistoryState._from_rows(self.grid, [s * c for c in self._coefs.tolist()], self._rows,
+                                      distinct=True)
         if out._rows is self._rows:
             # same strings: the cached stacks and Grams carry over
             for name in ("_stacks", "_self_grams"):
@@ -349,10 +335,14 @@ class BridgingSet:
 
     @classmethod
     def trivial(cls, grid: TimeGrid) -> "BridgingSet":
+        # identities are unitary by construction: read-only and not checked
         if len(set(grid.slot_dims)) != 1:
             raise ShapeError("trivial bridging requires equal slot dimensions")
         d = grid.slot_dims[0]
-        return cls(grid, tuple(identity(d) for _ in range(grid.n_slots - 1)))
+        b = object.__new__(cls)
+        object.__setattr__(b, "grid", grid)
+        object.__setattr__(b, "unitaries", tuple(np.broadcast_to(identity(d), (grid.n_slots - 1, d, d))))
+        return b
 
 
 def _as_state(h) -> HistoryState:
@@ -361,10 +351,6 @@ def _as_state(h) -> HistoryState:
     if isinstance(h, ElementaryHistory):
         return HistoryState.from_elementary(h)
     raise TypeError(f"expected a history, got {type(h).__name__}")
-
-
-def _coefficients(h: HistoryState) -> np.ndarray:
-    return np.array([c for c, _ in h.terms])
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +403,7 @@ def _term_chains(h: HistoryState, b: BridgingSet, settings={}) -> tuple[list[str
     row = [settings.get(k) for k in range(len(stacks))]
     strings, chains = _chains(identity(h.grid.slot_dims[0]), (None,) + b.unitaries, row, fixed)
     # an all-measured row has a batch of one, which broadcasts over the terms
-    return strings, np.add.reduce(_coefficients(h)[:, None, None] * chains, axis=1)
+    return strings, np.add.reduce(h._coefs[:, None, None] * chains, axis=1)
 
 
 def chain_operator_sum(h, b: BridgingSet) -> np.ndarray:
@@ -466,7 +452,7 @@ def is_consistent_family(family: Sequence, b: BridgingSet, tol: float = 1e-9) ->
     for h in states:
         _require_same_grid(h.grid, b.grid)
     stacks = tuple(np.concatenate(s) for s in zip(*(h._stacks for h in states)))
-    coefs = np.concatenate([_coefficients(h) for h in states])
+    coefs = np.concatenate([h._coefs for h in states])
     return _family_report(stacks, coefs, [h.n_terms for h in states], b, tol)
 
 
@@ -477,7 +463,7 @@ def _term_consistency(h: HistoryState, b: BridgingSet, tol: float = 1e-9) -> Con
     ``normalize`` would, for the first such term.
     """
     _require_same_grid(h.grid, b.grid)
-    coefs = _coefficients(h)
+    coefs = h._coefs
     with np.errstate(over="ignore", invalid="ignore"):
         sq = coefs.conj() * coefs
         for stack in h._stacks:
@@ -529,9 +515,15 @@ def _family_report(stacks, coefs: np.ndarray, counts: Sequence[int], b: Bridging
 # Hilbert-Schmidt geometry
 
 
+def _join_rows(stacks) -> np.ndarray:
+    """Term rows, copied from per-slot stacks of T matrices each, earliest first."""
+    return np.concatenate([np.reshape(s, (len(s), -1)) for s in stacks], axis=1, dtype=complex)
+
+
 def _split_rows(rows: np.ndarray, dims: Sequence[int]) -> tuple[np.ndarray, ...]:
     """Term rows (slot operators flattened and concatenated, earliest slot
-    first) as per-slot (T, d_k, d_k) views; the only reader of that layout."""
+    first) as per-slot (T, d_k, d_k) views; with ``_join_rows``, the only
+    code that knows that layout."""
     ends = np.cumsum([d * d for d in dims]).tolist()
     return tuple(rows[:, e - d * d:e].reshape(-1, d, d) for d, e in zip(dims, ends))
 
@@ -547,7 +539,7 @@ def hs_inner(h1, h2) -> complex:
     the sum over term pairs of conj(c_t) c'_t' prod_k G_k[t, t']."""
     h1, h2 = _as_state(h1), _as_state(h2)
     _require_same_grid(h1.grid, h2.grid)
-    prod = np.outer(_coefficients(h1).conj(), _coefficients(h2))
+    prod = np.outer(h1._coefs.conj(), h2._coefs)
     for g in h1._self_grams if h1 is h2 else _grams(h1._stacks, h2._stacks):
         prod *= g
     # a running sum in term-pair order: np.sum's pairwise order would move
@@ -580,24 +572,6 @@ def _unit_scale(h: HistoryState) -> complex:
 def normalize(h) -> HistoryState:
     h = _as_state(h)
     return _unit_scale(h) * h
-
-
-def history_vector(h) -> np.ndarray:
-    """Vectorize into the tensor product of per-slot operator spaces.
-
-    Slot operators are flattened row-major, so the standard inner product of
-    two history vectors equals ``hs_inner``.
-    """
-    h = _as_state(h)
-    out = None
-    for c, eh in h.terms:
-        vecs = [op.reshape(-1) for op in eh.slots]
-        v = vecs[0]
-        for nxt in vecs[1:]:
-            v = np.kron(v, nxt)
-        v = c * v
-        out = v if out is None else out + v
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +609,7 @@ class MixedHistory:
         counts = [h.n_terms for _, h in ens]
         coefs = np.zeros((sum(counts), len(ens)), dtype=complex)
         for m, ((_, h), end) in enumerate(zip(ens, np.cumsum(counts).tolist())):
-            coefs[end - h.n_terms:end, m] = _coefficients(h)
+            coefs[end - h.n_terms:end, m] = h._coefs
         with np.errstate(over="ignore", invalid="ignore"):
             gram = math.prod(_grams(strings, strings))
         self._set_coordinates(ens, strings, gram, coefs)
@@ -694,13 +668,15 @@ def purity(m: MixedHistory) -> float:
 
 
 def mixed_history_density(m: MixedHistory) -> np.ndarray:
-    """Density operator of the ensemble in the vectorized history space."""
-    rho = None
-    for p, h in m.ensemble:
-        v = history_vector(h)
-        contrib = p * np.outer(v, v.conj())
-        rho = contrib if rho is None else rho + contrib
-    return rho
+    """Density operator sum_m p_m v_m v_m^dag of the ensemble in the vectorized
+    history space: v_m = (W^T C)_m, row j of W being the Kronecker product of
+    term string j's slot operators flattened row-major, earliest slot first."""
+    flats = [s.reshape(len(s), -1) for s in m._strings]
+    w = flats[0]
+    for f in flats[1:]:
+        w = (w[:, :, None] * f[:, None, :]).reshape(len(w), -1)
+    v = w.T @ m._coefs
+    return (v * m._probabilities) @ v.conj().T
 
 
 def mixed_overlap(m: MixedHistory, target) -> float:
@@ -709,7 +685,7 @@ def mixed_overlap(m: MixedHistory, target) -> float:
     and its cross-Gram X to the ensemble's term strings."""
     t = _as_state(target)
     _require_same_grid(t.grid, m.grid)
-    amps = (_coefficients(t).conj() @ math.prod(_grams(t._stacks, m._strings))) @ m._coefs
+    amps = (t._coefs.conj() @ math.prod(_grams(t._stacks, m._strings))) @ m._coefs
     return float(np.cumsum(m._probabilities * np.abs(amps) ** 2)[-1])
 
 
@@ -727,8 +703,8 @@ def temporal_partial_trace(h, keep_slots: Iterable[int], tol: float = 1e-12) -> 
 
     with G_k[t, t'] = <v_tk, v_t'k> slot k's term Gram (the state's cached
     ``_self_grams``, which also give its norm), ``.`` the elementwise
-    product, and row w_t of W the Kronecker product of term t's kept v_tk,
-    which is ``history_vector``'s layout.  Neither rho_keep nor any
+    product, and row w_t of W the Kronecker product of term t's kept v_tk
+    (``mixed_history_density``'s layout).  Neither rho_keep nor any
     history-space vector is formed: with A = R R^dag and K = W^* W^T =
     prod_{k kept} G_k, rho_keep has the nonzero eigenvalues of the T x T
     matrix R^dag K R.  An eigenvector z with eigenvalue lam gives the member
@@ -757,7 +733,7 @@ def temporal_partial_trace(h, keep_slots: Iterable[int], tol: float = 1e-12) -> 
         raise ValueError("keep_slots must be a nonempty proper subset of slots")
     if keep[0] < 0 or keep[-1] >= grid.n_slots:
         raise ValueError(f"keep_slots {keep} out of range")
-    coefs = _coefficients(h) * scale
+    coefs = h._coefs * scale
     amp = np.outer(coefs, coefs.conj())
     gram = np.ones_like(amp)  # K
     for k, g in enumerate(h._self_grams):
@@ -777,11 +753,9 @@ def temporal_partial_trace(h, keep_slots: Iterable[int], tol: float = 1e-12) -> 
     # the kept strings, merged once: string j is term firsts[j]'s, and term t
     # has string group[t]
     sub_grid = TimeGrid(tuple(grid.labels[k] for k in keep), tuple(grid.slot_dims[k] for k in keep))
-    rows = np.concatenate([h._stacks[k].reshape(len(coefs), -1) for k in keep], axis=1)
+    rows = _join_rows([h._stacks[k] for k in keep])
     firsts, group = _merge_rows(rows)
     rows = rows[firsts]
-    rows.setflags(write=False)
-    strings = [h.terms[t][1]._restricted(sub_grid, keep) for t in firsts]
     extra = [t for t, g in enumerate(group.tolist()) if t != firsts[g]]
     members, columns = [], []
     for lam, c in _canonical_basis(evals, vecs, vecs.conj().T @ gram, norms):
@@ -794,7 +768,7 @@ def temporal_partial_trace(h, keep_slots: Iterable[int], tol: float = 1e-12) -> 
         column = np.zeros_like(merged)
         column[on] = merged[on]
         columns.append(column)
-        members.append((lam, HistoryState._distinct(tuple((complex(merged[j]), strings[j]) for j in on), rows[on])))
+        members.append((lam, HistoryState._from_rows(sub_grid, merged[on], rows[on], distinct=True)))
     total = sum(p for p, _ in members)
     ensemble = tuple((p / total, h_m) for p, h_m in members)
     if extra:
@@ -940,7 +914,7 @@ def subsystem_trace_out(
     scales = np.prod(sizes, axis=0)
     live = (sizes > 1e-15).all(axis=0) & (scales > 0.0)
     reds = reds / np.where(sizes > 0.0, sizes, 1.0)[..., None, None]
-    coefs = _coefficients(h)[:, None] * scales
+    coefs = h._coefs[:, None] * scales
     terms = [(coefs[t, c], ElementaryHistory(sub_grid, tuple(reds[:, t, c])))
              for t, c in zip(*np.nonzero(live))]
     if not terms:

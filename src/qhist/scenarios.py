@@ -22,8 +22,8 @@ from .histories import (
     ElementaryHistory,
     HistoryState,
     TimeGrid,
-    history_vector,
     hs_inner,
+    hs_norm,
     is_consistent_family,
     mixed_overlap,
     normalize,
@@ -280,7 +280,7 @@ def example1_family() -> ScenarioResult:
         "gram_matrix": gram,
         "decoherence_matrix": consistency.matrix,
         "consistency": consistency,
-        "superposition_norm": float(np.linalg.norm(history_vector(phi))),
+        "superposition_norm": hs_norm(phi),
         "branch_probabilities": (
             abs(hs_inner(members[0], phi)) ** 2,
             abs(hs_inner(members[1], phi)) ** 2,
@@ -326,8 +326,8 @@ def _interval_conjugated(h: HistoryState, b: BridgingSet) -> HistoryState:
         ops = [eh.slots[0]]
         for u, op in zip(b.unitaries, eh.slots[1:]):
             ops.append(u @ op @ u.conj().T)
-        terms.append((coef, HistoryState.from_slots(h.grid, ops, coefficient=1.0).terms[0][1]))
-    return HistoryState(tuple((c, e) for c, e in terms))
+        terms.append((coef, ElementaryHistory(h.grid, tuple(ops))))
+    return HistoryState(tuple(terms))
 
 
 def _pauli_distance(u: np.ndarray) -> float:
@@ -461,10 +461,8 @@ def two_time_hab(psi: str = "0") -> ScenarioResult:
     rho_a1 = partial_trace(rho1, dims, keep=[1])
     bell_proj = projector(bell)
 
-    vec = history_vector(history).reshape(64, 64)
-    svals = np.linalg.svd(vec, compute_uv=False)
-    svals = svals / np.linalg.norm(svals)
-    probs = svals**2
+    # squared Schmidt coefficients across the time cut
+    probs = np.array([p for p, _ in temporal_partial_trace(history, [0]).ensemble])
     entropy = max(0.0, float(-np.sum(probs[probs > 1e-15] * np.log2(probs[probs > 1e-15]))))
 
     artifacts = {
@@ -474,7 +472,7 @@ def two_time_hab(psi: str = "0") -> ScenarioResult:
         "fidelity_ha_t1": float(np.trace(bell_proj @ rho_ha).real),
         "record_marginal_purity_t0": float(np.trace(rho_a0 @ rho_a0).real),
         "record_marginal_purity_t1": float(np.trace(rho_a1 @ rho_a1).real),
-        "slot_schmidt_rank": int(np.sum(svals > 1e-12)),
+        "slot_schmidt_rank": len(probs),
         "slot_entanglement_entropy": entropy,
     }
     notes = (

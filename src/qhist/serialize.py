@@ -42,7 +42,7 @@ import numpy as np
 from .bell import OptimizeResult
 from .errors import ShapeError
 from .histories import (
-    BridgingSet, ElementaryHistory, HistoryState, MixedHistory, TimeGrid, _check_measured_slots,
+    BridgingSet, ElementaryHistory, HistoryState, MixedHistory, TimeGrid, _check_measured_slots, _join_rows,
 )
 from .linalg import identity, maximally_mixed, pauli, projector, qubit_ket
 from .scenarios import ScenarioResult
@@ -114,7 +114,9 @@ _ENCODERS = {
     ElementaryHistory: lambda eh: {"slots": to_jsonable(eh.slots)},
     HistoryState: lambda h: {
         "grid": to_jsonable(h.grid),
-        "terms": [{"coefficient": complex_pair(c), **to_jsonable(eh)} for c, eh in h.terms],
+        # each slot's stack encoded in one call, as ``matrix_document`` encodes one matrix
+        "terms": [{"coefficient": complex_pair(c), "slots": slots} for c, *slots in zip(
+            h._coefs.tolist(), *(np.stack((s.real, s.imag), axis=-1).tolist() for s in h._stacks))],
     },
     MixedHistory: lambda m: {
         "ensemble": [{"probability": p, "state": to_jsonable(h)} for p, h in m.ensemble],
@@ -544,7 +546,7 @@ def history_from_document(doc: dict, what: str = "history") -> tuple[HistoryStat
             grid = _terms([tdoc], grid, what, i)[0]
         raise
     # one construction merges repeated slot strings in a single pass
-    history = HistoryState._from_stacks(grid, coefficients, stacks)
+    history = HistoryState._from_rows(grid, coefficients, _join_rows(stacks))
 
     bdoc = doc.get("bridging")
     if bdoc is None:

@@ -238,7 +238,8 @@ def _normalized(table: dict[str, float], labels: tuple[str, ...]) -> OutcomeDist
 def _checked_row(d: int, slots, unitaries) -> tuple[np.ndarray, ...]:
     """Read-only interval unitaries of a slot row on dimension ``d``.
 
-    ``unitaries`` may be None for identities between every pair of slots.
+    ``unitaries`` may be None for identities between every pair of slots,
+    which are not read or checked.
     Every measured slot must act on dimension ``d``, and there must be one
     unitary per gap, the gaps before the first and after the last slot
     included.  Every entry is read (2-D, finite), then the count checked,
@@ -249,7 +250,7 @@ def _checked_row(d: int, slots, unitaries) -> tuple[np.ndarray, ...]:
         if s is not None and s.dim != d:
             raise ShapeError("slot observable dimension does not match the state")
     if unitaries is None:
-        unitaries = [identity(d)] * (len(slots) + 1)
+        return tuple(np.broadcast_to(identity(d), (len(slots) + 1, d, d)))
     us = [as_matrix(u) for u in unitaries]
     if len(us) != len(slots) + 1:
         raise ShapeError("need one interval unitary per gap, boundaries included")

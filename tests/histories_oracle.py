@@ -1,10 +1,11 @@
 """Reference forms of history-space geometry, kept only as test oracles.
 
-``temporal_reduction_density`` is the dense form the package's term-factored
-reduction replaces: the normalized history is vectorized into the full
-4^n-dimensional history space, its outer product is formed, and the
-discarded slots are contracted with the generic partial-trace primitive.  It
-costs O(16^n), so it is only usable on small histories.
+``history_vector`` writes a history as one vector of the 4^n-dimensional
+history space, term by term.  ``temporal_reduction_density`` is the dense
+form the package's term-factored reduction replaces: the normalized history
+is vectorized with it, its outer product is formed, and the discarded slots
+are contracted with the generic partial-trace primitive.  It costs O(16^n),
+so it is only usable on small histories.
 
 ``pairwise_hs_inner`` and ``merge_terms`` are the term-by-term loops the
 package's stacked Gram kernel and vectorized term merge replace: a product
@@ -29,11 +30,29 @@ from qhist.histories import (
     ElementaryHistory,
     HistoryState,
     TimeGrid,
+    _as_state,
     _split_product_unitary,
-    history_vector,
     normalize,
 )
 from qhist.linalg import max_abs, partial_trace
+
+
+def history_vector(h) -> np.ndarray:
+    """Vectorize into the tensor product of per-slot operator spaces.
+
+    Slot operators are flattened row-major, so the standard inner product of
+    two history vectors equals ``hs_inner``.
+    """
+    h = _as_state(h)
+    out = None
+    for c, eh in h.terms:
+        vecs = [op.reshape(-1) for op in eh.slots]
+        v = vecs[0]
+        for nxt in vecs[1:]:
+            v = np.kron(v, nxt)
+        v = c * v
+        out = v if out is None else out + v
+    return out
 
 
 def temporal_reduction_density(h, keep_slots) -> np.ndarray:

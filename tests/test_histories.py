@@ -20,7 +20,6 @@ from qhist import (
     chain_operator_sum,
     decoherence_functional,
     exhaustive_projector_family,
-    history_vector,
     hs_inner,
     hs_norm,
     is_consistent_family,
@@ -36,6 +35,7 @@ from qhist import (
 from qhist.linalg import bell_pair_ket, identity, partial_trace, pauli, projector, qubit_ket
 
 import histories_oracle
+from histories_oracle import history_vector
 from conftest import consistent_family_corpus, diagonal_branches, random_unitary
 
 
@@ -409,7 +409,7 @@ class TestGeometryAgainstPairwiseOracle:
         want = histories_oracle.merge_terms(terms)
         assert h.n_terms == len(want) == n_distinct
         for (c, eh), (c0, eh0) in zip(h.terms, want):
-            assert eh is eh0
+            assert [op.tobytes() for op in eh.slots] == [op.tobytes() for op in eh0.slots]
             assert abs(c - c0) <= 1e-15
         with pytest.raises(DegenerateHistoryError):
             normalize(h - h)
@@ -528,7 +528,6 @@ class TestFactoredReductionAgainstDenseOracle:
         def dense(*args, **kwargs):
             raise AssertionError("dense history-space route used")
 
-        monkeypatch.setattr(histories, "history_vector", dense)
         # histories does not import partial_trace; patch it there too in case it ever does
         monkeypatch.setattr(histories, "partial_trace", dense, raising=False)
         monkeypatch.setattr(linalg, "partial_trace", dense)
@@ -877,6 +876,79 @@ class TestCachedGeometry:
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 1.0
+
+
+def _term_array_states():
+    """(name, state) from each route that builds a state from term arrays:
+    the spec reader, ``+`` (with merged and cancelled terms), ``*`` and the
+    members of a temporal reduction."""
+    from qhist.serialize import history_from_document, matrix_document
+
+    rng = np.random.default_rng(17)
+    dims = (2, 3, 3)
+    a = _term_history(rng, dims, [_ops(rng, dims) for _ in range(5)])
+    shared = [s[1] for s in a._stacks]
+    b = _term_history(rng, dims, [_ops(rng, dims), shared, _ops(rng, dims)])
+    spec, _ = history_from_document({
+        "terms": [{"coefficient": [float(rng.normal()), float(rng.normal())],
+                   "slots": [matrix_document(op) for op in ops]} for ops in [_ops(rng, dims), shared] * 2],
+        "bridging": [matrix_document(np.eye(3, 2)), matrix_document(np.eye(3))]})
+    return [("spec", spec), ("sum", a + b), ("difference", a + b - b), ("scaled", (0.3 - 1.2j) * a),
+            *((f"member {i}", m) for i, (_, m) in enumerate(temporal_partial_trace(a, [0, 2]).ensemble))]
+
+
+class TestTermArrays:
+    """A state is its coefficient and row arrays; ``terms`` is built from them on request."""
+
+    @pytest.mark.parametrize("name, h", _term_array_states())
+    def test_terms_are_built_once_as_views_of_the_rows(self, name, h):
+        assert "terms" not in vars(h)
+        terms = h.terms
+        assert h.terms is terms
+        assert len(terms) == h.n_terms
+        for _, eh in terms:
+            assert eh.grid == h.grid
+            for op in eh.slots:
+                assert not op.flags.writeable and np.shares_memory(op, h._rows)
+        rebuilt = HistoryState(terms)
+        assert rebuilt._coefs.tobytes() == h._coefs.tobytes()
+        assert rebuilt._rows.tobytes() == h._rows.tobytes()
+
+    @pytest.mark.parametrize("name, h", _term_array_states())
+    def test_printing_builds_no_terms(self, name, h):
+        from qhist.serialize import to_jsonable
+
+        assert "HistoryState(grid=" in repr(h) and str(h) == repr(h)
+        to_jsonable(h)
+        hs_norm(h)
+        assert "terms" not in vars(h)
+        assert not h._coefs.flags.writeable and not h._rows.flags.writeable
+
+    @pytest.mark.parametrize("name, h", _term_array_states())
+    def test_copies_and_pickles_keep_the_arrays(self, name, h):
+        import copy
+        import pickle
+
+        for c in (copy.copy(h), copy.deepcopy(h), pickle.loads(pickle.dumps(h))):
+            assert c.grid == h.grid
+            assert c._coefs.tobytes() == h._coefs.tobytes() and c._rows.tobytes() == h._rows.tobytes()
+            assert not c._coefs.flags.writeable and not c._rows.flags.writeable
+
+    def test_coefficients_keep_python_complex_arithmetic(self, rng):
+        # numpy's complex product differs from Python's in the last bits on some machines
+        grid = TimeGrid.regular(2)
+        strings = [ElementaryHistory(grid, tuple(_ops(rng, (2, 2)))) for _ in range(3)]
+        terms = [(complex(rng.normal(), rng.normal()), strings[t % 3]) for t in range(200)]
+        h = HistoryState(tuple(terms))
+        sums = [sum((c for c, eh in terms if eh is e), 0j) for e in strings]
+        assert h._coefs.tolist() == sums
+        s = complex(rng.normal(), rng.normal())
+        assert (s * h)._coefs.tolist() == [s * c for c in sums]
+
+    def test_equality_is_identity(self):
+        h = ghz_like(3)
+        assert h == h and h != HistoryState(h.terms)
+        assert len({h, h, 1.0 * h}) == 2
 
 
 class TestMixedHistory:
@@ -1230,6 +1302,21 @@ class TestStackedBridges:
         row[2] = np.eye(2)
         with pytest.raises(ValueError, match=f"^bridge {named} is not unitary$"):
             BridgingSet(grid, tuple(row))
+
+    def test_trivial_bridging_is_not_checked(self, monkeypatch):
+        import qhist.histories as histories
+        from qhist import linalg
+
+        calls = []
+        for module, name in ((linalg, "check_unitary"), (linalg, "as_matrix"), (histories, "as_matrix")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
+        b = BridgingSet.trivial(TimeGrid.regular(12, dim=3))
+        assert not calls
+        assert len(b.unitaries) == 11
+        assert all(np.array_equal(u, identity(3)) and not u.flags.writeable for u in b.unitaries)
+        with pytest.raises(ShapeError, match="^trivial bridging requires equal slot dimensions$"):
+            BridgingSet.trivial(TimeGrid((0.0, 1.0), (2, 3)))
 
     def test_wrong_count_still_named(self):
         with pytest.raises(ShapeError, match="^need exactly one bridge per adjacent slot pair$"):

@@ -23,6 +23,7 @@ from qhist import (
     tsirelson_settings,
     s_lgi,
     CorrelatorSpec,
+    temporal_partial_trace,
 )
 from qhist.errors import ShapeError
 from qhist import twostate
@@ -115,6 +116,46 @@ class TestEncoding:
         assert dumps_json(doc) == dumps_json(json.loads(dumps_json(doc)))
         assert dumps_json(doc).endswith("\n")
         assert dumps_json(doc).index('"a"') < dumps_json(doc).index('"b"')
+
+
+def _by_term(h) -> dict:
+    """A state's document built term by term from ``terms``, one
+    ``matrix_document`` per slot operator."""
+    return {"grid": to_jsonable(h.grid), "terms": [
+        {"coefficient": complex_pair(c), "slots": [matrix_document(op) for op in eh.slots]}
+        for c, eh in h.terms]}
+
+
+def _encoder_cases(rng) -> list:
+    """States on random slot dims 2 and 3: merged terms, a cancelled pair,
+    a scalar multiple, the same terms read from a spec, and reduction members."""
+    # nondecreasing, so that the spec's bridges can be isometries
+    dims = tuple(sorted(int(d) for d in rng.choice([2, 3], size=rng.integers(2, 5))))
+    grid = TimeGrid(tuple(map(float, range(len(dims)))), dims)
+    strings = [ElementaryHistory(grid, tuple(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+                                              for d in dims)) for _ in range(rng.integers(1, 6))]
+    terms = [(complex(rng.normal(), rng.normal()), strings[i])
+             for i in rng.integers(len(strings), size=rng.integers(1, 12))]
+    h = HistoryState(tuple(terms))
+    extra = ElementaryHistory(grid, tuple(identity(d) for d in dims))
+    cancelled = HistoryState(tuple(terms) + ((1.0, extra), (-1.0, extra)))
+    spec, _ = history_from_document({
+        "grid": {"labels": list(grid.labels), "slot_dims": list(dims)},
+        "terms": [{"coefficient": complex_pair(c), "slots": [matrix_document(op) for op in eh.slots]}
+                  for c, eh in terms],
+        "bridging": [matrix_document(np.eye(b, a)) for a, b in zip(dims, dims[1:])]})
+    keep = sorted(rng.choice(len(dims), size=rng.integers(1, len(dims)), replace=False).tolist())
+    members = [m for _, m in temporal_partial_trace(h, keep).ensemble]
+    return [h, cancelled, (0.7 - 0.2j) * h, spec, *members]
+
+
+class TestHistoryStateEncoder:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_term_by_term_document(self, seed):
+        for h in _encoder_cases(np.random.default_rng(seed)):
+            text = dumps_json(to_jsonable(h))
+            assert "terms" not in vars(h)  # no ElementaryHistory is built
+            assert text == dumps_json(_by_term(h))
 
 
 # Strings with quotes, backslashes, control characters and non-ASCII text.

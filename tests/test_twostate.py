@@ -635,6 +635,18 @@ class TestStackedUnitaryRow:
         with pytest.raises(ShapeError, match="^need one interval unitary per gap, boundaries included$"):
             TwoTimeExperiment.build(K0, (X, Z), unitaries=[identity(2)] * 4)
 
+    def test_default_row_is_not_checked(self, monkeypatch):
+        from qhist import linalg
+
+        calls = []
+        for module, name in ((linalg, "check_unitary"), (linalg, "as_matrix"), (twostate, "as_matrix")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
+        row = twostate._checked_row(3, (None,) * 11, None)
+        assert not calls
+        assert len(row) == 12
+        assert all(np.array_equal(u, identity(3)) and not u.flags.writeable for u in row)
+
     def test_read_only_copies_of_the_given_row(self, rng):
         row = [random_unitary(rng, 2) for _ in range(3)]
         exp = TwoTimeExperiment.build(K0, (X, Z), post=KP, unitaries=row)
@@ -657,4 +669,5 @@ class TestStackedUnitaryRow:
             calls.clear()
             mixed_sequence_distribution(maximally_mixed(2), slots or (X,), unitaries=None if n == 1 else
                                         [random_unitary(rng, 2) for _ in range(n)])
-            assert len(calls) == 1
+            # default identities are not checked
+            assert len(calls) == (0 if n == 1 else 1)
