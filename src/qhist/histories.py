@@ -22,10 +22,17 @@ with the latest slot leftmost.  Weights are Tr(K^dag K); the pairwise
 decoherence functional Tr(K_i^dag K_j) defines family consistency.
 
 Every chain operator comes from one stacked kernel, ``_chains``, which
-carries all terms' chains (the batch axis) through the bridges and slots at
-once and splits each chain into its outcomes at a measured slot.  Weights,
+carries all terms' chains (the batch axis B) and all outcome strings (R)
+through the bridges and slots at once, in a rows-last layout (d', m, R, B):
+entry [i, j, r, b] is row i, column j of string r's chain for term b.  A
+measured slot splits every string into its '+' and '-' strings.  Weights,
 consistency matrices, the coherent bundle and the outcome tables of
 ``twostate`` are reductions over its output.
+
+Arithmetic contract: the kernel and every reduction of its output are
+``np.einsum`` calls with the default ``optimize=False`` (no BLAS) that sum
+over one index, ascending from zero, plus real elementwise ``*`` and ``+``;
+so a plain-Python complex loop gives the same bits on any BLAS build.
 """
 
 from __future__ import annotations
@@ -324,8 +331,10 @@ class BridgingSet:
         shapes = list(zip(dims[1:], dims[:-1]))
         n = next((k for k, u in enumerate(mats) if u.shape != shapes[k]), len(mats))
         checked: list = []
-        for _, run in itertools.groupby(shapes[:n]):
+        for (rows, cols), run in itertools.groupby(shapes[:n]):
             k, m = len(checked), len(list(run))
+            if rows < cols:  # no such bridge is an isometry
+                raise ShapeError(f"bridge {k}: a unitary bridge cannot shrink the slot dimension from {cols} to {rows}")
             stack = linalg.check_unitary(np.array(mats[k:k + m]), lambda i, k=k: f"bridge {k + i}")
             stack.setflags(write=False)
             checked.extend(stack)
@@ -363,39 +372,48 @@ def _check_measured_slots(n_measured: int) -> None:
         raise ValueError(f"at most {MAX_MEASURED_SLOTS} measured slots are supported, got {n_measured}")
 
 
-def _chains(start: np.ndarray, intervals, settings, fixed=None) -> tuple[list[str], np.ndarray]:
+@functools.lru_cache(maxsize=None)
+def _outcome_strings(n_measured: int) -> tuple[str, ...]:
+    return tuple(map("".join, itertools.product("+-", repeat=n_measured)))
+
+
+def _chains(start: np.ndarray, intervals, settings, fixed=None) -> tuple[tuple[str, ...], np.ndarray]:
     """Every outcome string's chain, carried through a row as one stack.
 
     Step k applies ``intervals[k]`` (None for none) to the whole stack, then
     ``fixed[k]`` when ``fixed`` holds slot k (a (batch, d, d) stack of
     per-term operators), and then, when ``settings[k]`` is a setting, splits
-    every row into its '+' chain followed by its '-' chain.  ``start`` is a
-    (d, m) matrix.  Returns the outcome strings and a (2**n_measured, batch,
-    d', m) stack whose row r is string r: '+' first, earliest slot first.
-    More than MAX_MEASURED_SLOTS settings are rejected before any product.
+    every string into its '+' chain followed by its '-' chain.  ``start`` is
+    a (d, m) matrix.  Returns the outcome strings and a (d', m,
+    2**n_measured, batch) stack whose [:, :, r, b] is string r's chain for
+    term b: '+' first, earliest slot first.  Each step is one einsum over
+    the row index of the stack.  More than MAX_MEASURED_SLOTS settings are
+    rejected before any product.
     """
     n_measured = sum(s is not None for s in settings)
     _check_measured_slots(n_measured)
-    strings = list(map("".join, itertools.product("+-", repeat=n_measured)))
-    x = start[None, None]
+    # tables up to 16 measured slots reuse their strings (65536 of them, about 4 MB)
+    strings = (_outcome_strings if n_measured <= 16 else _outcome_strings.__wrapped__)(n_measured)
+    x = start[:, :, None, None]
     for k, (interval, setting) in enumerate(zip(intervals, settings)):
         if interval is not None:
-            x = interval @ x
+            x = np.einsum("ik,kjrb->ijrb", interval, x)
         if fixed and k in fixed:
-            x = fixed[k] @ x
+            x = np.einsum("bik,kjrb->ijrb", fixed[k], x)
         if setting is not None:
-            plus, minus = setting.projectors()
-            x = np.stack((plus @ x, minus @ x), axis=1).reshape((-1,) + x.shape[1:])
+            # string r's outcome o lands at 2r + o, in string order
+            x = np.einsum("oik,kjrb->ijrob", setting.projectors(), x)
+            x = x.reshape(x.shape[:2] + (-1, x.shape[-1]))
     return strings, x
 
 
-def _term_chains(h: HistoryState, b: BridgingSet, settings={}) -> tuple[list[str], np.ndarray]:
+def _term_chains(h: HistoryState, b: BridgingSet, settings={}) -> tuple[tuple[str, ...], np.ndarray]:
     """Summed chain operators sum_t c_t K_t, one per outcome string.
 
     Slot k carries the terms' own operators unless ``settings`` measures it,
     in which case each string puts its outcome projector there.  The terms
-    are the kernel's batch axis and are summed left to right.  Returns the
-    strings and a (2**len(settings), d_last, d_first) stack.
+    are the kernel's batch axis, summed in term order.  Returns the strings
+    and a (d_last, d_first, 2**len(settings)) stack.
     """
     _require_same_grid(h.grid, b.grid)
     stacks = h._stacks
@@ -403,7 +421,7 @@ def _term_chains(h: HistoryState, b: BridgingSet, settings={}) -> tuple[list[str
     row = [settings.get(k) for k in range(len(stacks))]
     strings, chains = _chains(identity(h.grid.slot_dims[0]), (None,) + b.unitaries, row, fixed)
     # an all-measured row has a batch of one, which broadcasts over the terms
-    return strings, np.add.reduce(h._coefs[:, None, None] * chains, axis=1)
+    return strings, np.einsum("ijrb,b->ijr", chains, h._coefs)
 
 
 def chain_operator_sum(h, b: BridgingSet) -> np.ndarray:
@@ -412,20 +430,25 @@ def chain_operator_sum(h, b: BridgingSet) -> np.ndarray:
     An ``ElementaryHistory`` gives its own chain operator
     P_n T_{n-1} ... T_0 P_0.
     """
-    return _term_chains(_as_state(h), b)[1][0]
+    return _term_chains(_as_state(h), b)[1][..., 0]
+
+
+def _pairings(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_s conj(a[s, r]) b[s, r] for each column r: on flattened matrices,
+    Tr(A^dag B), a sum of squares with no imaginary part when a is b."""
+    return np.einsum("sr,sr->r", a.conj(), b)
 
 
 def weight(h, b: BridgingSet) -> float:
     """Tr(K^dag K) of the summed chain operator; zero is a valid weight."""
-    k = chain_operator_sum(h, b)
-    w = float(np.vdot(k, k).real)
-    return 0.0 if w < 0.0 else w
+    k = chain_operator_sum(h, b).reshape(-1, 1)
+    return float(_pairings(k, k)[0].real)
 
 
 def decoherence_functional(h1, h2, b: BridgingSet) -> complex:
-    k1 = chain_operator_sum(h1, b)
-    k2 = chain_operator_sum(h2, b)
-    return complex(np.vdot(k1, k2))
+    k1 = chain_operator_sum(h1, b).reshape(-1, 1)
+    k2 = chain_operator_sum(h2, b).reshape(-1, 1)
+    return complex(_pairings(k1, k2)[0])
 
 
 @dataclass(frozen=True)
@@ -488,8 +511,8 @@ def _family_report(stacks, coefs: np.ndarray, counts: Sequence[int], b: Bridging
     ``counts[i]`` terms each, with per-slot operator ``stacks`` and
     coefficients ``coefs`` over all terms.  One chain-kernel call."""
     fixed = dict(enumerate(stacks))
-    weighted = coefs[:, None, None] * _chains(identity(stacks[0].shape[1]), (None,) + b.unitaries,
-                                              [None] * len(stacks), fixed)[1][0]
+    x = _chains(identity(stacks[0].shape[1]), (None,) + b.unitaries, [None] * len(stacks), fixed)[1]
+    weighted = np.einsum("sb,b->bs", x.reshape(-1, len(coefs)), coefs)
     # each member's terms summed left to right, as a reduce over its own terms
     # would (np.add.reduceat pairs them in another order)
     counts = np.asarray(counts)
@@ -498,15 +521,9 @@ def _family_report(stacks, coefs: np.ndarray, counts: Sequence[int], b: Bridging
     for p in range(1, int(counts.max())):
         rows = np.flatnonzero(counts > p)
         chains[rows] += weighted[starts[rows] + p]
-    chains = chains.reshape(len(counts), -1)
-    d = chains.conj() @ chains.T
-    # vdot(k, k) is exactly real; the product may leave rounding in the imaginary part
-    np.fill_diagonal(d, d.diagonal().real)
-    n = len(chains)
-    off = 0.0
-    if n > 1:
-        mask = ~np.eye(n, dtype=bool)
-        off = float(np.max(np.abs(d[mask])))
+    # D[i, j] = Tr(K_i^dag K_j); the diagonal's imaginary parts are exactly zero
+    d = np.einsum("is,js->ij", chains.conj(), chains)
+    off = float(np.abs(d[~np.eye(len(d), dtype=bool)]).max(initial=0.0))
     d.setflags(write=False)
     return ConsistencyReport(off <= tol, d, off, tol)
 
@@ -802,16 +819,21 @@ def _canonical_basis(evals, vecs, overlaps, norms) -> list[tuple[float, np.ndarr
         while stop < len(evals) and evals[start] - evals[stop] <= DEGENERACY_TOL:
             stop += 1
         size = stop - start
-        candidates = np.hstack([unit[start:stop], np.eye(size)])
         basis: list[np.ndarray] = []
-        for x in candidates.T:
-            for q in basis:
-                x = x - q * np.vdot(q, x)
-            n = np.linalg.norm(x)
-            if n > SPAN_TOL:
-                basis.append(x / n)
-                if len(basis) == size:
-                    break
+        if size == 1:
+            # Gram-Schmidt's result: the phase of the first overlap above SPAN_TOL, or 1
+            mags = np.sqrt(unit[start].real ** 2 + unit[start].imag ** 2)
+            hits = np.flatnonzero(mags > SPAN_TOL)[:1]
+            basis.append(unit[start, hits] / mags[hits] if hits.size else np.ones(1, dtype=complex))
+        else:
+            for x in np.hstack([unit[start:stop], np.eye(size)]).T:
+                for q in basis:
+                    x = x - q * np.vdot(q, x)
+                n = np.linalg.norm(x)
+                if n > SPAN_TOL:
+                    basis.append(x / n)
+                    if len(basis) == size:
+                        break
         lam = float(np.mean(evals[start:stop]))
         out.extend((lam, vecs[:, start:stop] @ q) for q in basis)
         start = stop
@@ -936,16 +958,8 @@ def exhaustive_projector_family(grid: TimeGrid) -> tuple[HistoryState, ...]:
     The family is exhaustive: the coefficient-one sum of its chain operators
     under trivial bridging is the identity.
     """
-    choices = [range(d) for d in grid.slot_dims]
-    out = []
-    for combo in itertools.product(*choices):
-        ops = []
-        for i, d in zip(combo, grid.slot_dims):
-            m = np.zeros((d, d), dtype=complex)
-            m[i, i] = 1.0
-            ops.append(m)
-        out.append(HistoryState.from_slots(grid, ops))
-    return tuple(out)
+    units = [np.eye(d, dtype=complex)[:, :, None] * np.eye(d) for d in grid.slot_dims]
+    return tuple(HistoryState.from_slots(grid, ops) for ops in itertools.product(*units))
 
 
 @dataclass(frozen=True)

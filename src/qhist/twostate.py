@@ -10,10 +10,11 @@ semantics that this module keeps separate on purpose:
 * sequential collapse chains on density operators (nonselective updates).
 
 Outcome strings are '+'/'-' characters ordered earliest-first.  Every table
-is computed by the package's chain kernel, ``histories._chains``: row r of
-its stack is the r-th outcome string, '+' first with the earliest slot most
-significant, and it accepts at most ``MAX_MEASURED_SLOTS`` measured slots
-(unmeasured slots do not count), since a table doubles with every one.
+is computed by the package's chain kernel, ``histories._chains``, whose
+rows-last stack (d', m, R, batch) holds string r at axis 2, '+' first with
+the earliest slot most significant, for at most ``MAX_MEASURED_SLOTS``
+measured slots (unmeasured slots do not count).  Tables reduce it under the
+kernel's contract, einsum and real elementwise arithmetic with no BLAS.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ import numpy as np
 
 from .errors import ImpossiblePostselectionError, ShapeError
 # MAX_MEASURED_SLOTS is the chain kernel's bound, re-exported here
-from .histories import MAX_MEASURED_SLOTS, BridgingSet, HistoryState, TimeGrid, _chains, _term_chains, hs_norm
+from .histories import (MAX_MEASURED_SLOTS, BridgingSet, HistoryState, TimeGrid, _chains, _pairings, _term_chains,
+                        hs_norm)
 from . import linalg
 from .linalg import as_ket, as_matrix, density_operator, dichotomic_projectors, identity, pauli, projector
 
@@ -221,9 +223,7 @@ class OutcomeDistribution:
     def correlator(self, i: int = 0, j: int = 1) -> float:
         total = 0.0
         for string, p in self.table.items():
-            a = +1 if string[i] == "+" else -1
-            b = +1 if string[j] == "+" else -1
-            total += a * b * p
+            total += p if string[i] == string[j] else -p
         return total
 
 
@@ -278,13 +278,13 @@ def sequence_distribution(exp: TwoTimeExperiment) -> OutcomeDistribution:
     """
     labels = _measured_labels(exp.slots)
     strings, vecs = _chains(exp.pre[:, None], exp.unitaries, exp.slots + (None,))
-    vecs = vecs[:, 0]
-    if exp.post is None:
-        weights = (vecs.conj().swapaxes(-1, -2) @ vecs).real.ravel().tolist()
-    else:
-        # per row: no stacked form reproduces vdot's bits
-        weights = [abs(np.vdot(exp.post, v)) ** 2 for v in vecs[:, :, 0]]
-    return _normalized(dict(zip(strings, weights)), labels)
+    vecs = vecs[..., 0]
+    if exp.post is not None:
+        # the amplitudes <post|v_r>, as a (1, R) stack
+        vecs = np.einsum("i,ikr->kr", exp.post.conj(), vecs)
+    vecs = vecs.reshape(-1, len(strings))
+    weights = _pairings(vecs, vecs).real
+    return _normalized(dict(zip(strings, weights.tolist())), labels)
 
 
 def mixed_sequence_distribution(
@@ -311,11 +311,13 @@ def mixed_sequence_distribution(
             raise ShapeError("post ket dimension does not match the state")
 
     strings, chains = _chains(identity(d), unitaries, slots + (None,))
-    chains = chains[:, 0]
-    evolved = chains @ rho0 @ chains.conj().swapaxes(-1, -2)
+    chains = chains[..., 0]
     if post is not None:
-        evolved = projector(post) @ evolved
-    weights = np.trace(evolved, axis1=-2, axis2=-1).real
+        # Tr(|post><post| K rho K^dag) is a rho a^dag with the row a = <post|K
+        chains = np.einsum("i,ikr->kr", post.conj(), chains)[None]
+    # Tr(K rho K^dag) = sum_il conj(K_il) (K rho)_il, (i, l) row-major
+    flat = (-1, len(strings))
+    weights = _pairings(chains.reshape(flat), np.einsum("ikr,kl->ilr", chains, rho0).reshape(flat)).real
     return _normalized(dict(zip(strings, np.maximum(weights, 0.0).tolist())), labels)
 
 
@@ -402,9 +404,9 @@ def coherent_bundle_weights(
             shape = setting.observable.shape
             raise ShapeError(f"slot operator shape {shape} does not match dim {dims[pos]}")
     strings, total = _term_chains(h, b, settings)
-    # abs per element: numpy's vectorized complex abs may differ in the last bit
-    traces = np.trace(total, axis1=-2, axis2=-1).tolist()
-    return dict(zip(strings, (abs(tr) ** 2 for tr in traces)))
+    n = min(total.shape[:2])  # the leading diagonal, when the slot dimension grows
+    traces = np.einsum("iir->r", total[:n, :n])
+    return dict(zip(strings, (traces.real * traces.real + traces.imag * traces.imag).tolist()))
 
 
 def coherent_bundle_distribution(
@@ -441,20 +443,13 @@ def marginal_independence_check(
     pairs = dict(dist_family)
     if not pairs:
         raise ValueError("need at least one setting pair")
-    earlier = 0.0
-    later = 0.0
-    firsts = sorted({x for x, _ in pairs})
-    seconds = sorted({y for _, y in pairs})
-    for x in firsts:
-        dists = [pairs[(x, y)] for y in seconds if (x, y) in pairs]
-        for a in "+-":
-            vals = [d.marginal(0)[a] for d in dists]
-            if vals:
-                earlier = max(earlier, max(vals) - min(vals))
-    for y in seconds:
-        dists = [pairs[(x, y)] for x in firsts if (x, y) in pairs]
-        for bchar in "+-":
-            vals = [d.marginal(1)[bchar] for d in dists]
-            if vals:
-                later = max(later, max(vals) - min(vals))
-    return MarginalReport(earlier, later, tol, earlier > tol)
+
+    def deviation(pos: int) -> float:
+        """The largest spread of slot ``pos``'s marginal over the other slot's settings."""
+        groups: dict[str, list] = {}
+        for key, d in pairs.items():
+            groups.setdefault(key[pos], []).append(d.marginal(pos))
+        return max(max(m[c] for m in ms) - min(m[c] for m in ms) for ms in groups.values() for c in "+-")
+
+    earlier = deviation(0)
+    return MarginalReport(earlier, deviation(1), tol, earlier > tol)

@@ -19,8 +19,13 @@ member pair, or per member against the target.
 ``chain_operator_sum``, ``consistency_matrix`` and ``subsystem_trace_out``
 are the loops the package's stacked chain kernel replaces: each term's chain
 operator built slot by slot and summed in term order, the decoherence
-functional filled one ``np.vdot`` per member pair, and the subsystem
-contraction made per term, per record trajectory and per slot.
+functional filled one pairing per member pair, and the subsystem contraction
+made per term, per record trajectory and per slot.  The chains and pairings
+are plain-Python complex arithmetic (``loop_matmul``, ``loop_pairing``) in
+the order the kernel documents: every product and sum starts from 0j and
+runs over its inner index ascending, and a chain starts from the identity.
+No BLAS and no numpy arithmetic is involved, so the kernel must match them
+bit for bit on every machine.
 """
 
 import numpy as np
@@ -114,27 +119,49 @@ def merge_terms(terms) -> list:
     return merged
 
 
+def as_lists(a) -> list:
+    """A numpy array as nested lists of Python numbers."""
+    return np.asarray(a).tolist()
+
+
+def loop_sum(products) -> complex:
+    """Products summed in order from 0j."""
+    total = 0j
+    for p in products:
+        total += p
+    return total
+
+
+def loop_matmul(a: list, b: list) -> list:
+    """a @ b for nested lists: entry (i, j) sums a[i][k] * b[k][j], k ascending."""
+    return [[loop_sum(a_i[k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))] for a_i in a]
+
+
+def loop_pairing(a, b) -> complex:
+    """sum_s conj(a_s) b_s over the entries of two arrays, row-major: Tr(A^dag B)."""
+    flat_a, flat_b = np.ravel(a).tolist(), np.ravel(b).tolist()
+    return loop_sum(x.conjugate() * y for x, y in zip(flat_a, flat_b))
+
+
 def chain_operator_sum(h, b) -> np.ndarray:
-    """sum_t c_t P_n T_{n-1} ... T_0 P_0 over the terms of ``h``, in term order."""
-    out = None
+    """sum_t c_t P_n T_{n-1} ... T_0 P_0 over the terms of ``h``, in term order:
+    each term's chain starts from the identity, P_0 I first."""
+    d0 = h.grid.slot_dims[0]
+    total = None
     for c, eh in h.terms:
-        k = eh.slots[0]
+        k = loop_matmul(as_lists(eh.slots[0]), as_lists(np.eye(d0, dtype=complex)))
         for u, p in zip(b.unitaries, eh.slots[1:]):
-            k = p @ (u @ k)
-        k = c * k
-        out = k if out is None else out + k
-    return out
+            k = loop_matmul(as_lists(p), loop_matmul(as_lists(u), k))
+        if total is None:
+            total = [[0j] * len(row) for row in k]
+        total = [[t + x * c for t, x in zip(t_row, k_row)] for t_row, k_row in zip(total, k)]
+    return np.array(total, dtype=complex)
 
 
 def consistency_matrix(family, b) -> np.ndarray:
-    """D[i, j] = Tr(K_i^dag K_j), one ``np.vdot`` per member pair."""
+    """D[i, j] = Tr(K_i^dag K_j), one ``loop_pairing`` per member pair."""
     chains = [chain_operator_sum(h, b) for h in family]
-    n = len(chains)
-    d = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            d[i, j] = np.vdot(chains[i], chains[j])
-    return d
+    return np.array([[loop_pairing(ki, kj) for kj in chains] for ki in chains], dtype=complex)
 
 
 def subsystem_trace_out(h, b, factor_dims, traced: int = 1, tol: float = 1e-9) -> HistoryState:

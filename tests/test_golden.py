@@ -12,11 +12,19 @@ ones ``temporal_partial_trace`` documents.  To rewrite the files from the packag
 ``PYTHONPATH`` (for a deliberate output change, stated in CHANGES.md)::
 
     PYTHONPATH=src python tests/test_golden.py
+
+The chain-kernel cases (``CHAIN_KERNEL_CASES``) are also rerun in a
+subprocess under another OpenBLAS kernel (``OPENBLAS_CORETYPE``) and with
+numpy's SIMD dispatch cut to its baseline (``NPY_DISABLE_CPU_FEATURES``),
+and must keep their bytes.
 """
 
 import contextlib
 import io
+import os
 import pathlib
+import platform
+import subprocess
 import sys
 
 import pytest
@@ -80,6 +88,60 @@ def test_output_matches_golden(name, fmt):
     code, out = run(argv + ["--format", fmt])
     assert code == expected_code
     assert out.encode("utf-8") == (GOLDEN / f"{name}.{fmt}").read_bytes()
+
+
+# cases that kept their bytes under every OpenBLAS kernel tried (Prescott,
+# Sandybridge, Haswell, Zen, SkylakeX) and with numpy's dispatch cut to its
+# baseline: the abl tables and weights come from the chain kernel alone (see
+# ``histories``), and the scenarios' Grams and eigensolves rounded the same on
+# each; the other cases move under some kernel (ROADMAP item 1)
+CHAIN_KERNEL_CASES = sorted(name for name in CASES if name.startswith(
+    ("abl-", "weight-matrices", "scenario-mach-zehnder", "scenario-temporal-ghz")))
+
+
+def _other_kernels() -> list[dict]:
+    """Environment settings that make OpenBLAS or numpy pick other kernels."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    settings = [{"OPENBLAS_CORETYPE": "Prescott"}]
+    with open("/proc/cpuinfo") as f:
+        if "avx2" in f.read().split():
+            settings.append({"OPENBLAS_CORETYPE": "Haswell"})
+    dispatched = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+    if dispatched:
+        settings.append({"NPY_DISABLE_CPU_FEATURES": " ".join(dispatched)})
+    return settings
+
+
+_RERUN = """
+import sys
+sys.path.insert(0, {tests!r})
+from test_golden import CASES, FORMATS, GOLDEN, run
+for name in {names!r}:
+    for fmt in FORMATS:
+        argv, _ = CASES[name]
+        if run(argv + ["--format", fmt])[1].encode("utf-8") != (GOLDEN / f"{{name}}.{{fmt}}").read_bytes():
+            print(f"{{name}}.{{fmt}}")
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64") or not os.path.exists("/proc/cpuinfo"),
+                    reason="kernel selection by environment is checked on x86-64 Linux")
+def test_chain_kernel_goldens_under_other_kernels():
+    import qhist
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(pathlib.Path(qhist.__file__).parents[1]),
+                                                      env.get("PYTHONPATH")]))
+    code = _RERUN.format(tests=str(pathlib.Path(__file__).parent), names=CHAIN_KERNEL_CASES)
+    for setting in _other_kernels():
+        proc = subprocess.run([sys.executable, "-c", code], env=env | setting, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "", f"{setting}: differ from the goldens: {proc.stdout.split()}"
 
 
 if __name__ == "__main__":

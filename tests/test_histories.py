@@ -1072,7 +1072,7 @@ class TestChainKernelAgainstLoopOracle:
         got = chain_operator_sum(h, b)
         assert got.shape == (dims[-1], dims[0])
         assert np.array_equal(got, want)
-        assert weight(h, b) == float(np.vdot(want, want).real)
+        assert weight(h, b) == histories_oracle.loop_pairing(want, want).real
         eh = h.terms[0][1]
         assert np.array_equal(chain_operator_sum(eh, b),
                               histories_oracle.chain_operator_sum(HistoryState.from_elementary(eh), b))
@@ -1086,12 +1086,9 @@ class TestChainKernelAgainstLoopOracle:
                   for _ in range(rng.integers(1, 12))]
         rep = is_consistent_family(family, b)
         want = histories_oracle.consistency_matrix(family, b)
-        diag = want.diagonal().real
-        scale = np.sqrt(np.outer(diag, diag))
-        assert np.all(np.abs(rep.matrix - want) <= 1e-15 * scale)
+        assert np.array_equal(rep.matrix, want)
         assert np.all(rep.matrix.diagonal().imag == 0.0)
-        assert rep.max_offdiagonal == pytest.approx(
-            np.abs(want - np.diag(want.diagonal())).max(), rel=1e-15, abs=0.0)
+        assert rep.max_offdiagonal == np.abs(want - np.diag(want.diagonal())).max()
 
 
 class TestBatchedConsistency:
@@ -1108,14 +1105,8 @@ class TestBatchedConsistency:
             family.append(h.terms[0][1] if rng.random() < 0.3 else h)
         states = [HistoryState.from_elementary(h) if isinstance(h, ElementaryHistory) else h for h in family]
         rep = is_consistent_family(family, b)
-        want = histories_oracle.consistency_matrix(states, b)
-        diag = want.diagonal().real
-        assert np.all(np.abs(rep.matrix - want) <= 1e-15 * np.sqrt(np.outer(diag, diag)))
         # each member's terms are summed left to right, as the loop sums them
-        chains = np.stack([histories_oracle.chain_operator_sum(h, b).reshape(-1) for h in states])
-        d = chains.conj() @ chains.T
-        np.fill_diagonal(d, d.diagonal().real)
-        assert np.array_equal(rep.matrix, d)
+        assert np.array_equal(rep.matrix, histories_oracle.consistency_matrix(states, b))
 
     def test_member_on_another_grid_rejected(self, rng):
         dims = (2, 2, 2)
@@ -1296,12 +1287,28 @@ class TestStackedBridges:
         for k in bad:
             row[k] = 0.5 * row[k]
         grid = TimeGrid(tuple(map(float, range(len(dims)))), dims)
-        with pytest.raises(ValueError, match=f"^bridge {named} is not unitary$"):
+        message = ("^bridge 1: a unitary bridge cannot shrink the slot dimension from 3 to 2$" if named == 1
+                   else f"^bridge {named} is not unitary$")
+        with pytest.raises(ValueError, match=message):
             BridgingSet(grid, tuple(row))
         # nor does a wrong shape after it
         row[2] = np.eye(2)
-        with pytest.raises(ValueError, match=f"^bridge {named} is not unitary$"):
+        with pytest.raises(ValueError, match=message):
             BridgingSet(grid, tuple(row))
+
+    @pytest.mark.parametrize("dims, k", [((2, 3, 2), 1), ((3, 2), 0), ((4, 4, 3, 3), 1), ((3, 2, 2), 0)])
+    def test_shrinking_slot_dimension_named(self, dims, k):
+        # a (d_{k+1}, d_k) bridge with d_{k+1} < d_k is never an isometry
+        grid = TimeGrid(tuple(map(float, range(len(dims)))), dims)
+        row = [np.eye(b, a, dtype=complex) for a, b in zip(dims, dims[1:])]
+        message = f"^bridge {k}: a unitary bridge cannot shrink the slot dimension from {dims[k]} to {dims[k + 1]}$"
+        with pytest.raises(ShapeError, match=message):
+            BridgingSet(grid, tuple(row))
+        # an earlier non-unitary bridge is still named first
+        if k:
+            row[0] = 0.5 * row[0]
+            with pytest.raises(ValueError, match="^bridge 0 is not unitary$"):
+                BridgingSet(grid, tuple(row))
 
     def test_trivial_bridging_is_not_checked(self, monkeypatch):
         import qhist.histories as histories

@@ -2,20 +2,20 @@
 
 These are the straightforward forms the package's stacked chain engine
 replaces: every outcome string rebuilds its chain from the start, slot by
-slot.  The engine must agree with the row rules exactly, not just within a
-tolerance; the coherent bundle rebuilds a whole history per string, merging
-terms whose strings coincide, and sums its chains with the per-term loop of
+slot, in plain-Python complex arithmetic in the order the engine documents
+(``histories_oracle.loop_matmul`` and ``loop_pairing``).  The engine must
+agree with the row rules exactly, not just within a tolerance; the coherent
+bundle rebuilds a whole history per string, merging terms whose strings
+coincide, and sums its chains with the per-term loop of
 ``histories_oracle``, so there the engine may differ in rounding.
 """
 
 import itertools
 
-import numpy as np
-
 from qhist.histories import HistoryState
-from qhist.linalg import as_ket, as_matrix, identity, projector
+from qhist.linalg import as_ket, as_matrix, identity
 
-from histories_oracle import chain_operator_sum
+from histories_oracle import as_lists, chain_operator_sum, loop_matmul, loop_pairing, loop_sum
 
 
 def _outcome_strings(n: int):
@@ -33,41 +33,38 @@ def sequence_table(pre, slots, unitaries, post=None) -> dict:
     table = {}
     for string in _outcome_strings(n_measured):
         signs = iter(+1 if ch == "+" else -1 for ch in string)
-        vec = pre
+        vec = [[x] for x in as_lists(pre)]
         for k, setting in enumerate(slots):
-            vec = unitaries[k] @ vec
+            vec = loop_matmul(as_lists(unitaries[k]), vec)
             if setting is not None:
-                vec = setting.projector(next(signs)) @ vec
-        vec = unitaries[-1] @ vec
-        if post is None:
-            w = float(np.vdot(vec, vec).real)
-        else:
-            w = abs(np.vdot(post, vec)) ** 2
-        table[string] = w
+                vec = loop_matmul(as_lists(setting.projector(next(signs))), vec)
+        vec = loop_matmul(as_lists(unitaries[-1]), vec)
+        if post is not None:
+            # the amplitude <post|vec>
+            vec = [loop_sum(p.conjugate() * v for p, (v,) in zip(as_lists(post), vec))]
+        table[string] = loop_pairing(vec, vec).real
     return _normalized(table)
 
 
 def mixed_sequence_table(rho0, slots, unitaries, post=None) -> dict:
-    """Normalized sequential-collapse table starting from a density operator."""
-    rho0 = as_matrix(rho0)
-    d = rho0.shape[0]
-    post_proj = None if post is None else projector(as_ket(post, normalized=True))
+    """Normalized sequential-collapse table starting from a density operator:
+    Tr(K rho K^dag), or a rho a^dag with the row a = <post|K."""
+    rho0 = as_lists(as_matrix(rho0))
+    d = len(rho0)
     n_measured = sum(s is not None for s in slots)
     table = {}
     for string in _outcome_strings(n_measured):
         signs = iter(+1 if ch == "+" else -1 for ch in string)
-        chain = identity(d)
+        chain = as_lists(identity(d))
         for k, setting in enumerate(slots):
-            chain = unitaries[k] @ chain
+            chain = loop_matmul(as_lists(unitaries[k]), chain)
             if setting is not None:
-                chain = setting.projector(next(signs)) @ chain
-        chain = unitaries[-1] @ chain
-        evolved = chain @ rho0 @ chain.conj().T
-        if post_proj is None:
-            w = float(np.trace(evolved).real)
-        else:
-            w = float(np.trace(post_proj @ evolved).real)
-        table[string] = max(w, 0.0)
+                chain = loop_matmul(as_lists(setting.projector(next(signs))), chain)
+        chain = loop_matmul(as_lists(unitaries[-1]), chain)
+        if post is not None:
+            bra = [x.conjugate() for x in as_lists(as_ket(post, normalized=True))]
+            chain = [[loop_sum(bra[i] * chain[i][k] for i in range(d)) for k in range(d)]]
+        table[string] = max(loop_pairing(chain, loop_matmul(chain, rho0)).real, 0.0)
     return _normalized(table)
 
 
@@ -83,6 +80,7 @@ def coherent_bundle_weights(h, b, measured) -> dict:
             for pos in positions:
                 modified = modified.with_slot(pos, measured[pos].projector(signs[pos]))
             terms.append((c, modified))
-        k = chain_operator_sum(HistoryState(tuple(terms)), b)
-        weights[string] = abs(np.trace(k)) ** 2
+        k = as_lists(chain_operator_sum(HistoryState(tuple(terms)), b))
+        tr = loop_sum(k[i][i] for i in range(min(len(k), len(k[0]))))
+        weights[string] = tr.real * tr.real + tr.imag * tr.imag
     return weights
