@@ -223,10 +223,16 @@ def lgi_from_distributions(dists: Mapping[tuple[str, str], OutcomeDistribution])
     seconds = sorted({y for _, y in dists})
     if len(firsts) != 2 or len(seconds) != 2 or len(dists) != 4:
         raise ValueError("need distributions for exactly 2x2 setting pairs")
-    # four distinct pairs of two firsts and two seconds: every pair is given
-    table = np.array([[dists[(x, y)].correlator() for y in seconds] for x in firsts])
-    return BellReport(table, float(_s_value(table)), CLASSICAL_BOUND, TSIRELSON_BOUND, tuple(firsts + seconds),
-                      INDEPENDENT)
+    table = np.empty((2, 2))
+    for i, x in enumerate(firsts):
+        for j, y in enumerate(seconds):
+            if (x, y) not in dists:
+                raise ValueError(f"missing distribution for setting pair {(x, y)}")
+            table[i, j] = dists[(x, y)].correlator()
+    return BellReport(
+        table, float(_s_value(table)), CLASSICAL_BOUND, TSIRELSON_BOUND, tuple(firsts + seconds),
+        INDEPENDENT,
+    )
 
 
 # ---------------------------------------------------------------------------

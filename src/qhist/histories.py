@@ -32,7 +32,9 @@ consistency matrices, the coherent bundle and the outcome tables of
 Arithmetic contract: the kernel and every reduction of its output are
 ``np.einsum`` calls with the default ``optimize=False`` (no BLAS) that sum
 over one index, ascending from zero, plus real elementwise ``*`` and ``+``;
-so a plain-Python complex loop gives the same bits on any BLAS build.
+so a plain-Python complex loop gives the same bits on any BLAS build.  That
+bit-for-bit match assumes numpy's einsum loop is compiled without fused
+multiply-adds, as on x86-64 builds, the only platform where it is tested.
 """
 
 from __future__ import annotations
@@ -372,11 +374,6 @@ def _check_measured_slots(n_measured: int) -> None:
         raise ValueError(f"at most {MAX_MEASURED_SLOTS} measured slots are supported, got {n_measured}")
 
 
-@functools.lru_cache(maxsize=None)
-def _outcome_strings(n_measured: int) -> tuple[str, ...]:
-    return tuple(map("".join, itertools.product("+-", repeat=n_measured)))
-
-
 def _chains(start: np.ndarray, intervals, settings, fixed=None) -> tuple[tuple[str, ...], np.ndarray]:
     """Every outcome string's chain, carried through a row as one stack.
 
@@ -392,8 +389,7 @@ def _chains(start: np.ndarray, intervals, settings, fixed=None) -> tuple[tuple[s
     """
     n_measured = sum(s is not None for s in settings)
     _check_measured_slots(n_measured)
-    # tables up to 16 measured slots reuse their strings (65536 of them, about 4 MB)
-    strings = (_outcome_strings if n_measured <= 16 else _outcome_strings.__wrapped__)(n_measured)
+    strings = tuple(map("".join, itertools.product("+-", repeat=n_measured)))
     x = start[:, :, None, None]
     for k, (interval, setting) in enumerate(zip(intervals, settings)):
         if interval is not None:
@@ -521,9 +517,14 @@ def _family_report(stacks, coefs: np.ndarray, counts: Sequence[int], b: Bridging
     for p in range(1, int(counts.max())):
         rows = np.flatnonzero(counts > p)
         chains[rows] += weighted[starts[rows] + p]
-    # D[i, j] = Tr(K_i^dag K_j); the diagonal's imaginary parts are exactly zero
-    d = np.einsum("is,js->ij", chains.conj(), chains)
-    off = float(np.abs(d[~np.eye(len(d), dtype=bool)]).max(initial=0.0))
+    d = np.einsum("is,js->ij", chains.conj(), chains)  # D[i, j] = Tr(K_i^dag K_j)
+    # Tr(K^dag K) is real; an einsum built with fused multiply-adds may leave rounding in the imaginary part
+    np.fill_diagonal(d, d.diagonal().real)
+    n = len(d)
+    off = 0.0
+    if n > 1:
+        mask = ~np.eye(n, dtype=bool)
+        off = float(np.max(np.abs(d[mask])))
     d.setflags(write=False)
     return ConsistencyReport(off <= tol, d, off, tol)
 
@@ -819,21 +820,16 @@ def _canonical_basis(evals, vecs, overlaps, norms) -> list[tuple[float, np.ndarr
         while stop < len(evals) and evals[start] - evals[stop] <= DEGENERACY_TOL:
             stop += 1
         size = stop - start
+        candidates = np.hstack([unit[start:stop], np.eye(size)])
         basis: list[np.ndarray] = []
-        if size == 1:
-            # Gram-Schmidt's result: the phase of the first overlap above SPAN_TOL, or 1
-            mags = np.sqrt(unit[start].real ** 2 + unit[start].imag ** 2)
-            hits = np.flatnonzero(mags > SPAN_TOL)[:1]
-            basis.append(unit[start, hits] / mags[hits] if hits.size else np.ones(1, dtype=complex))
-        else:
-            for x in np.hstack([unit[start:stop], np.eye(size)]).T:
-                for q in basis:
-                    x = x - q * np.vdot(q, x)
-                n = np.linalg.norm(x)
-                if n > SPAN_TOL:
-                    basis.append(x / n)
-                    if len(basis) == size:
-                        break
+        for x in candidates.T:
+            for q in basis:
+                x = x - q * np.vdot(q, x)
+            n = np.linalg.norm(x)
+            if n > SPAN_TOL:
+                basis.append(x / n)
+                if len(basis) == size:
+                    break
         lam = float(np.mean(evals[start:stop]))
         out.extend((lam, vecs[:, start:stop] @ q) for q in basis)
         start = stop
@@ -958,8 +954,16 @@ def exhaustive_projector_family(grid: TimeGrid) -> tuple[HistoryState, ...]:
     The family is exhaustive: the coefficient-one sum of its chain operators
     under trivial bridging is the identity.
     """
-    units = [np.eye(d, dtype=complex)[:, :, None] * np.eye(d) for d in grid.slot_dims]
-    return tuple(HistoryState.from_slots(grid, ops) for ops in itertools.product(*units))
+    choices = [range(d) for d in grid.slot_dims]
+    out = []
+    for combo in itertools.product(*choices):
+        ops = []
+        for i, d in zip(combo, grid.slot_dims):
+            m = np.zeros((d, d), dtype=complex)
+            m[i, i] = 1.0
+            ops.append(m)
+        out.append(HistoryState.from_slots(grid, ops))
+    return tuple(out)
 
 
 @dataclass(frozen=True)

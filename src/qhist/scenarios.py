@@ -332,7 +332,11 @@ def _interval_conjugated(h: HistoryState, b: BridgingSet) -> HistoryState:
 
 def _pauli_distance(u: np.ndarray) -> float:
     """Distance of a 2x2 unitary from the nearest Pauli, up to global phase."""
-    return min(1.0, *(1.0 - abs(np.trace(u.conj().T @ pauli(name))) / 2.0 for name in "IXYZ"))
+    best = 1.0
+    for name in ("I", "X", "Y", "Z"):
+        p = identity(2) if name == "I" else pauli(name)
+        best = min(best, 1.0 - abs(np.trace(u.conj().T @ p)) / 2.0)
+    return best
 
 
 def pauli_cycle() -> ScenarioResult:

@@ -223,7 +223,9 @@ class OutcomeDistribution:
     def correlator(self, i: int = 0, j: int = 1) -> float:
         total = 0.0
         for string, p in self.table.items():
-            total += p if string[i] == string[j] else -p
+            a = +1 if string[i] == "+" else -1
+            b = +1 if string[j] == "+" else -1
+            total += a * b * p
         return total
 
 
@@ -443,13 +445,20 @@ def marginal_independence_check(
     pairs = dict(dist_family)
     if not pairs:
         raise ValueError("need at least one setting pair")
-
-    def deviation(pos: int) -> float:
-        """The largest spread of slot ``pos``'s marginal over the other slot's settings."""
-        groups: dict[str, list] = {}
-        for key, d in pairs.items():
-            groups.setdefault(key[pos], []).append(d.marginal(pos))
-        return max(max(m[c] for m in ms) - min(m[c] for m in ms) for ms in groups.values() for c in "+-")
-
-    earlier = deviation(0)
-    return MarginalReport(earlier, deviation(1), tol, earlier > tol)
+    earlier = 0.0
+    later = 0.0
+    firsts = sorted({x for x, _ in pairs})
+    seconds = sorted({y for _, y in pairs})
+    for x in firsts:
+        dists = [pairs[(x, y)] for y in seconds if (x, y) in pairs]
+        for a in "+-":
+            vals = [d.marginal(0)[a] for d in dists]
+            if vals:
+                earlier = max(earlier, max(vals) - min(vals))
+    for y in seconds:
+        dists = [pairs[(x, y)] for x in firsts if (x, y) in pairs]
+        for bchar in "+-":
+            vals = [d.marginal(1)[bchar] for d in dists]
+            if vals:
+                later = max(later, max(vals) - min(vals))
+    return MarginalReport(earlier, later, tol, earlier > tol)
