@@ -22,7 +22,9 @@ over the first party's settings and carried to the middle time,
 
     rho' = U1 (1/|A|) sum over a in A and +/- of P_a^+/- rho P_a^+/- U1^dag,
 
-so the second pair is the same correlator evaluated on rho'.
+so the second pair is the same correlator evaluated on rho'.  Correlators and
+rho' are reductions of the chain kernel ``histories._chains`` under its
+arithmetic contract (no BLAS); only the settings optimizer uses BLAS.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import ShapeError
+from .histories import _chains, _collapse_weights
 from .linalg import (
     check_unitary, density_operator, dichotomic_projectors, identity, max_abs, maximally_mixed, pauli,
 )
@@ -165,17 +168,17 @@ def correlator_tables(initial, firsts, unitaries, seconds) -> np.ndarray:
 def _tables(rho, first_pairs, u, second_pairs) -> np.ndarray:
     """``correlator_tables`` on a checked state and unitary and (N, k, 2, d, d)
     stacks of checked (P+, P-) pairs; only their dimension and the range of
-    the correlators are checked here."""
+    the correlators are checked here.  Entry (n, i, j) is one kernel batch
+    entry, its unitary a one-outcome slot, and string ab's chain P_b U P_a."""
     d = rho.shape[0]
     if first_pairs.shape[-1] != d or second_pairs.shape[-1] != d:
         raise ShapeError(f"observables must be (N, k, {d}, {d}) stacks with one N")
-    u = u[None] if u.ndim == 2 else u[:, None]
-    u_dag = u.conj().swapaxes(-1, -2)
-    total = 0.0
-    for a, pa in zip((+1, -1), np.moveaxis(first_pairs, -3, 0)):
-        mid = (u @ pa @ rho @ pa @ u_dag)[:, :, None]
-        for b, pb in zip((+1, -1), np.moveaxis(second_pairs, -3, 0)):
-            total = total + a * b * np.trace(pb[:, None] @ mid, axis1=-2, axis2=-1).real
+    entries = (len(first_pairs), first_pairs.shape[1], second_pairs.shape[1])
+    slots = [np.broadcast_to(ops, entries + ops.shape[-3:]).reshape((-1,) + ops.shape[-3:])
+             for ops in (first_pairs[:, :, None], u.reshape(-1, 1, 1, 1, d, d), second_pairs[:, None])]
+    chains = _chains(identity(d), (None,) * 3, slots)[1].reshape(d, d, -1)
+    weights = _collapse_weights(chains, rho).reshape((4,) + entries)
+    total = weights[0] - weights[1] - weights[2] + weights[3]  # strings ++, +-, -+, --
     if max_abs(total) > 1.0 + 1e-9:
         raise ValueError("correlators must lie in [-1, 1]")
     return total
@@ -319,15 +322,13 @@ def monogamy_sum(
     u1, u2 = (_check_unitary(u, d, f"unitaries[{i}]") for i, u in enumerate(unitaries))
     a_settings, b_settings, c_settings = tuple(a_settings), tuple(b_settings), tuple(c_settings)
     pa, pb, pc = (_pairs(s) for s in (a_settings, b_settings, c_settings))
-
-    if mode == INDEPENDENT:
-        tables = _tables(rho, np.stack([pa, pb]), np.stack([u1, u2]), np.stack([pb, pc]))
-        first = _report(tables[0], a_settings + b_settings, mode)
-        second = _report(tables[1], b_settings + c_settings, mode)
-    else:
-        first = _report(_tables(rho, pa[None], u1, pb[None])[0], a_settings + b_settings, mode)
-        mixed = u1 @ ((pa @ rho @ pa).sum(axis=(0, 1)) / len(a_settings)) @ u1.conj().T
-        second = _report(_tables(mixed, pb[None], u2, pc[None])[0], b_settings + c_settings, mode)
+    first = _report(_tables(rho, pa[None], u1, pb[None])[0], a_settings + b_settings, mode)
+    if mode == CHAINED:
+        # rho' = sum of K rho K^dag / |A| over the chains K = U1 P, in the kernel's order
+        chains = _chains(identity(d), (None, u1), (pa, None))[1].reshape(d, d, -1)
+        kept = np.einsum("ilr,jlr->ijr", np.einsum("ikr,kl->ilr", chains, rho), chains.conj())
+        rho = np.cumsum(kept, axis=-1)[..., -1] / len(a_settings)
+    second = _report(_tables(rho, pb[None], u2, pc[None])[0], b_settings + c_settings, mode)
     total = float(first.value + second.value)
     return MonogamyResult(first, second, total, 4.0 * math.sqrt(2.0), 4.0, mode)
 
@@ -341,9 +342,9 @@ class ChainedResult:
 
 
 def _chain_total(block_value: float, n: int) -> float:
-    # the sum of n block values, as adding up the block reports gives it;
-    # n * block_value can differ in the last bit
-    return float(sum([block_value] * n))
+    # the sum of n block values left to right, as adding up the block reports
+    # gives it on every Python; n * block_value can differ in the last bit
+    return float(np.cumsum(np.full(n, block_value))[-1])
 
 
 def _check_chain_length(n: int) -> None:
@@ -508,9 +509,11 @@ def optimize_settings(
     q = _quadratic_form(objective, n)
     if config.max_evals < 1:
         raise ValueError("max_evals must be at least 1")
+    if config.restarts < 0:
+        raise ValueError(f"restarts must be nonnegative, got {config.restarts}")
     if config.restarts > MAX_RESTARTS:
         raise ValueError(f"at most {MAX_RESTARTS} restarts are supported, got {config.restarts}")
-    x = np.random.default_rng(config.seed).standard_normal((max(config.restarts, 0) + 1, len(q), 3))
+    x = np.random.default_rng(config.seed).standard_normal((config.restarts + 1, len(q), 3))
     x[0] = (0.5, 0.5, math.sqrt(0.5))  # theta = phi = pi/4
     x /= np.linalg.norm(x, axis=-1, keepdims=True)
     values = np.full(len(x), -math.inf)

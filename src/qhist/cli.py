@@ -160,6 +160,8 @@ def _run_optimize(args):
 
 
 def _run_weight(args):
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ValueError(f"--tol must be a finite nonnegative number, got {args.tol}")
     doc = serialize.load_document(args.spec)
     history, bridging = serialize.history_from_document(doc)
     report = _term_consistency(history, bridging, tol=args.tol)

@@ -21,13 +21,13 @@ is the time-ordered product
 with the latest slot leftmost.  Weights are Tr(K^dag K); the pairwise
 decoherence functional Tr(K_i^dag K_j) defines family consistency.
 
-Every chain operator comes from one stacked kernel, ``_chains``, which
-carries all terms' chains (the batch axis B) and all outcome strings (R)
-through the bridges and slots at once, in a rows-last layout (d', m, R, B):
-entry [i, j, r, b] is row i, column j of string r's chain for term b.  A
-measured slot splits every string into its '+' and '-' strings.  Weights,
-consistency matrices, the coherent bundle and the outcome tables of
-``twostate`` are reductions over its output.
+Every chain operator comes from one stacked kernel, ``_chains(start,
+intervals, slots)``, which carries all terms' chains (batch axis B) and all
+outcome strings (R) through the bridges and slots at once, in a rows-last
+layout (d', m, R, B): entry [i, j, r, b] is row i, column j of string r's
+chain for term b.  A measured slot, a (P+, P-) pair, splits every string in
+two.  Weights, consistency matrices, the coherent bundle and Tr(K rho K^dag),
+behind ``twostate``'s tables and ``bell``'s correlators, reduce its output.
 
 Arithmetic contract: the kernel and every reduction of its output are
 ``np.einsum`` calls with the default ``optimize=False`` (no BLAS) that sum
@@ -374,31 +374,29 @@ def _check_measured_slots(n_measured: int) -> None:
         raise ValueError(f"at most {MAX_MEASURED_SLOTS} measured slots are supported, got {n_measured}")
 
 
-def _chains(start: np.ndarray, intervals, settings, fixed=None) -> tuple[tuple[str, ...], np.ndarray]:
+def _chains(start: np.ndarray, intervals, slots) -> tuple[tuple[str, ...], np.ndarray]:
     """Every outcome string's chain, carried through a row as one stack.
 
     Step k applies ``intervals[k]`` (None for none) to the whole stack, then
-    ``fixed[k]`` when ``fixed`` holds slot k (a (batch, d, d) stack of
-    per-term operators), and then, when ``settings[k]`` is a setting, splits
-    every string into its '+' chain followed by its '-' chain.  ``start`` is
-    a (d, m) matrix.  Returns the outcome strings and a (d', m,
-    2**n_measured, batch) stack whose [:, :, r, b] is string r's chain for
-    term b: '+' first, earliest slot first.  Each step is one einsum over
-    the row index of the stack.  More than MAX_MEASURED_SLOTS settings are
-    rejected before any product.
+    ``slots[k]`` (None for none), a (batch or 1, o, d, d) stack of term b's
+    operator for outcome o: a measured (P+, P-) pair (o = 2) splits every
+    string into its '+' chain followed by its '-' chain, and o = 1 is one
+    operator per term (its own, or a unitary).  ``start`` is a (d, m) matrix.
+    Returns the outcome strings and a (d', m, 2**n_measured, batch) stack
+    whose [:, :, r, b] is string r's chain for term b: '+' first, earliest
+    slot first.  Each step is one einsum over the row index of the stack.
+    More than MAX_MEASURED_SLOTS measured slots are rejected before any product.
     """
-    n_measured = sum(s is not None for s in settings)
+    n_measured = sum(ops is not None and ops.shape[1] == 2 for ops in slots)
     _check_measured_slots(n_measured)
     strings = tuple(map("".join, itertools.product("+-", repeat=n_measured)))
     x = start[:, :, None, None]
-    for k, (interval, setting) in enumerate(zip(intervals, settings)):
+    for interval, ops in zip(intervals, slots):
         if interval is not None:
             x = np.einsum("ik,kjrb->ijrb", interval, x)
-        if fixed and k in fixed:
-            x = np.einsum("bik,kjrb->ijrb", fixed[k], x)
-        if setting is not None:
-            # string r's outcome o lands at 2r + o, in string order
-            x = np.einsum("oik,kjrb->ijrob", setting.projectors(), x)
+        if ops is not None:
+            # string r's outcome o lands at o_count * r + o, in string order
+            x = np.einsum("boik,kjrb->ijrob", ops, x)
             x = x.reshape(x.shape[:2] + (-1, x.shape[-1]))
     return strings, x
 
@@ -412,10 +410,8 @@ def _term_chains(h: HistoryState, b: BridgingSet, settings={}) -> tuple[tuple[st
     and a (d_last, d_first, 2**len(settings)) stack.
     """
     _require_same_grid(h.grid, b.grid)
-    stacks = h._stacks
-    fixed = {k: s for k, s in enumerate(stacks) if k not in settings}
-    row = [settings.get(k) for k in range(len(stacks))]
-    strings, chains = _chains(identity(h.grid.slot_dims[0]), (None,) + b.unitaries, row, fixed)
+    row = [settings[k].projectors()[None] if k in settings else s[:, None] for k, s in enumerate(h._stacks)]
+    strings, chains = _chains(identity(h.grid.slot_dims[0]), (None,) + b.unitaries, row)
     # an all-measured row has a batch of one, which broadcasts over the terms
     return strings, np.einsum("ijrb,b->ijr", chains, h._coefs)
 
@@ -433,6 +429,12 @@ def _pairings(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sum_s conj(a[s, r]) b[s, r] for each column r: on flattened matrices,
     Tr(A^dag B), a sum of squares with no imaginary part when a is b."""
     return np.einsum("sr,sr->r", a.conj(), b)
+
+
+def _collapse_weights(chains: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Tr(K rho K^dag) = sum_il conj(K_il) (K rho)_il for each K of a (d', m, n) stack."""
+    flat = (-1, chains.shape[-1])
+    return _pairings(chains.reshape(flat), np.einsum("ikr,kl->ilr", chains, rho).reshape(flat)).real
 
 
 def weight(h, b: BridgingSet) -> float:
@@ -506,8 +508,7 @@ def _family_report(stacks, coefs: np.ndarray, counts: Sequence[int], b: Bridging
     """Consistency of a family whose members are runs of consecutive terms:
     ``counts[i]`` terms each, with per-slot operator ``stacks`` and
     coefficients ``coefs`` over all terms.  One chain-kernel call."""
-    fixed = dict(enumerate(stacks))
-    x = _chains(identity(stacks[0].shape[1]), (None,) + b.unitaries, [None] * len(stacks), fixed)[1]
+    x = _chains(identity(stacks[0].shape[1]), (None,) + b.unitaries, [s[:, None] for s in stacks])[1]
     weighted = np.einsum("sb,b->bs", x.reshape(-1, len(coefs)), coefs)
     # each member's terms summed left to right, as a reduce over its own terms
     # would (np.add.reduceat pairs them in another order)
@@ -787,7 +788,7 @@ def temporal_partial_trace(h, keep_slots: Iterable[int], tol: float = 1e-12) -> 
         column[on] = merged[on]
         columns.append(column)
         members.append((lam, HistoryState._from_rows(sub_grid, merged[on], rows[on], distinct=True)))
-    total = sum(p for p, _ in members)
+    total = np.cumsum([p for p, _ in members])[-1]  # left to right, as on every Python
     ensemble = tuple((p / total, h_m) for p, h_m in members)
     if extra:
         gram = gram[np.ix_(firsts, firsts)]

@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import ImpossiblePostselectionError, ShapeError
 # MAX_MEASURED_SLOTS is the chain kernel's bound, re-exported here
-from .histories import (MAX_MEASURED_SLOTS, BridgingSet, HistoryState, TimeGrid, _chains, _pairings, _term_chains,
-                        hs_norm)
+from .histories import (MAX_MEASURED_SLOTS, BridgingSet, HistoryState, TimeGrid, _chains, _collapse_weights,
+                        _term_chains, hs_norm)
 from . import linalg
 from .linalg import as_ket, as_matrix, density_operator, dichotomic_projectors, identity, pauli, projector
 
@@ -230,11 +230,11 @@ class OutcomeDistribution:
 
 
 def _normalized(table: dict[str, float], labels: tuple[str, ...]) -> OutcomeDistribution:
-    total = sum(table.values())
+    weights = np.fromiter(table.values(), float, len(table))
+    total = float(np.cumsum(weights)[-1])  # left to right, as on every Python
     if total <= ZERO_WEIGHT_TOL:
         raise ImpossiblePostselectionError("total weight is zero; conditional probabilities undefined")
-    shares = map(operator.truediv, table.values(), itertools.repeat(total))
-    return OutcomeDistribution(labels, dict(zip(table, shares)))
+    return OutcomeDistribution(labels, dict(zip(table, (weights / total).tolist())))
 
 
 def _checked_row(d: int, slots, unitaries) -> tuple[np.ndarray, ...]:
@@ -271,6 +271,19 @@ def _measured_labels(slots) -> tuple[str, ...]:
     return labels
 
 
+def _collapse_table(labels, start, rho, unitaries, slots, post) -> OutcomeDistribution:
+    """Tr(K rho K^dag), normalized, over the chains K (or <post|K) from ``start``
+    through a checked slot row; a pure table starts from its ket, rho = [[1]]."""
+    row = tuple(None if s is None else s.projectors()[None] for s in slots) + (None,)
+    strings, chains = _chains(start, unitaries, row)
+    chains = chains[..., 0]
+    if post is not None:
+        # Tr(|post><post| K rho K^dag) is a rho a^dag with the row a = <post|K
+        chains = np.einsum("i,ikr->kr", post.conj(), chains)[None]
+    weights = np.maximum(_collapse_weights(chains, rho), 0.0)
+    return _normalized(dict(zip(strings, weights.tolist())), labels)
+
+
 def sequence_distribution(exp: TwoTimeExperiment) -> OutcomeDistribution:
     """Amplitude-chain distribution over outcome strings of the measured slots.
 
@@ -279,14 +292,7 @@ def sequence_distribution(exp: TwoTimeExperiment) -> OutcomeDistribution:
     the collapsed vector, which equals the complete sum over any final basis.
     """
     labels = _measured_labels(exp.slots)
-    strings, vecs = _chains(exp.pre[:, None], exp.unitaries, exp.slots + (None,))
-    vecs = vecs[..., 0]
-    if exp.post is not None:
-        # the amplitudes <post|v_r>, as a (1, R) stack
-        vecs = np.einsum("i,ikr->kr", exp.post.conj(), vecs)
-    vecs = vecs.reshape(-1, len(strings))
-    weights = _pairings(vecs, vecs).real
-    return _normalized(dict(zip(strings, weights.tolist())), labels)
+    return _collapse_table(labels, exp.pre[:, None], np.ones((1, 1), complex), exp.unitaries, exp.slots, exp.post)
 
 
 def mixed_sequence_distribution(
@@ -311,16 +317,7 @@ def mixed_sequence_distribution(
         post = as_ket(post, normalized=True)
         if post.size != d:
             raise ShapeError("post ket dimension does not match the state")
-
-    strings, chains = _chains(identity(d), unitaries, slots + (None,))
-    chains = chains[..., 0]
-    if post is not None:
-        # Tr(|post><post| K rho K^dag) is a rho a^dag with the row a = <post|K
-        chains = np.einsum("i,ikr->kr", post.conj(), chains)[None]
-    # Tr(K rho K^dag) = sum_il conj(K_il) (K rho)_il, (i, l) row-major
-    flat = (-1, len(strings))
-    weights = _pairings(chains.reshape(flat), np.einsum("ikr,kl->ilr", chains, rho0).reshape(flat)).real
-    return _normalized(dict(zip(strings, np.maximum(weights, 0.0).tolist())), labels)
+    return _collapse_table(labels, identity(d), rho0, unitaries, slots, post)
 
 
 def abl_probability(exp: TwoTimeExperiment, slot: int, outcome: int) -> float:

@@ -5,6 +5,11 @@ per-pair correlator loop over MeasurementSetting objects, an exhaustive
 enumeration of every deterministic chain strategy, and the chained monogamy
 reading from full three-slot outcome tables.  The batched routes must agree
 with the first two exactly, not just within a tolerance.
+
+The correlator loop and ``processes_mixture`` are plain-Python complex
+arithmetic in the chain kernel's order (``loop_matmul``, ``loop_pairing``,
+``loop_sum`` from ``histories_oracle``): each chain starts from the identity
+and takes its operators earliest first, so no BLAS is involved.
 """
 
 import itertools
@@ -15,19 +20,45 @@ import numpy as np
 from qhist.linalg import as_matrix, identity
 from qhist.twostate import mixed_sequence_distribution
 
+from histories_oracle import as_lists, loop_matmul, loop_pairing, loop_sum
+
+
+def _chain(d: int, *ops) -> list:
+    """ops[-1] ... ops[0] I, the kernel's chain, one product at a time."""
+    k = as_lists(np.eye(d, dtype=complex))
+    for op in ops:
+        k = loop_matmul(as_lists(op), k)
+    return k
+
 
 def temporal_correlator(rho, first, unitary, second) -> float:
-    """Two-time correlator, one projector pair at a time."""
+    """Two-time correlator, one projector pair at a time: the weights
+    Tr(K rho K^dag) = loop_pairing(K, K rho) of K = P_b U P_a, signed and
+    summed in the order ++, +-, -+, --."""
     rho = as_matrix(rho)
-    u = identity(rho.shape[0]) if unitary is None else as_matrix(unitary)
+    d = rho.shape[0]
+    u = identity(d) if unitary is None else as_matrix(unitary)
     total = 0.0
     for a in (+1, -1):
-        pa = first.projector(a)
-        mid = u @ pa @ rho @ pa @ u.conj().T
         for b in (+1, -1):
-            pb = second.projector(b)
-            total += a * b * float(np.trace(pb @ mid).real)
+            k = _chain(d, first.projector(a), u, second.projector(b))
+            total += a * b * loop_pairing(k, loop_matmul(k, as_lists(rho))).real
     return total
+
+
+def processes_mixture(rho, a_settings, u1) -> np.ndarray:
+    """rho' = (1/|A|) sum of K rho K^dag over the chains K = U1 P_a^+/-,
+    every '+' chain in settings order, then every '-' chain."""
+    rho = as_lists(as_matrix(rho))
+    d = len(rho)
+    terms = []
+    for a in (+1, -1):
+        for s in a_settings:
+            k = _chain(d, s.projector(a), u1)
+            k_dag = [[k[j][i].conjugate() for j in range(d)] for i in range(d)]
+            terms.append(loop_matmul(loop_matmul(k, rho), k_dag))
+    return np.array([[loop_sum(t[i][j] for t in terms) / len(a_settings) for j in range(d)]
+                     for i in range(d)], dtype=complex)
 
 
 def correlator_table(rho, firsts, unitary, seconds) -> np.ndarray:

@@ -188,8 +188,7 @@ class TestChecksOnce:
             assert mono.first_pair.correlators.tobytes() == want[0].tobytes()
             assert mono.second_pair.correlators.tobytes() == want[1].tobytes()
             chained = monogamy_sum(rho, a, b, c, unitaries=(u1, u2), mode="chained_single_system")
-            pa = np.stack([s.projectors() for s in a])
-            mixed = u1 @ ((pa @ rho @ pa).sum(axis=(0, 1)) / 2) @ u1.conj().T
+            mixed = bell_oracle.processes_mixture(rho, a, u1)
             assert chained.first_pair.correlators.tobytes() == want[0].tobytes()
             second = correlator_tables(mixed, stack([b]), u2, stack([c]))[0]
             assert chained.second_pair.correlators.tobytes() == second.tobytes()

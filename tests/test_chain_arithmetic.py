@@ -1,9 +1,9 @@
 """The chain kernel's arithmetic contract, one einsum subscript string at a time.
 
 Every contraction on the chain path (``histories._chains`` and the reductions
-of its output in ``histories`` and ``twostate``) is an ``np.einsum`` call with
-the default ``optimize=False`` on complex operands that sums over at most one
-index.  Each test below runs the chain path on small inputs, records every
+of its output in ``histories``, ``twostate`` and ``bell``) is an ``np.einsum``
+call with the default ``optimize=False`` on complex operands that sums over at
+most one index.  Each test below runs the chain path on small inputs, records every
 call made with one subscript string, and recomputes its output with a
 plain-Python loop: output entries in order, the summed index ascending into
 an accumulator that starts at 0j, the operands multiplied left to right.  A
@@ -19,7 +19,7 @@ import tokenize
 import numpy as np
 import pytest
 
-from qhist import histories, twostate
+from qhist import bell, histories, twostate
 from qhist.histories import BridgingSet, ElementaryHistory, HistoryState, TimeGrid, normalize
 from qhist.linalg import maximally_mixed
 from qhist.twostate import MeasurementSetting, TwoTimeExperiment
@@ -29,21 +29,21 @@ from conftest import random_ket, random_unitary
 # every subscript string the chain path uses, with where it is used
 SUBSCRIPTS = {
     "ik,kjrb->ijrb": "_chains: an interval unitary or bridge",
-    "bik,kjrb->ijrb": "_chains: the terms' own slot operators",
-    "oik,kjrb->ijrob": "_chains: a measured slot's projector pair",
+    "boik,kjrb->ijrob": "_chains: a slot's outcome operators (a projector pair, the terms' own, a unitary)",
     "ijrb,b->ijr": "_term_chains: the coefficient sum",
     "sr,sr->r": "_pairings: weights, decoherence functional, table weights",
     "sb,b->bs": "_family_report: coefficients times term chains",
     "is,js->ij": "_family_report: the members' Gram",
     "i,ikr->kr": "post-selected tables: the post-selection bra",
-    "ikr,kl->ilr": "mixed tables: K rho",
+    "ikr,kl->ilr": "_collapse_weights and the chained reading's rho': K rho",
+    "ilr,jlr->ijr": "the chained reading's rho': K rho K^dag",
     "iir->r": "coherent bundle: the closed-loop trace",
 }
 
-CHAIN_PATH = (histories._chains, histories._term_chains, histories._pairings, histories.weight,
-              histories.decoherence_functional, histories._family_report,
-              twostate.sequence_distribution, twostate.mixed_sequence_distribution,
-              twostate.coherent_bundle_weights)
+CHAIN_PATH = (histories._chains, histories._term_chains, histories._pairings, histories._collapse_weights,
+              histories.weight, histories.decoherence_functional, histories._family_report,
+              twostate._collapse_table, twostate.sequence_distribution, twostate.mixed_sequence_distribution,
+              twostate.coherent_bundle_weights, bell._tables, bell.monogamy_sum)
 
 
 def loop_einsum(subscripts: str, *operands) -> np.ndarray:
@@ -102,10 +102,10 @@ def _exercise_chain_path(rng):
         slots = tuple(MeasurementSetting(f"S{k}", _observable(rng, d)) if k != 1 else None for k in range(4))
         unitaries = tuple(random_unitary(rng, d) for _ in range(len(slots) + 1))
         pre, post = random_ket(rng, d), random_ket(rng, d)
+        rho = maximally_mixed(d) * 0.5 + 0.5 * np.outer(pre, pre.conj())
         for p in (None, post):
             twostate.sequence_distribution(TwoTimeExperiment.build(pre, slots, post=p, unitaries=unitaries))
-            twostate.mixed_sequence_distribution(maximally_mixed(d) * 0.5 + 0.5 * np.outer(pre, pre.conj()),
-                                                 slots, unitaries=unitaries, post=p)
+            twostate.mixed_sequence_distribution(rho, slots, unitaries=unitaries, post=p)
         h = normalize(_history(rng, (d,) * 3, 3))
         b = BridgingSet(h.grid, tuple(random_unitary(rng, d) for _ in range(2)))
         setting = MeasurementSetting("M", _observable(rng, d))
@@ -114,6 +114,12 @@ def _exercise_chain_path(rng):
         histories.weight(h, b)
         histories.decoherence_functional(h, _history(rng, (d,) * 3, 2), b)
         histories.is_consistent_family([h, _history(rng, (d,) * 3, 2), h.terms[0][1]], b)
+        a, b_, c = ([MeasurementSetting(f"{p}{i}", _observable(rng, d)) for i in range(2)] for p in "abc")
+        bell.s_lgi(bell.CorrelatorSpec(rho, tuple(a), tuple(b_), unitaries[0]))
+        for mode in ("independent_ensembles", "chained_single_system"):
+            bell.monogamy_sum(rho, a, b_, c, unitaries=unitaries[:2], mode=mode)
+        obs = np.array([[[s.observable for s in row] for row in pair] for pair in ((a, b_), (b_, c), (c, a))])
+        bell.correlator_tables(rho, obs[:, 0], np.array(unitaries[:3]), obs[:, 1])
     # a slot dimension that grows: rectangular bridges and a non-square chain
     h = normalize(_history(rng, (2, 3, 3), 2))
     b = BridgingSet(h.grid, (random_unitary(rng, 3)[:, :2], random_unitary(rng, 3)))

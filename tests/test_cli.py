@@ -203,6 +203,16 @@ class TestChainedCommand:
             assert out == ""
             assert err.startswith("error:") and str(MAX_CHAIN_BLOCKS) in err
 
+    def test_total_is_a_left_to_right_sum(self, capsys):
+        # the same bits on every Python: CPython 3.12's sum() over floats is compensated
+        code, out, _ = run_cli(capsys, "chained", "-n", "7")
+        assert code == EXIT_OK
+        doc = json.loads(out)["artifacts"]
+        total = 0.0
+        for block in doc["block_reports"]:
+            total += block["value"]
+        assert doc["total"] == total
+
     def test_n_at_upper_bound(self, capsys):
         code, out, _ = run_cli(capsys, "chained", "-n", str(MAX_CHAIN_BLOCKS))
         assert code == EXIT_OK
@@ -422,6 +432,17 @@ class TestOptionScope:
         code, out, _ = run_cli(capsys, *self.ARGV["weight"], "--tol", "0.25")
         assert code == EXIT_OK
         assert json.loads(out)["artifacts"]["term_consistency"]["tol"] == 0.25
+        code, out, _ = run_cli(capsys, *self.ARGV["weight"], "--tol", "0")
+        assert code == EXIT_OK
+        assert json.loads(out)["artifacts"]["term_consistency"]["tol"] == 0.0
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-300"])
+    def test_weight_rejects_a_bad_tol(self, capsys, tol):
+        # NaN and Infinity are not JSON, and a negative tol marks every family inconsistent
+        code, out, err = run_cli(capsys, *self.ARGV["weight"], f"--tol={tol}")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == f"error: --tol must be a finite nonnegative number, got {float(tol)}\n"
 
 
 class TestOptimizeCommand:
@@ -462,6 +483,13 @@ class TestOptimizeCommand:
         assert code == EXIT_INPUT
         assert out == ""
         assert err == f"error: at most {MAX_RESTARTS} restarts are supported, got {restarts}\n"
+
+    @pytest.mark.parametrize("restarts", [-1, -5])
+    def test_negative_restarts_rejected(self, capsys, restarts):
+        code, out, err = run_cli(capsys, "optimize", "--restarts", str(restarts))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == f"error: restarts must be nonnegative, got {restarts}\n"
 
     def test_runs_without_scipy(self):
         # scipy is installed here, so hide it: any import of it then fails

@@ -16,11 +16,15 @@ ones ``temporal_partial_trace`` documents.  To rewrite the files from the packag
 The chain-kernel cases (``CHAIN_KERNEL_CASES``) are also rerun in a
 subprocess under another OpenBLAS kernel (``OPENBLAS_CORETYPE``) and with
 numpy's SIMD dispatch cut to its baseline (``NPY_DISABLE_CPU_FEATURES``),
-and must keep their bytes.
+and must keep their bytes.  Every case is also rerun with ``builtins.sum``
+compensated over floats, as CPython 3.12 made it, and must keep its bytes,
+so printed values do not depend on the Python version.
 """
 
+import builtins
 import contextlib
 import io
+import math
 import os
 import pathlib
 import platform
@@ -90,13 +94,38 @@ def test_output_matches_golden(name, fmt):
     assert out.encode("utf-8") == (GOLDEN / f"{name}.{fmt}").read_bytes()
 
 
+def _compensated_sum(real_sum):
+    """``sum`` with math.fsum for a float-only iterable and no start value,
+    close to CPython 3.12's compensated float sum."""
+    def summed(iterable, /, *start):
+        items = list(iterable)
+        if not start and items and all(isinstance(x, float) for x in items):
+            with contextlib.suppress(OverflowError):
+                return math.fsum(items)
+        return real_sum(items, *start)
+    return summed
+
+
+def test_goldens_under_a_compensated_float_sum(monkeypatch):
+    monkeypatch.setattr(builtins, "sum", _compensated_sum(builtins.sum))
+    moved = [f"{name}.{fmt}" for name in sorted(CASES) for fmt in FORMATS
+             if run(CASES[name][0] + ["--format", fmt])[1].encode("utf-8")
+             != (GOLDEN / f"{name}.{fmt}").read_bytes()]
+    assert moved == []
+
+
 # cases that kept their bytes under every OpenBLAS kernel tried (Prescott,
 # Sandybridge, Haswell, Zen, SkylakeX) and with numpy's dispatch cut to its
-# baseline: the abl tables and weights come from the chain kernel alone (see
-# ``histories``), and the scenarios' Grams and eigensolves rounded the same on
-# each; the other cases move under some kernel (ROADMAP item 1)
+# baseline: the abl tables, weights and Bell correlators come from the chain
+# kernel alone (see ``histories``), and the scenarios' Grams and eigensolves
+# rounded the same on each.  Still moving under some kernel (ROADMAP item 1):
+# the optimize cases (``_certified_bound`` and the best start picked among
+# equal values), weight-random-16 and -64 (Gram products and complex
+# multiply), and scenario-example1 and -pauli-cycle (eigensolves, Prescott and
+# Sandybridge only)
 CHAIN_KERNEL_CASES = sorted(name for name in CASES if name.startswith(
-    ("abl-", "weight-matrices", "scenario-mach-zehnder", "scenario-temporal-ghz")))
+    ("abl-", "weight-matrices", "scenario-mach-zehnder", "scenario-temporal-ghz", "lgi-", "chained-",
+     "monogamy-")))
 
 
 def _other_kernels() -> list[dict]:
