@@ -24,11 +24,13 @@ over the first party's settings and carried to the middle time,
 
 so the second pair is the same correlator evaluated on rho'.  Correlators and
 rho' are reductions of the chain kernel ``histories._chains`` under its
-arithmetic contract (no BLAS); only the settings optimizer uses BLAS.
+arithmetic contract (no BLAS); only the settings optimizer's certificate (a
+LAPACK eigensolve) and its see-saw fallback use BLAS or LAPACK.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -485,6 +487,56 @@ def _certified_bound(q: np.ndarray, x: np.ndarray) -> float:
     return float(lam.sum() + len(q) * max(0.0, -lam_min))
 
 
+@functools.cache
+def _spectral_start(objective: str) -> np.ndarray:
+    """Unit Bloch vectors, one row per setting, spanning the top eigenspace of
+    the objective's quadratic form (``chained_bell``'s n Q shares Q's).
+
+    Repeated squaring of Q, shifted to be positive semidefinite, converges to
+    the projector P onto the whole top eigenvalue cluster, up to scale: a
+    function of Q alone, whatever basis an eigensolver would pick inside a
+    degenerate cluster, and computed without BLAS or LAPACK.  P is factored as
+    L L^T with L lower triangular and a positive diagonal, in settings order,
+    skipping dependent columns; its rows, padded to three components and
+    normalized, are the start, so X X^T is P with its diagonal scaled to one.
+    For every objective here that is a global maximum, at which
+    ``_certified_bound`` closes.
+    """
+    q = _quadratic_form(objective, 1)
+    m = len(q)
+    p = q + np.max(np.sum(np.abs(q), axis=1)) * np.eye(m)  # Gershgorin: no negative eigenvalue
+    for _ in range(64):
+        last, p = p, np.einsum("ij,jk->ik", p, p)
+        p /= np.max(np.abs(p))
+        if np.max(np.abs(p - last)) <= 1e-15:
+            break
+    factor = np.zeros((m, 3))
+    rank = 0
+    for k in range(m):
+        column = p[k:, k] - np.einsum("ij,j->i", factor[k:, :rank], factor[k, :rank])
+        if column[0] > 1e-9 and rank < 3:
+            factor[k:, rank] = column / math.sqrt(column[0])
+            rank += 1
+    start = factor / np.linalg.norm(factor, axis=1, keepdims=True)
+    start.setflags(write=False)
+    return start
+
+
+def _angles(x: np.ndarray) -> np.ndarray:
+    """(N, m, 3) unit Bloch vectors -> (N, 2m) rows of (theta, phi) pairs."""
+    theta = np.arccos(np.clip(x[..., 2], -1.0, 1.0))
+    phi = np.arctan2(x[..., 1], x[..., 0]) % (2.0 * math.pi)
+    return np.stack([theta, phi], -1).reshape(len(x), -1)
+
+
+def _sweep(q: np.ndarray, x: np.ndarray, rows: np.ndarray) -> None:
+    """One see-saw sweep over starts ``rows``: x_i <- normalized sum_j Q_ij x_j."""
+    for i, row in enumerate(q):
+        field = row @ x[rows]
+        norm = np.linalg.norm(field, axis=-1, keepdims=True)
+        x[rows, i] = np.where(norm > 0.0, field / np.where(norm > 0.0, norm, 1.0), x[rows, i])
+
+
 def optimize_settings(
     objective: str = "s_lgi",
     initial=None,
@@ -493,9 +545,11 @@ def optimize_settings(
 ) -> OptimizeResult:
     """Maximize a Bell-type functional over qubit settings, with a certificate.
 
-    From the all-pi/4 start and ``restarts`` seeded random starts (at most
-    MAX_RESTARTS), see-saw sweeps set each Bloch vector in turn to its best
-    response under ``_quadratic_form``; a start stops when a sweep gains at
+    The spectral start (``_spectral_start``) is evaluated alone first; when
+    its certificate closes that one evaluation is the whole run.  Otherwise
+    see-saw sweeps set each Bloch vector in turn to its best response under
+    ``_quadratic_form``, from the spectral start and ``restarts`` seeded
+    random starts (at most MAX_RESTARTS); a start stops when a sweep gains at
     most ``tol``.
     Each running start is evaluated with the batched kernel at its start and
     after every sweep, one evaluation each and at most ``max_evals`` in all,
@@ -513,33 +567,34 @@ def optimize_settings(
         raise ValueError(f"restarts must be nonnegative, got {config.restarts}")
     if config.restarts > MAX_RESTARTS:
         raise ValueError(f"at most {MAX_RESTARTS} restarts are supported, got {config.restarts}")
-    x = np.random.default_rng(config.seed).standard_normal((config.restarts + 1, len(q), 3))
-    x[0] = (0.5, 0.5, math.sqrt(0.5))  # theta = phi = pi/4
-    x /= np.linalg.norm(x, axis=-1, keepdims=True)
-    values = np.full(len(x), -math.inf)
-    active = np.arange(len(x))
-    evals = 0
-    trace: list[tuple[int, tuple[float, ...], float]] = []
-    best_val = -math.inf
-    while len(active) and evals < config.max_evals:
-        active = active[: config.max_evals - evals]
-        theta = np.arccos(np.clip(x[active, :, 2], -1.0, 1.0))
-        phi = np.arctan2(x[active, :, 1], x[active, :, 0]) % (2.0 * math.pi)
-        angles = np.stack([theta, phi], -1).reshape(len(active), -1)
-        new = np.array(fn(angles))
-        evals += len(active)
-        gains, values[active] = new - values[active], new
-        top = int(np.argmax(new))
-        if new[top] > best_val:
-            best_x, best_angles, best_val = x[active[top]].copy(), angles[top], float(new[top])
-            trace.append((evals, tuple(float(a) for a in best_angles), best_val))
-        active = active[gains > config.tol]
-        for i, row in enumerate(q):  # one see-saw sweep: x_i <- normalized sum_j Q_ij x_j
-            field = row @ x[active]
-            norm = np.linalg.norm(field, axis=-1, keepdims=True)
-            x[active, i] = np.where(norm > 0.0, field / np.where(norm > 0.0, norm, 1.0), x[active, i])
-
+    best_x = _spectral_start(objective)
+    best_angles = _angles(best_x[None])[0]
+    best_val = float(fn(best_angles[None])[0])
+    evals = 1
+    trace = [(evals, tuple(float(a) for a in best_angles), best_val)]
     bound = _certified_bound(q, best_x)
+    if bound - best_val > config.tol and evals < config.max_evals:
+        # row 0 continues from the spectral start, already evaluated: one sweep first
+        x = np.random.default_rng(config.seed).standard_normal((config.restarts + 1, len(q), 3))
+        x /= np.linalg.norm(x, axis=-1, keepdims=True)
+        x[0] = best_x
+        values = np.full(len(x), -math.inf)
+        values[0] = best_val
+        _sweep(q, x, np.arange(1))
+        active = np.arange(len(x))
+        while len(active) and evals < config.max_evals:
+            active = active[: config.max_evals - evals]
+            angles = _angles(x[active])
+            new = np.array(fn(angles))
+            evals += len(active)
+            gains, values[active] = new - values[active], new
+            top = int(np.argmax(new))
+            if new[top] > best_val:
+                best_x, best_angles, best_val = x[active[top]].copy(), angles[top], float(new[top])
+                trace.append((evals, tuple(float(a) for a in best_angles), best_val))
+            active = active[gains > config.tol]
+            _sweep(q, x, active)
+        bound = _certified_bound(q, best_x)
     return OptimizeResult(
         objective=objective,
         value=best_val,

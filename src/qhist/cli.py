@@ -80,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="s_lgi")
     p.add_argument("-n", type=int, default=1, help="blocks for chained_bell")
     p.add_argument("--restarts", type=int, default=None,
-                   help=f"random starts besides the all-pi/4 one (at most {MAX_RESTARTS})")
+                   help=f"seeded random starts, run only if the spectral start does not "
+                        f"certify (at most {MAX_RESTARTS})")
     p.add_argument("--max-evals", type=int, default=None)
     p.add_argument("--seed", type=int, default=0, help="optimizer seed")
 

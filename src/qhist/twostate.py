@@ -211,6 +211,15 @@ class OutcomeDistribution:
         if abs(sum(table.values()) - 1.0) > 1e-9:
             raise ValueError("probabilities must sum to 1")
 
+    @classmethod
+    def _built(cls, settings: tuple[str, ...], table: dict[str, float]) -> "OutcomeDistribution":
+        """A table the package built and normalized itself, kept as it is:
+        the checks above would copy it and read every entry again."""
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "settings", settings)
+        object.__setattr__(dist, "table", table)
+        return dist
+
     def probability(self, outcome: str) -> float:
         return self.table.get(outcome, 0.0)
 
@@ -229,12 +238,12 @@ class OutcomeDistribution:
         return total
 
 
-def _normalized(table: dict[str, float], labels: tuple[str, ...]) -> OutcomeDistribution:
-    weights = np.fromiter(table.values(), float, len(table))
+def _normalized(strings: Sequence[str], weights: np.ndarray, labels: tuple[str, ...]) -> OutcomeDistribution:
+    """The distribution of nonnegative ``weights``, one per outcome string."""
     total = float(np.cumsum(weights)[-1])  # left to right, as on every Python
     if total <= ZERO_WEIGHT_TOL:
         raise ImpossiblePostselectionError("total weight is zero; conditional probabilities undefined")
-    return OutcomeDistribution(labels, dict(zip(table, (weights / total).tolist())))
+    return OutcomeDistribution._built(labels, dict(zip(strings, (weights / total).tolist())))
 
 
 def _checked_row(d: int, slots, unitaries) -> tuple[np.ndarray, ...]:
@@ -280,8 +289,7 @@ def _collapse_table(labels, start, rho, unitaries, slots, post) -> OutcomeDistri
     if post is not None:
         # Tr(|post><post| K rho K^dag) is a rho a^dag with the row a = <post|K
         chains = np.einsum("i,ikr->kr", post.conj(), chains)[None]
-    weights = np.maximum(_collapse_weights(chains, rho), 0.0)
-    return _normalized(dict(zip(strings, weights.tolist())), labels)
+    return _normalized(strings, np.maximum(_collapse_weights(chains, rho), 0.0), labels)
 
 
 def sequence_distribution(exp: TwoTimeExperiment) -> OutcomeDistribution:
@@ -389,6 +397,12 @@ def coherent_bundle_weights(
     The terms are the batch axis of the chain kernel (``histories._term_chains``),
     and the term chains of a string are summed left to right as c_t * K_t.
     """
+    strings, weights = _coherent_weights(h, b, measured)
+    return dict(zip(strings, weights.tolist()))
+
+
+def _coherent_weights(h, b, measured) -> tuple[tuple[str, ...], np.ndarray]:
+    """``coherent_bundle_weights`` as its outcome strings and weight array."""
     if abs(hs_norm(h) - 1.0) > 1e-9:
         raise ValueError("history must be normalized")
     positions = sorted(int(k) for k in measured)
@@ -405,15 +419,14 @@ def coherent_bundle_weights(
     strings, total = _term_chains(h, b, settings)
     n = min(total.shape[:2])  # the leading diagonal, when the slot dimension grows
     traces = np.einsum("iir->r", total[:n, :n])
-    return dict(zip(strings, (traces.real * traces.real + traces.imag * traces.imag).tolist()))
+    return strings, traces.real * traces.real + traces.imag * traces.imag
 
 
 def coherent_bundle_distribution(
     h: HistoryState, b: BridgingSet, measured: Mapping[int, MeasurementSetting]
 ) -> OutcomeDistribution:
-    weights = coherent_bundle_weights(h, b, measured)
-    labels = tuple(measured[k].label for k in sorted(measured))
-    return _normalized(weights, labels)
+    strings, weights = _coherent_weights(h, b, measured)
+    return _normalized(strings, weights, tuple(measured[k].label for k in sorted(measured)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from qhist import (
     TwoTimeExperiment,
     normalize,
 )
+from qhist import bell
 from qhist.linalg import pauli, projector, qubit_ket
 
 SQRT2 = math.sqrt(2.0)
@@ -28,6 +29,13 @@ def random_unitary(rng, d: int) -> np.ndarray:
     z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def open_certificate(monkeypatch):
+    """Make ``bell._certified_bound`` read 1 above the true bound, so no
+    optimizer start certifies and the see-saw and budget routes run."""
+    certified_bound = bell._certified_bound
+    monkeypatch.setattr(bell, "_certified_bound", lambda q, x: certified_bound(q, x) + 1.0)
 
 
 def random_ket(rng, d: int) -> np.ndarray:

@@ -23,9 +23,11 @@ from qhist import (
     temporal_correlator,
     tsirelson_settings,
 )
+from qhist import bell
 from qhist.bell import (
     CHAINED,
     INDEPENDENT,
+    MAX_CHAIN_BLOCKS,
     MAX_RESTARTS,
     _quadratic_form,
     correlator_tables,
@@ -33,7 +35,7 @@ from qhist.bell import (
 from qhist.linalg import maximally_mixed, pauli, projector, qubit_ket
 from qhist.twostate import bloch_observables
 
-from conftest import SQRT2, random_dichotomic, random_ket
+from conftest import SQRT2, open_certificate, random_dichotomic, random_ket
 
 RHO = maximally_mixed(2)
 Z = MeasurementSetting.from_pauli("Z")
@@ -244,11 +246,14 @@ class TestOptimizer:
         assert res.trace
         assert res.trace[-1][2] == pytest.approx(res.value, abs=1e-12)
 
-    def test_budget_exhaustion_flags_nonconvergence(self):
-        cfg = OptimizerConfig(max_evals=1)
+    @pytest.mark.parametrize("max_evals", [1, 5])
+    def test_budget_exhaustion_flags_nonconvergence(self, monkeypatch, max_evals):
+        # the spectral start certifies, so hold the certificate open to reach the budget
+        open_certificate(monkeypatch)
+        cfg = OptimizerConfig(max_evals=max_evals)
         res = optimize_settings("s_lgi", config=cfg)
         assert not res.converged
-        assert res.evaluations == 1
+        assert res.evaluations == max_evals
         assert res.certified_bound - res.value > cfg.tol
         assert res.value <= 2.0 * SQRT2 + 1e-9
 
@@ -258,6 +263,15 @@ OBJECTIVES = [
     ("s_lgi", 1, 2.0 * SQRT2),
     ("chained_bell", 2, 4.0 * SQRT2),
     ("chained_bell", 3, 6.0 * SQRT2),
+    ("monogamy_sum", 1, 4.0 * SQRT2),
+]
+
+
+# (objective, n, global maximum) for the one-evaluation checks: every chain length
+# up to MAX_CHAIN_BLOCKS shares s_lgi's start
+ONE_EVALUATION = [
+    ("s_lgi", 1, 2.0 * SQRT2),
+    *(("chained_bell", n, 2.0 * SQRT2 * n) for n in (1, 2, 3, 7, MAX_CHAIN_BLOCKS)),
     ("monogamy_sum", 1, 4.0 * SQRT2),
 ]
 
@@ -274,19 +288,26 @@ class TestSeeSaw:
             assert res.certified_bound - res.value <= cfg.tol, seed
             assert res.evaluations <= 40, seed
 
+    @pytest.mark.parametrize("forced_open", [False, True])
     @pytest.mark.parametrize("objective,n,target", OBJECTIVES)
-    def test_evaluations_never_exceed_the_budget(self, objective, n, target):
+    def test_evaluations_never_exceed_the_budget(self, monkeypatch, objective, n, target, forced_open):
+        if forced_open:  # the see-saw route, which runs only when the start does not certify
+            open_certificate(monkeypatch)
         for max_evals in range(1, 41):
             res = optimize_settings(objective, config=OptimizerConfig(max_evals=max_evals), n=n)
             assert res.evaluations <= max_evals
             assert res.trace[-1][0] <= res.evaluations
 
-    @pytest.mark.parametrize("objective,n,target", OBJECTIVES)
-    def test_value_is_the_public_function_at_the_settings(self, objective, n, target):
-        rng = np.random.default_rng(5)
-        rho = projector(random_ket(rng, 2))
+    @pytest.mark.parametrize("state", range(5))
+    @pytest.mark.parametrize("objective,n,target", ONE_EVALUATION)
+    def test_value_is_the_public_function_at_the_settings(self, objective, n, target, state):
+        # state 0 is the default maximally mixed one, then pure and mixed random states
+        rho = None if state == 0 else _random_state(np.random.default_rng(state), pure=state % 2)
         res = optimize_settings(objective, initial=rho, config=OptimizerConfig(seed=3), n=n)
-        s = res.settings
+        assert res.converged
+        assert res.evaluations == 1
+        assert abs(res.value - target) <= 1e-14 * target  # n block values summed one by one
+        s, rho = res.settings, RHO if rho is None else rho
         if objective == "s_lgi":
             want = s_lgi(CorrelatorSpec(rho, s[0:2], s[2:4])).value
         elif objective == "chained_bell":
@@ -294,14 +315,51 @@ class TestSeeSaw:
         else:
             want = monogamy_sum(rho, s[0:2], s[2:4], s[4:6]).total
         assert res.value == want
-        assert res.trace[-1][2] == res.value
+        assert res.trace == ((1, res.angles, res.value),)
 
-    def test_stalled_start_is_not_certified(self):
-        # every pi/4 vector is equal, a stationary point at S = 2 the see-saw cannot leave
-        res = optimize_settings("s_lgi", config=OptimizerConfig(restarts=0))
-        assert res.value == pytest.approx(2.0, abs=1e-12)
-        assert not res.converged
-        assert res.certified_bound > 2.0 * SQRT2
+    @pytest.mark.parametrize("objective,n,target", OBJECTIVES)
+    def test_no_restarts_certify_at_the_maximum_in_one_evaluation(self, objective, n, target):
+        # the all-pi/4 start this replaced was a stationary point at S = 2 that never certified
+        cfg = OptimizerConfig(restarts=0)
+        res = optimize_settings(objective, config=cfg, n=n)
+        assert res.converged
+        assert res.evaluations == 1
+        assert abs(res.value - target) <= 1e-12
+        assert res.certified_bound - res.value <= cfg.tol
+
+    @pytest.mark.parametrize("objective,n,target", OBJECTIVES)
+    def test_start_does_not_depend_on_the_eigenbasis(self, monkeypatch, objective, n, target):
+        """Turning each degenerate cluster's eigenvectors by a random orthogonal
+        matrix changes neither the report nor the start, which is the top
+        eigenspace's projector with its diagonal scaled to one."""
+        eigh = np.linalg.eigh
+        bell._spectral_start.cache_clear()
+        want = optimize_settings(objective, n=n)
+        q = _quadratic_form(objective, n)
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+
+            def turned(a, *args, **kwargs):
+                w, v = eigh(a, *args, **kwargs)
+                v = v.copy()
+                for value in np.unique(np.round(w, 9)):
+                    cluster = np.flatnonzero(np.abs(w - value) < 1e-9)
+                    turn, _ = np.linalg.qr(rng.standard_normal((len(cluster), len(cluster))))
+                    v[:, cluster] = v[:, cluster] @ turn
+                return w, v
+
+            monkeypatch.setattr(bell.np.linalg, "eigh", turned)
+            bell._spectral_start.cache_clear()
+            got = optimize_settings(objective, n=n)
+            assert (got.angles, got.value, got.certified_bound) == (want.angles, want.value, want.certified_bound)
+            w, v = np.linalg.eigh(q)
+            top = v[:, w > w[-1] - 1e-9]
+            projector = top @ top.T
+            scale = 1.0 / np.sqrt(np.diag(projector))
+            x = bell._spectral_start(objective)
+            assert np.max(np.abs(x @ x.T - scale[:, None] * projector * scale)) < 1e-14
+            monkeypatch.setattr(bell.np.linalg, "eigh", eigh)
+        bell._spectral_start.cache_clear()
 
     def test_empty_budget_rejected(self):
         with pytest.raises(ValueError, match="max_evals"):

@@ -25,6 +25,8 @@ from qhist.cli import (
 from qhist.scenarios import MAX_GHZ_SLOTS
 from qhist.twostate import MAX_MEASURED_SLOTS
 
+from conftest import open_certificate
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
@@ -455,13 +457,23 @@ class TestOptimizeCommand:
         )
         assert doc["artifacts"]["converged"] is True
 
-    def test_budget_exhaustion_exit_code(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "optimize", "--objective", "s_lgi", "--max-evals", "1"
+    @pytest.mark.parametrize("max_evals", [1, 5])
+    def test_budget_exhaustion_exit_code(self, capsys, monkeypatch, max_evals):
+        open_certificate(monkeypatch)  # the spectral start certifies at once
+        code, out, err = run_cli(
+            capsys, "optimize", "--objective", "s_lgi", "--max-evals", str(max_evals)
         )
         assert code == EXIT_NONCONVERGED
+        assert err == ""
         doc = json.loads(out)["artifacts"]
         assert doc["converged"] is False
+        assert doc["evaluations"] <= max_evals
+
+    def test_one_evaluation_certifies(self, capsys):
+        code, out, _ = run_cli(capsys, "optimize", "--objective", "s_lgi", "--max-evals", "1")
+        assert code == EXIT_OK
+        doc = json.loads(out)["artifacts"]
+        assert doc["converged"] is True
         assert doc["evaluations"] == 1
 
     def test_budget_of_forty_is_respected(self, capsys):

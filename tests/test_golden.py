@@ -33,7 +33,7 @@ import sys
 
 import pytest
 
-from qhist.cli import EXIT_NONCONVERGED, EXIT_OK, main
+from qhist.cli import EXIT_OK, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SPECS = GOLDEN / "specs"
@@ -46,8 +46,7 @@ CASES = {
     "optimize-chained_bell-n2": (["optimize", "--objective", "chained_bell", "-n", "2"], EXIT_OK),
     "optimize-chained_bell-n3": (["optimize", "--objective", "chained_bell", "-n", "3"], EXIT_OK),
     "optimize-monogamy_sum": (["optimize", "--objective", "monogamy_sum"], EXIT_OK),
-    "optimize-s_lgi-max-evals-1": (["optimize", "--objective", "s_lgi", "--max-evals", "1"],
-                                   EXIT_NONCONVERGED),
+    "optimize-s_lgi-max-evals-1": (["optimize", "--objective", "s_lgi", "--max-evals", "1"], EXIT_OK),
     "lgi-tsirelson": (["lgi", "--preset", "tsirelson"], EXIT_OK),
     "chained-tsirelson-n3": (["chained", "--preset", "tsirelson", "-n", "3"], EXIT_OK),
     "monogamy-paper-independent": (["monogamy", "--preset", "paper", "--mode", "independent"], EXIT_OK),
@@ -117,15 +116,15 @@ def test_goldens_under_a_compensated_float_sum(monkeypatch):
 # cases that kept their bytes under every OpenBLAS kernel tried (Prescott,
 # Sandybridge, Haswell, Zen, SkylakeX) and with numpy's dispatch cut to its
 # baseline: the abl tables, weights and Bell correlators come from the chain
-# kernel alone (see ``histories``), and the scenarios' Grams and eigensolves
-# rounded the same on each.  Still moving under some kernel (ROADMAP item 1):
-# the optimize cases (``_certified_bound`` and the best start picked among
-# equal values), weight-random-16 and -64 (Gram products and complex
+# kernel alone (see ``histories``), the optimizer's spectral start from einsum
+# and elementwise arithmetic, and the scenarios' Grams and the certificate's
+# eigensolve rounded the same on each.  Still moving under some kernel
+# (ROADMAP item 1): weight-random-16 and -64 (Gram products and complex
 # multiply), and scenario-example1 and -pauli-cycle (eigensolves, Prescott and
 # Sandybridge only)
 CHAIN_KERNEL_CASES = sorted(name for name in CASES if name.startswith(
     ("abl-", "weight-matrices", "scenario-mach-zehnder", "scenario-temporal-ghz", "lgi-", "chained-",
-     "monogamy-")))
+     "monogamy-", "optimize-")))
 
 
 def _other_kernels() -> list[dict]:
