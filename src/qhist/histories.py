@@ -42,6 +42,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -122,6 +123,15 @@ class TimeGrid:
     @classmethod
     def regular(cls, n_slots: int, dim: int = 2) -> "TimeGrid":
         return cls(tuple(float(k) for k in range(n_slots)), (dim,) * n_slots)
+
+    @classmethod
+    def _held(cls, labels: tuple, slot_dims: tuple) -> "TimeGrid":
+        """The grid of labels and dimensions already read and checked, such
+        as some of a grid's slots in order: nothing is checked again."""
+        grid = object.__new__(cls)
+        object.__setattr__(grid, "labels", labels)
+        object.__setattr__(grid, "slot_dims", slot_dims)
+        return grid
 
     @property
     def n_slots(self) -> int:
@@ -250,6 +260,13 @@ class HistoryState:
         live = _uncancelled(coefs)
         if len(live) < len(coefs):
             coefs, rows = coefs[live], rows[live]
+        return cls._held(grid, coefs, rows)
+
+    @classmethod
+    def _held(cls, grid: TimeGrid, coefs: np.ndarray, rows: np.ndarray) -> "HistoryState":
+        """The state of complex ``coefs`` on distinct, uncancelled term
+        ``rows`` already checked against ``grid``: both are held, read-only,
+        and nothing is merged, copied or checked."""
         coefs.setflags(write=False)
         rows.setflags(write=False)
         h = object.__new__(cls)
@@ -738,62 +755,111 @@ def temporal_partial_trace(h, keep_slots: Iterable[int], tol: float = 1e-12) -> 
     with no per-member Gram: the members cost O(T^2) each, and D_keep =
     prod_{k kept} d_k^2, the kept history dimension, bounds their number.
 
-    Eigenvalues within ``DEGENERACY_TOL`` of their cluster's largest form one
-    eigenspace, whose members do not depend on how LAPACK picks its basis
-    (``_canonical_basis``).  Members with eigenvalue at most ``tol`` are
-    dropped.  The output is a mixture: reductions of entangled histories are
-    ensembles, not superpositions.
+    This is the one-set case of ``_reductions``, which reduces one state to
+    many slot sets in a single stacked pass: their A and K are built as one
+    stack and share each eigensolve, and each reduction comes out bit for
+    bit as it would alone.
+
+    ``keep_slots`` holds integer slot indices (what ``operator.index``
+    accepts, bools excepted).  Eigenvalues within ``DEGENERACY_TOL`` of their
+    cluster's largest form one eigenspace, whose members do not depend on
+    how LAPACK picks its basis (``_canonical_basis``).  Members with
+    eigenvalue at most ``tol``, which must be positive and finite, are
+    dropped; a ``tol`` at or above the largest eigenvalue is an error.  The
+    output is a mixture: reductions of entangled histories are ensembles,
+    not superpositions.
+    """
+    return _reductions(h, [keep_slots], tol)[0]
+
+
+def _slot_index(k) -> int:
+    if not isinstance(k, bool):
+        try:
+            return operator.index(k)
+        except TypeError:
+            pass
+    raise ValueError(f"keep_slots entry {k!r} is not an integer slot index")
+
+
+def _keep_set(keep_slots, n_slots: int) -> list[int]:
+    """One keep set's distinct slot indices, ascending: a nonempty proper
+    subset of the ``n_slots`` slots."""
+    keep = sorted({_slot_index(k) for k in keep_slots})
+    if not keep or len(keep) >= n_slots:
+        raise ValueError("keep_slots must be a nonempty proper subset of slots")
+    if keep[0] < 0 or keep[-1] >= n_slots:
+        raise ValueError(f"keep_slots {keep} out of range")
+    return keep
+
+
+def _reductions(h, keep_sets, tol: float = 1e-12) -> list[MixedHistory]:
+    """``temporal_partial_trace`` of one state to each of ``keep_sets``.
+
+    Every set and ``tol`` are checked before any arithmetic, and the unit
+    scale is taken once.  The K sets' amplitude matrices A and kept Grams K
+    are built as (K, T, T) stacks, slot by slot in slot order, so each entry
+    sees the multiplies of a lone reduction; one finiteness check, one
+    stacked ``eigh`` of A, one stacked R^dag K R and one stacked ``eigh``
+    serve every set.  Each set's members are then written over its own
+    merged kept strings (``_eigen_ensemble``).
     """
     h = _as_state(h)
-    scale = _unit_scale(h)
-    grid = h.grid
-    keep = sorted(set(int(k) for k in keep_slots))
-    if not keep or len(keep) >= grid.n_slots:
-        raise ValueError("keep_slots must be a nonempty proper subset of slots")
-    if keep[0] < 0 or keep[-1] >= grid.n_slots:
-        raise ValueError(f"keep_slots {keep} out of range")
-    coefs = h._coefs * scale
-    amp = np.outer(coefs, coefs.conj())
-    gram = np.ones_like(amp)  # K
-    for k, g in enumerate(h._self_grams):
-        if k in keep:
-            gram = gram * g
-        else:
-            amp = amp * g.conj()
-    amp = as_matrix(amp)
-    a_vals, a_vecs = np.linalg.eigh(amp)
-    r = a_vecs * np.sqrt(np.clip(a_vals, 0.0, None))
-    evals, z = np.linalg.eigh(r.conj().T @ gram @ r)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    keeps = [_keep_set(s, h.grid.n_slots) for s in keep_sets]
+    coefs = h._coefs * _unit_scale(h)
+    kept = np.zeros((h.grid.n_slots, len(keeps)), dtype=bool)  # kept[k, i]: set i keeps slot k
+    for i, keep in enumerate(keeps):
+        kept[keep, i] = True
+    amps = np.repeat(np.outer(coefs, coefs.conj())[None], len(keeps), axis=0)  # A
+    grams = np.ones_like(amps)  # K
+    for on, g in zip(kept, h._self_grams):
+        grams[on] = grams[on] * g
+        amps[~on] = amps[~on] * g.conj()
+    if not np.isfinite(amps).all():
+        raise ValueError("matrix entries must be finite")
+    a_vals, a_vecs = np.linalg.eigh(amps)
+    r = a_vecs * np.sqrt(np.clip(a_vals, 0.0, None))[:, None, :]
+    evals, z = np.linalg.eigh(r.conj().transpose(0, 2, 1) @ grams @ r)
+    return [_eigen_ensemble(h, *args, tol) for args in zip(keeps, r, grams, evals, z)]
+
+
+def _eigen_ensemble(h: HistoryState, keep: list[int], r: np.ndarray, gram: np.ndarray,
+                    evals: np.ndarray, z: np.ndarray, tol: float) -> MixedHistory:
+    """The reduction of ``h`` to the slots ``keep`` from its part of the
+    stacked pass: A = R R^dag, the kept Gram K and the eigenpairs of R^dag K R."""
     live = evals > tol
+    if not live.any():
+        raise ValueError(f"tol {tol!r} is at or above the largest eigenvalue {float(evals[-1])!r} "
+                         f"of the reduction to slots {keep}")
     evals = evals[live]
     vecs = (r @ z[:, live]) / np.sqrt(evals)
     norms = np.sqrt(np.clip(gram.diagonal().real, 0.0, None))
 
     # the kept strings, merged once: string j is term firsts[j]'s, and term t
     # has string group[t]
-    sub_grid = TimeGrid(tuple(grid.labels[k] for k in keep), tuple(grid.slot_dims[k] for k in keep))
+    grid = h.grid
+    sub_grid = TimeGrid._held(tuple(grid.labels[k] for k in keep), tuple(grid.slot_dims[k] for k in keep))
     rows = _join_rows([h._stacks[k] for k in keep])
     firsts, group = _merge_rows(rows)
     rows = rows[firsts]
     extra = [t for t, g in enumerate(group.tolist()) if t != firsts[g]]
-    members, columns = [], []
-    for lam, c in _canonical_basis(evals, vecs, vecs.conj().T @ gram, norms):
+    members = []
+    columns = np.zeros((len(firsts), len(evals)), dtype=complex)  # C, column m member m
+    for m, (lam, c) in enumerate(_canonical_basis(evals, vecs, vecs.conj().T @ gram, norms)):
         c = c / math.sqrt(np.vdot(c, gram @ c).real)
         c = np.where(np.abs(c) * norms > 1e-14, c, 0.0)
         merged = c[firsts]
         for t in extra:  # in term order, as HistoryState sums them
             merged[group[t]] += c[t]
         on = _uncancelled(merged)
-        column = np.zeros_like(merged)
-        column[on] = merged[on]
-        columns.append(column)
-        members.append((lam, HistoryState._from_rows(sub_grid, merged[on], rows[on], distinct=True)))
+        columns[on, m] = merged[on]
+        members.append((lam, HistoryState._held(sub_grid, merged[on], rows[on])))
     total = np.cumsum([p for p, _ in members])[-1]  # left to right, as on every Python
     ensemble = tuple((p / total, h_m) for p, h_m in members)
     if extra:
         gram = gram[np.ix_(firsts, firsts)]
-    return MixedHistory._from_coordinates(ensemble, _split_rows(rows, sub_grid.slot_dims), gram,
-                                          np.stack(columns, axis=1))
+    return MixedHistory._from_coordinates(ensemble, _split_rows(rows, sub_grid.slot_dims), gram, columns)
 
 
 def _canonical_basis(evals, vecs, overlaps, norms) -> list[tuple[float, np.ndarray]]:
@@ -809,17 +875,33 @@ def _canonical_basis(evals, vecs, overlaps, norms) -> list[tuple[float, np.ndarr
     the cluster, skipping projections shorter than ``SPAN_TOL`` times the
     string (the cluster's own basis fills any remainder).  So member j's
     overlap with the string that generated it is real and positive, and
-    members come in descending probability, then term order.  Returns
-    (eigenvalue, member vector in term coordinates) pairs.
+    members come in descending probability, then term order.  A one-member
+    cluster, the usual case, is its eigenvector turned by the phase of its
+    first overlap above ``SPAN_TOL``, with the same arithmetic as the
+    Gram-Schmidt step.  Returns (eigenvalue, member vector in term
+    coordinates) pairs.
     """
     evals, vecs = evals[::-1], vecs[:, ::-1]
     unit = overlaps[::-1] / np.where(norms > 0.0, norms, 1.0)
+    # np.linalg.norm of each length-1 projection: sqrt(re^2 + im^2)
+    lengths = np.sqrt(unit.real * unit.real + unit.imag * unit.imag)
+    vals = evals.tolist()
     out: list[tuple[float, np.ndarray]] = []
     start = 0
-    while start < len(evals):
+    while start < len(vals):
         stop = start + 1
-        while stop < len(evals) and evals[start] - evals[stop] <= DEGENERACY_TOL:
+        while stop < len(vals) and vals[start] - vals[stop] <= DEGENERACY_TOL:
             stop += 1
+        if stop == start + 1:
+            hits = np.flatnonzero(lengths[start] > SPAN_TOL)
+            if hits.size:
+                t = hits[0]
+                q = unit[start, t:t + 1] / lengths[start, t]
+            else:
+                q = np.ones(1, dtype=complex)
+            out.append((vals[start], vecs[:, start:stop] @ q))
+            start = stop
+            continue
         size = stop - start
         candidates = np.hstack([unit[start:stop], np.eye(size)])
         basis: list[np.ndarray] = []

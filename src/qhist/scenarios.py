@@ -22,6 +22,7 @@ from .histories import (
     ElementaryHistory,
     HistoryState,
     TimeGrid,
+    _reductions,
     hs_inner,
     hs_norm,
     is_consistent_family,
@@ -103,34 +104,30 @@ def temporal_ghz(n_slots: int = 3, alpha: complex = _INV_SQRT2, beta: complex = 
     down = _branch(grid, qubit_ket("1"))
     state = alpha * up + beta * down
 
-    branch_ops = (projector(qubit_ket("0")), projector(qubit_ket("1")))
+    # (|00) + |11))/sqrt(2) on a pair grid: its two term rows, shared by every pair
+    bell_rows = np.array([np.tile(projector(qubit_ket(b)).ravel(), 2) for b in "01"])
 
     def bell_like(pair: TimeGrid) -> HistoryState:
-        """(|00) + |11))/sqrt(2) on ``pair``, built at unit norm in one construction."""
-        return HistoryState(tuple((_INV_SQRT2, ElementaryHistory(pair, (p,) * pair.n_slots))
-                                  for p in branch_ops))
+        return HistoryState._from_rows(pair, [_INV_SQRT2, _INV_SQRT2], bell_rows, distinct=True)
 
     artifacts: dict = {
         "weight": weight(state, bridging),
         "branch_probabilities": (abs(alpha) ** 2, abs(beta) ** 2),
         "consistency": is_consistent_family([up, down], bridging),
     }
-    pair_overlaps = []
-    for i in range(n_slots):
-        red = temporal_partial_trace(state, [i])
-        artifacts[f"reduction_t{i}"] = red
-        artifacts[f"reduction_purity_t{i}"] = purity(red)
-    if n_slots == 2:
-        # the state already lives on two slots; compare it directly
-        pair_overlaps.append(_fidelity(normalize(state), bell_like(grid)))
+    singles = [[i] for i in range(n_slots)]
+    # with two slots the state already lives on the pair; it is compared directly
+    pairs = [[i, j] for i in range(n_slots) for j in range(i + 1, n_slots)] if n_slots > 2 else []
+    reductions = _reductions(state, singles + pairs)
+    for keep, red in zip(singles + pairs, reductions):
+        name = "_".join(f"t{k}" for k in keep)
+        artifacts[f"reduction_{name}"] = red
+        artifacts[f"reduction_purity_{name}"] = purity(red)
+    if pairs:
+        # mixture fidelity against the coherent two-slot superposition
+        pair_overlaps = [math.sqrt(mixed_overlap(red, bell_like(red.grid))) for red in reductions[n_slots:]]
     else:
-        for i in range(n_slots):
-            for j in range(i + 1, n_slots):
-                red = temporal_partial_trace(state, [i, j])
-                artifacts[f"reduction_t{i}_t{j}"] = red
-                artifacts[f"reduction_purity_t{i}_t{j}"] = purity(red)
-                # mixture fidelity against the coherent two-slot superposition
-                pair_overlaps.append(math.sqrt(mixed_overlap(red, bell_like(red.grid))))
+        pair_overlaps = [_fidelity(normalize(state), bell_like(grid))]
     artifacts["two_slot_bell_overlap_max"] = max(pair_overlaps)
 
     notes = (

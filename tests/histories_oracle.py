@@ -26,12 +26,18 @@ the order the kernel documents: every product and sum starts from 0j and
 runs over its inner index ascending, and a chain starts from the identity.
 No BLAS and no numpy arithmetic is involved, so the kernel must match them
 bit for bit on every machine.
+
+``canonical_basis`` is the cluster-by-cluster Gram-Schmidt basis the package's
+one-member route shortcuts: every eigenvalue, clustered or alone, goes
+through the projection loop and ``np.linalg.norm``.
 """
 
 import numpy as np
 
 from qhist.histories import (
+    DEGENERACY_TOL,
     MERGE_TOL,
+    SPAN_TOL,
     ElementaryHistory,
     HistoryState,
     TimeGrid,
@@ -202,3 +208,32 @@ def subsystem_trace_out(h, b, factor_dims, traced: int = 1, tol: float = 1e-9) -
             if scale > 0.0:
                 terms.append((coef * scale, ElementaryHistory(sub_grid, tuple(ops))))
     return normalize(HistoryState(tuple(terms)))
+
+
+def canonical_basis(evals, vecs, overlaps, norms) -> list:
+    """(eigenvalue, member vector) pairs of ``histories._canonical_basis``,
+    every cluster by Gram-Schmidt over its projected term strings and then
+    its own basis."""
+    evals, vecs = evals[::-1], vecs[:, ::-1]
+    unit = overlaps[::-1] / np.where(norms > 0.0, norms, 1.0)
+    out = []
+    start = 0
+    while start < len(evals):
+        stop = start + 1
+        while stop < len(evals) and evals[start] - evals[stop] <= DEGENERACY_TOL:
+            stop += 1
+        size = stop - start
+        candidates = np.hstack([unit[start:stop], np.eye(size)])
+        basis = []
+        for x in candidates.T:
+            for q in basis:
+                x = x - q * np.vdot(q, x)
+            n = np.linalg.norm(x)
+            if n > SPAN_TOL:
+                basis.append(x / n)
+                if len(basis) == size:
+                    break
+        lam = float(np.mean(evals[start:stop]))
+        out.extend((lam, vecs[:, start:stop] @ q) for q in basis)
+        start = stop
+    return out

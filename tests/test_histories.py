@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -638,20 +639,22 @@ class TestTwoRouteReduction:
 
 def _rotating_eigh(rng):
     """np.linalg.eigh with every degenerate eigenspace's basis turned by a
-    random unitary, as another LAPACK build could legitimately return it."""
+    random unitary, as another LAPACK build could legitimately return it;
+    each matrix of a stack is turned on its own."""
     real_eigh = np.linalg.eigh
 
     def eigh(a):
         vals, vecs = real_eigh(a)
         vecs = vecs.copy()
-        start = 0
-        while start < len(vals):
-            stop = start + 1
-            while stop < len(vals) and vals[stop] - vals[start] <= 1e-9:
-                stop += 1
-            if stop - start > 1:
-                vecs[:, start:stop] = vecs[:, start:stop] @ random_unitary(rng, stop - start)
-            start = stop
+        for vs, ws in zip(vals.reshape(-1, vals.shape[-1]), vecs.reshape((-1,) + vecs.shape[-2:])):
+            start = 0
+            while start < len(vs):
+                stop = start + 1
+                while stop < len(vs) and vs[stop] - vs[start] <= 1e-9:
+                    stop += 1
+                if stop - start > 1:
+                    ws[:, start:stop] = ws[:, start:stop] @ random_unitary(rng, stop - start)
+                start = stop
         return vals, vecs
 
     return eigh
@@ -722,6 +725,145 @@ class TestCanonicalDegenerateMembers:
         assert up.terms[0][0] == pytest.approx(1.0, abs=1e-15)
         assert all(np.array_equal(op, proj("z+")) for op in up.terms[0][1].slots)
         assert all(np.array_equal(op, proj("z-")) for op in down.terms[0][1].slots)
+
+
+class TestReductionArguments:
+    @pytest.mark.parametrize("bad", [1.7, "0", True, np.True_, None, [0]])
+    def test_non_integer_slot_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"keep_slots entry {re.escape(repr(bad))} is not an integer"):
+            temporal_partial_trace(ghz_like(3), [0, bad])
+
+    def test_integer_like_slots_accepted(self):
+        h = ghz_like(3)
+        ref = temporal_partial_trace(h, [0, 2])
+        for keep in ([np.int64(0), np.uint8(2)], (2, 0, 2), range(0, 3, 2)):
+            got = temporal_partial_trace(h, keep)
+            assert got.grid == ref.grid
+            assert got._coefs.tobytes() == ref._coefs.tobytes()
+
+    @staticmethod
+    def _unequal():
+        # 0.6 |00> + 0.8 |11> kept to one slot: eigenvalues 0.36 and 0.64
+        _, up, down = diagonal_branches(2)
+        return 0.6 * up + 0.8 * down
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, math.inf, -math.inf])
+    def test_non_positive_or_non_finite_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            temporal_partial_trace(self._unequal(), [0], tol=tol)
+
+    @pytest.mark.parametrize("tol", [0.65, 0.7, 1.0, 1e300])
+    def test_tol_at_or_above_the_spectrum_named(self, tol):
+        with pytest.raises(ValueError, match=rf"tol {re.escape(repr(tol))} is at or above the largest eigenvalue 0\.64"):
+            temporal_partial_trace(self._unequal(), [0], tol=tol)
+
+    def test_tol_between_eigenvalues_keeps_the_top_member(self):
+        m = temporal_partial_trace(self._unequal(), [0], tol=0.5)
+        assert [p for p, _ in m.ensemble] == [1.0]
+        assert mixed_overlap(m, HistoryState.from_slots(m.grid, [proj("z-")])) == pytest.approx(1.0, abs=1e-15)
+
+
+def _stacked_cases():
+    """(name, state) with T = 1-8 terms on n = 2-5 slots of dimension 2 or 3:
+    generic terms, equal-amplitude projector strings (degenerate spectra,
+    repeated kept strings) and terms drawing their slots from a small pool
+    (repeated kept strings, the merge path)."""
+    rng = np.random.default_rng(21)
+    cases = []
+    for i in range(36):
+        n, t = int(rng.integers(2, 6)), int(rng.integers(1, 9))
+        dims = (int(rng.integers(2, 4)),) * n if i % 2 else tuple(int(d) for d in rng.choice([2, 3], size=n))
+        grid = TimeGrid(tuple(float(k) for k in range(n)), dims)
+        kind = ("generic", "equal-amplitude", "pooled")[i % 3]
+        if kind == "generic":
+            h = _term_history(rng, dims, [_ops(rng, dims) for _ in range(t)])
+        elif kind == "equal-amplitude":
+            units = [[np.diag(np.eye(d)[int(rng.integers(d))]).astype(complex) for d in dims] for _ in range(t)]
+            h = HistoryState(tuple((1.0, ElementaryHistory(grid, tuple(ops))) for ops in units))
+        else:
+            pool = [_ops(rng, dims) for _ in range(2)]
+            h = _term_history(rng, dims, [[pool[int(rng.integers(2))][k] if rng.random() < 0.7 else op
+                                           for k, op in enumerate(_ops(rng, dims))] for _ in range(t)])
+        cases.append((f"{i}: {kind}, {t} terms on dims {dims}", h))
+    return cases
+
+
+STACKED_CASES = _stacked_cases()
+
+
+def _assert_same_reduction(a: MixedHistory, b: MixedHistory) -> None:
+    assert a.grid == b.grid
+    assert [p for p, _ in a.ensemble] == [p for p, _ in b.ensemble]
+    for (_, m), (_, m0) in zip(a.ensemble, b.ensemble, strict=True):
+        assert np.array_equal(m._coefs, m0._coefs) and np.array_equal(m._rows, m0._rows)
+    for x, y in ((a._gram, b._gram), (a._coefs, b._coefs), (a._pairings, b._pairings), *zip(a._strings, b._strings)):
+        assert x.shape == y.shape and np.array_equal(x, y)
+
+
+class TestStackedReductions:
+    """Reductions of one state to many slot sets in one pass, each bit for
+    bit the reduction to its set alone."""
+
+    @pytest.mark.parametrize("name, h", STACKED_CASES, ids=[c[0] for c in STACKED_CASES])
+    def test_every_keep_set_equals_its_lone_reduction(self, name, h):
+        from qhist.histories import _reductions
+
+        n = h.grid.n_slots
+        sets = [list(c) for r in range(1, n) for c in itertools.combinations(range(n), r)]
+        for keep, got in zip(sets, _reductions(h, sets), strict=True):
+            _assert_same_reduction(got, _reductions(h, [keep])[0])
+
+    def test_temporal_ghz_24_reductions_equal_their_lone_reductions(self):
+        from qhist.scenarios import MAX_GHZ_SLOTS, temporal_ghz
+
+        n = MAX_GHZ_SLOTS
+        a = temporal_ghz(n, 0.6, 0.8).artifacts
+        _, up, down = diagonal_branches(n)
+        h = 0.6 * up + 0.8 * down
+        sets = [[i] for i in range(n)] + [[i, j] for i in range(n) for j in range(i + 1, n)]
+        assert len(sets) == 300
+        for keep in sets:
+            _assert_same_reduction(a["reduction_" + "_".join(f"t{k}" for k in keep)],
+                                   temporal_partial_trace(h, keep))
+
+    def test_one_bad_set_fails_the_pass_before_any_arithmetic(self, monkeypatch):
+        from qhist.histories import _reductions
+
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: pytest.fail("eigh reached"))
+        with pytest.raises(ValueError, match="keep_slots entry 0.5"):
+            _reductions(ghz_like(3), [[0], [1, 2], [0.5]])
+        with pytest.raises(ValueError, match="out of range"):
+            _reductions(ghz_like(3), [[0], [3]])
+
+
+class TestOneMemberClusters:
+    """The one-member route of ``_canonical_basis`` against the Gram-Schmidt oracle."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_gram_schmidt_bit_for_bit(self, seed):
+        from qhist.histories import DEGENERACY_TOL, SPAN_TOL, _canonical_basis
+
+        rng = np.random.default_rng(seed)
+        t, m = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        evals = np.sort(rng.random(m))
+        if seed % 4 == 0 and m > 1:
+            evals[1:] = evals[0] + np.cumsum(rng.uniform(2, 4, m - 1)) * DEGENERACY_TOL  # close but distinct
+        assert (np.diff(evals) > DEGENERACY_TOL).all()
+        vecs = rng.normal(size=(t, m)) + 1j * rng.normal(size=(t, m))
+        overlaps = rng.normal(size=(m, t)) + 1j * rng.normal(size=(m, t))
+        norms = rng.uniform(0.5, 2.0, size=t)
+        # leading overlaps below SPAN_TOL move the phase to a later string;
+        # a row of them leaves only the eigenvector's own basis
+        overlaps[:, : int(rng.integers(0, t + 1))] *= SPAN_TOL * 0.5
+        if seed % 5 == 0:
+            overlaps[int(rng.integers(m))] *= SPAN_TOL * 0.5
+        norms[rng.random(t) < 0.2] = 0.0
+        got = _canonical_basis(evals, vecs, overlaps, norms)
+        want = histories_oracle.canonical_basis(evals, vecs, overlaps, norms)
+        assert len(got) == len(want) == m
+        for (lam, v), (lam0, v0) in zip(got, want):
+            assert type(lam) is float and lam == lam0
+            assert v.tobytes() == v0.tobytes()
 
 
 def _on_grid(rng, grid, n_terms) -> HistoryState:
