@@ -25,7 +25,7 @@ over the first party's settings and carried to the middle time,
 so the second pair is the same correlator evaluated on rho'.  Correlators and
 rho' are reductions of the chain kernel ``histories._chains`` under its
 arithmetic contract (no BLAS); only the settings optimizer's certificate (a
-LAPACK eigensolve) and its see-saw fallback use BLAS or LAPACK.
+LAPACK eigensolve) uses LAPACK.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .histories import _chains, _collapse_weights
 from .linalg import (
     check_unitary, density_operator, dichotomic_projectors, identity, max_abs, maximally_mixed, pauli,
 )
-from .twostate import MeasurementSetting, OutcomeDistribution, bloch_observables
+from .twostate import MeasurementSetting
 
 __all__ = [
     "CLASSICAL_BOUND",
@@ -58,7 +58,6 @@ __all__ = [
     "correlator_tables",
     "temporal_correlator",
     "s_lgi",
-    "lgi_from_distributions",
     "classical_bound_bruteforce",
     "chained_classical_bound",
     "monogamy_sum",
@@ -75,7 +74,7 @@ TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 # Largest chain length chained_bell accepts.  The block is evaluated once, so
 # the only cost that grows with n is the report: n copies of the block.
 MAX_CHAIN_BLOCKS = 1000
-MAX_RESTARTS = 1000  # each start is drawn up front, so a huge count exhausts memory first
+MAX_RESTARTS = 1000  # restarts select nothing; the bound only keeps their accepted range
 
 INDEPENDENT = "independent_ensembles"
 CHAINED = "chained_single_system"
@@ -216,28 +215,6 @@ def s_lgi(spec: CorrelatorSpec) -> BellReport:
     table = _tables(spec.initial, _pairs(spec.first_settings)[None], spec.unitary,
                     _pairs(spec.second_settings)[None])[0]
     return _report(table, spec.first_settings + spec.second_settings, spec.evaluation_mode)
-
-
-def lgi_from_distributions(dists: Mapping[tuple[str, str], OutcomeDistribution]) -> BellReport:
-    """Assemble the functional from externally supplied joint distributions.
-
-    ``dists`` maps setting-label pairs to two-slot distributions; the label
-    grid must be complete (2 first-settings x 2 second-settings).
-    """
-    firsts = sorted({x for x, _ in dists})
-    seconds = sorted({y for _, y in dists})
-    if len(firsts) != 2 or len(seconds) != 2 or len(dists) != 4:
-        raise ValueError("need distributions for exactly 2x2 setting pairs")
-    table = np.empty((2, 2))
-    for i, x in enumerate(firsts):
-        for j, y in enumerate(seconds):
-            if (x, y) not in dists:
-                raise ValueError(f"missing distribution for setting pair {(x, y)}")
-            table[i, j] = dists[(x, y)].correlator()
-    return BellReport(
-        table, float(_s_value(table)), CLASSICAL_BOUND, TSIRELSON_BOUND, tuple(firsts + seconds),
-        INDEPENDENT,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +380,17 @@ def monogamy_preset_settings():
 
 
 # ---------------------------------------------------------------------------
-# settings optimizer: see-saw over Bloch vectors with a dual certificate
+# settings optimizer: the quadratic form's spectral start with a dual certificate
+
+
+_OBJECTIVES = ("s_lgi", "chained_bell", "monogamy_sum")
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """``tol`` decides ``converged``; ``max_evals``, ``seed`` and ``restarts``
+    are range-checked but select nothing, since one evaluation is the run."""
+
     tol: float = 1e-10
     max_evals: int = 10_000
     seed: int = 0
@@ -431,35 +414,6 @@ def settings_from_angles(angles: Sequence[float]) -> tuple[MeasurementSetting, .
     if len(angles) % 2:
         raise ValueError("need an even number of angles")
     return MeasurementSetting.stack(zip(angles[0::2], angles[1::2]))
-
-
-def _objective_function(objective: str, initial, n: int) -> tuple[Callable, int]:
-    """Batched objective: an (N, n_angles) stack of angle vectors -> N values.
-
-    Each value equals what the named public function returns for the settings
-    ``settings_from_angles`` builds from that row.
-    """
-    rho = maximally_mixed(2) if initial is None else density_operator(initial)
-    if rho.shape != (2, 2):
-        raise ShapeError("the angle parameterization covers qubit settings only")
-
-    def s_values(stack):
-        """S of each row of angles for (first, first, second, second) settings."""
-        obs = bloch_observables(stack.reshape(len(stack), 4, 2))
-        return _s_value(correlator_tables(rho, obs[:, :2], None, obs[:, 2:])).tolist()
-
-    if objective == "s_lgi":
-        return s_values, 8
-    if objective == "chained_bell":
-        _check_chain_length(n)
-        return (lambda stack: [_chain_total(v, n) for v in s_values(stack)]), 8
-    if objective == "monogamy_sum":
-        def fn(stack):
-            # pairs (a, b) and (b, c) of each row, as rows 0..N-1 and N..2N-1
-            values = s_values(np.concatenate([stack[:, :8], stack[:, 4:]]))
-            return [v1 + v2 for v1, v2 in zip(values[: len(stack)], values[len(stack):])]
-        return fn, 12
-    raise ValueError(f"unknown objective {objective!r}")
 
 
 def _quadratic_form(objective: str, n: int) -> np.ndarray:
@@ -523,18 +477,10 @@ def _spectral_start(objective: str) -> np.ndarray:
 
 
 def _angles(x: np.ndarray) -> np.ndarray:
-    """(N, m, 3) unit Bloch vectors -> (N, 2m) rows of (theta, phi) pairs."""
-    theta = np.arccos(np.clip(x[..., 2], -1.0, 1.0))
-    phi = np.arctan2(x[..., 1], x[..., 0]) % (2.0 * math.pi)
-    return np.stack([theta, phi], -1).reshape(len(x), -1)
-
-
-def _sweep(q: np.ndarray, x: np.ndarray, rows: np.ndarray) -> None:
-    """One see-saw sweep over starts ``rows``: x_i <- normalized sum_j Q_ij x_j."""
-    for i, row in enumerate(q):
-        field = row @ x[rows]
-        norm = np.linalg.norm(field, axis=-1, keepdims=True)
-        x[rows, i] = np.where(norm > 0.0, field / np.where(norm > 0.0, norm, 1.0), x[rows, i])
+    """(m, 3) unit Bloch vectors -> one flat row of (theta, phi) pairs."""
+    theta = np.arccos(np.clip(x[:, 2], -1.0, 1.0))
+    phi = np.arctan2(x[:, 1], x[:, 0]) % (2.0 * math.pi)
+    return np.stack([theta, phi], -1).reshape(-1)
 
 
 def optimize_settings(
@@ -545,63 +491,45 @@ def optimize_settings(
 ) -> OptimizeResult:
     """Maximize a Bell-type functional over qubit settings, with a certificate.
 
-    The spectral start (``_spectral_start``) is evaluated alone first; when
-    its certificate closes that one evaluation is the whole run.  Otherwise
-    see-saw sweeps set each Bloch vector in turn to its best response under
-    ``_quadratic_form``, from the spectral start and ``restarts`` seeded
-    random starts (at most MAX_RESTARTS); a start stops when a sweep gains at
-    most ``tol``.
-    Each running start is evaluated with the batched kernel at its start and
-    after every sweep, one evaluation each and at most ``max_evals`` in all,
-    so ``value`` is exactly what the named public function gives for
-    ``settings``.
+    The settings are the spectral start (``_spectral_start``) of the
+    objective's quadratic form, and ``value`` is what the named public
+    function gives for them: one evaluation, the whole run.
     ``certified_bound`` caps the functional over every assignment of unit
     vectors; ``converged`` means it is at most ``tol`` above ``value``, so the
-    global maximum was found.  Deterministic for a given config seed.
+    global maximum was found.  ``n`` is range-checked as a chain length for
+    every objective; only ``chained_bell`` reads it.
     """
-    fn, _ = _objective_function(objective, initial, n)
-    q = _quadratic_form(objective, n)
+    rho = maximally_mixed(2) if initial is None else density_operator(initial)
+    if rho.shape != (2, 2):
+        raise ShapeError("the angle parameterization covers qubit settings only")
+    if objective not in _OBJECTIVES:
+        raise ValueError(f"unknown objective {objective!r}")
+    _check_chain_length(n)
     if config.max_evals < 1:
         raise ValueError("max_evals must be at least 1")
     if config.restarts < 0:
         raise ValueError(f"restarts must be nonnegative, got {config.restarts}")
     if config.restarts > MAX_RESTARTS:
         raise ValueError(f"at most {MAX_RESTARTS} restarts are supported, got {config.restarts}")
-    best_x = _spectral_start(objective)
-    best_angles = _angles(best_x[None])[0]
-    best_val = float(fn(best_angles[None])[0])
-    evals = 1
-    trace = [(evals, tuple(float(a) for a in best_angles), best_val)]
-    bound = _certified_bound(q, best_x)
-    if bound - best_val > config.tol and evals < config.max_evals:
-        # row 0 continues from the spectral start, already evaluated: one sweep first
-        x = np.random.default_rng(config.seed).standard_normal((config.restarts + 1, len(q), 3))
-        x /= np.linalg.norm(x, axis=-1, keepdims=True)
-        x[0] = best_x
-        values = np.full(len(x), -math.inf)
-        values[0] = best_val
-        _sweep(q, x, np.arange(1))
-        active = np.arange(len(x))
-        while len(active) and evals < config.max_evals:
-            active = active[: config.max_evals - evals]
-            angles = _angles(x[active])
-            new = np.array(fn(angles))
-            evals += len(active)
-            gains, values[active] = new - values[active], new
-            top = int(np.argmax(new))
-            if new[top] > best_val:
-                best_x, best_angles, best_val = x[active[top]].copy(), angles[top], float(new[top])
-                trace.append((evals, tuple(float(a) for a in best_angles), best_val))
-            active = active[gains > config.tol]
-            _sweep(q, x, active)
-        bound = _certified_bound(q, best_x)
+    if not (math.isfinite(config.tol) and config.tol >= 0.0):
+        raise ValueError(f"tol must be a finite nonnegative number, got {config.tol}")
+    x = _spectral_start(objective)
+    angles = tuple(float(a) for a in _angles(x))
+    s = settings_from_angles(angles)
+    if objective == "s_lgi":
+        value = s_lgi(CorrelatorSpec(rho, s[0:2], s[2:4])).value
+    elif objective == "chained_bell":
+        value = chained_bell(n, s[0:2], s[2:4], rho).total
+    else:
+        value = monogamy_sum(rho, s[0:2], s[2:4], s[4:6]).total
+    bound = _certified_bound(_quadratic_form(objective, n), x)
     return OptimizeResult(
         objective=objective,
-        value=best_val,
-        angles=tuple(float(a) for a in best_angles),
-        settings=settings_from_angles(best_angles),
-        trace=tuple(trace),
-        converged=bound - best_val <= config.tol,
-        evaluations=evals,
+        value=value,
+        angles=angles,
+        settings=s,
+        trace=((1, angles, value),),
+        converged=bound - value <= config.tol,
+        evaluations=1,
         certified_bound=bound,
     )

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: scenario, lgi, chained, monogamy, optimize, weight, abl.
-Exit codes: 0 success, 2 input error, 3 optimizer result not certified (budget
-spent or every start stalled), 4 impossible post-selection.  Identical arguments
-produce byte-identical output.  Every subcommand takes --format and --out;
---seed belongs to optimize and --tol to weight, the only readers of each.
+Exit codes: 0 success, 2 input error, 3 optimizer result not certified (the
+start's certificate is open after its one evaluation), 4 impossible
+post-selection.  Identical arguments produce byte-identical output.  Every
+subcommand takes --format and --out; --seed belongs to optimize and --tol to
+weight, the only readers of each.
 
 A process builds one argument parser, on its first ``main`` call, and reuses
 it: parsing does not change a parser, and each call gets a fresh namespace.
@@ -78,12 +79,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", parents=[common], help="search settings for a functional")
     p.add_argument("--objective", choices=("s_lgi", "chained_bell", "monogamy_sum"),
                    default="s_lgi")
-    p.add_argument("-n", type=int, default=1, help="blocks for chained_bell")
+    p.add_argument("-n", type=int, default=1,
+                   help=f"blocks for chained_bell, 1 to {MAX_CHAIN_BLOCKS} (checked for every objective)")
     p.add_argument("--restarts", type=int, default=None,
-                   help=f"seeded random starts, run only if the spectral start does not "
-                        f"certify (at most {MAX_RESTARTS})")
-    p.add_argument("--max-evals", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0, help="optimizer seed")
+                   help=f"range-checked (0 to {MAX_RESTARTS}); no effect, the run is one evaluation")
+    p.add_argument("--max-evals", type=int, default=None, help="range-checked (at least 1); no effect")
+    p.add_argument("--seed", type=int, default=0, help="optimizer seed; no effect")
 
     p = sub.add_parser("weight", parents=[common], help="weight and consistency of a history file")
     p.add_argument("--spec", required=True, help="JSON history document")

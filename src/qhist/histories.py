@@ -78,7 +78,6 @@ __all__ = [
     "purity",
     "mixed_history_density",
     "mixed_overlap",
-    "exhaustive_projector_family",
     "best_joint_bell_reduction_overlap",
 ]
 
@@ -1029,24 +1028,6 @@ def subsystem_trace_out(
 
 # ---------------------------------------------------------------------------
 # small generators and witnesses
-
-
-def exhaustive_projector_family(grid: TimeGrid) -> tuple[HistoryState, ...]:
-    """All computational-basis projector strings on the grid.
-
-    The family is exhaustive: the coefficient-one sum of its chain operators
-    under trivial bridging is the identity.
-    """
-    choices = [range(d) for d in grid.slot_dims]
-    out = []
-    for combo in itertools.product(*choices):
-        ops = []
-        for i, d in zip(combo, grid.slot_dims):
-            m = np.zeros((d, d), dtype=complex)
-            m[i, i] = 1.0
-            ops.append(m)
-        out.append(HistoryState.from_slots(grid, ops))
-    return tuple(out)
 
 
 @dataclass(frozen=True)

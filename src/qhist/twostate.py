@@ -29,24 +29,21 @@ import numpy as np
 
 from .errors import ImpossiblePostselectionError, ShapeError
 # MAX_MEASURED_SLOTS is the chain kernel's bound, re-exported here
-from .histories import (MAX_MEASURED_SLOTS, BridgingSet, HistoryState, TimeGrid, _chains, _collapse_weights,
+from .histories import (MAX_MEASURED_SLOTS, BridgingSet, HistoryState, _chains, _collapse_weights,
                         _term_chains, hs_norm)
 from . import linalg
-from .linalg import as_ket, as_matrix, density_operator, dichotomic_projectors, identity, pauli, projector
+from .linalg import as_ket, as_matrix, density_operator, dichotomic_projectors, identity, pauli
 
 __all__ = [
     "MeasurementSetting",
     "bloch_observables",
     "TwoTimeExperiment",
     "OutcomeDistribution",
-    "MarginalReport",
     "abl_probability",
     "sequence_distribution",
     "mixed_sequence_distribution",
     "coherent_bundle_weights",
     "coherent_bundle_distribution",
-    "history_bundle",
-    "marginal_independence_check",
 ]
 
 ZERO_WEIGHT_TOL = 1e-15
@@ -344,41 +341,6 @@ def abl_probability(exp: TwoTimeExperiment, slot: int, outcome: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# history bundles
-
-
-def history_bundle(exp: TwoTimeExperiment):
-    """Histories realizable in the experiment, one per nonzero outcome string.
-
-    Each history brackets the outcome projectors between the pre and post
-    boundary projectors (identity when a slot is unmeasured or the
-    post-selection is absent) under the experiment's interval unitaries.
-    Returned as tuples (outcome string, normalized history, probability,
-    bridging); the probabilities match ``sequence_distribution`` and,
-    equivalently, the normalized chain weights of the returned histories.
-    """
-    dist = sequence_distribution(exp)
-    d = exp.dim
-    grid = TimeGrid.regular(len(exp.slots) + 2, d)
-    bridging = BridgingSet(grid, exp.unitaries)
-    pre_op = projector(exp.pre)
-    post_op = identity(d) if exp.post is None else projector(exp.post)
-    # slot k's operator for each outcome character ("" when unmeasured)
-    options = [{"": identity(d)} if s is None else dict(zip("+-", s.projectors())) for s in exp.slots]
-    measured = exp.measured_indices
-    bundle = []
-    for string, p in dist.table.items():
-        if p <= ZERO_WEIGHT_TOL:
-            continue
-        chars = dict(zip(measured, string))
-        ops = [pre_op, *(opts[chars.get(k, "")] for k, opts in enumerate(options)), post_op]
-        # the HS norm of a product string is the product of its slots' norms
-        scale = 1.0 / math.prod(map(np.linalg.norm, ops))
-        bundle.append((string, HistoryState.from_slots(grid, ops, scale), p, bridging))
-    return tuple(bundle)
-
-
-# ---------------------------------------------------------------------------
 # coherent bundle weights
 
 
@@ -428,47 +390,3 @@ def coherent_bundle_distribution(
     strings, weights = _coherent_weights(h, b, measured)
     return _normalized(strings, weights, tuple(measured[k].label for k in sorted(measured)))
 
-
-# ---------------------------------------------------------------------------
-# marginal checks
-
-
-@dataclass(frozen=True)
-class MarginalReport:
-    """Setting-dependence of marginals in a family of two-slot distributions.
-
-    ``earlier_deviation`` is the largest change of an earlier-slot marginal
-    under a change of the later setting; a nonzero value here is flagged.
-    ``later_deviation`` is the time-reversed quantity, which post-selected
-    experiments may legitimately leave nonzero, so it is reported unflagged.
-    """
-
-    earlier_deviation: float
-    later_deviation: float
-    tol: float
-    flagged: bool
-
-
-def marginal_independence_check(
-    dist_family: Mapping[tuple[str, str], OutcomeDistribution], tol: float = 1e-9
-) -> MarginalReport:
-    pairs = dict(dist_family)
-    if not pairs:
-        raise ValueError("need at least one setting pair")
-    earlier = 0.0
-    later = 0.0
-    firsts = sorted({x for x, _ in pairs})
-    seconds = sorted({y for _, y in pairs})
-    for x in firsts:
-        dists = [pairs[(x, y)] for y in seconds if (x, y) in pairs]
-        for a in "+-":
-            vals = [d.marginal(0)[a] for d in dists]
-            if vals:
-                earlier = max(earlier, max(vals) - min(vals))
-    for y in seconds:
-        dists = [pairs[(x, y)] for x in firsts if (x, y) in pairs]
-        for bchar in "+-":
-            vals = [d.marginal(1)[bchar] for d in dists]
-            if vals:
-                later = max(later, max(vals) - min(vals))
-    return MarginalReport(earlier, later, tol, earlier > tol)

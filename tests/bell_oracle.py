@@ -5,6 +5,8 @@ per-pair correlator loop over MeasurementSetting objects, an exhaustive
 enumeration of every deterministic chain strategy, and the chained monogamy
 reading from full three-slot outcome tables.  The batched routes must agree
 with the first two exactly, not just within a tolerance.
+``table_from_distributions`` reads a correlator table off two-slot outcome
+distributions, a route that shares no code with the correlator kernel.
 
 The correlator loop and ``processes_mixture`` are plain-Python complex
 arithmetic in the chain kernel's order (``loop_matmul``, ``loop_pairing``,
@@ -67,6 +69,14 @@ def correlator_table(rho, firsts, unitary, seconds) -> np.ndarray:
         for j, b_set in enumerate(seconds):
             table[i, j] = temporal_correlator(rho, a_set, unitary, b_set)
     return table
+
+
+def table_from_distributions(dists) -> np.ndarray:
+    """The correlator table from two-slot distributions keyed by setting-label
+    pairs (first, second), each party's labels in sorted order."""
+    firsts = sorted({x for x, _ in dists})
+    seconds = sorted({y for _, y in dists})
+    return np.array([[dists[(x, y)].correlator() for y in seconds] for x in firsts])
 
 
 def chained_classical_bound(n: int, coefficients=((1, 1), (1, -1))) -> float:

@@ -32,8 +32,9 @@ def random_unitary(rng, d: int) -> np.ndarray:
 
 
 def open_certificate(monkeypatch):
-    """Make ``bell._certified_bound`` read 1 above the true bound, so no
-    optimizer start certifies and the see-saw and budget routes run."""
+    """Make ``bell._certified_bound`` read 1 above the true bound, so the
+    optimizer's start does not certify and the run reports ``converged``
+    false (the CLI's exit 3)."""
     certified_bound = bell._certified_bound
     monkeypatch.setattr(bell, "_certified_bound", lambda q, x: certified_bound(q, x) + 1.0)
 

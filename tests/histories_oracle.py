@@ -30,7 +30,12 @@ bit for bit on every machine.
 ``canonical_basis`` is the cluster-by-cluster Gram-Schmidt basis the package's
 one-member route shortcuts: every eigenvalue, clustered or alone, goes
 through the projection loop and ``np.linalg.norm``.
+
+``exhaustive_projector_family`` lists every computational-basis projector
+string on a grid, whose chain operators resolve the bare evolution.
 """
+
+import itertools
 
 import numpy as np
 
@@ -237,3 +242,16 @@ def canonical_basis(evals, vecs, overlaps, norms) -> list:
         out.extend((lam, vecs[:, start:stop] @ q) for q in basis)
         start = stop
     return out
+
+
+def exhaustive_projector_family(grid: TimeGrid) -> tuple:
+    """All computational-basis projector strings on the grid."""
+    out = []
+    for combo in itertools.product(*(range(d) for d in grid.slot_dims)):
+        ops = []
+        for i, d in zip(combo, grid.slot_dims):
+            m = np.zeros((d, d), dtype=complex)
+            m[i, i] = 1.0
+            ops.append(m)
+        out.append(HistoryState.from_slots(grid, ops))
+    return tuple(out)

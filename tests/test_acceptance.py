@@ -22,8 +22,6 @@ from qhist import (
     chained_bell,
     chained_classical_bound,
     classical_bound_bruteforce,
-    history_bundle,
-    marginal_independence_check,
     monogamy_preset_settings,
     monogamy_sum,
     optimize_settings,
@@ -36,6 +34,7 @@ from qhist import (
 from qhist.linalg import maximally_mixed, qubit_ket
 
 from conftest import consistent_family_corpus, experiment_corpus, random_dichotomic
+from twostate_oracle import earlier_marginal_deviation, history_bundle
 
 SQRT2 = math.sqrt(2.0)
 
@@ -210,9 +209,7 @@ def test_11_earlier_marginals_ignore_later_settings_without_postselection():
                 )
                 for second in (x, y, z)
             }
-            rep = marginal_independence_check(family)
-            worst = max(worst, rep.earlier_deviation)
-            assert not rep.flagged
+            worst = max(worst, earlier_marginal_deviation(family))
     ok = worst < 1e-12
     assert _report(
         ok,

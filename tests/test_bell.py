@@ -13,7 +13,6 @@ from qhist import (
     chained_bell,
     chained_classical_bound,
     classical_bound_bruteforce,
-    lgi_from_distributions,
     mixed_sequence_distribution,
     monogamy_preset_settings,
     monogamy_sum,
@@ -35,6 +34,7 @@ from qhist.bell import (
 from qhist.linalg import maximally_mixed, pauli, projector, qubit_ket
 from qhist.twostate import bloch_observables
 
+from bell_oracle import table_from_distributions
 from conftest import SQRT2, open_certificate, random_dichotomic, random_ket
 
 RHO = maximally_mixed(2)
@@ -117,15 +117,10 @@ class TestSLGI:
             for a in named_firsts
             for b in named_seconds
         }
-        rep = lgi_from_distributions(dists)
+        table = table_from_distributions(dists)
         direct = s_lgi(CorrelatorSpec(RHO, named_firsts, named_seconds))
-        assert rep.value == pytest.approx(direct.value, abs=1e-12)
-        assert np.allclose(rep.correlators, direct.correlators, atol=1e-12)
-
-    def test_from_distributions_needs_full_grid(self):
-        d = mixed_sequence_distribution(RHO, (Z, X))
-        with pytest.raises(ValueError):
-            lgi_from_distributions({("Z", "X"): d})
+        assert table[0, 0] + table[0, 1] + table[1, 0] - table[1, 1] == pytest.approx(direct.value, abs=1e-12)
+        assert np.allclose(table, direct.correlators, atol=1e-12)
 
 
 class TestClassicalBounds:
@@ -247,15 +242,25 @@ class TestOptimizer:
         assert res.trace[-1][2] == pytest.approx(res.value, abs=1e-12)
 
     @pytest.mark.parametrize("max_evals", [1, 5])
-    def test_budget_exhaustion_flags_nonconvergence(self, monkeypatch, max_evals):
-        # the spectral start certifies, so hold the certificate open to reach the budget
+    def test_open_certificate_flags_nonconvergence(self, monkeypatch, max_evals):
+        # the spectral start certifies, so hold the certificate open: the run
+        # still ends after its one evaluation, at the same value
+        want = optimize_settings("s_lgi")
         open_certificate(monkeypatch)
         cfg = OptimizerConfig(max_evals=max_evals)
         res = optimize_settings("s_lgi", config=cfg)
         assert not res.converged
-        assert res.evaluations == max_evals
+        assert res.evaluations == 1
         assert res.certified_bound - res.value > cfg.tol
-        assert res.value <= 2.0 * SQRT2 + 1e-9
+        assert (res.value, res.angles, res.trace) == (want.value, want.angles, want.trace)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_bad_tol_rejected(self, monkeypatch, tol):
+        # a negative tol can never certify, and NaN compares false silently
+        monkeypatch.setattr(bell, "_spectral_start", _never_called)
+        with pytest.raises(ValueError) as info:
+            optimize_settings("s_lgi", config=OptimizerConfig(tol=tol))
+        assert str(info.value) == f"tol must be a finite nonnegative number, got {tol}"
 
 
 # (objective, n, global maximum)
@@ -276,7 +281,11 @@ ONE_EVALUATION = [
 ]
 
 
-class TestSeeSaw:
+def _never_called(*args, **kwargs):
+    raise AssertionError("the optimizer started before its arguments were checked")
+
+
+class TestSpectralStart:
     @pytest.mark.parametrize("objective,n,target", OBJECTIVES)
     def test_every_seed_certified_at_the_maximum(self, objective, n, target):
         # grid plus Nelder-Mead stopped at 2.5535 for s_lgi seed 12 and called it converged
@@ -286,17 +295,14 @@ class TestSeeSaw:
             assert res.converged, seed
             assert abs(res.value - target) <= 1e-12, seed
             assert res.certified_bound - res.value <= cfg.tol, seed
-            assert res.evaluations <= 40, seed
+            assert res.evaluations == 1, seed
 
-    @pytest.mark.parametrize("forced_open", [False, True])
-    @pytest.mark.parametrize("objective,n,target", OBJECTIVES)
-    def test_evaluations_never_exceed_the_budget(self, monkeypatch, objective, n, target, forced_open):
-        if forced_open:  # the see-saw route, which runs only when the start does not certify
-            open_certificate(monkeypatch)
-        for max_evals in range(1, 41):
-            res = optimize_settings(objective, config=OptimizerConfig(max_evals=max_evals), n=n)
-            assert res.evaluations <= max_evals
-            assert res.trace[-1][0] <= res.evaluations
+    @pytest.mark.parametrize("objective", ["s_lgi", "chained_bell", "monogamy_sum"])
+    def test_chain_length_checked_up_front(self, monkeypatch, objective):
+        monkeypatch.setattr(bell, "_spectral_start", _never_called)
+        for n in (-5, 0, MAX_CHAIN_BLOCKS + 1):
+            with pytest.raises(ValueError, match="at least one block|at most"):
+                optimize_settings(objective, n=n)
 
     @pytest.mark.parametrize("state", range(5))
     @pytest.mark.parametrize("objective,n,target", ONE_EVALUATION)
@@ -366,11 +372,8 @@ class TestSeeSaw:
             optimize_settings("s_lgi", config=OptimizerConfig(max_evals=0))
 
     @pytest.mark.parametrize("restarts", [MAX_RESTARTS + 1, 10**8])
-    def test_restarts_rejected_before_any_start_is_drawn(self, monkeypatch, restarts):
-        def fail(*args, **kwargs):
-            raise AssertionError("starts drawn before the restart count was checked")
-
-        monkeypatch.setattr(np.random, "default_rng", fail)
+    def test_too_many_restarts_rejected(self, monkeypatch, restarts):
+        monkeypatch.setattr(bell, "_spectral_start", _never_called)
         with pytest.raises(ValueError, match=f"at most {MAX_RESTARTS} restarts"):
             optimize_settings("s_lgi", config=OptimizerConfig(restarts=restarts))
 

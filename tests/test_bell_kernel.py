@@ -1,9 +1,8 @@
 """The batched Bell routes against their one-at-a-time oracles.
 
-The stacked correlator kernel, the batched optimizer objective and the
-max-plus classical bound must reproduce the straightforward forms in
-``bell_oracle`` bit for bit, so every comparison here is ``==`` on values or
-on raw bytes, never approximate.
+The stacked correlator kernel and the max-plus classical bound must reproduce
+the straightforward forms in ``bell_oracle`` bit for bit, so every comparison
+here is ``==`` on values or on raw bytes, never approximate.
 """
 
 import math
@@ -19,11 +18,10 @@ from qhist import (
     classical_bound_bruteforce,
     monogamy_sum,
     s_lgi,
-    settings_from_angles,
     temporal_correlator,
 )
 from qhist import ShapeError, bell
-from qhist.bell import MAX_CHAIN_BLOCKS, _objective_function, correlator_tables
+from qhist.bell import MAX_CHAIN_BLOCKS, correlator_tables
 from qhist.linalg import maximally_mixed, pauli
 from qhist.twostate import bloch_observables
 
@@ -253,28 +251,6 @@ class TestChainedReadingAgainstOracle:
             assert max(gaps) <= 1e-12
         else:
             assert max(gaps) > 0.1
-
-
-class TestBatchedObjective:
-    @pytest.mark.parametrize("objective,n", [("s_lgi", 1), ("chained_bell", 3), ("monogamy_sum", 1)])
-    def test_rows_match_public_functions(self, rng, objective, n):
-        rho = random_state(rng, 2)
-        fn, n_angles = _objective_function(objective, rho, n)
-        rows = rng.uniform(0, 2 * math.pi, size=(25, n_angles))
-        for row, got in zip(rows, fn(rows)):
-            s = settings_from_angles(row)
-            if objective == "s_lgi":
-                want = s_lgi(CorrelatorSpec(rho, s[0:2], s[2:4])).value
-            elif objective == "chained_bell":
-                want = chained_bell(n, s[0:2], s[2:4], rho).total
-            else:
-                want = monogamy_sum(rho, s[0:2], s[2:4], s[4:6]).total
-            assert repr(got) == repr(want)
-
-    def test_chain_length_checked_up_front(self):
-        for n in (0, MAX_CHAIN_BLOCKS + 1):
-            with pytest.raises(ValueError):
-                _objective_function("chained_bell", None, n)
 
 
 class TestChainedBellOnce:

@@ -458,7 +458,7 @@ class TestOptimizeCommand:
         assert doc["artifacts"]["converged"] is True
 
     @pytest.mark.parametrize("max_evals", [1, 5])
-    def test_budget_exhaustion_exit_code(self, capsys, monkeypatch, max_evals):
+    def test_open_certificate_exit_code(self, capsys, monkeypatch, max_evals):
         open_certificate(monkeypatch)  # the spectral start certifies at once
         code, out, err = run_cli(
             capsys, "optimize", "--objective", "s_lgi", "--max-evals", str(max_evals)
@@ -467,7 +467,31 @@ class TestOptimizeCommand:
         assert err == ""
         doc = json.loads(out)["artifacts"]
         assert doc["converged"] is False
-        assert doc["evaluations"] <= max_evals
+        assert doc["evaluations"] == 1
+
+    @pytest.mark.parametrize("objective,n", [("s_lgi", 1), ("chained_bell", 3), ("monogamy_sum", 1)])
+    def test_seed_restarts_and_budget_change_no_byte(self, capsys, objective, n):
+        argv = ["optimize", "--objective", objective, "-n", str(n)]
+        code, want, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        for seed in ("0", "7", "-1"):
+            for restarts in ("0", "1000"):
+                for max_evals in ("1", "10000"):
+                    extra = ["--seed", seed, "--restarts", restarts, "--max-evals", max_evals]
+                    assert run_cli(capsys, *argv, *extra) == (EXIT_OK, want, ""), extra
+
+    @pytest.mark.parametrize("argv,message", [
+        (["-n", "-5"], "need at least one block"),
+        (["--objective", "monogamy_sum", "-n", "0"], "need at least one block"),
+        (["--objective", "s_lgi", "-n", str(MAX_CHAIN_BLOCKS + 1)],
+         f"at most {MAX_CHAIN_BLOCKS} chained blocks are supported, got {MAX_CHAIN_BLOCKS + 1}"),
+        (["--objective", "chained_bell", "-n", "0"], "need at least one block"),
+    ])
+    def test_chain_length_checked_for_every_objective(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "optimize", *argv)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_one_evaluation_certifies(self, capsys):
         code, out, _ = run_cli(capsys, "optimize", "--objective", "s_lgi", "--max-evals", "1")

@@ -20,7 +20,6 @@ from qhist import (
     best_joint_bell_reduction_overlap,
     chain_operator_sum,
     decoherence_functional,
-    exhaustive_projector_family,
     hs_inner,
     hs_norm,
     is_consistent_family,
@@ -36,7 +35,7 @@ from qhist import (
 from qhist.linalg import bell_pair_ket, identity, partial_trace, pauli, projector, qubit_ket
 
 import histories_oracle
-from histories_oracle import history_vector
+from histories_oracle import exhaustive_projector_family, history_vector
 from conftest import consistent_family_corpus, diagonal_branches, random_unitary
 
 

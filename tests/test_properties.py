@@ -18,7 +18,6 @@ from qhist import (
     TimeGrid,
     chain_operator_sum,
     decoherence_functional,
-    exhaustive_projector_family,
     hs_inner,
     hs_norm,
     normalize,
@@ -42,6 +41,7 @@ from conftest import (
     random_ket,
     random_unitary,
 )
+from histories_oracle import exhaustive_projector_family
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=2, max_value=4)

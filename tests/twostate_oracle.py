@@ -8,12 +8,22 @@ agree with the row rules exactly, not just within a tolerance; the coherent
 bundle rebuilds a whole history per string, merging terms whose strings
 coincide, and sums its chains with the per-term loop of
 ``histories_oracle``, so there the engine may differ in rounding.
+
+``history_bundle`` writes each outcome string of an experiment as its own
+projector-string history between the boundary projectors, so its normalized
+chain weights are a second route to the outcome table.
+``earlier_marginal_deviation`` measures how much an earlier slot's marginal
+moves when only the later setting changes.
 """
 
 import itertools
+import math
 
-from qhist.histories import HistoryState
-from qhist.linalg import as_ket, as_matrix, identity
+import numpy as np
+
+from qhist.histories import BridgingSet, HistoryState, TimeGrid
+from qhist.linalg import as_ket, as_matrix, identity, projector
+from qhist.twostate import ZERO_WEIGHT_TOL, sequence_distribution
 
 from histories_oracle import as_lists, chain_operator_sum, loop_matmul, loop_pairing, loop_sum
 
@@ -84,3 +94,36 @@ def coherent_bundle_weights(h, b, measured) -> dict:
         tr = loop_sum(k[i][i] for i in range(min(len(k), len(k[0]))))
         weights[string] = tr.real * tr.real + tr.imag * tr.imag
     return weights
+
+
+def history_bundle(exp):
+    """(outcome string, normalized history, probability, bridging) for each
+    string of ``sequence_distribution(exp)`` with a nonzero probability."""
+    d = exp.dim
+    grid = TimeGrid.regular(len(exp.slots) + 2, d)
+    bridging = BridgingSet(grid, exp.unitaries)
+    pre_op = projector(exp.pre)
+    post_op = identity(d) if exp.post is None else projector(exp.post)
+    # slot k's operator for each outcome character ("" when unmeasured)
+    options = [{"": identity(d)} if s is None else dict(zip("+-", s.projectors())) for s in exp.slots]
+    bundle = []
+    for string, p in sequence_distribution(exp).table.items():
+        if p <= ZERO_WEIGHT_TOL:
+            continue
+        chars = dict(zip(exp.measured_indices, string))
+        ops = [pre_op, *(opts[chars.get(k, "")] for k, opts in enumerate(options)), post_op]
+        scale = 1.0 / math.prod(map(np.linalg.norm, ops))
+        bundle.append((string, HistoryState.from_slots(grid, ops, scale), p, bridging))
+    return bundle
+
+
+def earlier_marginal_deviation(dist_family) -> float:
+    """Largest change of a first-slot marginal between two-slot distributions
+    keyed by (first label, second label) that share the first label."""
+    deviation = 0.0
+    for x in {x for x, _ in dist_family}:
+        dists = [d for (first, _), d in dist_family.items() if first == x]
+        for a in "+-":
+            values = [d.marginal(0)[a] for d in dists]
+            deviation = max(deviation, max(values) - min(values))
+    return deviation
