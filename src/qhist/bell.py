@@ -40,7 +40,7 @@ import numpy as np
 from .errors import ShapeError
 from .histories import _chains, _collapse_weights
 from .linalg import (
-    check_unitary, density_operator, dichotomic_projectors, identity, max_abs, maximally_mixed, pauli,
+    check_unitary, density_operator, identity, max_abs, maximally_mixed, pauli,
 )
 from .twostate import MeasurementSetting
 
@@ -55,7 +55,6 @@ __all__ = [
     "OptimizeResult",
     "MAX_CHAIN_BLOCKS",
     "MAX_RESTARTS",
-    "correlator_tables",
     "temporal_correlator",
     "s_lgi",
     "classical_bound_bruteforce",
@@ -138,39 +137,19 @@ class BellReport:
             raise ValueError("value does not match the correlator combination")
 
 
-def correlator_tables(initial, firsts, unitaries, seconds) -> np.ndarray:
-    """Two-time correlator tables for a stack of settings.
-
-    ``firsts`` and ``seconds`` are (N, k, d, d) stacks of dichotomic
-    observables and ``unitaries`` is one (d, d) unitary, an (N, d, d) stack,
-    or None for trivial evolution.  Entry [n, i, j] is
+def _tables(rho, first_pairs, u, second_pairs) -> np.ndarray:
+    """Two-time correlator tables: entry [n, i, j] is
 
         E = sum over a, b of a * b * Tr(P_b U P_a rho P_a U^dag P_b)
 
-    for firsts[n, i], unitaries[n] and seconds[n, j], computed with the same
+    for the (P+, P-) pairs first_pairs[n, i] and second_pairs[n, j] and the
+    unitary u (one (d, d) matrix or one per n), computed with the same
     floating-point operations in the same order for every entry, so a value
-    does not depend on the size of the stack or on its other entries.
-    """
-    rho = density_operator(initial)
-    d = rho.shape[0]
-    firsts, seconds = (np.asarray(o, dtype=complex) for o in (firsts, seconds))
-    for obs in (firsts, seconds):
-        if obs.ndim != 4 or obs.shape[-2:] != (d, d) or len(obs) != len(firsts):
-            raise ShapeError(f"observables must be (N, k, {d}, {d}) stacks with one N")
-    u = _check_unitary(unitaries, d)
-    if u.ndim == 3 and len(u) != len(firsts):
-        raise ShapeError("need one unitary per stack entry")
-    # one check over both stacks, then each setting's (P+, P-) pair back per stack
-    k = firsts.shape[1]
-    pairs = np.moveaxis(dichotomic_projectors(np.concatenate([firsts, seconds], axis=1)), 0, -3)
-    return _tables(rho, pairs[:, :k], u, pairs[:, k:])
-
-
-def _tables(rho, first_pairs, u, second_pairs) -> np.ndarray:
-    """``correlator_tables`` on a checked state and unitary and (N, k, 2, d, d)
-    stacks of checked (P+, P-) pairs; only their dimension and the range of
-    the correlators are checked here.  Entry (n, i, j) is one kernel batch
-    entry, its unitary a one-outcome slot, and string ab's chain P_b U P_a."""
+    does not depend on the size of the stack or on its other entries.  The
+    state, the unitary and the (N, k, 2, d, d) pair stacks come checked; only
+    their dimension and the range of the correlators are checked here.
+    Entry (n, i, j) is one kernel batch entry, its unitary a one-outcome
+    slot, and string ab's chain P_b U P_a."""
     d = rho.shape[0]
     if first_pairs.shape[-1] != d or second_pairs.shape[-1] != d:
         raise ShapeError(f"observables must be (N, k, {d}, {d}) stacks with one N")
@@ -199,10 +178,11 @@ def temporal_correlator(
     initial, first: MeasurementSetting, unitary, second: MeasurementSetting
 ) -> float:
     """Two-time correlator under nonselective collapse at the first time."""
-    table = correlator_tables(
-        initial, first.observable[None, None], unitary, second.observable[None, None]
-    )
-    return float(table[0, 0, 0])
+    rho = density_operator(initial)
+    u = _check_unitary(unitary, rho.shape[0])
+    if u.ndim != 2:
+        raise ShapeError("unitary must be a single matrix")
+    return float(_tables(rho, first.projectors()[None, None], u, second.projectors()[None, None])[0, 0, 0])
 
 
 def _report(table, settings, mode: str) -> BellReport:

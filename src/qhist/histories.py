@@ -142,24 +142,45 @@ def _require_same_grid(a: TimeGrid, b: TimeGrid) -> None:
         raise GridMismatchError("objects are defined on different time grids")
 
 
+# entries of the (row length, rows, rows) difference stack that _merge_rows
+# holds at once; a block has at least one row, as one row against all the rest
+_MERGE_BLOCK = 1 << 17
+
+
 def _merge_rows(rows: np.ndarray) -> tuple[list[int], np.ndarray]:
     """First-match merge of term rows: row t joins the first earlier
     unmerged row within MERGE_TOL in every entry.  Returns the unmerged rows'
-    indices, in order, and each row's position among them."""
-    kept = np.empty_like(rows)
-    firsts: list[int] = []
-    group = np.empty(len(rows), dtype=int)
-    for t, row in enumerate(rows):
-        n = len(firsts)
-        if n:
-            hits = np.flatnonzero(np.abs(kept[:n] - row).max(axis=1) <= MERGE_TOL)
-            if hits.size:
-                group[t] = hits[0]
-                continue
-        kept[n] = row
-        group[t] = n
-        firsts.append(t)
-    return firsts, group
+    indices, in order, and each row's position among them.
+
+    A block of rows is compared with every row up to its end at once, entry
+    by entry along the leading axis of the transposed rows (|a - b| is
+    symmetric, and a NaN entry matches nothing); the first unmerged match of
+    each row is then read off the pairs that matched, in order."""
+    n_rows = len(rows)
+    if n_rows < 2:
+        return list(range(n_rows)), np.zeros(n_rows, dtype=int)
+    cols = np.ascontiguousarray(rows.T)
+    step = max(1, _MERGE_BLOCK // rows.size)
+    pos: dict[int, int] = {}  # each unmerged row's position among them
+    unmerged = np.zeros(n_rows, dtype=bool)
+    group = np.empty(n_rows, dtype=int)
+    for start in range(0, n_rows, step):
+        stop = min(n_rows, start + step)
+        close = np.abs(cols[:, start:stop, None] - cols[:, None, :stop]).max(axis=0) <= MERGE_TOL
+        if start:
+            close[:, :start] &= unmerged[:start]  # the rows before the block are settled
+        earlier: list[list[int]] = [[] for _ in range(start, stop)]
+        ts, js = np.nonzero(close)
+        for t, j in zip(ts.tolist(), js.tolist()):
+            if j < start + t:
+                earlier[t].append(j)
+        for t, hits in enumerate(earlier, start):
+            g = next((pos[j] for j in hits if j in pos), None)
+            if g is None:
+                g = pos[t] = len(pos)
+                unmerged[t] = True
+            group[t] = g
+    return list(pos), group
 
 
 def _uncancelled(coefs: np.ndarray) -> list[int]:

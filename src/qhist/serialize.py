@@ -2,7 +2,9 @@
 
 Output side: ``to_jsonable`` turns any result object from this package into
 plain JSON types by one rule: a dataclass becomes the mapping of its fields,
-each encoded in turn.  Complex scalars and complex arrays are encoded as
+each encoded in turn.  The encoder of a value is chosen by its class alone,
+once per class (``_encoder``), not by a chain of ``isinstance`` tests per
+value.  Complex scalars and complex arrays are encoded as
 nested arrays of ``[re, im]`` pairs; real arrays (correlator tables) become
 nested floats, and quantities that are real by construction (probabilities,
 correlators, bounds) stay plain floats.  A few types whose document is not
@@ -14,10 +16,18 @@ document) and outcome distributions (a table sorted by outcome string).
 {name, artifacts, notes}.
 
 ``dumps_json`` writes a document exactly as ``json.dumps(doc, indent=2,
-sort_keys=True)`` would, but joins each container once, mapping its keys
-and its all-float or all-string items through C-level functions, so a
-2**n-row table is not walked value by value in Python.  CSV tables keep
-``csv.writer`` quoting; an outcome table whose keys need none is one join.
+sort_keys=True)`` would, but without visiting values one by one in Python.
+A uniform float block (nonempty lists or tuples nested to one depth, one
+length per level, every leaf an exact, finite ``float``: correlator rows,
+[re, im] pairs, a T x T x 2 consistency matrix, a slot stack) is one ``%``
+call on a template of its shape and indentation, ``%r`` per leaf; templates
+of small blocks are kept in a bounded cache.  Only an exact ``float`` is a
+leaf: ``float.__repr__`` is json's text for it, while a subclass such as
+``np.float64``, NaN and the infinities keep json's own scalar text.  Any
+other container is joined once, its keys and its all-float or all-string
+items mapped through C-level functions, so a 2**n-row table is one join.
+CSV tables keep ``csv.writer`` quoting; an outcome table whose keys need
+none is one ``%`` call.
 
 Input side: small parsers for the human-writable spec files the command line
 accepts.  States may be named ("0", "1", "+", "-", "i+", "i-") or explicit
@@ -30,12 +40,13 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import io
 import itertools
 import json
 import math
 import sys
-from typing import Mapping
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -71,9 +82,12 @@ NAMED_PROJECTOR_KETS = {
 # Size bounds on history specs, checked before any HistoryState is built.
 # `weight` computes and reports the T x T term consistency matrix, so its
 # cost is quadratic in the term count: with four qubit slots, 256 terms take
-# 0.6 s wall, 512 take 1.9 s and 1024 take 7.3 s on a 2-CPU VM, about half
-# of it writing the matrix's JSON.  Slot operators are dense d x d matrices:
-# 16 terms of four 64 x 64 slots take 0.9 s, most of it parsing 12 MB of JSON.
+# 0.23 s wall from a cold start (0.12 s in-process, 0.08 s of it writing the
+# matrix's 6 MB of JSON, 0.06 s of that float.__repr__ over its 131072
+# values); past the bound, 512 terms take 0.49 s in-process and 1024 take
+# 2.2 s, four fifths of it writing, on a 2-CPU x86-64 VM.  Slot operators
+# are dense d x d matrices: 16 terms of four 64 x 64 slots take 0.47 s cold,
+# most of it parsing 11 MB of JSON.
 MAX_HISTORY_TERMS = 256
 MAX_SLOT_DIM = 64
 
@@ -133,32 +147,57 @@ _ENCODERS = {
 }
 
 
+def _same(obj):
+    return obj
+
+
+def _array(a: np.ndarray) -> list:
+    return matrix_document(a) if np.iscomplexobj(a) else a.astype(float).tolist()
+
+
+def _sequence(items) -> list:
+    return list(map(to_jsonable, items))
+
+
+def _mapping(m) -> dict:
+    return {str(k): to_jsonable(v) for k, v in m.items()}
+
+
+def _unknown(obj):
+    raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+@functools.cache
+def _encoder(cls: type):
+    """The encoder of ``cls``'s instances: the first rule that matches, tested
+    once per class rather than once per value."""
+    if cls is type(None) or issubclass(cls, (bool, int, str)):
+        return _same
+    if issubclass(cls, (float, np.floating)):
+        return float
+    if issubclass(cls, (complex, np.complexfloating)):
+        return complex_pair
+    if issubclass(cls, np.bool_):
+        return bool
+    if issubclass(cls, np.integer):
+        return int
+    if issubclass(cls, np.ndarray):
+        return _array
+    if issubclass(cls, (list, tuple)):
+        return _sequence
+    if issubclass(cls, Mapping):
+        return _mapping
+    if cls in _ENCODERS:
+        return _ENCODERS[cls]
+    # a dataclass instance, not a dataclass itself (whose class is ``type``)
+    if dataclasses.is_dataclass(cls) and not issubclass(cls, type):
+        return _fields
+    return _unknown
+
+
 def to_jsonable(obj):
     """Recursively convert package objects to plain JSON-compatible types."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return complex_pair(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        if np.iscomplexobj(obj):
-            return matrix_document(obj)
-        return obj.astype(float).tolist()
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(x) for x in obj]
-    if isinstance(obj, Mapping):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    encoder = _ENCODERS.get(type(obj))
-    if encoder is not None:
-        return encoder(obj)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _fields(obj)
-    raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
+    return _encoder(type(obj))(obj)
 
 
 def document(name: str, artifacts, notes=()) -> dict:
@@ -181,23 +220,53 @@ _encode_scalar = json.JSONEncoder().encode
 _encode_str = json.encoder.encode_basestring_ascii
 
 
+# a uniform float block deeper than this (or a list that holds itself) takes
+# the per-item route, where json's own recursion rules apply
+_MAX_BLOCK_DEPTH = 16
+# templates of blocks up to this many leaves are kept; a larger one costs
+# less to build than to fill, and a 256 x 256 x 2 one takes 2.5 MB
+_CACHED_LEAVES = 2048
+
+
+def _block(items):
+    """(shape, leaves) of a uniform float block: nonempty lists and tuples
+    nested to one depth with one length per level, every leaf an exact, finite
+    ``float`` (a subclass such as ``np.float64`` prints as json prints it, not
+    as ``float.__repr__``).  None for anything else."""
+    shape = [len(items)]
+    while len(shape) <= _MAX_BLOCK_DEPTH:
+        kinds = set(map(type, items))
+        if kinds == {float}:
+            return (tuple(shape), tuple(items)) if math.isfinite(sum(items)) else None
+        if not kinds <= {list, tuple}:
+            return None
+        lengths = set(map(len, items))
+        if len(lengths) != 1 or 0 in lengths:
+            return None
+        shape.append(lengths.pop())
+        items = list(itertools.chain.from_iterable(items))
+    return None
+
+
+def _template(shape: tuple, indent: str) -> str:
+    """The indent=2 text of a block of ``shape`` at ``indent``, with ``%r``
+    (``float.__repr__`` for an exact float) for each leaf."""
+    inner = indent + "  "
+    item = "%r" if len(shape) == 1 else _template(shape[1:], inner)
+    return "[" + inner + ("," + inner).join([item] * shape[0]) + indent + "]"
+
+
+_small_template = functools.lru_cache(maxsize=256)(_template)
+
+
 def _texts(items, indent: str):
     """JSON texts of a container's items: one C-level map when they are all
-    finite floats, all strings, or all float rows of one length ([re, im]
-    pairs, correlator rows), one ``_write`` each otherwise."""
+    finite floats or all strings, one ``_write`` each otherwise."""
     kinds = set(map(type, items))
     if kinds == {float} and math.isfinite(sum(items)):
         return map(float.__repr__, items)
     if kinds == {str}:
         return map(_encode_str, items)
-    if kinds <= {list, tuple}:
-        lengths = set(map(len, items))
-        flat = list(itertools.chain.from_iterable(items))
-        if len(lengths) == 1 and set(map(type, flat)) == {float} and math.isfinite(sum(flat)):
-            # str.format writes a float as float.__repr__ does
-            inner = indent + "  "
-            row = "[" + inner + ("," + inner).join(["{}"] * lengths.pop()) + indent + "]"
-            return itertools.starmap(row.format, items)
     return [_write(x, indent) for x in items]
 
 
@@ -209,6 +278,11 @@ def _write(obj, indent: str) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        block = _block(obj)
+        if block is not None:
+            shape, leaves = block
+            template = _small_template if len(leaves) <= _CACHED_LEAVES else _template
+            return template(shape, indent) % leaves
         inner = indent + "  "
         return "[" + inner + ("," + inner).join(_texts(obj, inner)) + indent + "]"
     if isinstance(obj, dict):
@@ -226,7 +300,8 @@ def dumps_json(doc: dict) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline, byte for byte.
 
     ``indent`` sends ``json`` to its pure-Python encoder, which visits every
-    value of a 2**n-row table in Python; this writer joins each container
+    value of a 2**n-row table in Python; this writer fills each uniform
+    float block's template in one ``%`` call and joins every other container
     once instead.  What it cannot write (keys that are not strings, objects
     that are not JSON, nesting past the recursion limit) goes to ``json``
     itself, so json's text or error is the result there too.
@@ -274,13 +349,17 @@ def dumps_csv(doc: dict) -> str:
 
 def distribution_csv(dist: OutcomeDistribution) -> str:
     """The table as outcome,probability rows sorted by outcome, numbers as
-    ``format_number`` writes them.  When no outcome needs ``csv`` quoting
-    (none is empty or holds a comma, a quote or a line break) the rows are
-    one ``str.join``; otherwise ``csv.writer`` writes them in one ``writerows``."""
+    ``format_number`` writes them (``%.12g`` and ``{:.12g}`` print alike).
+    When no outcome needs ``csv`` quoting (none is empty or holds a comma, a
+    quote or a line break) the rows are one ``%`` call; otherwise
+    ``csv.writer`` writes them in one ``writerows``."""
     outcomes, probabilities = _sorted_table(dist)
     joined = "".join(outcomes)
     if all(outcomes) and not any(c in joined for c in ',"\r\n'):
-        return "outcome,probability\r\n" + "".join(map("{},{:.12g}\r\n".format, outcomes, probabilities))
+        cells = [None] * (2 * len(outcomes))
+        cells[::2] = outcomes
+        cells[1::2] = probabilities
+        return "outcome,probability\r\n" + ("%s,%.12g\r\n" * len(outcomes)) % tuple(cells)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["outcome", "probability"])

@@ -7,6 +7,9 @@ reading from full three-slot outcome tables.  The batched routes must agree
 with the first two exactly, not just within a tolerance.
 ``table_from_distributions`` reads a correlator table off two-slot outcome
 distributions, a route that shares no code with the correlator kernel.
+``correlator_tables`` is the kernel's stacked entry point for observables as
+given: every input checked, then ``bell._tables`` over (N, k) settings with
+one unitary or one per entry.
 
 The correlator loop and ``processes_mixture`` are plain-Python complex
 arithmetic in the chain kernel's order (``loop_matmul``, ``loop_pairing``,
@@ -19,7 +22,9 @@ import math
 
 import numpy as np
 
-from qhist.linalg import as_matrix, identity
+from qhist.bell import _check_unitary, _tables
+from qhist.errors import ShapeError
+from qhist.linalg import as_matrix, density_operator, dichotomic_projectors, identity
 from qhist.twostate import mixed_sequence_distribution
 
 from histories_oracle import as_lists, loop_matmul, loop_pairing, loop_sum
@@ -69,6 +74,29 @@ def correlator_table(rho, firsts, unitary, seconds) -> np.ndarray:
         for j, b_set in enumerate(seconds):
             table[i, j] = temporal_correlator(rho, a_set, unitary, b_set)
     return table
+
+
+def correlator_tables(initial, firsts, unitaries, seconds) -> np.ndarray:
+    """Two-time correlator tables for a stack of settings.
+
+    ``firsts`` and ``seconds`` are (N, k, d, d) stacks of dichotomic
+    observables and ``unitaries`` is one (d, d) unitary, an (N, d, d) stack,
+    or None for trivial evolution.  Entry [n, i, j] is the correlator of
+    firsts[n, i], unitaries[n] and seconds[n, j], from ``bell._tables``.
+    """
+    rho = density_operator(initial)
+    d = rho.shape[0]
+    firsts, seconds = (np.asarray(o, dtype=complex) for o in (firsts, seconds))
+    for obs in (firsts, seconds):
+        if obs.ndim != 4 or obs.shape[-2:] != (d, d) or len(obs) != len(firsts):
+            raise ShapeError(f"observables must be (N, k, {d}, {d}) stacks with one N")
+    u = _check_unitary(unitaries, d)
+    if u.ndim == 3 and len(u) != len(firsts):
+        raise ShapeError("need one unitary per stack entry")
+    # one check over both stacks, then each setting's (P+, P-) pair back per stack
+    k = firsts.shape[1]
+    pairs = np.moveaxis(dichotomic_projectors(np.concatenate([firsts, seconds], axis=1)), 0, -3)
+    return _tables(rho, pairs[:, :k], u, pairs[:, k:])
 
 
 def table_from_distributions(dists) -> np.ndarray:

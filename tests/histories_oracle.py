@@ -12,6 +12,9 @@ package's stacked Gram kernel and vectorized term merge replace: a product
 of per-slot ``np.vdot`` pairings for every term pair, and a comparison of
 every incoming term with every merged one, slot by slot.
 
+``merge_rows`` is the row-at-a-time loop the package's blocked row merge
+replaces: each row is compared with every unmerged row before it, in order.
+
 ``pairwise_purity`` and ``pairwise_mixed_overlap`` are the member-by-member
 loops the package's term coordinates replace: one ``pairwise_hs_inner`` per
 member pair, or per member against the target.
@@ -128,6 +131,25 @@ def merge_terms(terms) -> list:
         kept = [(c, eh) for c, eh in merged if abs(c) > 1e-15 * scale]
         merged = kept or merged[:1]
     return merged
+
+
+def merge_rows(rows: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """(indices of the unmerged rows, each row's position among them): row t
+    joins the first earlier unmerged row within MERGE_TOL in every entry."""
+    kept = np.empty_like(rows)
+    firsts: list[int] = []
+    group = np.empty(len(rows), dtype=int)
+    for t, row in enumerate(rows):
+        n = len(firsts)
+        if n:
+            hits = np.flatnonzero(np.abs(kept[:n] - row).max(axis=1) <= MERGE_TOL)
+            if hits.size:
+                group[t] = hits[0]
+                continue
+        kept[n] = row
+        group[t] = n
+        firsts.append(t)
+    return firsts, group
 
 
 def as_lists(a) -> list:

@@ -29,12 +29,11 @@ from qhist.bell import (
     MAX_CHAIN_BLOCKS,
     MAX_RESTARTS,
     _quadratic_form,
-    correlator_tables,
 )
 from qhist.linalg import maximally_mixed, pauli, projector, qubit_ket
 from qhist.twostate import bloch_observables
 
-from bell_oracle import table_from_distributions
+from bell_oracle import correlator_tables, table_from_distributions
 from conftest import SQRT2, open_certificate, random_dichotomic, random_ket
 
 RHO = maximally_mixed(2)

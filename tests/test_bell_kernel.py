@@ -21,11 +21,12 @@ from qhist import (
     temporal_correlator,
 )
 from qhist import ShapeError, bell
-from qhist.bell import MAX_CHAIN_BLOCKS, correlator_tables
+from qhist.bell import MAX_CHAIN_BLOCKS
 from qhist.linalg import maximally_mixed, pauli
 from qhist.twostate import bloch_observables
 
 import bell_oracle
+from bell_oracle import correlator_tables
 from conftest import random_unitary
 
 
@@ -168,9 +169,9 @@ class TestUnitarityChecks:
 
 
 class TestChecksOnce:
-    """``s_lgi`` and ``monogamy_sum`` read each setting's own checked
-    projector pair and check the state once: the same tables as the public
-    kernel, which checks everything it is given."""
+    """``s_lgi``, ``monogamy_sum`` and ``temporal_correlator`` read each
+    setting's own checked projector pair and check the state once: the same
+    tables as the oracle's stacked route, which checks everything it is given."""
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_same_tables_as_the_checked_kernel(self, rng, d):
@@ -191,23 +192,41 @@ class TestChecksOnce:
             second = correlator_tables(mixed, stack([b]), u2, stack([c]))[0]
             assert chained.second_pair.correlators.tobytes() == second.tobytes()
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_temporal_correlator_is_the_stacked_route(self, rng, d):
+        for _ in range(20):
+            rho = random_state(rng, d)
+            a, b = random_setting(rng, d), random_setting(rng, d)
+            for u in (random_unitary(rng, d), None):
+                want = correlator_tables(rho, stack([[a]]), u, stack([[b]]))[0, 0, 0]
+                assert temporal_correlator(rho, a, u, b) == want
+
+    def test_temporal_correlator_takes_one_unitary(self):
+        z = MeasurementSetting.from_pauli("Z")
+        with pytest.raises(ShapeError, match="single matrix"):
+            temporal_correlator(maximally_mixed(2), z, np.stack([np.eye(2)] * 2), z)
+
     @pytest.mark.parametrize("mode", ["independent_ensembles", "chained_single_system"])
     def test_monogamy_checks_each_input_once(self, rng, monkeypatch, mode):
         a, b, c = ([random_setting(rng, 2) for _ in range(2)] for _ in range(3))
-        calls = {"density_operator": 0, "dichotomic_projectors": 0}
-        for name in calls:
-            real = getattr(bell, name)
+        # settings arrive with their checked pairs: the layer checks no observable
+        assert not hasattr(bell, "dichotomic_projectors")
+        calls = {"density_operator": 0}
+        real = bell.density_operator
 
-            def counted(*args, _real=real, _name=name, **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
+        def counted(*args, **kwargs):
+            calls["density_operator"] += 1
+            return real(*args, **kwargs)
 
-            monkeypatch.setattr(bell, name, counted)
+        monkeypatch.setattr(bell, "density_operator", counted)
         monogamy_sum(random_state(rng, 2), a, b, c, unitaries=(random_unitary(rng, 2), None), mode=mode)
-        assert calls == {"density_operator": 1, "dichotomic_projectors": 0}
+        assert calls == {"density_operator": 1}
         calls.update(density_operator=0)
         s_lgi(CorrelatorSpec(random_state(rng, 2), tuple(a), tuple(b)))
-        assert calls == {"density_operator": 1, "dichotomic_projectors": 0}
+        assert calls == {"density_operator": 1}
+        calls.update(density_operator=0)
+        temporal_correlator(random_state(rng, 2), a[0], None, b[1])
+        assert calls == {"density_operator": 1}
 
     def test_setting_dimension_still_checked(self):
         z, q = MeasurementSetting.from_pauli("Z"), MeasurementSetting("Q", np.diag([1.0, -1.0, 1.0]))

@@ -24,6 +24,7 @@ from qhist.histories import BridgingSet, ElementaryHistory, HistoryState, TimeGr
 from qhist.linalg import maximally_mixed
 from qhist.twostate import MeasurementSetting, TwoTimeExperiment
 
+import bell_oracle
 from conftest import random_ket, random_unitary
 
 # every subscript string the chain path uses, with where it is used
@@ -119,7 +120,7 @@ def _exercise_chain_path(rng):
         for mode in ("independent_ensembles", "chained_single_system"):
             bell.monogamy_sum(rho, a, b_, c, unitaries=unitaries[:2], mode=mode)
         obs = np.array([[[s.observable for s in row] for row in pair] for pair in ((a, b_), (b_, c), (c, a))])
-        bell.correlator_tables(rho, obs[:, 0], np.array(unitaries[:3]), obs[:, 1])
+        bell_oracle.correlator_tables(rho, obs[:, 0], np.array(unitaries[:3]), obs[:, 1])
     # a slot dimension that grows: rectangular bridges and a non-square chain
     h = normalize(_history(rng, (2, 3, 3), 2))
     b = BridgingSet(h.grid, (random_unitary(rng, 3)[:, :2], random_unitary(rng, 3)))

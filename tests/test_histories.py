@@ -32,6 +32,8 @@ from qhist import (
     temporal_partial_trace,
     weight,
 )
+from qhist import histories
+from qhist.histories import MERGE_TOL
 from qhist.linalg import bell_pair_ket, identity, partial_trace, pauli, projector, qubit_ket
 
 import histories_oracle
@@ -425,6 +427,53 @@ class TestGeometryAgainstPairwiseOracle:
                           * histories_oracle.pairwise_hs_inner(g, g).real)
         for a, b in ((h, h), (h, g), (g, h)):
             assert abs(hs_inner(a, b) - histories_oracle.pairwise_hs_inner(a, b)) <= 1e-13 * scale
+
+
+def _planted_rows(rng, n_rows: int, length: int) -> np.ndarray:
+    """Random complex rows, some of them copies of an earlier row moved by
+    0.5, 0.9, 1.1 or 2 MERGE_TOL in one entry, some with a NaN or an
+    infinite entry."""
+    rows = rng.normal(size=(n_rows, length)) + 1j * rng.normal(size=(n_rows, length))
+    for t in range(1, n_rows):
+        kind = rng.integers(4)
+        if kind == 0:
+            rows[t] = rows[rng.integers(t)]
+            rows[t, rng.integers(length)] += rng.choice([0.0, 0.5, 0.9, 1.1, 2.0]) * MERGE_TOL
+        elif kind == 1:
+            rows[t, rng.integers(length)] = rng.choice([np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+    return rows
+
+
+class TestMergeRows:
+    """The blocked row merge against the row-at-a-time loop it replaces."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    @pytest.mark.parametrize("block", [1 << 18, 1, 37])
+    def test_matches_the_loop(self, seed, block, monkeypatch):
+        monkeypatch.setattr(histories, "_MERGE_BLOCK", block)
+        rng = np.random.default_rng(seed)
+        rows = _planted_rows(rng, int(rng.integers(1, 40)), int(rng.integers(1, 10)))
+        with np.errstate(invalid="ignore"):  # inf - inf
+            firsts, group = histories._merge_rows(rows)
+            want_firsts, want_group = histories_oracle.merge_rows(rows)
+        assert firsts == want_firsts
+        assert group.tolist() == want_group.tolist()
+
+    def test_first_unmerged_row_wins(self):
+        tol = MERGE_TOL
+        # row 2 is within MERGE_TOL of rows 0 and 1, which are apart: it joins row 0
+        firsts, group = histories._merge_rows(np.array([[0.0], [1.5 * tol], [0.75 * tol]], dtype=complex))
+        assert firsts == [0, 1] and group.tolist() == [0, 1, 0]
+        # row 2 is within MERGE_TOL only of row 1, which is merged: it is a string of its own
+        firsts, group = histories._merge_rows(np.array([[0.0], [0.75 * tol], [1.6 * tol]], dtype=complex))
+        assert firsts == [0, 2] and group.tolist() == [0, 0, 1]
+
+    def test_single_and_non_finite_rows(self):
+        assert histories._merge_rows(np.ones((1, 4), dtype=complex))[0] == [0]
+        nan = np.full((3, 2), np.nan, dtype=complex)
+        assert histories._merge_rows(nan)[0] == [0, 1, 2]
+        with np.errstate(invalid="ignore"):
+            assert histories._merge_rows(np.full((2, 2), np.inf, dtype=complex))[0] == [0, 1]
 
 
 class TestTemporalPartialTrace:

@@ -1,10 +1,14 @@
 """Document encoding, CSV rendering, and spec-file parsing."""
 
+import collections
 import csv
+import dataclasses
+import enum
 import io
 import itertools
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -32,6 +36,7 @@ from qhist.serialize import (
     MAX_HISTORY_TERMS,
     MAX_SLOT_DIM,
     SpecError,
+    _block,
     bell_spec_from_document,
     complex_pair,
     distribution_csv,
@@ -52,6 +57,40 @@ from qhist.serialize import (
     trace_csv,
     unitary_from_document,
 )
+
+import serialize_oracle
+
+
+class _Colour(enum.IntEnum):
+    RED = 1
+
+
+class _Name(str):
+    pass
+
+
+class _Real(float):
+    pass
+
+
+@dataclasses.dataclass
+class _Point:
+    x: float
+    tags: tuple
+
+
+# one value of each kind the encoder dispatches on, by its class
+_CHAIN_CASES = [
+    None, True, 3, "s", 0.25, 1.5 - 2j,
+    _Colour.RED, _Name("n"), _Real(0.5),
+    np.str_("x"), np.float32(0.1), np.float64(0.2), np.complex64(1 - 2j), np.bool_(True), np.int8(-3),
+    np.array([[1, 2]], dtype=np.int16), np.array([1j, 2.0]),
+    [np.float32(1.5), (np.int8(2), _Name("m"))],
+    types.MappingProxyType({"a": np.float32(1.0)}),
+    collections.OrderedDict([(2, np.bool_(False)), ("b", [_Real(2.0)])]),
+    _Point(np.float32(0.5), (1, np.complex64(1j))),
+    _Point, object(), {1j}, b"bytes",
+]
 
 
 class TestEncoding:
@@ -102,6 +141,19 @@ class TestEncoding:
     def test_unknown_type_raises(self):
         with pytest.raises(TypeError):
             to_jsonable(object())
+
+    @pytest.mark.parametrize("obj", _CHAIN_CASES, ids=lambda obj: type(obj).__name__)
+    def test_matches_the_isinstance_chain(self, obj):
+        try:
+            want = serialize_oracle.to_jsonable(obj)
+        except TypeError as exc:
+            with pytest.raises(TypeError) as got:
+                to_jsonable(obj)
+            assert str(got.value) == str(exc)
+            return
+        got = to_jsonable(obj)
+        assert got == want
+        assert repr(got) == repr(want)  # the same types, np.float64 and str subclasses included
 
     def test_scenario_document_roundtrips_through_json(self):
         res = run_scenario("mach-zehnder")
@@ -159,13 +211,49 @@ class TestHistoryStateEncoder:
 
 
 # Strings with quotes, backslashes, control characters and non-ASCII text.
-_TEXT = st.one_of(st.text(max_size=8), st.sampled_from(['', '"', "\\", "\x00\x1f\t\n", "é☃\U0001f600"]))
+_TEXT = st.one_of(st.text(max_size=8),
+                  st.sampled_from(['', '"', "\\", "\x00\x1f\t\n", "é☃\U0001f600", "%", "%r", "%%s"]))
 _FLOATS = st.one_of(
     st.floats(),
     st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-310, 1.7976931348623157e308]),
     st.floats().map(np.float64),
 )
 _SCALARS = st.one_of(_FLOATS, st.integers(), st.booleans(), st.none(), _TEXT)
+
+
+def _nested(leaves: list, shape: tuple) -> list:
+    if len(shape) == 1:
+        return leaves
+    size = len(leaves) // shape[0]
+    return [_nested(leaves[i * size:(i + 1) * size], shape[1:]) for i in range(shape[0])]
+
+
+@st.composite
+def _blocks(draw):
+    """Nested float lists of depth 3 or 4, (n, m, 2) pair matrices among
+    them: uniform, or spoiled by one np.float64, NaN, infinite, int or bool
+    leaf, by tuple rows, or by an innermost row that is shorter or empty."""
+    shape = draw(st.one_of(st.tuples(st.integers(1, 4), st.integers(1, 4), st.just(2)),
+                           st.lists(st.integers(1, 3), min_size=3, max_size=4).map(tuple)))
+    size = math.prod(shape)
+    leaves = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=size, max_size=size))
+    spoil = draw(st.sampled_from(["none", "leaf", "tuples", "ragged"]))
+    if spoil == "leaf":
+        leaves[draw(st.integers(0, size - 1))] = draw(st.sampled_from(
+            [np.float64(0.5), math.nan, math.inf, -math.inf, 7, True, False]))
+    block = _nested(leaves, shape)
+    rows = [block]
+    for _ in shape[:-2]:
+        rows = list(itertools.chain.from_iterable(rows))
+    if spoil == "tuples":
+        for i in draw(st.sets(st.integers(0, len(rows) - 1))):
+            rows[i][:] = [tuple(r) for r in rows[i]]
+    elif spoil == "ragged":
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from([[], [1.0], [1.0] * 5]))
+    return block
+
+
 _JSON_DOCS = st.recursive(
     st.one_of(
         _SCALARS,
@@ -175,6 +263,7 @@ _JSON_DOCS = st.recursive(
         st.integers(0, 3).flatmap(lambda n: st.lists(st.lists(_FLOATS, min_size=n, max_size=n), max_size=4)),
         st.lists(st.tuples(st.floats(), st.floats()), max_size=4),
         st.lists(st.one_of(_FLOATS, st.integers(), st.booleans(), st.none()), max_size=6),
+        _blocks(),
     ),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
@@ -206,6 +295,32 @@ class TestJsonWriter:
         ]
         for doc in docs:
             assert dumps_json(doc) == _json_oracle(doc)
+
+    @pytest.mark.parametrize("shape", [(2,), (1, 2), (3, 2, 2), (30, 50, 2)])
+    def test_one_block_shape_at_two_indents(self, rng, shape):
+        # the same block at four depths, written twice: a template kept for
+        # one indent must not be reused at another
+        block = rng.normal(size=shape).tolist()
+        doc = {"a": block, "b": {"c": [block, {"d": block}]}, "e": [[block]]}
+        assert dumps_json(doc) == _json_oracle(doc)
+        assert dumps_json(doc) == _json_oracle(doc)
+
+    def test_uniform_blocks(self):
+        assert _block([[1.0, 2.0], (3.0, 4.0)]) == ((2, 2), (1.0, 2.0, 3.0, 4.0))
+        assert _block(([[0.5]],)) == ((1, 1, 1), (0.5,))
+        # ragged, empty, non-finite or not exact floats: the per-item route
+        for items in ([[1.0], [2.0, 3.0]], [[1.0], [2.0, 3.0], [4.0, 5.0, 6.0]], [[], []], [[1.0], 2.0],
+                      [1.0, math.nan], [[math.inf]], [np.float64(1.0)], [1.0, 1], [True], [[1.0], "a"]):
+            assert _block(items) is None
+
+    @pytest.mark.parametrize("depth", [15, 16, 17, 40])
+    def test_deep_blocks(self, depth):
+        doc = [0.5, 1.5]
+        for _ in range(depth - 1):
+            doc = [doc, doc]
+            if len(json.dumps(doc)) > 1 << 16:
+                doc = [doc[0]]
+        assert dumps_json(doc) == _json_oracle(doc)
 
     def test_keys_json_converts_go_to_json(self):
         doc = {"a": {2: [1.5], 1: None, 0.5: "x"}, "b": {True: 1}}
@@ -291,6 +406,20 @@ class TestCSV:
         assert distribution_csv(dist) == by_csv_writer(dist)
         # an empty key goes to csv.writer
         dist = OutcomeDistribution((), {"": 1.0})
+        assert distribution_csv(dist) == by_csv_writer(dist)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), st.floats().map(np.float64)), min_size=1, max_size=8))
+    def test_distribution_csv_prints_every_float_as_format_number(self, probabilities):
+        def by_csv_writer(dist):
+            buf = io.StringIO()
+            csv.writer(buf).writerows([["outcome", "probability"]] + [
+                [outcome, format_number(dist.table[outcome])] for outcome in sorted(dist.table)])
+            return buf.getvalue()
+
+        outcomes = ["".join(s) for s in itertools.product("+-", repeat=3)][:len(probabilities)]
+        # unchecked, so that any float, NaN and infinities included, is printed
+        dist = OutcomeDistribution._built(tuple("XYZ"), dict(zip(outcomes, probabilities)))
         assert distribution_csv(dist) == by_csv_writer(dist)
 
     def test_trace_csv_columns(self):
