@@ -145,6 +145,10 @@ def _require_same_grid(a: TimeGrid, b: TimeGrid) -> None:
 # entries of the (row length, rows, rows) difference stack that _merge_rows
 # holds at once; a block has at least one row, as one row against all the rest
 _MERGE_BLOCK = 1 << 17
+# a row of at least this many entries is compared alone with the rows before
+# it, along its own contiguous axis; shorter rows go in blocks along the
+# leading axis of the transposed rows, which is faster for them
+_MERGE_LONG_ROW = 256
 
 
 def _merge_rows(rows: np.ndarray) -> tuple[list[int], np.ndarray]:
@@ -154,19 +158,25 @@ def _merge_rows(rows: np.ndarray) -> tuple[list[int], np.ndarray]:
 
     A block of rows is compared with every row up to its end at once, entry
     by entry along the leading axis of the transposed rows (|a - b| is
-    symmetric, and a NaN entry matches nothing); the first unmerged match of
+    symmetric, and a NaN entry matches nothing); a row of at least
+    _MERGE_LONG_ROW entries is a block of its own and is compared with the
+    rows before it only, along its own axis.  The first unmerged match of
     each row is then read off the pairs that matched, in order."""
     n_rows = len(rows)
     if n_rows < 2:
         return list(range(n_rows)), np.zeros(n_rows, dtype=int)
-    cols = np.ascontiguousarray(rows.T)
-    step = max(1, _MERGE_BLOCK // rows.size)
+    long = rows.shape[1] >= _MERGE_LONG_ROW
+    cols = None if long else np.ascontiguousarray(rows.T)
+    step = 1 if long else max(1, _MERGE_BLOCK // rows.size)
     pos: dict[int, int] = {}  # each unmerged row's position among them
     unmerged = np.zeros(n_rows, dtype=bool)
     group = np.empty(n_rows, dtype=int)
     for start in range(0, n_rows, step):
         stop = min(n_rows, start + step)
-        close = np.abs(cols[:, start:stop, None] - cols[:, None, :stop]).max(axis=0) <= MERGE_TOL
+        if long:
+            close = np.abs(rows[:start] - rows[start]).max(axis=1)[None] <= MERGE_TOL
+        else:
+            close = np.abs(cols[:, start:stop, None] - cols[:, None, :stop]).max(axis=0) <= MERGE_TOL
         if start:
             close[:, :start] &= unmerged[:start]  # the rows before the block are settled
         earlier: list[list[int]] = [[] for _ in range(start, stop)]
@@ -411,6 +421,27 @@ def _check_measured_slots(n_measured: int) -> None:
         raise ValueError(f"at most {MAX_MEASURED_SLOTS} measured slots are supported, got {n_measured}")
 
 
+# outcome string tuples of at most this many strings are built once per length
+# and shared (every length up to 14 slots kept: 2.3 MB in all); longer ones,
+# up to MAX_MEASURED_SLOTS = 20 slots (2**20 strings, 81 MB), are built per call
+_SHARED_OUTCOME_STRINGS = 1 << 14
+
+
+def _strings(n: int) -> tuple[str, ...]:
+    return tuple(map("".join, itertools.product("+-", repeat=n)))
+
+
+_shared_strings = functools.cache(_strings)
+
+
+def _outcome_strings(n: int) -> tuple[str, ...]:
+    """The 2**n outcome strings of n measured slots, '+' first with the
+    earliest slot most significant, which is sorted order ('+' is 0x2B, '-'
+    0x2D).  Up to _SHARED_OUTCOME_STRINGS strings, every call for one n
+    returns the same tuple."""
+    return (_shared_strings if 1 << n <= _SHARED_OUTCOME_STRINGS else _strings)(n)
+
+
 def _chains(start: np.ndarray, intervals, slots) -> tuple[tuple[str, ...], np.ndarray]:
     """Every outcome string's chain, carried through a row as one stack.
 
@@ -421,12 +452,14 @@ def _chains(start: np.ndarray, intervals, slots) -> tuple[tuple[str, ...], np.nd
     operator per term (its own, or a unitary).  ``start`` is a (d, m) matrix.
     Returns the outcome strings and a (d', m, 2**n_measured, batch) stack
     whose [:, :, r, b] is string r's chain for term b: '+' first, earliest
-    slot first.  Each step is one einsum over the row index of the stack.
+    slot first, so the strings are in sorted order.  They come from
+    ``_outcome_strings``, which shares one tuple per length across calls up
+    to its bound.  Each step is one einsum over the row index of the stack.
     More than MAX_MEASURED_SLOTS measured slots are rejected before any product.
     """
     n_measured = sum(ops is not None and ops.shape[1] == 2 for ops in slots)
     _check_measured_slots(n_measured)
-    strings = tuple(map("".join, itertools.product("+-", repeat=n_measured)))
+    strings = _outcome_strings(n_measured)
     x = start[:, :, None, None]
     for interval, ops in zip(intervals, slots):
         if interval is not None:

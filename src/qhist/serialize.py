@@ -11,9 +11,10 @@ correlators, bounds) stay plain floats.  A few types whose document is not
 their field mapping have explicit encoders in ``_ENCODERS``: elementary
 histories and history states (slot strings without a per-term grid), mixed
 histories, the optimizer's trace rows, scenario results (the top-level
-document) and outcome distributions (a table sorted by outcome string).
-``document`` wraps everything in the uniform top-level shape
-{name, artifacts, notes}.
+document) and outcome distributions (a table sorted by outcome string; a
+table built from the chain kernel's rows is in that order already and goes
+into the document itself, not a copy).  ``document`` wraps everything in the
+uniform top-level shape {name, artifacts, notes}.
 
 ``dumps_json`` writes a document exactly as ``json.dumps(doc, indent=2,
 sort_keys=True)`` would, but without visiting values one by one in Python.
@@ -26,8 +27,21 @@ leaf: ``float.__repr__`` is json's text for it, while a subclass such as
 ``np.float64``, NaN and the infinities keep json's own scalar text.  Any
 other container is joined once, its keys and its all-float or all-string
 items mapped through C-level functions, so a 2**n-row table is one join.
-CSV tables keep ``csv.writer`` quoting; an outcome table whose keys need
-none is one ``%`` call.
+
+Table route: an outcome table built from the chain kernel's rows
+(``twostate._KernelTable``, until it is changed) holds the kernel's strings
+tuple, '+'/'-' strings in sorted order, and the float list it was built
+from.  Its JSON and its ``distribution_csv`` rows are each one ``%`` call on
+a template made by one join of those strings (``%r`` or ``%.12g`` per
+value), with no sort, no second dict and no per-row text.  The strings
+tuple is shared across calls for tables of up to 2**14 rows
+(``histories._SHARED_OUTCOME_STRINGS``); the template is not kept, as
+joining it costs a few percent of filling it (64 against 2000 us for a
+12-slot table as JSON), while keeping the templates of 6 to 12 slots would
+hold 0.22 MB as JSON and 0.16 MB as CSV.  Any other table (one a
+caller built, changed, or with a non-finite weight) takes the general
+route: sorted, joined as above for JSON, and for CSV one ``%`` call when no
+outcome needs quoting, ``csv.writer`` otherwise.
 
 Input side: small parsers for the human-writable spec files the command line
 accepts.  States may be named ("0", "1", "+", "-", "i+", "i-") or explicit
@@ -57,7 +71,7 @@ from .histories import (
 )
 from .linalg import identity, maximally_mixed, pauli, projector, qubit_ket
 from .scenarios import ScenarioResult
-from .twostate import MeasurementSetting, OutcomeDistribution
+from .twostate import MeasurementSetting, OutcomeDistribution, _KernelTable
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
 
@@ -115,6 +129,19 @@ def _sorted_table(dist: OutcomeDistribution):
     return outcomes, map(float, map(dist.table.__getitem__, outcomes))
 
 
+def _rows(table):
+    """(outcome strings, probabilities) of a table built from the chain
+    kernel's rows and not changed since, None for any other table."""
+    return table.rows if type(table) is _KernelTable else None
+
+
+def _distribution(d: OutcomeDistribution) -> dict:
+    """A table with its rows is already in sorted order and is the document's
+    table itself; any other is sorted into a new dict of floats."""
+    table = d.table if _rows(d.table) is not None else dict(zip(*_sorted_table(d)))
+    return {"settings": list(d.settings), "table": table}
+
+
 def _fields(obj, **encoded) -> dict:
     """The dataclass's fields, each encoded, except those given ``encoded``."""
     doc = {f.name: to_jsonable(getattr(obj, f.name))
@@ -139,10 +166,7 @@ _ENCODERS = {
         {"evaluation": int(n), "angles": [float(a) for a in ang], "value": float(v)}
         for n, ang, v in r.trace
     ]),
-    OutcomeDistribution: lambda d: {
-        "settings": list(d.settings),
-        "table": dict(zip(*_sorted_table(d))),
-    },
+    OutcomeDistribution: _distribution,
     ScenarioResult: lambda r: document(r.name, r.artifacts, r.notes),
 }
 
@@ -286,10 +310,16 @@ def _write(obj, indent: str) -> str:
         inner = indent + "  "
         return "[" + inner + ("," + inner).join(_texts(obj, inner)) + indent + "]"
     if isinstance(obj, dict):
+        inner = indent + "  "
+        rows = _rows(obj)
+        if rows is not None:
+            # sorted '+'/'-' keys, which json writes between quotes as they are
+            strings, probabilities = rows
+            template = "{" + inner + '"' + ('": %r,' + inner + '"').join(strings) + '": %r' + indent + "}"
+            return template % tuple(probabilities)
         if not obj:
             return "{}"
         keys = sorted(obj)
-        inner = indent + "  "
         values = list(map(obj.__getitem__, keys))
         items = map(": ".join, zip(map(_encode_str, keys), _texts(values, inner)))
         return "{" + inner + ("," + inner).join(items) + indent + "}"
@@ -350,9 +380,16 @@ def dumps_csv(doc: dict) -> str:
 def distribution_csv(dist: OutcomeDistribution) -> str:
     """The table as outcome,probability rows sorted by outcome, numbers as
     ``format_number`` writes them (``%.12g`` and ``{:.12g}`` print alike).
-    When no outcome needs ``csv`` quoting (none is empty or holds a comma, a
-    quote or a line break) the rows are one ``%`` call; otherwise
-    ``csv.writer`` writes them in one ``writerows``."""
+    A table with its kernel rows (sorted '+'/'-' strings, which need no
+    quoting) is one ``%`` call on a template joined from its strings.  Any
+    other is sorted; when no outcome needs ``csv`` quoting (none is empty or
+    holds a comma, a quote or a line break) its rows are one ``%`` call,
+    and otherwise ``csv.writer`` writes them in one ``writerows``."""
+    rows = _rows(dist.table)
+    if rows is not None:
+        strings, probabilities = rows
+        template = "outcome,probability\r\n" + ",%.12g\r\n".join(strings) + ",%.12g\r\n"
+        return template % tuple(probabilities)
     outcomes, probabilities = _sorted_table(dist)
     joined = "".join(outcomes)
     if all(outcomes) and not any(c in joined for c in ',"\r\n'):

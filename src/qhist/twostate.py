@@ -14,7 +14,9 @@ is computed by the package's chain kernel, ``histories._chains``, whose
 rows-last stack (d', m, R, batch) holds string r at axis 2, '+' first with
 the earliest slot most significant, for at most ``MAX_MEASURED_SLOTS``
 measured slots (unmeasured slots do not count).  Tables reduce it under the
-kernel's contract, einsum and real elementwise arithmetic with no BLAS.
+kernel's contract, einsum and real elementwise arithmetic with no BLAS, and
+keep the kernel's strings and their probabilities as rows in that (sorted)
+order for the writers (``_KernelTable``).
 """
 
 from __future__ import annotations
@@ -235,12 +237,45 @@ class OutcomeDistribution:
         return total
 
 
-def _normalized(strings: Sequence[str], weights: np.ndarray, labels: tuple[str, ...]) -> OutcomeDistribution:
-    """The distribution of nonnegative ``weights``, one per outcome string."""
+class _KernelTable(dict):
+    """An outcome table built from the chain kernel's rows, in their order.
+
+    ``rows`` holds the kernel's strings tuple (nonempty '+'/'-' strings in
+    sorted order, which JSON and CSV write as they are) and the list of
+    exact, finite floats the table was built from, so a writer can fill one
+    template of the strings instead of sorting and visiting the table.
+    Every method that changes the table drops them (``rows`` None).
+    """
+
+    rows = None
+
+    def __init__(self, strings: tuple[str, ...], probabilities: list[float]):
+        super().__init__(zip(strings, probabilities))
+        self.rows = (strings, probabilities)
+
+
+def _dropping_rows(change):
+    def method(self, *args, **kwargs):
+        self.rows = None
+        return change(self, *args, **kwargs)
+    return method
+
+
+for _name in ("__setitem__", "__delitem__", "__ior__", "clear", "pop", "popitem", "setdefault", "update"):
+    setattr(_KernelTable, _name, _dropping_rows(getattr(dict, _name)))
+
+
+def _normalized(strings: tuple[str, ...], weights: np.ndarray, labels: tuple[str, ...]) -> OutcomeDistribution:
+    """The distribution of nonnegative ``weights``, one per outcome string of
+    the chain kernel (sorted), as a ``_KernelTable`` that keeps its rows when
+    every weight is finite."""
     total = float(np.cumsum(weights)[-1])  # left to right, as on every Python
     if total <= ZERO_WEIGHT_TOL:
         raise ImpossiblePostselectionError("total weight is zero; conditional probabilities undefined")
-    return OutcomeDistribution._built(labels, dict(zip(strings, (weights / total).tolist())))
+    table = _KernelTable(strings, (weights / total).tolist())
+    if not math.isfinite(total):
+        table.rows = None  # a NaN or infinite weight is written as json writes it
+    return OutcomeDistribution._built(labels, table)
 
 
 def _checked_row(d: int, slots, unitaries) -> tuple[np.ndarray, ...]:

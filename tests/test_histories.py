@@ -468,12 +468,66 @@ class TestMergeRows:
         firsts, group = histories._merge_rows(np.array([[0.0], [0.75 * tol], [1.6 * tol]], dtype=complex))
         assert firsts == [0, 2] and group.tolist() == [0, 0, 1]
 
+    @pytest.mark.parametrize("seed", range(30))
+    def test_long_route_matches_the_loop(self, seed, monkeypatch):
+        # every row takes the route of rows of _MERGE_LONG_ROW entries or more
+        monkeypatch.setattr(histories, "_MERGE_LONG_ROW", 1)
+        rng = np.random.default_rng(seed)
+        rows = _planted_rows(rng, int(rng.integers(1, 40)), int(rng.integers(1, 10)))
+        with np.errstate(invalid="ignore"):
+            firsts, group = histories._merge_rows(rows)
+            want_firsts, want_group = histories_oracle.merge_rows(rows)
+        assert firsts == want_firsts
+        assert group.tolist() == want_group.tolist()
+
+    @pytest.mark.parametrize("length", [255, 256, 300])
+    def test_rows_on_both_sides_of_the_long_bound(self, length):
+        assert histories._MERGE_LONG_ROW == 256
+        rng = np.random.default_rng(length)
+        rows = _planted_rows(rng, 24, length)
+        rows[5, 7] = np.nan  # a NaN entry in a row that others copy
+        rows[9] = rows[5]
+        with np.errstate(invalid="ignore"):
+            firsts, group = histories._merge_rows(rows)
+            want_firsts, want_group = histories_oracle.merge_rows(rows)
+        assert firsts == want_firsts
+        assert group.tolist() == want_group.tolist()
+        assert group[9] != group[5]
+
     def test_single_and_non_finite_rows(self):
         assert histories._merge_rows(np.ones((1, 4), dtype=complex))[0] == [0]
         nan = np.full((3, 2), np.nan, dtype=complex)
         assert histories._merge_rows(nan)[0] == [0, 1, 2]
         with np.errstate(invalid="ignore"):
             assert histories._merge_rows(np.full((2, 2), np.inf, dtype=complex))[0] == [0, 1]
+
+
+class TestOutcomeStrings:
+    """The chain kernel's outcome strings: sorted, and one shared tuple per
+    length up to _SHARED_OUTCOME_STRINGS strings."""
+
+    @staticmethod
+    def _kernel_strings(n: int) -> tuple:
+        pair = np.stack([projector(qubit_ket("+")), projector(qubit_ket("-"))])[None]
+        return histories._chains(identity(2), (None,) * n, (pair,) * n)[0]
+
+    @pytest.mark.parametrize("n", range(0, 11))
+    def test_sorted_and_shared(self, n):
+        strings = self._kernel_strings(n)
+        assert list(strings) == sorted(strings) == ["".join(s) for s in itertools.product("+-", repeat=n)]
+        assert self._kernel_strings(n) is strings
+
+    def test_bound(self, monkeypatch):
+        # the default bound keeps no table of MAX_MEASURED_SLOTS slots
+        assert histories._SHARED_OUTCOME_STRINGS < 1 << histories.MAX_MEASURED_SLOTS
+        monkeypatch.setattr(histories, "_SHARED_OUTCOME_STRINGS", 4)
+        assert self._kernel_strings(2) is self._kernel_strings(2)
+        longer = self._kernel_strings(3)
+        assert longer is not self._kernel_strings(3)
+        assert longer == self._kernel_strings(3) and len(longer) == 8
+        monkeypatch.setattr(histories, "_SHARED_OUTCOME_STRINGS", 1)
+        assert self._kernel_strings(0) is self._kernel_strings(0) and self._kernel_strings(0) == ("",)
+        assert self._kernel_strings(1) is not self._kernel_strings(1)
 
 
 class TestTemporalPartialTrace:

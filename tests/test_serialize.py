@@ -8,6 +8,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import types
 
 import numpy as np
@@ -31,6 +32,7 @@ from qhist import (
 )
 from qhist.errors import ShapeError
 from qhist import twostate
+from qhist.twostate import TwoTimeExperiment, mixed_sequence_distribution, sequence_distribution
 from qhist.linalg import identity, maximally_mixed, pauli, projector, qubit_ket
 from qhist.serialize import (
     MAX_HISTORY_TERMS,
@@ -59,6 +61,7 @@ from qhist.serialize import (
 )
 
 import serialize_oracle
+from conftest import random_unitary
 
 
 class _Colour(enum.IntEnum):
@@ -364,6 +367,14 @@ class TestJsonWriter:
             matrix_document(np.zeros((2, 2, 2)))
 
 
+def _csv_writer_rows(dist: OutcomeDistribution) -> str:
+    """The table's rows written by ``csv.writer``, sorted by outcome."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows([["outcome", "probability"]] + [
+        [outcome, format_number(dist.table[outcome])] for outcome in sorted(dist.table)])
+    return buf.getvalue()
+
+
 class TestCSV:
     def test_format_number(self):
         assert format_number(0.5) == "0.5"
@@ -385,42 +396,28 @@ class TestCSV:
         assert ["++", "0.5"] in rows
 
     def test_distribution_csv_matches_a_csv_writer(self, rng):
-        def by_csv_writer(dist):
-            buf = io.StringIO()
-            writer = csv.writer(buf)
-            writer.writerow(["outcome", "probability"])
-            for outcome in sorted(dist.table):
-                writer.writerow([outcome, format_number(dist.table[outcome])])
-            return buf.getvalue()
-
         # outcome keys that need quoting, and probabilities that round at 12 digits
         p = [0.1, np.float64(0.2), 1.0 / 3.0]
         table = {'a,b': p[0], 'a"b': p[1], "a\nb": p[2], "+-+": 1.0 - sum(p)}
         dist = OutcomeDistribution(("X", "Y", "Z"), table)
-        assert distribution_csv(dist) == by_csv_writer(dist)
+        assert distribution_csv(dist) == _csv_writer_rows(dist)
         # a random 10-slot table, whose keys need no quoting (one join)
         outcomes = ["".join(s) for s in itertools.product("+-", repeat=10)]
         w = rng.exponential(size=len(outcomes))
         w[rng.choice(len(w), 50, replace=False)] = 0.0
         dist = OutcomeDistribution(tuple("S" * 10), dict(zip(outcomes, (w / w.sum()).tolist())))
-        assert distribution_csv(dist) == by_csv_writer(dist)
+        assert distribution_csv(dist) == _csv_writer_rows(dist)
         # an empty key goes to csv.writer
         dist = OutcomeDistribution((), {"": 1.0})
-        assert distribution_csv(dist) == by_csv_writer(dist)
+        assert distribution_csv(dist) == _csv_writer_rows(dist)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.one_of(st.floats(), st.floats().map(np.float64)), min_size=1, max_size=8))
     def test_distribution_csv_prints_every_float_as_format_number(self, probabilities):
-        def by_csv_writer(dist):
-            buf = io.StringIO()
-            csv.writer(buf).writerows([["outcome", "probability"]] + [
-                [outcome, format_number(dist.table[outcome])] for outcome in sorted(dist.table)])
-            return buf.getvalue()
-
         outcomes = ["".join(s) for s in itertools.product("+-", repeat=3)][:len(probabilities)]
         # unchecked, so that any float, NaN and infinities included, is printed
         dist = OutcomeDistribution._built(tuple("XYZ"), dict(zip(outcomes, probabilities)))
-        assert distribution_csv(dist) == by_csv_writer(dist)
+        assert distribution_csv(dist) == _csv_writer_rows(dist)
 
     def test_trace_csv_columns(self):
         from qhist import OptimizerConfig, optimize_settings
@@ -439,6 +436,92 @@ class TestCSV:
         text = dumps_pretty(to_jsonable(res))
         assert "postselection_probability" in text
         assert "notes" in text or "note" in text.lower()
+
+
+_ROW_KINDS = ("pure", "mixed", "post", "gapped")
+
+
+def _kernel_distribution(rng, kind: str, n: int) -> OutcomeDistribution:
+    """A table from the chain kernel on n measured slots: from a ket (pure),
+    from the maximally mixed state (mixed), post-selected (post), or
+    post-selected with an unmeasured slot inserted, as in ``abl-post-gap``
+    (gapped)."""
+    slots = list(MeasurementSetting.stack([tuple(rng.uniform(0.0, np.pi, 2)) for _ in range(n)]))
+    if kind == "gapped":
+        slots.insert(int(rng.integers(n + 1)), None)
+    unitaries = [random_unitary(rng, 2) for _ in range(len(slots) + 1)]
+    if kind == "mixed":
+        return mixed_sequence_distribution(maximally_mixed(2), slots, unitaries)
+    ket, post = (random_unitary(rng, 2)[:, k] for k in range(2))
+    return sequence_distribution(TwoTimeExperiment.build(ket, slots, post=None if kind == "pure" else post,
+                                                         unitaries=unitaries))
+
+
+def _plain(dist: OutcomeDistribution) -> dict:
+    """The distribution's document with its table a plain dict in sorted order."""
+    return {"settings": list(dist.settings), "table": {k: dist.table[k] for k in sorted(dist.table)}}
+
+
+class TestKernelTableRoute:
+    """Tables built from the chain kernel's rows are written from those rows,
+    already in sorted order, with the bytes of the general writers."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("kind", _ROW_KINDS)
+    def test_matches_the_general_writers(self, kind, n):
+        dist = _kernel_distribution(np.random.default_rng([n, _ROW_KINDS.index(kind)]), kind, n)
+        assert dist.table.rows is not None
+        doc = document("abl", {"distribution": dist})
+        plain = document("abl", {"distribution": _plain(dist)})
+        assert type(plain["artifacts"]["distribution"]["table"]) is dict
+        assert dumps_json(doc) == _json_oracle(plain)
+        assert distribution_csv(dist) == _csv_writer_rows(dist)
+        assert dumps_pretty(doc) == dumps_pretty(plain)
+
+    def test_user_built_tables_take_the_general_route(self, rng):
+        dist = _kernel_distribution(rng, "post", 5)
+        items = list(dist.table.items())
+        rng.shuffle(items)
+        user = OutcomeDistribution(dist.settings, dict(items))
+        assert type(user.table) is dict and list(user.table) != list(dist.table)
+        doc, user_doc = (document("abl", {"distribution": d}) for d in (dist, user))
+        assert dumps_json(user_doc) == dumps_json(doc) == _json_oracle(user_doc)
+        assert distribution_csv(user) == distribution_csv(dist) == _csv_writer_rows(user)
+        assert dumps_pretty(user_doc) == dumps_pretty(doc)
+        # a key that needs CSV quoting
+        quoted = OutcomeDistribution(("X", "Y"), {"+,": 0.25, '"-': 0.25, "++": 0.5})
+        quoted_doc = document("abl", {"distribution": quoted})
+        assert dumps_json(quoted_doc) == _json_oracle(quoted_doc)
+        assert distribution_csv(quoted) == _csv_writer_rows(quoted)
+
+    @pytest.mark.parametrize("change", [
+        # the operator forms go through the type's slots, as t[k] = v does
+        lambda t: operator.setitem(t, "+-+", 0),
+        lambda t: operator.delitem(t, "+-+"),
+        lambda t: operator.ior(t, {"---": True}),
+        lambda t: t.clear(),
+        lambda t: t.pop("++-"),
+        lambda t: t.popitem(),
+        lambda t: t.setdefault("?", 0.25),
+        lambda t: t.update({"+++": -0.0}),
+    ])
+    @pytest.mark.parametrize("encoded_first", [False, True])
+    def test_a_changed_table_is_written_as_changed(self, rng, change, encoded_first):
+        dist = _kernel_distribution(rng, "pure", 3)
+        doc = document("abl", {"distribution": dist}) if encoded_first else None
+        change(dist.table)
+        assert dist.table.rows is None
+        doc = doc or document("abl", {"distribution": dist})
+        assert dumps_json(doc) == _json_oracle(doc)
+        assert distribution_csv(dist) == _csv_writer_rows(dist)
+
+    def test_non_finite_weights_keep_no_rows(self):
+        with np.errstate(invalid="ignore"):
+            dist = twostate._normalized(("+", "-"), np.array([np.nan, 1.0]), ("X",))
+        assert dist.table.rows is None
+        doc = document("abl", {"distribution": dist})
+        assert dumps_json(doc) == _json_oracle(doc)
+        assert distribution_csv(dist) == _csv_writer_rows(dist)
 
 
 class TestLoadDocument:
