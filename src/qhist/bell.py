@@ -81,11 +81,14 @@ _MODES = (INDEPENDENT, CHAINED)
 
 
 def _check_unitary(u, d: int, what: str = "unitary") -> np.ndarray:
-    """A (d, d) or (N, d, d) stack of unitaries, or the identity for None."""
+    """One (d, d) unitary, or the identity for None; a stack of them is a
+    ShapeError, as is any other shape."""
     if u is None:
         return identity(d)
     u = np.asarray(u, dtype=complex)
-    if u.ndim not in (2, 3) or u.shape[-2:] != (d, d):
+    if u.ndim == 3 and u.shape[1:] == (d, d):
+        raise ShapeError(f"{what} must be a single matrix")
+    if u.shape != (d, d):
         raise ShapeError(f"{what} must be {d}x{d}")
     return check_unitary(u, what)
 
@@ -107,8 +110,6 @@ class CorrelatorSpec:
         if self.evaluation_mode not in _MODES:
             raise ValueError(f"evaluation_mode must be one of {_MODES}")
         u = np.array(_check_unitary(self.unitary, rho.shape[0]))
-        if u.ndim != 2:
-            raise ShapeError("unitary must be a single matrix")
         u.setflags(write=False)
         object.__setattr__(self, "unitary", u)
 
@@ -180,8 +181,6 @@ def temporal_correlator(
     """Two-time correlator under nonselective collapse at the first time."""
     rho = density_operator(initial)
     u = _check_unitary(unitary, rho.shape[0])
-    if u.ndim != 2:
-        raise ShapeError("unitary must be a single matrix")
     return float(_tables(rho, first.projectors()[None, None], u, second.projectors()[None, None])[0, 0, 0])
 
 

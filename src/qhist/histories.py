@@ -1028,8 +1028,9 @@ def subsystem_trace_out(
     factor by the traced-side expectation in that trajectory state, and the
     trajectories are summed.  A maximally entangled record thereby turns a
     product history of the pair into a superposed history of the kept factor.
-    The result is renormalized and its term family re-checked for consistency
-    under the induced bridging.  Slot operators of the output are rescaled to
+    The result is renormalized and its term family (its terms, each with
+    coefficient one, normalized on its own) re-checked for consistency under
+    the induced bridging.  Slot operators of the output are rescaled to
     unit Hilbert-Schmidt norm with the scale absorbed into the coefficients,
     so rank-one projector slots come back as plain projectors.
     """
@@ -1069,15 +1070,17 @@ def subsystem_trace_out(
     live = (sizes > 1e-15).all(axis=0) & (scales > 0.0)
     reds = reds / np.where(sizes > 0.0, sizes, 1.0)[..., None, None]
     coefs = h._coefs[:, None] * scales
-    terms = [(coefs[t, c], ElementaryHistory(sub_grid, tuple(reds[:, t, c])))
-             for t, c in zip(*np.nonzero(live))]
-    if not terms:
+    ts, cs = np.nonzero(live)
+    if not ts.size:
         raise DegenerateHistoryError("every record trajectory contributes zero")
+    rows = _join_rows(reds[:, ts, cs])
+    if not np.isfinite(rows).all():
+        raise ValueError("matrix entries must be finite")
 
-    state = normalize(HistoryState(tuple(terms)))
-    family = [normalize(HistoryState.from_elementary(eh)) for _, eh in state.terms]
-    report = is_consistent_family(family, induced)
-    return SubsystemReduction(state, induced, report)
+    state = normalize(HistoryState._from_rows(sub_grid, coefs[ts, cs].tolist(), rows))
+    # the family is the state's terms, each with coefficient one
+    family = HistoryState._held(sub_grid, np.ones(state.n_terms, dtype=complex), state._rows)
+    return SubsystemReduction(state, induced, _term_consistency(family, induced))
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ import numpy as np
 
 from .histories import (
     BridgingSet,
-    ElementaryHistory,
     HistoryState,
     TimeGrid,
+    _join_rows,
     _reductions,
     hs_inner,
     hs_norm,
@@ -318,13 +318,9 @@ def _interval_conjugated(h: HistoryState, b: BridgingSet) -> HistoryState:
     it, which leaves all chain operators, weights and record statistics
     unchanged while making the bridging trivial.
     """
-    terms = []
-    for coef, eh in h.terms:
-        ops = [eh.slots[0]]
-        for u, op in zip(b.unitaries, eh.slots[1:]):
-            ops.append(u @ op @ u.conj().T)
-        terms.append((coef, ElementaryHistory(h.grid, tuple(ops))))
-    return HistoryState(tuple(terms))
+    first, *later = h._stacks
+    stacks = [first] + [u @ s @ u.conj().T for u, s in zip(b.unitaries, later)]
+    return HistoryState._from_rows(h.grid, h._coefs.tolist(), _join_rows(stacks))
 
 
 def _pauli_distance(u: np.ndarray) -> float:

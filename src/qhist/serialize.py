@@ -25,8 +25,8 @@ call on a template of its shape and indentation, ``%r`` per leaf; templates
 of small blocks are kept in a bounded cache.  Only an exact ``float`` is a
 leaf: ``float.__repr__`` is json's text for it, while a subclass such as
 ``np.float64``, NaN and the infinities keep json's own scalar text.  Any
-other container is joined once, its keys and its all-float or all-string
-items mapped through C-level functions, so a 2**n-row table is one join.
+other container is joined once: its keys, or items that are all strings, go
+through one C-level map, and any other item is written on its own.
 
 Table route: an outcome table built from the chain kernel's rows
 (``twostate._KernelTable``, until it is changed) holds the kernel's strings
@@ -40,8 +40,8 @@ joining it costs a few percent of filling it (64 against 2000 us for a
 12-slot table as JSON), while keeping the templates of 6 to 12 slots would
 hold 0.22 MB as JSON and 0.16 MB as CSV.  Any other table (one a
 caller built, changed, or with a non-finite weight) takes the general
-route: sorted, joined as above for JSON, and for CSV one ``%`` call when no
-outcome needs quoting, ``csv.writer`` otherwise.
+route: sorted, joined as above for JSON, and written by ``csv.writer`` for
+CSV.
 
 Input side: small parsers for the human-writable spec files the command line
 accepts.  States may be named ("0", "1", "+", "-", "i+", "i-") or explicit
@@ -285,11 +285,9 @@ _small_template = functools.lru_cache(maxsize=256)(_template)
 
 def _texts(items, indent: str):
     """JSON texts of a container's items: one C-level map when they are all
-    finite floats or all strings, one ``_write`` each otherwise."""
-    kinds = set(map(type, items))
-    if kinds == {float} and math.isfinite(sum(items)):
-        return map(float.__repr__, items)
-    if kinds == {str}:
+    strings, one ``_write`` each otherwise (a list of floats is a block
+    already, and json's text of an exact finite float is ``float.__repr__``)."""
+    if set(map(type, items)) == {str}:
         return map(_encode_str, items)
     return [_write(x, indent) for x in items]
 
@@ -382,21 +380,14 @@ def distribution_csv(dist: OutcomeDistribution) -> str:
     ``format_number`` writes them (``%.12g`` and ``{:.12g}`` print alike).
     A table with its kernel rows (sorted '+'/'-' strings, which need no
     quoting) is one ``%`` call on a template joined from its strings.  Any
-    other is sorted; when no outcome needs ``csv`` quoting (none is empty or
-    holds a comma, a quote or a line break) its rows are one ``%`` call,
-    and otherwise ``csv.writer`` writes them in one ``writerows``."""
+    other (one a caller built or changed) is sorted and written by
+    ``csv.writer`` in one ``writerows``."""
     rows = _rows(dist.table)
     if rows is not None:
         strings, probabilities = rows
         template = "outcome,probability\r\n" + ",%.12g\r\n".join(strings) + ",%.12g\r\n"
         return template % tuple(probabilities)
     outcomes, probabilities = _sorted_table(dist)
-    joined = "".join(outcomes)
-    if all(outcomes) and not any(c in joined for c in ',"\r\n'):
-        cells = [None] * (2 * len(outcomes))
-        cells[::2] = outcomes
-        cells[1::2] = probabilities
-        return "outcome,probability\r\n" + ("%s,%.12g\r\n" * len(outcomes)) % tuple(cells)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["outcome", "probability"])

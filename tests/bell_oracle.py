@@ -8,8 +8,9 @@ with the first two exactly, not just within a tolerance.
 ``table_from_distributions`` reads a correlator table off two-slot outcome
 distributions, a route that shares no code with the correlator kernel.
 ``correlator_tables`` is the kernel's stacked entry point for observables as
-given: every input checked, then ``bell._tables`` over (N, k) settings with
-one unitary or one per entry.
+given: every input checked, its (N, d, d) unitary stacks by
+``linalg.check_unitary`` (the package's own check takes one matrix), then
+``bell._tables`` over (N, k) settings with one unitary or one per entry.
 
 The correlator loop and ``processes_mixture`` are plain-Python complex
 arithmetic in the chain kernel's order (``loop_matmul``, ``loop_pairing``,
@@ -22,9 +23,9 @@ import math
 
 import numpy as np
 
-from qhist.bell import _check_unitary, _tables
+from qhist.bell import _tables
 from qhist.errors import ShapeError
-from qhist.linalg import as_matrix, density_operator, dichotomic_projectors, identity
+from qhist.linalg import as_matrix, check_unitary, density_operator, dichotomic_projectors, identity
 from qhist.twostate import mixed_sequence_distribution
 
 from histories_oracle import as_lists, loop_matmul, loop_pairing, loop_sum
@@ -90,7 +91,10 @@ def correlator_tables(initial, firsts, unitaries, seconds) -> np.ndarray:
     for obs in (firsts, seconds):
         if obs.ndim != 4 or obs.shape[-2:] != (d, d) or len(obs) != len(firsts):
             raise ShapeError(f"observables must be (N, k, {d}, {d}) stacks with one N")
-    u = _check_unitary(unitaries, d)
+    u = identity(d) if unitaries is None else np.asarray(unitaries, dtype=complex)
+    if u.ndim not in (2, 3) or u.shape[-2:] != (d, d):
+        raise ShapeError(f"unitary must be {d}x{d}")
+    u = check_unitary(u)
     if u.ndim == 3 and len(u) != len(firsts):
         raise ShapeError("need one unitary per stack entry")
     # one check over both stacks, then each setting's (P+, P-) pair back per stack

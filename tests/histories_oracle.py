@@ -30,6 +30,14 @@ runs over its inner index ascending, and a chain starts from the identity.
 No BLAS and no numpy arithmetic is involved, so the kernel must match them
 bit for bit on every machine.
 
+``object_trace_out`` and ``interval_conjugated`` are the object routes the
+package's term-array forms replace, kept as they were so the array forms must
+match them bit for bit: the subsystem trace-out's stacked contraction with
+one checked ``ElementaryHistory`` per (term, record trajectory), then its
+family as one normalized one-term state per reduced term, checked by
+``is_consistent_family``; and the pauli-cycle scenario's interval
+conjugation, one term and one slot at a time.
+
 ``canonical_basis`` is the cluster-by-cluster Gram-Schmidt basis the package's
 one-member route shortcuts: every eigenvalue, clustered or alone, goes
 through the projection loop and ``np.linalg.norm``.
@@ -46,14 +54,16 @@ from qhist.histories import (
     DEGENERACY_TOL,
     MERGE_TOL,
     SPAN_TOL,
+    BridgingSet,
     ElementaryHistory,
     HistoryState,
     TimeGrid,
     _as_state,
     _split_product_unitary,
+    is_consistent_family,
     normalize,
 )
-from qhist.linalg import max_abs, partial_trace
+from qhist.linalg import identity, max_abs, partial_trace
 
 
 def history_vector(h) -> np.ndarray:
@@ -235,6 +245,50 @@ def subsystem_trace_out(h, b, factor_dims, traced: int = 1, tol: float = 1e-9) -
             if scale > 0.0:
                 terms.append((coef * scale, ElementaryHistory(sub_grid, tuple(ops))))
     return normalize(HistoryState(tuple(terms)))
+
+
+def object_trace_out(h, b, factor_dims, traced: int = 1, tol: float = 1e-9):
+    """(state, consistency report) of the subsystem trace-out of the
+    ``HistoryState`` ``h``, built from term objects: the package's stacked
+    compression of ``h._stacks``, one ``ElementaryHistory`` per live (term,
+    trajectory) pair, and the family of normalized one-term states of the
+    reduced terms."""
+    d0, d1 = factor_dims
+    keep_dim, traced_dim = (d1, d0) if traced == 0 else (d0, d1)
+    kept_bridges, traced_bridges = [], []
+    for u in b.unitaries:
+        u0, u1 = _split_product_unitary(np.asarray(u), d0, d1, tol)
+        kept_bridges.append(u1 if traced == 0 else u0)
+        traced_bridges.append(u0 if traced == 0 else u1)
+    sub_grid = TimeGrid(h.grid.labels, (keep_dim,) * h.grid.n_slots)
+    induced = BridgingSet(sub_grid, tuple(kept_bridges))
+    states = [identity(traced_dim)]
+    for u in traced_bridges:
+        states.append(u @ states[-1])
+    spec = "tajbk,jc,kc->tcab" if traced == 1 else "tjakb,jc,kc->tcab"
+    reds = np.stack([np.einsum(spec, ops.reshape(-1, d0, d1, d0, d1), v.conj(), v)
+                     for ops, v in zip(h._stacks, states)])
+    sizes = np.linalg.norm(reds, axis=(-2, -1))
+    scales = np.prod(sizes, axis=0)
+    live = (sizes > 1e-15).all(axis=0) & (scales > 0.0)
+    reds = reds / np.where(sizes > 0.0, sizes, 1.0)[..., None, None]
+    coefs = h._coefs[:, None] * scales
+    terms = [(coefs[t, c], ElementaryHistory(sub_grid, tuple(reds[:, t, c])))
+             for t, c in zip(*np.nonzero(live))]
+    state = normalize(HistoryState(tuple(terms)))
+    family = [normalize(HistoryState.from_elementary(eh)) for _, eh in state.terms]
+    return state, is_consistent_family(family, induced)
+
+
+def interval_conjugated(h, b) -> HistoryState:
+    """Every slot after the first conjugated by the bridge into it, term by term."""
+    terms = []
+    for coef, eh in h.terms:
+        ops = [eh.slots[0]]
+        for u, op in zip(b.unitaries, eh.slots[1:]):
+            ops.append(u @ op @ u.conj().T)
+        terms.append((coef, ElementaryHistory(h.grid, tuple(ops))))
+    return HistoryState(tuple(terms))
 
 
 def canonical_basis(evals, vecs, overlaps, norms) -> list:

@@ -168,6 +168,34 @@ class TestUnitarityChecks:
             temporal_correlator(maximally_mixed(2), z, 0.5 * np.eye(2), z)
 
 
+# stacks of one and of two unitaries: every entry point takes one matrix
+_STACKS = [np.eye(2, dtype=complex)[None], np.stack([np.eye(2), pauli("X")]).astype(complex)]
+
+
+class TestOneUnitary:
+    @pytest.mark.parametrize("mode", ["independent_ensembles", "chained_single_system"])
+    @pytest.mark.parametrize("position", [0, 1])
+    @pytest.mark.parametrize("stacked", _STACKS, ids=["1x2x2", "2x2x2"])
+    def test_monogamy_sum(self, mode, position, stacked):
+        z = MeasurementSetting.from_pauli("Z")
+        unitaries = [None, None]
+        unitaries[position] = stacked
+        with pytest.raises(ShapeError, match=rf"^unitaries\[{position}\] must be a single matrix$"):
+            monogamy_sum(maximally_mixed(2), (z, z), (z, z), (z, z), unitaries=unitaries, mode=mode)
+
+    @pytest.mark.parametrize("stacked", _STACKS, ids=["1x2x2", "2x2x2"])
+    def test_correlator_spec(self, stacked):
+        z = MeasurementSetting.from_pauli("Z")
+        with pytest.raises(ShapeError, match="^unitary must be a single matrix$"):
+            CorrelatorSpec(maximally_mixed(2), (z, z), (z, z), stacked)
+
+    @pytest.mark.parametrize("stacked", _STACKS, ids=["1x2x2", "2x2x2"])
+    def test_temporal_correlator(self, stacked):
+        z = MeasurementSetting.from_pauli("Z")
+        with pytest.raises(ShapeError, match="^unitary must be a single matrix$"):
+            temporal_correlator(maximally_mixed(2), z, stacked, z)
+
+
 class TestChecksOnce:
     """``s_lgi``, ``monogamy_sum`` and ``temporal_correlator`` read each
     setting's own checked projector pair and check the state once: the same

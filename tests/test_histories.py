@@ -1294,6 +1294,17 @@ class TestSubsystemTraceOut:
         with pytest.raises(ShapeError):
             subsystem_trace_out(h, b, (3, 2), traced=1)
 
+    def test_overflowing_compressed_slot_rejected(self):
+        # the Hadamard-bridged trajectory sums four 0.5e308 entries to inf, so
+        # that slot's unit-norm rescaling is NaN
+        g = TimeGrid.regular(2, dim=4)
+        hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
+        b = BridgingSet(g, (np.kron(identity(2), hadamard),))
+        h = HistoryState.from_slots(g, (identity(4), np.full((4, 4), 1e308)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                subsystem_trace_out(h, b, (2, 2), traced=1)
+
 
 def _bridged_state(rng, dims, n_terms):
     """Random terms on slots of the given (nondecreasing) dimensions, with
@@ -1417,6 +1428,13 @@ class TestSubsystemTraceOutAgainstLoopOracle:
         members = [normalize(HistoryState.from_elementary(eh)) for _, eh in want.terms]
         assert np.abs(red.consistency.matrix
                       - histories_oracle.consistency_matrix(members, red.bridging)).max() <= 1e-12
+        # bit for bit against the object route the term arrays replace
+        state, report = histories_oracle.object_trace_out(h, b, factor_dims, traced)
+        assert np.array_equal(red.state._coefs, state._coefs)
+        assert np.array_equal(red.state._rows, state._rows)
+        assert np.array_equal(red.consistency.matrix, report.matrix)
+        assert red.consistency.max_offdiagonal == report.max_offdiagonal
+        assert red.consistency.consistent == report.consistent
         return red
 
     @pytest.mark.parametrize("traced", [0, 1])

@@ -10,16 +10,20 @@ import math
 import numpy as np
 import pytest
 
-from qhist import run_scenario
+from qhist import BridgingSet, ElementaryHistory, HistoryState, TimeGrid, run_scenario
 from qhist.scenarios import (
     MAX_GHZ_SLOTS,
     SCENARIOS,
+    _interval_conjugated,
     example1_family,
     mach_zehnder,
     pauli_cycle,
     temporal_ghz,
     two_time_hab,
 )
+
+import histories_oracle
+from conftest import random_unitary
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -203,6 +207,25 @@ class TestPauliCycle:
     def test_spatial_statistics_match(self):
         a = pauli_cycle().artifacts
         assert a["spatial_xy_match_gap"] < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_interval_conjugation_is_the_term_loop(self, seed, d):
+        # one stacked u @ s @ u^dag per slot, bit for bit the per-term loop
+        rng = np.random.default_rng(seed)
+        n_slots = int(rng.integers(1, 6))
+        grid = TimeGrid.regular(n_slots, dim=d)
+        h = HistoryState(tuple(
+            (complex(rng.normal(), rng.normal()),
+             ElementaryHistory(grid, tuple(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+                                           for _ in range(n_slots))))
+            for _ in range(int(rng.integers(1, 7)))
+        ))
+        b = BridgingSet(grid, tuple(random_unitary(rng, d) for _ in range(n_slots - 1)))
+        got = _interval_conjugated(h, b)
+        want = histories_oracle.interval_conjugated(h, b)
+        assert np.array_equal(got._coefs, want._coefs)
+        assert np.array_equal(got._rows, want._rows)
 
 
 class TestTwoTimeHAB:

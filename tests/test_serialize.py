@@ -401,13 +401,13 @@ class TestCSV:
         table = {'a,b': p[0], 'a"b': p[1], "a\nb": p[2], "+-+": 1.0 - sum(p)}
         dist = OutcomeDistribution(("X", "Y", "Z"), table)
         assert distribution_csv(dist) == _csv_writer_rows(dist)
-        # a random 10-slot table, whose keys need no quoting (one join)
+        # a random 10-slot table a caller built, whose keys need no quoting
         outcomes = ["".join(s) for s in itertools.product("+-", repeat=10)]
         w = rng.exponential(size=len(outcomes))
         w[rng.choice(len(w), 50, replace=False)] = 0.0
         dist = OutcomeDistribution(tuple("S" * 10), dict(zip(outcomes, (w / w.sum()).tolist())))
         assert distribution_csv(dist) == _csv_writer_rows(dist)
-        # an empty key goes to csv.writer
+        # an empty key
         dist = OutcomeDistribution((), {"": 1.0})
         assert distribution_csv(dist) == _csv_writer_rows(dist)
 
