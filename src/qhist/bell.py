@@ -95,20 +95,18 @@ def _check_unitary(u, d: int, what: str = "unitary") -> np.ndarray:
 
 @dataclass(frozen=True)
 class CorrelatorSpec:
-    """Settings and dynamics for one two-time Bell functional."""
+    """Settings and dynamics for one two-time Bell functional, which ``s_lgi``
+    evaluates on independent ensembles; ``unitary`` is one matrix or None."""
 
     initial: np.ndarray
     first_settings: tuple[MeasurementSetting, MeasurementSetting]
     second_settings: tuple[MeasurementSetting, MeasurementSetting]
     unitary: np.ndarray | None = None
-    evaluation_mode: str = INDEPENDENT
 
     def __post_init__(self):
         rho = density_operator(self.initial)
         rho.setflags(write=False)
         object.__setattr__(self, "initial", rho)
-        if self.evaluation_mode not in _MODES:
-            raise ValueError(f"evaluation_mode must be one of {_MODES}")
         u = np.array(_check_unitary(self.unitary, rho.shape[0]))
         u.setflags(write=False)
         object.__setattr__(self, "unitary", u)
@@ -139,35 +137,29 @@ class BellReport:
 
 
 def _tables(rho, first_pairs, u, second_pairs) -> np.ndarray:
-    """Two-time correlator tables: entry [n, i, j] is
+    """The two-time correlator table: entry [i, j] is
 
         E = sum over a, b of a * b * Tr(P_b U P_a rho P_a U^dag P_b)
 
-    for the (P+, P-) pairs first_pairs[n, i] and second_pairs[n, j] and the
-    unitary u (one (d, d) matrix or one per n), computed with the same
-    floating-point operations in the same order for every entry, so a value
-    does not depend on the size of the stack or on its other entries.  The
-    state, the unitary and the (N, k, 2, d, d) pair stacks come checked; only
-    their dimension and the range of the correlators are checked here.
-    Entry (n, i, j) is one kernel batch entry, its unitary a one-outcome
-    slot, and string ab's chain P_b U P_a."""
+    for the (P+, P-) pairs first_pairs[i] and second_pairs[j] and the (d, d)
+    unitary u, with the same floating-point operations in the same order for
+    every entry, so a value does not depend on the table's size or its other
+    entries.  The state, the unitary and the (k, 2, d, d) pair stacks come
+    checked; only their dimension and the correlators' range are checked
+    here.  Entry (i, j) is one kernel batch entry, u a one-outcome slot, and
+    string ab's chain P_b U P_a."""
     d = rho.shape[0]
     if first_pairs.shape[-1] != d or second_pairs.shape[-1] != d:
-        raise ShapeError(f"observables must be (N, k, {d}, {d}) stacks with one N")
-    entries = (len(first_pairs), first_pairs.shape[1], second_pairs.shape[1])
+        raise ShapeError(f"observables must be (k, {d}, {d}) stacks")
+    entries = (len(first_pairs), len(second_pairs))
     slots = [np.broadcast_to(ops, entries + ops.shape[-3:]).reshape((-1,) + ops.shape[-3:])
-             for ops in (first_pairs[:, :, None], u.reshape(-1, 1, 1, 1, d, d), second_pairs[:, None])]
+             for ops in (first_pairs[:, None], u.reshape(1, 1, 1, d, d), second_pairs[None])]
     chains = _chains(identity(d), (None,) * 3, slots)[1].reshape(d, d, -1)
     weights = _collapse_weights(chains, rho).reshape((4,) + entries)
     total = weights[0] - weights[1] - weights[2] + weights[3]  # strings ++, +-, -+, --
     if max_abs(total) > 1.0 + 1e-9:
         raise ValueError("correlators must lie in [-1, 1]")
     return total
-
-
-def _s_value(table):
-    """S = c11 + c12 + c21 - c22 over the last two axes."""
-    return table[..., 0, 0] + table[..., 0, 1] + table[..., 1, 0] - table[..., 1, 1]
 
 
 def _pairs(settings: Sequence[MeasurementSetting]) -> np.ndarray:
@@ -181,19 +173,19 @@ def temporal_correlator(
     """Two-time correlator under nonselective collapse at the first time."""
     rho = density_operator(initial)
     u = _check_unitary(unitary, rho.shape[0])
-    return float(_tables(rho, first.projectors()[None, None], u, second.projectors()[None, None])[0, 0, 0])
+    return float(_tables(rho, first.projectors()[None], u, second.projectors()[None])[0, 0])
 
 
 def _report(table, settings, mode: str) -> BellReport:
-    labels = tuple(s.label for s in settings)
-    return BellReport(table, float(_s_value(table)), CLASSICAL_BOUND, TSIRELSON_BOUND, labels, mode)
+    value = float(table[0, 0] + table[0, 1] + table[1, 0] - table[1, 1])
+    return BellReport(table, value, CLASSICAL_BOUND, TSIRELSON_BOUND, tuple(s.label for s in settings), mode)
 
 
 def s_lgi(spec: CorrelatorSpec) -> BellReport:
-    """Evaluate S = c11 + c12 + c21 - c22 for the given settings."""
-    table = _tables(spec.initial, _pairs(spec.first_settings)[None], spec.unitary,
-                    _pairs(spec.second_settings)[None])[0]
-    return _report(table, spec.first_settings + spec.second_settings, spec.evaluation_mode)
+    """S = c11 + c12 + c21 - c22 for the given settings, each correlator on a
+    fresh ensemble: the report's mode is always independent_ensembles."""
+    table = _tables(spec.initial, _pairs(spec.first_settings), spec.unitary, _pairs(spec.second_settings))
+    return _report(table, spec.first_settings + spec.second_settings, INDEPENDENT)
 
 
 # ---------------------------------------------------------------------------
@@ -280,13 +272,13 @@ def monogamy_sum(
     u1, u2 = (_check_unitary(u, d, f"unitaries[{i}]") for i, u in enumerate(unitaries))
     a_settings, b_settings, c_settings = tuple(a_settings), tuple(b_settings), tuple(c_settings)
     pa, pb, pc = (_pairs(s) for s in (a_settings, b_settings, c_settings))
-    first = _report(_tables(rho, pa[None], u1, pb[None])[0], a_settings + b_settings, mode)
+    first = _report(_tables(rho, pa, u1, pb), a_settings + b_settings, mode)
     if mode == CHAINED:
         # rho' = sum of K rho K^dag / |A| over the chains K = U1 P, in the kernel's order
         chains = _chains(identity(d), (None, u1), (pa, None))[1].reshape(d, d, -1)
         kept = np.einsum("ilr,jlr->ijr", np.einsum("ikr,kl->ilr", chains, rho), chains.conj())
         rho = np.cumsum(kept, axis=-1)[..., -1] / len(a_settings)
-    second = _report(_tables(rho, pb[None], u2, pc[None])[0], b_settings + c_settings, mode)
+    second = _report(_tables(rho, pb, u2, pc), b_settings + c_settings, mode)
     total = float(first.value + second.value)
     return MonogamyResult(first, second, total, 4.0 * math.sqrt(2.0), 4.0, mode)
 
@@ -328,9 +320,7 @@ def chained_bell(
     """
     _check_chain_length(n)
     rho = maximally_mixed(2) if initial is None else initial
-    report = s_lgi(
-        CorrelatorSpec(rho, tuple(first_settings), tuple(second_settings), unitary, INDEPENDENT)
-    )
+    report = s_lgi(CorrelatorSpec(rho, tuple(first_settings), tuple(second_settings), unitary))
     return ChainedResult((report,) * n, _chain_total(report.value, n), 2.0 * n, TSIRELSON_BOUND * n)
 
 

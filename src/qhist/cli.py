@@ -4,8 +4,8 @@ Subcommands: scenario, lgi, chained, monogamy, optimize, weight, abl.
 Exit codes: 0 success, 2 input error, 3 optimizer result not certified (the
 start's certificate is open after its one evaluation), 4 impossible
 post-selection.  Identical arguments produce byte-identical output.  Every
-subcommand takes --format and --out; --seed belongs to optimize and --tol to
-weight, the only readers of each.
+subcommand takes --format and --out; --tol belongs to weight, its reader, and
+--seed to optimize, which accepts it and, as with --restarts, selects nothing.
 
 A process builds one argument parser, on its first ``main`` call, and reuses
 it: parsing does not change a parser, and each call gets a fresh namespace.

@@ -70,11 +70,9 @@ __all__ = [
     "hs_inner",
     "hs_norm",
     "normalize",
-    "decoherence_functional",
     "is_consistent_family",
     "temporal_partial_trace",
     "subsystem_trace_out",
-    "mix",
     "purity",
     "mixed_history_density",
     "mixed_overlap",
@@ -142,8 +140,8 @@ def _require_same_grid(a: TimeGrid, b: TimeGrid) -> None:
         raise GridMismatchError("objects are defined on different time grids")
 
 
-# entries of the (row length, rows, rows) difference stack that _merge_rows
-# holds at once; a block has at least one row, as one row against all the rest
+# entries of the (row length, rows, rows) difference stack, or of a long row's
+# (rows, columns) slab, that _merge_rows holds at once; each has one row or column
 _MERGE_BLOCK = 1 << 17
 # a row of at least this many entries is compared alone with the rows before
 # it, along its own contiguous axis; shorter rows go in blocks along the
@@ -160,8 +158,9 @@ def _merge_rows(rows: np.ndarray) -> tuple[list[int], np.ndarray]:
     by entry along the leading axis of the transposed rows (|a - b| is
     symmetric, and a NaN entry matches nothing); a row of at least
     _MERGE_LONG_ROW entries is a block of its own and is compared with the
-    rows before it only, along its own axis.  The first unmerged match of
-    each row is then read off the pairs that matched, in order."""
+    unmerged rows before it only, along its own axis, in column slabs, until
+    none is close.  The first unmerged match of each row is then read off the
+    pairs that matched, in order."""
     n_rows = len(rows)
     if n_rows < 2:
         return list(range(n_rows)), np.zeros(n_rows, dtype=int)
@@ -174,7 +173,12 @@ def _merge_rows(rows: np.ndarray) -> tuple[list[int], np.ndarray]:
     for start in range(0, n_rows, step):
         stop = min(n_rows, start + step)
         if long:
-            close = np.abs(rows[:start] - rows[start]).max(axis=1)[None] <= MERGE_TOL
+            close = unmerged[None, :start].copy()
+            width = _MERGE_BLOCK // max(1, start) or 1
+            for cut in range(0, rows.shape[1], width):
+                if close.any():
+                    diff = rows[:start, cut:cut + width] - rows[start, cut:cut + width]
+                    close &= np.abs(diff).max(axis=1) <= MERGE_TOL
         else:
             close = np.abs(cols[:, start:stop, None] - cols[:, None, :stop]).max(axis=0) <= MERGE_TOL
         if start:
@@ -219,20 +223,6 @@ class ElementaryHistory:
         for op, d in zip(ops, self.grid.slot_dims):
             if op.shape != (d, d):
                 raise ShapeError(f"slot operator shape {op.shape} does not match dim {d}")
-
-    def is_projector_string(self, tol: float = 1e-9) -> bool:
-        from .linalg import is_projector
-
-        return all(is_projector(op, tol) for op in self.slots)
-
-    def with_slot(self, index: int, op) -> "ElementaryHistory":
-        ops = list(self.slots)
-        ops[index] = op
-        return ElementaryHistory(self.grid, tuple(ops))
-
-    @classmethod
-    def from_kets(cls, grid: TimeGrid, kets: Sequence) -> "ElementaryHistory":
-        return cls(grid, tuple(projector(k) for k in kets))
 
     @classmethod
     def _held(cls, grid: TimeGrid, ops: tuple) -> "ElementaryHistory":
@@ -513,12 +503,6 @@ def weight(h, b: BridgingSet) -> float:
     return float(_pairings(k, k)[0].real)
 
 
-def decoherence_functional(h1, h2, b: BridgingSet) -> complex:
-    k1 = chain_operator_sum(h1, b).reshape(-1, 1)
-    k2 = chain_operator_sum(h2, b).reshape(-1, 1)
-    return complex(_pairings(k1, k2)[0])
-
-
 @dataclass(frozen=True)
 class ConsistencyReport:
     """Pairwise decoherence functional for a family of histories."""
@@ -742,11 +726,6 @@ def _check_probabilities(ens) -> None:
         raise ValueError("ensemble probabilities must be positive")
     if abs(sum(p for p, _ in ens) - 1.0) > 1e-9:
         raise ValueError("ensemble probabilities must sum to 1")
-
-
-def mix(ensemble: Iterable[tuple[float, object]]) -> MixedHistory:
-    """Build a canonical MixedHistory, normalizing the member states."""
-    return MixedHistory(tuple((p, normalize(h)) for p, h in ensemble))
 
 
 def purity(m: MixedHistory) -> float:

@@ -19,7 +19,6 @@ __all__ = [
     "as_matrix",
     "as_ket",
     "kron",
-    "trace",
     "partial_trace",
     "is_projector",
     "max_abs",
@@ -62,13 +61,6 @@ def as_ket(v, *, normalized: bool = False, tol: float = 1e-9) -> np.ndarray:
 def kron(a, b) -> np.ndarray:
     """Kronecker product, row-major block convention."""
     return np.kron(as_matrix(a), as_matrix(b))
-
-
-def trace(a) -> complex:
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"trace needs a square matrix, got {a.shape}")
-    return complex(np.trace(a))
 
 
 def partial_trace(a, dims, keep) -> np.ndarray:

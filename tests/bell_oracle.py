@@ -10,7 +10,7 @@ distributions, a route that shares no code with the correlator kernel.
 ``correlator_tables`` is the kernel's stacked entry point for observables as
 given: every input checked, its (N, d, d) unitary stacks by
 ``linalg.check_unitary`` (the package's own check takes one matrix), then
-``bell._tables`` over (N, k) settings with one unitary or one per entry.
+one ``bell._tables`` call per stack entry with its own unitary.
 
 The correlator loop and ``processes_mixture`` are plain-Python complex
 arithmetic in the chain kernel's order (``loop_matmul``, ``loop_pairing``,
@@ -83,7 +83,8 @@ def correlator_tables(initial, firsts, unitaries, seconds) -> np.ndarray:
     ``firsts`` and ``seconds`` are (N, k, d, d) stacks of dichotomic
     observables and ``unitaries`` is one (d, d) unitary, an (N, d, d) stack,
     or None for trivial evolution.  Entry [n, i, j] is the correlator of
-    firsts[n, i], unitaries[n] and seconds[n, j], from ``bell._tables``.
+    firsts[n, i], unitaries[n] and seconds[n, j], from one ``bell._tables``
+    call per n.
     """
     rho = density_operator(initial)
     d = rho.shape[0]
@@ -100,7 +101,8 @@ def correlator_tables(initial, firsts, unitaries, seconds) -> np.ndarray:
     # one check over both stacks, then each setting's (P+, P-) pair back per stack
     k = firsts.shape[1]
     pairs = np.moveaxis(dichotomic_projectors(np.concatenate([firsts, seconds], axis=1)), 0, -3)
-    return _tables(rho, pairs[:, :k], u, pairs[:, k:])
+    u = np.broadcast_to(u, (len(pairs), d, d))
+    return np.array([_tables(rho, p[:k], un, p[k:]) for p, un in zip(pairs, u)])
 
 
 def table_from_distributions(dists) -> np.ndarray:

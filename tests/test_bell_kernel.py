@@ -73,13 +73,14 @@ class TestKernelAgainstOracle:
                              for f, s in zip(firsts, seconds)])
             assert got.tobytes() == want.tobytes()
 
-    def test_rows_do_not_depend_on_the_stack(self, rng):
-        rho = random_state(rng, 2)
-        obs = bloch_observables(rng.uniform(0, math.pi, size=(30, 4, 2)))
-        whole = correlator_tables(rho, obs[:, :2], None, obs[:, 2:])
-        for i in range(len(obs)):
-            row = correlator_tables(rho, obs[i:i + 1, :2], None, obs[i:i + 1, 2:])
-            assert row[0].tobytes() == whole[i].tobytes()
+    def test_entries_do_not_depend_on_the_table(self, rng):
+        rho, u = random_state(rng, 2), random_unitary(rng, 2)
+        obs = bloch_observables(rng.uniform(0, math.pi, size=(1, 30, 2)))
+        whole = correlator_tables(rho, obs[:, :12], u, obs[:, 12:])[0]
+        assert whole.shape == (12, 18)
+        for i, j in np.ndindex(whole.shape):
+            one = correlator_tables(rho, obs[:, i:i + 1], u, obs[:, 12 + j:13 + j])
+            assert one.tobytes() == whole[i, j].tobytes()
 
     def test_public_functions_match_oracle(self, rng):
         for _ in range(30):
@@ -258,7 +259,7 @@ class TestChecksOnce:
 
     def test_setting_dimension_still_checked(self):
         z, q = MeasurementSetting.from_pauli("Z"), MeasurementSetting("Q", np.diag([1.0, -1.0, 1.0]))
-        message = r"^observables must be \(N, k, 2, 2\) stacks with one N$"
+        message = r"^observables must be \(k, 2, 2\) stacks$"
         for mode in ("independent_ensembles", "chained_single_system"):
             with pytest.raises(ShapeError, match=message):
                 monogamy_sum(maximally_mixed(2), (q, q), (q, q), (q, q), mode=mode)

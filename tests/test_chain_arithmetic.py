@@ -42,7 +42,7 @@ SUBSCRIPTS = {
 }
 
 CHAIN_PATH = (histories._chains, histories._term_chains, histories._pairings, histories._collapse_weights,
-              histories.weight, histories.decoherence_functional, histories._family_report,
+              histories.weight, histories._family_report,
               twostate._collapse_table, twostate.sequence_distribution, twostate.mixed_sequence_distribution,
               twostate.coherent_bundle_weights, bell._tables, bell.monogamy_sum)
 
@@ -113,7 +113,6 @@ def _exercise_chain_path(rng):
         twostate.coherent_bundle_weights(h, b, {0: setting, 2: setting})
         twostate.coherent_bundle_weights(h, b, {0: setting, 1: setting, 2: setting})
         histories.weight(h, b)
-        histories.decoherence_functional(h, _history(rng, (d,) * 3, 2), b)
         histories.is_consistent_family([h, _history(rng, (d,) * 3, 2), h.terms[0][1]], b)
         a, b_, c = ([MeasurementSetting(f"{p}{i}", _observable(rng, d)) for i in range(2)] for p in "abc")
         bell.s_lgi(bell.CorrelatorSpec(rho, tuple(a), tuple(b_), unitaries[0]))

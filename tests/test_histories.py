@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,11 +20,9 @@ from qhist import (
     TimeGrid,
     best_joint_bell_reduction_overlap,
     chain_operator_sum,
-    decoherence_functional,
     hs_inner,
     hs_norm,
     is_consistent_family,
-    mix,
     mixed_history_density,
     mixed_overlap,
     normalize,
@@ -34,7 +33,7 @@ from qhist import (
 )
 from qhist import histories
 from qhist.histories import MERGE_TOL
-from qhist.linalg import bell_pair_ket, identity, partial_trace, pauli, projector, qubit_ket
+from qhist.linalg import bell_pair_ket, identity, is_projector, partial_trace, projector, qubit_ket
 
 import histories_oracle
 from histories_oracle import exhaustive_projector_family, history_vector
@@ -103,24 +102,6 @@ class TestElementaryHistory:
         eh = ElementaryHistory(g, (proj("z+"), proj("x+")))
         with pytest.raises(ValueError):
             eh.slots[0][0, 0] = 5.0
-
-    def test_is_projector_string(self):
-        g = TimeGrid.regular(2)
-        assert ElementaryHistory(g, (proj("z+"), proj("y-"))).is_projector_string()
-        assert not ElementaryHistory(g, (proj("z+"), pauli("X"))).is_projector_string()
-
-    def test_with_slot(self):
-        g = TimeGrid.regular(2)
-        eh = ElementaryHistory(g, (proj("z+"), proj("z+")))
-        eh2 = eh.with_slot(1, proj("x-"))
-        assert np.allclose(eh2.slots[1], proj("x-"))
-        assert np.allclose(eh.slots[1], proj("z+"))  # original untouched
-
-    def test_from_kets(self):
-        g = TimeGrid.regular(2)
-        eh = ElementaryHistory.from_kets(g, [qubit_ket("+"), qubit_ket("0")])
-        assert np.allclose(eh.slots[0], proj("x+"))
-        assert eh.is_projector_string()
 
 
 class TestHistoryStateAlgebra:
@@ -241,8 +222,8 @@ class TestChainOperator:
         h1, h1r = ElementaryHistory(g, slots1), ElementaryHistory(g, rot(slots1))
         h2, h2r = ElementaryHistory(g, slots2), ElementaryHistory(g, rot(slots2))
         assert weight(h1, b) == pytest.approx(weight(h1r, b_rot), abs=1e-12)
-        assert decoherence_functional(h1, h2, b) == pytest.approx(
-            decoherence_functional(h1r, h2r, b_rot), abs=1e-12
+        assert is_consistent_family([h1, h2], b).matrix[0, 1] == pytest.approx(
+            is_consistent_family([h1r, h2r], b_rot).matrix[0, 1], abs=1e-12
         )
 
     def test_grid_mismatch(self):
@@ -470,15 +451,36 @@ class TestMergeRows:
 
     @pytest.mark.parametrize("seed", range(30))
     def test_long_route_matches_the_loop(self, seed, monkeypatch):
-        # every row takes the route of rows of _MERGE_LONG_ROW entries or more
+        # every row takes the route of rows of _MERGE_LONG_ROW entries or more,
+        # in one column slab and then in slabs of one or a few columns
         monkeypatch.setattr(histories, "_MERGE_LONG_ROW", 1)
         rng = np.random.default_rng(seed)
         rows = _planted_rows(rng, int(rng.integers(1, 40)), int(rng.integers(1, 10)))
         with np.errstate(invalid="ignore"):
-            firsts, group = histories._merge_rows(rows)
             want_firsts, want_group = histories_oracle.merge_rows(rows)
-        assert firsts == want_firsts
-        assert group.tolist() == want_group.tolist()
+            for block in (1 << 17, 1, 37):
+                monkeypatch.setattr(histories, "_MERGE_BLOCK", block)
+                firsts, group = histories._merge_rows(rows)
+                assert firsts == want_firsts
+                assert group.tolist() == want_group.tolist()
+
+    def test_long_rows_are_compared_in_bounded_slabs(self, monkeypatch):
+        # 48 rows of 4096 entries that differ only in their last entry: every
+        # row is compared with all earlier rows in every slab of 1024 entries
+        monkeypatch.setattr(histories, "_MERGE_BLOCK", 1 << 10)
+        rows = np.repeat(np.exp(1j * np.arange(4096.0))[None], 48, axis=0)
+        rows[:, -1] += np.arange(48) % 40
+        tracemalloc.start()
+        try:
+            firsts, group = histories._merge_rows(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert firsts == list(range(40))
+        assert group.tolist() == [t % 40 for t in range(48)]
+        # one slab and its modulus take 24 kB; the whole (47, 4096) difference
+        # and its modulus of the last row would take 4.6 MB
+        assert peak < 256 << 10
 
     @pytest.mark.parametrize("length", [255, 256, 300])
     def test_rows_on_both_sides_of_the_long_bound(self, length):
@@ -1071,7 +1073,8 @@ class TestTermCoordinates:
         if seed % 3 == 0:
             states.append(states[0])  # two members on the same strings
         probs = rng.dirichlet(np.ones(len(states)))
-        m = mix(zip(probs, (complex(rng.normal(), rng.normal()) * h for h in states)))
+        m = MixedHistory(tuple((p, normalize(complex(rng.normal(), rng.normal()) * h))
+                               for p, h in zip(probs, states)))
         # the members' terms laid end to end, C block diagonal
         counts = [h.n_terms for _, h in m.ensemble]
         assert m._coefs.shape == (sum(counts), len(counts))
@@ -1112,7 +1115,7 @@ class TestCachedGeometry:
         dims = (2, 3, 2)
         h = _term_history(rng, dims, [_ops(rng, dims) for _ in range(5)])
         reduced = temporal_partial_trace(h, [0, 2])
-        mixed = mix([(0.25, h), (0.75, h.terms[0][1])])
+        mixed = MixedHistory(((0.25, normalize(h)), (0.75, normalize(h.terms[0][1]))))
         arrays = [*h._self_grams, h._rows, *h._stacks]
         for m in (reduced, mixed):
             arrays += [m._gram, m._coefs, m._pairings, *m._strings]
@@ -1196,10 +1199,10 @@ class TestTermArrays:
 
 
 class TestMixedHistory:
-    def test_mix_normalizes_members(self):
+    def test_normalized_member_has_unit_norm(self):
         g = TimeGrid.regular(2)
         h = HistoryState.from_slots(g, (proj("z+"), proj("z+")), 3.0)
-        m = mix([(1.0, h)])
+        m = MixedHistory(((1.0, normalize(h)),))
         assert hs_norm(m.ensemble[0][1]) == pytest.approx(1.0, abs=1e-12)
 
     def test_density_trace_one(self):
@@ -1232,7 +1235,7 @@ class TestSubsystemTraceOut:
         h, b = self.bell_history(2, (identity(4),))
         red = subsystem_trace_out(h, b, (2, 2), traced=1)
         for _, eh in red.state.terms:
-            assert eh.is_projector_string()
+            assert all(is_projector(op) for op in eh.slots)
 
     def test_recordless_slots_ignore_traced_unitary(self, rng):
         # when no slot looks at the discarded factor, its evolution is
@@ -1259,7 +1262,7 @@ class TestSubsystemTraceOut:
         expected = None
         for c in (np.array([1, 0], complex), np.array([0, 1], complex)):
             kets = [c.conj(), (u @ c).conj(), (u @ u @ c).conj()]
-            term = HistoryState.from_elementary(ElementaryHistory.from_kets(g2, kets))
+            term = HistoryState.from_elementary(ElementaryHistory(g2, tuple(projector(k) for k in kets)))
             expected = term if expected is None else expected + term
         f = abs(hs_inner(normalize(red.state), normalize(expected)))
         assert f == pytest.approx(1.0, abs=1e-9)

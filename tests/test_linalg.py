@@ -24,7 +24,6 @@ from qhist.linalg import (
     pauli,
     projector,
     qubit_ket,
-    trace,
 )
 
 from conftest import random_unitary
@@ -43,10 +42,6 @@ class TestBasics:
         as_ket([1.0, 0.0], normalized=True)
         with pytest.raises(ValueError):
             as_ket([1.0, 1.0], normalized=True)
-
-    def test_trace_requires_square(self):
-        with pytest.raises(ShapeError):
-            trace(np.ones((2, 3)))
 
 
 class TestKron:

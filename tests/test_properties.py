@@ -17,9 +17,9 @@ from qhist import (
     HistoryState,
     TimeGrid,
     chain_operator_sum,
-    decoherence_functional,
     hs_inner,
     hs_norm,
+    is_consistent_family,
     normalize,
     s_lgi,
     settings_from_angles,
@@ -32,7 +32,6 @@ from qhist.linalg import (
     maximally_mixed,
     partial_trace,
     projector,
-    trace,
 )
 
 from conftest import (
@@ -71,15 +70,6 @@ def test_kron_associative(seed, d1, d2, d3):
     left = kron(kron(a, b), c)
     right = kron(a, kron(b, c))
     assert np.allclose(left, right, atol=1e-10)
-
-
-@given(seeds, dims)
-def test_trace_cyclic(seed, d):
-    rng = _rng(seed)
-    a, b, c = (_random_matrix(rng, d) for _ in range(3))
-    assert math.isclose(
-        abs(trace(a @ b @ c) - trace(b @ c @ a)), 0.0, abs_tol=1e-9
-    )
 
 
 @given(seeds, dims, dims)
@@ -161,7 +151,7 @@ def test_decoherence_diagonal_matches_weight(seed, which):
     family, bridging = consistent_family_corpus()[which]
     idx = seed % len(family)
     member = family[idx]
-    d = decoherence_functional(member, member, bridging)
+    d = is_consistent_family(family, bridging).matrix[idx, idx]
     assert abs(d.imag) < 1e-12
     assert math.isclose(d.real, weight(member, bridging), abs_tol=1e-12)
 

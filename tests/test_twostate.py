@@ -25,7 +25,7 @@ from qhist import (
 )
 from qhist import histories, twostate
 from qhist.histories import TimeGrid
-from qhist.linalg import identity, maximally_mixed, pauli, projector, qubit_ket
+from qhist.linalg import identity, is_projector, maximally_mixed, pauli, projector, qubit_ket
 from qhist.twostate import MAX_MEASURED_SLOTS
 
 import twostate_oracle
@@ -329,7 +329,7 @@ class TestHistoryBundle:
         exp = TwoTimeExperiment.build(K0, (X, Z), post=KP)
         for _, h, _, _ in history_bundle(exp):
             assert h.n_terms == 1
-            assert h.terms[0][1].is_projector_string()
+            assert all(is_projector(op) for op in h.terms[0][1].slots)
 
 
 class TestCoherentBundle:

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from qhist.histories import BridgingSet, HistoryState, TimeGrid
+from qhist.histories import BridgingSet, ElementaryHistory, HistoryState, TimeGrid
 from qhist.linalg import as_ket, as_matrix, identity, projector
 from qhist.twostate import ZERO_WEIGHT_TOL, sequence_distribution
 
@@ -86,10 +86,10 @@ def coherent_bundle_weights(h, b, measured) -> dict:
         signs = dict(zip(positions, (+1 if ch == "+" else -1 for ch in string)))
         terms = []
         for c, eh in h.terms:
-            modified = eh
+            ops = list(eh.slots)
             for pos in positions:
-                modified = modified.with_slot(pos, measured[pos].projector(signs[pos]))
-            terms.append((c, modified))
+                ops[pos] = measured[pos].projector(signs[pos])
+            terms.append((c, ElementaryHistory(eh.grid, tuple(ops))))
         k = as_lists(chain_operator_sum(HistoryState(tuple(terms)), b))
         tr = loop_sum(k[i][i] for i in range(min(len(k), len(k[0]))))
         weights[string] = tr.real * tr.real + tr.imag * tr.imag
