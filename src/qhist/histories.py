@@ -35,6 +35,18 @@ over one index, ascending from zero, plus real elementwise ``*`` and ``+``;
 so a plain-Python complex loop gives the same bits on any BLAS build.  That
 bit-for-bit match assumes numpy's einsum loop is compiled without fused
 multiply-adds, as on x86-64 builds, the only platform where it is tested.
+
+The temporal reduction's tail (``_reductions``) keeps to the same rule: the
+member vectors R z, K times them, the renormalization c^dag K c, K times
+the final coefficients and the pairings C^dag (K C) are two-operand
+einsums over one index, and the phases, cut and merges are elementwise.
+What the package still leaves to LAPACK and BLAS, and so to the build's
+kernels: the reduction's front (the two stacked ``eigh`` calls and the
+stacked R^dag K R product), the ``vdot`` and ``norm`` of a degenerate
+cluster's Gram-Schmidt step (``_canonical_basis``), the per-slot Grams
+``_grams`` (and so norms, ``hs_inner`` and every kept Gram K),
+``mixed_overlap``, ``mixed_history_density`` and the pairings of an
+ensemble given to ``MixedHistory`` directly.
 """
 
 from __future__ import annotations
@@ -183,18 +195,26 @@ def _merge_rows(rows: np.ndarray) -> tuple[list[int], np.ndarray]:
             close = np.abs(cols[:, start:stop, None] - cols[:, None, :stop]).max(axis=0) <= MERGE_TOL
         if start:
             close[:, :start] &= unmerged[:start]  # the rows before the block are settled
-        earlier: list[list[int]] = [[] for _ in range(start, stop)]
-        ts, js = np.nonzero(close)
-        for t, j in zip(ts.tolist(), js.tolist()):
-            if j < start + t:
-                earlier[t].append(j)
-        for t, hits in enumerate(earlier, start):
-            g = next((pos[j] for j in hits if j in pos), None)
-            if g is None:
-                g = pos[t] = len(pos)
-                unmerged[t] = True
-            group[t] = g
+        _settle(close, start, pos, unmerged, group)
     return list(pos), group
+
+
+def _settle(close: np.ndarray, start: int, pos: dict, unmerged: np.ndarray, group: np.ndarray) -> None:
+    """First-match resolution of rows start, start + 1, ...: ``close[t -
+    start, j]`` marks row j within MERGE_TOL of row t, and row t joins the
+    first earlier unmerged row among them (its position among the unmerged
+    rows, ``pos``, goes in ``group[t]``) or becomes unmerged itself."""
+    earlier: list[list[int]] = [[] for _ in range(len(close))]
+    ts, js = np.nonzero(close)
+    for t, j in zip(ts.tolist(), js.tolist()):
+        if j < start + t:
+            earlier[t].append(j)
+    for t, hits in enumerate(earlier, start):
+        g = next((pos[j] for j in hits if j in pos), None)
+        if g is None:
+            g = pos[t] = len(pos)
+            unmerged[t] = True
+        group[t] = g
 
 
 def _uncancelled(coefs: np.ndarray) -> list[int]:
@@ -685,30 +705,25 @@ class MixedHistory:
             coefs[end - h.n_terms:end, m] = h._coefs
         with np.errstate(over="ignore", invalid="ignore"):
             gram = math.prod(_grams(strings, strings))
-        self._set_coordinates(ens, strings, gram, coefs)
+            pairings = coefs.conj().T @ gram @ coefs
+        _check_unit_norms(pairings.diagonal().real)
+        self._set_coordinates(ens, strings, gram, coefs, pairings)
 
     @classmethod
-    def _from_coordinates(cls, ens, strings, gram, coefs) -> "MixedHistory":
+    def _from_coordinates(cls, ens, strings, gram, coefs, pairings) -> "MixedHistory":
+        """The ensemble of members whose norms, from ``pairings``, are
+        already checked (``_check_unit_norms``); its probabilities are checked."""
         m = object.__new__(cls)
         _check_probabilities(ens)
-        m._set_coordinates(ens, strings, gram, coefs)
+        m._set_coordinates(ens, strings, gram, coefs, pairings)
         return m
 
-    def _set_coordinates(self, ens, strings, gram, coefs) -> None:
-        """Store the ensemble and its coordinates, then check that every
-        member has unit norm, sqrt((C^dag K C)_mm) within 1e-9 of 1."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            pairings = coefs.conj().T @ gram @ coefs
+    def _set_coordinates(self, ens, strings, gram, coefs, pairings) -> None:
         for a in (*strings, gram, coefs, pairings):
             a.setflags(write=False)
         for name, value in (("ensemble", ens), ("_strings", strings), ("_gram", gram),
                             ("_coefs", coefs), ("_pairings", pairings)):
             object.__setattr__(self, name, value)
-        sq = pairings.diagonal().real
-        if not np.isfinite(sq).all():
-            raise ValueError(_NON_FINITE_NORM)
-        if (np.abs(np.sqrt(np.maximum(sq, 0.0)) - 1.0) > 1e-9).any():
-            raise ValueError("ensemble members must be normalized")
 
     @property
     def grid(self) -> TimeGrid:
@@ -717,6 +732,15 @@ class MixedHistory:
     @property
     def _probabilities(self) -> np.ndarray:
         return np.array([p for p, _ in self.ensemble])
+
+
+def _check_unit_norms(sq: np.ndarray) -> None:
+    """Every member has unit norm: each squared norm (C^dag K C)_mm is
+    finite and its root within 1e-9 of 1."""
+    if not np.isfinite(sq).all():
+        raise ValueError(_NON_FINITE_NORM)
+    if (np.abs(np.sqrt(np.maximum(sq, 0.0)) - 1.0) > 1e-9).any():
+        raise ValueError("ensemble members must be normalized")
 
 
 def _check_probabilities(ens) -> None:
@@ -789,13 +813,13 @@ def temporal_partial_trace(h, keep_slots: Iterable[int], tol: float = 1e-12) -> 
 
     This is the one-set case of ``_reductions``, which reduces one state to
     many slot sets in a single stacked pass: their A and K are built as one
-    stack and share each eigensolve, and each reduction comes out bit for
-    bit as it would alone.
+    stack and share each eigensolve and every product that builds the
+    members, and each reduction comes out bit for bit as it would alone.
 
     ``keep_slots`` holds integer slot indices (what ``operator.index``
     accepts, bools excepted).  Eigenvalues within ``DEGENERACY_TOL`` of their
     cluster's largest form one eigenspace, whose members do not depend on
-    how LAPACK picks its basis (``_canonical_basis``).  Members with
+    how LAPACK picks its basis (``_canonical_members``).  Members with
     eigenvalue at most ``tol``, which must be positive and finite, are
     dropped; a ``tol`` at or above the largest eigenvalue is an error.  The
     output is a mixture: reductions of entangled histories are ensembles,
@@ -828,12 +852,27 @@ def _reductions(h, keep_sets, tol: float = 1e-12) -> list[MixedHistory]:
     """``temporal_partial_trace`` of one state to each of ``keep_sets``.
 
     Every set and ``tol`` are checked before any arithmetic, and the unit
-    scale is taken once.  The K sets' amplitude matrices A and kept Grams K
-    are built as (K, T, T) stacks, slot by slot in slot order, so each entry
-    sees the multiplies of a lone reduction; one finiteness check, one
-    stacked ``eigh`` of A, one stacked R^dag K R and one stacked ``eigh``
-    serve every set.  Each set's members are then written over its own
-    merged kept strings (``_eigen_ensemble``).
+    scale is taken once.  The front: the K sets' amplitude matrices A and
+    kept Grams K are built as (K, T, T) stacks, slot by slot in slot order,
+    so each entry sees the multiplies of a lone reduction; one finiteness
+    check, one stacked ``eigh`` of A, one stacked R^dag K R and one stacked
+    ``eigh`` serve every set.
+
+    The tail handles every set at once too, as (K, W, T) stacks whose row m
+    is set i's member m over the T terms: W is the most members of any set,
+    eigenpairs come largest first, and each set's dead rows (eigenvalue at
+    most ``tol``) are masked before any division.  It forms V = (R z /
+    sqrt(lam))^T and K V, turns both by each member's phase
+    (``_canonical_members``, which reads the overlaps off K V), divides by
+    sqrt(c^dag K c), cuts coefficients with |c_t| |w_t| at most 1e-14, merges
+    each set's close kept strings (``_merge_kept``, whose per-slot closeness
+    is computed once per call), drops cancelled coefficients and pairs the
+    members as C^dag (K C).  Each product is a two-operand einsum over one
+    index (O(K T^2 W) at most), none per set.  One norm check of the
+    pairings serves every set, then each set wraps its slices of the
+    stacks: a grid, one ``HistoryState`` per member and the
+    ``MixedHistory``, whose probabilities are checked.  No entry depends on
+    another set, so each reduction is bit for bit the reduction alone.
     """
     h = _as_state(h)
     if not (math.isfinite(tol) and tol > 0.0):
@@ -845,108 +884,195 @@ def _reductions(h, keep_sets, tol: float = 1e-12) -> list[MixedHistory]:
         kept[keep, i] = True
     amps = np.repeat(np.outer(coefs, coefs.conj())[None], len(keeps), axis=0)  # A
     grams = np.ones_like(amps)  # K
-    for on, g in zip(kept, h._self_grams):
-        grams[on] = grams[on] * g
-        amps[~on] = amps[~on] * g.conj()
+    for on, g in zip(kept[:, :, None, None], h._self_grams):
+        np.multiply(grams, g, out=grams, where=on)
+        np.multiply(amps, g.conj(), out=amps, where=~on)
     if not np.isfinite(amps).all():
         raise ValueError("matrix entries must be finite")
     a_vals, a_vecs = np.linalg.eigh(amps)
-    r = a_vecs * np.sqrt(np.clip(a_vals, 0.0, None))[:, None, :]
+    r = a_vecs * np.sqrt(np.maximum(a_vals, 0.0))[:, None, :]
     evals, z = np.linalg.eigh(r.conj().transpose(0, 2, 1) @ grams @ r)
-    return [_eigen_ensemble(h, *args, tol) for args in zip(keeps, r, grams, evals, z)]
 
-
-def _eigen_ensemble(h: HistoryState, keep: list[int], r: np.ndarray, gram: np.ndarray,
-                    evals: np.ndarray, z: np.ndarray, tol: float) -> MixedHistory:
-    """The reduction of ``h`` to the slots ``keep`` from its part of the
-    stacked pass: A = R R^dag, the kept Gram K and the eigenpairs of R^dag K R."""
+    # row m of set i is its eigenpair of rank m, largest first: the tail's
+    # (K, W, T) stacks hold a vector over the T terms in each row, so every
+    # einsum sums along contiguous rows
+    evals, z = evals[:, ::-1], z[:, :, ::-1].transpose(0, 2, 1)
     live = evals > tol
-    if not live.any():
-        raise ValueError(f"tol {tol!r} is at or above the largest eigenvalue {float(evals[-1])!r} "
-                         f"of the reduction to slots {keep}")
-    evals = evals[live]
-    vecs = (r @ z[:, live]) / np.sqrt(evals)
-    norms = np.sqrt(np.clip(gram.diagonal().real, 0.0, None))
+    if not live[:, 0].all():
+        i = int(np.argmin(live[:, 0]))
+        raise ValueError(f"tol {tol!r} is at or above the largest eigenvalue {float(evals[i, 0])!r} "
+                         f"of the reduction to slots {keeps[i]}")
+    counts = live.sum(axis=1).tolist()  # members per set
+    width = max(counts)
+    live, evals = live[:, :width], evals[:, :width]
+    vecs = np.einsum("kti,kmi->kmt", r, np.ascontiguousarray(z[:, :width]))
+    vecs /= np.sqrt(np.where(live, evals, 1.0))[:, :, None]
+    norms = np.sqrt(np.maximum(grams.diagonal(axis1=1, axis2=2).real, 0.0))
+    evals, members, k_members = _canonical_members(evals, live, vecs, np.einsum("kst,kmt->kms", grams, vecs),
+                                                   norms)
+    slots = sorted(set().union(*keeps))
+    kept_rows = _join_rows([h._stacks[k] for k in slots])  # the kept strings of every set
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite member fails the norm check
+        sq = np.einsum("kmt,kmt->km", members.conj(), k_members).real
+        members /= np.sqrt(np.where(live, sq, 1.0))[:, :, None]
+        members = np.where(np.abs(members) * norms[:, None, :] > 1e-14, members, 0.0)
+        firsts = _merge_kept(kept_rows, [h.grid.slot_dims[k] ** 2 for k in slots], kept[slots], members)
+        # the coefficients above 1e-15 of each member's largest (_uncancelled;
+        # a NaN keeps them all)
+        mags = np.abs(members)
+        on = ~(mags <= 1e-15 * mags.max(axis=2, keepdims=True))
+        columns = np.where(on, members, 0.0)  # C^T, over every term
+        pairings = np.einsum("kmt,knt->kmn", columns.conj(), np.einsum("kst,knt->kns", grams, columns))
+    _check_unit_norms(np.where(live, pairings.diagonal(axis1=1, axis2=2).real, 1.0))
+    evals = np.where(live, evals, 0.0)
+    probs = evals / np.cumsum(evals, axis=1)[:, -1:]  # summed left to right
 
-    # the kept strings, merged once: string j is term firsts[j]'s, and term t
-    # has string group[t]
-    grid = h.grid
-    sub_grid = TimeGrid._held(tuple(grid.labels[k] for k in keep), tuple(grid.slot_dims[k] for k in keep))
-    rows = _join_rows([h._stacks[k] for k in keep])
-    firsts, group = _merge_rows(rows)
-    rows = rows[firsts]
-    extra = [t for t, g in enumerate(group.tolist()) if t != firsts[g]]
-    members = []
-    columns = np.zeros((len(firsts), len(evals)), dtype=complex)  # C, column m member m
-    for m, (lam, c) in enumerate(_canonical_basis(evals, vecs, vecs.conj().T @ gram, norms)):
-        c = c / math.sqrt(np.vdot(c, gram @ c).real)
-        c = np.where(np.abs(c) * norms > 1e-14, c, 0.0)
-        merged = c[firsts]
-        for t in extra:  # in term order, as HistoryState sums them
-            merged[group[t]] += c[t]
-        on = _uncancelled(merged)
-        columns[on, m] = merged[on]
-        members.append((lam, HistoryState._held(sub_grid, merged[on], rows[on])))
-    total = np.cumsum([p for p, _ in members])[-1]  # left to right, as on every Python
-    ensemble = tuple((p / total, h_m) for p, h_m in members)
-    if extra:
-        gram = gram[np.ix_(firsts, firsts)]
-    return MixedHistory._from_coordinates(ensemble, _split_rows(rows, sub_grid.slot_dims), gram, columns)
+    grid, out = h.grid, []
+    for i, (keep, m) in enumerate(zip(keeps, counts)):
+        sub_grid = TimeGrid._held(tuple(grid.labels[k] for k in keep), tuple(grid.slot_dims[k] for k in keep))
+        rows = kept_rows if keep == slots else _join_rows([h._stacks[k] for k in keep])
+        # every member's live coefficients and their strings, member by member
+        mask = on[i, :m]
+        ends = list(itertools.accumulate(mask.sum(axis=1).tolist()))
+        values, strings = columns[i, :m][mask], rows[np.nonzero(mask)[1]]
+        states = [HistoryState._held(sub_grid, values[a:b], strings[a:b]) for a, b in zip([0] + ends, ends)]
+        strings, gram, coefs = tuple(h._stacks[k] for k in keep), grams[i], columns[i, :m].T
+        if firsts[i] is not None:
+            f = firsts[i]
+            strings, gram, coefs = tuple(s[f] for s in strings), gram[np.ix_(f, f)], coefs[f]
+        ensemble = tuple(zip(probs[i, :m].tolist(), states))
+        out.append(MixedHistory._from_coordinates(ensemble, strings, gram, coefs, pairings[i, :m, :m]))
+    return out
 
 
-def _canonical_basis(evals, vecs, overlaps, norms) -> list[tuple[float, np.ndarray]]:
-    """Eigen-ensemble members in a basis fixed by the term strings.
+def _merge_kept(rows: np.ndarray, sizes, kept: np.ndarray, members: np.ndarray) -> list:
+    """Merge each keep set's kept strings, as ``HistoryState`` merges.
 
-    ``evals`` ascend; column m of ``vecs`` is eigenvector m in term
-    coordinates and ``overlaps[m, t]`` = <u_m, w_t> is its kept-space
-    eigenvector's overlap with term t's kept string, of norm ``norms[t]``.
-    Going down from the largest eigenvalue, each cluster takes every
-    eigenvalue within ``DEGENERACY_TOL`` of its first, and all its members
-    share the cluster's mean eigenvalue.  Its basis is the Gram-Schmidt
-    orthonormalization, in term order, of the term strings projected onto
-    the cluster, skipping projections shorter than ``SPAN_TOL`` times the
-    string (the cluster's own basis fills any remainder).  So member j's
-    overlap with the string that generated it is real and positive, and
-    members come in descending probability, then term order.  A one-member
-    cluster, the usual case, is its eigenvector turned by the phase of its
-    first overlap above ``SPAN_TOL``, with the same arithmetic as the
-    Gram-Schmidt step.  Returns (eigenvalue, member vector in term
-    coordinates) pairs.
+    ``rows`` are the terms' strings on the slots some set keeps, whose
+    operators have ``sizes`` entries each, and ``kept[s, i]`` is whether set
+    i keeps slot s of them.  A term joins the first earlier unmerged term
+    whose string is close on every slot its set keeps (``_close_strings``,
+    computed once for all sets), and its coefficients in ``members`` (K, M,
+    T) are added to that term's, in term order, and zeroed.  Returns each
+    set's unmerged terms, or None for a set with no close pair."""
+    n_sets, n_terms = len(members), members.shape[2]
+    firsts: list = [None] * n_sets
+    if n_terms < 2:
+        return firsts
+    close = _close_strings(rows, sizes)
+    if not close.any():
+        return firsts
+    together = np.ones((n_sets, n_terms, n_terms), dtype=bool)
+    for c, on in zip(close, kept):
+        together[on] &= c
+    for i in np.flatnonzero(together.any(axis=(1, 2))).tolist():
+        pos: dict[int, int] = {}
+        group = np.empty(n_terms, dtype=int)
+        _settle(together[i], 0, pos, np.zeros(n_terms, dtype=bool), group)
+        f = firsts[i] = list(pos)
+        for t, g in enumerate(group.tolist()):
+            if t != f[g]:
+                members[i, :, f[g]] += members[i, :, t]
+                members[i, :, t] = 0.0
+    return firsts
+
+
+def _close_strings(rows: np.ndarray, sizes) -> np.ndarray:
+    """close[s, t, j]: term rows j < t are within MERGE_TOL in every entry of
+    slot s, whose operators fill the next ``sizes[s]`` entries of a row (a
+    NaN entry matches nothing); false for j >= t.  Slot by slot, each block
+    of rows is compared with every row before its end one entry at a time,
+    until no pair in it is close, so at most _MERGE_BLOCK differences are
+    held at once."""
+    n = len(rows)
+    t = np.arange(n)
+    close = np.repeat((t[:, None] > t)[None], len(sizes), axis=0)
+    step = max(1, _MERGE_BLOCK // n)
+    for c, end, size in zip(close, itertools.accumulate(sizes), sizes):
+        cols = np.ascontiguousarray(rows[:, end - size:end].T)  # (entries, T)
+        for start in range(0, n, step):
+            block = c[start:start + step, :start + step]
+            for col in cols:
+                if not block.any():
+                    break
+                block &= np.abs(col[start:start + step, None] - col[None, :start + step]) <= MERGE_TOL
+    return close
+
+
+def _canonical_members(evals, live, vecs, k_vecs, norms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigen-ensemble members of K keep sets in a basis fixed by the term strings.
+
+    ``evals`` (K, W) descend, with the ``live`` ones first in each row;
+    row m of ``vecs[i]`` (K, W, T) is set i's eigenvector m in term
+    coordinates and row m of ``k_vecs[i]`` is K times it, so that
+    conj(k_vecs[i, m, t]) = <u_m, w_t> is its kept-space eigenvector's
+    overlap with term t's kept string, of norm ``norms[i, t]``.  Going down
+    from the largest eigenvalue, each cluster takes every eigenvalue within
+    ``DEGENERACY_TOL`` of its first, and all its members share the
+    cluster's mean eigenvalue.  A one-member cluster, the usual case, is its
+    eigenvector turned by the phase of its first overlap above
+    ``SPAN_TOL``, which makes that overlap real and positive: every set at
+    once, one einsum for the members and one for K times them.  A larger
+    cluster takes the Gram-Schmidt step on its own set's rows
+    (``_canonical_basis``).  So members come in descending probability,
+    then term order.  Returns the eigenvalues, the members and K times
+    them, as (K, ...) stacks like their inputs; dead rows are zero.
     """
-    evals, vecs = evals[::-1], vecs[:, ::-1]
-    unit = overlaps[::-1] / np.where(norms > 0.0, norms, 1.0)
+    unit = k_vecs.conj() / np.where(norms > 0.0, norms, 1.0)[:, None, :]
     # np.linalg.norm of each length-1 projection: sqrt(re^2 + im^2)
     lengths = np.sqrt(unit.real * unit.real + unit.imag * unit.imag)
+    spans = lengths > SPAN_TOL
+    # the flat index of each member's first string above SPAN_TOL (or its first)
+    hit = spans.argmax(axis=2) + np.arange(0, spans.size, spans.shape[2]).reshape(spans.shape[:2])
+    anchor = np.take(lengths, hit)
+    found = (anchor > SPAN_TOL) & live
+    # the anchor's phase, 1 where no string is above SPAN_TOL, 0 for a dead row
+    phases = np.where(found, np.take(unit, hit) / np.where(found, anchor, 1.0), live)
+    members = np.einsum("kmt,km->kmt", vecs, phases)
+    k_members = np.einsum("kmt,km->kmt", k_vecs, phases)
+    clustered = (evals[:, :-1] - evals[:, 1:] <= DEGENERACY_TOL) & live[:, 1:]
+    if clustered.any():
+        evals = evals.copy()
+        for i in np.flatnonzero(clustered.any(axis=1)).tolist():
+            n = int(live[i].sum())
+            for start, stop, lam, basis in _canonical_basis(evals[i, :n], unit[i, :n]):
+                evals[i, start:stop] = lam
+                members[i, start:stop] = np.einsum("jm,mt->jt", basis, vecs[i, start:stop])
+                k_members[i, start:stop] = np.einsum("jm,mt->jt", basis, k_vecs[i, start:stop])
+    return evals, members, k_members
+
+
+def _canonical_basis(evals, unit) -> list[tuple[int, int, float, np.ndarray]]:
+    """The clusters of more than one member of one keep set, from its
+    descending live ``evals`` and normalized overlaps ``unit`` (M, T) (see
+    ``_canonical_members``).  A cluster's basis is the Gram-Schmidt
+    orthonormalization, in term order, of the term strings projected onto
+    it, skipping projections shorter than ``SPAN_TOL`` times the string (the
+    cluster's own basis fills any remainder), so member j's overlap with the
+    string that generated it is real and positive.  Returns (start, stop,
+    mean eigenvalue, basis) per cluster, basis row j holding member j's
+    coordinates over the cluster's eigenvectors.
+    """
     vals = evals.tolist()
-    out: list[tuple[float, np.ndarray]] = []
+    out = []
     start = 0
     while start < len(vals):
         stop = start + 1
         while stop < len(vals) and vals[start] - vals[stop] <= DEGENERACY_TOL:
             stop += 1
-        if stop == start + 1:
-            hits = np.flatnonzero(lengths[start] > SPAN_TOL)
-            if hits.size:
-                t = hits[0]
-                q = unit[start, t:t + 1] / lengths[start, t]
-            else:
-                q = np.ones(1, dtype=complex)
-            out.append((vals[start], vecs[:, start:stop] @ q))
-            start = stop
-            continue
-        size = stop - start
-        candidates = np.hstack([unit[start:stop], np.eye(size)])
-        basis: list[np.ndarray] = []
-        for x in candidates.T:
-            for q in basis:
-                x = x - q * np.vdot(q, x)
-            n = np.linalg.norm(x)
-            if n > SPAN_TOL:
-                basis.append(x / n)
-                if len(basis) == size:
-                    break
-        lam = float(np.mean(evals[start:stop]))
-        out.extend((lam, vecs[:, start:stop] @ q) for q in basis)
+        if stop > start + 1:
+            size = stop - start
+            candidates = np.hstack([unit[start:stop], np.eye(size)])
+            basis: list[np.ndarray] = []
+            for x in candidates.T:
+                for q in basis:
+                    x = x - q * np.vdot(q, x)
+                n = np.linalg.norm(x)
+                if n > SPAN_TOL:
+                    basis.append(x / n)
+                    if len(basis) == size:
+                        break
+            out.append((start, stop, float(np.mean(evals[start:stop])), np.array(basis)))
         start = stop
     return out
 

@@ -42,11 +42,20 @@ conjugation, one term and one slot at a time.
 one-member route shortcuts: every eigenvalue, clustered or alone, goes
 through the projection loop and ``np.linalg.norm``.
 
+``reductions`` is the set-by-set tail the package's stacked tail replaces,
+kept as it was: after the same stacked front (both ``eigh`` calls), each keep
+set's members are built one at a time with BLAS products
+(``eigen_ensemble``), its kept strings are merged with the blocked row merge,
+and each eigenvalue goes through ``one_member_basis``, whose one-member
+clusters take a phase and whose larger clusters take the Gram-Schmidt step.
+Its pairings C^dag K C are one BLAS product per set.
+
 ``exhaustive_projector_family`` lists every computational-basis projector
 string on a grid, whose chain operators resolve the bare evolution.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -57,9 +66,17 @@ from qhist.histories import (
     BridgingSet,
     ElementaryHistory,
     HistoryState,
+    MixedHistory,
     TimeGrid,
     _as_state,
+    _check_unit_norms,
+    _join_rows,
+    _keep_set,
+    _merge_rows,
     _split_product_unitary,
+    _split_rows,
+    _uncancelled,
+    _unit_scale,
     is_consistent_family,
     normalize,
 )
@@ -303,6 +320,113 @@ def canonical_basis(evals, vecs, overlaps, norms) -> list:
         stop = start + 1
         while stop < len(evals) and evals[start] - evals[stop] <= DEGENERACY_TOL:
             stop += 1
+        size = stop - start
+        candidates = np.hstack([unit[start:stop], np.eye(size)])
+        basis = []
+        for x in candidates.T:
+            for q in basis:
+                x = x - q * np.vdot(q, x)
+            n = np.linalg.norm(x)
+            if n > SPAN_TOL:
+                basis.append(x / n)
+                if len(basis) == size:
+                    break
+        lam = float(np.mean(evals[start:stop]))
+        out.extend((lam, vecs[:, start:stop] @ q) for q in basis)
+        start = stop
+    return out
+
+
+def reductions(h, keep_sets, tol: float = 1e-12) -> list:
+    """``histories._reductions`` with the set-by-set tail: the stacked front,
+    then ``eigen_ensemble`` once per keep set."""
+    h = _as_state(h)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    keeps = [_keep_set(s, h.grid.n_slots) for s in keep_sets]
+    coefs = h._coefs * _unit_scale(h)
+    kept = np.zeros((h.grid.n_slots, len(keeps)), dtype=bool)  # kept[k, i]: set i keeps slot k
+    for i, keep in enumerate(keeps):
+        kept[keep, i] = True
+    amps = np.repeat(np.outer(coefs, coefs.conj())[None], len(keeps), axis=0)  # A
+    grams = np.ones_like(amps)  # K
+    for on, g in zip(kept, h._self_grams):
+        grams[on] = grams[on] * g
+        amps[~on] = amps[~on] * g.conj()
+    if not np.isfinite(amps).all():
+        raise ValueError("matrix entries must be finite")
+    a_vals, a_vecs = np.linalg.eigh(amps)
+    r = a_vecs * np.sqrt(np.clip(a_vals, 0.0, None))[:, None, :]
+    evals, z = np.linalg.eigh(r.conj().transpose(0, 2, 1) @ grams @ r)
+    return [eigen_ensemble(h, *args, tol) for args in zip(keeps, r, grams, evals, z)]
+
+
+def eigen_ensemble(h, keep, r, gram, evals, z, tol):
+    """The reduction of ``h`` to the slots ``keep`` from its part of the
+    stacked pass: A = R R^dag, the kept Gram K and the eigenpairs of R^dag K R."""
+    live = evals > tol
+    if not live.any():
+        raise ValueError(f"tol {tol!r} is at or above the largest eigenvalue {float(evals[-1])!r} "
+                         f"of the reduction to slots {keep}")
+    evals = evals[live]
+    vecs = (r @ z[:, live]) / np.sqrt(evals)
+    norms = np.sqrt(np.clip(gram.diagonal().real, 0.0, None))
+
+    # the kept strings, merged once: string j is term firsts[j]'s, and term t
+    # has string group[t]
+    grid = h.grid
+    sub_grid = TimeGrid._held(tuple(grid.labels[k] for k in keep), tuple(grid.slot_dims[k] for k in keep))
+    rows = _join_rows([h._stacks[k] for k in keep])
+    firsts, group = _merge_rows(rows)
+    rows = rows[firsts]
+    extra = [t for t, g in enumerate(group.tolist()) if t != firsts[g]]
+    members = []
+    columns = np.zeros((len(firsts), len(evals)), dtype=complex)  # C, column m member m
+    for m, (lam, c) in enumerate(one_member_basis(evals, vecs, vecs.conj().T @ gram, norms)):
+        c = c / math.sqrt(np.vdot(c, gram @ c).real)
+        c = np.where(np.abs(c) * norms > 1e-14, c, 0.0)
+        merged = c[firsts]
+        for t in extra:  # in term order, as HistoryState sums them
+            merged[group[t]] += c[t]
+        on = _uncancelled(merged)
+        columns[on, m] = merged[on]
+        members.append((lam, HistoryState._held(sub_grid, merged[on], rows[on])))
+    total = np.cumsum([p for p, _ in members])[-1]  # left to right, as on every Python
+    ensemble = tuple((p / total, h_m) for p, h_m in members)
+    if extra:
+        gram = gram[np.ix_(firsts, firsts)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairings = columns.conj().T @ gram @ columns
+    _check_unit_norms(pairings.diagonal().real)
+    return MixedHistory._from_coordinates(ensemble, _split_rows(rows, sub_grid.slot_dims), gram, columns,
+                                          pairings)
+
+
+def one_member_basis(evals, vecs, overlaps, norms) -> list:
+    """``canonical_basis`` with each one-member cluster shortcut: its
+    eigenvector turned by the phase of its first overlap above ``SPAN_TOL``,
+    as a length-one product."""
+    evals, vecs = evals[::-1], vecs[:, ::-1]
+    unit = overlaps[::-1] / np.where(norms > 0.0, norms, 1.0)
+    # np.linalg.norm of each length-1 projection: sqrt(re^2 + im^2)
+    lengths = np.sqrt(unit.real * unit.real + unit.imag * unit.imag)
+    vals = evals.tolist()
+    out = []
+    start = 0
+    while start < len(vals):
+        stop = start + 1
+        while stop < len(vals) and vals[start] - vals[stop] <= DEGENERACY_TOL:
+            stop += 1
+        if stop == start + 1:
+            hits = np.flatnonzero(lengths[start] > SPAN_TOL)
+            if hits.size:
+                t = hits[0]
+                q = unit[start, t:t + 1] / lengths[start, t]
+            else:
+                q = np.ones(1, dtype=complex)
+            out.append((vals[start], vecs[:, start:stop] @ q))
+            start = stop
+            continue
         size = stop - start
         candidates = np.hstack([unit[start:stop], np.eye(size)])
         basis = []

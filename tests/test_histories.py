@@ -940,17 +940,153 @@ class TestStackedReductions:
             _reductions(ghz_like(3), [[0], [3]])
 
 
-class TestOneMemberClusters:
-    """The one-member route of ``_canonical_basis`` against the Gram-Schmidt oracle."""
+def _assert_matches_retired_tail(got: MixedHistory, want: MixedHistory) -> None:
+    """``got`` against the set-by-set tail's reduction ``want``: the same
+    strings, Gram and member strings, and probabilities within 1e-13.
+    Member coefficients agree within 1e-13 times the larger of 1 and their
+    largest over the member's phase anchor (its first normalized overlap
+    above SPAN_TOL with a kept string), whose rounding the phase amplifies;
+    pairing (m, n) within 1e-13 times the larger of 1 and the product of
+    members m's and n's largest coefficients, as for any quadratic form."""
+    assert got.grid == want.grid and len(got.ensemble) == len(want.ensemble)
+    assert np.array_equal(got._gram, want._gram)
+    for x, y in zip(got._strings, want._strings, strict=True):
+        assert np.array_equal(x, y)
+    assert got._pairings.shape == want._pairings.shape
+    sizes = np.array([np.max(np.abs(m._coefs)) for _, m in got.ensemble])
+    assert (np.abs(got._pairings - want._pairings) <= 1e-13 * np.maximum(1.0, np.outer(sizes, sizes))).all()
+    norms = np.sqrt(got._gram.diagonal().real)
+    overlaps = np.abs(got._coefs.conj().T @ got._gram) / np.where(norms > 0.0, norms, 1.0)
+    for (p, m), (p0, m0), row in zip(got.ensemble, want.ensemble, overlaps):
+        assert abs(p - p0) <= 1e-13
+        assert np.array_equal(m._rows, m0._rows)
+        anchor = row[row > histories.SPAN_TOL][0]
+        scale = max(1.0, np.max(np.abs(m._coefs)) / anchor)
+        assert np.max(np.abs(m._coefs - m0._coefs)) <= 1e-13 * scale
 
-    @pytest.mark.parametrize("seed", range(40))
-    def test_matches_gram_schmidt_bit_for_bit(self, seed):
-        from qhist.histories import DEGENERACY_TOL, SPAN_TOL, _canonical_basis
+
+def _assert_same_bits(a: MixedHistory, b: MixedHistory) -> None:
+    _assert_same_reduction(a, b)
+    for (_, m), (_, m0) in zip(a.ensemble, b.ensemble):
+        assert m._coefs.tobytes() == m0._coefs.tobytes()
+
+
+def _all_keep_sets(n: int) -> list:
+    return [list(c) for r in range(1, n) for c in itertools.combinations(range(n), r)]
+
+
+class TestStackedTailAgainstRetiredTail:
+    """The stacked tail of ``_reductions`` against the set-by-set tail it
+    replaces (``histories_oracle.reductions``), which runs the same front."""
+
+    @pytest.mark.parametrize("name, h", STACKED_CASES, ids=[c[0] for c in STACKED_CASES])
+    def test_every_keep_set_matches(self, name, h):
+        from qhist.histories import _reductions
+
+        sets = _all_keep_sets(h.grid.n_slots)
+        for got, want in zip(_reductions(h, sets), histories_oracle.reductions(h, sets), strict=True):
+            _assert_matches_retired_tail(got, want)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("alpha, beta", [(0.6, 0.8), (2 ** -0.5, 2 ** -0.5), (0.28, -0.96j)])
+    def test_temporal_ghz_family_bit_for_bit(self, n, alpha, beta):
+        from qhist.histories import _reductions
+
+        _, up, down = diagonal_branches(n)
+        h = alpha * up + beta * down
+        sets = [[i] for i in range(n)] + ([[i, j] for i in range(n) for j in range(i + 1, n)] if n > 2 else [])
+        for got, want in zip(_reductions(h, sets), histories_oracle.reductions(h, sets), strict=True):
+            _assert_same_bits(got, want)
+
+
+def _mixed_kinds_state() -> HistoryState:
+    """a (|0 00> + |0 11>) + b (|1 01> + |1 10>) on three qubit slots, as
+    z projector strings: kept to [0] its strings merge (spectrum 2a^2,
+    2b^2), to [1, 2] they are distinct (the same spectrum), to [1] they
+    merge and the spectrum is (1/2, 1/2), and to [0, 1] they are distinct
+    with that degenerate spectrum."""
+    z = [proj("z+"), proj("z-")]
+    a, b = 0.6 / math.sqrt(2.0), 0.8 / math.sqrt(2.0)
+    grid = TimeGrid.regular(3)
+    bits = [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)]
+    return HistoryState(tuple((c, ElementaryHistory(grid, tuple(z[i] for i in s)))
+                              for c, s in zip((a, a, b, b), bits)))
+
+
+class TestMixedPasses:
+    """One ``_reductions`` call whose sets take different routes of the tail."""
+
+    SETS = [[0], [1, 2], [1], [0, 1]]
+
+    def test_each_set_is_its_lone_reduction_and_the_retired_tail(self):
+        from qhist.histories import _reductions
+
+        h = _mixed_kinds_state()
+        got = _reductions(h, self.SETS)
+        for keep, m in zip(self.SETS, got, strict=True):
+            _assert_same_bits(m, _reductions(h, [keep])[0])
+        for m, m0 in zip(got, histories_oracle.reductions(h, self.SETS), strict=True):
+            _assert_matches_retired_tail(m, m0)
+
+    def test_each_set_takes_its_route(self):
+        from qhist.histories import _reductions
+
+        merged, distinct, degenerate_merged, degenerate = _reductions(_mixed_kinds_state(), self.SETS)
+        # merging sets hold two strings of the four terms' kept strings
+        assert [len(m._gram) for m in (merged, distinct, degenerate_merged, degenerate)] == [2, 4, 2, 4]
+        for m in (merged, distinct):
+            assert [p for p, _ in m.ensemble] == pytest.approx([0.64, 0.36], abs=1e-14)
+        for m in (degenerate_merged, degenerate):
+            assert [p for p, _ in m.ensemble] == pytest.approx([0.5, 0.5], abs=1e-14)
+        # merged: the z- and z+ strings, one term each with coefficient 1
+        for (_, member), ops in zip(merged.ensemble, ([proj("z-")], [proj("z+")])):
+            target = HistoryState.from_slots(member.grid, ops)
+            assert np.max(np.abs(history_vector(member) - history_vector(target))) <= 1e-15
+        # a degenerate cluster's members are the term strings, in term order
+        for (_, member), ops in zip(degenerate_merged.ensemble, ([proj("z+")], [proj("z-")])):
+            target = HistoryState.from_slots(member.grid, ops)
+            assert np.max(np.abs(history_vector(member) - history_vector(target))) <= 1e-15
+        assert all(abs(hs_norm(m) - 1.0) <= 1e-15 for r in (merged, degenerate) for _, m in r.ensemble)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_sets_of_a_pooled_state(self, seed):
+        from qhist.histories import _reductions
 
         rng = np.random.default_rng(seed)
+        dims = (2, 3, 2, 2)
+        h = _shared_kept_strings(rng, dims, [0, 2], 9, 3)
+        sets = [list(s) for s in rng.permutation(np.array(_all_keep_sets(4), dtype=object))[:6]]
+        for keep, got, want in zip(sets, _reductions(h, sets), histories_oracle.reductions(h, sets),
+                                   strict=True):
+            _assert_same_bits(got, _reductions(h, [keep])[0])
+            _assert_matches_retired_tail(got, want)
+
+    def test_tol_error_names_the_first_failing_set(self):
+        from qhist.histories import _reductions
+
+        # 0.6 |0 0 +> + 0.8 |1 1 +>: kept to [2] or [0, 1] the reduction is pure,
+        # kept to [1] or [0] its largest eigenvalue is 0.64
+        grid = TimeGrid.regular(3)
+        h = (0.6 * HistoryState.from_slots(grid, (proj("z+"), proj("z+"), proj("x+")))
+             + 0.8 * HistoryState.from_slots(grid, (proj("z-"), proj("z-"), proj("x+"))))
+        assert [len(m.ensemble) for m in _reductions(h, [[2], [0, 1]], tol=0.7)] == [1, 1]
+        for sets, named in (([[2], [0, 1], [1], [0]], r"\[1\]"), ([[0], [1]], r"\[0\]")):
+            with pytest.raises(ValueError, match=rf"tol 0\.7 is at or above the largest eigenvalue 0\.6[34]\d* "
+                                                 rf"of the reduction to slots {named}$"):
+                _reductions(h, sets, tol=0.7)
+
+
+class TestOneMemberClusters:
+    """The stacked one-member route of ``_canonical_members`` against the
+    Gram-Schmidt oracle, alone and stacked with another set."""
+
+    @staticmethod
+    def _random_set(rng):
+        from qhist.histories import DEGENERACY_TOL, SPAN_TOL
+
         t, m = int(rng.integers(1, 9)), int(rng.integers(1, 9))
         evals = np.sort(rng.random(m))
-        if seed % 4 == 0 and m > 1:
+        if rng.random() < 0.25 and m > 1:
             evals[1:] = evals[0] + np.cumsum(rng.uniform(2, 4, m - 1)) * DEGENERACY_TOL  # close but distinct
         assert (np.diff(evals) > DEGENERACY_TOL).all()
         vecs = rng.normal(size=(t, m)) + 1j * rng.normal(size=(t, m))
@@ -959,15 +1095,126 @@ class TestOneMemberClusters:
         # leading overlaps below SPAN_TOL move the phase to a later string;
         # a row of them leaves only the eigenvector's own basis
         overlaps[:, : int(rng.integers(0, t + 1))] *= SPAN_TOL * 0.5
-        if seed % 5 == 0:
+        if rng.random() < 0.2:
             overlaps[int(rng.integers(m))] *= SPAN_TOL * 0.5
         norms[rng.random(t) < 0.2] = 0.0
-        got = _canonical_basis(evals, vecs, overlaps, norms)
+        return evals, vecs, overlaps, norms
+
+    @staticmethod
+    def _stacked(sets, n_terms):
+        """``_canonical_members``' arguments for ``sets``: eigenpairs largest
+        first, each member a row over the terms, K times it the conjugate
+        of its overlaps, and each set's dead rows and terms past its own zero."""
+        width = max(len(e) for e, _, _, _ in sets)
+        evals, live = np.zeros((len(sets), width)), np.zeros((len(sets), width), dtype=bool)
+        vecs = np.zeros((len(sets), width, n_terms), dtype=complex)
+        k_vecs = np.zeros_like(vecs)
+        norms = np.zeros((len(sets), n_terms))
+        for i, (e, v, o, n) in enumerate(sets):
+            m, t = len(e), len(n)
+            evals[i, :m], live[i, :m] = e[::-1], True
+            vecs[i, :m, :t], k_vecs[i, :m, :t], norms[i, :t] = v.T[::-1], o[::-1].conj(), n
+        return evals, live, vecs, k_vecs, norms
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_gram_schmidt_bit_for_bit(self, seed):
+        from qhist.histories import _canonical_members
+
+        rng = np.random.default_rng(seed)
+        one, other = self._random_set(rng), self._random_set(rng)
+        want = histories_oracle.canonical_basis(*one)
+        t = len(one[3])
+        for sets, i in (([one], 0), ([one, other], 0), ([other, one], 1)):
+            args = self._stacked(sets, max(len(s[3]) for s in sets))
+            evals, members, k_members = _canonical_members(*args)
+            assert len(want) == len(one[0])
+            for j, (lam0, v0) in enumerate(want):
+                lam = evals[i, j].item()
+                assert type(lam) is float and lam == lam0
+                assert members[i, j, :t].tobytes() == v0.tobytes()
+            assert not members[i, :, t:].any() and not members[i, len(want):].any()
+            # K times the members: the same turn of K times the eigenvectors
+            evals, live, _, k_vecs, norms = args
+            assert np.array_equal(k_members, _canonical_members(evals, live, k_vecs, k_vecs, norms)[1])
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_clusters_take_the_gram_schmidt_step(self, seed):
+        from qhist.histories import DEGENERACY_TOL, _canonical_members
+
+        rng = np.random.default_rng(100 + seed)
+        evals, vecs, overlaps, norms = self._random_set(rng)
+        m = len(evals)
+        # clusters of two or three within DEGENERACY_TOL, beside single eigenvalues
+        for start in range(0, m - 1, 3):
+            evals[start + 1:start + 3] = evals[start] + 0.4 * DEGENERACY_TOL
+        evals = np.sort(evals)
         want = histories_oracle.canonical_basis(evals, vecs, overlaps, norms)
-        assert len(got) == len(want) == m
-        for (lam, v), (lam0, v0) in zip(got, want):
-            assert type(lam) is float and lam == lam0
-            assert v.tobytes() == v0.tobytes()
+        got_evals, members, _ = _canonical_members(*self._stacked([(evals, vecs, overlaps, norms)], len(norms)))
+        for j, (lam0, v0) in enumerate(want):
+            assert got_evals[0, j] == lam0
+            assert np.max(np.abs(members[0, j] - v0), initial=0.0) <= 1e-15
+
+
+def _close_pairs(rows: np.ndarray, sizes) -> np.ndarray:
+    """close[s, t, j] of ``_close_strings``, one row and one slot at a time."""
+    ends = np.cumsum(sizes)
+    close = np.zeros((len(sizes), len(rows), len(rows)), dtype=bool)
+    for s, (size, end) in enumerate(zip(sizes, ends)):
+        for t in range(len(rows)):
+            close[s, t, :t] = np.abs(rows[:t, end - size:end] - rows[t, end - size:end]).max(axis=1) <= MERGE_TOL
+    return close
+
+
+class TestCloseStrings:
+    """The per-slot closeness that ``_reductions`` merges every set's kept strings by."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("block", [1 << 17, 1, 5, 37])
+    def test_matches_the_pairwise_loop(self, seed, block, monkeypatch):
+        monkeypatch.setattr(histories, "_MERGE_BLOCK", block)
+        rng = np.random.default_rng(seed)
+        sizes = [int(d) ** 2 for d in rng.choice([2, 3], size=int(rng.integers(1, 5)))]
+        rows = _planted_rows(rng, int(rng.integers(1, 24)), sum(sizes))
+        # whole slots copied from an earlier row: close on some slots only
+        for t in range(1, len(rows)):
+            if rng.random() < 0.5:
+                s = int(rng.integers(len(sizes)))
+                end = sum(sizes[:s + 1])
+                rows[t, end - sizes[s]:end] = rows[int(rng.integers(t)), end - sizes[s]:end]
+        with np.errstate(invalid="ignore"):  # inf - inf
+            got = histories._close_strings(rows, sizes)
+            want = _close_pairs(rows, sizes)
+        assert np.array_equal(got, want)
+
+    def test_closeness_is_blocked(self, monkeypatch):
+        # 256 terms on four qubit slots, every fourth term a copy of an earlier
+        # one on two slots: the unblocked (16, 256, 256) difference would take 16 MB
+        monkeypatch.setattr(histories, "_MERGE_BLOCK", 1 << 10)
+        rng = np.random.default_rng(3)
+        dims = (2, 2, 2, 2)
+        slot_lists = [_ops(rng, dims) for _ in range(256)]
+        for t in range(3, 256, 4):
+            slot_lists[t][:2] = slot_lists[t - 3][:2]
+        rows = _term_history(rng, dims, slot_lists)._rows
+        assert len(rows) == 256
+        tracemalloc.start()
+        try:
+            close = histories._close_strings(rows, [4] * 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the result (4, 256, 256) takes 256 kB; one block and its modulus take 24 kB
+        assert peak < 512 << 10
+        assert np.array_equal(close, _close_pairs(rows, [4] * 4))
+
+    def test_a_pooled_state_merges_on_the_kept_slots_only(self):
+        from qhist.histories import _reductions
+
+        rng = np.random.default_rng(4)
+        h = _shared_kept_strings(rng, (2, 2, 2), [0, 2], 12, 3)
+        # the three pooled strings on slots (0, 2), which no other slot set shares
+        merged = [len(m._gram) for m in _reductions(h, [[0], [2], [0, 2], [1], [0, 1]])]
+        assert merged == [3, 3, 3, 12, 12]
 
 
 def _on_grid(rng, grid, n_terms) -> HistoryState:
