@@ -37,7 +37,7 @@ from .errors import ImpossiblePostselectionError
 from .histories import _term_consistency, hs_norm, weight
 from .linalg import maximally_mixed
 from .scenarios import run_scenario
-from .twostate import TwoTimeExperiment, mixed_sequence_distribution, sequence_distribution, abl_probability
+from .twostate import TwoTimeExperiment, _check_abl, mixed_sequence_distribution, sequence_distribution
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -193,12 +193,12 @@ def _run_abl(args):
             unitaries=parsed["unitaries"],
         )
         if args.slot is not None:
-            # abl_probability checks its preconditions before it computes
-            outcome = +1 if (args.outcome or "+") == "+" else -1
-            artifacts["slot"] = args.slot
-            artifacts["outcome"] = args.outcome or "+"
-            artifacts["abl_probability"] = abl_probability(exp, args.slot, outcome)
+            _check_abl(exp, args.slot)  # abl_probability's checks, before the table
         dist = sequence_distribution(exp)
+        if args.slot is not None:
+            # abl_probability read off the one table
+            outcome = args.outcome or "+"
+            artifacts.update(slot=args.slot, outcome=outcome, abl_probability=dist.probability(outcome))
     if args.format == "csv":
         # the table is the whole output: no document is built
         return None, serialize.distribution_csv(dist), EXIT_OK

@@ -152,69 +152,98 @@ def _require_same_grid(a: TimeGrid, b: TimeGrid) -> None:
         raise GridMismatchError("objects are defined on different time grids")
 
 
-# entries of the (row length, rows, rows) difference stack, or of a long row's
-# (rows, columns) slab, that _merge_rows holds at once; each has one row or column
+# entries of the (rows, rows, entries) difference slab that _close_strings
+# holds at once; the row block and the slab's width are sized to it
 _MERGE_BLOCK = 1 << 17
-# a row of at least this many entries is compared alone with the rows before
-# it, along its own contiguous axis; shorter rows go in blocks along the
-# leading axis of the transposed rows, which is faster for them
-_MERGE_LONG_ROW = 256
 
 
-def _merge_rows(rows: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """First-match merge of term rows: row t joins the first earlier
-    unmerged row within MERGE_TOL in every entry.  Returns the unmerged rows'
-    indices, in order, and each row's position among them.
+def _merge_kept(rows: np.ndarray, sizes, kept: np.ndarray, members: np.ndarray) -> list:
+    """The one term merge: each keep set's kept strings, behind
+    ``HistoryState`` (one set whose one slot is the whole row) and
+    ``_reductions``.
 
-    A block of rows is compared with every row up to its end at once, entry
-    by entry along the leading axis of the transposed rows (|a - b| is
-    symmetric, and a NaN entry matches nothing); a row of at least
-    _MERGE_LONG_ROW entries is a block of its own and is compared with the
-    unmerged rows before it only, along its own axis, in column slabs, until
-    none is close.  The first unmerged match of each row is then read off the
-    pairs that matched, in order."""
-    n_rows = len(rows)
-    if n_rows < 2:
-        return list(range(n_rows)), np.zeros(n_rows, dtype=int)
-    long = rows.shape[1] >= _MERGE_LONG_ROW
-    cols = None if long else np.ascontiguousarray(rows.T)
-    step = 1 if long else max(1, _MERGE_BLOCK // rows.size)
+    ``rows`` are the terms' strings on the slots some set keeps, whose
+    operators have ``sizes`` entries each, and ``kept[s, i]`` is whether set
+    i keeps slot s of them.  A term joins the first earlier unmerged term
+    whose string is close on every slot its set keeps (``_close_strings``,
+    computed once for all sets, resolved by ``_settle``), and its
+    coefficients in ``members`` (K, M, T) are added to that term's, in term
+    order, and zeroed.  Returns each set's unmerged terms, or None for a set
+    with no close pair."""
+    n_sets, n_terms = len(members), members.shape[2]
+    firsts: list = [None] * n_sets
+    if n_terms < 2:
+        return firsts
+    close = _close_strings(rows, sizes)
+    if not close.any():
+        return firsts
+    together = np.ones((n_sets, n_terms, n_terms), dtype=bool)
+    for c, on in zip(close, kept):
+        np.logical_and(together, c, out=together, where=on[:, None, None])
+    for i in np.nonzero(together.any(axis=(1, 2)))[0].tolist():
+        f, group = _settle(together[i])
+        firsts[i] = f
+        for t, g in enumerate(group):
+            if t != f[g]:
+                members[i, :, f[g]] += members[i, :, t]
+                members[i, :, t] = 0.0
+    return firsts
+
+
+def _close_strings(rows: np.ndarray, sizes) -> np.ndarray:
+    """close[s, t, j]: term rows j < t are within MERGE_TOL in every entry of
+    slot s, whose operators fill the next ``sizes[s]`` entries of a row (a
+    NaN entry matches nothing); false for j >= t.  Slot by slot, each block
+    of max(1, _MERGE_BLOCK // (T size)) rows is compared with every row
+    before its end, read from ``rows`` in place, in slabs of at most
+    _MERGE_BLOCK differences, until no pair in the block is close: a short
+    slot compares all its entries in one slab, and a long one goes a row at
+    a time along contiguous slabs."""
+    n = len(rows)
+    t = np.arange(n)
+    close = np.greater(t[:, None], t, out=np.empty((len(sizes), n, n), dtype=bool))
+    for c, end, size in zip(close, itertools.accumulate(sizes), sizes):
+        step = max(1, _MERGE_BLOCK // (n * size))
+        for start in range(0, n, step):
+            block = c[start:start + step, :start + step]
+            width = max(1, _MERGE_BLOCK // block.size)
+            for cut in range(end - size, end, width):
+                if not block.any():
+                    break
+                stop = min(end, cut + width)
+                above, below = rows[start:start + step, None, cut:stop], rows[None, :start + step, cut:stop]
+                block &= (np.abs(above - below) <= MERGE_TOL).all(axis=2)
+    return close
+
+
+def _settle(close: np.ndarray) -> tuple[list[int], list[int]]:
+    """First-match resolution: ``close[t, j]`` marks row j < t within
+    MERGE_TOL of row t, and row t joins the first earlier unmerged row among
+    them or becomes unmerged itself.  Rows are settled in blocks of
+    _MERGE_BLOCK // T, whose matches with the rows before them are cut to
+    the unmerged ones first, so a block lists at most about _MERGE_BLOCK
+    pairs however many rows merge.  Returns the unmerged rows' indices, in
+    order, and each row's position among them."""
+    n = len(close)
+    unmerged = np.zeros(n, dtype=bool)
     pos: dict[int, int] = {}  # each unmerged row's position among them
-    unmerged = np.zeros(n_rows, dtype=bool)
-    group = np.empty(n_rows, dtype=int)
-    for start in range(0, n_rows, step):
-        stop = min(n_rows, start + step)
-        if long:
-            close = unmerged[None, :start].copy()
-            width = _MERGE_BLOCK // max(1, start) or 1
-            for cut in range(0, rows.shape[1], width):
-                if close.any():
-                    diff = rows[:start, cut:cut + width] - rows[start, cut:cut + width]
-                    close &= np.abs(diff).max(axis=1) <= MERGE_TOL
-        else:
-            close = np.abs(cols[:, start:stop, None] - cols[:, None, :stop]).max(axis=0) <= MERGE_TOL
+    group = []
+    step = max(1, _MERGE_BLOCK // n)
+    for start in range(0, n, step):
+        block = close[start:start + step]
         if start:
-            close[:, :start] &= unmerged[:start]  # the rows before the block are settled
-        _settle(close, start, pos, unmerged, group)
-    return list(pos), group
-
-
-def _settle(close: np.ndarray, start: int, pos: dict, unmerged: np.ndarray, group: np.ndarray) -> None:
-    """First-match resolution of rows start, start + 1, ...: ``close[t -
-    start, j]`` marks row j within MERGE_TOL of row t, and row t joins the
-    first earlier unmerged row among them (its position among the unmerged
-    rows, ``pos``, goes in ``group[t]``) or becomes unmerged itself."""
-    earlier: list[list[int]] = [[] for _ in range(len(close))]
-    ts, js = np.nonzero(close)
-    for t, j in zip(ts.tolist(), js.tolist()):
-        if j < start + t:
+            block = block & (unmerged | (np.arange(n) >= start))
+        earlier: list[list[int]] = [[] for _ in range(len(block))]
+        ts, js = np.nonzero(block)
+        for t, j in zip(ts.tolist(), js.tolist()):
             earlier[t].append(j)
-    for t, hits in enumerate(earlier, start):
-        g = next((pos[j] for j in hits if j in pos), None)
-        if g is None:
-            g = pos[t] = len(pos)
-            unmerged[t] = True
-        group[t] = g
+        for t, hits in enumerate(earlier, start):
+            g = next((pos[j] for j in hits if j in pos), None)
+            if g is None:
+                g = pos[t] = len(pos)
+                unmerged[t] = True
+            group.append(g)
+    return list(pos), group
 
 
 def _uncancelled(coefs: np.ndarray) -> list[int]:
@@ -285,18 +314,16 @@ class HistoryState:
     def _from_rows(cls, grid: TimeGrid, coefs, rows: np.ndarray, distinct: bool = False) -> "HistoryState":
         """sum_t coefs[t] (row t's slot string) from term rows already checked
         against ``grid``, which are not copied or checked again.  Terms with
-        equal rows merge into the first of them (``_merge_rows``), summing
-        their coefficients in term order, unless the rows are ``distinct``
-        already; then the terms whose coefficient cancelled (``_uncancelled``)
-        are dropped."""
-        if not distinct:
-            firsts, group = _merge_rows(rows)
-            sums = [coefs[t] for t in firsts]
-            for t, g in enumerate(group.tolist()):
-                if t != firsts[g]:
-                    sums[g] += coefs[t]
-            coefs, rows = sums, rows[firsts]
+        equal rows merge into the first of them, summing their coefficients
+        in term order, unless the rows are ``distinct`` already: the merge is
+        ``_merge_kept``'s, for one keep set whose one slot is the whole row,
+        and with no close pair the rows are held as given.  Then the terms
+        whose coefficient cancelled (``_uncancelled``) are dropped."""
         coefs = np.array(coefs, dtype=complex)
+        if not distinct:
+            firsts = _merge_kept(rows, [rows.shape[1]], np.ones((1, 1), dtype=bool), coefs[None, None])[0]
+            if firsts is not None:
+                coefs, rows = coefs[firsts], rows[firsts]
         live = _uncancelled(coefs)
         if len(live) < len(coefs):
             coefs, rows = coefs[live], rows[live]
@@ -865,12 +892,13 @@ def _reductions(h, keep_sets, tol: float = 1e-12) -> list[MixedHistory]:
     sqrt(lam))^T and K V, turns both by each member's phase
     (``_canonical_members``, which reads the overlaps off K V), divides by
     sqrt(c^dag K c), cuts coefficients with |c_t| |w_t| at most 1e-14, merges
-    each set's close kept strings (``_merge_kept``, whose per-slot closeness
-    is computed once per call), drops cancelled coefficients and pairs the
-    members as C^dag (K C).  Each product is a two-operand einsum over one
-    index (O(K T^2 W) at most), none per set.  One norm check of the
-    pairings serves every set, then each set wraps its slices of the
-    stacks: a grid, one ``HistoryState`` per member and the
+    each set's close kept strings (``_merge_kept``, the merge every
+    ``HistoryState`` makes, with its per-slot closeness computed once per
+    call and first matches resolved per set), drops cancelled coefficients
+    and pairs the members as C^dag (K C).  Each product is a two-operand
+    einsum over one index (O(K T^2 W) at most), none per set.  One norm
+    check of the pairings serves every set, then each set wraps its slices
+    of the stacks: a grid, one ``HistoryState`` per member and the
     ``MixedHistory``, whose probabilities are checked.  No entry depends on
     another set, so each reduction is bit for bit the reduction alone.
     """
@@ -943,60 +971,6 @@ def _reductions(h, keep_sets, tol: float = 1e-12) -> list[MixedHistory]:
         ensemble = tuple(zip(probs[i, :m].tolist(), states))
         out.append(MixedHistory._from_coordinates(ensemble, strings, gram, coefs, pairings[i, :m, :m]))
     return out
-
-
-def _merge_kept(rows: np.ndarray, sizes, kept: np.ndarray, members: np.ndarray) -> list:
-    """Merge each keep set's kept strings, as ``HistoryState`` merges.
-
-    ``rows`` are the terms' strings on the slots some set keeps, whose
-    operators have ``sizes`` entries each, and ``kept[s, i]`` is whether set
-    i keeps slot s of them.  A term joins the first earlier unmerged term
-    whose string is close on every slot its set keeps (``_close_strings``,
-    computed once for all sets), and its coefficients in ``members`` (K, M,
-    T) are added to that term's, in term order, and zeroed.  Returns each
-    set's unmerged terms, or None for a set with no close pair."""
-    n_sets, n_terms = len(members), members.shape[2]
-    firsts: list = [None] * n_sets
-    if n_terms < 2:
-        return firsts
-    close = _close_strings(rows, sizes)
-    if not close.any():
-        return firsts
-    together = np.ones((n_sets, n_terms, n_terms), dtype=bool)
-    for c, on in zip(close, kept):
-        together[on] &= c
-    for i in np.flatnonzero(together.any(axis=(1, 2))).tolist():
-        pos: dict[int, int] = {}
-        group = np.empty(n_terms, dtype=int)
-        _settle(together[i], 0, pos, np.zeros(n_terms, dtype=bool), group)
-        f = firsts[i] = list(pos)
-        for t, g in enumerate(group.tolist()):
-            if t != f[g]:
-                members[i, :, f[g]] += members[i, :, t]
-                members[i, :, t] = 0.0
-    return firsts
-
-
-def _close_strings(rows: np.ndarray, sizes) -> np.ndarray:
-    """close[s, t, j]: term rows j < t are within MERGE_TOL in every entry of
-    slot s, whose operators fill the next ``sizes[s]`` entries of a row (a
-    NaN entry matches nothing); false for j >= t.  Slot by slot, each block
-    of rows is compared with every row before its end one entry at a time,
-    until no pair in it is close, so at most _MERGE_BLOCK differences are
-    held at once."""
-    n = len(rows)
-    t = np.arange(n)
-    close = np.repeat((t[:, None] > t)[None], len(sizes), axis=0)
-    step = max(1, _MERGE_BLOCK // n)
-    for c, end, size in zip(close, itertools.accumulate(sizes), sizes):
-        cols = np.ascontiguousarray(rows[:, end - size:end].T)  # (entries, T)
-        for start in range(0, n, step):
-            block = c[start:start + step, :start + step]
-            for col in cols:
-                if not block.any():
-                    break
-                block &= np.abs(col[start:start + step, None] - col[None, :start + step]) <= MERGE_TOL
-    return close
 
 
 def _canonical_members(evals, live, vecs, k_vecs, norms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -20,7 +20,6 @@ __all__ = [
     "as_ket",
     "kron",
     "partial_trace",
-    "is_projector",
     "max_abs",
     "check_unitary",
     "density_operator",
@@ -96,14 +95,6 @@ def partial_trace(a, dims, keep) -> np.ndarray:
 def max_abs(a) -> float:
     """Entrywise max-modulus norm, used for all tolerance checks."""
     return float(np.max(np.abs(a))) if np.asarray(a).size else 0.0
-
-
-def is_projector(a, tol: float = DEFAULT_TOL) -> bool:
-    """Hermitian and idempotent within ``tol`` (entrywise max modulus)."""
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        return False
-    return max_abs(a - a.conj().T) <= tol and max_abs(a @ a - a) <= tol
 
 
 def identity(d: int) -> np.ndarray:

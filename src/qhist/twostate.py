@@ -222,20 +222,6 @@ class OutcomeDistribution:
     def probability(self, outcome: str) -> float:
         return self.table.get(outcome, 0.0)
 
-    def marginal(self, position: int) -> dict[str, float]:
-        out = {"+": 0.0, "-": 0.0}
-        for string, p in self.table.items():
-            out[string[position]] += p
-        return out
-
-    def correlator(self, i: int = 0, j: int = 1) -> float:
-        total = 0.0
-        for string, p in self.table.items():
-            a = +1 if string[i] == "+" else -1
-            b = +1 if string[j] == "+" else -1
-            total += a * b * p
-        return total
-
 
 class _KernelTable(dict):
     """An outcome table built from the chain kernel's rows, in their order.
@@ -367,12 +353,16 @@ def abl_probability(exp: TwoTimeExperiment, slot: int, outcome: int) -> float:
     normalizer means the post-selection is unreachable, which is an error
     rather than a 0/0.
     """
+    _check_abl(exp, slot)
+    return sequence_distribution(exp).probability(OUTCOME_CHARS[outcome])
+
+
+def _check_abl(exp: TwoTimeExperiment, slot: int) -> None:
+    """``abl_probability``'s preconditions, checked before any table is built."""
     if exp.post is None:
         raise ValueError("a post-selection is required")
     if exp.measured_indices != (slot,):
         raise ValueError("exactly one measured slot, matching `slot`, is required")
-    dist = sequence_distribution(exp)
-    return dist.probability(OUTCOME_CHARS[outcome])
 
 
 # ---------------------------------------------------------------------------

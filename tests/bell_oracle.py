@@ -29,6 +29,7 @@ from qhist.linalg import as_matrix, check_unitary, density_operator, dichotomic_
 from qhist.twostate import mixed_sequence_distribution
 
 from histories_oracle import as_lists, loop_matmul, loop_pairing, loop_sum
+from twostate_oracle import correlator
 
 
 def _chain(d: int, *ops) -> list:
@@ -110,7 +111,7 @@ def table_from_distributions(dists) -> np.ndarray:
     pairs (first, second), each party's labels in sorted order."""
     firsts = sorted({x for x, _ in dists})
     seconds = sorted({y for _, y in dists})
-    return np.array([[dists[(x, y)].correlator() for y in seconds] for x in firsts])
+    return np.array([[correlator(dists[(x, y)]) for y in seconds] for x in firsts])
 
 
 def chained_classical_bound(n: int, coefficients=((1, 1), (1, -1))) -> float:
@@ -147,6 +148,6 @@ def chained_second_pair_table(rho, a_settings, b_settings, c_settings, u1, u2) -
                 dist = mixed_sequence_distribution(
                     rho, (a_set, b_set, c_set), unitaries=(identity(d), u1, u2, identity(d))
                 )
-                acc += dist.correlator(1, 2)
+                acc += correlator(dist, 1, 2)
             table[j, k] = acc / len(a_settings)
     return table

@@ -12,8 +12,9 @@ package's stacked Gram kernel and vectorized term merge replace: a product
 of per-slot ``np.vdot`` pairings for every term pair, and a comparison of
 every incoming term with every merged one, slot by slot.
 
-``merge_rows`` is the row-at-a-time loop the package's blocked row merge
-replaces: each row is compared with every unmerged row before it, in order.
+``merge_rows`` is the row-at-a-time loop the package's blocked term merge
+(``_merge_kept``) replaces: each row is compared with every unmerged row
+before it, in order.
 
 ``pairwise_purity`` and ``pairwise_mixed_overlap`` are the member-by-member
 loops the package's term coordinates replace: one ``pairwise_hs_inner`` per
@@ -45,13 +46,14 @@ through the projection loop and ``np.linalg.norm``.
 ``reductions`` is the set-by-set tail the package's stacked tail replaces,
 kept as it was: after the same stacked front (both ``eigh`` calls), each keep
 set's members are built one at a time with BLAS products
-(``eigen_ensemble``), its kept strings are merged with the blocked row merge,
+(``eigen_ensemble``), its kept strings are merged with the row-at-a-time ``merge_rows``,
 and each eigenvalue goes through ``one_member_basis``, whose one-member
 clusters take a phase and whose larger clusters take the Gram-Schmidt step.
 Its pairings C^dag K C are one BLAS product per set.
 
 ``exhaustive_projector_family`` lists every computational-basis projector
-string on a grid, whose chain operators resolve the bare evolution.
+string on a grid, whose chain operators resolve the bare evolution, and
+``is_projector`` checks that an operator is one.
 """
 
 import itertools
@@ -72,7 +74,6 @@ from qhist.histories import (
     _check_unit_norms,
     _join_rows,
     _keep_set,
-    _merge_rows,
     _split_product_unitary,
     _split_rows,
     _uncancelled,
@@ -80,7 +81,7 @@ from qhist.histories import (
     is_consistent_family,
     normalize,
 )
-from qhist.linalg import identity, max_abs, partial_trace
+from qhist.linalg import as_matrix, identity, max_abs, partial_trace
 
 
 def history_vector(h) -> np.ndarray:
@@ -377,7 +378,7 @@ def eigen_ensemble(h, keep, r, gram, evals, z, tol):
     grid = h.grid
     sub_grid = TimeGrid._held(tuple(grid.labels[k] for k in keep), tuple(grid.slot_dims[k] for k in keep))
     rows = _join_rows([h._stacks[k] for k in keep])
-    firsts, group = _merge_rows(rows)
+    firsts, group = merge_rows(rows)
     rows = rows[firsts]
     extra = [t for t, g in enumerate(group.tolist()) if t != firsts[g]]
     members = []
@@ -455,3 +456,11 @@ def exhaustive_projector_family(grid: TimeGrid) -> tuple:
             ops.append(m)
         out.append(HistoryState.from_slots(grid, ops))
     return tuple(out)
+
+
+def is_projector(a, tol: float = 1e-9) -> bool:
+    """Hermitian and idempotent within ``tol`` (entrywise max modulus)."""
+    a = as_matrix(a)
+    if a.shape[0] != a.shape[1]:
+        return False
+    return max_abs(a - a.conj().T) <= tol and max_abs(a @ a - a) <= tol

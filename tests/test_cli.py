@@ -681,6 +681,30 @@ class TestAblCommand:
         assert code == EXIT_IMPOSSIBLE
         assert "impossible post-selection" in err
 
+    def test_wrong_slot_is_reported_before_an_impossible_postselection(self, capsys, tmp_path):
+        spec = self.write(tmp_path, {"pre": "0", "post": "1", "slots": ["Z"]})
+        code, out, err = run_cli(capsys, "abl", "--spec", spec, "--slot", "1")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "error: exactly one measured slot, matching `slot`, is required\n"
+        code, _, err = run_cli(capsys, "abl", "--spec", spec, "--slot", "0")
+        assert code == EXIT_IMPOSSIBLE
+        assert "impossible post-selection" in err
+
+    @pytest.mark.parametrize("outcome", ["+", "-"])
+    def test_slot_probability_is_read_off_the_one_table(self, capsys, monkeypatch, outcome):
+        built = []
+        real = twostate.sequence_distribution
+        for module in (cli, twostate):
+            monkeypatch.setattr(module, "sequence_distribution", lambda exp: built.append(1) or real(exp))
+        spec = str(GOLDEN / "specs" / "abl-post-one.json")
+        code, out, _ = run_cli(capsys, "abl", "--spec", spec, "--slot", "0", "--outcome", outcome)
+        assert (code, len(built)) == (EXIT_OK, 1)
+        doc = json.loads(out)["artifacts"]
+        assert (doc["slot"], doc["outcome"]) == (0, outcome)
+        exp = twostate.TwoTimeExperiment.build(*(serialize.experiment_from_document(
+            serialize.load_document(spec))[k] for k in ("pre", "slots", "post", "unitaries")))
+        assert doc["abl_probability"] == twostate.abl_probability(exp, 0, +1 if outcome == "+" else -1)
+
     def test_mixed_initial(self, capsys, tmp_path):
         spec = self.write(
             tmp_path, {"initial": "mixed", "slots": ["X", "Y", "Z"]}

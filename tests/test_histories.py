@@ -33,10 +33,10 @@ from qhist import (
 )
 from qhist import histories
 from qhist.histories import MERGE_TOL
-from qhist.linalg import bell_pair_ket, identity, is_projector, partial_trace, projector, qubit_ket
+from qhist.linalg import bell_pair_ket, identity, partial_trace, projector, qubit_ket
 
 import histories_oracle
-from histories_oracle import exhaustive_projector_family, history_vector
+from histories_oracle import exhaustive_projector_family, history_vector, is_projector
 from conftest import consistent_family_corpus, diagonal_branches, random_unitary
 
 
@@ -425,44 +425,63 @@ def _planted_rows(rng, n_rows: int, length: int) -> np.ndarray:
     return rows
 
 
+def _merged_by_loop(rows: np.ndarray, coefs) -> tuple[np.ndarray, np.ndarray]:
+    """The merged rows and coefficients of ``HistoryState._from_rows``, from
+    the row-at-a-time loop and Python complex sums in term order."""
+    firsts, group = histories_oracle.merge_rows(rows)
+    sums = [complex(coefs[t]) for t in firsts]
+    for t, g in enumerate(group.tolist()):
+        if t != firsts[g]:
+            sums[g] += complex(coefs[t])
+    return rows[firsts], np.array(sums)
+
+
+def _from_rows(rows: np.ndarray, coefs) -> HistoryState:
+    # the merge reads no grid, so one grid serves rows of any length
+    return HistoryState._from_rows(TimeGrid.regular(1), coefs, rows)
+
+
 class TestMergeRows:
-    """The blocked row merge against the row-at-a-time loop it replaces."""
+    """The term merge of ``HistoryState._from_rows`` (``_merge_kept`` on one
+    slot, the whole row) against the row-at-a-time loop it replaces, bit for
+    bit in rows and coefficient sums."""
+
+    def _check(self, rows: np.ndarray, rng) -> HistoryState:
+        # coefficients in [1, 2] + i [1, 2]: no sum cancels
+        coefs = rng.uniform(1.0, 2.0, len(rows)) + 1j * rng.uniform(1.0, 2.0, len(rows))
+        with np.errstate(invalid="ignore"):  # inf - inf
+            h = _from_rows(rows, coefs.tolist())
+            want_rows, want_coefs = _merged_by_loop(rows, coefs)
+        assert h._rows.tobytes() == want_rows.tobytes()
+        assert h._coefs.tobytes() == want_coefs.tobytes()
+        return h
 
     @pytest.mark.parametrize("seed", range(30))
-    @pytest.mark.parametrize("block", [1 << 18, 1, 37])
+    @pytest.mark.parametrize("block", [None, 1, 37])
     def test_matches_the_loop(self, seed, block, monkeypatch):
-        monkeypatch.setattr(histories, "_MERGE_BLOCK", block)
+        if block is not None:
+            monkeypatch.setattr(histories, "_MERGE_BLOCK", block)
         rng = np.random.default_rng(seed)
-        rows = _planted_rows(rng, int(rng.integers(1, 40)), int(rng.integers(1, 10)))
-        with np.errstate(invalid="ignore"):  # inf - inf
-            firsts, group = histories._merge_rows(rows)
-            want_firsts, want_group = histories_oracle.merge_rows(rows)
-        assert firsts == want_firsts
-        assert group.tolist() == want_group.tolist()
+        self._check(_planted_rows(rng, int(rng.integers(1, 40)), int(rng.integers(1, 10))), rng)
 
     def test_first_unmerged_row_wins(self):
         tol = MERGE_TOL
         # row 2 is within MERGE_TOL of rows 0 and 1, which are apart: it joins row 0
-        firsts, group = histories._merge_rows(np.array([[0.0], [1.5 * tol], [0.75 * tol]], dtype=complex))
-        assert firsts == [0, 1] and group.tolist() == [0, 1, 0]
+        h = _from_rows(np.array([[0.0], [1.5 * tol], [0.75 * tol]], dtype=complex), [1.0, 2.0, 4.0])
+        assert h._rows.ravel().tolist() == [0.0, 1.5 * tol] and h._coefs.tolist() == [5.0, 2.0]
         # row 2 is within MERGE_TOL only of row 1, which is merged: it is a string of its own
-        firsts, group = histories._merge_rows(np.array([[0.0], [0.75 * tol], [1.6 * tol]], dtype=complex))
-        assert firsts == [0, 2] and group.tolist() == [0, 0, 1]
+        h = _from_rows(np.array([[0.0], [0.75 * tol], [1.6 * tol]], dtype=complex), [1.0, 2.0, 4.0])
+        assert h._rows.ravel().tolist() == [0.0, 1.6 * tol] and h._coefs.tolist() == [3.0, 4.0]
 
     @pytest.mark.parametrize("seed", range(30))
-    def test_long_route_matches_the_loop(self, seed, monkeypatch):
-        # every row takes the route of rows of _MERGE_LONG_ROW entries or more,
-        # in one column slab and then in slabs of one or a few columns
-        monkeypatch.setattr(histories, "_MERGE_LONG_ROW", 1)
+    def test_row_blocks_of_one_match_the_loop(self, seed, monkeypatch):
+        # every row is compared alone with the rows before it, in one slab of
+        # entries and then in slabs of one or a few entries
         rng = np.random.default_rng(seed)
         rows = _planted_rows(rng, int(rng.integers(1, 40)), int(rng.integers(1, 10)))
-        with np.errstate(invalid="ignore"):
-            want_firsts, want_group = histories_oracle.merge_rows(rows)
-            for block in (1 << 17, 1, 37):
-                monkeypatch.setattr(histories, "_MERGE_BLOCK", block)
-                firsts, group = histories._merge_rows(rows)
-                assert firsts == want_firsts
-                assert group.tolist() == want_group.tolist()
+        for block in (rows.size, 1, 37):
+            monkeypatch.setattr(histories, "_MERGE_BLOCK", block)
+            self._check(rows, np.random.default_rng(seed))
 
     def test_long_rows_are_compared_in_bounded_slabs(self, monkeypatch):
         # 48 rows of 4096 entries that differ only in their last entry: every
@@ -470,38 +489,56 @@ class TestMergeRows:
         monkeypatch.setattr(histories, "_MERGE_BLOCK", 1 << 10)
         rows = np.repeat(np.exp(1j * np.arange(4096.0))[None], 48, axis=0)
         rows[:, -1] += np.arange(48) % 40
+        coefs = np.arange(48.0, dtype=complex)
         tracemalloc.start()
         try:
-            firsts, group = histories._merge_rows(rows)
+            # HistoryState's merge, without the copy of the 40 merged rows
+            firsts = histories._merge_kept(rows, [4096], np.ones((1, 1), dtype=bool), coefs[None, None])[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert firsts == list(range(40))
-        assert group.tolist() == [t % 40 for t in range(48)]
+        assert coefs[:40].tolist() == [2.0 * g + 40.0 if g < 8 else g for g in range(40)]
         # one slab and its modulus take 24 kB; the whole (47, 4096) difference
         # and its modulus of the last row would take 4.6 MB
         assert peak < 256 << 10
 
+    def test_first_matches_are_settled_in_bounded_blocks(self, monkeypatch):
+        # 512 equal rows: 130816 close pairs, of which each block lists only
+        # its own and those with the one unmerged row before it
+        monkeypatch.setattr(histories, "_MERGE_BLOCK", 1 << 10)
+        rows = np.ones((512, 4), dtype=complex)
+        tracemalloc.start()
+        try:
+            h = _from_rows(rows, [1.0] * 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h._coefs.tolist() == [512.0]
+        # the closeness and its per-set copy take 256 kB each; every pair's
+        # indices alone would take 2 MB
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("length", [255, 256, 300])
-    def test_rows_on_both_sides_of_the_long_bound(self, length):
-        assert histories._MERGE_LONG_ROW == 256
+    def test_long_rows_match_the_loop(self, length):
         rng = np.random.default_rng(length)
         rows = _planted_rows(rng, 24, length)
         rows[5, 7] = np.nan  # a NaN entry in a row that others copy
         rows[9] = rows[5]
-        with np.errstate(invalid="ignore"):
-            firsts, group = histories._merge_rows(rows)
-            want_firsts, want_group = histories_oracle.merge_rows(rows)
-        assert firsts == want_firsts
-        assert group.tolist() == want_group.tolist()
-        assert group[9] != group[5]
+        h = self._check(rows, rng)
+        assert sum(row.tobytes() == rows[5].tobytes() for row in h._rows) == 2
 
     def test_single_and_non_finite_rows(self):
-        assert histories._merge_rows(np.ones((1, 4), dtype=complex))[0] == [0]
-        nan = np.full((3, 2), np.nan, dtype=complex)
-        assert histories._merge_rows(nan)[0] == [0, 1, 2]
+        assert _from_rows(np.ones((1, 4), dtype=complex), [1.0]).n_terms == 1
+        assert _from_rows(np.full((3, 2), np.nan, dtype=complex), [1.0] * 3).n_terms == 3
         with np.errstate(invalid="ignore"):
-            assert histories._merge_rows(np.full((2, 2), np.inf, dtype=complex))[0] == [0, 1]
+            assert _from_rows(np.full((2, 2), np.inf, dtype=complex), [1.0] * 2).n_terms == 2
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 40])
+    def test_rows_with_no_merge_are_held(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        rows = rng.normal(size=(n_rows, 8)) + 1j * rng.normal(size=(n_rows, 8))
+        assert np.shares_memory(_from_rows(rows, [1.0] * n_rows)._rows, rows)
 
 
 class TestOutcomeStrings:

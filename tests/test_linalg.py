@@ -16,7 +16,6 @@ from qhist.linalg import (
     density_operator,
     dichotomic_projectors,
     identity,
-    is_projector,
     kron,
     max_abs,
     maximally_mixed,
@@ -27,6 +26,7 @@ from qhist.linalg import (
 )
 
 from conftest import random_unitary
+from histories_oracle import is_projector
 
 
 class TestBasics:

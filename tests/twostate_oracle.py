@@ -12,6 +12,8 @@ coincide, and sums its chains with the per-term loop of
 ``history_bundle`` writes each outcome string of an experiment as its own
 projector-string history between the boundary projectors, so its normalized
 chain weights are a second route to the outcome table.
+``marginal`` and ``correlator`` read one slot's outcome probabilities and a
+two-slot correlator off a distribution's table;
 ``earlier_marginal_deviation`` measures how much an earlier slot's marginal
 moves when only the later setting changes.
 """
@@ -117,6 +119,24 @@ def history_bundle(exp):
     return bundle
 
 
+def marginal(dist, position: int) -> dict[str, float]:
+    """Outcome probabilities of the slot at ``position`` of a distribution."""
+    out = {"+": 0.0, "-": 0.0}
+    for string, p in dist.table.items():
+        out[string[position]] += p
+    return out
+
+
+def correlator(dist, i: int = 0, j: int = 1) -> float:
+    """<A_i A_j> of a distribution, its outcomes read as +1 and -1."""
+    total = 0.0
+    for string, p in dist.table.items():
+        a = +1 if string[i] == "+" else -1
+        b = +1 if string[j] == "+" else -1
+        total += a * b * p
+    return total
+
+
 def earlier_marginal_deviation(dist_family) -> float:
     """Largest change of a first-slot marginal between two-slot distributions
     keyed by (first label, second label) that share the first label."""
@@ -124,6 +144,6 @@ def earlier_marginal_deviation(dist_family) -> float:
     for x in {x for x, _ in dist_family}:
         dists = [d for (first, _), d in dist_family.items() if first == x]
         for a in "+-":
-            values = [d.marginal(0)[a] for d in dists]
+            values = [marginal(d, 0)[a] for d in dists]
             deviation = max(deviation, max(values) - min(values))
     return deviation
