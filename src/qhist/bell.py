@@ -54,7 +54,6 @@ __all__ = [
     "OptimizerConfig",
     "OptimizeResult",
     "MAX_CHAIN_BLOCKS",
-    "MAX_RESTARTS",
     "temporal_correlator",
     "s_lgi",
     "classical_bound_bruteforce",
@@ -73,7 +72,6 @@ TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 # Largest chain length chained_bell accepts.  The block is evaluated once, so
 # the only cost that grows with n is the report: n copies of the block.
 MAX_CHAIN_BLOCKS = 1000
-MAX_RESTARTS = 1000  # restarts select nothing; the bound only keeps their accepted range
 
 INDEPENDENT = "independent_ensembles"
 CHAINED = "chained_single_system"
@@ -357,13 +355,12 @@ _OBJECTIVES = ("s_lgi", "chained_bell", "monogamy_sum")
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """``tol`` decides ``converged``; ``max_evals``, ``seed`` and ``restarts``
-    are range-checked but select nothing, since one evaluation is the run."""
+    """``tol`` decides ``converged``.  ``seed`` selects nothing, since one
+    evaluation is the run; it stays only because the benchmark constructs it
+    (ROADMAP item 3)."""
 
     tol: float = 1e-10
-    max_evals: int = 10_000
     seed: int = 0
-    restarts: int = 2
 
 
 @dataclass(frozen=True)
@@ -474,12 +471,6 @@ def optimize_settings(
     if objective not in _OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
     _check_chain_length(n)
-    if config.max_evals < 1:
-        raise ValueError("max_evals must be at least 1")
-    if config.restarts < 0:
-        raise ValueError(f"restarts must be nonnegative, got {config.restarts}")
-    if config.restarts > MAX_RESTARTS:
-        raise ValueError(f"at most {MAX_RESTARTS} restarts are supported, got {config.restarts}")
     if not (math.isfinite(config.tol) and config.tol >= 0.0):
         raise ValueError(f"tol must be a finite nonnegative number, got {config.tol}")
     x = _spectral_start(objective)

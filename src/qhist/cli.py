@@ -4,8 +4,7 @@ Subcommands: scenario, lgi, chained, monogamy, optimize, weight, abl.
 Exit codes: 0 success, 2 input error, 3 optimizer result not certified (the
 start's certificate is open after its one evaluation), 4 impossible
 post-selection.  Identical arguments produce byte-identical output.  Every
-subcommand takes --format and --out; --tol belongs to weight, its reader, and
---seed to optimize, which accepts it and, as with --restarts, selects nothing.
+subcommand takes --format and --out; --tol belongs to weight, its reader.
 
 A process builds one argument parser, on its first ``main`` call, and reuses
 it: parsing does not change a parser, and each call gets a fresh namespace.
@@ -23,9 +22,7 @@ from .bell import (
     CHAINED,
     INDEPENDENT,
     MAX_CHAIN_BLOCKS,
-    MAX_RESTARTS,
     CorrelatorSpec,
-    OptimizerConfig,
     chained_bell,
     monogamy_preset_settings,
     monogamy_sum,
@@ -81,10 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="s_lgi")
     p.add_argument("-n", type=int, default=1,
                    help=f"blocks for chained_bell, 1 to {MAX_CHAIN_BLOCKS} (checked for every objective)")
-    p.add_argument("--restarts", type=int, default=None,
-                   help=f"range-checked (0 to {MAX_RESTARTS}); no effect, the run is one evaluation")
-    p.add_argument("--max-evals", type=int, default=None, help="range-checked (at least 1); no effect")
-    p.add_argument("--seed", type=int, default=0, help="optimizer seed; no effect")
 
     p = sub.add_parser("weight", parents=[common], help="weight and consistency of a history file")
     p.add_argument("--spec", required=True, help="JSON history document")
@@ -150,11 +143,7 @@ def _run_monogamy(args):
 
 
 def _run_optimize(args):
-    given = {"seed": args.seed, "restarts": args.restarts, "max_evals": args.max_evals}
-    overrides = {key: value for key, value in given.items() if value is not None}
-    result = optimize_settings(
-        objective=args.objective, config=OptimizerConfig(**overrides), n=args.n
-    )
+    result = optimize_settings(objective=args.objective, n=args.n)
     doc = serialize.document("optimize", result)
     code = EXIT_OK if result.converged else EXIT_NONCONVERGED
     table = serialize.trace_csv(result) if args.format == "csv" else None
@@ -193,10 +182,10 @@ def _run_abl(args):
             unitaries=parsed["unitaries"],
         )
         if args.slot is not None:
-            _check_abl(exp, args.slot)  # abl_probability's checks, before the table
+            _check_abl(exp, args.slot)  # the slot's checks, before the table
         dist = sequence_distribution(exp)
         if args.slot is not None:
-            # abl_probability read off the one table
+            # the slot's ABL probability, read off the one table
             outcome = args.outcome or "+"
             artifacts.update(slot=args.slot, outcome=outcome, abl_probability=dist.probability(outcome))
     if args.format == "csv":

@@ -124,6 +124,8 @@ class TimeGrid:
             raise ValueError("a time grid needs at least one slot")
         if len(labels) != len(dims):
             raise ValueError("labels and slot_dims must have equal length")
+        if not all(map(math.isfinite, labels)):
+            raise ValueError("time labels must be finite")
         if any(b <= a for a, b in zip(labels, labels[1:])):
             raise ValueError("time labels must be strictly increasing")
         if any(d < 2 for d in dims):
@@ -773,9 +775,9 @@ def _check_unit_norms(sq: np.ndarray) -> None:
 def _check_probabilities(ens) -> None:
     if not ens:
         raise ValueError("ensemble must be nonempty")
-    if any(p <= 0 for p, _ in ens):
+    if any(not p > 0 for p, _ in ens):
         raise ValueError("ensemble probabilities must be positive")
-    if abs(sum(p for p, _ in ens) - 1.0) > 1e-9:
+    if not abs(sum(p for p, _ in ens) - 1.0) <= 1e-9:
         raise ValueError("ensemble probabilities must sum to 1")
 
 

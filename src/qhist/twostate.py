@@ -41,7 +41,6 @@ __all__ = [
     "bloch_observables",
     "TwoTimeExperiment",
     "OutcomeDistribution",
-    "abl_probability",
     "sequence_distribution",
     "mixed_sequence_distribution",
     "coherent_bundle_weights",
@@ -49,8 +48,6 @@ __all__ = [
 ]
 
 ZERO_WEIGHT_TOL = 1e-15
-
-OUTCOME_CHARS = {+1: "+", -1: "-"}
 
 
 @dataclass(frozen=True)
@@ -207,7 +204,7 @@ class OutcomeDistribution:
             raise ValueError("outcome strings must have one character per setting")
         if any(map(operator.lt, table.values(), itertools.repeat(-1e-12))):
             raise ValueError("probabilities must be nonnegative")
-        if abs(sum(table.values()) - 1.0) > 1e-9:
+        if not abs(sum(table.values()) - 1.0) <= 1e-9:
             raise ValueError("probabilities must sum to 1")
 
     @classmethod
@@ -346,19 +343,11 @@ def mixed_sequence_distribution(
     return _collapse_table(labels, identity(d), rho0, unitaries, slots, post)
 
 
-def abl_probability(exp: TwoTimeExperiment, slot: int, outcome: int) -> float:
-    """Pre/post-conditioned probability for a single intermediate measurement.
-
-    Requires a post-selection and exactly one measured slot.  A vanishing
-    normalizer means the post-selection is unreachable, which is an error
-    rather than a 0/0.
-    """
-    _check_abl(exp, slot)
-    return sequence_distribution(exp).probability(OUTCOME_CHARS[outcome])
-
-
 def _check_abl(exp: TwoTimeExperiment, slot: int) -> None:
-    """``abl_probability``'s preconditions, checked before any table is built."""
+    """The preconditions of a single-slot pre/post-conditioned (ABL)
+    probability, checked before any table is built: a post-selection and
+    exactly one measured slot, ``slot``.  The probability is then that
+    outcome's entry of ``sequence_distribution(exp)``."""
     if exp.post is None:
         raise ValueError("a post-selection is required")
     if exp.measured_indices != (slot,):

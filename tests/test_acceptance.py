@@ -17,7 +17,6 @@ from qhist import (
     ImpossiblePostselectionError,
     MeasurementSetting,
     TwoTimeExperiment,
-    abl_probability,
     best_joint_bell_reduction_overlap,
     chained_bell,
     chained_classical_bound,
@@ -34,7 +33,7 @@ from qhist import (
 from qhist.linalg import maximally_mixed, qubit_ket
 
 from conftest import consistent_family_corpus, experiment_corpus, random_dichotomic
-from twostate_oracle import earlier_marginal_deviation, history_bundle
+from twostate_oracle import abl_probability, earlier_marginal_deviation, history_bundle
 
 SQRT2 = math.sqrt(2.0)
 

@@ -27,7 +27,6 @@ from qhist.bell import (
     CHAINED,
     INDEPENDENT,
     MAX_CHAIN_BLOCKS,
-    MAX_RESTARTS,
     _quadratic_form,
 )
 from qhist.linalg import maximally_mixed, pauli, projector, qubit_ket
@@ -225,9 +224,8 @@ class TestOptimizer:
             optimize_settings("maximize_everything")
 
     def test_deterministic_given_seed(self):
-        cfg = OptimizerConfig(max_evals=1500, restarts=1)
-        r1 = optimize_settings("s_lgi", config=cfg)
-        r2 = optimize_settings("s_lgi", config=cfg)
+        r1 = optimize_settings("s_lgi")
+        r2 = optimize_settings("s_lgi")
         assert r1.value == r2.value
         assert r1.angles == r2.angles
         assert r1.evaluations == r2.evaluations
@@ -240,17 +238,16 @@ class TestOptimizer:
         assert res.trace
         assert res.trace[-1][2] == pytest.approx(res.value, abs=1e-12)
 
-    @pytest.mark.parametrize("max_evals", [1, 5])
-    def test_open_certificate_flags_nonconvergence(self, monkeypatch, max_evals):
+    @pytest.mark.parametrize("objective,n", [("s_lgi", 1), ("chained_bell", 3), ("monogamy_sum", 1)])
+    def test_open_certificate_flags_nonconvergence(self, monkeypatch, objective, n):
         # the spectral start certifies, so hold the certificate open: the run
         # still ends after its one evaluation, at the same value
-        want = optimize_settings("s_lgi")
+        want = optimize_settings(objective, n=n)
         open_certificate(monkeypatch)
-        cfg = OptimizerConfig(max_evals=max_evals)
-        res = optimize_settings("s_lgi", config=cfg)
+        res = optimize_settings(objective, n=n)
         assert not res.converged
         assert res.evaluations == 1
-        assert res.certified_bound - res.value > cfg.tol
+        assert res.certified_bound - res.value > OptimizerConfig().tol
         assert (res.value, res.angles, res.trace) == (want.value, want.angles, want.trace)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
@@ -325,12 +322,11 @@ class TestSpectralStart:
     @pytest.mark.parametrize("objective,n,target", OBJECTIVES)
     def test_no_restarts_certify_at_the_maximum_in_one_evaluation(self, objective, n, target):
         # the all-pi/4 start this replaced was a stationary point at S = 2 that never certified
-        cfg = OptimizerConfig(restarts=0)
-        res = optimize_settings(objective, config=cfg, n=n)
+        res = optimize_settings(objective, n=n)
         assert res.converged
         assert res.evaluations == 1
         assert abs(res.value - target) <= 1e-12
-        assert res.certified_bound - res.value <= cfg.tol
+        assert res.certified_bound - res.value <= OptimizerConfig().tol
 
     @pytest.mark.parametrize("objective,n,target", OBJECTIVES)
     def test_start_does_not_depend_on_the_eigenbasis(self, monkeypatch, objective, n, target):
@@ -365,21 +361,6 @@ class TestSpectralStart:
             assert np.max(np.abs(x @ x.T - scale[:, None] * projector * scale)) < 1e-14
             monkeypatch.setattr(bell.np.linalg, "eigh", eigh)
         bell._spectral_start.cache_clear()
-
-    def test_empty_budget_rejected(self):
-        with pytest.raises(ValueError, match="max_evals"):
-            optimize_settings("s_lgi", config=OptimizerConfig(max_evals=0))
-
-    @pytest.mark.parametrize("restarts", [MAX_RESTARTS + 1, 10**8])
-    def test_too_many_restarts_rejected(self, monkeypatch, restarts):
-        monkeypatch.setattr(bell, "_spectral_start", _never_called)
-        with pytest.raises(ValueError, match=f"at most {MAX_RESTARTS} restarts"):
-            optimize_settings("s_lgi", config=OptimizerConfig(restarts=restarts))
-
-    def test_largest_restart_count_certifies(self):
-        res = optimize_settings("s_lgi", config=OptimizerConfig(restarts=MAX_RESTARTS))
-        assert res.converged
-        assert res.value == pytest.approx(2.0 * SQRT2, abs=1e-12)
 
 
 def _bloch_vectors(angles):

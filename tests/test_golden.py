@@ -40,13 +40,10 @@ SPECS = GOLDEN / "specs"
 
 # name -> (argv without --format, expected exit code)
 CASES = {
-    "optimize-s_lgi-seed0": (["optimize", "--objective", "s_lgi", "--seed", "0"], EXIT_OK),
-    "optimize-s_lgi-seed1": (["optimize", "--objective", "s_lgi", "--seed", "1"], EXIT_OK),
-    "optimize-s_lgi-seed2": (["optimize", "--objective", "s_lgi", "--seed", "2"], EXIT_OK),
+    "optimize-s_lgi": (["optimize", "--objective", "s_lgi"], EXIT_OK),
     "optimize-chained_bell-n2": (["optimize", "--objective", "chained_bell", "-n", "2"], EXIT_OK),
     "optimize-chained_bell-n3": (["optimize", "--objective", "chained_bell", "-n", "3"], EXIT_OK),
     "optimize-monogamy_sum": (["optimize", "--objective", "monogamy_sum"], EXIT_OK),
-    "optimize-s_lgi-max-evals-1": (["optimize", "--objective", "s_lgi", "--max-evals", "1"], EXIT_OK),
     "lgi-tsirelson": (["lgi", "--preset", "tsirelson"], EXIT_OK),
     "chained-tsirelson-n3": (["chained", "--preset", "tsirelson", "-n", "3"], EXIT_OK),
     "monogamy-paper-independent": (["monogamy", "--preset", "paper", "--mode", "independent"], EXIT_OK),

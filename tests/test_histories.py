@@ -77,6 +77,13 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid((1.0, 0.0), (2, 2))
 
+    @pytest.mark.parametrize("labels", [(0.0, math.nan), (math.nan, 0.0), (math.nan,), (0.0, math.inf),
+                                        (-math.inf, 0.0), (math.inf,)])
+    def test_labels_must_be_finite(self, labels):
+        # NaN compares false with every label, so it would pass the increasing check
+        with pytest.raises(ValueError, match="time labels must be finite"):
+            TimeGrid(labels, (2,) * len(labels))
+
     def test_dims_at_least_two(self):
         with pytest.raises(ValueError):
             TimeGrid((0.0, 1.0), (2, 1))
@@ -1376,6 +1383,22 @@ class TestTermCoordinates:
         with np.errstate(all="raise"):
             with pytest.raises(ValueError, match="history norm is not finite"):
                 MixedHistory(((0.5, normalize(h)), (0.5, huge)))
+
+    @pytest.mark.parametrize("probs, message", [
+        ((), "nonempty"),
+        ((0.0, 1.0), "must be positive"),
+        ((-0.5, 1.5), "must be positive"),
+        ((math.nan,), "must be positive"),
+        ((math.nan, 1.0), "must be positive"),
+        ((-math.inf, 1.0), "must be positive"),
+        ((0.5, 0.6), "must sum to 1"),
+        ((math.inf,), "must sum to 1"),
+        ((math.inf, 1.0), "must sum to 1"),
+    ])
+    def test_bad_probabilities_rejected(self, probs, message):
+        h = normalize(HistoryState.from_slots(TimeGrid.regular(2), (proj("z+"), proj("x+"))))
+        with pytest.raises(ValueError, match=f"ensemble probabilities {message}|ensemble must be {message}"):
+            MixedHistory(tuple((p, h) for p in probs))
 
 
 class TestCachedGeometry:

@@ -420,12 +420,9 @@ class TestCSV:
         assert distribution_csv(dist) == _csv_writer_rows(dist)
 
     def test_trace_csv_columns(self):
-        from qhist import OptimizerConfig, optimize_settings
+        from qhist import optimize_settings
 
-        res = optimize_settings(
-            "s_lgi",
-            config=OptimizerConfig(max_evals=300),
-        )
+        res = optimize_settings("s_lgi")
         rows = list(csv.reader(io.StringIO(trace_csv(res))))
         assert rows[0][0] == "evaluation"
         assert rows[0][-1] == "value"

@@ -14,7 +14,6 @@ from qhist import (
     MeasurementSetting,
     ShapeError,
     TwoTimeExperiment,
-    abl_probability,
     coherent_bundle_distribution,
     coherent_bundle_weights,
     mixed_sequence_distribution,
@@ -30,7 +29,7 @@ from qhist.twostate import MAX_MEASURED_SLOTS
 
 import twostate_oracle
 from histories_oracle import is_projector
-from twostate_oracle import correlator, earlier_marginal_deviation, history_bundle, marginal
+from twostate_oracle import abl_probability, correlator, earlier_marginal_deviation, history_bundle, marginal
 from conftest import (
     HADAMARD,
     diagonal_branches,
@@ -100,6 +99,11 @@ class TestOutcomeDistribution:
         ({"+": 0.5, "+-": -0.5, "-": 1.0}, "one character per setting"),
         ({"+": float("nan"), "-": -0.5, "0": 1.5}, "nonnegative"),
         ({"+": 0.5, "-": 0.6}, "sum to 1"),
+        ({"+": float("nan"), "-": 1.0}, "sum to 1"),
+        ({"+": float("nan"), "-": 0.0}, "sum to 1"),
+        ({"+": float("inf"), "-": 1.0}, "sum to 1"),
+        ({"+": float("inf"), "-": -float("inf")}, "nonnegative"),
+        ({"+": -float("inf"), "-": 1.0}, "nonnegative"),
     ])
     def test_checks_in_order(self, table, message):
         from qhist import OutcomeDistribution

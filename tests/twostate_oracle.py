@@ -15,7 +15,9 @@ chain weights are a second route to the outcome table.
 ``marginal`` and ``correlator`` read one slot's outcome probabilities and a
 two-slot correlator off a distribution's table;
 ``earlier_marginal_deviation`` measures how much an earlier slot's marginal
-moves when only the later setting changes.
+moves when only the later setting changes.  ``abl_probability`` is the
+single-slot pre/post-conditioned probability that ``qhist abl --slot`` reads
+off its table.
 """
 
 import itertools
@@ -25,7 +27,7 @@ import numpy as np
 
 from qhist.histories import BridgingSet, ElementaryHistory, HistoryState, TimeGrid
 from qhist.linalg import as_ket, as_matrix, identity, projector
-from qhist.twostate import ZERO_WEIGHT_TOL, sequence_distribution
+from qhist.twostate import ZERO_WEIGHT_TOL, _check_abl, sequence_distribution
 
 from histories_oracle import as_lists, chain_operator_sum, loop_matmul, loop_pairing, loop_sum
 
@@ -117,6 +119,14 @@ def history_bundle(exp):
         scale = 1.0 / math.prod(map(np.linalg.norm, ops))
         bundle.append((string, HistoryState.from_slots(grid, ops, scale), p, bridging))
     return bundle
+
+
+def abl_probability(exp, slot: int, outcome: int) -> float:
+    """Pre/post-conditioned probability of ``outcome`` (+1 or -1) at the one
+    measured slot ``slot``; an unreachable post-selection raises rather than
+    giving 0/0."""
+    _check_abl(exp, slot)
+    return sequence_distribution(exp).probability("+" if outcome == +1 else "-")
 
 
 def marginal(dist, position: int) -> dict[str, float]:
