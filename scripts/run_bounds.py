@@ -3,7 +3,8 @@
 
 Prints the classical CHSH comparator, the optimized temporal functional,
 the two-pair sum in both evaluation modes, and the chained totals, each next
-to its target.  With --out DIR the same reports are written as JSON.
+to its target.  With --out DIR the same reports are written as JSON.  Exits 1,
+naming each row, when a value is further than TOLERANCE from its target.
 """
 
 import argparse
@@ -27,11 +28,16 @@ from qhist.linalg import maximally_mixed
 from qhist.serialize import document, dumps_json, to_jsonable
 
 SQRT2 = math.sqrt(2.0)
+# largest |value - target| a row may show; every row is within 3.6e-15 today
+TOLERANCE = 1e-12
 
 
-def row(label: str, value: float, target: float) -> None:
-    print(f"  {label:<44} {value:>14.10f}  target {target:>14.10f}  "
-          f"err {abs(value - target):.2e}")
+def row(errors: dict, label: str, value: float, target: float) -> float:
+    """Print one value next to its target; its error is returned and kept
+    in ``errors`` under ``label``."""
+    err = errors[label] = abs(value - target)
+    print(f"  {label:<44} {value:>14.10f}  target {target:>14.10f}  err {err:.2e}")
+    return err
 
 
 def main(argv=None) -> int:
@@ -45,19 +51,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     docs = {}
+    errors = {}
 
     print("classical comparator")
     if args.skip_classical:
         print("  (skipped)")
     else:
         bound = classical_bound_bruteforce()
-        row("deterministic CHSH maximum", bound, 2.0)
+        row(errors, "deterministic CHSH maximum", bound, 2.0)
         docs["classical"] = document("classical-bound", {"value": bound})
 
     print("optimized temporal functional")
     opt = optimize_settings("s_lgi")
-    row("best value over Bloch settings", opt.value, 2.0 * SQRT2)
-    row("certified upper bound", opt.certified_bound, 2.0 * SQRT2)
+    row(errors, "best value over Bloch settings", opt.value, 2.0 * SQRT2)
+    row(errors, "certified upper bound", opt.certified_bound, 2.0 * SQRT2)
     print(f"  converged={opt.converged} after {opt.evaluations} evaluations")
     docs["optimize"] = document(
         "optimize", {"value": opt.value, "certified_bound": opt.certified_bound,
@@ -68,7 +75,7 @@ def main(argv=None) -> int:
     a, b, c = monogamy_preset_settings()
     for mode in (INDEPENDENT, CHAINED):
         res = monogamy_sum(maximally_mixed(2), a, b, c, mode=mode)
-        row(f"{mode} total", res.total, 4.0 * SQRT2)
+        row(errors, f"{mode} total", res.total, 4.0 * SQRT2)
         docs[f"monogamy-{mode}"] = document(
             "monogamy", {"mode": mode, "total": res.total,
                          "spatial_reference": res.spatial_reference})
@@ -79,7 +86,7 @@ def main(argv=None) -> int:
     chain_rows = []
     for n in range(1, args.chain_max + 1):
         res = chained_bell(n, firsts, seconds)
-        row(f"n={n}", res.total, 2.0 * SQRT2 * n)
+        row(errors, f"n={n}", res.total, 2.0 * SQRT2 * n)
         entry = {"n": n, "total": res.total,
                  "quantum_bound": res.quantum_bound,
                  "classical_bound": res.classical_bound}
@@ -94,7 +101,10 @@ def main(argv=None) -> int:
             path = args.out / f"{stem}.json"
             path.write_text(dumps_json(doc))
             print(f"wrote {path}")
-    return 0
+    failed = [(label, err) for label, err in errors.items() if not err <= TOLERANCE]
+    for label, err in failed:
+        print(f"error: {label}: {err:.2e} from its target, more than {TOLERANCE:g}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

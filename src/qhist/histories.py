@@ -320,8 +320,11 @@ class HistoryState:
         in term order, unless the rows are ``distinct`` already: the merge is
         ``_merge_kept``'s, for one keep set whose one slot is the whole row,
         and with no close pair the rows are held as given.  Then the terms
-        whose coefficient cancelled (``_uncancelled``) are dropped."""
+        whose coefficient cancelled (``_uncancelled``) are dropped.  Every
+        coefficient must be finite."""
         coefs = np.array(coefs, dtype=complex)
+        if not np.isfinite(coefs).all():
+            raise ValueError("coefficients must be finite")
         if not distinct:
             firsts = _merge_kept(rows, [rows.shape[1]], np.ones((1, 1), dtype=bool), coefs[None, None])[0]
             if firsts is not None:

@@ -11,10 +11,9 @@ correlators, bounds) stay plain floats.  A few types whose document is not
 their field mapping have explicit encoders in ``_ENCODERS``: elementary
 histories and history states (slot strings without a per-term grid), mixed
 histories, the optimizer's trace rows, scenario results (the top-level
-document) and outcome distributions (a table sorted by outcome string; a
-table built from the chain kernel's rows is in that order already and goes
-into the document itself, not a copy).  ``document`` wraps everything in the
-uniform top-level shape {name, artifacts, notes}.
+document) and outcome distributions (whose read-only table, sorted by
+outcome string, goes into the document itself, not a copy).  ``document``
+wraps everything in the uniform top-level shape {name, artifacts, notes}.
 
 ``dumps_json`` writes a document exactly as ``json.dumps(doc, indent=2,
 sort_keys=True)`` would, but without visiting values one by one in Python.
@@ -28,20 +27,14 @@ leaf: ``float.__repr__`` is json's text for it, while a subclass such as
 other container is joined once: its keys, or items that are all strings, go
 through one C-level map, and any other item is written on its own.
 
-Table route: an outcome table built from the chain kernel's rows
-(``twostate._KernelTable``, until it is changed) holds the kernel's strings
-tuple, '+'/'-' strings in sorted order, and the float list it was built
-from.  Its JSON and its ``distribution_csv`` rows are each one ``%`` call on
-a template made by one join of those strings (``%r`` or ``%.12g`` per
-value), with no sort, no second dict and no per-row text.  The strings
-tuple is shared across calls for tables of up to 2**14 rows
-(``histories._SHARED_OUTCOME_STRINGS``); the template is not kept, as
-joining it costs a few percent of filling it (64 against 2000 us for a
-12-slot table as JSON), while keeping the templates of 6 to 12 slots would
-hold 0.22 MB as JSON and 0.16 MB as CSV.  Any other table (one a
-caller built, changed, or with a non-finite weight) takes the general
-route: sorted, joined as above for JSON, and written by ``csv.writer`` for
-CSV.
+Outcome tables: an outcome table (``twostate._Table``) is read-only and
+maps '+'/'-' strings in sorted order to exact, finite floats.  Its JSON and
+its ``distribution_csv`` rows are each one ``%`` call on a template made by
+one join of its strings (``%r`` or ``%.12g`` per value), with no sort, no
+second dict and no per-row text.  The template is not kept, as joining it
+costs a few percent of filling it (64 against 2000 us for a 12-slot table as
+JSON), while keeping the templates of 6 to 12 slots would hold 0.22 MB as
+JSON and 0.16 MB as CSV.
 
 Input side: small parsers for the human-writable spec files the command line
 accepts.  States may be named ("0", "1", "+", "-", "i+", "i-") or explicit
@@ -71,7 +64,7 @@ from .histories import (
 )
 from .linalg import identity, maximally_mixed, pauli, projector, qubit_ket
 from .scenarios import ScenarioResult
-from .twostate import MeasurementSetting, OutcomeDistribution, _KernelTable
+from .twostate import MeasurementSetting, OutcomeDistribution, _Table
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
 
@@ -123,23 +116,9 @@ def matrix_document(m: np.ndarray) -> list:
     return np.stack((a.real, a.imag), axis=-1).tolist()
 
 
-def _sorted_table(dist: OutcomeDistribution):
-    """The outcome strings in order and an iterator of their probabilities as floats."""
-    outcomes = sorted(dist.table)
-    return outcomes, map(float, map(dist.table.__getitem__, outcomes))
-
-
-def _rows(table):
-    """(outcome strings, probabilities) of a table built from the chain
-    kernel's rows and not changed since, None for any other table."""
-    return table.rows if type(table) is _KernelTable else None
-
-
 def _distribution(d: OutcomeDistribution) -> dict:
-    """A table with its rows is already in sorted order and is the document's
-    table itself; any other is sorted into a new dict of floats."""
-    table = d.table if _rows(d.table) is not None else dict(zip(*_sorted_table(d)))
-    return {"settings": list(d.settings), "table": table}
+    """The read-only table, in sorted order already, is the document's table itself."""
+    return {"settings": list(d.settings), "table": d.table}
 
 
 def _fields(obj, **encoded) -> dict:
@@ -309,12 +288,10 @@ def _write(obj, indent: str) -> str:
         return "[" + inner + ("," + inner).join(_texts(obj, inner)) + indent + "]"
     if isinstance(obj, dict):
         inner = indent + "  "
-        rows = _rows(obj)
-        if rows is not None:
+        if type(obj) is _Table:
             # sorted '+'/'-' keys, which json writes between quotes as they are
-            strings, probabilities = rows
-            template = "{" + inner + '"' + ('": %r,' + inner + '"').join(strings) + '": %r' + indent + "}"
-            return template % tuple(probabilities)
+            template = "{" + inner + '"' + ('": %r,' + inner + '"').join(obj) + '": %r' + indent + "}"
+            return template % tuple(obj.values())
         if not obj:
             return "{}"
         keys = sorted(obj)
@@ -376,23 +353,12 @@ def dumps_csv(doc: dict) -> str:
 
 
 def distribution_csv(dist: OutcomeDistribution) -> str:
-    """The table as outcome,probability rows sorted by outcome, numbers as
-    ``format_number`` writes them (``%.12g`` and ``{:.12g}`` print alike).
-    A table with its kernel rows (sorted '+'/'-' strings, which need no
-    quoting) is one ``%`` call on a template joined from its strings.  Any
-    other (one a caller built or changed) is sorted and written by
-    ``csv.writer`` in one ``writerows``."""
-    rows = _rows(dist.table)
-    if rows is not None:
-        strings, probabilities = rows
-        template = "outcome,probability\r\n" + ",%.12g\r\n".join(strings) + ",%.12g\r\n"
-        return template % tuple(probabilities)
-    outcomes, probabilities = _sorted_table(dist)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["outcome", "probability"])
-    writer.writerows(zip(outcomes, map("{:.12g}".format, probabilities)))
-    return buf.getvalue()
+    """The table as outcome,probability rows in its (sorted) order, numbers as
+    ``format_number`` writes them (``%.12g`` and ``{:.12g}`` print alike):
+    one ``%`` call on a template joined from its '+'/'-' strings, which need
+    no quoting."""
+    table = dist.table
+    return ("outcome,probability\r\n" + ",%.12g\r\n".join(table) + ",%.12g\r\n") % tuple(table.values())
 
 
 def trace_csv(result: OptimizeResult) -> str:

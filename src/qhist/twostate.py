@@ -15,8 +15,8 @@ rows-last stack (d', m, R, batch) holds string r at axis 2, '+' first with
 the earliest slot most significant, for at most ``MAX_MEASURED_SLOTS``
 measured slots (unmeasured slots do not count).  Tables reduce it under the
 kernel's contract, einsum and real elementwise arithmetic with no BLAS, and
-keep the kernel's strings and their probabilities as rows in that (sorted)
-order for the writers (``_KernelTable``).
+map the kernel's strings to their probabilities in that (sorted) order in a
+table that is read-only from the moment it is built (``_Table``).
 """
 
 from __future__ import annotations
@@ -187,78 +187,68 @@ class TwoTimeExperiment:
         return tuple(i for i, s in enumerate(self.slots) if s is not None)
 
 
+def _read_only(self, *args, **kwargs):
+    raise TypeError("an outcome table is read-only")
+
+
+class _Table(dict):
+    """An outcome table: '+'/'-' strings in sorted order, each mapped to an
+    exact, finite ``float``.  It is read-only from the moment it is built, so
+    a writer fills one template of its strings with its values."""
+
+    __slots__ = ()
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return _Table, (dict(self),)
+
+
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """Probabilities for outcome strings of an ordered measurement row."""
+    """Probabilities for outcome strings of an ordered measurement row.
+
+    The constructor checks a caller's mapping (at least one outcome, one '+'
+    or '-' per setting, nonnegative, summing to 1) and holds it as a
+    read-only ``_Table``, sorted by outcome string, with each value read by
+    ``float()``.  So a key such as ``"0"`` is rejected, ``dist.table[k] = v``
+    raises ``TypeError``, and an ``np.float64`` value reads back as ``float``.
+    """
 
     settings: tuple[str, ...]
     table: Mapping[str, float]
 
     def __post_init__(self):
         table = dict(self.table)
-        object.__setattr__(self, "table", table)
         if not table:
             raise ValueError("distribution must have at least one outcome")
         # C-level maps with the generator forms' short-circuit and comparisons
         if any(map(len(self.settings).__ne__, map(len, table))):
             raise ValueError("outcome strings must have one character per setting")
+        if not set("".join(table)) <= {"+", "-"}:
+            raise ValueError("outcome strings must hold only '+' and '-'")
         if any(map(operator.lt, table.values(), itertools.repeat(-1e-12))):
             raise ValueError("probabilities must be nonnegative")
         if not abs(sum(table.values()) - 1.0) <= 1e-9:
             raise ValueError("probabilities must sum to 1")
-
-    @classmethod
-    def _built(cls, settings: tuple[str, ...], table: dict[str, float]) -> "OutcomeDistribution":
-        """A table the package built and normalized itself, kept as it is:
-        the checks above would copy it and read every entry again."""
-        dist = object.__new__(cls)
-        object.__setattr__(dist, "settings", settings)
-        object.__setattr__(dist, "table", table)
-        return dist
+        object.__setattr__(self, "table", _Table((k, float(table[k])) for k in sorted(table)))
 
     def probability(self, outcome: str) -> float:
         return self.table.get(outcome, 0.0)
 
 
-class _KernelTable(dict):
-    """An outcome table built from the chain kernel's rows, in their order.
-
-    ``rows`` holds the kernel's strings tuple (nonempty '+'/'-' strings in
-    sorted order, which JSON and CSV write as they are) and the list of
-    exact, finite floats the table was built from, so a writer can fill one
-    template of the strings instead of sorting and visiting the table.
-    Every method that changes the table drops them (``rows`` None).
-    """
-
-    rows = None
-
-    def __init__(self, strings: tuple[str, ...], probabilities: list[float]):
-        super().__init__(zip(strings, probabilities))
-        self.rows = (strings, probabilities)
-
-
-def _dropping_rows(change):
-    def method(self, *args, **kwargs):
-        self.rows = None
-        return change(self, *args, **kwargs)
-    return method
-
-
-for _name in ("__setitem__", "__delitem__", "__ior__", "clear", "pop", "popitem", "setdefault", "update"):
-    setattr(_KernelTable, _name, _dropping_rows(getattr(dict, _name)))
-
-
 def _normalized(strings: tuple[str, ...], weights: np.ndarray, labels: tuple[str, ...]) -> OutcomeDistribution:
     """The distribution of nonnegative ``weights``, one per outcome string of
-    the chain kernel (sorted), as a ``_KernelTable`` that keeps its rows when
-    every weight is finite."""
+    the chain kernel (sorted), held as it is built: the public checks would
+    copy the table and read every entry again."""
     total = float(np.cumsum(weights)[-1])  # left to right, as on every Python
     if total <= ZERO_WEIGHT_TOL:
         raise ImpossiblePostselectionError("total weight is zero; conditional probabilities undefined")
-    table = _KernelTable(strings, (weights / total).tolist())
     if not math.isfinite(total):
-        table.rows = None  # a NaN or infinite weight is written as json writes it
-    return OutcomeDistribution._built(labels, table)
+        raise ValueError("total weight must be finite")
+    dist = object.__new__(OutcomeDistribution)
+    object.__setattr__(dist, "settings", labels)
+    object.__setattr__(dist, "table", _Table(zip(strings, (weights / total).tolist())))
+    return dist
 
 
 def _checked_row(d: int, slots, unitaries) -> tuple[np.ndarray, ...]:

@@ -341,10 +341,32 @@ class TestHilbertSchmidtGeometry:
     @pytest.mark.parametrize("bad", [1e300, np.inf, np.nan])
     def test_non_finite_norm_rejected(self, bad):
         g = TimeGrid.regular(2)
+        if not math.isfinite(bad):
+            with pytest.raises(ValueError, match="^coefficients must be finite$"):
+                HistoryState.from_slots(g, (proj("z+"), proj("x+")), bad)
+            return
         h = HistoryState.from_slots(g, (proj("z+"), proj("x+")), bad)
         for f in (hs_norm, normalize):
             with pytest.raises(ValueError, match="history norm is not finite"):
                 f(h)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(0.0, -np.inf), complex(1.0, np.nan)])
+    def test_every_construction_checks_coefficients(self, bad):
+        g = TimeGrid.regular(2)
+        ops = (proj("z+"), proj("x+"))
+        h = HistoryState.from_slots(g, ops)
+        eh = ElementaryHistory(g, ops)
+        builds = [
+            lambda: HistoryState.from_slots(g, ops, bad),
+            lambda: HistoryState(((1.0, eh), (bad, eh))),
+            lambda: h * bad,
+            lambda: bad * h,
+            # unpickling goes through the same construction
+            lambda: HistoryState._from_rows(g, [bad], h._rows, True),
+        ]
+        for build in builds:
+            with pytest.raises(ValueError, match="^coefficients must be finite$"):
+                build()
 
 
 def _shifted(eh, k, i, j, delta) -> ElementaryHistory:
@@ -663,6 +685,10 @@ class TestFactoredReductionAgainstDenseOracle:
     @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e300, complex(0.0, np.inf)])
     def test_non_finite_coefficient_rejected(self, bad):
         g = TimeGrid.regular(3)
+        if not np.isfinite(bad):
+            with pytest.raises(ValueError, match="^coefficients must be finite$"):
+                HistoryState.from_slots(g, [proj("z+")] * 3, bad)
+            return
         h = HistoryState.from_slots(g, [proj("z+")] * 3, bad) + HistoryState.from_slots(
             g, [proj("z-")] * 3
         )

@@ -1,6 +1,7 @@
 """Document encoding, CSV rendering, and spec-file parsing."""
 
 import collections
+import copy
 import csv
 import dataclasses
 import enum
@@ -9,11 +10,12 @@ import itertools
 import json
 import math
 import operator
+import pickle
 import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qhist import (
     BridgingSet,
@@ -367,11 +369,11 @@ class TestJsonWriter:
             matrix_document(np.zeros((2, 2, 2)))
 
 
-def _csv_writer_rows(dist: OutcomeDistribution) -> str:
+def _csv_writer_rows(table) -> str:
     """The table's rows written by ``csv.writer``, sorted by outcome."""
     buf = io.StringIO()
     csv.writer(buf).writerows([["outcome", "probability"]] + [
-        [outcome, format_number(dist.table[outcome])] for outcome in sorted(dist.table)])
+        [outcome, format_number(table[outcome])] for outcome in sorted(table)])
     return buf.getvalue()
 
 
@@ -396,28 +398,29 @@ class TestCSV:
         assert ["++", "0.5"] in rows
 
     def test_distribution_csv_matches_a_csv_writer(self, rng):
-        # outcome keys that need quoting, and probabilities that round at 12 digits
+        # probabilities that round at 12 digits, one of them an np.float64
         p = [0.1, np.float64(0.2), 1.0 / 3.0]
-        table = {'a,b': p[0], 'a"b': p[1], "a\nb": p[2], "+-+": 1.0 - sum(p)}
+        table = {"-++": p[0], "+--": p[1], "---": p[2], "+-+": 1.0 - sum(p)}
         dist = OutcomeDistribution(("X", "Y", "Z"), table)
-        assert distribution_csv(dist) == _csv_writer_rows(dist)
-        # a random 10-slot table a caller built, whose keys need no quoting
+        assert distribution_csv(dist) == _csv_writer_rows(table)
+        # a random 10-slot table a caller built
         outcomes = ["".join(s) for s in itertools.product("+-", repeat=10)]
         w = rng.exponential(size=len(outcomes))
         w[rng.choice(len(w), 50, replace=False)] = 0.0
-        dist = OutcomeDistribution(tuple("S" * 10), dict(zip(outcomes, (w / w.sum()).tolist())))
-        assert distribution_csv(dist) == _csv_writer_rows(dist)
+        table = dict(zip(outcomes, (w / w.sum()).tolist()))
+        assert distribution_csv(OutcomeDistribution(tuple("S" * 10), table)) == _csv_writer_rows(table)
         # an empty key
-        dist = OutcomeDistribution((), {"": 1.0})
-        assert distribution_csv(dist) == _csv_writer_rows(dist)
+        assert distribution_csv(OutcomeDistribution((), {"": 1.0})) == _csv_writer_rows({"": 1.0})
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.one_of(st.floats(), st.floats().map(np.float64)), min_size=1, max_size=8))
-    def test_distribution_csv_prints_every_float_as_format_number(self, probabilities):
-        outcomes = ["".join(s) for s in itertools.product("+-", repeat=3)][:len(probabilities)]
-        # unchecked, so that any float, NaN and infinities included, is printed
-        dist = OutcomeDistribution._built(tuple("XYZ"), dict(zip(outcomes, probabilities)))
-        assert distribution_csv(dist) == _csv_writer_rows(dist)
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.floats(0.0, 1e300), min_size=2 ** n, max_size=2 ** n)))
+    def test_distribution_csv_prints_every_float_as_format_number(self, weights):
+        n = len(weights).bit_length() - 1
+        strings = tuple("".join(s) for s in itertools.product("+-", repeat=n))
+        assume(float(np.cumsum(weights)[-1]) > twostate.ZERO_WEIGHT_TOL)
+        dist = twostate._normalized(strings, np.array(weights), tuple("S" * n))
+        assert distribution_csv(dist) == _csv_writer_rows(dist.table)
 
     def test_trace_csv_columns(self):
         from qhist import optimize_settings
@@ -460,36 +463,40 @@ def _plain(dist: OutcomeDistribution) -> dict:
 
 
 class TestKernelTableRoute:
-    """Tables built from the chain kernel's rows are written from those rows,
-    already in sorted order, with the bytes of the general writers."""
+    """Every outcome table, from the chain kernel or from a caller, is written
+    from its read-only, sorted ``_Table`` with the bytes of the general
+    writers."""
 
     @pytest.mark.parametrize("n", range(1, 13))
     @pytest.mark.parametrize("kind", _ROW_KINDS)
     def test_matches_the_general_writers(self, kind, n):
         dist = _kernel_distribution(np.random.default_rng([n, _ROW_KINDS.index(kind)]), kind, n)
-        assert dist.table.rows is not None
+        assert type(dist.table) is twostate._Table
         doc = document("abl", {"distribution": dist})
         plain = document("abl", {"distribution": _plain(dist)})
         assert type(plain["artifacts"]["distribution"]["table"]) is dict
         assert dumps_json(doc) == _json_oracle(plain)
-        assert distribution_csv(dist) == _csv_writer_rows(dist)
+        assert distribution_csv(dist) == _csv_writer_rows(dist.table)
         assert dumps_pretty(doc) == dumps_pretty(plain)
 
-    def test_user_built_tables_take_the_general_route(self, rng):
-        dist = _kernel_distribution(rng, "post", 5)
-        items = list(dist.table.items())
-        rng.shuffle(items)
-        user = OutcomeDistribution(dist.settings, dict(items))
-        assert type(user.table) is dict and list(user.table) != list(dist.table)
-        doc, user_doc = (document("abl", {"distribution": d}) for d in (dist, user))
-        assert dumps_json(user_doc) == dumps_json(doc) == _json_oracle(user_doc)
-        assert distribution_csv(user) == distribution_csv(dist) == _csv_writer_rows(user)
-        assert dumps_pretty(user_doc) == dumps_pretty(doc)
-        # a key that needs CSV quoting
-        quoted = OutcomeDistribution(("X", "Y"), {"+,": 0.25, '"-': 0.25, "++": 0.5})
-        quoted_doc = document("abl", {"distribution": quoted})
-        assert dumps_json(quoted_doc) == _json_oracle(quoted_doc)
-        assert distribution_csv(quoted) == _csv_writer_rows(quoted)
+    @pytest.mark.parametrize("n", range(13))
+    def test_caller_built_tables_match_the_general_writers(self, n):
+        rng = np.random.default_rng([n, 31])
+        strings = ["".join(s) for s in itertools.product("+-", repeat=n)]
+        keys = [strings[i] for i in rng.permutation(len(strings))[:rng.integers(1, len(strings) + 1)]]
+        w = rng.exponential(size=len(keys))
+        w[rng.random(len(keys)) < 0.2] = 0.0
+        w[0] += 1.0
+        table = dict(zip(keys, w / w.sum()))
+        assert {type(v) for v in table.values()} == {np.float64}
+        dist = OutcomeDistribution(tuple("S" * n), table)
+        assert type(dist.table) is twostate._Table and list(dist.table) == sorted(table)
+        assert {type(v) for v in dist.table.values()} == {float}
+        doc = document("abl", {"distribution": dist})
+        plain = document("abl", {"distribution": {"settings": ["S"] * n, "table": table}})
+        assert dumps_json(doc) == _json_oracle(plain) == _json_oracle(doc)
+        assert distribution_csv(dist) == _csv_writer_rows(table)
+        assert dumps_pretty(doc) == dumps_pretty(plain)
 
     @pytest.mark.parametrize("change", [
         # the operator forms go through the type's slots, as t[k] = v does
@@ -502,23 +509,34 @@ class TestKernelTableRoute:
         lambda t: t.setdefault("?", 0.25),
         lambda t: t.update({"+++": -0.0}),
     ])
-    @pytest.mark.parametrize("encoded_first", [False, True])
-    def test_a_changed_table_is_written_as_changed(self, rng, change, encoded_first):
+    def test_every_mutator_raises(self, rng, change):
         dist = _kernel_distribution(rng, "pure", 3)
-        doc = document("abl", {"distribution": dist}) if encoded_first else None
-        change(dist.table)
-        assert dist.table.rows is None
-        doc = doc or document("abl", {"distribution": dist})
-        assert dumps_json(doc) == _json_oracle(doc)
-        assert distribution_csv(dist) == _csv_writer_rows(dist)
+        before = dict(dist.table)
+        text = dumps_json(document("abl", {"distribution": dist}))
+        with pytest.raises(TypeError, match="^an outcome table is read-only$"):
+            change(dist.table)
+        assert dist.table == before and list(dist.table) == list(before)
+        assert dumps_json(document("abl", {"distribution": dist})) == text
 
-    def test_non_finite_weights_keep_no_rows(self):
-        with np.errstate(invalid="ignore"):
-            dist = twostate._normalized(("+", "-"), np.array([np.nan, 1.0]), ("X",))
-        assert dist.table.rows is None
-        doc = document("abl", {"distribution": dist})
-        assert dumps_json(doc) == _json_oracle(doc)
-        assert distribution_csv(dist) == _csv_writer_rows(dist)
+    @pytest.mark.parametrize("round_trip", [
+        lambda t: pickle.loads(pickle.dumps(t)), copy.copy, copy.deepcopy,
+    ])
+    def test_round_trips_keep_the_table(self, rng, round_trip):
+        dist = _kernel_distribution(rng, "post", 4)
+        table = round_trip(dist.table)
+        assert type(table) is twostate._Table and list(table.items()) == list(dist.table.items())
+        got = round_trip(dist)
+        assert type(got.table) is twostate._Table
+        assert dumps_json(document("abl", {"distribution": got})) == dumps_json(
+            document("abl", {"distribution": dist}))
+        assert distribution_csv(got) == distribution_csv(dist)
+        with pytest.raises(TypeError, match="read-only"):
+            table["++++"] = 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_are_rejected(self, bad):
+        with pytest.raises(ValueError, match="^total weight must be finite$"):
+            twostate._normalized(("+", "-"), np.array([bad, 1.0]), ("X",))
 
 
 class TestLoadDocument:

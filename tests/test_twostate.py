@@ -97,13 +97,14 @@ class TestOutcomeDistribution:
     @pytest.mark.parametrize("table, message", [
         ({}, "at least one outcome"),
         ({"+": 0.5, "+-": -0.5, "-": 1.0}, "one character per setting"),
-        ({"+": float("nan"), "-": -0.5, "0": 1.5}, "nonnegative"),
+        ({"+": float("nan"), "-": -0.5}, "nonnegative"),
         ({"+": 0.5, "-": 0.6}, "sum to 1"),
         ({"+": float("nan"), "-": 1.0}, "sum to 1"),
         ({"+": float("nan"), "-": 0.0}, "sum to 1"),
         ({"+": float("inf"), "-": 1.0}, "sum to 1"),
         ({"+": float("inf"), "-": -float("inf")}, "nonnegative"),
         ({"+": -float("inf"), "-": 1.0}, "nonnegative"),
+        ({"+": 1.5, "0": -0.5}, "^outcome strings must hold only '\\+' and '-'$"),
     ])
     def test_checks_in_order(self, table, message):
         from qhist import OutcomeDistribution
