@@ -44,8 +44,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--chain-max", type=int, default=8,
                         help="largest chain length to evaluate (default 8)")
-    parser.add_argument("--skip-classical", action="store_true",
-                        help="skip the classical comparators")
     parser.add_argument("--out", type=pathlib.Path,
                         help="directory for JSON copies of each report")
     args = parser.parse_args(argv)
@@ -54,12 +52,9 @@ def main(argv=None) -> int:
     errors = {}
 
     print("classical comparator")
-    if args.skip_classical:
-        print("  (skipped)")
-    else:
-        bound = classical_bound_bruteforce()
-        row(errors, "deterministic CHSH maximum", bound, 2.0)
-        docs["classical"] = document("classical-bound", {"value": bound})
+    bound = classical_bound_bruteforce()
+    row(errors, "deterministic CHSH maximum", bound, 2.0)
+    docs["classical"] = document("classical-bound", {"value": bound})
 
     print("optimized temporal functional")
     opt = optimize_settings("s_lgi")
@@ -87,12 +82,10 @@ def main(argv=None) -> int:
     for n in range(1, args.chain_max + 1):
         res = chained_bell(n, firsts, seconds)
         row(errors, f"n={n}", res.total, 2.0 * SQRT2 * n)
-        entry = {"n": n, "total": res.total,
-                 "quantum_bound": res.quantum_bound,
-                 "classical_bound": res.classical_bound}
-        if not args.skip_classical:
-            entry["classical_bruteforce"] = chained_classical_bound(n)
-        chain_rows.append(entry)
+        chain_rows.append({"n": n, "total": res.total,
+                           "quantum_bound": res.quantum_bound,
+                           "classical_bound": res.classical_bound,
+                           "classical_bruteforce": chained_classical_bound(n)})
     docs["chained"] = document("chained", {"rows": to_jsonable(chain_rows)})
 
     if args.out:

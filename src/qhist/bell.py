@@ -5,8 +5,12 @@ one at a later time under nonselective (collapse) dynamics:
 
     E(A, B) = sum over a, b of a * b * Tr(P_b U P_a rho P_a U^dag P_b)
 
-For the maximally mixed qubit and trivial evolution this reduces to the
-closed form Tr(A B) / 2, so the four-term functional
+For dichotomic A and B (A^2 = B^2 = I) in any dimension and any rho and U,
+P_a = (I + a A) / 2 gives sum over a of a * P_a rho P_a = (A rho + rho A) / 2,
+so E(A, B) = Re Tr(rho A U^dag B U) = Re <A psi, U^dag B U psi> for a
+purification psi of rho: an inner product of unit vectors.  A qubit under
+trivial evolution, A = a.sigma and B = b.sigma, has E = a . b for every
+state, Tr(A B) / 2 as the maximally mixed one gives it.  So the functional
 
     S = E(A1,B1) + E(A1,B2) + E(A2,B1) - E(A2,B2)
 
@@ -351,15 +355,14 @@ def monogamy_preset_settings():
 
 
 _OBJECTIVES = ("s_lgi", "chained_bell", "monogamy_sum")
+_CONVERGED_TOL = 1e-10  # the most certified_bound may exceed value in a converged run
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """``tol`` decides ``converged``.  ``seed`` selects nothing, since one
-    evaluation is the run; it stays only because the benchmark constructs it
-    (ROADMAP item 3)."""
+    """``seed`` selects nothing, since one evaluation is the run; it stays
+    only because the benchmark constructs it (ROADMAP item 3)."""
 
-    tol: float = 1e-10
     seed: int = 0
 
 
@@ -451,7 +454,6 @@ def _angles(x: np.ndarray) -> np.ndarray:
 
 def optimize_settings(
     objective: str = "s_lgi",
-    initial=None,
     config: OptimizerConfig = OptimizerConfig(),
     n: int = 1,
 ) -> OptimizeResult:
@@ -459,20 +461,17 @@ def optimize_settings(
 
     The settings are the spectral start (``_spectral_start``) of the
     objective's quadratic form, and ``value`` is what the named public
-    function gives for them: one evaluation, the whole run.
+    function gives for them on the maximally mixed qubit (every state gives
+    the same; see the module docstring): one evaluation, the whole run.
     ``certified_bound`` caps the functional over every assignment of unit
-    vectors; ``converged`` means it is at most ``tol`` above ``value``, so the
+    vectors; ``converged`` means it is at most 1e-10 above ``value``, so the
     global maximum was found.  ``n`` is range-checked as a chain length for
     every objective; only ``chained_bell`` reads it.
     """
-    rho = maximally_mixed(2) if initial is None else density_operator(initial)
-    if rho.shape != (2, 2):
-        raise ShapeError("the angle parameterization covers qubit settings only")
     if objective not in _OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
     _check_chain_length(n)
-    if not (math.isfinite(config.tol) and config.tol >= 0.0):
-        raise ValueError(f"tol must be a finite nonnegative number, got {config.tol}")
+    rho = maximally_mixed(2)
     x = _spectral_start(objective)
     angles = tuple(float(a) for a in _angles(x))
     s = settings_from_angles(angles)
@@ -489,7 +488,7 @@ def optimize_settings(
         angles=angles,
         settings=s,
         trace=((1, angles, value),),
-        converged=bound - value <= config.tol,
+        converged=bound - value <= _CONVERGED_TOL,
         evaluations=1,
         certified_bound=bound,
     )

@@ -5,6 +5,8 @@ Exit codes: 0 success, 2 input error, 3 optimizer result not certified (the
 start's certificate is open after its one evaluation), 4 impossible
 post-selection.  Identical arguments produce byte-identical output.  Every
 subcommand takes --format and --out; --tol belongs to weight, its reader.
+Without --spec, lgi and chained run the tsirelson preset and monogamy the
+paper preset, on the maximally mixed qubit with no unitaries.
 
 A process builds one argument parser, on its first ``main`` call, and reuses
 it: parsing does not change a parser, and each call gets a fresh namespace.
@@ -59,19 +61,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi", default=None, help="input state name (two-time-hab)")
 
     p = sub.add_parser("lgi", parents=[common], help="evaluate the two-time Bell functional")
-    p.add_argument("--preset", choices=("tsirelson",), default=None)
-    p.add_argument("--spec", default=None, help="JSON spec file (initial, first, second, unitary)")
+    p.add_argument("--spec", default=None, help="JSON spec file; without it, the tsirelson preset")
 
     p = sub.add_parser("chained", parents=[common], help="evaluate the chained functional")
     p.add_argument("-n", type=int, default=None,
                    help=f"number of chained blocks (1 to {MAX_CHAIN_BLOCKS})")
-    p.add_argument("--preset", choices=("tsirelson",), default=None)
-    p.add_argument("--spec", default=None)
+    p.add_argument("--spec", default=None, help="JSON spec file; without it, the tsirelson preset")
 
     p = sub.add_parser("monogamy", parents=[common], help="evaluate the three-party sum")
-    p.add_argument("--preset", choices=("paper",), default=None)
     p.add_argument("--mode", choices=("independent", "chained"), default="independent")
-    p.add_argument("--spec", default=None)
+    p.add_argument("--spec", default=None, help="JSON spec file; without it, the paper preset")
 
     p = sub.add_parser("optimize", parents=[common], help="search settings for a functional")
     p.add_argument("--objective", choices=("s_lgi", "chained_bell", "monogamy_sum"),
@@ -166,6 +165,8 @@ def _run_weight(args):
 
 
 def _run_abl(args):
+    if args.outcome is not None and args.slot is None:
+        raise serialize.SpecError("--outcome needs --slot")
     doc = serialize.load_document(args.spec)
     parsed = serialize.experiment_from_document(doc)
     artifacts: dict = {}

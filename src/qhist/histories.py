@@ -387,9 +387,6 @@ class HistoryState:
         return HistoryState._from_rows(self.grid, self._coefs.tolist() + other._coefs.tolist(),
                                        np.concatenate((self._rows, other._rows)))
 
-    def __sub__(self, other: "HistoryState") -> "HistoryState":
-        return self + (-1.0) * other
-
     def __mul__(self, scalar) -> "HistoryState":
         s = complex(scalar)
         # Python's complex product, which numpy's differs from in the last bits

@@ -179,10 +179,6 @@ class TwoTimeExperiment:
         return cls(pre, post, tuple(slots), unitaries)
 
     @property
-    def dim(self) -> int:
-        return self.pre.size
-
-    @property
     def measured_indices(self) -> tuple[int, ...]:
         return tuple(i for i, s in enumerate(self.slots) if s is not None)
 

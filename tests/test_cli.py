@@ -124,7 +124,7 @@ class TestScenarioCommand:
 
 class TestLgiCommand:
     def test_preset_value(self, capsys):
-        code, out, _ = run_cli(capsys, "lgi", "--preset", "tsirelson")
+        code, out, _ = run_cli(capsys, "lgi")
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["artifacts"]["value"] == pytest.approx(
@@ -224,7 +224,7 @@ class TestChainedCommand:
 
 class TestMonogamyCommand:
     def test_preset(self, capsys):
-        code, out, _ = run_cli(capsys, "monogamy", "--preset", "paper")
+        code, out, _ = run_cli(capsys, "monogamy")
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["artifacts"]["total"] == pytest.approx(
@@ -233,9 +233,7 @@ class TestMonogamyCommand:
         assert doc["artifacts"]["spatial_reference"] == 4.0
 
     def test_chained_mode(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "monogamy", "--preset", "paper", "--mode", "chained"
-        )
+        code, out, _ = run_cli(capsys, "monogamy", "--mode", "chained")
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["artifacts"]["mode"] == "chained_single_system"
@@ -410,7 +408,8 @@ class TestSpecFieldReaders:
 
 class TestOptionScope:
     """--tol belongs to weight and other subcommands reject it; every subcommand
-    rejects --seed, --restarts and --max-evals, which select nothing."""
+    rejects --seed, --restarts, --max-evals and --preset, which select nothing
+    (lgi, chained and monogamy run their preset without --spec)."""
 
     ARGV = {
         "scenario": ["scenario", "example1"],
@@ -423,7 +422,7 @@ class TestOptionScope:
     }
 
     @pytest.mark.parametrize("option,owner", [("--tol", "weight"), ("--seed", None), ("--restarts", None),
-                                              ("--max-evals", None)])
+                                              ("--max-evals", None), ("--preset", None)])
     def test_rejected_outside_its_subcommand(self, capsys, option, owner):
         for command, argv in self.ARGV.items():
             if command == owner:
@@ -631,6 +630,12 @@ class TestAblCommand:
         assert doc["artifacts"]["distribution"]["table"]["++"] == pytest.approx(0.5)
         assert doc["artifacts"]["distribution"]["table"]["--"] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("outcome", ["+", "-"])
+    def test_outcome_needs_slot(self, capsys, outcome):
+        spec = str(GOLDEN / "specs" / "abl-post-one.json")
+        code, out, err = run_cli(capsys, "abl", "--spec", spec, "--outcome", outcome)
+        assert (code, out, err) == (EXIT_INPUT, "", "error: --outcome needs --slot\n")
+
     def test_single_slot_conditional(self, capsys, tmp_path):
         spec = self.write(tmp_path, {"pre": "0", "post": "+", "slots": ["Z"]})
         code, out, _ = run_cli(
@@ -797,7 +802,7 @@ class TestParserReuse:
         real = cli.build_parser
         monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
         cli._parser.cache_clear()
-        for argv in (["lgi", "--preset", "tsirelson"], ["chained", "-n", "2"], ["optimize"]) * 3:
+        for argv in (["lgi"], ["chained", "-n", "2"], ["optimize"]) * 3:
             assert main(argv) == EXIT_OK
         capsys.readouterr()
         assert len(built) == 1

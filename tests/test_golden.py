@@ -44,10 +44,10 @@ CASES = {
     "optimize-chained_bell-n2": (["optimize", "--objective", "chained_bell", "-n", "2"], EXIT_OK),
     "optimize-chained_bell-n3": (["optimize", "--objective", "chained_bell", "-n", "3"], EXIT_OK),
     "optimize-monogamy_sum": (["optimize", "--objective", "monogamy_sum"], EXIT_OK),
-    "lgi-tsirelson": (["lgi", "--preset", "tsirelson"], EXIT_OK),
-    "chained-tsirelson-n3": (["chained", "--preset", "tsirelson", "-n", "3"], EXIT_OK),
-    "monogamy-paper-independent": (["monogamy", "--preset", "paper", "--mode", "independent"], EXIT_OK),
-    "monogamy-paper-chained": (["monogamy", "--preset", "paper", "--mode", "chained"], EXIT_OK),
+    "lgi-tsirelson": (["lgi"], EXIT_OK),
+    "chained-tsirelson-n3": (["chained", "-n", "3"], EXIT_OK),
+    "monogamy-paper-independent": (["monogamy", "--mode", "independent"], EXIT_OK),
+    "monogamy-paper-chained": (["monogamy", "--mode", "chained"], EXIT_OK),
     "scenario-temporal-ghz": (["scenario", "temporal-ghz", "--alpha", "0.6"], EXIT_OK),
     "scenario-temporal-ghz-slots2": (["scenario", "temporal-ghz", "--slots", "2", "--alpha", "0.6"],
                                      EXIT_OK),

@@ -148,7 +148,7 @@ class TestHistoryStateAlgebra:
         g = TimeGrid.regular(2)
         a = HistoryState.from_slots(g, (proj("z+"), proj("x+")))
         with pytest.raises(DegenerateHistoryError):
-            normalize(a - a)
+            normalize(a + (-1.0) * a)
 
 
 class TestChainOperator:
@@ -424,7 +424,7 @@ class TestGeometryAgainstPairwiseOracle:
             assert [op.tobytes() for op in eh.slots] == [op.tobytes() for op in eh0.slots]
             assert abs(c - c0) <= 1e-15
         with pytest.raises(DegenerateHistoryError):
-            normalize(h - h)
+            normalize(h + (-1.0) * h)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_hs_inner_matches_pairwise_oracle(self, seed):
@@ -1473,7 +1473,7 @@ def _term_array_states():
         "terms": [{"coefficient": [float(rng.normal()), float(rng.normal())],
                    "slots": [matrix_document(op) for op in ops]} for ops in [_ops(rng, dims), shared] * 2],
         "bridging": [matrix_document(np.eye(3, 2)), matrix_document(np.eye(3))]})
-    return [("spec", spec), ("sum", a + b), ("difference", a + b - b), ("scaled", (0.3 - 1.2j) * a),
+    return [("spec", spec), ("sum", a + b), ("difference", a + b + (-1.0) * b), ("scaled", (0.3 - 1.2j) * a),
             *((f"member {i}", m) for i, (_, m) in enumerate(temporal_partial_trace(a, [0, 2]).ensemble))]
 
 

@@ -103,7 +103,7 @@ def coherent_bundle_weights(h, b, measured) -> dict:
 def history_bundle(exp):
     """(outcome string, normalized history, probability, bridging) for each
     string of ``sequence_distribution(exp)`` with a nonzero probability."""
-    d = exp.dim
+    d = exp.pre.size
     grid = TimeGrid.regular(len(exp.slots) + 2, d)
     bridging = BridgingSet(grid, exp.unitaries)
     pre_op = projector(exp.pre)
