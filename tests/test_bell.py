@@ -250,6 +250,12 @@ class TestOptimizer:
         assert res.certified_bound - res.value > bell._CONVERGED_TOL
         assert (res.value, res.angles, res.trace) == (want.value, want.angles, want.trace)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_bad_tol_rejected(self, tol):
+        # tol is no field, so no value of it, however bad, can reach converged
+        with pytest.raises(TypeError):
+            OptimizerConfig(tol=tol)
+
     def test_no_tolerance_or_initial_state_is_taken(self, monkeypatch):
         # converged reads a fixed 1e-10, and a qubit correlator is a . b for every state
         monkeypatch.setattr(bell, "_spectral_start", _never_called)
@@ -300,21 +306,27 @@ class TestSpectralStart:
             with pytest.raises(ValueError, match="at least one block|at most"):
                 optimize_settings(objective, n=n)
 
+    @pytest.mark.parametrize("state", range(5))
     @pytest.mark.parametrize("objective,n,target", ONE_EVALUATION)
-    def test_value_is_the_public_function_at_the_settings(self, objective, n, target):
-        # on the maximally mixed qubit; every other state gives the same (TestCorrelatorLemma)
+    def test_value_is_the_public_function_at_the_settings(self, objective, n, target, state):
+        # the run is on the maximally mixed qubit (state 0); pure and mixed random states
+        # give the same value, since a qubit correlator is a . b for every state
+        rho = RHO if state == 0 else _random_state(np.random.default_rng(state), pure=state % 2)
         res = optimize_settings(objective, config=OptimizerConfig(seed=3), n=n)
         assert res.converged
         assert res.evaluations == 1
         assert abs(res.value - target) <= 1e-14 * target  # n block values summed one by one
         s = res.settings
         if objective == "s_lgi":
-            want = s_lgi(CorrelatorSpec(RHO, s[0:2], s[2:4])).value
+            want = s_lgi(CorrelatorSpec(rho, s[0:2], s[2:4])).value
         elif objective == "chained_bell":
-            want = chained_bell(n, s[0:2], s[2:4], RHO).total
+            want = chained_bell(n, s[0:2], s[2:4], rho).total
         else:
-            want = monogamy_sum(RHO, s[0:2], s[2:4], s[4:6]).total
-        assert res.value == want
+            want = monogamy_sum(rho, s[0:2], s[2:4], s[4:6]).total
+        if state == 0:
+            assert res.value == want
+        else:  # another state's kernel rounds differently
+            assert abs(res.value - want) <= 1e-14 * target
         assert res.trace == ((1, res.angles, res.value),)
 
     @pytest.mark.parametrize("objective,n,target", OBJECTIVES)
