@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import math
 import sys
 
@@ -35,7 +36,7 @@ from .bell import (
 from .errors import ImpossiblePostselectionError
 from .histories import _term_consistency, hs_norm, weight
 from .linalg import maximally_mixed
-from .scenarios import run_scenario
+from .scenarios import SCENARIOS, run_scenario
 from .twostate import TwoTimeExperiment, _check_abl, mixed_sequence_distribution, sequence_distribution
 
 EXIT_OK = 0
@@ -97,20 +98,30 @@ def _parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (document, special_csv_or_None, exit_code);
-# the document is None when the special CSV is the whole output
+# subcommand handlers: each returns (report, special_csv_or_None, exit_code),
+# the report being the (name, artifacts, notes) of its document; the report is
+# None when the special CSV is the whole output
+
+# each scenario flag and the keyword it sets
+_SCENARIO_FLAGS = (("--slots", "n_slots"), ("--alpha", "alpha"), ("--beta", "beta"), ("--psi", "psi"))
 
 
 def _run_scenario(args):
-    given = {"n_slots": args.slots, "alpha": args.alpha, "beta": args.beta, "psi": args.psi}
-    kwargs = {key: value for key, value in given.items() if value is not None}
+    fn = SCENARIOS.get(args.name)
+    kwargs = {}
+    for flag, keyword in _SCENARIO_FLAGS:
+        value = getattr(args, flag[2:])
+        if value is None:
+            continue
+        if fn is not None and keyword not in inspect.signature(fn).parameters:
+            raise serialize.SpecError(f"scenario {args.name} does not take {flag}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise serialize.SpecError(f"{flag} must be a finite number, got {value}")
+        kwargs[keyword] = value
     if args.name == "temporal-ghz" and args.alpha is not None and args.beta is None:
         kwargs["beta"] = math.sqrt(max(0.0, 1.0 - args.alpha**2))
-    try:
-        result = run_scenario(args.name, **kwargs)
-    except TypeError as exc:
-        raise serialize.SpecError(f"scenario {args.name}: {exc}") from None
-    return serialize.scenario_document(result), None, EXIT_OK
+    result = run_scenario(args.name, **kwargs)
+    return (result.name, result.artifacts, result.notes), None, EXIT_OK
 
 
 def _bell_inputs(args) -> tuple:
@@ -125,28 +136,27 @@ def _bell_inputs(args) -> tuple:
 def _run_lgi(args):
     initial, pairs, unitaries, _ = _bell_inputs(args)
     report = s_lgi(CorrelatorSpec(initial, *pairs, *unitaries))
-    return serialize.document("lgi", report), None, EXIT_OK
+    return ("lgi", report, ()), None, EXIT_OK
 
 
 def _run_chained(args):
     initial, pairs, unitaries, n = _bell_inputs(args)
     result = chained_bell(n if args.n is None else args.n, *pairs, initial, *unitaries)
-    return serialize.document("chained", result), None, EXIT_OK
+    return ("chained", result, ()), None, EXIT_OK
 
 
 def _run_monogamy(args):
     initial, pairs, unitaries, _ = _bell_inputs(args)
     mode = INDEPENDENT if args.mode == "independent" else CHAINED
     result = monogamy_sum(initial, *pairs, unitaries=unitaries, mode=mode)
-    return serialize.document("monogamy", result), None, EXIT_OK
+    return ("monogamy", result, ()), None, EXIT_OK
 
 
 def _run_optimize(args):
     result = optimize_settings(objective=args.objective, n=args.n)
-    doc = serialize.document("optimize", result)
     code = EXIT_OK if result.converged else EXIT_NONCONVERGED
     table = serialize.trace_csv(result) if args.format == "csv" else None
-    return doc, table, code
+    return ("optimize", result, ()), table, code
 
 
 def _run_weight(args):
@@ -161,7 +171,7 @@ def _run_weight(args):
         "n_terms": history.n_terms,
         "term_consistency": report,
     }
-    return serialize.document("weight", artifacts), None, EXIT_OK
+    return ("weight", artifacts, ()), None, EXIT_OK
 
 
 def _run_abl(args):
@@ -193,7 +203,7 @@ def _run_abl(args):
         # the table is the whole output: no document is built
         return None, serialize.distribution_csv(dist), EXIT_OK
     artifacts["distribution"] = dist
-    return serialize.document("abl", artifacts), None, EXIT_OK
+    return ("abl", artifacts, ()), None, EXIT_OK
 
 
 _HANDLERS = {
@@ -207,18 +217,21 @@ _HANDLERS = {
 }
 
 
-def _render(doc: dict, fmt: str, special_csv: str | None) -> str:
+def _render(report: tuple, fmt: str, special_csv: str | None) -> str:
+    """JSON written from the report's objects; CSV and pretty text from its
+    plain document."""
+    if fmt == "csv" and special_csv is not None:
+        return special_csv
     if fmt == "json":
-        return serialize.dumps_json(doc)
-    if fmt == "csv":
-        return special_csv if special_csv is not None else serialize.dumps_csv(doc)
-    return serialize.dumps_pretty(doc)
+        return serialize.dumps_report(*report)
+    doc = serialize.document(*report)
+    return serialize.dumps_csv(doc) if fmt == "csv" else serialize.dumps_pretty(doc)
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        doc, special_csv, code = _HANDLERS[args.command](args)
+        report, special_csv, code = _HANDLERS[args.command](args)
     except serialize.SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -230,7 +243,7 @@ def main(argv=None) -> int:
         print(f"error: {msg}", file=sys.stderr)
         return EXIT_INPUT
 
-    text = _render(doc, args.format, special_csv)
+    text = _render(report, args.format, special_csv)
     if args.out is None:
         sys.stdout.write(text)
         return code

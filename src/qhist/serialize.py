@@ -1,40 +1,43 @@
 """JSON documents, CSV tables, and spec-file parsing.
 
-Output side: ``to_jsonable`` turns any result object from this package into
-plain JSON types by one rule: a dataclass becomes the mapping of its fields,
-each encoded in turn.  The encoder of a value is chosen by its class alone,
-once per class (``_encoder``), not by a chain of ``isinstance`` tests per
-value.  Complex scalars and complex arrays are encoded as
-nested arrays of ``[re, im]`` pairs; real arrays (correlator tables) become
-nested floats, and quantities that are real by construction (probabilities,
-correlators, bounds) stay plain floats.  A few types whose document is not
-their field mapping have explicit encoders in ``_ENCODERS``: elementary
-histories and history states (slot strings without a per-term grid), mixed
-histories, the optimizer's trace rows, scenario results (the top-level
-document) and outcome distributions (whose read-only table, sorted by
-outcome string, goes into the document itself, not a copy).  ``document``
-wraps everything in the uniform top-level shape {name, artifacts, notes}.
+Output side: ``dumps_report`` writes a report's JSON straight from its result
+objects, in one walk.  The writer of a value is chosen by its class alone,
+once per class (``_rule`` over the one table ``_RULES``), not by a chain of
+``isinstance`` tests per value.  A dataclass is the mapping of its fields;
+elementary histories, the optimizer's trace rows, outcome distributions and
+scenario results (the top-level document) give another mapping to write.
+Complex scalars and complex arrays are nested ``[re, im]`` pairs; real arrays
+(correlator tables) are nested floats, and quantities that are real by
+construction (probabilities, correlators, bounds) stay plain floats.  A lone
+float, int, bool or None is written by its own rule, not by json's encoder,
+and a list that repeats one object (a chained report's blocks) writes it once.
 
-``dumps_json`` writes a document exactly as ``json.dumps(doc, indent=2,
-sort_keys=True)`` would, but without visiting values one by one in Python.
-A uniform float block (nonempty lists or tuples nested to one depth, one
-length per level, every leaf an exact, finite ``float``: correlator rows,
-[re, im] pairs, a T x T x 2 consistency matrix, a slot stack) is one ``%``
-call on a template of its shape and indentation, ``%r`` per leaf; templates
-of small blocks are kept in a bounded cache.  Only an exact ``float`` is a
-leaf: ``float.__repr__`` is json's text for it, while a subclass such as
-``np.float64``, NaN and the infinities keep json's own scalar text.  Any
-other container is joined once: its keys, or items that are all strings, go
-through one C-level map, and any other item is written on its own.
+An ndarray (a T x T consistency matrix), a history state (its grid labels,
+then per term its coefficient and slot operators, read from ``_coefs`` and
+``_rows`` as float64 pairs, which is the document's own [re, im] order) and a
+mixture's whole ensemble each take one ``%`` call on a template of their
+shape and indentation, ``%r`` (``float.__repr__``, json's text for a finite
+float) per leaf, with no nested list built.  A leaf that is not finite sends
+the object to the plain writer below, which writes json's ``NaN``.
+Templates of at most ``_CACHED_LEAVES`` leaves are kept.  ``document`` and
+``to_jsonable``, the plain documents that CSV, pretty text and API callers
+read, are that text parsed back by ``json.loads``, so there is one encoder,
+and they hold exact JSON types with sorted keys.
 
-Outcome tables: an outcome table (``twostate._Table``) is read-only and
-maps '+'/'-' strings in sorted order to exact, finite floats.  Its JSON and
-its ``distribution_csv`` rows are each one ``%`` call on a template made by
-one join of its strings (``%r`` or ``%.12g`` per value), with no sort, no
-second dict and no per-row text.  The template is not kept, as joining it
-costs a few percent of filling it (64 against 2000 us for a 12-slot table as
-JSON), while keeping the templates of 6 to 12 slots would hold 0.22 MB as
-JSON and 0.16 MB as CSV.
+``dumps_json`` writes a plain document that a caller built exactly as
+``json.dumps(doc, indent=2, sort_keys=True)`` would, without visiting values
+one by one in Python: a uniform float block (lists or tuples nested to one
+depth, one length per level, every leaf an exact, finite ``float``) is one
+``%`` call on its template, and any other container is joined once.
+
+An outcome table (``twostate._Table``) is read-only and maps '+'/'-' strings
+in sorted order to exact, finite floats.  Its JSON and its
+``distribution_csv`` rows are each one ``%`` call on a template joined from
+its strings (``%r`` or ``%.12g`` per value); the template is not kept, as
+joining it costs a few percent of filling it.  ``dumps_csv`` and
+``dumps_pretty`` flatten a document to key, value rows, a dict or list whose
+values are all numbers (an outcome table, a pair) in one pass, and write
+them with one join.
 
 Input side: small parsers for the human-writable spec files the command line
 accepts.  States may be named ("0", "1", "+", "-", "i+", "i-") or explicit
@@ -89,131 +92,18 @@ NAMED_PROJECTOR_KETS = {
 # Size bounds on history specs, checked before any HistoryState is built.
 # `weight` computes and reports the T x T term consistency matrix, so its
 # cost is quadratic in the term count: with four qubit slots, 256 terms take
-# 0.23 s wall from a cold start (0.12 s in-process, 0.08 s of it writing the
-# matrix's 6 MB of JSON, 0.06 s of that float.__repr__ over its 131072
-# values); past the bound, 512 terms take 0.49 s in-process and 1024 take
-# 2.2 s, four fifths of it writing, on a 2-CPU x86-64 VM.  Slot operators
-# are dense d x d matrices: 16 terms of four 64 x 64 slots take 0.47 s cold,
-# most of it parsing 11 MB of JSON.
+# 0.33-0.45 s wall from a cold start (0.15 s in-process, 0.13 s of it writing
+# the matrix's 6 MB of JSON, 0.09 s of that float.__repr__ over its 131072
+# values); past the bound, 512 terms take 0.57 s in-process and 1024 take
+# 2.7 s, nearly all of it writing 97 MB, on a 2-CPU x86-64 VM.  Slot
+# operators are dense d x d matrices: 16 terms of four 64 x 64 slots take
+# 0.71 s cold, most of it reading 12 MB of JSON.
 MAX_HISTORY_TERMS = 256
 MAX_SLOT_DIM = 64
 
 
 # ---------------------------------------------------------------------------
-# encoding
-
-
-def complex_pair(z) -> list[float]:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
-def matrix_document(m: np.ndarray) -> list:
-    """Nested [re, im] pairs for a vector or matrix, built in one numpy call."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim not in (1, 2):
-        raise ShapeError(f"cannot encode array of rank {a.ndim}")
-    return np.stack((a.real, a.imag), axis=-1).tolist()
-
-
-def _distribution(d: OutcomeDistribution) -> dict:
-    """The read-only table, in sorted order already, is the document's table itself."""
-    return {"settings": list(d.settings), "table": d.table}
-
-
-def _fields(obj, **encoded) -> dict:
-    """The dataclass's fields, each encoded, except those given ``encoded``."""
-    doc = {f.name: to_jsonable(getattr(obj, f.name))
-           for f in dataclasses.fields(obj) if f.name not in encoded}
-    doc.update(encoded)
-    return doc
-
-
-# documents that are not the mapping of the dataclass's fields
-_ENCODERS = {
-    ElementaryHistory: lambda eh: {"slots": to_jsonable(eh.slots)},
-    HistoryState: lambda h: {
-        "grid": to_jsonable(h.grid),
-        # each slot's stack encoded in one call, as ``matrix_document`` encodes one matrix
-        "terms": [{"coefficient": complex_pair(c), "slots": slots} for c, *slots in zip(
-            h._coefs.tolist(), *(np.stack((s.real, s.imag), axis=-1).tolist() for s in h._stacks))],
-    },
-    MixedHistory: lambda m: {
-        "ensemble": [{"probability": p, "state": to_jsonable(h)} for p, h in m.ensemble],
-    },
-    OptimizeResult: lambda r: _fields(r, trace=[
-        {"evaluation": int(n), "angles": [float(a) for a in ang], "value": float(v)}
-        for n, ang, v in r.trace
-    ]),
-    OutcomeDistribution: _distribution,
-    ScenarioResult: lambda r: document(r.name, r.artifacts, r.notes),
-}
-
-
-def _same(obj):
-    return obj
-
-
-def _array(a: np.ndarray) -> list:
-    return matrix_document(a) if np.iscomplexobj(a) else a.astype(float).tolist()
-
-
-def _sequence(items) -> list:
-    return list(map(to_jsonable, items))
-
-
-def _mapping(m) -> dict:
-    return {str(k): to_jsonable(v) for k, v in m.items()}
-
-
-def _unknown(obj):
-    raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
-
-
-@functools.cache
-def _encoder(cls: type):
-    """The encoder of ``cls``'s instances: the first rule that matches, tested
-    once per class rather than once per value."""
-    if cls is type(None) or issubclass(cls, (bool, int, str)):
-        return _same
-    if issubclass(cls, (float, np.floating)):
-        return float
-    if issubclass(cls, (complex, np.complexfloating)):
-        return complex_pair
-    if issubclass(cls, np.bool_):
-        return bool
-    if issubclass(cls, np.integer):
-        return int
-    if issubclass(cls, np.ndarray):
-        return _array
-    if issubclass(cls, (list, tuple)):
-        return _sequence
-    if issubclass(cls, Mapping):
-        return _mapping
-    if cls in _ENCODERS:
-        return _ENCODERS[cls]
-    # a dataclass instance, not a dataclass itself (whose class is ``type``)
-    if dataclasses.is_dataclass(cls) and not issubclass(cls, type):
-        return _fields
-    return _unknown
-
-
-def to_jsonable(obj):
-    """Recursively convert package objects to plain JSON-compatible types."""
-    return _encoder(type(obj))(obj)
-
-
-def document(name: str, artifacts, notes=()) -> dict:
-    """Uniform top-level report shape used by every command.
-
-    ``artifacts`` is a mapping or a result dataclass (its fields become the
-    artifacts); it is encoded here, once.
-    """
-    return {"name": name, "artifacts": to_jsonable(artifacts), "notes": [str(n) for n in notes]}
-
-
-def scenario_document(result: ScenarioResult) -> dict:
-    return document(result.name, result.artifacts, result.notes)
+# templates
 
 
 # json's own text for anything that is not a container: its C encoder writes
@@ -222,13 +112,245 @@ def scenario_document(result: ScenarioResult) -> dict:
 _encode_scalar = json.JSONEncoder().encode
 _encode_str = json.encoder.encode_basestring_ascii
 
-
 # a uniform float block deeper than this (or a list that holds itself) takes
 # the per-item route, where json's own recursion rules apply
 _MAX_BLOCK_DEPTH = 16
-# templates of blocks up to this many leaves are kept; a larger one costs
-# less to build than to fill, and a 256 x 256 x 2 one takes 2.5 MB
+# templates of at most this many leaves are kept; a larger one costs less to
+# build than to fill, and a 256 x 256 x 2 one takes 2.5 MB
 _CACHED_LEAVES = 2048
+
+_kept = functools.lru_cache(maxsize=256)(lambda build, key, indent: build(*key, indent))
+
+
+def _fill(build, key: tuple, indent: str, leaves: tuple) -> str:
+    """The template ``build(*key, indent)`` filled with ``leaves``; one of at
+    most ``_CACHED_LEAVES`` leaves is kept (``_kept``)."""
+    if len(leaves) <= _CACHED_LEAVES:
+        return _kept(build, key, indent) % leaves
+    return build(*key, indent) % leaves
+
+
+# Both join their parts once: a report nests a large array's text a few
+# levels deep, and each ``+`` of it would copy it again.
+
+
+def _list_text(texts, indent: str) -> str:
+    """The indent=2 list of JSON ``texts`` at ``indent``."""
+    inner = indent + "  "
+    return "".join(("[", inner, ("," + inner).join(texts), indent, "]"))
+
+
+def _dict_text(keys, texts, indent: str) -> str:
+    """The indent=2 object of JSON ``keys`` (at least one) and value ``texts``
+    at ``indent``."""
+    inner = "," + indent + "  "
+    parts = [part for key, text in zip(keys, texts) for part in (inner, key, ": ", text)]
+    parts[0] = "{" + indent + "  "
+    parts += (indent, "}")
+    return "".join(parts)
+
+
+def _template(shape: tuple, indent: str) -> str:
+    """The indent=2 text of a block of ``shape`` at ``indent``, with ``%r``
+    (``float.__repr__`` for an exact float) for each leaf."""
+    item = "%r" if len(shape) == 1 else _template(shape[1:], indent + "  ")
+    return _list_text([item] * shape[0], indent)
+
+
+def _state_template(dims: tuple, n_terms: int, indent: str) -> str:
+    """A history state's document on slot dimensions ``dims`` with ``n_terms``
+    terms: ``%r`` for each grid label, then per term for the two parts of its
+    coefficient and the [re, im] parts of its slot operators, earliest first."""
+    i1, i2, i3, i4 = (indent + "  " * k for k in range(1, 5))
+    labels, slot_dims = _template((len(dims),), i2), _list_text(map(str, dims), i2)
+    grid = _dict_text(('"labels"', '"slot_dims"'), (labels, slot_dims), i1)
+    slots = _list_text([_template((d, d, 2), i4) for d in dims], i3)
+    term = _dict_text(('"coefficient"', '"slots"'), (_template((2,), i3), slots), i2)
+    return _dict_text(('"grid"', '"terms"'), (grid, _list_text([term] * n_terms, i1)), indent)
+
+
+def _ensemble_template(dims: tuple, counts: tuple, indent: str) -> str:
+    """A mixture's document whose members, on slot dimensions ``dims``, have
+    ``counts`` terms: per member ``%r`` for its probability, then its state's."""
+    i1, i2, i3 = (indent + "  " * k for k in range(1, 4))
+    members = [_dict_text(('"probability"', '"state"'), ("%r", _state_template(dims, n, i3)), i2) for n in counts]
+    return _dict_text(('"ensemble"',), (_list_text(members, i1),), indent)
+
+
+def _table_text(table: _Table, indent: str) -> str:
+    """An outcome table: sorted '+'/'-' keys, which json writes between quotes
+    as they are, each with its exact, finite float."""
+    inner = indent + "  "
+    template = "{" + inner + '"' + ('": %r,' + inner + '"').join(table) + '": %r' + indent + "}"
+    return template % tuple(table.values())
+
+
+# ---------------------------------------------------------------------------
+# writing result objects
+
+
+def _float_text(x, indent: str) -> str:
+    x = float(x)
+    return repr(x) if math.isfinite(x) else _encode_scalar(x)
+
+
+def _complex_text(z, indent: str) -> str:
+    z = complex(z)
+    return _write([z.real, z.imag], indent)
+
+
+def _array_text(a: np.ndarray, indent: str) -> str:
+    """Nested floats, or [re, im] pairs for a complex vector or matrix: one
+    fill of the shape's template, or, with an empty axis or a leaf that is
+    not finite, the plain writer's text."""
+    if np.iscomplexobj(a):
+        if a.ndim not in (1, 2):
+            raise ShapeError(f"cannot encode array of rank {a.ndim}")
+        a = np.asarray(a, dtype=complex)
+        a = np.stack((a.real, a.imag), axis=-1)
+    else:
+        a = a.astype(float)
+    leaves = tuple(a.ravel().tolist())
+    if a.ndim and leaves and math.isfinite(sum(leaves)):
+        return _fill(_template, (a.shape,), indent, leaves)
+    return _write(a.tolist(), indent)
+
+
+def _sequence_text(items, indent: str) -> str:
+    """A list: exact finite floats fill one template, strings take one map,
+    and any other item is written once per object, however often it repeats."""
+    if not items:
+        return "[]"
+    kinds = set(map(type, items))
+    if kinds == {float} and math.isfinite(sum(items)):
+        return _fill(_template, ((len(items),),), indent, tuple(items))
+    if kinds == {str}:
+        return _list_text(map(_encode_str, items), indent)
+    inner = indent + "  "
+    texts = {key: _text(x, inner) for key, x in {id(x): x for x in items}.items()}
+    return _list_text(map(texts.__getitem__, map(id, items)), indent)
+
+
+def _mapping_text(m, indent: str) -> str:
+    """A mapping with its keys read by ``str``, in sorted order."""
+    m = {str(k): v for k, v in m.items()}
+    if not m:
+        return "{}"
+    inner = indent + "  "
+    keys = sorted(m)
+    return _dict_text(map(_encode_str, keys), [_text(m[k], inner) for k in keys], indent)
+
+
+def _term_leaves(h: HistoryState) -> list:
+    """Per term, its coefficient's and then its slot operators' [re, im] parts."""
+    pairs = np.ascontiguousarray(h._coefs).view(np.float64).reshape(-1, 2)
+    rows = np.ascontiguousarray(h._rows, dtype=complex).view(np.float64)
+    return np.concatenate((pairs, rows), axis=1).ravel().tolist()
+
+
+def _state_text(h: HistoryState, indent: str) -> str:
+    leaves = (*h.grid.labels, *_term_leaves(h))
+    if math.isfinite(sum(leaves)):
+        return _fill(_state_template, (h.grid.slot_dims, h.n_terms), indent, leaves)
+    return _mapping_text({"grid": h.grid, "terms": [
+        {"coefficient": c, "slots": ops} for c, ops in zip(h._coefs.tolist(), zip(*h._stacks))]}, indent)
+
+
+def _mixture_text(m: MixedHistory, indent: str) -> str:
+    leaves = []
+    for p, h in m.ensemble:
+        leaves += (p, *h.grid.labels, *_term_leaves(h))
+    if math.isfinite(sum(leaves)):
+        counts = tuple(h.n_terms for _, h in m.ensemble)
+        return _fill(_ensemble_template, (m.grid.slot_dims, counts), indent, tuple(leaves))
+    return _mapping_text({"ensemble": [{"probability": p, "state": h} for p, h in m.ensemble]}, indent)
+
+
+def _fields(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
+def _report(name: str, artifacts, notes) -> dict:
+    """The uniform top-level document: ``artifacts`` is a mapping or a result
+    dataclass, whose fields become the artifacts."""
+    return {"name": name, "artifacts": artifacts, "notes": [str(n) for n in notes]}
+
+
+# The writer of a value, by its class: the first entry whose classes it is a
+# subclass of.  The last four are documents that are not the mapping of the
+# dataclass's fields; any other dataclass is that mapping.
+_RULES = (
+    (type(None), lambda obj, indent: "null"),
+    ((bool, np.bool_), lambda b, indent: "true" if b else "false"),
+    ((int, np.integer), lambda n, indent: int.__repr__(int(n))),
+    (str, lambda s, indent: _encode_str(s)),
+    ((float, np.floating), _float_text),
+    ((complex, np.complexfloating), _complex_text),
+    (np.ndarray, _array_text),
+    ((list, tuple), _sequence_text),
+    (_Table, _table_text),
+    (Mapping, _mapping_text),
+    (HistoryState, _state_text),
+    (MixedHistory, _mixture_text),
+    (ElementaryHistory, lambda eh, indent: _mapping_text({"slots": eh.slots}, indent)),
+    (OptimizeResult, lambda r, indent: _mapping_text(_fields(r) | {"trace": [
+        {"evaluation": int(n), "angles": angles, "value": v} for n, angles, v in r.trace]}, indent)),
+    (OutcomeDistribution, lambda d, indent: _mapping_text({"settings": d.settings, "table": d.table}, indent)),
+    (ScenarioResult, lambda r, indent: _mapping_text(_report(r.name, r.artifacts, r.notes), indent)),
+)
+
+
+@functools.cache
+def _rule(cls: type):
+    """The writer of ``cls``'s instances, chosen once per class rather than
+    once per value."""
+    for classes, rule in _RULES:
+        if issubclass(cls, classes):
+            return rule
+    # a dataclass instance, not a dataclass itself (whose class is ``type``)
+    if dataclasses.is_dataclass(cls) and not issubclass(cls, type):
+        return lambda obj, indent: _mapping_text(_fields(obj), indent)
+    return _unknown
+
+
+def _unknown(obj, indent: str):
+    raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def _text(obj, indent: str) -> str:
+    """``obj`` as indent=2, sort_keys JSON; ``indent`` is the newline and
+    spaces that open a line at the level of ``obj``."""
+    return _rule(type(obj))(obj, indent)
+
+
+def dumps_report(name: str, artifacts, notes=()) -> str:
+    """The report ``{name, artifacts, notes}`` as indent=2, sort_keys JSON
+    plus a newline, written from the result objects in one walk: byte for
+    byte ``dumps_json(document(name, artifacts, notes))``."""
+    return _mapping_text(_report(name, artifacts, notes), "\n") + "\n"
+
+
+def to_jsonable(obj):
+    """``obj`` as plain JSON types: its text parsed back."""
+    return json.loads(_text(obj, "\n"))
+
+
+def document(name: str, artifacts, notes=()) -> dict:
+    """Uniform top-level report shape used by every command, as plain JSON
+    types: ``dumps_report``'s text parsed back.
+
+    ``artifacts`` is a mapping or a result dataclass (its fields become the
+    artifacts).
+    """
+    return json.loads(dumps_report(name, artifacts, notes))
+
+
+def scenario_document(result: ScenarioResult) -> dict:
+    return document(result.name, result.artifacts, result.notes)
+
+
+# ---------------------------------------------------------------------------
+# writing plain documents
 
 
 def _block(items):
@@ -251,29 +373,21 @@ def _block(items):
     return None
 
 
-def _template(shape: tuple, indent: str) -> str:
-    """The indent=2 text of a block of ``shape`` at ``indent``, with ``%r``
-    (``float.__repr__`` for an exact float) for each leaf."""
-    inner = indent + "  "
-    item = "%r" if len(shape) == 1 else _template(shape[1:], inner)
-    return "[" + inner + ("," + inner).join([item] * shape[0]) + indent + "]"
-
-
-_small_template = functools.lru_cache(maxsize=256)(_template)
-
-
 def _texts(items, indent: str):
     """JSON texts of a container's items: one C-level map when they are all
-    strings, one ``_write`` each otherwise (a list of floats is a block
-    already, and json's text of an exact finite float is ``float.__repr__``)."""
-    if set(map(type, items)) == {str}:
+    strings or all exact finite floats (json's text for one is
+    ``float.__repr__``), one ``_write`` each otherwise."""
+    kinds = set(map(type, items))
+    if kinds == {str}:
         return map(_encode_str, items)
+    if kinds == {float} and math.isfinite(sum(items)):
+        return map(float.__repr__, items)
     return [_write(x, indent) for x in items]
 
 
 def _write(obj, indent: str) -> str:
-    """``obj`` as indent=2, sort_keys JSON; ``indent`` is the newline and
-    spaces that open a line at the level of ``obj``."""
+    """A plain document ``obj`` as indent=2, sort_keys JSON; ``indent`` is the
+    newline and spaces that open a line at the level of ``obj``."""
     if isinstance(obj, str):
         return _encode_str(obj)
     if isinstance(obj, (list, tuple)):
@@ -282,22 +396,15 @@ def _write(obj, indent: str) -> str:
         block = _block(obj)
         if block is not None:
             shape, leaves = block
-            template = _small_template if len(leaves) <= _CACHED_LEAVES else _template
-            return template(shape, indent) % leaves
-        inner = indent + "  "
-        return "[" + inner + ("," + inner).join(_texts(obj, inner)) + indent + "]"
+            return _fill(_template, (shape,), indent, leaves)
+        return _list_text(_texts(obj, indent + "  "), indent)
     if isinstance(obj, dict):
-        inner = indent + "  "
         if type(obj) is _Table:
-            # sorted '+'/'-' keys, which json writes between quotes as they are
-            template = "{" + inner + '"' + ('": %r,' + inner + '"').join(obj) + '": %r' + indent + "}"
-            return template % tuple(obj.values())
+            return _table_text(obj, indent)
         if not obj:
             return "{}"
         keys = sorted(obj)
-        values = list(map(obj.__getitem__, keys))
-        items = map(": ".join, zip(map(_encode_str, keys), _texts(values, inner)))
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
+        return _dict_text(map(_encode_str, keys), _texts(list(map(obj.__getitem__, keys)), indent + "  "), indent)
     return _encode_scalar(obj)
 
 
@@ -325,31 +432,52 @@ def format_number(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _flat_items(node, prefix=""):
+# the characters that make ``csv.writer`` quote a field
+_CSV_QUOTED = frozenset(',"\r\n')
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes a field: between quotes, its own
+    quotes doubled, when it holds a comma, a quote or a line break."""
+    return text if _CSV_QUOTED.isdisjoint(text) else '"' + text.replace('"', '""') + '"'
+
+
+def _flat_items(node, prefix: str, rows: list, field=str) -> list:
+    """``rows`` extended by the (key, text) row of each leaf under ``node``,
+    keys sorted and each key and text written by ``field``; the values of a
+    dict or list that are all numbers (an outcome table, an [re, im] pair)
+    are written in one pass."""
     if isinstance(node, dict):
-        for k in sorted(node):
-            yield from _flat_items(node[k], f"{prefix}.{k}" if prefix else str(k))
+        keys = sorted(node)
+        names = [f"{prefix}.{k}" for k in keys] if prefix else list(map(str, keys))
+        values = list(map(node.__getitem__, keys))
     elif isinstance(node, list):
-        for i, v in enumerate(node):
-            yield from _flat_items(v, f"{prefix}[{i}]")
-    elif isinstance(node, bool):
-        yield prefix, "true" if node else "false"
-    elif isinstance(node, (int, float)):
-        yield prefix, format_number(node)
-    elif node is None:
-        yield prefix, ""
+        names = [f"{prefix}[{i}]" for i in range(len(node))]
+        values = node
     else:
-        yield prefix, str(node)
+        rows.append((field(prefix), field(_leaf(node))))
+        return rows
+    if set(map(type, values)) <= {float, int}:
+        # ``%.12g`` and ``format_number``'s ``{:.12g}`` print alike
+        rows += zip(map(field, names), map("%.12g".__mod__, values))
+    else:
+        for name, value in zip(names, values):
+            _flat_items(value, name, rows, field)
+    return rows
+
+
+def _leaf(node) -> str:
+    if isinstance(node, bool):
+        return "true" if node else "false"
+    if isinstance(node, (int, float)):
+        return format_number(node)
+    return "" if node is None else str(node)
 
 
 def dumps_csv(doc: dict) -> str:
-    """Flatten a JSON document into RFC-4180 key,value rows."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["key", "value"])
-    for key, value in _flat_items(doc):
-        writer.writerow([key, value])
-    return buf.getvalue()
+    """Flatten a JSON document into RFC-4180 key,value rows, quoted as
+    ``csv.writer`` quotes them, in one join."""
+    return "\r\n".join(map(",".join, _flat_items(doc, "", [("key", "value")], _csv_field))) + "\r\n"
 
 
 def distribution_csv(dist: OutcomeDistribution) -> str:
@@ -381,10 +509,9 @@ def trace_csv(result: OptimizeResult) -> str:
 
 def dumps_pretty(doc: dict) -> str:
     lines = [doc.get("name", "report")]
-    items = list(_flat_items(doc.get("artifacts", {})))
-    width = max((len(k) for k, _ in items), default=0)
-    for key, value in items:
-        lines.append(f"  {key:<{width}}  {value}")
+    rows = _flat_items(doc.get("artifacts", {}), "", [])
+    width = max(map(len, (k for k, _ in rows)), default=0)
+    lines += map(f"  %-{width}s  %s".__mod__, rows)
     notes = doc.get("notes", [])
     if notes:
         lines.append("")
@@ -453,9 +580,9 @@ def _list(doc, what: str, length: int | None = None, item=None) -> list:
     return [item(entry, f"{what}[{i}]") for i, entry in enumerate(doc)]
 
 
-def _pairs_to_array(doc, what: str, ndim: int) -> np.ndarray:
-    """A complex vector (``ndim`` 1) or matrix (2) from nested [re, im] pairs
-    of finite JSON numbers."""
+def _pairs(doc, what: str, ndim: int) -> np.ndarray:
+    """The float array, [re, im] on its last axis, of ``ndim``-deep nested
+    pairs of finite JSON numbers (a vector's at ``ndim`` 1, a matrix's at 2)."""
     try:
         a = np.asarray(doc, dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -468,9 +595,16 @@ def _pairs_to_array(doc, what: str, ndim: int) -> np.ndarray:
         leaves = list(leaves)
         kinds = set(map(type, leaves))
         if all(issubclass(k, (int, float)) and k is not bool for k in kinds) and all(map(math.isfinite, leaves)):
-            return a[..., 0] + 1j * a[..., 1]
+            return a
     shape = "a vector" if ndim == 1 else "a matrix"
     raise SpecError(f"{what}: expected {shape} of [re, im] pairs of finite numbers")
+
+
+def _pairs_to_array(doc, what: str, ndim: int) -> np.ndarray:
+    """A complex vector (``ndim`` 1), matrix (2) or stack of them from nested
+    [re, im] pairs of finite JSON numbers."""
+    a = _pairs(doc, what, ndim)
+    return a[..., 0] + 1j * a[..., 1]
 
 
 def state_from_document(doc, what: str = "state") -> np.ndarray:
@@ -596,7 +730,8 @@ def history_from_document(doc: dict, what: str = "history") -> tuple[HistoryStat
     Without a ``grid`` the first term's operators set an unlabelled one
     (labels 0, 1, ...).  The terms are read together (``_terms``); only a
     spec that fails is read again term by term, so the error names the first
-    bad term and slot."""
+    bad term and slot.  A spec whose slots are all explicit matrices of one
+    dimension is read with one array per field (``_matrix_terms``)."""
     hdoc = _object(doc.get("history", doc), what)
     terms_doc = _list(hdoc.get("terms"), f"{what}: terms")
     if len(terms_doc) > MAX_HISTORY_TERMS:
@@ -613,13 +748,13 @@ def history_from_document(doc: dict, what: str = "history") -> tuple[HistoryStat
         _bounded(grid, what)
 
     try:
-        grid, coefficients, stacks = _terms(terms_doc, grid, what)
+        grid, coefficients, rows = _matrix_terms(terms_doc, grid) or _terms(terms_doc, grid, what)
     except SpecError:
         for i, tdoc in enumerate(terms_doc):
             grid = _terms([tdoc], grid, what, i)[0]
         raise
     # one construction merges repeated slot strings in a single pass
-    history = HistoryState._from_rows(grid, coefficients, _join_rows(stacks))
+    history = HistoryState._from_rows(grid, coefficients, rows)
 
     bdoc = doc.get("bridging")
     if bdoc is None:
@@ -630,12 +765,36 @@ def history_from_document(doc: dict, what: str = "history") -> tuple[HistoryStat
         _matrix_list(unis, lambda i: f"{what}: bridging[{i}]", unitary_from_document)))
 
 
+def _matrix_terms(terms_doc: list, grid: TimeGrid | None) -> tuple | None:
+    """(grid, coefficients, term rows) of terms whose slots are all explicit
+    d x d matrices for one d (the grid's, when it is given), read with one
+    ``_pairs`` call for every slot of every term and one for every
+    coefficient; None for any other spec, which ``_terms`` reads and reports."""
+    if not all(type(t) is dict for t in terms_doc):
+        return None
+    coefficients = [t.get("coefficient", [1.0, 0.0]) for t in terms_doc]
+    if not all(type(c) is list for c in coefficients):
+        return None
+    try:
+        ops = _pairs_to_array([t.get("slots") for t in terms_doc], "", 4)
+        pairs = _pairs(coefficients, "", 1)
+    except SpecError:
+        return None
+    n_terms, n_slots, d, d2 = ops.shape
+    if d != d2 or not 2 <= d <= MAX_SLOT_DIM or grid is not None and grid.slot_dims != (d,) * n_slots:
+        return None
+    if grid is None:
+        grid = TimeGrid(tuple(map(float, range(n_slots))), (d,) * n_slots)
+    # complex(re, im) of each pair, as ``_terms`` reads it, zero signs included
+    return grid, pairs.view(complex)[:, 0], ops.reshape(n_terms, -1)
+
+
 def _terms(terms_doc: list, grid: TimeGrid | None, what: str, first: int = 0) -> tuple:
-    """(grid, coefficients, per-slot (T, d, d) operator stacks) of the terms
-    ``terms_doc``, numbered from ``first`` in errors; without a ``grid`` the
-    first term's operators set one.  Each slot's operators take one
-    ``_matrix_list`` and must be d x d for the slot's dimension d.  A single
-    term's errors come in the order of its fields: slots, coefficient, shapes."""
+    """(grid, coefficients, term rows) of the terms ``terms_doc``, numbered
+    from ``first`` in errors; without a ``grid`` the first term's operators
+    set one.  Each slot's operators take one ``_matrix_list`` and must be
+    d x d for the slot's dimension d.  A single term's errors come in the
+    order of its fields: slots, coefficient, shapes."""
     slot_lists = []
     for i, tdoc in enumerate(terms_doc, first):
         tdoc = _object(tdoc, f"{what}: term {i}")
@@ -658,7 +817,7 @@ def _terms(terms_doc: list, grid: TimeGrid | None, what: str, first: int = 0) ->
             if op.shape != (d, d):
                 raise SpecError(
                     f"{what}: term {i} slots[{k}]: slot operator shape {op.shape} does not match dim {d}")
-    return grid, coefficients, [np.array(ops) for ops in columns]
+    return grid, coefficients, _join_rows([np.array(ops) for ops in columns])
 
 
 def experiment_from_document(doc: dict) -> dict:

@@ -90,6 +90,29 @@ class TestScenarioCommand:
     def test_parameter_for_wrong_scenario(self, capsys):
         code, _, err = run_cli(capsys, "scenario", "pauli-cycle", "--alpha", "0.5")
         assert code == EXIT_INPUT
+        assert err == "error: scenario pauli-cycle does not take --alpha\n"
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["example1", "--alpha", "0.3"], "--alpha"),
+        (["pauli-cycle", "--slots", "3"], "--slots"),
+        (["mach-zehnder", "--beta", "0.3"], "--beta"),
+        (["two-time-hab", "--slots", "3"], "--slots"),
+        (["temporal-ghz", "--psi", "+"], "--psi"),
+    ])
+    def test_flag_the_scenario_does_not_take_is_named(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, "scenario", *argv)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == f"error: scenario {argv[0]} does not take {flag}\n"
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["temporal-ghz", "--alpha", "nan"], "--alpha", "nan"),
+        (["temporal-ghz", "--alpha", "0.6", "--beta", "inf"], "--beta", "inf"),
+        (["mach-zehnder", "--alpha=-inf"], "--alpha", "-inf"),
+    ])
+    def test_non_finite_amplitude_names_its_flag(self, capsys, argv, flag, value):
+        code, out, err = run_cli(capsys, "scenario", *argv)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == f"error: {flag} must be a finite number, got {value}\n"
 
     def test_byte_identical_runs(self, capsys):
         _, out1, _ = run_cli(capsys, "scenario", "pauli-cycle")

@@ -1462,7 +1462,8 @@ def _term_array_states():
     """(name, state) from each route that builds a state from term arrays:
     the spec reader, ``+`` (with merged and cancelled terms), ``*`` and the
     members of a temporal reduction."""
-    from qhist.serialize import history_from_document, matrix_document
+    from qhist.serialize import history_from_document
+    from serialize_oracle import matrix_document
 
     rng = np.random.default_rng(17)
     dims = (2, 3, 3)

@@ -15,15 +15,18 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qhist import (
     BridgingSet,
+    ConsistencyReport,
     ElementaryHistory,
+    MixedHistory,
     HistoryState,
     MeasurementSetting,
     OutcomeDistribution,
     TimeGrid,
+    chained_bell,
     hs_inner,
     normalize,
     run_scenario,
@@ -36,23 +39,23 @@ from qhist.errors import ShapeError
 from qhist import twostate
 from qhist.twostate import TwoTimeExperiment, mixed_sequence_distribution, sequence_distribution
 from qhist.linalg import identity, maximally_mixed, pauli, projector, qubit_ket
+from qhist import cli, serialize
 from qhist.serialize import (
     MAX_HISTORY_TERMS,
     MAX_SLOT_DIM,
     SpecError,
     _block,
     bell_spec_from_document,
-    complex_pair,
     distribution_csv,
     document,
     dumps_csv,
     dumps_json,
     dumps_pretty,
+    dumps_report,
     experiment_from_document,
     format_number,
     history_from_document,
     load_document,
-    matrix_document,
     matrix_from_document,
     setting_from_document,
     slot_operator_from_document,
@@ -64,6 +67,8 @@ from qhist.serialize import (
 
 import serialize_oracle
 from conftest import random_unitary
+from serialize_oracle import complex_pair, matrix_document
+from test_golden import CASES as GOLDEN_CASES
 
 
 class _Colour(enum.IntEnum):
@@ -100,10 +105,10 @@ _CHAIN_CASES = [
 
 class TestEncoding:
     def test_complex_pair(self):
-        assert complex_pair(1.5 - 2.0j) == [1.5, -2.0]
+        assert to_jsonable(1.5 - 2.0j) == [1.5, -2.0]
 
     def test_matrix_document_shape(self):
-        doc = matrix_document(pauli("Y"))
+        doc = to_jsonable(pauli("Y"))
         assert doc == [[[0.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [0.0, 0.0]]]
 
     def test_scalars_pass_through(self):
@@ -158,7 +163,9 @@ class TestEncoding:
             return
         got = to_jsonable(obj)
         assert got == want
-        assert repr(got) == repr(want)  # the same types, np.float64 and str subclasses included
+        # exact JSON types and sorted keys: str and int subclasses (np.str_,
+        # an IntEnum) come back as str and int, as json reads them
+        assert repr(got) == repr(json.loads(json.dumps(want, sort_keys=True)))
 
     def test_scenario_document_roundtrips_through_json(self):
         res = run_scenario("mach-zehnder")
@@ -215,9 +222,120 @@ class TestHistoryStateEncoder:
             assert text == dumps_json(_by_term(h))
 
 
+def _golden_report(name: str) -> tuple:
+    """The (name, artifacts, notes) that ``qhist`` writes for a golden case."""
+    argv, _ = GOLDEN_CASES[name]
+    args = cli._parser().parse_args(argv + ["--format", "json"])
+    report, _, _ = cli._HANDLERS[args.command](args)
+    return report
+
+
+def _oracle_text(report: tuple) -> str:
+    return json.dumps(serialize_oracle.document(*report), indent=2, sort_keys=True) + "\n"
+
+
+def _signed_zeros(rng, a: np.ndarray, real: bool = True) -> np.ndarray:
+    """``a`` with about a quarter of its imaginary parts, and of its real
+    parts unless ``real`` is false, set to -0.0."""
+    out = np.array(a, dtype=complex)
+    out.imag[rng.random(out.shape) < 0.25] = -0.0
+    if real:
+        out.real[rng.random(out.shape) < 0.25] = -0.0
+    return out
+
+
+def _walk_state(n_terms: int, dims: tuple, seed: int, zeros: bool) -> HistoryState:
+    """A history state of random terms, its first label and about a quarter
+    of its parts -0.0 when ``zeros``."""
+    rng = np.random.default_rng(seed)
+    labels = tuple(1.25 * k for k in range(len(dims)))
+    width = sum(d * d for d in dims)
+    rows = rng.normal(size=(n_terms, width)) + 1j * rng.normal(size=(n_terms, width))
+    coefs = rng.normal(size=n_terms) + 1j * rng.normal(size=n_terms)
+    if zeros:
+        labels = (-0.0,) + labels[1:]
+        # no coefficient is zero, so none cancels
+        rows, coefs = _signed_zeros(rng, rows), _signed_zeros(rng, coefs, real=False)
+    return HistoryState._from_rows(TimeGrid(labels, dims), coefs, rows, distinct=True)
+
+
+class TestOneWalk:
+    """The JSON that ``dumps_report`` writes straight from result objects is
+    ``json.dumps`` of the document the node-by-node oracle builds, and the
+    plain documents are that text parsed back."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_golden_case_objects_match_the_oracle(self, name):
+        report = _golden_report(name)
+        text = dumps_report(*report)
+        assert text == _oracle_text(report)
+        assert document(*report) == json.loads(text)
+        assert dumps_json(document(*report)) == text
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from([1, 2, 5, 256]), st.lists(st.sampled_from([2, 3]), min_size=1, max_size=3).map(tuple),
+           st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 3))
+    @example(1, (2, 3), 0, True, 1)
+    @example(256, (3, 2), 1, True, 2)
+    def test_states_mixtures_and_reports_match_the_oracle(self, n_terms, dims, seed, zeros, depth):
+        h = _walk_state(n_terms, dims, seed, zeros)
+        mixture = MixedHistory(((0.25, normalize(h)), (0.75, normalize((0.5 - 1j) * h))))
+        rng = np.random.default_rng(h.n_terms)
+        t = min(h.n_terms, 64)
+        matrix = _signed_zeros(rng, rng.normal(size=(t, t)) + 1j * rng.normal(size=(t, t)))
+        consistency = ConsistencyReport(False, matrix, math.nan, 1e-9)
+        artifacts = {"state": h, "mixture": mixture, "consistency": consistency, "norm": -0.0}
+        for _ in range(depth - 1):
+            artifacts = {"nested": artifacts, "list": [h, mixture]}
+        report = ("walk", artifacts, ("a note",))
+        assert dumps_report(*report) == _oracle_text(report)
+
+    def test_values_that_are_not_finite_match_the_oracle(self):
+        grid = TimeGrid((0.0, 1.0), (2, 3))
+        rows = np.ones((2, 13), dtype=complex)
+        rows[1, 5] = complex(math.nan, -math.inf)
+        h = HistoryState._from_rows(grid, [1.0, complex(-0.0, 2.0)], rows, distinct=True)
+        matrix = np.array([[1.0, math.nan], [math.inf, -0.0]], dtype=complex)
+        report = ("nan", {"state": h, "matrix": matrix, "pair": complex(math.inf, 0.5),
+                          "consistency": ConsistencyReport(True, matrix.real, math.nan, 0.0)}, ())
+        assert dumps_report(*report) == _oracle_text(report)
+        assert "NaN" in dumps_report(*report)
+
+    def test_a_repeated_object_is_written_once(self, monkeypatch):
+        result = chained_bell(40, *tsirelson_settings(), maximally_mixed(2))
+        block = result.block_reports[0]
+        assert all(r is block for r in result.block_reports)
+        written = []
+        real = serialize._text
+        monkeypatch.setattr(serialize, "_text", lambda obj, indent: written.append(obj) or real(obj, indent))
+        text = dumps_report("chained", result)
+        assert sum(obj is block for obj in written) == 1
+        assert text == _oracle_text(("chained", result, ()))
+
+    def test_no_template_above_the_leaf_bound_is_kept(self):
+        grid = TimeGrid.regular(2)
+        rng = np.random.default_rng(5)
+        big = [
+            # 2 labels and 256 terms of 18 floats
+            HistoryState._from_rows(grid, rng.normal(size=256) + 0j, rng.normal(size=(256, 8)) + 0j,
+                                    distinct=True),
+            rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40)),
+            rng.normal(size=(256, 256)),
+            rng.normal(size=serialize._CACHED_LEAVES + 1).tolist(),
+        ]
+        small = HistoryState._from_rows(grid, [1.0], np.ones((1, 8)), distinct=True)
+        serialize._kept.cache_clear()
+        for obj in big:
+            report = ("sizes", {"obj": obj}, ())
+            assert dumps_report(*report) == _oracle_text(report)
+        assert serialize._kept.cache_info().currsize == 0
+        assert dumps_report("sizes", {"obj": small}) == _oracle_text(("sizes", {"obj": small}, ()))
+        assert serialize._kept.cache_info().currsize == 1
+
+
 # Strings with quotes, backslashes, control characters and non-ASCII text.
 _TEXT = st.one_of(st.text(max_size=8),
-                  st.sampled_from(['', '"', "\\", "\x00\x1f\t\n", "é☃\U0001f600", "%", "%r", "%%s"]))
+                  st.sampled_from(['', '"', "\\", "\x00\x1f\t\n", "é☃\U0001f600", "%", "%r", "%%s", "a,b", "\r"]))
 _FLOATS = st.one_of(
     st.floats(),
     st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-310, 1.7976931348623157e308]),
@@ -359,14 +477,20 @@ class TestJsonWriter:
             special.astype(np.complex64).reshape(2, 2),
         ]
         for a in arrays:
-            doc = matrix_document(a)
-            oracle = ([complex_pair(z) for z in a] if a.ndim == 1
-                      else [[complex_pair(z) for z in row] for row in a])
+            doc = to_jsonable(a)
+            if np.iscomplexobj(a):
+                oracle = ([complex_pair(z) for z in a] if a.ndim == 1
+                          else [[complex_pair(z) for z in row] for row in a])
+            else:
+                oracle = [float(x) for x in a.ravel()] if a.ndim == 1 else [[float(x) for x in row] for row in a]
             assert json.dumps(doc) == json.dumps(oracle)
-            pairs = doc if a.ndim == 1 else itertools.chain.from_iterable(doc)
-            assert all(type(x) is float for pair in pairs for x in pair)
+            assert dumps_json(document("a", {"a": a})) == _json_oracle(document("a", {"a": oracle}))
+            leaves = doc if a.ndim == 1 else list(itertools.chain.from_iterable(doc))
+            if np.iscomplexobj(a):
+                leaves = list(itertools.chain.from_iterable(leaves))
+            assert all(type(x) is float for x in leaves)
         with pytest.raises(ShapeError):
-            matrix_document(np.zeros((2, 2, 2)))
+            to_jsonable(np.zeros((2, 2, 2), dtype=complex))
 
 
 def _csv_writer_rows(table) -> str:
@@ -390,6 +514,22 @@ class TestCSV:
         assert table["artifacts.x.a[0]"] == "1"
         assert table["artifacts.x.a[1]"] == "true"
         assert table["artifacts.x.b"] == "2"
+
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_DOCS)
+    def test_flat_writers_match_the_entry_by_entry_oracle(self, doc):
+        report = {"name": "t", "artifacts": doc, "notes": ["n, \"quoted\""]}
+        assert dumps_csv(report) == serialize_oracle.dumps_csv(report)
+        assert dumps_pretty(report) == serialize_oracle.dumps_pretty(report)
+
+    @pytest.mark.parametrize("label", ["X", "bloch(0.1,0.3)"])
+    def test_flat_writers_of_an_outcome_table(self, rng, label):
+        strings = ["".join(s) for s in itertools.product("+-", repeat=10)]
+        w = rng.exponential(size=len(strings))
+        dist = OutcomeDistribution((label,) * 10, dict(zip(strings, w / w.sum())))
+        doc = document("abl", {"distribution": dist, "slot": 3})
+        assert dumps_csv(doc) == serialize_oracle.dumps_csv(doc)
+        assert dumps_pretty(doc) == serialize_oracle.dumps_pretty(doc)
 
     def test_distribution_csv(self):
         d = OutcomeDistribution(("X", "Z"), {"++": 0.5, "--": 0.5, "+-": 0.0, "-+": 0.0})
@@ -721,6 +861,48 @@ class TestStackedSpecReading:
             assert all(not op.flags.writeable for op in eh.slots)
         assert parsed._rows.tobytes() == by_hand._rows.tobytes()
         assert not parsed._rows.flags.writeable
+
+    @pytest.mark.parametrize("grid", [None, {"labels": [-1.0, 0.5, 2.0], "slot_dims": [3, 3, 3]}])
+    def test_explicit_matrix_spec_takes_one_read_per_field(self, rng, monkeypatch, grid):
+        from qhist import serialize
+
+        strings = [[matrix_document(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))) for _ in range(3)]
+                   for _ in range(9)]
+        term_docs = [{"coefficient": [float(rng.normal()), -0.0], "slots": ops} for ops in strings]
+        term_docs[4]["coefficient"] = [-0.0, 1.5]
+        # repeated strings merge: one with a default coefficient into term 5, one into term 2
+        term_docs += [{"slots": strings[5]}, {"coefficient": [0.25, 0.5], "slots": strings[2]}]
+        calls = []
+        real = serialize._pairs
+        monkeypatch.setattr(serialize, "_pairs", lambda *a: calls.append(np.shape(a[0])[:2]) or real(*a))
+        parsed, _ = history_from_document({"grid": grid, "terms": term_docs})
+        assert calls == [(11, 3), (11, 2)]
+        # the term-by-term route reads the same arrays, zero signs included
+        fast = serialize._matrix_terms(term_docs, parsed.grid)
+        slow = serialize._terms(term_docs, parsed.grid, "history")
+        assert fast[0] == slow[0] == parsed.grid
+        assert fast[1].tobytes() == np.array(slow[1]).tobytes()
+        assert fast[2].tobytes() == slow[2].tobytes()
+        assert parsed.n_terms == 9
+        by_hand = HistoryState(tuple(
+            (complex(*t.get("coefficient", [1.0, 0.0])),
+             ElementaryHistory(parsed.grid, tuple(map(matrix_from_document, t["slots"]))))
+            for t in term_docs))
+        assert parsed._coefs.tobytes() == by_hand._coefs.tobytes()
+        assert parsed._rows.tobytes() == by_hand._rows.tobytes()
+
+    @pytest.mark.parametrize("terms", [
+        [{"slots": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "z+"]}],
+        [{"slots": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}, {"slots": [[[[1, 0]]]]}],
+        [{"slots": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]], "coefficient": [1, True]}],
+        [{"slots": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]], "coefficient": (1, 0)}],
+        [{"slots": [[[[1, 0]]]]}],
+        [["not", "an", "object"]],
+    ])
+    def test_other_specs_take_the_term_by_term_route(self, terms):
+        from qhist import serialize
+
+        assert serialize._matrix_terms(terms, None) is None
 
     def test_several_bad_terms_name_the_first(self):
         # read together, term 2's short slot list fails first; read term by
