@@ -218,13 +218,13 @@ _HANDLERS = {
 
 
 def _render(report: tuple, fmt: str, special_csv: str | None) -> str:
-    """JSON written from the report's objects; CSV and pretty text from its
-    plain document."""
+    """Every format written from the report's objects, with no plain document
+    built."""
     if fmt == "csv" and special_csv is not None:
         return special_csv
     if fmt == "json":
         return serialize.dumps_report(*report)
-    doc = serialize.document(*report)
+    doc = serialize._report(*report)
     return serialize.dumps_csv(doc) if fmt == "csv" else serialize.dumps_pretty(doc)
 
 

@@ -1,16 +1,19 @@
 """JSON documents, CSV tables, and spec-file parsing.
 
 Output side: ``dumps_report`` writes a report's JSON straight from its result
-objects, in one walk.  The writer of a value is chosen by its class alone,
-once per class (``_rule`` over the one table ``_RULES``), not by a chain of
-``isinstance`` tests per value.  A dataclass is the mapping of its fields;
-elementary histories, the optimizer's trace rows, outcome distributions and
-scenario results (the top-level document) give another mapping to write.
-Complex scalars and complex arrays are nested ``[re, im]`` pairs; real arrays
-(correlator tables) are nested floats, and quantities that are real by
-construction (probabilities, correlators, bounds) stay plain floats.  A lone
-float, int, bool or None is written by its own rule, not by json's encoder,
-and a list that repeats one object (a chained report's blocks) writes it once.
+objects, in one walk, and ``dumps_csv`` and ``dumps_pretty`` flatten the same
+objects to key, value rows in another.  Each value's JSON writer and rows rule
+are chosen by its class alone, once per class (``_rule`` over the one table
+``_RULES``), not by a chain of ``isinstance`` tests per value.  A dataclass
+is the mapping of its fields; elementary histories, history states,
+mixtures, the optimizer's trace rows, outcome distributions and scenario
+results (the top-level document) are another mapping of the object
+(``_viewed``).  Complex scalars and complex arrays are nested ``[re, im]``
+pairs; real arrays (correlator tables) are nested floats, and quantities that
+are real by construction (probabilities, correlators, bounds) stay plain
+floats.  A lone float, int, bool or None is written by its own rule, not by
+json's encoder, and a list that repeats one object (a chained report's
+blocks) writes its JSON once.
 
 An ndarray (a T x T consistency matrix), a history state (its grid labels,
 then per term its coefficient and slot operators, read from ``_coefs`` and
@@ -18,11 +21,16 @@ then per term its coefficient and slot operators, read from ``_coefs`` and
 mixture's whole ensemble each take one ``%`` call on a template of their
 shape and indentation, ``%r`` (``float.__repr__``, json's text for a finite
 float) per leaf, with no nested list built.  A leaf that is not finite sends
-the object to the plain writer below, which writes json's ``NaN``.
-Templates of at most ``_CACHED_LEAVES`` leaves are kept.  ``document`` and
-``to_jsonable``, the plain documents that CSV, pretty text and API callers
-read, are that text parsed back by ``json.loads``, so there is one encoder,
-and they hold exact JSON types with sorted keys.
+the object to its mapping, or an array to the plain writer below, which
+write json's ``NaN``.  Templates of at most ``_CACHED_LEAVES`` leaves are
+kept.  ``document`` and ``to_jsonable``, the plain documents that API callers
+read, are that text parsed back by ``json.loads``, so they hold exact JSON
+types with sorted keys.
+
+A value's rows are those of its JSON document: keys joined by "." and
+"[i]", numbers as ``format_number`` prints them.  An array's leaves, and the
+values of a list or mapping that are all numbers (an outcome table, an
+[re, im] pair), are written in one pass; all rows take one join.
 
 ``dumps_json`` writes a plain document that a caller built exactly as
 ``json.dumps(doc, indent=2, sort_keys=True)`` would, without visiting values
@@ -34,10 +42,7 @@ An outcome table (``twostate._Table``) is read-only and maps '+'/'-' strings
 in sorted order to exact, finite floats.  Its JSON and its
 ``distribution_csv`` rows are each one ``%`` call on a template joined from
 its strings (``%r`` or ``%.12g`` per value); the template is not kept, as
-joining it costs a few percent of filling it.  ``dumps_csv`` and
-``dumps_pretty`` flatten a document to key, value rows, a dict or list whose
-values are all numbers (an outcome table, a pair) in one pass, and write
-them with one join.
+joining it costs a few percent of filling it.
 
 Input side: small parsers for the human-writable spec files the command line
 accepts.  States may be named ("0", "1", "+", "-", "i+", "i-") or explicit
@@ -199,17 +204,22 @@ def _complex_text(z, indent: str) -> str:
     return _write([z.real, z.imag], indent)
 
 
+def _float_array(a: np.ndarray) -> np.ndarray:
+    """The array's document as floats: [re, im] on a last axis for a complex
+    vector or matrix."""
+    if not np.iscomplexobj(a):
+        return a.astype(float)
+    if a.ndim not in (1, 2):
+        raise ShapeError(f"cannot encode array of rank {a.ndim}")
+    a = np.asarray(a, dtype=complex)
+    return np.stack((a.real, a.imag), axis=-1)
+
+
 def _array_text(a: np.ndarray, indent: str) -> str:
     """Nested floats, or [re, im] pairs for a complex vector or matrix: one
     fill of the shape's template, or, with an empty axis or a leaf that is
     not finite, the plain writer's text."""
-    if np.iscomplexobj(a):
-        if a.ndim not in (1, 2):
-            raise ShapeError(f"cannot encode array of rank {a.ndim}")
-        a = np.asarray(a, dtype=complex)
-        a = np.stack((a.real, a.imag), axis=-1)
-    else:
-        a = a.astype(float)
+    a = _float_array(a)
     leaves = tuple(a.ravel().tolist())
     if a.ndim and leaves and math.isfinite(sum(leaves)):
         return _fill(_template, (a.shape,), indent, leaves)
@@ -248,12 +258,20 @@ def _term_leaves(h: HistoryState) -> list:
     return np.concatenate((pairs, rows), axis=1).ravel().tolist()
 
 
+def _state_view(h: HistoryState) -> dict:
+    return {"grid": h.grid, "terms": [
+        {"coefficient": c, "slots": ops} for c, ops in zip(h._coefs.tolist(), zip(*h._stacks))]}
+
+
 def _state_text(h: HistoryState, indent: str) -> str:
     leaves = (*h.grid.labels, *_term_leaves(h))
     if math.isfinite(sum(leaves)):
         return _fill(_state_template, (h.grid.slot_dims, h.n_terms), indent, leaves)
-    return _mapping_text({"grid": h.grid, "terms": [
-        {"coefficient": c, "slots": ops} for c, ops in zip(h._coefs.tolist(), zip(*h._stacks))]}, indent)
+    return _mapping_text(_state_view(h), indent)
+
+
+def _mixture_view(m: MixedHistory) -> dict:
+    return {"ensemble": [{"probability": p, "state": h} for p, h in m.ensemble]}
 
 
 def _mixture_text(m: MixedHistory, indent: str) -> str:
@@ -263,7 +281,7 @@ def _mixture_text(m: MixedHistory, indent: str) -> str:
     if math.isfinite(sum(leaves)):
         counts = tuple(h.n_terms for _, h in m.ensemble)
         return _fill(_ensemble_template, (m.grid.slot_dims, counts), indent, tuple(leaves))
-    return _mapping_text({"ensemble": [{"probability": p, "state": h} for p, h in m.ensemble]}, indent)
+    return _mapping_text(_mixture_view(m), indent)
 
 
 def _fields(obj) -> dict:
@@ -276,51 +294,126 @@ def _report(name: str, artifacts, notes) -> dict:
     return {"name": name, "artifacts": artifacts, "notes": [str(n) for n in notes]}
 
 
-# The writer of a value, by its class: the first entry whose classes it is a
-# subclass of.  The last four are documents that are not the mapping of the
-# dataclass's fields; any other dataclass is that mapping.
+def format_number(x: float) -> str:
+    return f"{float(x):.12g}"
+
+
+# ---------------------------------------------------------------------------
+# flattening result objects to key, value rows (CSV and pretty text)
+#
+# A rows rule extends ``rows`` by the (key, text) row of each leaf under the
+# value at key ``prefix``, keys as the document's sorted keys and [i] indices
+# give them, each key and text written by ``field``; numbers are ``%.12g``
+# (``format_number``), so a value's rows are those of its JSON document.
+
+
+def _items_rows(names: list, values, rows: list, field) -> None:
+    """The rows of ``values`` at ``names``: values that are all numbers (an
+    outcome table, an [re, im] pair) in one pass, which needs no quoting."""
+    if set(map(type, values)) <= {float, int}:
+        rows += zip(map(field, names), map("%.12g".__mod__, values))
+    else:
+        for name, value in zip(names, values):
+            _rows(value, name, rows, field)
+
+
+def _keys(prefix: str, keys) -> list:
+    return [f"{prefix}.{k}" for k in keys] if prefix else list(keys)
+
+
+def _sequence_rows(items, prefix: str, rows: list, field) -> None:
+    _items_rows([f"{prefix}[{i}]" for i in range(len(items))], items, rows, field)
+
+
+def _mapping_rows(m, prefix: str, rows: list, field) -> None:
+    m = {str(k): v for k, v in m.items()}
+    keys = sorted(m)
+    _items_rows(_keys(prefix, keys), list(map(m.__getitem__, keys)), rows, field)
+
+
+def _array_rows(a: np.ndarray, prefix: str, rows: list, field) -> None:
+    """Every leaf of the array's document, [re, im] pairs for a complex one,
+    in one pass."""
+    a = _float_array(a)
+    names = [prefix]
+    for n in a.shape:
+        names = [f"{name}[{i}]" for name in names for i in range(n)]
+    # an index needs no quoting, so a key needs it only where its prefix does
+    rows += zip(names if field(prefix) == prefix else map(field, names),
+                map("%.12g".__mod__, a.ravel().tolist()))
+
+
+def _leaf(text):
+    """The rows rule of a value that is one leaf, ``text(obj)`` its text."""
+    return lambda obj, prefix, rows, field: rows.append((field(prefix), field(text(obj))))
+
+
+def _viewed(view, write=None) -> tuple:
+    """The (JSON, rows) rules of a class whose document is the mapping
+    ``view(obj)``; ``write`` is a faster writer of the same JSON."""
+    return (write or (lambda obj, indent: _mapping_text(view(obj), indent)),
+            lambda obj, prefix, rows, field: _mapping_rows(view(obj), prefix, rows, field))
+
+
+def _bool_text(b) -> str:
+    return "true" if b else "false"
+
+
+# The (JSON writer, rows rule) of a value, by its class: the first entry whose
+# classes it is a subclass of.  The last six are documents that are another
+# mapping of the object (``_viewed``); any other dataclass is the mapping of
+# its fields.
 _RULES = (
-    (type(None), lambda obj, indent: "null"),
-    ((bool, np.bool_), lambda b, indent: "true" if b else "false"),
-    ((int, np.integer), lambda n, indent: int.__repr__(int(n))),
-    (str, lambda s, indent: _encode_str(s)),
-    ((float, np.floating), _float_text),
-    ((complex, np.complexfloating), _complex_text),
-    (np.ndarray, _array_text),
-    ((list, tuple), _sequence_text),
-    (_Table, _table_text),
-    (Mapping, _mapping_text),
-    (HistoryState, _state_text),
-    (MixedHistory, _mixture_text),
-    (ElementaryHistory, lambda eh, indent: _mapping_text({"slots": eh.slots}, indent)),
-    (OptimizeResult, lambda r, indent: _mapping_text(_fields(r) | {"trace": [
-        {"evaluation": int(n), "angles": angles, "value": v} for n, angles, v in r.trace]}, indent)),
-    (OutcomeDistribution, lambda d, indent: _mapping_text({"settings": d.settings, "table": d.table}, indent)),
-    (ScenarioResult, lambda r, indent: _mapping_text(_report(r.name, r.artifacts, r.notes), indent)),
+    (type(None), lambda obj, indent: "null", _leaf(lambda obj: "")),
+    ((bool, np.bool_), lambda b, indent: _bool_text(b), _leaf(_bool_text)),
+    ((int, np.integer), lambda n, indent: int.__repr__(int(n)), _leaf(format_number)),
+    (str, lambda s, indent: _encode_str(s), _leaf(str)),
+    ((float, np.floating), _float_text, _leaf(format_number)),
+    ((complex, np.complexfloating), _complex_text,
+     lambda z, prefix, rows, field: _sequence_rows([complex(z).real, complex(z).imag], prefix, rows, field)),
+    (np.ndarray, _array_text, _array_rows),
+    ((list, tuple), _sequence_text, _sequence_rows),
+    # sorted by construction, with str keys and exact float values
+    (_Table, _table_text,
+     lambda t, prefix, rows, field: _items_rows(_keys(prefix, t), list(t.values()), rows, field)),
+    (Mapping, _mapping_text, _mapping_rows),
+    (HistoryState, *_viewed(_state_view, _state_text)),
+    (MixedHistory, *_viewed(_mixture_view, _mixture_text)),
+    (ElementaryHistory, *_viewed(lambda eh: {"slots": eh.slots})),
+    (OptimizeResult, *_viewed(lambda r: _fields(r) | {"trace": [
+        {"evaluation": int(n), "angles": angles, "value": v} for n, angles, v in r.trace]})),
+    (OutcomeDistribution, *_viewed(lambda d: {"settings": d.settings, "table": d.table})),
+    (ScenarioResult, *_viewed(lambda r: _report(r.name, r.artifacts, r.notes))),
 )
 
 
 @functools.cache
-def _rule(cls: type):
-    """The writer of ``cls``'s instances, chosen once per class rather than
-    once per value."""
-    for classes, rule in _RULES:
+def _rule(cls: type) -> tuple:
+    """The (JSON writer, rows rule) of ``cls``'s instances, chosen once per
+    class rather than once per value."""
+    for classes, *rules in _RULES:
         if issubclass(cls, classes):
-            return rule
+            return rules
     # a dataclass instance, not a dataclass itself (whose class is ``type``)
     if dataclasses.is_dataclass(cls) and not issubclass(cls, type):
-        return lambda obj, indent: _mapping_text(_fields(obj), indent)
-    return _unknown
+        return _viewed(_fields)
+    return _unknown, _unknown
 
 
-def _unknown(obj, indent: str):
+def _unknown(obj, *_):
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 
 def _text(obj, indent: str) -> str:
     """``obj`` as indent=2, sort_keys JSON; ``indent`` is the newline and
     spaces that open a line at the level of ``obj``."""
-    return _rule(type(obj))(obj, indent)
+    return _rule(type(obj))[0](obj, indent)
+
+
+def _rows(obj, prefix: str, rows: list, field) -> list:
+    """``rows`` extended by the rows of ``obj`` at key ``prefix``."""
+    _rule(type(obj))[1](obj, prefix, rows, field)
+    return rows
 
 
 def dumps_report(name: str, artifacts, notes=()) -> str:
@@ -375,13 +468,10 @@ def _block(items):
 
 def _texts(items, indent: str):
     """JSON texts of a container's items: one C-level map when they are all
-    strings or all exact finite floats (json's text for one is
-    ``float.__repr__``), one ``_write`` each otherwise."""
-    kinds = set(map(type, items))
-    if kinds == {str}:
+    strings, one ``_write`` each otherwise (a list of floats is a block
+    already, and json's text of an exact finite float is ``float.__repr__``)."""
+    if set(map(type, items)) == {str}:
         return map(_encode_str, items)
-    if kinds == {float} and math.isfinite(sum(items)):
-        return map(float.__repr__, items)
     return [_write(x, indent) for x in items]
 
 
@@ -428,10 +518,6 @@ def dumps_json(doc: dict) -> str:
 # CSV
 
 
-def format_number(x: float) -> str:
-    return f"{float(x):.12g}"
-
-
 # the characters that make ``csv.writer`` quote a field
 _CSV_QUOTED = frozenset(',"\r\n')
 
@@ -442,42 +528,12 @@ def _csv_field(text: str) -> str:
     return text if _CSV_QUOTED.isdisjoint(text) else '"' + text.replace('"', '""') + '"'
 
 
-def _flat_items(node, prefix: str, rows: list, field=str) -> list:
-    """``rows`` extended by the (key, text) row of each leaf under ``node``,
-    keys sorted and each key and text written by ``field``; the values of a
-    dict or list that are all numbers (an outcome table, an [re, im] pair)
-    are written in one pass."""
-    if isinstance(node, dict):
-        keys = sorted(node)
-        names = [f"{prefix}.{k}" for k in keys] if prefix else list(map(str, keys))
-        values = list(map(node.__getitem__, keys))
-    elif isinstance(node, list):
-        names = [f"{prefix}[{i}]" for i in range(len(node))]
-        values = node
-    else:
-        rows.append((field(prefix), field(_leaf(node))))
-        return rows
-    if set(map(type, values)) <= {float, int}:
-        # ``%.12g`` and ``format_number``'s ``{:.12g}`` print alike
-        rows += zip(map(field, names), map("%.12g".__mod__, values))
-    else:
-        for name, value in zip(names, values):
-            _flat_items(value, name, rows, field)
-    return rows
-
-
-def _leaf(node) -> str:
-    if isinstance(node, bool):
-        return "true" if node else "false"
-    if isinstance(node, (int, float)):
-        return format_number(node)
-    return "" if node is None else str(node)
-
-
 def dumps_csv(doc: dict) -> str:
-    """Flatten a JSON document into RFC-4180 key,value rows, quoted as
-    ``csv.writer`` quotes them, in one join."""
-    return "\r\n".join(map(",".join, _flat_items(doc, "", [("key", "value")], _csv_field))) + "\r\n"
+    """Flatten a document into RFC-4180 key,value rows, quoted as
+    ``csv.writer`` quotes them, in one join.  ``doc`` is a plain document or
+    a report of result objects (``_report``), flattened by their classes'
+    rules as their documents would be."""
+    return "\r\n".join(map(",".join, _rows(doc, "", [("key", "value")], _csv_field))) + "\r\n"
 
 
 def distribution_csv(dist: OutcomeDistribution) -> str:
@@ -508,8 +564,10 @@ def trace_csv(result: OptimizeResult) -> str:
 
 
 def dumps_pretty(doc: dict) -> str:
+    """The report's name, its artifacts' key, value rows and its notes;
+    ``doc`` is read as ``dumps_csv`` reads it."""
     lines = [doc.get("name", "report")]
-    rows = _flat_items(doc.get("artifacts", {}), "", [])
+    rows = _rows(doc.get("artifacts", {}), "", [], str)
     width = max(map(len, (k for k, _ in rows)), default=0)
     lines += map(f"  %-{width}s  %s".__mod__, rows)
     notes = doc.get("notes", [])
@@ -730,8 +788,7 @@ def history_from_document(doc: dict, what: str = "history") -> tuple[HistoryStat
     Without a ``grid`` the first term's operators set an unlabelled one
     (labels 0, 1, ...).  The terms are read together (``_terms``); only a
     spec that fails is read again term by term, so the error names the first
-    bad term and slot.  A spec whose slots are all explicit matrices of one
-    dimension is read with one array per field (``_matrix_terms``)."""
+    bad term and slot."""
     hdoc = _object(doc.get("history", doc), what)
     terms_doc = _list(hdoc.get("terms"), f"{what}: terms")
     if len(terms_doc) > MAX_HISTORY_TERMS:
@@ -748,7 +805,7 @@ def history_from_document(doc: dict, what: str = "history") -> tuple[HistoryStat
         _bounded(grid, what)
 
     try:
-        grid, coefficients, rows = _matrix_terms(terms_doc, grid) or _terms(terms_doc, grid, what)
+        grid, coefficients, rows = _terms(terms_doc, grid, what)
     except SpecError:
         for i, tdoc in enumerate(terms_doc):
             grid = _terms([tdoc], grid, what, i)[0]
@@ -765,59 +822,47 @@ def history_from_document(doc: dict, what: str = "history") -> tuple[HistoryStat
         _matrix_list(unis, lambda i: f"{what}: bridging[{i}]", unitary_from_document)))
 
 
-def _matrix_terms(terms_doc: list, grid: TimeGrid | None) -> tuple | None:
-    """(grid, coefficients, term rows) of terms whose slots are all explicit
-    d x d matrices for one d (the grid's, when it is given), read with one
-    ``_pairs`` call for every slot of every term and one for every
-    coefficient; None for any other spec, which ``_terms`` reads and reports."""
-    if not all(type(t) is dict for t in terms_doc):
-        return None
-    coefficients = [t.get("coefficient", [1.0, 0.0]) for t in terms_doc]
-    if not all(type(c) is list for c in coefficients):
-        return None
-    try:
-        ops = _pairs_to_array([t.get("slots") for t in terms_doc], "", 4)
-        pairs = _pairs(coefficients, "", 1)
-    except SpecError:
-        return None
-    n_terms, n_slots, d, d2 = ops.shape
-    if d != d2 or not 2 <= d <= MAX_SLOT_DIM or grid is not None and grid.slot_dims != (d,) * n_slots:
-        return None
-    if grid is None:
-        grid = TimeGrid(tuple(map(float, range(n_slots))), (d,) * n_slots)
-    # complex(re, im) of each pair, as ``_terms`` reads it, zero signs included
-    return grid, pairs.view(complex)[:, 0], ops.reshape(n_terms, -1)
-
-
 def _terms(terms_doc: list, grid: TimeGrid | None, what: str, first: int = 0) -> tuple:
     """(grid, coefficients, term rows) of the terms ``terms_doc``, numbered
     from ``first`` in errors; without a ``grid`` the first term's operators
-    set one.  Each slot's operators take one ``_matrix_list`` and must be
-    d x d for the slot's dimension d.  A single term's errors come in the
-    order of its fields: slots, coefficient, shapes."""
+    set one.  The slots of every term, when they are all explicit matrices of
+    one shape, take one ``_pairs`` read, as do the coefficients when they are
+    all lists; otherwise each slot's operators take one ``_matrix_list`` and
+    each coefficient its own read, whose errors name the entry.  Operators
+    must be d x d for their slot's dimension d.  A single term's errors come
+    in the order of its fields: slots, coefficient, shapes."""
     slot_lists = []
     for i, tdoc in enumerate(terms_doc, first):
         tdoc = _object(tdoc, f"{what}: term {i}")
         n_slots = grid.n_slots if grid is not None else len(slot_lists[0]) if slot_lists else None
         slot_lists.append(_list(tdoc.get("slots"), f"{what}: term {i} slots", n_slots))
-    columns = [_matrix_list(list(column), lambda i: f"{what}: term {first + i} slots[{k}]",
-                            slot_operator_from_document)
-               for k, column in enumerate(zip(*slot_lists))]
+    try:
+        columns = list(_pairs_to_array(slot_lists, what, 4).swapaxes(0, 1))
+    except SpecError:
+        columns = [_matrix_list(list(column), lambda i: f"{what}: term {first + i} slots[{k}]",
+                                slot_operator_from_document)
+                   for k, column in enumerate(zip(*slot_lists))]
     if grid is None:
         dims = tuple(ops[0].shape[0] for ops in columns)
         for k, d in enumerate(dims):
             if d < 2:
                 raise SpecError(f"{what}: term {first} slots[{k}]: slot dimensions must be at least 2")
         grid = _bounded(TimeGrid(tuple(map(float, range(len(dims)))), dims), what)
-    coefficients = [
-        complex(*_list(tdoc.get("coefficient", [1.0, 0.0]), f"{what}: term {i} coefficient", 2, _number))
-        for i, tdoc in enumerate(terms_doc, first)]
+    docs = [tdoc.get("coefficient", [1.0, 0.0]) for tdoc in terms_doc]
+    try:
+        if not all(type(doc) is list for doc in docs):
+            raise SpecError(what)  # as ``_list`` has it, a tuple is not a JSON list
+        # complex(re, im) of each pair, zero signs included
+        coefficients = _pairs(docs, what, 1).view(complex)[:, 0]
+    except SpecError:
+        coefficients = [complex(*_list(doc, f"{what}: term {i} coefficient", 2, _number))
+                        for i, doc in enumerate(docs, first)]
     for k, (ops, d) in enumerate(zip(columns, grid.slot_dims)):
         for i, op in enumerate(ops, first):
             if op.shape != (d, d):
                 raise SpecError(
                     f"{what}: term {i} slots[{k}]: slot operator shape {op.shape} does not match dim {d}")
-    return grid, coefficients, _join_rows([np.array(ops) for ops in columns])
+    return grid, coefficients, _join_rows(columns)
 
 
 def experiment_from_document(doc: dict) -> dict:

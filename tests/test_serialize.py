@@ -234,6 +234,14 @@ def _oracle_text(report: tuple) -> str:
     return json.dumps(serialize_oracle.document(*report), indent=2, sort_keys=True) + "\n"
 
 
+def _assert_flat_match_the_oracle(report: tuple) -> None:
+    """CSV and pretty text flattened straight from the report's objects are
+    those of the document the node-by-node oracle builds."""
+    doc = serialize_oracle.document(*report)
+    assert dumps_csv(serialize._report(*report)) == serialize_oracle.dumps_csv(doc)
+    assert dumps_pretty(serialize._report(*report)) == serialize_oracle.dumps_pretty(doc)
+
+
 def _signed_zeros(rng, a: np.ndarray, real: bool = True) -> np.ndarray:
     """``a`` with about a quarter of its imaginary parts, and of its real
     parts unless ``real`` is false, set to -0.0."""
@@ -261,8 +269,9 @@ def _walk_state(n_terms: int, dims: tuple, seed: int, zeros: bool) -> HistorySta
 
 class TestOneWalk:
     """The JSON that ``dumps_report`` writes straight from result objects is
-    ``json.dumps`` of the document the node-by-node oracle builds, and the
-    plain documents are that text parsed back."""
+    ``json.dumps`` of the document the node-by-node oracle builds, the plain
+    documents are that text parsed back, and the CSV and pretty rows
+    flattened from the objects are the oracle's rows of that document."""
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
     def test_golden_case_objects_match_the_oracle(self, name):
@@ -271,6 +280,7 @@ class TestOneWalk:
         assert text == _oracle_text(report)
         assert document(*report) == json.loads(text)
         assert dumps_json(document(*report)) == text
+        _assert_flat_match_the_oracle(report)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.sampled_from([1, 2, 5, 256]), st.lists(st.sampled_from([2, 3]), min_size=1, max_size=3).map(tuple),
@@ -289,6 +299,7 @@ class TestOneWalk:
             artifacts = {"nested": artifacts, "list": [h, mixture]}
         report = ("walk", artifacts, ("a note",))
         assert dumps_report(*report) == _oracle_text(report)
+        _assert_flat_match_the_oracle(report)
 
     def test_values_that_are_not_finite_match_the_oracle(self):
         grid = TimeGrid((0.0, 1.0), (2, 3))
@@ -300,6 +311,7 @@ class TestOneWalk:
                           "consistency": ConsistencyReport(True, matrix.real, math.nan, 0.0)}, ())
         assert dumps_report(*report) == _oracle_text(report)
         assert "NaN" in dumps_report(*report)
+        _assert_flat_match_the_oracle(report)
 
     def test_a_repeated_object_is_written_once(self, monkeypatch):
         result = chained_bell(40, *tsirelson_settings(), maximally_mixed(2))
@@ -518,9 +530,12 @@ class TestCSV:
     @settings(max_examples=300, deadline=None)
     @given(_JSON_DOCS)
     def test_flat_writers_match_the_entry_by_entry_oracle(self, doc):
+        # a document's rows are those of its JSON text, where a tuple is a list
         report = {"name": "t", "artifacts": doc, "notes": ["n, \"quoted\""]}
-        assert dumps_csv(report) == serialize_oracle.dumps_csv(report)
-        assert dumps_pretty(report) == serialize_oracle.dumps_pretty(report)
+        plain = json.loads(json.dumps(report))
+        for d in (report, plain):
+            assert dumps_csv(d) == serialize_oracle.dumps_csv(plain)
+            assert dumps_pretty(d) == serialize_oracle.dumps_pretty(plain)
 
     @pytest.mark.parametrize("label", ["X", "bloch(0.1,0.3)"])
     def test_flat_writers_of_an_outcome_table(self, rng, label):
@@ -530,6 +545,14 @@ class TestCSV:
         doc = document("abl", {"distribution": dist, "slot": 3})
         assert dumps_csv(doc) == serialize_oracle.dumps_csv(doc)
         assert dumps_pretty(doc) == serialize_oracle.dumps_pretty(doc)
+
+    def test_flat_writers_of_objects_under_keys_that_need_quotes(self, rng):
+        h = HistoryState._from_rows(TimeGrid.regular(2), [1.0, -0.5j], rng.normal(size=(2, 8)) + 0j, distinct=True)
+        artifacts = {'a,b': rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3)), 'q"': rng.normal(size=4),
+                     "z\r": complex(-0.0, 2.5), "s,t": (h, np.float64(0.25), np.int64(3), np.bool_(True))}
+        report = ("objects", artifacts, ())
+        _assert_flat_match_the_oracle(report)
+        assert '"artifacts.a,b[1][2][1]",' in dumps_csv(serialize._report(*report))
 
     def test_distribution_csv(self):
         d = OutcomeDistribution(("X", "Z"), {"++": 0.5, "--": 0.5, "+-": 0.0, "-+": 0.0})
@@ -828,6 +851,32 @@ class TestHistoryFromDocument:
             history_from_document({"grid": grid, "terms": [term]})
 
 
+def _history_outcome(doc: dict) -> tuple | str:
+    """The grid and the coefficient and row bytes that
+    ``history_from_document`` reads from ``doc``, or its error."""
+    try:
+        h, _ = history_from_document(doc)
+    except SpecError as exc:
+        return str(exc)
+    return h.grid, h._coefs.tobytes(), h._rows.tobytes()
+
+
+def _per_entry_outcome(doc: dict) -> tuple | str:
+    """``_history_outcome`` with the stacked reads of every term's slots
+    (depth 4) and coefficients (depth 1) refused, so each slot column and
+    each coefficient takes its own read."""
+
+    def refused(doc, what, ndim):
+        if ndim in (1, 4):
+            raise SpecError(what)
+        return real(doc, what, ndim)
+
+    real = serialize._pairs
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(serialize, "_pairs", refused)
+        return _history_outcome(doc)
+
+
 class TestStackedSpecReading:
     """Each list field of a spec is read as one array and checked once."""
 
@@ -877,12 +926,10 @@ class TestStackedSpecReading:
         monkeypatch.setattr(serialize, "_pairs", lambda *a: calls.append(np.shape(a[0])[:2]) or real(*a))
         parsed, _ = history_from_document({"grid": grid, "terms": term_docs})
         assert calls == [(11, 3), (11, 2)]
-        # the term-by-term route reads the same arrays, zero signs included
-        fast = serialize._matrix_terms(term_docs, parsed.grid)
-        slow = serialize._terms(term_docs, parsed.grid, "history")
-        assert fast[0] == slow[0] == parsed.grid
-        assert fast[1].tobytes() == np.array(slow[1]).tobytes()
-        assert fast[2].tobytes() == slow[2].tobytes()
+        monkeypatch.setattr(serialize, "_pairs", real)
+        # the per-entry reads give the same arrays, zero signs included
+        doc = {"grid": grid, "terms": term_docs}
+        assert _history_outcome(doc) == _per_entry_outcome(doc)
         assert parsed.n_terms == 9
         by_hand = HistoryState(tuple(
             (complex(*t.get("coefficient", [1.0, 0.0])),
@@ -891,18 +938,25 @@ class TestStackedSpecReading:
         assert parsed._coefs.tobytes() == by_hand._coefs.tobytes()
         assert parsed._rows.tobytes() == by_hand._rows.tobytes()
 
-    @pytest.mark.parametrize("terms", [
+    @pytest.mark.parametrize("spec", [
         [{"slots": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "z+"]}],
         [{"slots": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}, {"slots": [[[[1, 0]]]]}],
         [{"slots": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]], "coefficient": [1, True]}],
         [{"slots": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]], "coefficient": (1, 0)}],
         [{"slots": [[[[1, 0]]]]}],
         [["not", "an", "object"]],
+        # slot dimensions 2 and 3, bridged by an isometry, and a 2 x 3 operator
+        {"terms": [{"slots": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[1, 0], [0, 0], [0, 0]]] * 3]}],
+         "bridging": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 0]]]]},
+        [{"slots": [[[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]]]}],
+        # integer parts, a default coefficient and an unreadable one
+        [{"slots": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]], "coefficient": [2, -1]},
+         {"slots": [[[[0, 1], [0, 0]], [[0, 0], [0, -1]]]]}],
+        [{"slots": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]], "coefficient": [1, "0"]}],
     ])
-    def test_other_specs_take_the_term_by_term_route(self, terms):
-        from qhist import serialize
-
-        assert serialize._matrix_terms(terms, None) is None
+    def test_the_stacked_read_changes_no_outcome(self, spec):
+        doc = spec if isinstance(spec, dict) else {"terms": spec}
+        assert _history_outcome(doc) == _per_entry_outcome(doc)
 
     def test_several_bad_terms_name_the_first(self):
         # read together, term 2's short slot list fails first; read term by
