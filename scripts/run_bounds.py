@@ -25,7 +25,7 @@ from qhist import (
 )
 from qhist.bell import CHAINED, INDEPENDENT
 from qhist.linalg import maximally_mixed
-from qhist.serialize import document, dumps_json, to_jsonable
+from qhist.serialize import dumps_report
 
 SQRT2 = math.sqrt(2.0)
 # largest |value - target| a row may show; every row is within 3.6e-15 today
@@ -48,20 +48,21 @@ def main(argv=None) -> int:
                         help="directory for JSON copies of each report")
     args = parser.parse_args(argv)
 
-    docs = {}
+    # stem: (report name, artifacts), written by dumps_report
+    reports = {}
     errors = {}
 
     print("classical comparator")
     bound = classical_bound_bruteforce()
     row(errors, "deterministic CHSH maximum", bound, 2.0)
-    docs["classical"] = document("classical-bound", {"value": bound})
+    reports["classical"] = ("classical-bound", {"value": bound})
 
     print("optimized temporal functional")
     opt = optimize_settings("s_lgi")
     row(errors, "best value over Bloch settings", opt.value, 2.0 * SQRT2)
     row(errors, "certified upper bound", opt.certified_bound, 2.0 * SQRT2)
     print(f"  converged={opt.converged} after {opt.evaluations} evaluations")
-    docs["optimize"] = document(
+    reports["optimize"] = (
         "optimize", {"value": opt.value, "certified_bound": opt.certified_bound,
                      "converged": opt.converged, "evaluations": opt.evaluations,
                      "angles": opt.angles})
@@ -71,7 +72,7 @@ def main(argv=None) -> int:
     for mode in (INDEPENDENT, CHAINED):
         res = monogamy_sum(maximally_mixed(2), a, b, c, mode=mode)
         row(errors, f"{mode} total", res.total, 4.0 * SQRT2)
-        docs[f"monogamy-{mode}"] = document(
+        reports[f"monogamy-{mode}"] = (
             "monogamy", {"mode": mode, "total": res.total,
                          "spatial_reference": res.spatial_reference})
     print(f"  spatial reference cap: {4.0}")
@@ -86,13 +87,13 @@ def main(argv=None) -> int:
                            "quantum_bound": res.quantum_bound,
                            "classical_bound": res.classical_bound,
                            "classical_bruteforce": chained_classical_bound(n)})
-    docs["chained"] = document("chained", {"rows": to_jsonable(chain_rows)})
+    reports["chained"] = ("chained", {"rows": chain_rows})
 
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)
-        for stem, doc in docs.items():
+        for stem, report in reports.items():
             path = args.out / f"{stem}.json"
-            path.write_text(dumps_json(doc))
+            path.write_text(dumps_report(*report))
             print(f"wrote {path}")
     failed = [(label, err) for label, err in errors.items() if not err <= TOLERANCE]
     for label, err in failed:

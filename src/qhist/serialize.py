@@ -21,22 +21,17 @@ then per term its coefficient and slot operators, read from ``_coefs`` and
 mixture's whole ensemble each take one ``%`` call on a template of their
 shape and indentation, ``%r`` (``float.__repr__``, json's text for a finite
 float) per leaf, with no nested list built.  A leaf that is not finite sends
-the object to its mapping, or an array to the plain writer below, which
-write json's ``NaN``.  Templates of at most ``_CACHED_LEAVES`` leaves are
-kept.  ``document`` and ``to_jsonable``, the plain documents that API callers
-read, are that text parsed back by ``json.loads``, so they hold exact JSON
-types with sorted keys.
+the object to its mapping, or an array to its nested lists, whose floats
+are then written one by one as json writes them (``NaN``).  Templates of at
+most ``_CACHED_LEAVES`` leaves are kept.  ``document`` and ``to_jsonable``,
+the plain documents that API callers read, are that text parsed back by
+``json.loads``, so they hold exact JSON types with sorted keys.  A document
+that a caller built is written by ``json.dumps`` itself (``dumps_json``).
 
 A value's rows are those of its JSON document: keys joined by "." and
 "[i]", numbers as ``format_number`` prints them.  An array's leaves, and the
 values of a list or mapping that are all numbers (an outcome table, an
 [re, im] pair), are written in one pass; all rows take one join.
-
-``dumps_json`` writes a plain document that a caller built exactly as
-``json.dumps(doc, indent=2, sort_keys=True)`` would, without visiting values
-one by one in Python: a uniform float block (lists or tuples nested to one
-depth, one length per level, every leaf an exact, finite ``float``) is one
-``%`` call on its template, and any other container is joined once.
 
 An outcome table (``twostate._Table``) is read-only and maps '+'/'-' strings
 in sorted order to exact, finite floats.  Its JSON and its
@@ -53,10 +48,8 @@ or Bloch angles {"theta": t, "phi": p}; unitaries may be named
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
-import io
 import itertools
 import json
 import math
@@ -111,15 +104,10 @@ MAX_SLOT_DIM = 64
 # templates
 
 
-# json's own text for anything that is not a container: its C encoder writes
-# ints, bools, None, non-finite floats and float subclasses as indent=2 does,
-# and raises TypeError for an object that is not JSON
+# json's own text for a float that is not finite (NaN, Infinity, -Infinity)
 _encode_scalar = json.JSONEncoder().encode
 _encode_str = json.encoder.encode_basestring_ascii
 
-# a uniform float block deeper than this (or a list that holds itself) takes
-# the per-item route, where json's own recursion rules apply
-_MAX_BLOCK_DEPTH = 16
 # templates of at most this many leaves are kept; a larger one costs less to
 # build than to fill, and a 256 x 256 x 2 one takes 2.5 MB
 _CACHED_LEAVES = 2048
@@ -201,7 +189,7 @@ def _float_text(x, indent: str) -> str:
 
 def _complex_text(z, indent: str) -> str:
     z = complex(z)
-    return _write([z.real, z.imag], indent)
+    return _sequence_text([z.real, z.imag], indent)
 
 
 def _float_array(a: np.ndarray) -> np.ndarray:
@@ -218,12 +206,12 @@ def _float_array(a: np.ndarray) -> np.ndarray:
 def _array_text(a: np.ndarray, indent: str) -> str:
     """Nested floats, or [re, im] pairs for a complex vector or matrix: one
     fill of the shape's template, or, with an empty axis or a leaf that is
-    not finite, the plain writer's text."""
+    not finite, the text of its nested lists."""
     a = _float_array(a)
     leaves = tuple(a.ravel().tolist())
     if a.ndim and leaves and math.isfinite(sum(leaves)):
         return _fill(_template, (a.shape,), indent, leaves)
-    return _write(a.tolist(), indent)
+    return _text(a.tolist(), indent)
 
 
 def _sequence_text(items, indent: str) -> str:
@@ -442,76 +430,10 @@ def scenario_document(result: ScenarioResult) -> dict:
     return document(result.name, result.artifacts, result.notes)
 
 
-# ---------------------------------------------------------------------------
-# writing plain documents
-
-
-def _block(items):
-    """(shape, leaves) of a uniform float block: nonempty lists and tuples
-    nested to one depth with one length per level, every leaf an exact, finite
-    ``float`` (a subclass such as ``np.float64`` prints as json prints it, not
-    as ``float.__repr__``).  None for anything else."""
-    shape = [len(items)]
-    while len(shape) <= _MAX_BLOCK_DEPTH:
-        kinds = set(map(type, items))
-        if kinds == {float}:
-            return (tuple(shape), tuple(items)) if math.isfinite(sum(items)) else None
-        if not kinds <= {list, tuple}:
-            return None
-        lengths = set(map(len, items))
-        if len(lengths) != 1 or 0 in lengths:
-            return None
-        shape.append(lengths.pop())
-        items = list(itertools.chain.from_iterable(items))
-    return None
-
-
-def _texts(items, indent: str):
-    """JSON texts of a container's items: one C-level map when they are all
-    strings, one ``_write`` each otherwise (a list of floats is a block
-    already, and json's text of an exact finite float is ``float.__repr__``)."""
-    if set(map(type, items)) == {str}:
-        return map(_encode_str, items)
-    return [_write(x, indent) for x in items]
-
-
-def _write(obj, indent: str) -> str:
-    """A plain document ``obj`` as indent=2, sort_keys JSON; ``indent`` is the
-    newline and spaces that open a line at the level of ``obj``."""
-    if isinstance(obj, str):
-        return _encode_str(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        block = _block(obj)
-        if block is not None:
-            shape, leaves = block
-            return _fill(_template, (shape,), indent, leaves)
-        return _list_text(_texts(obj, indent + "  "), indent)
-    if isinstance(obj, dict):
-        if type(obj) is _Table:
-            return _table_text(obj, indent)
-        if not obj:
-            return "{}"
-        keys = sorted(obj)
-        return _dict_text(map(_encode_str, keys), _texts(list(map(obj.__getitem__, keys)), indent + "  "), indent)
-    return _encode_scalar(obj)
-
-
 def dumps_json(doc: dict) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline, byte for byte.
-
-    ``indent`` sends ``json`` to its pure-Python encoder, which visits every
-    value of a 2**n-row table in Python; this writer fills each uniform
-    float block's template in one ``%`` call and joins every other container
-    once instead.  What it cannot write (keys that are not strings, objects
-    that are not JSON, nesting past the recursion limit) goes to ``json``
-    itself, so json's text or error is the result there too.
-    """
-    try:
-        return _write(doc, "\n") + "\n"
-    except (TypeError, RecursionError):
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """A plain document that a caller built, as ``json.dumps(doc, indent=2,
+    sort_keys=True)`` plus a newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -546,17 +468,15 @@ def distribution_csv(dist: OutcomeDistribution) -> str:
 
 
 def trace_csv(result: OptimizeResult) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    n_pairs = len(result.angles) // 2
+    """One row per evaluation: its count, its angles and its value, numbers as
+    ``format_number`` writes them, which need no quoting, in one join."""
     header = ["evaluation"]
-    for i in range(n_pairs):
+    for i in range(len(result.angles) // 2):
         header += [f"theta_{i}", f"phi_{i}"]
     header.append("value")
-    writer.writerow(header)
-    for neval, angles, value in result.trace:
-        writer.writerow([neval, *[format_number(a) for a in angles], format_number(value)])
-    return buf.getvalue()
+    rows = [header] + [[str(neval), *map(format_number, angles), format_number(value)]
+                       for neval, angles, value in result.trace]
+    return "\r\n".join(map(",".join, rows)) + "\r\n"
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from qhist import (
     chained_bell,
     hs_inner,
     normalize,
+    optimize_settings,
     run_scenario,
     tsirelson_settings,
     s_lgi,
@@ -44,7 +45,6 @@ from qhist.serialize import (
     MAX_HISTORY_TERMS,
     MAX_SLOT_DIM,
     SpecError,
-    _block,
     bell_spec_from_document,
     distribution_csv,
     document,
@@ -217,7 +217,7 @@ class TestHistoryStateEncoder:
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_the_term_by_term_document(self, seed):
         for h in _encoder_cases(np.random.default_rng(seed)):
-            text = dumps_json(to_jsonable(h))
+            text = serialize._text(h, "\n") + "\n"
             assert "terms" not in vars(h)  # no ElementaryHistory is built
             assert text == dumps_json(_by_term(h))
 
@@ -307,10 +307,15 @@ class TestOneWalk:
         rows[1, 5] = complex(math.nan, -math.inf)
         h = HistoryState._from_rows(grid, [1.0, complex(-0.0, 2.0)], rows, distinct=True)
         matrix = np.array([[1.0, math.nan], [math.inf, -0.0]], dtype=complex)
+        # a complex scalar and matrix with every part NaN, +-inf or -0.0, two levels down
+        parts = [math.nan, math.inf, -math.inf, -0.0, 0.5]
+        deep = [complex(math.nan, -0.0), {"matrix": np.array([[complex(re, im) for im in parts] for re in parts])}]
         report = ("nan", {"state": h, "matrix": matrix, "pair": complex(math.inf, 0.5),
-                          "consistency": ConsistencyReport(True, matrix.real, math.nan, 0.0)}, ())
-        assert dumps_report(*report) == _oracle_text(report)
-        assert "NaN" in dumps_report(*report)
+                          "consistency": ConsistencyReport(True, matrix.real, math.nan, 0.0),
+                          "nested": {"deep": deep}}, ())
+        text = dumps_report(*report)
+        assert text == _oracle_text(report)
+        assert "NaN" in text and "-Infinity" in text and "-0.0" in text
         _assert_flat_match_the_oracle(report)
 
     def test_a_repeated_object_is_written_once(self, monkeypatch):
@@ -413,11 +418,20 @@ def _json_oracle(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _walk_text(doc) -> str:
+    """The one-walk writer's text of a plain document, plus a newline."""
+    return serialize._text(doc, "\n") + "\n"
+
+
 class TestJsonWriter:
+    """The walk writes a plain document as ``json.dumps`` does: str keys,
+    mixed lists, tuples, int subclasses, np.float64, NaN, infinities and
+    ragged blocks included."""
+
     @settings(max_examples=300, deadline=None)
     @given(_JSON_DOCS)
     def test_matches_json_dumps(self, doc):
-        assert dumps_json(doc) == _json_oracle(doc)
+        assert _walk_text(doc) == _json_oracle(doc)
 
     def test_report_documents_match_json_dumps(self):
         firsts, seconds = tsirelson_settings()
@@ -429,7 +443,7 @@ class TestJsonWriter:
             document("abl", {"distribution": OutcomeDistribution(tuple("WXYZ"), table)}),
         ]
         for doc in docs:
-            assert dumps_json(doc) == _json_oracle(doc)
+            assert _walk_text(doc) == dumps_json(doc) == _json_oracle(doc)
 
     @pytest.mark.parametrize("shape", [(2,), (1, 2), (3, 2, 2), (30, 50, 2)])
     def test_one_block_shape_at_two_indents(self, rng, shape):
@@ -437,16 +451,17 @@ class TestJsonWriter:
         # one indent must not be reused at another
         block = rng.normal(size=shape).tolist()
         doc = {"a": block, "b": {"c": [block, {"d": block}]}, "e": [[block]]}
-        assert dumps_json(doc) == _json_oracle(doc)
-        assert dumps_json(doc) == _json_oracle(doc)
+        assert _walk_text(doc) == _json_oracle(doc)
+        assert _walk_text(doc) == _json_oracle(doc)
 
     def test_uniform_blocks(self):
-        assert _block([[1.0, 2.0], (3.0, 4.0)]) == ((2, 2), (1.0, 2.0, 3.0, 4.0))
-        assert _block(([[0.5]],)) == ((1, 1, 1), (0.5,))
-        # ragged, empty, non-finite or not exact floats: the per-item route
-        for items in ([[1.0], [2.0, 3.0]], [[1.0], [2.0, 3.0], [4.0, 5.0, 6.0]], [[], []], [[1.0], 2.0],
-                      [1.0, math.nan], [[math.inf]], [np.float64(1.0)], [1.0, 1], [True], [[1.0], "a"]):
-            assert _block(items) is None
+        # uniform float blocks, and lists that are ragged, empty, not finite or
+        # not exact floats, each at the top and one level down
+        for items in ([[1.0, 2.0], (3.0, 4.0)], ([[0.5]],), [[1.0], [2.0, 3.0]],
+                      [[1.0], [2.0, 3.0], [4.0, 5.0, 6.0]], [[], []], [[1.0], 2.0], [1.0, math.nan],
+                      [[math.inf]], [np.float64(1.0)], [1.0, 1], [True], [[1.0], "a"]):
+            for doc in (items, {"k": items}):
+                assert _walk_text(doc) == dumps_json(doc) == _json_oracle(doc)
 
     @pytest.mark.parametrize("depth", [15, 16, 17, 40])
     def test_deep_blocks(self, depth):
@@ -455,7 +470,7 @@ class TestJsonWriter:
             doc = [doc, doc]
             if len(json.dumps(doc)) > 1 << 16:
                 doc = [doc[0]]
-        assert dumps_json(doc) == _json_oracle(doc)
+        assert _walk_text(doc) == _json_oracle(doc)
 
     def test_keys_json_converts_go_to_json(self):
         doc = {"a": {2: [1.5], 1: None, 0.5: "x"}, "b": {True: 1}}
@@ -496,7 +511,7 @@ class TestJsonWriter:
             else:
                 oracle = [float(x) for x in a.ravel()] if a.ndim == 1 else [[float(x) for x in row] for row in a]
             assert json.dumps(doc) == json.dumps(oracle)
-            assert dumps_json(document("a", {"a": a})) == _json_oracle(document("a", {"a": oracle}))
+            assert dumps_report("a", {"a": a}) == _json_oracle({"artifacts": {"a": oracle}, "name": "a", "notes": []})
             leaves = doc if a.ndim == 1 else list(itertools.chain.from_iterable(doc))
             if np.iscomplexobj(a):
                 leaves = list(itertools.chain.from_iterable(leaves))
@@ -586,13 +601,22 @@ class TestCSV:
         assert distribution_csv(dist) == _csv_writer_rows(dist.table)
 
     def test_trace_csv_columns(self):
-        from qhist import optimize_settings
-
         res = optimize_settings("s_lgi")
         rows = list(csv.reader(io.StringIO(trace_csv(res))))
         assert rows[0][0] == "evaluation"
         assert rows[0][-1] == "value"
         assert len(rows) >= 2
+
+    def test_trace_csv_matches_a_csv_writer(self, rng):
+        # a many-row trace whose numbers round at 12 digits, some not finite
+        angles = [tuple(rng.normal(size=4).tolist()) for _ in range(30)]
+        angles[3] = (math.nan, math.inf, -math.inf, -0.0)
+        trace = tuple((np.int64(n) if n % 2 else n, a, float(rng.normal()) / 3.0) for n, a in enumerate(angles, 1))
+        res = dataclasses.replace(optimize_settings("monogamy_sum"), angles=angles[-1], trace=trace)
+        buf = io.StringIO()
+        csv.writer(buf).writerows([["evaluation", "theta_0", "phi_0", "theta_1", "phi_1", "value"]] + [
+            [n, *map(format_number, a), format_number(v)] for n, a, v in trace])
+        assert trace_csv(res) == buf.getvalue()
 
     def test_pretty_output_mentions_notes(self):
         res = run_scenario("two-time-hab")
@@ -638,7 +662,7 @@ class TestKernelTableRoute:
         doc = document("abl", {"distribution": dist})
         plain = document("abl", {"distribution": _plain(dist)})
         assert type(plain["artifacts"]["distribution"]["table"]) is dict
-        assert dumps_json(doc) == _json_oracle(plain)
+        assert dumps_report("abl", {"distribution": dist}) == _json_oracle(plain)
         assert distribution_csv(dist) == _csv_writer_rows(dist.table)
         assert dumps_pretty(doc) == dumps_pretty(plain)
 
@@ -657,7 +681,7 @@ class TestKernelTableRoute:
         assert {type(v) for v in dist.table.values()} == {float}
         doc = document("abl", {"distribution": dist})
         plain = document("abl", {"distribution": {"settings": ["S"] * n, "table": table}})
-        assert dumps_json(doc) == _json_oracle(plain) == _json_oracle(doc)
+        assert dumps_report("abl", {"distribution": dist}) == _json_oracle(plain) == _json_oracle(doc)
         assert distribution_csv(dist) == _csv_writer_rows(table)
         assert dumps_pretty(doc) == dumps_pretty(plain)
 
