@@ -51,7 +51,6 @@ from .twostate import MeasurementSetting
 __all__ = [
     "CLASSICAL_BOUND",
     "TSIRELSON_BOUND",
-    "CorrelatorSpec",
     "BellReport",
     "MonogamyResult",
     "ChainedResult",
@@ -73,8 +72,9 @@ __all__ = [
 CLASSICAL_BOUND = 2.0
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
-# Largest chain length chained_bell accepts.  The block is evaluated once, so
-# the only cost that grows with n is the report: n copies of the block.
+# Largest chain length chained_bell, chained_classical_bound and
+# optimize_settings accept.  chained_bell evaluates its block once, so the
+# only cost there that grows with n is the report: n copies of the block.
 MAX_CHAIN_BLOCKS = 1000
 
 INDEPENDENT = "independent_ensembles"
@@ -93,25 +93,6 @@ def _check_unitary(u, d: int, what: str = "unitary") -> np.ndarray:
     if u.shape != (d, d):
         raise ShapeError(f"{what} must be {d}x{d}")
     return check_unitary(u, what)
-
-
-@dataclass(frozen=True)
-class CorrelatorSpec:
-    """Settings and dynamics for one two-time Bell functional, which ``s_lgi``
-    evaluates on independent ensembles; ``unitary`` is one matrix or None."""
-
-    initial: np.ndarray
-    first_settings: tuple[MeasurementSetting, MeasurementSetting]
-    second_settings: tuple[MeasurementSetting, MeasurementSetting]
-    unitary: np.ndarray | None = None
-
-    def __post_init__(self):
-        rho = density_operator(self.initial)
-        rho.setflags(write=False)
-        object.__setattr__(self, "initial", rho)
-        u = np.array(_check_unitary(self.unitary, rho.shape[0]))
-        u.setflags(write=False)
-        object.__setattr__(self, "unitary", u)
 
 
 @dataclass(frozen=True)
@@ -183,11 +164,21 @@ def _report(table, settings, mode: str) -> BellReport:
     return BellReport(table, value, CLASSICAL_BOUND, TSIRELSON_BOUND, tuple(s.label for s in settings), mode)
 
 
-def s_lgi(spec: CorrelatorSpec) -> BellReport:
+def s_lgi(
+    initial,
+    first_settings: Sequence[MeasurementSetting],
+    second_settings: Sequence[MeasurementSetting],
+    unitary=None,
+) -> BellReport:
     """S = c11 + c12 + c21 - c22 for the given settings, each correlator on a
-    fresh ensemble: the report's mode is always independent_ensembles."""
-    table = _tables(spec.initial, _pairs(spec.first_settings), spec.unitary, _pairs(spec.second_settings))
-    return _report(table, spec.first_settings + spec.second_settings, INDEPENDENT)
+    fresh ensemble: the report's mode is always independent_ensembles.  The
+    state and the one unitary (None: the identity) are checked as
+    ``temporal_correlator`` checks them."""
+    rho = density_operator(initial)
+    u = _check_unitary(unitary, rho.shape[0])
+    first_settings, second_settings = tuple(first_settings), tuple(second_settings)
+    table = _tables(rho, _pairs(first_settings), u, _pairs(second_settings))
+    return _report(table, first_settings + second_settings, INDEPENDENT)
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +217,9 @@ def chained_classical_bound(n: int, coefficients=((1, 1), (1, -1))) -> float:
     additions per block instead of all 4^(n+1) strategies.  Totals add block
     values left to right, as a direct sum over one strategy does, and
     floating-point addition is monotone, so the result is exactly the maximum
-    over all strategies.
+    over all strategies.  At most MAX_CHAIN_BLOCKS blocks.
     """
-    if n < 1:
-        raise ValueError("need at least one block")
+    _check_chain_length(n)
     block = _block_values(coefficients)
     best = [0.0] * len(_STRATEGIES)
     for _ in range(n):
@@ -322,7 +312,7 @@ def chained_bell(
     """
     _check_chain_length(n)
     rho = maximally_mixed(2) if initial is None else initial
-    report = s_lgi(CorrelatorSpec(rho, tuple(first_settings), tuple(second_settings), unitary))
+    report = s_lgi(rho, first_settings, second_settings, unitary)
     return ChainedResult((report,) * n, _chain_total(report.value, n), 2.0 * n, TSIRELSON_BOUND * n)
 
 
@@ -476,7 +466,7 @@ def optimize_settings(
     angles = tuple(float(a) for a in _angles(x))
     s = settings_from_angles(angles)
     if objective == "s_lgi":
-        value = s_lgi(CorrelatorSpec(rho, s[0:2], s[2:4])).value
+        value = s_lgi(rho, s[0:2], s[2:4]).value
     elif objective == "chained_bell":
         value = chained_bell(n, s[0:2], s[2:4], rho).total
     else:

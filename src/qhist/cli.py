@@ -25,7 +25,6 @@ from .bell import (
     CHAINED,
     INDEPENDENT,
     MAX_CHAIN_BLOCKS,
-    CorrelatorSpec,
     chained_bell,
     monogamy_preset_settings,
     monogamy_sum,
@@ -37,7 +36,7 @@ from .errors import ImpossiblePostselectionError
 from .histories import _term_consistency, hs_norm, weight
 from .linalg import maximally_mixed
 from .scenarios import SCENARIOS, run_scenario
-from .twostate import TwoTimeExperiment, _check_abl, mixed_sequence_distribution, sequence_distribution
+from .twostate import mixed_sequence_distribution, sequence_distribution
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -119,7 +118,8 @@ def _run_scenario(args):
             raise serialize.SpecError(f"{flag} must be a finite number, got {value}")
         kwargs[keyword] = value
     if args.name == "temporal-ghz" and args.alpha is not None and args.beta is None:
-        kwargs["beta"] = math.sqrt(max(0.0, 1.0 - args.alpha**2))
+        # the unit-norm complement; an |alpha| above 1 has none, and the scenario rejects it
+        kwargs["beta"] = math.sqrt(max(0.0, 1.0 - args.alpha**2)) if abs(args.alpha) <= 1.0 else 0.0
     result = run_scenario(args.name, **kwargs)
     return (result.name, result.artifacts, result.notes), None, EXIT_OK
 
@@ -135,7 +135,7 @@ def _bell_inputs(args) -> tuple:
 
 def _run_lgi(args):
     initial, pairs, unitaries, _ = _bell_inputs(args)
-    report = s_lgi(CorrelatorSpec(initial, *pairs, *unitaries))
+    report = s_lgi(initial, *pairs, *unitaries)
     return ("lgi", report, ()), None, EXIT_OK
 
 
@@ -179,22 +179,20 @@ def _run_abl(args):
         raise serialize.SpecError("--outcome needs --slot")
     doc = serialize.load_document(args.spec)
     parsed = serialize.experiment_from_document(doc)
+    slots, unitaries, post = parsed["slots"], parsed["unitaries"], parsed["post"]
     artifacts: dict = {}
     if parsed["initial"] == "mixed":
         if args.slot is not None:
             raise serialize.SpecError("single-slot probability needs a pure 'pre' state")
-        dist = mixed_sequence_distribution(
-            maximally_mixed(2), parsed["slots"],
-            unitaries=parsed["unitaries"], post=parsed["post"],
-        )
+        dist = mixed_sequence_distribution(maximally_mixed(2), slots, unitaries, post)
     else:
-        exp = TwoTimeExperiment.build(
-            parsed["pre"], parsed["slots"], post=parsed["post"],
-            unitaries=parsed["unitaries"],
-        )
         if args.slot is not None:
-            _check_abl(exp, args.slot)  # the slot's checks, before the table
-        dist = sequence_distribution(exp)
+            # the single-slot (ABL) probability's preconditions, before any table
+            if post is None:
+                raise ValueError("a post-selection is required")
+            if tuple(i for i, s in enumerate(slots) if s is not None) != (args.slot,):
+                raise ValueError("exactly one measured slot, matching `slot`, is required")
+        dist = sequence_distribution(parsed["pre"], slots, unitaries, post)
         if args.slot is not None:
             # the slot's ABL probability, read off the one table
             outcome = args.outcome or "+"

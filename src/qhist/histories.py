@@ -378,10 +378,6 @@ class HistoryState:
     def from_slots(cls, grid: TimeGrid, ops: Sequence, coefficient: complex = 1.0) -> "HistoryState":
         return cls(((coefficient, ElementaryHistory(grid, tuple(ops))),))
 
-    @classmethod
-    def from_elementary(cls, eh: ElementaryHistory, coefficient: complex = 1.0) -> "HistoryState":
-        return cls(((coefficient, eh),))
-
     def __add__(self, other: "HistoryState") -> "HistoryState":
         _require_same_grid(self.grid, other.grid)
         return HistoryState._from_rows(self.grid, self._coefs.tolist() + other._coefs.tolist(),
@@ -446,7 +442,7 @@ def _as_state(h) -> HistoryState:
     if isinstance(h, HistoryState):
         return h
     if isinstance(h, ElementaryHistory):
-        return HistoryState.from_elementary(h)
+        return HistoryState(((1.0, h),))
     raise TypeError(f"expected a history, got {type(h).__name__}")
 
 

@@ -95,7 +95,8 @@ def temporal_ghz(n_slots: int = 3, alpha: complex = _INV_SQRT2, beta: complex = 
         raise ValueError("need at least two slots")
     if n_slots > MAX_GHZ_SLOTS:
         raise ValueError(f"n_slots above {MAX_GHZ_SLOTS} is not supported")
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:
+    # an amplitude above 1 in modulus is rejected before it is squared
+    if abs(alpha) > 1.0 or abs(beta) > 1.0 or abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:
         raise ValueError("|alpha|^2 + |beta|^2 must equal 1")
 
     grid = TimeGrid.regular(n_slots)

@@ -1,10 +1,11 @@
 """Pre/post-selected measurement sequences and their probability rules.
 
-A two-time experiment fixes a pre-selected ket, an optional post-selected ket,
-an ordered row of intermediate measurement slots (dichotomic observables or
-None for unmeasured), and one interval unitary per gap, including the gaps
-before the first slot and after the last.  Probabilities come in two distinct
-semantics that this module keeps separate on purpose:
+A two-time experiment is a pre-selected ket (or an initial density operator),
+an optional post-selected ket, an ordered row of intermediate measurement
+slots (dichotomic observables or None for unmeasured), and one interval
+unitary per gap, including the gaps before the first slot and after the last.
+The distributions take these as arguments and check them.  Probabilities come
+in two distinct semantics that this module keeps separate on purpose:
 
 * amplitude chains (pre/post-conditioned, interference between slots), and
 * sequential collapse chains on density operators (nonselective updates).
@@ -39,7 +40,6 @@ from .linalg import as_ket, as_matrix, density_operator, dichotomic_projectors, 
 __all__ = [
     "MeasurementSetting",
     "bloch_observables",
-    "TwoTimeExperiment",
     "OutcomeDistribution",
     "sequence_distribution",
     "mixed_sequence_distribution",
@@ -150,39 +150,6 @@ def bloch_observables(angles) -> np.ndarray:
     return sin_t * cos_p * pauli("X") + sin_t * sin_p * pauli("Y") + cos_t * pauli("Z")
 
 
-@dataclass(frozen=True)
-class TwoTimeExperiment:
-    """Pre-selected ket, optional post-selection, slots, interval unitaries."""
-
-    pre: np.ndarray
-    post: Optional[np.ndarray]
-    slots: tuple[Optional[MeasurementSetting], ...]
-    unitaries: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        pre = as_ket(self.pre, normalized=True)
-        pre.setflags(write=False)
-        object.__setattr__(self, "pre", pre)
-        post = self.post
-        if post is not None:
-            post = as_ket(post, normalized=True)
-            post.setflags(write=False)
-            if post.size != pre.size:
-                raise ShapeError("post ket dimension does not match the pre ket")
-        object.__setattr__(self, "post", post)
-        slots = tuple(self.slots)
-        object.__setattr__(self, "slots", slots)
-        object.__setattr__(self, "unitaries", _checked_row(pre.size, slots, self.unitaries))
-
-    @classmethod
-    def build(cls, pre, slots, post=None, unitaries=None) -> "TwoTimeExperiment":
-        return cls(pre, post, tuple(slots), unitaries)
-
-    @property
-    def measured_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, s in enumerate(self.slots) if s is not None)
-
-
 def _read_only(self, *args, **kwargs):
     raise TypeError("an outcome table is read-only")
 
@@ -274,16 +241,21 @@ def _checked_row(d: int, slots, unitaries) -> tuple[np.ndarray, ...]:
     return tuple(stack)
 
 
-def _measured_labels(slots) -> tuple[str, ...]:
+def _outcome_table(start, rho, slots, unitaries, post, state: str) -> OutcomeDistribution:
+    """Tr(K rho K^dag), normalized, over the chains K (or <post|K) from ``start``
+    through the slot row, after checking ``post`` (``state`` names the start
+    in its dimension error), the row (``_checked_row``) and that at least one
+    slot is measured, in that order."""
+    d = start.shape[0]
+    if post is not None:
+        post = as_ket(post, normalized=True)
+        if post.size != d:
+            raise ShapeError(f"post ket dimension does not match {state}")
+    slots = tuple(slots)
+    unitaries = _checked_row(d, slots, unitaries)
     labels = tuple(s.label for s in slots if s is not None)
     if not labels:
         raise ValueError("at least one measured slot is required")
-    return labels
-
-
-def _collapse_table(labels, start, rho, unitaries, slots, post) -> OutcomeDistribution:
-    """Tr(K rho K^dag), normalized, over the chains K (or <post|K) from ``start``
-    through a checked slot row; a pure table starts from its ket, rho = [[1]]."""
     row = tuple(None if s is None else s.projectors()[None] for s in slots) + (None,)
     strings, chains = _chains(start, unitaries, row)
     chains = chains[..., 0]
@@ -293,15 +265,22 @@ def _collapse_table(labels, start, rho, unitaries, slots, post) -> OutcomeDistri
     return _normalized(strings, np.maximum(_collapse_weights(chains, rho), 0.0), labels)
 
 
-def sequence_distribution(exp: TwoTimeExperiment) -> OutcomeDistribution:
+def sequence_distribution(
+    pre,
+    slots: Sequence[Optional[MeasurementSetting]],
+    unitaries: Sequence | None = None,
+    post=None,
+) -> OutcomeDistribution:
     """Amplitude-chain distribution over outcome strings of the measured slots.
 
-    With a post-selection the weight of a string is the squared modulus of the
-    bra-projector-chain-ket amplitude; without one it is the squared norm of
-    the collapsed vector, which equals the complete sum over any final basis.
+    ``pre`` must be a normalized ket.  With a post-selection the weight of a
+    string is the squared modulus of the bra-projector-chain-ket amplitude;
+    without one it is the squared norm of the collapsed vector, which equals
+    the complete sum over any final basis.  It is the rank-one case of
+    ``mixed_sequence_distribution``: the chains start from the ket, rho = [[1]].
     """
-    labels = _measured_labels(exp.slots)
-    return _collapse_table(labels, exp.pre[:, None], np.ones((1, 1), complex), exp.unitaries, exp.slots, exp.post)
+    pre = as_ket(pre, normalized=True)
+    return _outcome_table(pre[:, None], np.ones((1, 1), complex), slots, unitaries, post, "the pre ket")
 
 
 def mixed_sequence_distribution(
@@ -313,31 +292,11 @@ def mixed_sequence_distribution(
     """Sequential-collapse distribution starting from a density operator.
 
     ``rho0`` is checked as the Bell functionals check their initial state
-    (square, unit trace, Hermitian), and the slot row as
-    ``TwoTimeExperiment`` checks it: slot dimensions, one interval unitary
-    per gap, and unitarity.
+    (square, unit trace, Hermitian); ``post``, the slot row and the measured
+    slots as ``sequence_distribution`` checks them.
     """
     rho0 = density_operator(rho0)
-    d = rho0.shape[0]
-    slots = tuple(slots)
-    unitaries = _checked_row(d, slots, unitaries)
-    labels = _measured_labels(slots)
-    if post is not None:
-        post = as_ket(post, normalized=True)
-        if post.size != d:
-            raise ShapeError("post ket dimension does not match the state")
-    return _collapse_table(labels, identity(d), rho0, unitaries, slots, post)
-
-
-def _check_abl(exp: TwoTimeExperiment, slot: int) -> None:
-    """The preconditions of a single-slot pre/post-conditioned (ABL)
-    probability, checked before any table is built: a post-selection and
-    exactly one measured slot, ``slot``.  The probability is then that
-    outcome's entry of ``sequence_distribution(exp)``."""
-    if exp.post is None:
-        raise ValueError("a post-selection is required")
-    if exp.measured_indices != (slot,):
-        raise ValueError("exactly one measured slot, matching `slot`, is required")
+    return _outcome_table(identity(rho0.shape[0]), rho0, slots, unitaries, post, "the state")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Shared fixtures and small experiment corpora used across test modules."""
 
 import math
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from qhist import (
     HistoryState,
     MeasurementSetting,
     TimeGrid,
-    TwoTimeExperiment,
     normalize,
 )
 from qhist import bell
@@ -62,7 +62,21 @@ def diagonal_branches(n_slots: int):
     return grid, up, down
 
 
-def experiment_corpus() -> list[TwoTimeExperiment]:
+class Experiment(NamedTuple):
+    """``sequence_distribution``'s arguments, in its order:
+    ``sequence_distribution(*exp)``."""
+
+    pre: np.ndarray
+    slots: tuple
+    unitaries: Optional[tuple] = None
+    post: Optional[np.ndarray] = None
+
+    @property
+    def measured_indices(self) -> tuple[int, ...]:
+        return tuple(i for i, s in enumerate(self.slots) if s is not None)
+
+
+def experiment_corpus() -> list[Experiment]:
     """Pre/post-selected experiments covering the shapes the tests exercise."""
     x = MeasurementSetting.from_pauli("X")
     y = MeasurementSetting.from_pauli("Y")
@@ -71,14 +85,13 @@ def experiment_corpus() -> list[TwoTimeExperiment]:
     kp = qubit_ket("+")
     eye = np.eye(2, dtype=complex)
     out = [
-        TwoTimeExperiment.build(k0, (x, x), post=k0),
-        TwoTimeExperiment.build(k0, (x, x), post=k1),
-        TwoTimeExperiment.build(k0, (x, y, z)),
-        TwoTimeExperiment.build(kp, (z, x), post=kp),
-        TwoTimeExperiment.build(k0, (x, None, z), unitaries=(eye, HADAMARD, HADAMARD, eye)),
-        TwoTimeExperiment.build(k0, (z, z), post=k0,
-                                unitaries=(HADAMARD, pauli("X"), HADAMARD)),
-        TwoTimeExperiment.build(qubit_ket("i+"), (y,), post=k0),
+        Experiment(k0, (x, x), post=k0),
+        Experiment(k0, (x, x), post=k1),
+        Experiment(k0, (x, y, z)),
+        Experiment(kp, (z, x), post=kp),
+        Experiment(k0, (x, None, z), unitaries=(eye, HADAMARD, HADAMARD, eye)),
+        Experiment(k0, (z, z), unitaries=(HADAMARD, pauli("X"), HADAMARD), post=k0),
+        Experiment(qubit_ket("i+"), (y,), post=k0),
     ]
     return out
 

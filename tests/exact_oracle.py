@@ -1,4 +1,4 @@
-"""Exact outcome tables from the package's own float inputs.
+"""Exact outcome tables and Bell values from the package's own float inputs.
 
 Every finite float is a rational number, so a table built from the kets,
 projectors and unitaries the package holds has one exact value.  This oracle
@@ -12,18 +12,24 @@ weight is Tr(K rho K^dag), or <post|K rho K^dag|post> with a post-selection;
 a pure pre-selection is rho = |pre><pre|.  The table is each weight over the
 weights' total.  Strings share their prefixes, so each state along the row is
 computed once.
+
+A two-time correlator is E = sum over a, b of a * b * Tr(P_b U P_a rho P_a
+U^dag P_b), and a pair functional's value S = E11 + E12 + E21 - E22; the
+chained reading's second pair takes rho' = U1 (1/|A|) sum over a in A and
++/- of P rho P U1^dag, rational as well (``bell_values``).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
-from qhist import serialize
-from qhist.linalg import as_ket, maximally_mixed
-from qhist.twostate import TwoTimeExperiment, _checked_row
+from qhist import cli, serialize
+from qhist.linalg import as_ket, identity, maximally_mixed
+from qhist.twostate import _checked_row
 
 ZERO = (Fraction(0), Fraction(0))
 
@@ -97,25 +103,75 @@ def exact_table(start, unitaries, pairs, post=None) -> dict[str, Fraction]:
 
 def spec_table(path) -> dict[str, Fraction]:
     """``exact_table`` of an ``abl`` spec file, from the inputs ``qhist abl``
-    builds: the checked experiment for a pure 'pre', or the maximally mixed
-    qubit, the checked row and the normalized post ket for a mixed one."""
+    builds: the normalized pre ket, or the maximally mixed qubit for a mixed
+    spec, the checked row and the normalized post ket."""
     parsed = serialize.experiment_from_document(serialize.load_document(str(path)))
     slots = parsed["slots"]
-    if parsed["initial"] == "mixed":
-        start = maximally_mixed(2)
-        unitaries = _checked_row(2, slots, parsed["unitaries"])
-        post = None if parsed["post"] is None else as_ket(parsed["post"], normalized=True)
-    else:
-        exp = TwoTimeExperiment.build(parsed["pre"], slots, post=parsed["post"], unitaries=parsed["unitaries"])
-        start, unitaries, post = exp.pre, exp.unitaries, exp.post
+    start = maximally_mixed(2) if parsed["initial"] == "mixed" else as_ket(parsed["pre"], normalized=True)
+    unitaries = _checked_row(len(start), slots, parsed["unitaries"])
+    post = None if parsed["post"] is None else as_ket(parsed["post"], normalized=True)
     pairs = [None if s is None else s.projectors() for s in slots]
     return exact_table(start, unitaries, pairs, post)
 
 
-def ulp_error(printed: float, exact: Fraction) -> float:
-    """|printed - exact| in ulps of the exact value (0 for an exact zero
-    printed as zero, inf for any other value printed for an exact zero)."""
+def _trace(r) -> Fraction:
+    return sum((r[i][i][0] for i in range(len(r))), Fraction(0))
+
+
+def _pair(rho, first, u, second) -> dict:
+    """The exact correlator table and value of one pair functional: exact
+    ``rho`` and ``u``, and the two parties' settings."""
+    table = []
+    for s in first:
+        # P_a rho P_a carried through U, for a = +1 then -1
+        after = [_conjugate(u, _conjugate(_exact(p), rho)) for p in s.projectors()]
+        table.append([
+            sum((a * b * _trace(_conjugate(_exact(q), r))
+                 for a, r in zip((1, -1), after) for b, q in zip((1, -1), t.projectors())), Fraction(0))
+            for t in second
+        ])
+    return {"correlators": table, "value": table[0][0] + table[0][1] + table[1][0] - table[1][1]}
+
+
+def bell_values(command: str, spec=None, n: int | None = None, mode: str = "independent") -> dict:
+    """Exact correlator tables and values of a ``qhist lgi``, ``chained`` or
+    ``monogamy`` report, laid out as its JSON artifacts, from the inputs the
+    command builds (its spec file, or its preset without one): a pair's
+    ``correlators`` and ``value``, a chain's ``block_reports`` and ``total``,
+    and a two-pair sum's ``first_pair``, ``second_pair`` and ``total``.
+    ``n`` overrides a chain's block count, as ``-n`` does."""
+    args = SimpleNamespace(command=command, spec=None if spec is None else str(spec))
+    rho, parties, unitaries, blocks = cli._bell_inputs(args)
+    d = rho.shape[0]
+    rho = _exact(rho)
+    us = [_exact(identity(d) if u is None else u) for u in unitaries]
+    first = _pair(rho, parties[0], us[0], parties[1])
+    if command == "lgi":
+        return first
+    if command == "chained":
+        blocks = blocks if n is None else n
+        return {"block_reports": [first] * blocks, "total": blocks * first["value"]}
+    if mode == "chained":
+        # rho' = U1 (1/|A|) sum of P rho P U1^dag over the first party's projectors
+        mixed = [[ZERO] * d for _ in range(d)]
+        for s in parties[0]:
+            for p in s.projectors():
+                kept = _conjugate(_matmul(us[0], _exact(p)), rho)
+                mixed = [[_add(x, y) for x, y in zip(row, new)] for row, new in zip(mixed, kept)]
+        m = len(parties[0])
+        rho = [[(x[0] / m, x[1] / m) for x in row] for row in mixed]
+    second = _pair(rho, parties[1], us[1], parties[2])
+    return {"first_pair": first, "second_pair": second, "total": first["value"] + second["value"]}
+
+
+def ulp_error(printed: float, exact: Fraction, zero_scale: float | None = None) -> float:
+    """|printed - exact| in ulps of the exact value.  An exact zero has no
+    ulp of its own: its error counts in ulps of ``zero_scale`` when one is
+    given (1.0 for a correlator, whose range is [-1, 1]), and is otherwise 0
+    for a zero printed as zero and inf for any other printed value."""
     err = abs(Fraction(printed) - exact)
     if exact == 0:
+        if zero_scale is not None:
+            return float(err / Fraction(math.ulp(zero_scale)))
         return 0.0 if err == 0 else math.inf
     return float(err / Fraction(math.ulp(float(exact))))

@@ -294,7 +294,7 @@ def object_trace_out(h, b, factor_dims, traced: int = 1, tol: float = 1e-9):
     terms = [(coefs[t, c], ElementaryHistory(sub_grid, tuple(reds[:, t, c])))
              for t, c in zip(*np.nonzero(live))]
     state = normalize(HistoryState(tuple(terms)))
-    family = [normalize(HistoryState.from_elementary(eh)) for _, eh in state.terms]
+    family = [normalize(HistoryState(((1.0, eh),))) for _, eh in state.terms]
     return state, is_consistent_family(family, induced)
 
 

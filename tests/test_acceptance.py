@@ -16,7 +16,6 @@ import pytest
 from qhist import (
     ImpossiblePostselectionError,
     MeasurementSetting,
-    TwoTimeExperiment,
     best_joint_bell_reduction_overlap,
     chained_bell,
     chained_classical_bound,
@@ -32,7 +31,7 @@ from qhist import (
 )
 from qhist.linalg import maximally_mixed, qubit_ket
 
-from conftest import consistent_family_corpus, experiment_corpus, random_dichotomic
+from conftest import Experiment, consistent_family_corpus, experiment_corpus, random_dichotomic
 from twostate_oracle import abl_probability, earlier_marginal_deviation, history_bundle
 
 SQRT2 = math.sqrt(2.0)
@@ -161,11 +160,11 @@ def test_09_conditional_probability_sanity():
     x = MeasurementSetting.from_pauli("X")
     z = MeasurementSetting.from_pauli("Z")
     k0, k1 = qubit_ket("0"), qubit_ket("1")
-    p = abl_probability(TwoTimeExperiment.build(k0, (x,), post=k0), 0, +1)
+    p = abl_probability(Experiment(k0, (x,), post=k0), 0, +1)
     err = abs(p - 0.5)
     raised = False
     try:
-        abl_probability(TwoTimeExperiment.build(k0, (z,), post=k1), 0, +1)
+        abl_probability(Experiment(k0, (z,), post=k1), 0, +1)
     except ImpossiblePostselectionError:
         raised = True
     ok = err < 1e-12 and raised
@@ -203,9 +202,7 @@ def test_11_earlier_marginals_ignore_later_settings_without_postselection():
     for initial in (qubit_ket("0"), qubit_ket("i+"), qubit_ket("+")):
         for first in (x, z):
             family = {
-                (first.label, second.label): sequence_distribution(
-                    TwoTimeExperiment.build(initial, (first, second))
-                )
+                (first.label, second.label): sequence_distribution(initial, (first, second))
                 for second in (x, y, z)
             }
             worst = max(worst, earlier_marginal_deviation(family))

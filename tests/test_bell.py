@@ -7,7 +7,6 @@ import pytest
 
 from qhist import (
     BellReport,
-    CorrelatorSpec,
     MeasurementSetting,
     OptimizerConfig,
     chained_bell,
@@ -77,19 +76,19 @@ class TestTemporalCorrelator:
 class TestSLGI:
     def test_preset_saturates_quantum_bound(self):
         firsts, seconds = tsirelson_settings()
-        rep = s_lgi(CorrelatorSpec(RHO, firsts, seconds))
+        rep = s_lgi(RHO, firsts, seconds)
         assert rep.value == pytest.approx(2.0 * SQRT2, abs=1e-12)
         assert rep.value > rep.classical_bound
         assert rep.value <= rep.quantum_bound + 1e-12
 
     def test_preset_correlator_table(self):
         firsts, seconds = tsirelson_settings()
-        rep = s_lgi(CorrelatorSpec(RHO, firsts, seconds))
+        rep = s_lgi(RHO, firsts, seconds)
         r = 1.0 / SQRT2
         assert np.allclose(rep.correlators, [[r, r], [r, -r]], atol=1e-12)
 
     def test_classical_settings_stay_at_two(self):
-        rep = s_lgi(CorrelatorSpec(RHO, (Z, Z), (Z, Z)))
+        rep = s_lgi(RHO, (Z, Z), (Z, Z))
         assert rep.value == pytest.approx(2.0, abs=1e-12)
 
     def test_report_consistency_enforced(self):
@@ -116,7 +115,7 @@ class TestSLGI:
             for b in named_seconds
         }
         table = table_from_distributions(dists)
-        direct = s_lgi(CorrelatorSpec(RHO, named_firsts, named_seconds))
+        direct = s_lgi(RHO, named_firsts, named_seconds)
         assert table[0, 0] + table[0, 1] + table[1, 0] - table[1, 1] == pytest.approx(direct.value, abs=1e-12)
         assert np.allclose(table, direct.correlators, atol=1e-12)
 
@@ -133,8 +132,13 @@ class TestClassicalBounds:
             assert chained_classical_bound(n) == 2.0 * n
 
     def test_chained_bound_validates(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^need at least one block$"):
             chained_classical_bound(0)
+
+    def test_chained_bound_length_is_bounded(self):
+        n = MAX_CHAIN_BLOCKS + 1
+        with pytest.raises(ValueError, match=f"^at most {MAX_CHAIN_BLOCKS} chained blocks are supported, got {n}$"):
+            chained_classical_bound(n)
 
 
 class TestChainedBell:
@@ -318,7 +322,7 @@ class TestSpectralStart:
         assert abs(res.value - target) <= 1e-14 * target  # n block values summed one by one
         s = res.settings
         if objective == "s_lgi":
-            want = s_lgi(CorrelatorSpec(rho, s[0:2], s[2:4])).value
+            want = s_lgi(rho, s[0:2], s[2:4]).value
         elif objective == "chained_bell":
             want = chained_bell(n, s[0:2], s[2:4], rho).total
         else:
@@ -441,7 +445,7 @@ class TestQuadraticFormAgainstKernel:
             form = float(np.einsum("ij,ik,jk->", q, x, x))
             s = settings_from_angles(angles)
             if objective == "s_lgi":
-                want = s_lgi(CorrelatorSpec(rho, s[0:2], s[2:4])).value
+                want = s_lgi(rho, s[0:2], s[2:4]).value
             elif objective == "chained_bell":
                 want = chained_bell(n, s[0:2], s[2:4], rho).total
             else:

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from qhist import (
-    CorrelatorSpec,
     MeasurementSetting,
     chained_bell,
     chained_classical_bound,
@@ -89,7 +88,7 @@ class TestKernelAgainstOracle:
             a, b, c = ([random_setting(rng, 2) for _ in range(2)] for _ in range(3))
             assert temporal_correlator(rho, a[0], u1, b[1]) == bell_oracle.temporal_correlator(
                 rho, a[0], u1, b[1])
-            rep = s_lgi(CorrelatorSpec(rho, tuple(a), tuple(b), u1))
+            rep = s_lgi(rho, a, b, u1)
             table = bell_oracle.correlator_table(rho, a, u1, b)
             assert rep.correlators.tobytes() == table.tobytes()
             assert rep.value == float(table[0, 0] + table[0, 1] + table[1, 0] - table[1, 1])
@@ -148,12 +147,12 @@ class TestKernelChecks:
 
 
 class TestUnitarityChecks:
-    def test_spec_rejects_non_unitary(self):
+    def test_s_lgi_rejects_non_unitary(self):
         z = MeasurementSetting.from_pauli("Z")
         with pytest.raises(ValueError, match="not unitary"):
-            CorrelatorSpec(maximally_mixed(2), (z, z), (z, z), 0.5 * np.eye(2))
+            s_lgi(maximally_mixed(2), (z, z), (z, z), 0.5 * np.eye(2))
         with pytest.raises(ValueError, match="2x2"):
-            CorrelatorSpec(maximally_mixed(2), (z, z), (z, z), np.eye(3))
+            s_lgi(maximally_mixed(2), (z, z), (z, z), np.eye(3))
 
     @pytest.mark.parametrize("mode", ["independent_ensembles", "chained_single_system"])
     def test_monogamy_rejects_non_unitary(self, mode):
@@ -185,10 +184,10 @@ class TestOneUnitary:
             monogamy_sum(maximally_mixed(2), (z, z), (z, z), (z, z), unitaries=unitaries, mode=mode)
 
     @pytest.mark.parametrize("stacked", _STACKS, ids=["1x2x2", "2x2x2"])
-    def test_correlator_spec(self, stacked):
+    def test_s_lgi(self, stacked):
         z = MeasurementSetting.from_pauli("Z")
         with pytest.raises(ShapeError, match="^unitary must be a single matrix$"):
-            CorrelatorSpec(maximally_mixed(2), (z, z), (z, z), stacked)
+            s_lgi(maximally_mixed(2), (z, z), (z, z), stacked)
 
     @pytest.mark.parametrize("stacked", _STACKS, ids=["1x2x2", "2x2x2"])
     def test_temporal_correlator(self, stacked):
@@ -208,7 +207,7 @@ class TestChecksOnce:
             rho = random_state(rng, d)
             u1, u2 = random_unitary(rng, d), random_unitary(rng, d)
             a, b, c = ([random_setting(rng, d) for _ in range(2)] for _ in range(3))
-            rep = s_lgi(CorrelatorSpec(rho, tuple(a), tuple(b), u1))
+            rep = s_lgi(rho, a, b, u1)
             table = correlator_tables(rho, stack([a]), u1, stack([b]))[0]
             assert rep.correlators.tobytes() == table.tobytes()
             mono = monogamy_sum(rho, a, b, c, unitaries=(u1, u2))
@@ -251,7 +250,7 @@ class TestChecksOnce:
         monogamy_sum(random_state(rng, 2), a, b, c, unitaries=(random_unitary(rng, 2), None), mode=mode)
         assert calls == {"density_operator": 1}
         calls.update(density_operator=0)
-        s_lgi(CorrelatorSpec(random_state(rng, 2), tuple(a), tuple(b)))
+        s_lgi(random_state(rng, 2), a, b)
         assert calls == {"density_operator": 1}
         calls.update(density_operator=0)
         temporal_correlator(random_state(rng, 2), a[0], None, b[1])
@@ -266,7 +265,7 @@ class TestChecksOnce:
         with pytest.raises(ShapeError, match=message):
             monogamy_sum(maximally_mixed(2), (z, z), (z, z), (q, q), mode="chained_single_system")
         with pytest.raises(ShapeError, match=message):
-            s_lgi(CorrelatorSpec(maximally_mixed(2), (z, z), (q, q)))
+            s_lgi(maximally_mixed(2), (z, z), (q, q))
 
 
 def random_pure_state(rng, d: int) -> np.ndarray:

@@ -22,7 +22,7 @@ import pytest
 from qhist import bell, histories, twostate
 from qhist.histories import BridgingSet, ElementaryHistory, HistoryState, TimeGrid, normalize
 from qhist.linalg import maximally_mixed
-from qhist.twostate import MeasurementSetting, TwoTimeExperiment
+from qhist.twostate import MeasurementSetting
 
 import bell_oracle
 from conftest import random_ket, random_unitary
@@ -43,7 +43,7 @@ SUBSCRIPTS = {
 
 CHAIN_PATH = (histories._chains, histories._term_chains, histories._pairings, histories._collapse_weights,
               histories.weight, histories._family_report,
-              twostate._collapse_table, twostate.sequence_distribution, twostate.mixed_sequence_distribution,
+              twostate._outcome_table, twostate.sequence_distribution, twostate.mixed_sequence_distribution,
               twostate.coherent_bundle_weights, bell._tables, bell.monogamy_sum)
 
 
@@ -105,7 +105,7 @@ def _exercise_chain_path(rng):
         pre, post = random_ket(rng, d), random_ket(rng, d)
         rho = maximally_mixed(d) * 0.5 + 0.5 * np.outer(pre, pre.conj())
         for p in (None, post):
-            twostate.sequence_distribution(TwoTimeExperiment.build(pre, slots, post=p, unitaries=unitaries))
+            twostate.sequence_distribution(pre, slots, unitaries, p)
             twostate.mixed_sequence_distribution(rho, slots, unitaries=unitaries, post=p)
         h = normalize(_history(rng, (d,) * 3, 3))
         b = BridgingSet(h.grid, tuple(random_unitary(rng, d) for _ in range(2)))
@@ -115,7 +115,7 @@ def _exercise_chain_path(rng):
         histories.weight(h, b)
         histories.is_consistent_family([h, _history(rng, (d,) * 3, 2), h.terms[0][1]], b)
         a, b_, c = ([MeasurementSetting(f"{p}{i}", _observable(rng, d)) for i in range(2)] for p in "abc")
-        bell.s_lgi(bell.CorrelatorSpec(rho, tuple(a), tuple(b_), unitaries[0]))
+        bell.s_lgi(rho, a, b_, unitaries[0])
         for mode in ("independent_ensembles", "chained_single_system"):
             bell.monogamy_sum(rho, a, b_, c, unitaries=unitaries[:2], mode=mode)
         obs = np.array([[[s.observable for s in row] for row in pair] for pair in ((a, b_), (b_, c), (c, a))])

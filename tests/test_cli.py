@@ -25,7 +25,7 @@ from qhist.cli import (
 from qhist.scenarios import MAX_GHZ_SLOTS
 from qhist.twostate import MAX_MEASURED_SLOTS
 
-from conftest import open_certificate
+from conftest import Experiment, open_certificate
 from twostate_oracle import abl_probability
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -113,6 +113,16 @@ class TestScenarioCommand:
         code, out, err = run_cli(capsys, "scenario", *argv)
         assert (code, out) == (EXIT_INPUT, "")
         assert err == f"error: {flag} must be a finite number, got {value}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["temporal-ghz", "--alpha", "1e200"],
+        ["temporal-ghz", "--alpha", "0.6", "--beta", "1e200"],
+        ["temporal-ghz", "--alpha=-1e200"],
+    ])
+    def test_amplitude_above_one_is_an_input_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "scenario", *argv)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "error: |alpha|^2 + |beta|^2 must equal 1\n"
 
     def test_byte_identical_runs(self, capsys):
         _, out1, _ = run_cli(capsys, "scenario", "pauli-cycle")
@@ -688,14 +698,14 @@ class TestAblCommand:
         built = []
         real = twostate.sequence_distribution
         for module in (cli, twostate):
-            monkeypatch.setattr(module, "sequence_distribution", lambda exp: built.append(1) or real(exp))
+            monkeypatch.setattr(module, "sequence_distribution", lambda *a: built.append(1) or real(*a))
         spec = str(GOLDEN / "specs" / "abl-post-one.json")
         code, out, _ = run_cli(capsys, "abl", "--spec", spec, "--slot", "0", "--outcome", outcome)
         assert (code, len(built)) == (EXIT_OK, 1)
         doc = json.loads(out)["artifacts"]
         assert (doc["slot"], doc["outcome"]) == (0, outcome)
-        exp = twostate.TwoTimeExperiment.build(*(serialize.experiment_from_document(
-            serialize.load_document(spec))[k] for k in ("pre", "slots", "post", "unitaries")))
+        exp = Experiment(*(serialize.experiment_from_document(
+            serialize.load_document(spec))[k] for k in ("pre", "slots", "unitaries", "post")))
         assert doc["abl_probability"] == abl_probability(exp, 0, +1 if outcome == "+" else -1)
 
     def test_mixed_initial(self, capsys, tmp_path):

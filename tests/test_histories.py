@@ -1596,7 +1596,7 @@ class TestSubsystemTraceOut:
         expected = None
         for c in (np.array([1, 0], complex), np.array([0, 1], complex)):
             kets = [c.conj(), (u @ c).conj(), (u @ u @ c).conj()]
-            term = HistoryState.from_elementary(ElementaryHistory(g2, tuple(projector(k) for k in kets)))
+            term = HistoryState(((1.0, ElementaryHistory(g2, tuple(projector(k) for k in kets))),))
             expected = term if expected is None else expected + term
         f = abs(hs_inner(normalize(red.state), normalize(expected)))
         assert f == pytest.approx(1.0, abs=1e-9)
@@ -1667,7 +1667,7 @@ class TestChainKernelAgainstLoopOracle:
         assert weight(h, b) == histories_oracle.loop_pairing(want, want).real
         eh = h.terms[0][1]
         assert np.array_equal(chain_operator_sum(eh, b),
-                              histories_oracle.chain_operator_sum(HistoryState.from_elementary(eh), b))
+                              histories_oracle.chain_operator_sum(HistoryState(((1.0, eh),)), b))
 
     @pytest.mark.parametrize("dims", _KERNEL_DIMS)
     @pytest.mark.parametrize("seed", range(6))
@@ -1695,7 +1695,7 @@ class TestBatchedConsistency:
         for _ in range(rng.integers(2, 10)):
             h = _term_history(rng, dims, [_ops(rng, dims) for _ in range(rng.integers(1, 9))])
             family.append(h.terms[0][1] if rng.random() < 0.3 else h)
-        states = [HistoryState.from_elementary(h) if isinstance(h, ElementaryHistory) else h for h in family]
+        states = [HistoryState(((1.0, h),)) if isinstance(h, ElementaryHistory) else h for h in family]
         rep = is_consistent_family(family, b)
         # each member's terms are summed left to right, as the loop sums them
         assert np.array_equal(rep.matrix, histories_oracle.consistency_matrix(states, b))
@@ -1708,7 +1708,7 @@ class TestBatchedConsistency:
         with pytest.raises(GridMismatchError):
             is_consistent_family([h, h.terms[0][1], stray], b)
         with pytest.raises(GridMismatchError):
-            is_consistent_family([HistoryState.from_elementary(stray)], b)
+            is_consistent_family([HistoryState(((1.0, stray),))], b)
 
 
 class TestTermConsistency:
@@ -1762,7 +1762,7 @@ class TestSubsystemTraceOutAgainstLoopOracle:
             assert abs(c - c0) <= 1e-12
             for op, op0 in zip(eh.slots, eh0.slots):
                 assert np.abs(op - op0).max() <= 1e-12
-        members = [normalize(HistoryState.from_elementary(eh)) for _, eh in want.terms]
+        members = [normalize(HistoryState(((1.0, eh),))) for _, eh in want.terms]
         assert np.abs(red.consistency.matrix
                       - histories_oracle.consistency_matrix(members, red.bridging)).max() <= 1e-12
         # bit for bit against the object route the term arrays replace

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from qhist import (
     BridgingSet,
-    CorrelatorSpec,
     HistoryState,
     TimeGrid,
     chain_operator_sum,
@@ -189,13 +188,7 @@ angle_pairs = st.tuples(
 def test_s_lgi_never_exceeds_quantum_bound(pairs, seed):
     flat = [x for pair in pairs for x in pair]
     a1, a2, b1, b2 = settings_from_angles(flat)
-    spec = CorrelatorSpec(
-        initial=maximally_mixed(2),
-        first_settings=(a1, a2),
-        second_settings=(b1, b2),
-        unitary=random_unitary(_rng(seed), 2),
-    )
-    report = s_lgi(spec)
+    report = s_lgi(maximally_mixed(2), (a1, a2), (b1, b2), random_unitary(_rng(seed), 2))
     assert abs(report.value) <= TSIRELSON_BOUND + 1e-9
     for row in report.correlators:
         for c in row:

@@ -98,6 +98,11 @@ class TestTemporalGHZ:
         with pytest.raises(ValueError):
             temporal_ghz(alpha=1.0, beta=1.0)
 
+    @pytest.mark.parametrize("alpha, beta", [(1e200, 0.0), (0.6, 1e200), (0.6, -1e200j), (1e200, 1e200)])
+    def test_amplitude_above_one_rejected_before_squaring(self, alpha, beta):
+        with pytest.raises(ValueError, match=r"^\|alpha\|\^2 \+ \|beta\|\^2 must equal 1$"):
+            temporal_ghz(alpha=alpha, beta=beta)
+
     def test_largest_grid(self):
         res = temporal_ghz(n_slots=MAX_GHZ_SLOTS, alpha=0.6, beta=0.8)
         purities = [v for k, v in res.artifacts.items() if k.startswith("reduction_purity_")]

@@ -33,12 +33,11 @@ from qhist import (
     run_scenario,
     tsirelson_settings,
     s_lgi,
-    CorrelatorSpec,
     temporal_partial_trace,
 )
 from qhist.errors import ShapeError
 from qhist import twostate
-from qhist.twostate import TwoTimeExperiment, mixed_sequence_distribution, sequence_distribution
+from qhist.twostate import mixed_sequence_distribution, sequence_distribution
 from qhist.linalg import identity, maximally_mixed, pauli, projector, qubit_ket
 from qhist import cli, serialize
 from qhist.serialize import (
@@ -134,7 +133,7 @@ class TestEncoding:
 
     def test_bell_report_document(self):
         firsts, seconds = tsirelson_settings()
-        rep = s_lgi(CorrelatorSpec(maximally_mixed(2), firsts, seconds))
+        rep = s_lgi(maximally_mixed(2), firsts, seconds)
         doc = to_jsonable(rep)
         assert doc["value"] == pytest.approx(2.0 * math.sqrt(2.0))
         assert len(doc["correlators"]) == 2
@@ -142,7 +141,7 @@ class TestEncoding:
 
     def test_document_encodes_a_result_once(self):
         firsts, seconds = tsirelson_settings()
-        rep = s_lgi(CorrelatorSpec(maximally_mixed(2), firsts, seconds))
+        rep = s_lgi(maximally_mixed(2), firsts, seconds)
         doc = document("lgi", rep)
         assert doc["artifacts"] == to_jsonable(rep)
         # to_jsonable is idempotent on its own output, so pre-encoded artifacts read the same
@@ -435,7 +434,7 @@ class TestJsonWriter:
 
     def test_report_documents_match_json_dumps(self):
         firsts, seconds = tsirelson_settings()
-        report = s_lgi(CorrelatorSpec(maximally_mixed(2), firsts, seconds))
+        report = s_lgi(maximally_mixed(2), firsts, seconds)
         table = {"".join(k): 1 / 16 for k in itertools.product("+-", repeat=4)}
         docs = [
             to_jsonable(run_scenario("temporal-ghz")),
@@ -640,8 +639,7 @@ def _kernel_distribution(rng, kind: str, n: int) -> OutcomeDistribution:
     if kind == "mixed":
         return mixed_sequence_distribution(maximally_mixed(2), slots, unitaries)
     ket, post = (random_unitary(rng, 2)[:, k] for k in range(2))
-    return sequence_distribution(TwoTimeExperiment.build(ket, slots, post=None if kind == "pure" else post,
-                                                         unitaries=unitaries))
+    return sequence_distribution(ket, slots, unitaries, None if kind == "pure" else post)
 
 
 def _plain(dist: OutcomeDistribution) -> dict:

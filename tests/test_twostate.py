@@ -13,7 +13,6 @@ from qhist import (
     ImpossiblePostselectionError,
     MeasurementSetting,
     ShapeError,
-    TwoTimeExperiment,
     coherent_bundle_distribution,
     coherent_bundle_weights,
     mixed_sequence_distribution,
@@ -32,6 +31,7 @@ from histories_oracle import is_projector
 from twostate_oracle import abl_probability, correlator, earlier_marginal_deviation, history_bundle, marginal
 from conftest import (
     HADAMARD,
+    Experiment,
     diagonal_branches,
     random_dichotomic,
     experiment_corpus,
@@ -126,48 +126,39 @@ class TestOutcomeDistribution:
 
 class TestSequenceDistribution:
     def test_repeated_x_from_zero_postselected(self):
-        exp = TwoTimeExperiment.build(K0, (X, X), post=K0)
-        dist = sequence_distribution(exp)
+        dist = sequence_distribution(K0, (X, X), post=K0)
         assert dist.probability("++") == pytest.approx(0.5, abs=1e-12)
         assert dist.probability("--") == pytest.approx(0.5, abs=1e-12)
         assert dist.probability("+-") == pytest.approx(0.0, abs=1e-12)
         assert dist.probability("-+") == pytest.approx(0.0, abs=1e-12)
 
     def test_three_settings_unpostselected_uniform(self):
-        exp = TwoTimeExperiment.build(K0, (X, Y, Z))
-        dist = sequence_distribution(exp)
+        dist = sequence_distribution(K0, (X, Y, Z))
         for string in dist.table:
             assert dist.probability(string) == pytest.approx(0.125, abs=1e-12)
 
     def test_certainty_from_aligned_boundaries(self):
         # pre |0>, post |+>, middle Z: the minus outcome cannot reach the post
-        exp = TwoTimeExperiment.build(K0, (Z,), post=KP)
-        dist = sequence_distribution(exp)
+        dist = sequence_distribution(K0, (Z,), post=KP)
         assert dist.probability("+") == pytest.approx(1.0, abs=1e-12)
 
     def test_impossible_postselection(self):
-        exp = TwoTimeExperiment.build(K0, (Z,), post=K1)
         with pytest.raises(ImpossiblePostselectionError):
-            sequence_distribution(exp)
+            sequence_distribution(K0, (Z,), post=K1)
 
     def test_interval_unitaries_applied(self):
         # H before and after a Z measurement turns |0> into the X statistics
-        exp = TwoTimeExperiment.build(
-            K0, (Z,), unitaries=(HADAMARD, HADAMARD)
-        )
-        dist = sequence_distribution(exp)
+        dist = sequence_distribution(K0, (Z,), unitaries=(HADAMARD, HADAMARD))
         assert dist.probability("+") == pytest.approx(0.5, abs=1e-12)
 
     def test_no_measured_slot_rejected(self):
-        exp = TwoTimeExperiment.build(K0, (None, None))
         with pytest.raises(ValueError):
-            sequence_distribution(exp)
+            sequence_distribution(K0, (None, None))
 
     def test_brute_force_amplitudes(self):
         # independent re-derivation: explicit projector chains times the pre
         # ket, squared against the post ket
-        exp = TwoTimeExperiment.build(K0, (X, Z), post=KP)
-        dist = sequence_distribution(exp)
+        dist = sequence_distribution(K0, (X, Z), post=KP)
         raw = {}
         for s0, s1 in itertools.product((+1, -1), repeat=2):
             amp = KP.conj() @ (Z.projector(s1) @ (X.projector(s0) @ K0))
@@ -184,7 +175,7 @@ class TestMixedSequenceDistribution:
             got = mixed_sequence_distribution(
                 rho, exp.slots, unitaries=exp.unitaries, post=exp.post
             )
-            want = sequence_distribution(exp)
+            want = sequence_distribution(*exp)
             for string, p in want.table.items():
                 assert got.probability(string) == pytest.approx(p, abs=1e-12)
 
@@ -224,6 +215,34 @@ class TestMixedSequenceDistribution:
     def test_post_dimension_validation(self):
         with pytest.raises(ShapeError, match="post ket dimension does not match the state"):
             mixed_sequence_distribution(maximally_mixed(2), (X,), post=np.array([1, 0, 0]))
+
+
+class TestOneCheckedRoute:
+    """Both distributions check their start, then ``post``, then the slot row,
+    then that a slot is measured, each with its own message."""
+
+    @staticmethod
+    def distribution(pure: bool):
+        if pure:
+            return lambda *args: sequence_distribution(K0, *args)
+        return lambda *args: mixed_sequence_distribution(maximally_mixed(2), *args)
+
+    def test_pre_ket_checked_first(self):
+        with pytest.raises(ValueError, match="^ket is not normalized"):
+            sequence_distribution(2.0 * K0, (None,), [identity(3)], np.array([1, 0, 0]))
+
+    @pytest.mark.parametrize("pure, state", [(True, "the pre ket"), (False, "the state")])
+    def test_post_then_row_then_measured_slots(self, pure, state):
+        dist = self.distribution(pure)
+        with pytest.raises(ShapeError, match=f"^post ket dimension does not match {state}$"):
+            dist((None,), [identity(2)], np.array([1, 0, 0]))
+        with pytest.raises(ValueError, match="^ket is not normalized"):
+            dist((None,), [identity(2)], 2.0 * K0)
+        with pytest.raises(ShapeError, match="^need one interval unitary per gap, boundaries included$"):
+            dist((None,), [identity(2)], K0)
+        with pytest.raises(ValueError, match="^at least one measured slot is required$"):
+            dist((None,), None, K0)
+        assert dist((X,), None, K0).probability("+") == pytest.approx(0.5, abs=1e-12)
 
 
 def _random_observable(rng, d: int) -> np.ndarray:
@@ -267,9 +286,8 @@ class TestWalkAgainstOracle:
             slots, unitaries = _random_row(rng, d)
             pre = random_ket(rng, d)
             post = random_ket(rng, d) if with_post else None
-            exp = TwoTimeExperiment.build(pre, slots, post=post, unitaries=unitaries)
-            want = twostate_oracle.sequence_table(exp.pre, exp.slots, exp.unitaries, exp.post)
-            _same_bytes(sequence_distribution(exp), want)
+            want = twostate_oracle.sequence_table(pre, slots, unitaries, post)
+            _same_bytes(sequence_distribution(pre, slots, unitaries, post), want)
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("with_post", [False, True])
@@ -285,21 +303,21 @@ class TestWalkAgainstOracle:
 
 class TestABL:
     def test_symmetric_certainty(self):
-        exp = TwoTimeExperiment.build(K0, (Z,), post=KP)
+        exp = Experiment(K0, (Z,), post=KP)
         assert abl_probability(exp, 0, +1) == pytest.approx(1.0, abs=1e-12)
         assert abl_probability(exp, 0, -1) == pytest.approx(0.0, abs=1e-12)
 
     def test_unbiased_case(self):
-        exp = TwoTimeExperiment.build(K0, (X,), post=K1)
+        exp = Experiment(K0, (X,), post=K1)
         assert abl_probability(exp, 0, +1) == pytest.approx(0.5, abs=1e-12)
 
     def test_requires_postselection(self):
-        exp = TwoTimeExperiment.build(K0, (X,))
+        exp = Experiment(K0, (X,))
         with pytest.raises(ValueError):
             abl_probability(exp, 0, +1)
 
     def test_requires_single_measured_slot(self):
-        exp = TwoTimeExperiment.build(K0, (X, Z), post=K0)
+        exp = Experiment(K0, (X, Z), post=K0)
         with pytest.raises(ValueError):
             abl_probability(exp, 0, +1)
 
@@ -311,7 +329,7 @@ class TestABL:
             den = num + abs(np.vdot(KP, s.projector(-1) @ K0)) ** 2
             if den < 1e-12:
                 continue
-            exp = TwoTimeExperiment.build(K0, (s,), post=KP)
+            exp = Experiment(K0, (s,), post=KP)
             assert abl_probability(exp, 0, +1) == pytest.approx(num / den, abs=1e-12)
 
 
@@ -326,13 +344,13 @@ class TestHistoryBundle:
                 assert p == pytest.approx(w / total, abs=1e-9), string
 
     def test_zero_weight_strings_dropped(self):
-        exp = TwoTimeExperiment.build(K0, (X, X), post=K0)
+        exp = Experiment(K0, (X, X), post=K0)
         bundle = history_bundle(exp)
         strings = {s for s, _, _, _ in bundle}
         assert strings == {"++", "--"}
 
     def test_histories_are_normalized_projector_strings(self):
-        exp = TwoTimeExperiment.build(K0, (X, Z), post=KP)
+        exp = Experiment(K0, (X, Z), post=KP)
         for _, h, _, _ in history_bundle(exp):
             assert h.n_terms == 1
             assert all(is_projector(op) for op in h.terms[0][1].slots)
@@ -460,7 +478,7 @@ class TestMeasuredSlotBound:
         message = f"at most {MAX_MEASURED_SLOTS} measured slots are supported, got {n}"
         slots = (X, None) * n
         with pytest.raises(ValueError, match=message):
-            sequence_distribution(TwoTimeExperiment.build(K0, slots, post=KP))
+            sequence_distribution(K0, slots, post=KP)
         with pytest.raises(ValueError, match=message):
             mixed_sequence_distribution(maximally_mixed(2), slots)
         grid, up, down = diagonal_branches(2 * n)
@@ -473,11 +491,11 @@ class TestMeasuredSlotBound:
         monkeypatch.setattr(histories, "MAX_MEASURED_SLOTS", 2)
         grid, up, down = diagonal_branches(5)
         h, b = normalize(up + down), BridgingSet.trivial(grid)
-        assert len(sequence_distribution(TwoTimeExperiment.build(K0, (X, None, None, Z))).table) == 4
+        assert len(sequence_distribution(K0, (X, None, None, Z)).table) == 4
         assert len(mixed_sequence_distribution(maximally_mixed(2), (None, X, None, Z)).table) == 4
         assert len(coherent_bundle_weights(h, b, {1: X, 3: Z})) == 4
         with pytest.raises(ValueError, match="at most 2 measured slots"):
-            sequence_distribution(TwoTimeExperiment.build(K0, (X, None, Y, Z)))
+            sequence_distribution(K0, (X, None, Y, Z))
         with pytest.raises(ValueError, match="at most 2 measured slots"):
             mixed_sequence_distribution(maximally_mixed(2), (X, None, Y, Z))
         with pytest.raises(ValueError, match="at most 2 measured slots"):
@@ -488,8 +506,7 @@ class TestMarginalIndependence:
     def family(self, post):
         out = {}
         for second in (Z, X):
-            exp = TwoTimeExperiment.build(K0, (X, second), post=post)
-            out[("X", second.label)] = sequence_distribution(exp)
+            out[("X", second.label)] = sequence_distribution(K0, (X, second), post=post)
         return out
 
     def test_no_postselection_no_backward_influence(self):
@@ -606,7 +623,7 @@ class TestStackedUnitaryRow:
         row[position] = bad
         slots = (X, None, Z)
         with pytest.raises(error, match=f"^{message}$"):
-            TwoTimeExperiment.build(K0, slots, post=KP, unitaries=row)
+            sequence_distribution(K0, slots, row, KP)
         with pytest.raises(error, match=f"^{message}$"):
             mixed_sequence_distribution(maximally_mixed(2), slots, unitaries=row)
 
@@ -624,13 +641,13 @@ class TestStackedUnitaryRow:
         row[first], row[second] = bad_first, bad_second
         slots = (X, None, Z)
         with pytest.raises(error, match=f"^{message}$"):
-            TwoTimeExperiment.build(K0, slots, post=KP, unitaries=row)
+            sequence_distribution(K0, slots, row, KP)
         with pytest.raises(error, match=f"^{message}$"):
             mixed_sequence_distribution(maximally_mixed(2), slots, unitaries=row)
 
     def test_wrong_count_still_named(self):
         with pytest.raises(ShapeError, match="^need one interval unitary per gap, boundaries included$"):
-            TwoTimeExperiment.build(K0, (X, Z), unitaries=[identity(2)] * 4)
+            sequence_distribution(K0, (X, Z), [identity(2)] * 4)
 
     def test_default_row_is_not_checked(self, monkeypatch):
         from qhist import linalg
@@ -646,11 +663,11 @@ class TestStackedUnitaryRow:
 
     def test_read_only_copies_of_the_given_row(self, rng):
         row = [random_unitary(rng, 2) for _ in range(3)]
-        exp = TwoTimeExperiment.build(K0, (X, Z), post=KP, unitaries=row)
-        assert [u.tobytes() for u in exp.unitaries] == [u.tobytes() for u in row]
-        assert all(not u.flags.writeable for u in exp.unitaries)
+        checked = twostate._checked_row(2, (X, Z), row)
+        assert [u.tobytes() for u in checked] == [u.tobytes() for u in row]
+        assert all(not u.flags.writeable for u in checked)
         row[0][0, 0] = 5.0
-        assert exp.unitaries[0][0, 0] != 5.0
+        assert checked[0][0, 0] != 5.0
 
     def test_one_check_per_row(self, rng, monkeypatch):
         from qhist import linalg
@@ -661,7 +678,7 @@ class TestStackedUnitaryRow:
         for n in (1, 6, 13):
             calls.clear()
             slots = (X,) * (n - 1)
-            TwoTimeExperiment.build(K0, slots, unitaries=[random_unitary(rng, 2) for _ in range(n)])
+            twostate._checked_row(2, slots, [random_unitary(rng, 2) for _ in range(n)])
             assert len(calls) == 1
             calls.clear()
             mixed_sequence_distribution(maximally_mixed(2), slots or (X,), unitaries=None if n == 1 else

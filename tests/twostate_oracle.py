@@ -27,7 +27,7 @@ import numpy as np
 
 from qhist.histories import BridgingSet, ElementaryHistory, HistoryState, TimeGrid
 from qhist.linalg import as_ket, as_matrix, identity, projector
-from qhist.twostate import ZERO_WEIGHT_TOL, _check_abl, sequence_distribution
+from qhist.twostate import ZERO_WEIGHT_TOL, sequence_distribution
 
 from histories_oracle import as_lists, chain_operator_sum, loop_matmul, loop_pairing, loop_sum
 
@@ -102,16 +102,19 @@ def coherent_bundle_weights(h, b, measured) -> dict:
 
 def history_bundle(exp):
     """(outcome string, normalized history, probability, bridging) for each
-    string of ``sequence_distribution(exp)`` with a nonzero probability."""
+    string of ``sequence_distribution(*exp)`` with a nonzero probability, for
+    an experiment (pre, slots, unitaries, post) as ``conftest.Experiment``
+    holds it."""
     d = exp.pre.size
     grid = TimeGrid.regular(len(exp.slots) + 2, d)
-    bridging = BridgingSet(grid, exp.unitaries)
+    unitaries = [identity(d)] * (len(exp.slots) + 1) if exp.unitaries is None else exp.unitaries
+    bridging = BridgingSet(grid, unitaries)
     pre_op = projector(exp.pre)
     post_op = identity(d) if exp.post is None else projector(exp.post)
     # slot k's operator for each outcome character ("" when unmeasured)
     options = [{"": identity(d)} if s is None else dict(zip("+-", s.projectors())) for s in exp.slots]
     bundle = []
-    for string, p in sequence_distribution(exp).table.items():
+    for string, p in sequence_distribution(*exp).table.items():
         if p <= ZERO_WEIGHT_TOL:
             continue
         chars = dict(zip(exp.measured_indices, string))
@@ -124,9 +127,13 @@ def history_bundle(exp):
 def abl_probability(exp, slot: int, outcome: int) -> float:
     """Pre/post-conditioned probability of ``outcome`` (+1 or -1) at the one
     measured slot ``slot``; an unreachable post-selection raises rather than
-    giving 0/0."""
-    _check_abl(exp, slot)
-    return sequence_distribution(exp).probability("+" if outcome == +1 else "-")
+    giving 0/0.  The preconditions are ``qhist abl --slot``'s, checked before
+    the table is built."""
+    if exp.post is None:
+        raise ValueError("a post-selection is required")
+    if exp.measured_indices != (slot,):
+        raise ValueError("exactly one measured slot, matching `slot`, is required")
+    return sequence_distribution(*exp).probability("+" if outcome == +1 else "-")
 
 
 def marginal(dist, position: int) -> dict[str, float]:
