@@ -134,11 +134,12 @@ def _tables(rho, first_pairs, u, second_pairs) -> np.ndarray:
     d = rho.shape[0]
     if first_pairs.shape[-1] != d or second_pairs.shape[-1] != d:
         raise ShapeError(f"observables must be (k, {d}, {d}) stacks")
-    entries = (len(first_pairs), len(second_pairs))
-    slots = [np.broadcast_to(ops, entries + ops.shape[-3:]).reshape((-1,) + ops.shape[-3:])
-             for ops in (first_pairs[:, None], u.reshape(1, 1, 1, d, d), second_pairs[None])]
+    k1, k2 = len(first_pairs), len(second_pairs)
+    # batch entry i * k2 + j: first_pairs[i], u and second_pairs[j]
+    slots = (first_pairs.repeat(k2, axis=0), u[None, None].repeat(k1 * k2, axis=0),
+             second_pairs[None].repeat(k1, axis=0).reshape((-1,) + second_pairs.shape[1:]))
     chains = _chains(identity(d), (None,) * 3, slots)[1].reshape(d, d, -1)
-    weights = _collapse_weights(chains, rho).reshape((4,) + entries)
+    weights = _collapse_weights(chains, rho).reshape(4, k1, k2)
     total = weights[0] - weights[1] - weights[2] + weights[3]  # strings ++, +-, -+, --
     if max_abs(total) > 1.0 + 1e-9:
         raise ValueError("correlators must lie in [-1, 1]")
@@ -147,7 +148,7 @@ def _tables(rho, first_pairs, u, second_pairs) -> np.ndarray:
 
 def _pairs(settings: Sequence[MeasurementSetting]) -> np.ndarray:
     """The settings' own checked (P+, P-) pairs as one (k, 2, d, d) stack."""
-    return np.stack([s.projectors() for s in settings])
+    return np.array([s.projectors() for s in settings])
 
 
 def temporal_correlator(
@@ -159,9 +160,23 @@ def temporal_correlator(
     return float(_tables(rho, first.projectors()[None], u, second.projectors()[None])[0, 0])
 
 
-def _report(table, settings, mode: str) -> BellReport:
-    value = float(table[0, 0] + table[0, 1] + table[1, 0] - table[1, 1])
-    return BellReport(table, value, CLASSICAL_BOUND, TSIRELSON_BOUND, tuple(s.label for s in settings), mode)
+def _two_each(**parties) -> None:
+    """Each party's settings, a tuple, number exactly two."""
+    for name, settings in parties.items():
+        if len(settings) != 2:
+            raise ShapeError(f"{name} must hold exactly two settings, got {len(settings)}")
+
+
+def _report(table: np.ndarray, settings, mode: str) -> BellReport:
+    """The report of a 2x2 table fresh from ``_tables``, held as it is built:
+    ``_tables`` has range-checked it, and the public checks would copy it and
+    read every entry again."""
+    (c11, c12), (c21, c22) = table.tolist()
+    table.setflags(write=False)
+    report = object.__new__(BellReport)
+    vars(report).update(correlators=table, value=c11 + c12 + c21 - c22, classical_bound=CLASSICAL_BOUND,
+                        quantum_bound=TSIRELSON_BOUND, settings_used=tuple(s.label for s in settings), mode=mode)
+    return report
 
 
 def s_lgi(
@@ -173,10 +188,12 @@ def s_lgi(
     """S = c11 + c12 + c21 - c22 for the given settings, each correlator on a
     fresh ensemble: the report's mode is always independent_ensembles.  The
     state and the one unitary (None: the identity) are checked as
-    ``temporal_correlator`` checks them."""
+    ``temporal_correlator`` checks them, then that each party holds exactly
+    two settings."""
     rho = density_operator(initial)
     u = _check_unitary(unitary, rho.shape[0])
     first_settings, second_settings = tuple(first_settings), tuple(second_settings)
+    _two_each(first_settings=first_settings, second_settings=second_settings)
     table = _tables(rho, _pairs(first_settings), u, _pairs(second_settings))
     return _report(table, first_settings + second_settings, INDEPENDENT)
 
@@ -196,8 +213,9 @@ def _block_values(coefficients) -> list[list]:
         raise ShapeError("coefficient table must be 2x2")
     if not np.all(np.isfinite(coeff)):
         raise ValueError("coefficients must be finite")
+    c = coeff.tolist()
     return [
-        [sum(coeff[i, j] * a[i] * b[j] for i in range(2) for j in range(2)) for b in _STRATEGIES]
+        [sum(c[i][j] * a[i] * b[j] for i in range(2) for j in range(2)) for b in _STRATEGIES]
         for a in _STRATEGIES
     ]
 
@@ -263,6 +281,7 @@ def monogamy_sum(
     d = rho.shape[0]
     u1, u2 = (_check_unitary(u, d, f"unitaries[{i}]") for i, u in enumerate(unitaries))
     a_settings, b_settings, c_settings = tuple(a_settings), tuple(b_settings), tuple(c_settings)
+    _two_each(a_settings=a_settings, b_settings=b_settings, c_settings=c_settings)
     pa, pb, pc = (_pairs(s) for s in (a_settings, b_settings, c_settings))
     first = _report(_tables(rho, pa, u1, pb), a_settings + b_settings, mode)
     if mode == CHAINED:

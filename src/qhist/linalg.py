@@ -103,7 +103,15 @@ def identity(d: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # the one check for each kind of physical input, on one matrix or a stack;
-# ``what`` names the input in errors (see ``_raise_first``)
+# ``what`` names the input in errors (see ``_raise_first``).  A check lays its
+# residuals out as one (conditions, matrices) stack, takes one entrywise max of
+# each and compares the (conditions, matrices) maxima with one column of
+# tolerances, so a stack of any length costs the same few numpy calls.
+
+# the signs of (P+, P-) = ((I + O)/2, (I - O)/2)
+_SIGNS = np.array([1, -1], dtype=complex)
+# the tolerances of dichotomic_projectors' residuals, in check order
+_DICHOTOMIC_TOLS = np.array([[DEFAULT_TOL], [DEFAULT_TOL], [1e-12], [1e-12]])
 
 
 def _entry_max(a) -> np.ndarray:
@@ -111,15 +119,14 @@ def _entry_max(a) -> np.ndarray:
     return np.abs(a).max(axis=(-2, -1), initial=0.0)
 
 
-def _raise_first(what, failed, messages) -> None:
-    """Raise for the first failure in ``failed``, one per-matrix boolean array
-    per condition in check order, described by ``messages``.  ``what`` names
+def _raise_first(what, failed: np.ndarray, messages) -> None:
+    """Raise for the first failure in ``failed``, a (conditions, matrices)
+    boolean array in check order, described by ``messages``.  ``what`` names
     every matrix (a string: the first condition any matrix fails is raised) or
     each one (a function of the flat index: the lowest-index matrix that fails
     is raised, by its first failing condition)."""
-    if not any(f.any() for f in failed):
+    if not failed.any():
         return
-    failed = np.reshape(failed, (len(messages), -1))
     if isinstance(what, str):
         failed = failed.any(axis=1, keepdims=True)
     entry, condition = np.argwhere(failed.T)[0].tolist()  # (matrix, condition) pairs, matrix-major
@@ -131,8 +138,8 @@ def check_unitary(u, what: str | Callable[[int], str] = "unitary") -> np.ndarray
     u = np.asarray(u, dtype=complex)
     with np.errstate(invalid="ignore"):  # a non-finite matrix fails before its residual counts
         residual = _entry_max(u.conj().swapaxes(-1, -2) @ u - identity(u.shape[-1]))
-    _raise_first(what, [~np.isfinite(u).all(axis=(-2, -1)), residual > DEFAULT_TOL],
-                 ("{} entries must be finite", "{} is not unitary"))
+    failed = np.array([~np.isfinite(u).all(axis=(-2, -1)), residual > DEFAULT_TOL]).reshape(2, -1)
+    _raise_first(what, failed, ("{} entries must be finite", "{} is not unitary"))
     return u
 
 
@@ -149,18 +156,20 @@ def density_operator(rho, what: str = "initial state") -> np.ndarray:
 def dichotomic_projectors(obs, what: str | Callable[[int], str] = "observable") -> np.ndarray:
     """(P+, P-) = ((I + O)/2, (I - O)/2) stacked on a new leading axis, for one
     observable O or a (..., d, d) stack, once O is finite, Hermitian, O^2 = I
-    and the projectors resolve the identity and are orthogonal."""
+    and the projectors resolve the identity and are orthogonal.  The four
+    residuals of the N matrices are one (4N, d, d) stack, condition-major."""
     obs = np.asarray(obs, dtype=complex)
     if obs.ndim < 2 or obs.shape[-1] != obs.shape[-2]:
         raise ShapeError(f"{what if isinstance(what, str) else 'observables'} must be square")
-    eye = identity(obs.shape[-1])
+    n, d = math.prod(obs.shape[:-2]), obs.shape[-1]
+    eye = identity(d)
     with np.errstate(invalid="ignore"):
-        pair = np.stack([(eye + a * obs) / 2.0 for a in (+1, -1)])
-        failed = [~np.isfinite(obs).all(axis=(-2, -1)),
-                  _entry_max(obs - obs.conj().swapaxes(-1, -2)) > DEFAULT_TOL,
-                  _entry_max(obs @ obs - eye) > DEFAULT_TOL,
-                  _entry_max(pair[0] + pair[1] - eye) > 1e-12,
-                  _entry_max(pair[0] @ pair[1]) > 1e-12]
+        pair = (eye + _SIGNS.reshape((2,) + (1,) * obs.ndim) * obs) / 2.0
+        o = obs.reshape(n, d, d)
+        plus, minus = pair.reshape(2, n, d, d)
+        residuals = np.concatenate((o - o.conj().swapaxes(1, 2), o @ o - eye, plus + minus - eye, plus @ minus))
+        failed = np.concatenate(([~np.isfinite(o).all(axis=(1, 2))],
+                                 _entry_max(residuals).reshape(4, -1) > _DICHOTOMIC_TOLS))
     _raise_first(what, failed, (
         "{} entries must be finite", "{} is not Hermitian", "{} is not dichotomic (O^2 != I)",
         "outcome projectors do not resolve the identity", "outcome projectors are not orthogonal"))

@@ -59,7 +59,11 @@ class MeasurementSetting:
 
     def __post_init__(self):
         obs = np.array(as_matrix(self.observable), dtype=complex)
-        _hold(self, self.label, obs, dichotomic_projectors(obs, f"observable {self.label!r}"))
+        pair = dichotomic_projectors(obs, f"observable {self.label!r}")
+        obs.setflags(write=False)
+        pair.setflags(write=False)
+        # ``_projectors`` is an attribute, not a field: fields are what a setting's document holds
+        vars(self).update(observable=obs, _projectors=pair)
 
     @property
     def dim(self) -> int:
@@ -81,9 +85,9 @@ class MeasurementSetting:
         An entry is a Pauli name, Bloch angles (theta, phi) or (theta, phi,
         label), or None, which stays None (an unmeasured slot).  All Bloch
         rows take one ``bloch_observables`` call and the whole (k, 2, 2)
-        stack one ``dichotomic_projectors`` check, which names the first bad
-        setting by its label; each setting holds read-only slices of the
-        checked stack.
+        stack one ``dichotomic_projectors`` check, one residual stack for all
+        settings, which names the first bad setting by its label; each
+        setting holds slices of the checked stacks, made read-only once.
         """
         entries = tuple(entries)
         rows = [i for i, e in enumerate(entries) if e is not None]
@@ -109,9 +113,10 @@ class MeasurementSetting:
         # one (2, 2, 2) pair per setting, contiguous as a lone setting's is
         pairs = np.ascontiguousarray(pairs.swapaxes(0, 1))
         obs.setflags(write=False)
-        for r, i in enumerate(rows):
-            out[i] = object.__new__(cls)
-            _hold(out[i], labels[r], obs[r], pairs[r])
+        pairs.setflags(write=False)
+        for i, label, o, pair in zip(rows, labels, obs, pairs):
+            out[i] = setting = object.__new__(cls)
+            vars(setting).update(label=label, observable=o, _projectors=pair)
         return tuple(out)
 
     @classmethod
@@ -123,14 +128,8 @@ class MeasurementSetting:
         return cls.stack(((theta, phi, label),))[0]
 
 
-def _hold(setting: MeasurementSetting, label: str, obs: np.ndarray, pair: np.ndarray) -> None:
-    """Store a checked observable and its projector pair, read-only, on ``setting``."""
-    obs.setflags(write=False)
-    pair.setflags(write=False)
-    object.__setattr__(setting, "label", label)
-    object.__setattr__(setting, "observable", obs)
-    # an attribute, not a field: fields are what a setting's document holds
-    object.__setattr__(setting, "_projectors", pair)
+# the Pauli matrices X, Y and Z, the terms of n.sigma in order
+_PAULI_XYZ = np.array([pauli("X"), pauli("Y"), pauli("Z")])
 
 
 def bloch_observables(angles) -> np.ndarray:
@@ -143,11 +142,12 @@ def bloch_observables(angles) -> np.ndarray:
     a = np.asarray(angles, dtype=float)
     if a.ndim < 1 or a.shape[-1] != 2:
         raise ShapeError("need (theta, phi) pairs")
-    trig = np.array(
-        [(math.sin(t), math.cos(t), math.sin(p), math.cos(p)) for t, p in a.reshape(-1, 2).tolist()]
-    ).reshape(a.shape[:-1] + (4, 1, 1))
-    sin_t, cos_t, sin_p, cos_p = (trig[..., i, :, :] for i in range(4))
-    return sin_t * cos_p * pauli("X") + sin_t * sin_p * pauli("Y") + cos_t * pauli("Z")
+    coefficients = np.array([
+        (sin_t * math.cos(p), sin_t * math.sin(p), math.cos(t))
+        for t, p in a.reshape(-1, 2).tolist() for sin_t in (math.sin(t),)
+    ]).reshape(a.shape[:-1] + (3, 1, 1))
+    terms = coefficients * _PAULI_XYZ
+    return terms[..., 0, :, :] + terms[..., 1, :, :] + terms[..., 2, :, :]
 
 
 def _read_only(self, *args, **kwargs):
@@ -219,14 +219,19 @@ def _checked_row(d: int, slots, unitaries) -> tuple[np.ndarray, ...]:
 
     ``unitaries`` may be None for identities between every pair of slots,
     which are not read or checked.
-    Every measured slot must act on dimension ``d``, and there must be one
-    unitary per gap, the gaps before the first and after the last slot
-    included.  Every entry is read (2-D, finite), then the count checked,
-    then the entries in order: shape, then unitarity, with one
-    ``check_unitary`` over the stack of entries before the first wrong shape.
+    Every slot must be a ``MeasurementSetting`` or None, every measured slot
+    must act on dimension ``d``, and there must be one unitary per gap, the
+    gaps before the first and after the last slot included.  Every entry is
+    read (2-D, finite), then the count checked, then the entries in order:
+    shape, then unitarity, with one ``check_unitary`` over the stack of
+    entries before the first wrong shape.
     """
-    for s in slots:
-        if s is not None and s.dim != d:
+    for k, s in enumerate(slots):
+        if s is None:
+            continue
+        if not isinstance(s, MeasurementSetting):
+            raise ValueError(f"slot {k} must be a MeasurementSetting or None, got {type(s).__name__}")
+        if s.dim != d:
             raise ShapeError("slot observable dimension does not match the state")
     if unitaries is None:
         return tuple(np.broadcast_to(identity(d), (len(slots) + 1, d, d)))

@@ -28,6 +28,7 @@ from qhist.bell import (
     MAX_CHAIN_BLOCKS,
     _quadratic_form,
 )
+from qhist.errors import ShapeError
 from qhist.linalg import maximally_mixed, pauli, projector, qubit_ket
 from qhist.twostate import bloch_observables
 
@@ -118,6 +119,65 @@ class TestSLGI:
         direct = s_lgi(RHO, named_firsts, named_seconds)
         assert table[0, 0] + table[0, 1] + table[1, 0] - table[1, 1] == pytest.approx(direct.value, abs=1e-12)
         assert np.allclose(table, direct.correlators, atol=1e-12)
+
+
+def _no_table(*args, **kwargs):
+    raise AssertionError("a table was built before the settings were counted")
+
+
+class TestTwoSettingsEach:
+    """Each party's settings number exactly two, checked before any table."""
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_s_lgi(self, monkeypatch, count):
+        monkeypatch.setattr(bell, "_tables", _no_table)
+        with pytest.raises(ShapeError, match=f"^first_settings must hold exactly two settings, got {count}$"):
+            s_lgi(RHO, (Z, X, Z)[:count], (Z, X))
+        with pytest.raises(ShapeError, match=f"^second_settings must hold exactly two settings, got {count}$"):
+            s_lgi(RHO, (Z, X), (Z, X, Z)[:count])
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_chained_bell(self, monkeypatch, count):
+        monkeypatch.setattr(bell, "_tables", _no_table)
+        with pytest.raises(ShapeError, match=f"^first_settings must hold exactly two settings, got {count}$"):
+            chained_bell(3, (Z, X, Z)[:count], (Z, X))
+        with pytest.raises(ShapeError, match=f"^second_settings must hold exactly two settings, got {count}$"):
+            chained_bell(3, (Z, X), (Z, X, Z)[:count])
+
+    @pytest.mark.parametrize("mode", [INDEPENDENT, CHAINED])
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("party", ["a", "b", "c"])
+    def test_monogamy_sum(self, monkeypatch, party, count, mode):
+        monkeypatch.setattr(bell, "_tables", _no_table)
+        settings = {name: (Z, X) for name in "abc"}
+        settings[party] = (Z, X, Z)[:count]
+        with pytest.raises(ShapeError, match=f"^{party}_settings must hold exactly two settings, got {count}$"):
+            monogamy_sum(RHO, settings["a"], settings["b"], settings["c"], mode=mode)
+
+
+class TestReportBuilder:
+    """``_report`` holds a checked table as the public constructor would."""
+
+    @pytest.mark.parametrize("mode", [INDEPENDENT, CHAINED])
+    def test_equal_to_the_public_constructor(self, rng, mode):
+        for _ in range(40):
+            d = int(rng.integers(2, 5))
+            rho = _random_state(rng, bool(rng.integers(2)), d)
+            settings = tuple(MeasurementSetting(f"S{k}", _random_observable(rng, d)) for k in range(4))
+            pairs = [bell._pairs(settings[i:i + 2]) for i in (0, 2)]
+            table = bell._tables(rho, pairs[0], random_unitary(rng, d), pairs[1])
+            public_value = float(table[0, 0] + table[0, 1] + table[1, 0] - table[1, 1])
+            public = BellReport(table, public_value, bell.CLASSICAL_BOUND, bell.TSIRELSON_BOUND,
+                                tuple(s.label for s in settings), mode)
+            built = bell._report(table, settings, mode)
+            assert type(built) is BellReport
+            assert built.correlators.dtype == public.correlators.dtype == np.float64
+            assert built.correlators.tobytes() == public.correlators.tobytes()
+            assert not built.correlators.flags.writeable
+            assert type(built.value) is float
+            assert np.float64(built.value).tobytes() == np.float64(public.value).tobytes()
+            for field in ("classical_bound", "quantum_bound", "settings_used", "mode"):
+                assert getattr(built, field) == getattr(public, field)
 
 
 class TestClassicalBounds:

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qhist.errors import ShapeError
 from qhist.linalg import (
@@ -248,6 +249,129 @@ class TestInputChecks:
             assert pair.shape == (2,) + o.shape
             assert pair[0].tobytes() == ((eye + o) / 2.0).tobytes()
             assert pair[1].tobytes() == ((eye - o) / 2.0).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the batched checks against a plain loop over matrices and conditions
+
+_TOL = 1e-9
+
+
+def _fails_dichotomic(m):
+    """(message, failed) for each condition on one observable, in check order."""
+    eye = identity(m.shape[-1])
+    plus, minus = (eye + m) / 2.0, (eye - m) / 2.0
+    return [("{} entries must be finite", not np.isfinite(m).all()),
+            ("{} is not Hermitian", max_abs(m - m.conj().T) > _TOL),
+            ("{} is not dichotomic (O^2 != I)", max_abs(m @ m - eye) > _TOL),
+            ("outcome projectors do not resolve the identity", max_abs(plus + minus - eye) > 1e-12),
+            ("outcome projectors are not orthogonal", max_abs(plus @ minus) > 1e-12)]
+
+
+def _fails_unitary(m):
+    return [("{} entries must be finite", not np.isfinite(m).all()),
+            ("{} is not unitary", max_abs(m.conj().T @ m - identity(m.shape[-1])) > _TOL)]
+
+
+def _first_error(stack, what, conditions):
+    """The message of the first failure: with one name, the first condition
+    any matrix fails; with a name per matrix, the first matrix that fails, by
+    its first failing condition."""
+    with np.errstate(invalid="ignore"):
+        table = [conditions(m) for m in stack]
+    if isinstance(what, str):
+        for c in range(len(table[0])):
+            for row in table:
+                if row[c][1]:
+                    return row[c][0].format(what)
+        return None
+    for k, row in enumerate(table):
+        for message, failed in row:
+            if failed:
+                return message.format(what(k))
+    return None
+
+
+def _error_of(check, stack, what):
+    try:
+        check(stack, what)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _spoil_nan(m, i, j):
+    m[i, j] = np.nan
+
+
+def _spoil_inf(m, i, j):
+    m[i, j] = complex(0.0, np.inf) if (i + j) % 2 else np.inf
+
+
+def _spoil_hermitian(m, i, j):
+    m[i, j] += 0.5j if i == j else 0.5  # the mirror entry stays
+
+
+def _spoil_square(m, i, j):
+    m[i, j] += 0.5  # Hermitian still, with the mirror entry
+    m[j, i] = m[i, j].conjugate()
+
+
+def _spoil_slightly(m, i, j):
+    # O^2 - I near 2e-10 passes its 1e-9 tolerance; P+ P- = (I - O^2)/4 fails its 1e-12
+    m[i, j] += 1e-10
+    m[j, i] = m[i, j].conjugate()
+
+
+def _spoil_unitary(m, i, j):
+    m[i, j] += 0.5
+
+
+def _spoil_unitary_slightly(m, i, j):
+    m[i, j] += 2e-9  # a residual on either side of the 1e-9 tolerance
+
+
+_OBSERVABLE_SPOILS = (_spoil_nan, _spoil_inf, _spoil_hermitian, _spoil_square, _spoil_slightly)
+_UNITARY_SPOILS = (_spoil_nan, _spoil_inf, _spoil_unitary, _spoil_unitary_slightly)
+
+
+class TestChecksAgainstAPerMatrixLoop:
+    """``dichotomic_projectors`` and ``check_unitary`` lay every matrix's
+    residuals out as one stack; a plain loop over matrices and conditions
+    must raise the same first error, under one name or a name per matrix."""
+
+    @staticmethod
+    def stacks(seed, n, d):
+        rng = np.random.default_rng(seed)
+        us = [random_unitary(rng, d) for _ in range(n)]
+        signs = [np.diag(rng.permutation([1.0, -1.0] + [1.0] * (d - 2))) for _ in range(n)]
+        return np.array([u @ s @ u.conj().T for u, s in zip(us, signs)]), np.array(us)
+
+    @settings(max_examples=12, deadline=2000, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.sampled_from([2, 3]),
+           st.integers(0, 2**32 - 1))
+    def test_first_error_of_one_spoiled_entry(self, seed, n, d, second):
+        observables, unitaries = self.stacks(seed, n, d)
+        eye = identity(d)
+        pair = dichotomic_projectors(observables)
+        for k, o in enumerate(observables):
+            assert pair[0, k].tobytes() == ((eye + o) / 2.0).tobytes()
+            assert pair[1, k].tobytes() == ((eye - o) / 2.0).tobytes()
+        assert check_unitary(unitaries).tobytes() == unitaries.tobytes()
+        # a second spoil, of a drawn kind at a drawn place, puts two bad matrices in some stacks
+        pick = np.random.default_rng(second)
+        cases = ((dichotomic_projectors, observables, _OBSERVABLE_SPOILS, _fails_dichotomic),
+                 (check_unitary, unitaries, _UNITARY_SPOILS, _fails_unitary))
+        for check, good, spoils, conditions in cases:
+            for spoil, (m, i, j) in itertools.product(spoils, np.ndindex(good.shape)):
+                stack = good.copy()
+                spoil(stack[m], i, j)
+                if pick.random() < 0.5:
+                    spoils[pick.integers(len(spoils))](stack[pick.integers(n)], *pick.integers(d, size=2))
+                for what in ("o", "m{}".format):
+                    want = _first_error(stack, what, conditions)
+                    assert want is not None or spoil in (_spoil_unitary, _spoil_unitary_slightly)
+                    assert _error_of(check, stack, what) == want
 
 
 class TestNamedStates:

@@ -244,6 +244,15 @@ class TestOneCheckedRoute:
             dist((None,), None, K0)
         assert dist((X,), None, K0).probability("+") == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("pure", [True, False])
+    @pytest.mark.parametrize("slots, message", [
+        ((X, "Z"), "^slot 1 must be a MeasurementSetting or None, got str$"),
+        ((pauli("Z"), None), "^slot 0 must be a MeasurementSetting or None, got ndarray$"),
+    ])
+    def test_a_slot_that_is_not_a_setting_is_named(self, pure, slots, message):
+        with pytest.raises(ValueError, match=message):
+            self.distribution(pure)(slots)
+
 
 def _random_observable(rng, d: int) -> np.ndarray:
     """Dichotomic observable on dimension d with both eigenvalues present."""
